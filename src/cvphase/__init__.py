@@ -4,7 +4,7 @@ Gaussian states and binary spectral masks.
 Three independent engines compute the same detection probability: closed
 forms (``stats``), adaptive quadrature over the factorized integral
 (``quadrature``), and a circuit-level grid simulator (``grid``).  On top sit
-seeded Monte-Carlo experiments (``experiments``) and a table-emitting CLI
+seeded Monte-Carlo hit counts (``experiments``) and a table-emitting CLI
 (``cli``, installed as the ``cvphase`` script).
 """
 
@@ -21,11 +21,7 @@ from .experiments import (
     AuditReport,
     AuditRow,
     EstimationReport,
-    FunctionClass,
-    Outcome,
     ReplicationSummary,
-    TrialRecord,
-    dj_classify,
     heisenberg_audit,
     mle_phi,
     replicated_mse,
@@ -50,13 +46,9 @@ from .model import (
     CONTAINMENT_RATIO,
     FULL_EFFICIENCY_PRODUCT,
     MeasurementDistribution,
-    NormalizationConstants,
     PiecewiseBinaryFunction,
     ProcedureParams,
     ValidationReport,
-    f_eval,
-    norm_p_sq,
-    norm_x_sq,
     require_containment,
     validate_params,
 )
@@ -94,11 +86,7 @@ __all__ = [
     "AuditReport",
     "AuditRow",
     "EstimationReport",
-    "FunctionClass",
-    "Outcome",
     "ReplicationSummary",
-    "TrialRecord",
-    "dj_classify",
     "heisenberg_audit",
     "mle_phi",
     "replicated_mse",
@@ -119,13 +107,9 @@ __all__ = [
     "CONTAINMENT_RATIO",
     "FULL_EFFICIENCY_PRODUCT",
     "MeasurementDistribution",
-    "NormalizationConstants",
     "PiecewiseBinaryFunction",
     "ProcedureParams",
     "ValidationReport",
-    "f_eval",
-    "norm_p_sq",
-    "norm_x_sq",
     "require_containment",
     "validate_params",
     "QuadratureResult",

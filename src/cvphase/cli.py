@@ -22,13 +22,7 @@ from enum import Enum
 from typing import Any, Callable
 
 from .errors import CvPhaseError, ParameterError
-from .experiments import (
-    FunctionClass,
-    dj_classify,
-    heisenberg_audit,
-    replicated_mse,
-    sample_outcomes,
-)
+from .experiments import heisenberg_audit, replicated_mse, sample_outcomes
 from .grid import aligned_half_width, run_circuit
 from .model import PiecewiseBinaryFunction, ProcedureParams
 from .quadrature import QuadratureSpec, prob_x0_quadrature, step_hat_gap
@@ -42,19 +36,8 @@ _FD_STEP = 1e-5
 _COMPARABLE_COS_MAX = 2.0 / 3.0
 
 
-class Quantity(Enum):
-    PROB = "prob"
-    FISHER_PHI = "fisher_phi"
-    FISHER_R = "fisher_r"
-    DJ = "dj"
-    DELTA_PHI = "delta_phi"
-    AUDIT = "audit"
-    GAP = "gap"
-
-
 class Engine(Enum):
     ANALYTIC = "analytic"
-    QUADRATURE = "quadrature"
     GRID = "grid"
     ALL = "all"
 
@@ -63,7 +46,6 @@ class Engine(Enum):
 class SweepRequest:
     """One table-producing sweep: what to compute, where, with which engines."""
 
-    quantity: Quantity
     phi_values: tuple[float, ...]
     r_values: tuple[float, ...]
     params: ProcedureParams
@@ -76,7 +58,11 @@ class SweepRequest:
 
 
 def _axis(text: str) -> tuple[float, ...]:
-    """Axis flag value: single number, comma list, or start:stop:count."""
+    """Axis flag value: single number, comma list, or start:stop:count.
+
+    Every value must be finite with a finite double, since the closed forms
+    take cos(2*phi) and erf(2*r*delta).
+    """
     try:
         if ":" in text:
             start_s, stop_s, count_s = text.split(":")
@@ -84,10 +70,14 @@ def _axis(text: str) -> tuple[float, ...]:
             if count < 2:
                 raise ValueError("count must be >= 2")
             step = (stop - start) / (count - 1)
-            return tuple(start + k * step for k in range(count))
-        values = tuple(float(tok) for tok in text.split(",") if tok != "")
+            values = tuple(start + k * step for k in range(count))
+        else:
+            values = tuple(float(tok) for tok in text.split(",") if tok != "")
         if not values:
             raise ValueError("empty axis")
+        for v in values:
+            if not math.isfinite(2.0 * v):
+                raise ValueError(f"{v!r} is not finite or overflows when doubled")
         return values
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad axis {text!r}: {exc}") from exc
@@ -158,6 +148,8 @@ def _resolve_params(
     default_big_p: Callable[[float], float] | None = None,
 ) -> ProcedureParams:
     delta = args.delta if args.delta is not None else 1.0 / math.sqrt(2.0)
+    if not delta > 0.0:  # the default P and T divide by it
+        raise ParameterError(f"delta must be positive, got {delta!r}")
     if args.big_p is not None:
         big_p = args.big_p
     elif default_big_p is not None:
@@ -198,8 +190,6 @@ def _fisher_fd_grid(
 
 def cmd_fisher_phi_sweep(req: SweepRequest) -> tuple[list[str], list[dict]]:
     """Fisher information in the phase, analytic and/or circuit-differenced."""
-    if req.engine is Engine.QUADRATURE:
-        raise ParameterError("fisher-phi supports engines analytic, grid, all")
     p = req.params
     want_analytic = req.engine in (Engine.ANALYTIC, Engine.ALL)
     want_grid = req.engine in (Engine.GRID, Engine.ALL)
@@ -248,8 +238,6 @@ def cmd_fisher_r_sweep(req: SweepRequest) -> tuple[list[str], list[dict]]:
     mask jump within a conjugate-grid cell, so the difference quotient is
     dominated by discretization, not by the derivative being estimated.
     """
-    if req.engine is not Engine.ANALYTIC:
-        raise ParameterError("fisher-r supports only engine=analytic")
     rows = [
         {"phi": phi, "r": r, "fisher_r": fisher_r(req.params, r, phi)}
         for phi in req.phi_values
@@ -277,10 +265,8 @@ def cmd_dj(
     for idx, (label, r_case) in enumerate(cases):
         p_x0 = dj_statistics(p, r_case).p_x0
         f = PiecewiseBinaryFunction.step(r_case, p.big_p)
-        recs = sample_outcomes(p, f, half_pi, trials, (int(seed), idx))
-        n_const = sum(
-            1 for rec in recs if dj_classify(rec) is FunctionClass.CONSTANT
-        )
+        # a detection at the decision phase classifies the mask as constant
+        n_const = sample_outcomes(p, f, half_pi, trials, (int(seed), idx))
         n_bal = trials - n_const
         if r_case == 0.0:
             truth = "balanced"
@@ -462,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="threshold axis (default 0)")
     sp.add_argument("--phi", type=_axis, default=None,
                     help="phase axis (default 33 points on [0, pi])")
-    sp.add_argument("--engine", choices=("analytic", "quadrature", "grid", "all"),
+    sp.add_argument("--engine", choices=("analytic", "grid", "all"),
                     default="analytic")
     sp.add_argument("--grid-n", type=int, default=_DEFAULT_GRID_N,
                     help="simulator grid size, power of two (default 4096)")
@@ -481,8 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="threshold axis (default 63 interior points of (0, P))")
     sp.add_argument("--phi", type=_axis, default=None,
                     help="phase axis (default pi/2)")
-    sp.add_argument("--engine", choices=("analytic", "quadrature", "grid", "all"),
-                    default="analytic")
     sp.add_argument("--fig5", action="store_true",
                     help="canonical preset: phases {pi/2,5pi/12,pi/3,pi/4,pi/8} "
                          "over the interior threshold axis")
@@ -571,10 +555,7 @@ def _run_fisher_phi(args: argparse.Namespace) -> int:
     else:
         r_values = args.r if args.r is not None else (0.0,)
         phi_values = args.phi if args.phi is not None else _phase_axis(33)
-    req = SweepRequest(
-        Quantity.FISHER_PHI, phi_values, r_values, p, Engine(args.engine),
-        args.grid_n,
-    )
+    req = SweepRequest(phi_values, r_values, p, Engine(args.engine), args.grid_n)
     columns, rows = cmd_fisher_phi_sweep(req)
     _emit(columns, rows, args.format, args.out)
     return 0
@@ -589,10 +570,7 @@ def _run_fisher_r(args: argparse.Namespace) -> int:
     else:
         phi_values = args.phi if args.phi is not None else (math.pi / 2.0,)
     r_values = args.r if args.r is not None else _open_threshold_axis(p.big_p)
-    req = SweepRequest(
-        Quantity.FISHER_R, phi_values, r_values, p, Engine(args.engine)
-    )
-    columns, rows = cmd_fisher_r_sweep(req)
+    columns, rows = cmd_fisher_r_sweep(SweepRequest(phi_values, r_values, p))
     _emit(columns, rows, args.format, args.out)
     return 0
 
@@ -615,12 +593,13 @@ def _run_estimate(args: argparse.Namespace) -> int:
 
 
 def _run_crosscheck(args: argparse.Namespace) -> int:
+    # a NaN tolerance would never compare as exceeded and so disable the gate
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ParameterError(f"--tol must be finite and positive, got {args.tol!r}")
     p = _resolve_params(args)
     r_values = args.r if args.r is not None else _fig4_thresholds(p.big_p)
     phi_values = args.phi if args.phi is not None else _phase_axis(17)
-    req = SweepRequest(
-        Quantity.PROB, phi_values, r_values, p, Engine.ALL, args.grid_n
-    )
+    req = SweepRequest(phi_values, r_values, p, Engine.ALL, args.grid_n)
     columns, rows, worst = cmd_crosscheck(req, args.tol)
     _emit(columns, rows, args.format, args.out)
     if worst > args.tol:

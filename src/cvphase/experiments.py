@@ -1,21 +1,25 @@
-"""Monte-Carlo layer: seeded trials, one-shot classification, phase estimation.
+"""Monte-Carlo layer: seeded hit counts, one-shot classification, phase estimation.
+
+Both Monte-Carlo results depend on the detections only through their number:
+one-shot classification at phi = pi/2 counts hits, and the maximum-likelihood
+phase inverts the hit fraction k/n, the sufficient statistic of a binomial.
+So the layer works on hit counts.
 
 Randomness contract.  Every stochastic routine in this package draws from a
 ``numpy.random.Generator`` over the PCG64 bit generator, seeded through
-``numpy.random.SeedSequence`` with the caller's seed material.  Outcome
-sequences are produced by a single vectorized ``rng.random(n) < p``
-comparison, so a given (seed material, parameters) pair yields the same
-byte-for-byte sequence on every platform numpy supports.  Replicated runs
-give replica ``i`` the seed material ``(master_seed, i)``; the streams are
-then mutually independent and individually reproducible.
+``numpy.random.SeedSequence`` with the caller's seed material.  A hit count
+is produced by a single vectorized ``rng.random(n) < p`` comparison, so a
+given (seed material, parameters) pair yields the same count on every
+platform numpy supports.  Replicated runs give replica ``i`` the seed
+material ``(master_seed, i)``; the streams are then mutually independent and
+individually reproducible.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -36,34 +40,11 @@ _AUDIT_TOL = 1e-3
 SeedMaterial = int | tuple[int, ...]
 
 
-class Outcome(Enum):
-    X0 = "x0"
-    NOT_X0 = "not_x0"
-
-
-class FunctionClass(Enum):
-    CONSTANT = "constant"
-    BALANCED = "balanced"
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One detection trial: what was measured, under what truth, from what seed."""
-
-    outcome: Outcome
-    true_phi: float
-    f_descriptor: PiecewiseBinaryFunction
-    seed: SeedMaterial
-
-
-def _generator(seed: SeedMaterial) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-
-def _normalize_seed(seed: SeedMaterial) -> SeedMaterial:
-    if isinstance(seed, tuple):
-        return tuple(int(s) for s in seed)
-    return int(seed)
+def _count_hits(prob: float, n: int, seed: SeedMaterial) -> int:
+    """Hits among n Bernoulli(prob) trials drawn from the stream seeded by seed."""
+    material = tuple(int(s) for s in seed) if isinstance(seed, tuple) else int(seed)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(material)))
+    return int(np.count_nonzero(rng.random(n) < prob))
 
 
 def sample_outcomes(
@@ -72,8 +53,8 @@ def sample_outcomes(
     phi: float,
     n: int,
     seed: SeedMaterial,
-) -> tuple[TrialRecord, ...]:
-    """Draw n independent detection trials at phase phi under mask f.
+) -> int:
+    """Number of detection hits in n independent trials at phase phi under mask f.
 
     Each trial hits with the closed-form detection probability; the draw is
     ``rng.random(n) < p`` per the module-level randomness contract.  ``seed``
@@ -83,26 +64,7 @@ def sample_outcomes(
     n = int(n)
     if n < 1:
         raise ParameterError(f"need at least one trial, got n={n}")
-    seed = _normalize_seed(seed)
-    prob = prob_x0_factorized(p, f, phi).p_x0
-    hits = _generator(seed).random(n) < prob
-    return tuple(
-        TrialRecord(Outcome.X0 if bool(h) else Outcome.NOT_X0, float(phi), f, seed)
-        for h in hits
-    )
-
-
-def dj_classify(rec: TrialRecord) -> FunctionClass:
-    """Single-shot decision: detection at the prepared point means constant.
-
-    Valid only for trials run at phi = pi/2, where a balanced mask sends the
-    detection probability to exactly zero.
-    """
-    if abs(rec.true_phi - _HALF_PI) > 1e-9:
-        raise ParameterError(
-            f"decision rule applies at phi = pi/2; record was taken at phi={rec.true_phi!r}"
-        )
-    return FunctionClass.CONSTANT if rec.outcome is Outcome.X0 else FunctionClass.BALANCED
+    return _count_hits(prob_x0_factorized(p, f, phi).p_x0, n, seed)
 
 
 @dataclass(frozen=True)
@@ -110,8 +72,8 @@ class EstimationReport:
     """Point estimate of the phase with its error and the information bound.
 
     empirical_mse is the squared error of this single estimate against the
-    records' true phase; crb = 1/(n_shots * F(true_phi)), infinite when the
-    Fisher information vanishes at the true phase.
+    true phase; crb = 1/(n_shots * F(true_phi)), infinite when the Fisher
+    information vanishes at the true phase.
     """
 
     phi_hat: float
@@ -120,39 +82,56 @@ class EstimationReport:
     crb: float
 
 
-def mle_phi(
-    records: Iterable[TrialRecord], p: ProcedureParams, r: float
-) -> EstimationReport:
-    """Maximum-likelihood phase from a batch of trials of the step mask.
+def _cosine_model(
+    p: ProcedureParams, r: float, phi_true: float
+) -> tuple[float, float, float]:
+    """(a, b, F(phi_true)) for the step mask r.
 
-    The hit fraction estimates a + b*cos(2*phi); inverting (with clamping to
-    the attainable range) maximizes the Bernoulli likelihood over the
-    principal branch [0, pi/2].  The response is 2-periodic in 2*phi, so only
-    that branch is identifiable from this measurement.
+    Refuses a true phase off the principal branch [0, pi/2], the only one the
+    inversion can return, and a flat response that carries no phase.
     """
-    records = tuple(records)
-    if not records:
-        raise ParameterError("cannot estimate from an empty record batch")
-    phi_true = records[0].true_phi
-    if any(rec.true_phi != phi_true for rec in records):
-        raise ParameterError("record batch mixes different true phases")
+    if not 0.0 <= phi_true <= _HALF_PI:
+        raise ParameterError(
+            f"the estimator inverts only on [0, pi/2]; got phi_true={phi_true!r}"
+        )
     a, b = cosine_model_coefficients(p, r)
     if b <= _IDENTIFIABILITY_TOL:
         raise UnidentifiableFunctionError(
             f"cosine amplitude {b:.3g} is below {_IDENTIFIABILITY_TOL:g}; "
             "a (near-)constant mask carries no phase information"
         )
-    n = len(records)
-    k = sum(1 for rec in records if rec.outcome is Outcome.X0)
-    phi_hat = 0.5 * math.acos(min(1.0, max(-1.0, (k / n - a) / b)))
-    fisher = fisher_phi(p, r, phi_true).fisher
-    crb = 1.0 / (n * fisher) if fisher > 0.0 else math.inf
+    return a, b, fisher_phi(p, r, phi_true).fisher
+
+
+def _estimate(
+    hits: int, shots: int, a: float, b: float, fisher: float, phi_true: float
+) -> EstimationReport:
+    phi_hat = 0.5 * math.acos(min(1.0, max(-1.0, (hits / shots - a) / b)))
+    crb = 1.0 / (shots * fisher) if fisher > 0.0 else math.inf
     return EstimationReport(
         phi_hat=phi_hat,
-        n_shots=n,
+        n_shots=shots,
         empirical_mse=(phi_hat - phi_true) ** 2,
         crb=crb,
     )
+
+
+def mle_phi(
+    hits: int, shots: int, p: ProcedureParams, r: float, phi_true: float
+) -> EstimationReport:
+    """Maximum-likelihood phase from ``hits`` detections in ``shots`` trials
+    of the step mask r.
+
+    The hit fraction estimates a + b*cos(2*phi); inverting (with clamping to
+    the attainable range) maximizes the Bernoulli likelihood over the
+    principal branch [0, pi/2].  The response is 2-periodic in 2*phi, so only
+    that branch is identifiable from this measurement, and phi_true must lie
+    on it.
+    """
+    hits, shots, phi_true = int(hits), int(shots), float(phi_true)
+    if shots < 1 or not 0 <= hits <= shots:
+        raise ParameterError(f"need 0 <= hits <= shots and shots >= 1, got {hits}, {shots}")
+    return _estimate(hits, shots, *_cosine_model(p, r, phi_true), phi_true)
 
 
 @dataclass(frozen=True)
@@ -178,8 +157,10 @@ def replicated_mse(
 ) -> ReplicationSummary:
     """Mean squared estimation error over independent replicas.
 
-    Replica i samples its shots from the stream seeded with (seed, i); see
-    the module docstring.  mse_over_crb is NaN when the bound is not finite.
+    Replica i counts its hits in the stream seeded with (seed, i); see the
+    module docstring.  The detection probability and the bound are the same
+    for every replica, so they are computed once.  mse_over_crb is NaN when
+    the bound is not finite.
     """
     shots = int(shots)
     replicas = int(replicas)
@@ -187,20 +168,22 @@ def replicated_mse(
         raise ParameterError(
             f"need shots >= 1 and replicas >= 1, got {shots}, {replicas}"
         )
-    f = PiecewiseBinaryFunction.step(r, p.big_p)
-    reports = []
+    phi_true = float(phi_true)
+    model = _cosine_model(p, r, phi_true)
+    prob = prob_x0_factorized(p, PiecewiseBinaryFunction.step(r, p.big_p), phi_true).p_x0
     master = int(seed)
-    for i in range(replicas):
-        recs = sample_outcomes(p, f, phi_true, shots, (master, i))
-        reports.append(mle_phi(recs, p, r))
+    reports = tuple(
+        _estimate(_count_hits(prob, shots, (master, i)), shots, *model, phi_true)
+        for i in range(replicas)
+    )
     mean_mse = sum(rep.empirical_mse for rep in reports) / replicas
     crb = reports[0].crb
     ratio = mean_mse / crb if math.isfinite(crb) and crb > 0.0 else math.nan
     return ReplicationSummary(
-        reports=tuple(reports),
+        reports=reports,
         shots=shots,
         replicas=replicas,
-        phi_true=float(phi_true),
+        phi_true=phi_true,
         mean_mse=mean_mse,
         crb=crb,
         mse_over_crb=ratio,

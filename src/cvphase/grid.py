@@ -51,6 +51,7 @@ from .model import (
     PiecewiseBinaryFunction,
     ProcedureParams,
     require_containment,
+    require_mask_domain,
 )
 
 POSITION = "position"
@@ -246,10 +247,7 @@ def run_circuit(
     p: ProcedureParams, f: PiecewiseBinaryFunction, phi: float, n: int
 ) -> MeasurementDistribution:
     """prepare -> transform -> mask -> inverse transform -> detect."""
-    if abs(f.half_domain - p.big_p) > 1e-9 * max(1.0, p.big_p):
-        raise ParameterError(
-            f"mask domain half-width {f.half_domain} does not match big_p={p.big_p}"
-        )
+    require_mask_domain(p, f)
     state = prepare_gaussian(p, n)
     state = fourier(state)
     state = apply_blackbox(state, f, phi)

@@ -28,6 +28,10 @@ CONTAINMENT_RATIO = 4.2
 # Mask efficiency erf(2*P*delta)^2 is within ~4.4e-5 of 1 once P*delta >= 1.5.
 FULL_EFFICIENCY_PRODUCT = 1.5
 
+# The engines square the scales and divide by them; inside this range neither
+# step over- or underflows a double.
+_SCALE_RANGE = (1e-150, 1e150)
+
 
 def _require_finite(name: str, value: float) -> float:
     v = float(value)
@@ -98,7 +102,8 @@ class ValidationReport:
 def validate_params(p: ProcedureParams) -> ValidationReport:
     """Check hard validity and soft regime conditions.
 
-    Hard errors: nonpositive delta, big_t, big_p or epsilon.
+    Hard errors: delta, big_t, big_p or epsilon nonpositive, or outside the
+    range where their squares are finite normal doubles.
     Warnings: containment ratio below CONTAINMENT_RATIO (closed forms
     untrustworthy), or mask product below FULL_EFFICIENCY_PRODUCT (mask
     efficiency noticeably short of 1, so the ideal-limit identities drift).
@@ -108,14 +113,11 @@ def validate_params(p: ProcedureParams) -> ValidationReport:
     """
     errors = []
     warnings = []
-    if p.delta <= 0.0:
-        errors.append(f"delta must be positive, got {p.delta}")
-    if p.big_t <= 0.0:
-        errors.append(f"big_t must be positive, got {p.big_t}")
-    if p.big_p <= 0.0:
-        errors.append(f"big_p must be positive, got {p.big_p}")
-    if p.epsilon is not None and p.epsilon <= 0.0:
-        errors.append(f"epsilon must be positive, got {p.epsilon}")
+    lo, hi = _SCALE_RANGE
+    for name in ("delta", "big_t", "big_p", "epsilon"):
+        v = getattr(p, name)
+        if not lo <= v <= hi:
+            errors.append(f"{name} must be positive and within [{lo:g}, {hi:g}], got {v}")
 
     info: dict[str, float] = {}
     if not errors:
@@ -152,45 +154,12 @@ def require_containment(p: ProcedureParams) -> None:
         )
 
 
-def norm_x_sq(p: ProcedureParams) -> float:
-    """Squared normalization of the position-space envelope on [-T, T].
-
-    Equals sqrt(pi*delta^2)/2 * [erf((T+x0)/delta) + erf((T-x0)/delta)].
-    """
-    p.require_valid()
-    d = p.delta
-    return (
-        math.sqrt(math.pi * d * d)
-        / 2.0
-        * (math.erf((p.big_t + p.x0) / d) + math.erf((p.big_t - p.x0) / d))
-    )
-
-
-def norm_p_sq(p: ProcedureParams, p0: float = 0.0) -> float:
-    """Squared normalization of the conjugate-space envelope on [-P, P].
-
-    Equals sqrt(pi/(4*delta^2))/2 * [erf(2(P+p0)delta) + erf(2(P-p0)delta)]
-    for an envelope centred at p0 (0 for the transform of a position-centred
-    Gaussian).
-    """
-    p.require_valid()
-    d = p.delta
-    _require_finite("p0", p0)
-    return (
-        math.sqrt(math.pi / (4.0 * d * d))
-        / 2.0
-        * (math.erf(2.0 * (p.big_p + p0) * d) + math.erf(2.0 * (p.big_p - p0) * d))
-    )
-
-
-@dataclass(frozen=True)
-class NormalizationConstants:
-    nx_sq: float
-    np_sq: float
-
-    @classmethod
-    def from_params(cls, p: ProcedureParams, p0: float = 0.0) -> "NormalizationConstants":
-        return cls(nx_sq=norm_x_sq(p), np_sq=norm_p_sq(p, p0))
+def require_mask_domain(p: ProcedureParams, f: PiecewiseBinaryFunction) -> None:
+    """Raise unless the mask is defined on the conjugate domain [-P, P]."""
+    if abs(f.half_domain - p.big_p) > 1e-9 * max(1.0, p.big_p):
+        raise ParameterError(
+            f"mask domain half-width {f.half_domain} does not match big_p={p.big_p}"
+        )
 
 
 # slack when checking membership of breakpoints / evaluation points in the
@@ -297,7 +266,7 @@ class PiecewiseBinaryFunction:
         return sum(hi - lo for lo, hi, v in self.segments() if v == 1)
 
     def describe(self) -> str:
-        """Compact reproducible text form (used in trial records and CLI rows)."""
+        """Compact reproducible text form."""
         if self.values == (0, 1) and len(self.breakpoints) == 1:
             return f"step(r={self.breakpoints[0]:.17g},H={self.half_domain:.17g})"
         if self.values == (0, 1, 0) and len(self.breakpoints) == 2:
@@ -308,11 +277,6 @@ class PiecewiseBinaryFunction:
         bps = ",".join(f"{b:.17g}" for b in self.breakpoints)
         vals = ",".join(str(v) for v in self.values)
         return f"piecewise(breakpoints=[{bps}],values=[{vals}],H={self.half_domain:.17g})"
-
-
-def f_eval(f: PiecewiseBinaryFunction, y: float) -> int:
-    """Evaluate a binary mask at y; errors if y lies outside the mask domain."""
-    return f(y)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,12 @@ from dataclasses import dataclass
 from scipy.integrate import IntegrationWarning, quad
 
 from .errors import ParameterError, QuadratureToleranceError, RegimeError
-from .model import PiecewiseBinaryFunction, ProcedureParams, require_containment
+from .model import (
+    PiecewiseBinaryFunction,
+    ProcedureParams,
+    require_containment,
+    require_mask_domain,
+)
 
 
 @dataclass(frozen=True)
@@ -62,10 +67,7 @@ def prob_x0_quadrature(
     QuadratureToleranceError carrying the best values is raised.
     """
     require_containment(p)
-    if abs(f.half_domain - p.big_p) > 1e-9 * max(1.0, p.big_p):
-        raise ParameterError(
-            f"mask domain half-width {f.half_domain} does not match big_p={p.big_p}"
-        )
+    require_mask_domain(p, f)
     d = p.delta
     segs = f.segments()
 

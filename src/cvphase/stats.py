@@ -29,6 +29,7 @@ from .model import (
     PiecewiseBinaryFunction,
     ProcedureParams,
     require_containment,
+    require_mask_domain,
 )
 
 _SIN_TOL = 1e-12  # |sin(2*phi)| below this counts as a vanishing derivative
@@ -86,10 +87,7 @@ def prob_x0_factorized(
     this reproduces prob_x0 to rounding.
     """
     require_containment(p)
-    if abs(f.half_domain - p.big_p) > 1e-9 * max(1.0, p.big_p):
-        raise ParameterError(
-            f"mask domain half-width {f.half_domain} does not match big_p={p.big_p}"
-        )
+    require_mask_domain(p, f)
     d = p.delta
     # integral over [lo, hi] of exp(-4 d^2 y^2) = sqrt(pi)/(4d) * (erf(2d hi) - erf(2d lo))
     acc = 0.0 + 0.0j

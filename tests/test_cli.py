@@ -1,5 +1,6 @@
 """Command-line interface: schemas, determinism, presets, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
@@ -8,6 +9,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvphase import cli
 from helpers import BIG_P
@@ -77,6 +80,51 @@ class TestExitCodes:
     def test_gap_rejects_large_mask_product(self, capsys):
         code, _, _ = run_cli(["gap", "--big-p", "2.0", "--phi", "1.0"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e308", "0,1e308"])
+    def test_fisher_phi_rejects_nonfinite_phase(self, capsys, value):
+        code, out, err = run_cli(["fisher-phi", "--phi", value], capsys)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fisher-r", "--phi", "1e308"],
+            ["fisher-r", "--r", "-1e308"],
+            ["audit", "--phi", "1e308"],
+            ["crosscheck", "--phi", "1e308", "--r", "0"],
+            ["crosscheck", "--phi", "0:1e308:3", "--r", "0"],
+        ],
+    )
+    def test_axis_whose_double_overflows_rejected(self, capsys, argv):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-4"])
+    def test_crosscheck_tolerance_must_be_finite_and_positive(self, capsys, tol):
+        code, out, err = run_cli(
+            ["crosscheck", "--phi", "0.3", "--r", "0", "--tol", tol], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and "--tol" in err
+
+    @pytest.mark.parametrize("phi", ["2.0", "-0.1", "nan", "1e308"])
+    def test_estimate_rejects_phase_off_the_principal_branch(self, capsys, phi):
+        code, _, err = run_cli(
+            ["estimate", "--phi", phi, "--shots", "5", "--replicas", "2"], capsys
+        )
+        assert code == 2
+        assert "error:" in err and "[0, pi/2]" in err
+
+    @pytest.mark.parametrize("delta", ["0", "-0.0", "nan"])
+    def test_nonpositive_delta_rejected(self, capsys, delta):
+        code, _, err = run_cli(["fisher-phi", "--delta", delta], capsys)
+        assert code == 2
+        assert "error:" in err and "delta" in err
 
 
 class TestSchemas:
@@ -313,3 +361,44 @@ def test_console_script_help_runs():
     )
     assert proc.returncode == 0
     assert "fisher-phi" in proc.stdout
+
+
+# small runs: the property is about exit codes and error reporting, not output
+_FUZZ_COMMANDS = {  # command: (fixed arguments, fuzzed flags it accepts)
+    "fisher-phi": ([], ("--phi", "--r", "--delta")),
+    "fisher-r": ([], ("--phi", "--r", "--delta")),
+    "dj": (["--trials", "20"], ("--r", "--delta")),
+    "estimate": (["--shots", "5", "--replicas", "2"], ("--phi", "--r", "--delta")),
+    "crosscheck": (["--grid-n", "512"], ("--phi", "--r", "--delta", "--tol")),
+    "audit": ([], ("--phi", "--r", "--delta")),
+    "gap": ([], ("--phi", "--delta")),
+}
+_fuzz_value = st.one_of(
+    st.sampled_from(
+        [math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, -0.0, 5e-324, 0.3, 1.0]
+    ),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    fixed, accepted = _FUZZ_COMMANDS[command]
+    flags = draw(st.dictionaries(st.sampled_from(accepted), _fuzz_value, max_size=3))
+    argv = [command, *fixed]
+    for flag, value in flags.items():
+        argv += [flag, repr(value)]
+    return argv
+
+
+@given(argv=_fuzz_argv())
+@settings(max_examples=150, deadline=None)
+def test_main_honours_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert "error:" in err.getvalue()

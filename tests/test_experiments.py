@@ -1,17 +1,14 @@
-"""Seeded sampling, one-shot classification, estimation, and the audit table."""
+"""Seeded hit counts, estimation, and the audit table."""
 
 import math
 
+import numpy as np
 import pytest
 
 from cvphase import (
-    FunctionClass,
-    Outcome,
     ParameterError,
     PiecewiseBinaryFunction,
-    TrialRecord,
     UnidentifiableFunctionError,
-    dj_classify,
     fisher_phi,
     heisenberg_audit,
     mle_phi,
@@ -26,43 +23,46 @@ def _step(r: float) -> PiecewiseBinaryFunction:
     return PiecewiseBinaryFunction.step(r, BIG_P)
 
 
+def _bare_count(prob: float, n: int, seed) -> int:
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    return int(np.count_nonzero(rng.random(n) < prob))
+
+
 class TestSampleOutcomes:
     def test_same_seed_reproduces_byte_for_byte(self):
         p = canonical()
         a = sample_outcomes(p, _step(0.0), math.pi / 4, 500, 42)
         b = sample_outcomes(p, _step(0.0), math.pi / 4, 500, 42)
-        assert [r.outcome for r in a] == [r.outcome for r in b]
+        assert a == b
 
     def test_different_seeds_differ(self):
         p = canonical()
         a = sample_outcomes(p, _step(0.0), math.pi / 4, 200, 1)
         b = sample_outcomes(p, _step(0.0), math.pi / 4, 200, 2)
-        assert [r.outcome for r in a] != [r.outcome for r in b]
+        assert a != b
 
-    def test_record_fields(self):
+    @pytest.mark.parametrize("seed", [42, (7, 2)])
+    def test_count_is_the_bare_draw(self, seed):
+        # the randomness contract: one rng.random(n) < p comparison on the
+        # PCG64 stream seeded through SeedSequence with the seed material
         p = canonical()
         f = _step(0.5)
-        recs = sample_outcomes(p, f, 0.9, 3, (7, 2))
-        assert len(recs) == 3
-        for rec in recs:
-            assert rec.true_phi == 0.9
-            assert rec.f_descriptor is f
-            assert rec.seed == (7, 2)
-            assert rec.outcome in (Outcome.X0, Outcome.NOT_X0)
+        prob = prob_x0_factorized(p, f, 0.9).p_x0
+        hits = sample_outcomes(p, f, 0.9, 3000, seed)
+        assert type(hits) is int
+        assert hits == _bare_count(prob, 3000, seed)
 
     def test_hit_fraction_tracks_probability(self):
         p = canonical()
         n = 4000
         prob = prob_x0_factorized(p, _step(0.0), math.pi / 4).p_x0
-        recs = sample_outcomes(p, _step(0.0), math.pi / 4, n, 2024)
-        frac = sum(1 for r in recs if r.outcome is Outcome.X0) / n
+        frac = sample_outcomes(p, _step(0.0), math.pi / 4, n, 2024) / n
         sigma = math.sqrt(prob * (1.0 - prob) / n)
         assert abs(frac - prob) <= 3.0 * sigma
 
     def test_sure_outcomes_at_the_decision_phase(self):
         p = canonical()
-        balanced = sample_outcomes(p, _step(0.0), math.pi / 2, 200, 5)
-        assert all(r.outcome is Outcome.NOT_X0 for r in balanced)
+        assert sample_outcomes(p, _step(0.0), math.pi / 2, 200, 5) == 0
 
     def test_needs_at_least_one_trial(self):
         with pytest.raises(ParameterError):
@@ -70,7 +70,7 @@ class TestSampleOutcomes:
 
     def test_mirrored_mask_gives_identical_stream(self):
         # reflecting the mask leaves the detection probability unchanged, so
-        # a matched seed must reproduce the exact same outcome sequence
+        # a matched seed must reproduce the exact same count
         p = canonical()
         r = 0.8
         mirrored = PiecewiseBinaryFunction(
@@ -83,44 +83,24 @@ class TestSampleOutcomes:
         )
         a = sample_outcomes(p, _step(r), phi, 300, 11)
         b = sample_outcomes(p, mirrored, phi, 300, 11)
-        assert [x.outcome for x in a] == [x.outcome for x in b]
-
-
-class TestDjClassify:
-    def test_decision_mapping(self):
-        f = _step(0.0)
-        hit = TrialRecord(Outcome.X0, math.pi / 2, f, 0)
-        miss = TrialRecord(Outcome.NOT_X0, math.pi / 2, f, 0)
-        assert dj_classify(hit) is FunctionClass.CONSTANT
-        assert dj_classify(miss) is FunctionClass.BALANCED
-
-    def test_requires_decision_phase(self):
-        rec = TrialRecord(Outcome.X0, math.pi / 4, _step(0.0), 0)
-        with pytest.raises(ParameterError):
-            dj_classify(rec)
+        assert a == b
 
 
 class TestMlePhi:
-    def _records(self, n_hit: int, n_miss: int, phi_true: float):
-        f = PiecewiseBinaryFunction.step(0.0, 4.0)
-        hits = [TrialRecord(Outcome.X0, phi_true, f, 0)] * n_hit
-        misses = [TrialRecord(Outcome.NOT_X0, phi_true, f, 0)] * n_miss
-        return hits + misses
-
     def test_exact_inversion_endpoints(self):
         # saturated parameters make the response 1/2 + cos(2 phi)/2, whose
         # inversion at the sample extremes is exact in floats
         sat = saturated()
-        assert mle_phi(self._records(10, 0, 0.3), sat, 0.0).phi_hat == 0.0
-        assert mle_phi(self._records(0, 10, 0.3), sat, 0.0).phi_hat == math.pi / 2
-        assert mle_phi(self._records(5, 5, 0.3), sat, 0.0).phi_hat == pytest.approx(
+        assert mle_phi(10, 10, sat, 0.0, 0.3).phi_hat == 0.0
+        assert mle_phi(0, 10, sat, 0.0, 0.3).phi_hat == math.pi / 2
+        assert mle_phi(5, 10, sat, 0.0, 0.3).phi_hat == pytest.approx(
             math.pi / 4, abs=1e-15
         )
 
     def test_report_contents(self):
         sat = saturated()
         phi_true = 0.7
-        rep = mle_phi(self._records(3, 7, phi_true), sat, 0.0)
+        rep = mle_phi(3, 10, sat, 0.0, phi_true)
         assert rep.n_shots == 10
         assert rep.empirical_mse == (rep.phi_hat - phi_true) ** 2
         fisher = fisher_phi(sat, 0.0, phi_true).fisher
@@ -128,28 +108,28 @@ class TestMlePhi:
 
     def test_constant_mask_unidentifiable(self):
         p = canonical()
-        recs = sample_outcomes(p, _step(BIG_P), 0.7, 10, 1)
+        hits = sample_outcomes(p, _step(BIG_P), 0.7, 10, 1)
         with pytest.raises(UnidentifiableFunctionError):
-            mle_phi(recs, p, BIG_P)
+            mle_phi(hits, 10, p, BIG_P, 0.7)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ParameterError):
-            mle_phi([], canonical(), 0.0)
+            mle_phi(0, 0, canonical(), 0.0, 0.3)
 
-    def test_mixed_phases_rejected(self):
-        f = _step(0.0)
-        recs = [
-            TrialRecord(Outcome.X0, 0.3, f, 0),
-            TrialRecord(Outcome.X0, 0.4, f, 0),
-        ]
+    @pytest.mark.parametrize("hits", [-1, 11])
+    def test_count_outside_shots_rejected(self, hits):
         with pytest.raises(ParameterError):
-            mle_phi(recs, canonical(), 0.0)
+            mle_phi(hits, 10, canonical(), 0.0, 0.3)
+
+    @pytest.mark.parametrize("phi_true", [-0.1, math.pi / 2 + 1e-9, 2.0, math.nan])
+    def test_true_phase_off_the_principal_branch_rejected(self, phi_true):
+        with pytest.raises(ParameterError):
+            mle_phi(5, 10, canonical(), 0.0, phi_true)
 
     def test_infinite_bound_when_information_vanishes(self):
         # at phi = 0 the slope of the response vanishes (with E < 1 the
         # probability stays interior, so F = 0 there)
-        recs = self._records(10, 0, 0.0)
-        rep = mle_phi(recs, canonical(), 0.0)
+        rep = mle_phi(10, 10, canonical(), 0.0, 0.0)
         assert math.isinf(rep.crb)
 
 
@@ -174,6 +154,15 @@ class TestReplicatedMse:
         # near the quarter-phase the estimator is close to efficient
         assert 0.5 <= s.mse_over_crb <= 2.0
 
+    def test_each_report_is_the_mle_of_its_replica_count(self):
+        p = canonical()
+        r, phi_true, shots, seed = 0.5, 0.3, 37, 4
+        s = replicated_mse(p, r, phi_true, shots, 30, seed)
+        prob = prob_x0_factorized(p, PiecewiseBinaryFunction.step(r, BIG_P), phi_true).p_x0
+        for i, rep in enumerate(s.reports):
+            hits = _bare_count(prob, shots, (seed, i))
+            assert rep == mle_phi(hits, shots, p, r, phi_true)
+
     def test_nan_ratio_when_bound_diverges(self):
         s = replicated_mse(canonical(), 0.0, 0.0, 20, 5, 1)
         assert math.isinf(s.crb)
@@ -184,6 +173,10 @@ class TestReplicatedMse:
             replicated_mse(canonical(), 0.0, 0.5, 0, 5, 1)
         with pytest.raises(ParameterError):
             replicated_mse(canonical(), 0.0, 0.5, 5, 0, 1)
+
+    def test_true_phase_off_the_principal_branch_rejected(self):
+        with pytest.raises(ParameterError):
+            replicated_mse(canonical(), 0.0, 2.0, 5, 5, 1)
 
 
 class TestHeisenbergAudit:

@@ -1,4 +1,4 @@
-"""Parameter validation, mask geometry, and normalization constants."""
+"""Parameter validation, mask geometry, and the two-outcome distribution."""
 
 import math
 from dataclasses import replace
@@ -10,19 +10,19 @@ from hypothesis import strategies as st
 from cvphase import (
     CONTAINMENT_RATIO,
     MeasurementDistribution,
-    NormalizationConstants,
     ParameterError,
     PiecewiseBinaryFunction,
     ProcedureParams,
     RegimeError,
-    f_eval,
-    norm_p_sq,
-    norm_x_sq,
+    prob_x0_factorized,
+    prob_x0_quadrature,
     require_containment,
+    run_circuit,
     validate_params,
 )
-from erf_oracle import erf_f, erf_series
-from helpers import BIG_P, DELTA, canonical
+from cvphase.model import require_mask_domain
+from erf_oracle import erf_f
+from helpers import BIG_P, canonical
 
 
 class TestProcedureParams:
@@ -85,57 +85,19 @@ class TestProcedureParams:
         ok = ProcedureParams(x0=0.0, delta=1.0, big_t=CONTAINMENT_RATIO, big_p=1.5)
         require_containment(ok)
 
-
-class TestNormalization:
-    def test_norm_x_sq_unit_width(self):
-        # T = delta = 1, centered: integral of exp(-x^2) over [-1, 1]
-        p = ProcedureParams(x0=0.0, delta=1.0, big_t=1.0, big_p=1.0)
-        assert norm_x_sq(p) == pytest.approx(1.493648265624854, rel=1e-15)
-
-    def test_norm_x_sq_off_center_oracle(self):
-        p = ProcedureParams(x0=0.7, delta=0.9, big_t=4.0, big_p=1.0)
-        expected = float(
-            (math.pi * 0.9**2) ** 0.5
-            / 2.0
-            * (erf_series((4.0 + 0.7) / 0.9) + erf_series((4.0 - 0.7) / 0.9))
-        )
-        assert norm_x_sq(p) == pytest.approx(expected, rel=1e-14)
-
-    @given(x0=st.floats(-3.0, 3.0))
-    @settings(max_examples=50, deadline=None)
-    def test_norm_x_sq_symmetric_in_center(self, x0):
-        p_plus = ProcedureParams(x0=x0, delta=0.8, big_t=6.0, big_p=1.0)
-        p_minus = ProcedureParams(x0=-x0, delta=0.8, big_t=6.0, big_p=1.0)
-        assert norm_x_sq(p_plus) == norm_x_sq(p_minus)
-
-    def test_norm_p_sq_oracle(self):
+    def test_mask_domain_gate_shared_by_the_engines(self):
         p = canonical()
-        # conjugate envelope has width 1/(2*delta) on the domain [-P, P]
-        expected = float(
-            math.sqrt(math.pi)
-            / (4.0 * DELTA)
-            * (erf_series(2.0 * DELTA * BIG_P) * 2)
-        )
-        assert norm_p_sq(p) == pytest.approx(expected, rel=1e-14)
-
-    def test_norm_p_sq_off_center(self):
-        p = canonical()
-        p0 = 0.4
-        expected = float(
-            math.sqrt(math.pi)
-            / (4.0 * DELTA)
-            * (
-                erf_series(2.0 * DELTA * (BIG_P + p0))
-                + erf_series(2.0 * DELTA * (BIG_P - p0))
-            )
-        )
-        assert norm_p_sq(p, p0) == pytest.approx(expected, rel=1e-14)
-
-    def test_constants_bundle(self):
-        p = canonical()
-        consts = NormalizationConstants.from_params(p)
-        assert consts.nx_sq == norm_x_sq(p)
-        assert consts.np_sq == norm_p_sq(p)
+        require_mask_domain(p, PiecewiseBinaryFunction.step(0.0, BIG_P * (1 + 1e-12)))
+        wide = PiecewiseBinaryFunction.step(0.0, 2.0 * BIG_P)
+        with pytest.raises(ParameterError, match="does not match big_p"):
+            require_mask_domain(p, wide)
+        for engine in (
+            lambda: prob_x0_factorized(p, wide, 0.3),
+            lambda: prob_x0_quadrature(p, wide, 0.3),
+            lambda: run_circuit(p, wide, 0.3, 256),
+        ):
+            with pytest.raises(ParameterError, match="does not match big_p"):
+                engine()
 
 
 class TestPiecewiseBinaryFunction:
@@ -202,11 +164,6 @@ class TestPiecewiseBinaryFunction:
     def test_describe_names_the_shape(self):
         assert "step" in PiecewiseBinaryFunction.step(0.5, 2.0).describe()
         assert "hat" in PiecewiseBinaryFunction.hat(-0.5, 0.5, 2.0).describe()
-
-    def test_f_eval_matches_call(self):
-        f = PiecewiseBinaryFunction.hat(-0.3, 0.9, 2.0)
-        for y in (-2.0, -0.3, 0.0, 0.9, 1.5, 2.0):
-            assert f_eval(f, y) == f(y)
 
     @given(
         data=st.lists(st.floats(-1.9, 1.9), min_size=0, max_size=5, unique=True),
