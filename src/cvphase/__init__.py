@@ -32,12 +32,14 @@ from .grid import (
     POSITION,
     GridState,
     KickbackCheck,
+    PhaseResponse,
     aligned_half_width,
     apply_blackbox,
     fourier,
     fourier_matrix,
     inverse_fourier,
     measure_povm,
+    phase_response,
     prepare_gaussian,
     run_circuit,
     two_register_kickback_check,
@@ -95,12 +97,14 @@ __all__ = [
     "POSITION",
     "GridState",
     "KickbackCheck",
+    "PhaseResponse",
     "aligned_half_width",
     "apply_blackbox",
     "fourier",
     "fourier_matrix",
     "inverse_fourier",
     "measure_povm",
+    "phase_response",
     "prepare_gaussian",
     "run_circuit",
     "two_register_kickback_check",

@@ -4,7 +4,8 @@ Each command writes one table to stdout (or --out): CSV with a header row, or
 JSON with one object per row (--format json).  Floats print with 17
 significant digits, so identical invocations are byte-identical; JSON maps
 non-finite floats to null.  Exit status: 0 success, 2 usage or parameter
-error, 3 crosscheck tolerance failure.
+error, 3 crosscheck tolerance failure.  Axis flags take a number, a comma
+list, or start:stop:count with at most 100000 points.
 
 Column schemas per command are listed in each subcommand's --help epilog.
 """
@@ -12,6 +13,7 @@ Column schemas per command are listed in each subcommand's --help epilog.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -23,13 +25,20 @@ from typing import Any, Callable
 
 from .errors import CvPhaseError, ParameterError
 from .experiments import heisenberg_audit, replicated_mse, sample_outcomes
-from .grid import aligned_half_width, run_circuit
-from .model import PiecewiseBinaryFunction, ProcedureParams
+from .grid import aligned_half_width, phase_response
+from .model import MeasurementDistribution, PiecewiseBinaryFunction, ProcedureParams
 from .quadrature import QuadratureSpec, prob_x0_quadrature, step_hat_gap
 from .stats import dj_statistics, fisher_phi, fisher_r, mask_efficiency, prob_x0
 
 _DEFAULT_GRID_N = 4096
-_FD_STEP = 1e-5
+# most points a start:stop:count axis may ask for; every point is at least
+# one row, and a larger sweep belongs in a script calling the library
+_MAX_AXIS_COUNT = 100_000
+# p(1-p) of the grid response at or below this is rounding, not physics: the
+# matched window reaches p = 1 at phi = 0 to ~1e-15 (N up to 2^20), while the
+# smallest p the grid resolves, the unphased tail at the balanced decision
+# point, is ~5e-10
+_PQ_ROUNDING = 1e-12
 # grid-engine Fisher comparisons exclude probability-extremum rows and the
 # near-saturated top of the response, where the simulated momentum tail
 # (unphased outside the mask domain) dominates the comparison
@@ -60,15 +69,16 @@ class SweepRequest:
 def _axis(text: str) -> tuple[float, ...]:
     """Axis flag value: single number, comma list, or start:stop:count.
 
-    Every value must be finite with a finite double, since the closed forms
-    take cos(2*phi) and erf(2*r*delta).
+    The count must lie in [2, _MAX_AXIS_COUNT]; it is checked before any
+    value is built.  Every value must be finite with a finite double, since
+    the closed forms take cos(2*phi) and erf(2*r*delta).
     """
     try:
         if ":" in text:
             start_s, stop_s, count_s = text.split(":")
             start, stop, count = float(start_s), float(stop_s), int(count_s)
-            if count < 2:
-                raise ValueError("count must be >= 2")
+            if not 2 <= count <= _MAX_AXIS_COUNT:
+                raise ValueError(f"count must lie in [2, {_MAX_AXIS_COUNT}]")
             step = (stop - start) / (count - 1)
             values = tuple(start + k * step for k in range(count))
         else:
@@ -173,31 +183,48 @@ def _require_matched_window(p: ProcedureParams) -> None:
         )
 
 
-def _fisher_fd_grid(
-    p: ProcedureParams, f: PiecewiseBinaryFunction, phi: float, n: int
-) -> float:
-    p_mid = run_circuit(p, f, phi, n).p_x0
-    p_plus = run_circuit(p, f, phi + _FD_STEP, n).p_x0
-    p_minus = run_circuit(p, f, phi - _FD_STEP, n).p_x0
-    dp = (p_plus - p_minus) / (2.0 * _FD_STEP)
-    if dp == 0.0:
+def _grid_prob(a0: complex, a1: complex, phi: float) -> float:
+    """Grid detection probability |A0 + exp(-2i*phi)*A1|^2 at phase phi."""
+    return MeasurementDistribution(abs(a0 + cmath.exp(-2j * phi) * a1) ** 2).p_x0
+
+
+def _fisher_grid(a0: complex, a1: complex, phi: float) -> float:
+    """Fisher information in phi of the grid response, exactly.
+
+    With conj(A0)*A1 = (b/2)*exp(i*theta) the response is
+    p = a + b*cos(2*phi - theta), a = |A0|^2 + |A1|^2, b = 2|A0*A1|, and
+    dp/dphi = 4*Im(exp(-2i*phi)*conj(A0)*A1).  Where p(1-p) vanishes to
+    rounding, the value is the phi-limit of dp^2/(p(1-p)), with the branches
+    of ``stats.fisher_phi``.
+    """
+    z = cmath.exp(-2j * phi) * a0.conjugate() * a1
+    prob = _grid_prob(a0, a1, phi)
+    pq = prob * (1.0 - prob)
+    if pq > _PQ_ROUNDING:
+        dp = 4.0 * z.imag
+        return dp * dp / pq
+    b = 2.0 * abs(z)
+    if b == 0.0:
+        # constant mask: no phi dependence at all
         return 0.0
-    pq = p_mid * (1.0 - p_mid)
-    if pq <= 0.0:
-        return 0.0
-    return dp * dp / pq
+    c = 2.0 * z.real / b  # cos(2*phi - theta)
+    if prob < 0.5:
+        return 4.0 * b * (1.0 - c) / (1.0 - prob)
+    return 4.0 * b * (1.0 + c) / prob
 
 
 def cmd_fisher_phi_sweep(req: SweepRequest) -> tuple[list[str], list[dict]]:
-    """Fisher information in the phase, analytic and/or circuit-differenced."""
+    """Fisher information in the phase, analytic and/or from the grid response."""
     p = req.params
     want_analytic = req.engine in (Engine.ANALYTIC, Engine.ALL)
     want_grid = req.engine in (Engine.GRID, Engine.ALL)
     if want_grid:
         _require_matched_window(p)
+        response = phase_response(p, req.grid_n)
     rows: list[dict] = []
     for r in req.r_values:
-        f = PiecewiseBinaryFunction.step(r, p.big_p) if want_grid else None
+        if want_grid:
+            a0, a1 = response.split(PiecewiseBinaryFunction.step(r, p.big_p))
         for phi in req.phi_values:
             row: dict[str, Any] = {"phi": phi, "r": r}
             if want_analytic:
@@ -210,13 +237,13 @@ def cmd_fisher_phi_sweep(req: SweepRequest) -> tuple[list[str], list[dict]]:
                 )
                 row["singular_limit"] = rep.singular_limit
             if want_grid:
-                row["fisher_grid_fd"] = _fisher_fd_grid(p, f, phi, req.grid_n)
+                row["fisher_grid"] = _fisher_grid(a0, a1, phi)
             if req.engine is Engine.ALL:
                 row["comparable"] = (
                     not row["singular_limit"]
                     and math.cos(2.0 * phi) <= _COMPARABLE_COS_MAX
                 )
-                row["max_pairwise_dev"] = abs(row["fisher"] - row["fisher_grid_fd"])
+                row["max_pairwise_dev"] = abs(row["fisher"] - row["fisher_grid"])
             rows.append(row)
     analytic_cols = [
         "phi", "r", "fisher", "variance_bound", "mean_bound", "delta_phi",
@@ -225,9 +252,9 @@ def cmd_fisher_phi_sweep(req: SweepRequest) -> tuple[list[str], list[dict]]:
     if req.engine is Engine.ANALYTIC:
         columns = analytic_cols
     elif req.engine is Engine.GRID:
-        columns = ["phi", "r", "fisher_grid_fd"]
+        columns = ["phi", "r", "fisher_grid"]
     else:
-        columns = analytic_cols + ["fisher_grid_fd", "comparable", "max_pairwise_dev"]
+        columns = analytic_cols + ["fisher_grid", "comparable", "max_pairwise_dev"]
     return columns, rows
 
 
@@ -339,15 +366,17 @@ def cmd_crosscheck(
     """Detection probability from all three engines, with worst deviation."""
     p = req.params
     _require_matched_window(p)
+    response = phase_response(p, req.grid_n)
     qspec = QuadratureSpec()
     rows = []
     worst = 0.0
     for r in req.r_values:
         f = PiecewiseBinaryFunction.step(r, p.big_p)
+        a0, a1 = response.split(f)
         for phi in req.phi_values:
             pa = prob_x0(p, r, phi).p_x0
             pq = prob_x0_quadrature(p, f, phi, qspec).value
-            pg = run_circuit(p, f, phi, req.grid_n).p_x0
+            pg = _grid_prob(a0, a1, phi)
             dev = max(abs(pa - pq), abs(pa - pg), abs(pq - pg))
             worst = max(worst, dev)
             rows.append({
@@ -440,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fisher-phi",
         help="sweep Fisher information in the phase",
         epilog="columns (analytic): phi,r,fisher,variance_bound,mean_bound,"
-               "delta_phi,singular_limit; engine=grid: phi,r,fisher_grid_fd; "
+               "delta_phi,singular_limit; engine=grid: phi,r,fisher_grid; "
                "engine=all: both plus comparable,max_pairwise_dev",
     )
     _add_common_flags(sp)

@@ -35,6 +35,22 @@ Note the simulated state carries the full Gaussian momentum tail, while the
 closed forms truncate it to [-P, P]; outside the mask domain the mask acts
 as 0.  Probabilities therefore differ from the closed forms by up to about
 1 - erf(2*P*delta)^2 even on a converged grid.
+
+Phase-linear split.  Because the transform is exactly unitary, the detected
+overlap <W, F^-1 M_phi F G> of ``run_circuit`` equals <F W, M_phi F G> on
+the conjugate grid (Parseval), where G is the prepared state, W the
+normalized detection window and M_phi the diagonal mask exp(-2i*phi*f(y_k)).
+The phase enters only through M_phi and f is binary, so with the cell
+weights w_k = conj((F W)_k) * (F G)_k * dy the amplitude is
+
+    A0 + exp(-2i*phi) * A1,   A0 = sum_{f(y_k)=0} w_k,   A1 = sum_{f(y_k)=1} w_k.
+
+``phase_response`` therefore prepares once and transforms twice (state and
+window); every phase then costs a few scalar operations, and every mask one
+pass over the weights.  Both routes take the mask's cell values from one
+helper, so they discretize the mask identically; they differ only by
+rounding (~1e-15 in the probability).  ``run_circuit`` stays the stage-by-
+stage reference.
 """
 
 from __future__ import annotations
@@ -153,10 +169,19 @@ def fourier(s: GridState) -> GridState:
     n = s.n
     dx = s.grid_step
     dy, ys = _conjugate_layout(n, dx)
-    y = ys + dy * np.arange(n)
-    pre = np.exp(2j * np.arange(n) * dx * ys)
-    post = np.exp(2j * s.grid_start * y)
-    amps = (dx / math.sqrt(math.pi)) * post * (n * np.fft.ifft(pre * s.amplitudes))
+    # the ramps and products of the formula above, in its order of operations
+    # but in place: at large N the temporaries, not the FFT, set peak memory
+    buf = 2j * np.arange(n)
+    buf *= dx
+    buf *= ys
+    np.exp(buf, out=buf)
+    buf *= s.amplitudes
+    np.fft.ifft(buf, out=buf)
+    buf *= n
+    amps = 2j * s.grid_start * (ys + dy * np.arange(n))
+    np.exp(amps, out=amps)
+    amps *= dx / math.sqrt(math.pi)
+    amps *= buf
     return GridState(amps, grid_start=ys, grid_step=dy, space=MOMENTUM)
 
 
@@ -175,10 +200,16 @@ def inverse_fourier(s: GridState) -> GridState:
     if abs(ys - (-n / 2 + 0.5) * dy) > 1e-9 * dy:
         raise GridLayoutError("momentum grid is not in the half-offset layout")
     xs = -n * dx / 2.0
-    y = s.points
-    pre = np.exp(-2j * xs * y)
-    post = np.exp(-2j * np.arange(n) * dx * ys)
-    amps = (dy / math.sqrt(math.pi)) * post * np.fft.fft(pre * s.amplitudes)
+    buf = -2j * xs * s.points
+    np.exp(buf, out=buf)
+    buf *= s.amplitudes
+    np.fft.fft(buf, out=buf)
+    amps = -2j * np.arange(n)
+    amps *= dx
+    amps *= ys
+    np.exp(amps, out=amps)
+    amps *= dy / math.sqrt(math.pi)
+    amps *= buf
     return GridState(amps, grid_start=xs, grid_step=dx, space=POSITION)
 
 
@@ -199,6 +230,31 @@ def fourier_matrix(s: GridState) -> np.ndarray:
     return math.sqrt(dx * dy / math.pi) * np.exp(2j * np.outer(y, x))
 
 
+def _require_cover(n: int, dy: float, half_domain: float) -> None:
+    half_span = n * dy / 2.0
+    if half_span < half_domain * (1.0 - 1e-12):
+        raise GridLayoutError(
+            f"conjugate grid half-span {half_span:.6g} does not cover the mask "
+            f"domain [-{half_domain:.6g}, {half_domain:.6g}]"
+        )
+
+
+def _mask_cells(n: int, y_start: float, dy: float, f: PiecewiseBinaryFunction) -> np.ndarray:
+    """f at each conjugate sample y_start + k*dy, extended by 0 outside [-P, P]
+    (P = the mask's half-domain); the grid must cover the mask domain."""
+    _require_cover(n, dy, f.half_domain)
+    y = y_start + dy * np.arange(n)
+    slack = 1e-12 * max(1.0, f.half_domain)
+    inside = np.abs(y) <= f.half_domain + slack
+    fvals = np.zeros(n)
+    if f.breakpoints:
+        idx = np.searchsorted(np.asarray(f.breakpoints), y[inside], side="left")
+        fvals[inside] = np.asarray(f.values, dtype=float)[idx]
+    else:
+        fvals[inside] = float(f.values[0])
+    return fvals
+
+
 def apply_blackbox(s: GridState, f: PiecewiseBinaryFunction, phi: float) -> GridState:
     """Multiply each conjugate amplitude by exp(-2i*phi*f(y_k)).
 
@@ -208,23 +264,19 @@ def apply_blackbox(s: GridState, f: PiecewiseBinaryFunction, phi: float) -> Grid
     """
     if s.space != MOMENTUM:
         raise GridLayoutError("apply_blackbox expects a momentum-space state")
-    half_span = s.n * s.grid_step / 2.0
-    if half_span < f.half_domain * (1.0 - 1e-12):
-        raise GridLayoutError(
-            f"conjugate grid half-span {half_span:.6g} does not cover the mask "
-            f"domain [-{f.half_domain:.6g}, {f.half_domain:.6g}]"
-        )
-    y = s.points
-    slack = 1e-12 * max(1.0, f.half_domain)
-    inside = np.abs(y) <= f.half_domain + slack
-    fvals = np.zeros(s.n)
-    if f.breakpoints:
-        idx = np.searchsorted(np.asarray(f.breakpoints), y[inside], side="left")
-        fvals[inside] = np.asarray(f.values, dtype=float)[idx]
-    else:
-        fvals[inside] = float(f.values[0])
+    fvals = _mask_cells(s.n, s.grid_start, s.grid_step, f)
     amps = s.amplitudes * np.exp(-2j * phi * fvals)
     return GridState(amps, s.grid_start, s.grid_step, s.space)
+
+
+def _detection_window(x: np.ndarray, dx: float, p: ProcedureParams) -> np.ndarray:
+    """The width-epsilon Gaussian window at x0 on the samples x, normalized so
+    that sum |w|^2 * dx = 1."""
+    window = np.exp(-((x - p.x0) ** 2) / (2.0 * p.epsilon**2))
+    wnorm = float(np.sum(window**2)) * dx
+    if wnorm <= 0.0:
+        raise ParameterError("detection window has no support on this grid")
+    return window / math.sqrt(wnorm)
 
 
 def measure_povm(s: GridState, p: ProcedureParams) -> MeasurementDistribution:
@@ -233,12 +285,7 @@ def measure_povm(s: GridState, p: ProcedureParams) -> MeasurementDistribution:
     if s.space != POSITION:
         raise GridLayoutError("measure_povm expects a position-space state")
     p.require_valid()
-    x = s.points
-    window = np.exp(-((x - p.x0) ** 2) / (2.0 * p.epsilon**2))
-    wnorm = float(np.sum(window**2)) * s.grid_step
-    if wnorm <= 0.0:
-        raise ParameterError("detection window has no support on this grid")
-    window = window / math.sqrt(wnorm)
+    window = _detection_window(s.points, s.grid_step, p)
     overlap = complex(np.sum(np.conj(window) * s.amplitudes) * s.grid_step)
     return MeasurementDistribution(abs(overlap) ** 2)
 
@@ -253,6 +300,53 @@ def run_circuit(
     state = apply_blackbox(state, f, phi)
     state = inverse_fourier(state)
     return measure_povm(state, p)
+
+
+@dataclass(frozen=True)
+class PhaseResponse:
+    """The circuit split at the mask: per-cell weights conj(W_k) * G_k * dy of
+    the transformed detection window W and transformed state G on the
+    conjugate grid y_k = grid_start + k*grid_step.
+
+    For a mask f the detected amplitude at phase phi is A0 + exp(-2i*phi)*A1,
+    with (A0, A1) = ``split(f)``, and its squared modulus is the
+    ``run_circuit`` probability (see the module docstring).
+    """
+
+    params: ProcedureParams
+    weights: np.ndarray
+    grid_start: float
+    grid_step: float
+
+    def split(self, f: PiecewiseBinaryFunction) -> tuple[complex, complex]:
+        """(A0, A1): the weight sums over the cells where f = 0 and f = 1.
+
+        Cells beyond the mask domain count as f = 0, exactly as
+        ``apply_blackbox`` leaves them unphased.
+        """
+        require_mask_domain(self.params, f)
+        ones = _mask_cells(self.weights.size, self.grid_start, self.grid_step, f) == 1.0
+        return complex(np.sum(self.weights[~ones])), complex(np.sum(self.weights[ones]))
+
+
+def phase_response(p: ProcedureParams, n: int) -> PhaseResponse:
+    """One prepare and two transforms that serve every phase and mask.
+
+    Makes the checks of ``run_circuit`` that need no mask (containment, grid
+    size, a grid covering [-P, P], window support); ``PhaseResponse.split``
+    makes the rest.
+    """
+    state = prepare_gaussian(p, n)
+    # no window array outlives its use: at large N they set the peak memory
+    weights = np.conj(fourier(GridState(
+        _detection_window(state.points, state.grid_step, p),
+        state.grid_start, state.grid_step, POSITION,
+    )).amplitudes)
+    state = fourier(state)
+    _require_cover(state.n, state.grid_step, p.big_p)
+    weights *= state.amplitudes
+    weights *= state.grid_step
+    return PhaseResponse(p, weights, state.grid_start, state.grid_step)
 
 
 @dataclass(frozen=True)

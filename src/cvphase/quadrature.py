@@ -14,8 +14,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.integrate import IntegrationWarning, quad
-
 from .errors import ParameterError, QuadratureToleranceError, RegimeError
 from .model import (
     PiecewiseBinaryFunction,
@@ -66,6 +64,10 @@ def prob_x0_quadrature(
     propagated from the per-segment estimates; if it exceeds abs_tol a
     QuadratureToleranceError carrying the best values is raised.
     """
+    # imported here: scipy.integrate costs most of the package import time,
+    # and only this function integrates
+    from scipy.integrate import IntegrationWarning, quad
+
     require_containment(p)
     require_mask_domain(p, f)
     d = p.delta

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvphase import cli
-from helpers import BIG_P
+from cvphase import PiecewiseBinaryFunction, cli, grid, phase_response
+from helpers import BIG_P, canonical
 
 PI = math.pi
 
@@ -126,6 +126,54 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in err and "delta" in err
 
+    def test_axis_count_is_capped(self, capsys):
+        cap = cli._MAX_AXIS_COUNT
+        assert len(cli._axis(f"0:1:{cap}")) == cap
+        code, out, err = run_cli(["fisher-r", "--r", f"0:1:{cap + 1}"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and str(cap) in err
+
+
+class TestGridEngine:
+    def test_one_prepare_and_two_transforms_per_sweep(self, capsys, monkeypatch):
+        calls = {"prepare_gaussian": 0, "fourier": 0}
+
+        def counted(name):
+            original = getattr(grid, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(grid, name, wrapper)
+
+        counted("prepare_gaussian")
+        counted("fourier")
+        assert not hasattr(cli, "run_circuit")
+        for argv in (["crosscheck"], ["fisher-phi", "--fig4", "--engine", "all"]):
+            calls.update(prepare_gaussian=0, fourier=0)
+            assert run_cli(argv, capsys)[0] == 0
+            assert calls == {"prepare_gaussian": 1, "fourier": 2}, argv
+
+    def test_fisher_at_saturated_phases_is_the_grid_limit(self, capsys):
+        code, out, _ = run_cli(
+            ["fisher-phi", "--engine", "grid", "--r", f"0,{BIG_P / 8!r},{BIG_P!r}",
+             "--phi", f"0,{PI!r}"],
+            capsys,
+        )
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header == ["phi", "r", "fisher_grid"]
+        response = phase_response(canonical(), 4096)
+        for phi, r, fisher in rows:
+            a0, a1 = response.split(PiecewiseBinaryFunction.step(float(r), BIG_P))
+            # p = 1 to rounding at phi = 0 and pi: dp^2/(p(1-p)) tends to 16|A0||A1|
+            assert float(fisher) == pytest.approx(16.0 * abs(a0) * abs(a1), rel=1e-12)
+        by_r = {float(r): float(f) for _, r, f in rows}
+        assert by_r[0.0] == pytest.approx(4.0, rel=1e-6)
+        assert by_r[BIG_P] == 0.0  # constant mask
+
 
 class TestSchemas:
     def test_fisher_phi_analytic_columns(self, capsys):
@@ -144,7 +192,7 @@ class TestSchemas:
         )
         assert code == 0
         header, rows = parse_csv(out)
-        assert header[-3:] == ["fisher_grid_fd", "comparable", "max_pairwise_dev"]
+        assert header[-3:] == ["fisher_grid", "comparable", "max_pairwise_dev"]
         row = dict(zip(header, rows[0]))
         assert row["comparable"] == "true"
         assert float(row["max_pairwise_dev"]) <= 1e-3
@@ -361,6 +409,23 @@ def test_console_script_help_runs():
     )
     assert proc.returncode == 0
     assert "fisher-phi" in proc.stdout
+
+
+def test_scipy_is_imported_only_to_integrate():
+    script = (
+        "import io, sys, contextlib\n"
+        "import cvphase, cvphase.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cvphase.cli.main(['crosscheck', '--phi', '0.3', '--r', '0']),\n"
+        "             cvphase.cli.main(['gap', '--phi', '1.0'])]\n"
+        "print(codes, 'scipy.integrate' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[0, 0] True"]
 
 
 # small runs: the property is about exit codes and error reporting, not output

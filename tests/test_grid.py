@@ -1,5 +1,6 @@
 """Discretized circuit: grid states, unitary transform, mask, detection."""
 
+import cmath
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from cvphase import (
     fourier_matrix,
     inverse_fourier,
     measure_povm,
+    phase_response,
     prepare_gaussian,
     prob_x0,
     run_circuit,
@@ -280,6 +282,63 @@ class TestRunCircuit:
         f = PiecewiseBinaryFunction.step(0.0, BIG_P / 2)
         with pytest.raises(ParameterError):
             run_circuit(p, f, 0.5, GRID_N)
+
+
+class TestPhaseResponse:
+    """The phase-linear split A0 + exp(-2i*phi)*A1 against the full circuit."""
+
+    # dy = P/64 puts the P/8 multiples on cell edges and covers [-P, P] from n = 256
+    T = aligned_half_width(BIG_P, 256, cells_per_eighth=8)
+    MASKS = {
+        "step": PiecewiseBinaryFunction.step(BIG_P / 8, BIG_P),
+        "hat": PiecewiseBinaryFunction.hat(-BIG_P / 2, BIG_P / 4, BIG_P),
+        "constant": PiecewiseBinaryFunction((), (1,), BIG_P),
+    }
+
+    @pytest.mark.parametrize("n", [256, 4096, 2**14])
+    @pytest.mark.parametrize("mask", sorted(MASKS))
+    @pytest.mark.parametrize("epsilon", [None, 0.5])
+    def test_probability_matches_circuit(self, n, mask, epsilon):
+        p = ProcedureParams(
+            x0=0.37, delta=DELTA, big_t=self.T, big_p=BIG_P, epsilon=epsilon
+        )
+        f = self.MASKS[mask]
+        a0, a1 = phase_response(p, n).split(f)
+        for phi in (0.0, 0.3, math.pi / 2, 2.2, math.pi):
+            got = abs(a0 + cmath.exp(-2j * phi) * a1) ** 2
+            assert got == pytest.approx(run_circuit(p, f, phi, n).p_x0, abs=1e-14)
+
+    @pytest.mark.parametrize("r", [0.0, BIG_P / 4])
+    def test_exact_derivative_matches_circuit_difference(self, r):
+        p = canonical()
+        f = PiecewiseBinaryFunction.step(r, BIG_P)
+        a0, a1 = phase_response(p, GRID_N).split(f)
+        h = 1e-5
+        for phi in (0.7, 1.2, 2.0):  # cos(2*phi) <= 2/3: rows the CLI compares
+            exact = 4.0 * (cmath.exp(-2j * phi) * a0.conjugate() * a1).imag
+            diff = (
+                run_circuit(p, f, phi + h, GRID_N).p_x0
+                - run_circuit(p, f, phi - h, GRID_N).p_x0
+            ) / (2.0 * h)
+            # truncation h^2 * |p'''| / 6 <= 7e-11 (|p'''| <= 4), rounding ~ 1e-16 / h
+            assert exact == pytest.approx(diff, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "n, f, error",
+        [
+            # the canonical layout at n = 256 spans only [-P/2, P/2)
+            (256, PiecewiseBinaryFunction.step(0.0, BIG_P), GridLayoutError),
+            (1000, PiecewiseBinaryFunction.step(0.0, BIG_P), GridLayoutError),
+            (GRID_N, PiecewiseBinaryFunction.step(0.0, BIG_P / 2), ParameterError),
+        ],
+        ids=["uncovered-domain", "not-a-power-of-two", "mask-domain-mismatch"],
+    )
+    def test_rejects_what_the_circuit_rejects(self, n, f, error):
+        p = canonical()
+        with pytest.raises(error):
+            run_circuit(p, f, 0.5, n)
+        with pytest.raises(error):
+            phase_response(p, n).split(f)
 
 
 class TestKickback:
