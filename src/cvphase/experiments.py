@@ -10,9 +10,9 @@ Randomness contract.  Every stochastic routine in this package draws from a
 ``numpy.random.SeedSequence`` with the caller's seed material.  A hit count
 is produced by a single vectorized ``rng.random(n) < p`` comparison, so a
 given (seed material, parameters) pair yields the same count on every
-platform numpy supports.  Replicated runs give replica ``i`` the seed
-material ``(master_seed, i)``; the streams are then mutually independent and
-individually reproducible.
+platform numpy supports; one count draws at most 10^8 trials.  Replicated
+runs give replica ``i`` the seed material ``(master_seed, i)``; the streams
+are then mutually independent and individually reproducible.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import lazy_numpy
 from .errors import ParameterError, SingularityError, UnidentifiableFunctionError
 from .model import PiecewiseBinaryFunction, ProcedureParams
 from .stats import (
@@ -33,11 +32,21 @@ from .stats import (
     prob_x0_factorized,
 )
 
+np = lazy_numpy()
+
 _HALF_PI = math.pi / 2.0
 _IDENTIFIABILITY_TOL = 1e-9
 _AUDIT_TOL = 1e-3
+# most trials one hit count may draw: the draw holds its n uniforms at once,
+# 800 MB at this cap, and a larger count fails allocating instead of running
+_MAX_DRAWS = 10**8
 
 SeedMaterial = int | tuple[int, ...]
+
+
+def _require_draws(n: int, what: str) -> None:
+    if not 1 <= n <= _MAX_DRAWS:
+        raise ParameterError(f"{what} must lie in [1, {_MAX_DRAWS}], got {n}")
 
 
 def _count_hits(prob: float, n: int, seed: SeedMaterial) -> int:
@@ -57,13 +66,12 @@ def sample_outcomes(
     """Number of detection hits in n independent trials at phase phi under mask f.
 
     Each trial hits with the closed-form detection probability; the draw is
-    ``rng.random(n) < p`` per the module-level randomness contract.  ``seed``
-    is an integer, or a tuple of integers for derived streams such as
-    (master_seed, replica_index).
+    ``rng.random(n) < p`` per the module-level randomness contract, and n
+    must lie in [1, 10^8].  ``seed`` is an integer, or a tuple of integers
+    for derived streams such as (master_seed, replica_index).
     """
     n = int(n)
-    if n < 1:
-        raise ParameterError(f"need at least one trial, got n={n}")
+    _require_draws(n, "the number of trials")
     return _count_hits(prob_x0_factorized(p, f, phi).p_x0, n, seed)
 
 
@@ -158,16 +166,15 @@ def replicated_mse(
     """Mean squared estimation error over independent replicas.
 
     Replica i counts its hits in the stream seeded with (seed, i); see the
-    module docstring.  The detection probability and the bound are the same
-    for every replica, so they are computed once.  mse_over_crb is NaN when
-    the bound is not finite.
+    module docstring; shots must lie in [1, 10^8].  The detection
+    probability and the bound are the same for every replica, so they are
+    computed once.  mse_over_crb is NaN when the bound is not finite.
     """
     shots = int(shots)
     replicas = int(replicas)
-    if shots < 1 or replicas < 1:
-        raise ParameterError(
-            f"need shots >= 1 and replicas >= 1, got {shots}, {replicas}"
-        )
+    _require_draws(shots, "shots")
+    if replicas < 1:
+        raise ParameterError(f"need replicas >= 1, got {replicas}")
     phi_true = float(phi_true)
     model = _cosine_model(p, r, phi_true)
     prob = prob_x0_factorized(p, PiecewiseBinaryFunction.step(r, p.big_p), phi_true).p_x0

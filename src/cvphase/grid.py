@@ -59,8 +59,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import lazy_numpy
 from .errors import GridLayoutError, ParameterError
 from .model import (
     MeasurementDistribution,
@@ -70,10 +69,15 @@ from .model import (
     require_mask_domain,
 )
 
+np = lazy_numpy()
+
 POSITION = "position"
 MOMENTUM = "momentum"
 
 _MIN_POINTS = 256
+# largest grid: a sweep holds a few N-point complex arrays (256 MiB each at
+# this size), and a larger request is a typo, not a convergence study
+_MAX_POINTS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -113,9 +117,12 @@ class GridState:
 
 
 def _require_pow2(n: int) -> int:
+    """n as an int, if it is a power of two in [_MIN_POINTS, _MAX_POINTS]."""
     n = int(n)
-    if n < _MIN_POINTS or n & (n - 1):
-        raise GridLayoutError(f"grid size must be a power of two >= {_MIN_POINTS}, got {n}")
+    if not _MIN_POINTS <= n <= _MAX_POINTS or n & (n - 1):
+        raise GridLayoutError(
+            f"grid size must be a power of two in [{_MIN_POINTS}, {_MAX_POINTS}], got {n}"
+        )
     return n
 
 

@@ -1,17 +1,43 @@
 """Numerically integrated detection probabilities, independent of the erf
 closed forms.
 
-The detection probability factorizes into a single complex integral of the
-Gaussian envelope times the mask's phase factor.  Here each constant segment
-of the mask is integrated with adaptive Gauss-Kronrod quadrature and the
-segment results are combined in fixed order, giving an oracle that shares no
+The detection amplitude factorizes into one complex integral of the Gaussian
+envelope g(y) = exp(-4*delta^2*y^2) times the mask's phase factor
+exp(2i*phi*f(y)).  On a segment where the mask is constant at v that factor
+is the constant exp(2i*phi*v), so
+
+    p(x0 | phi) = (4*delta^2/pi) * |sum_s exp(2i*phi*v_s) * I_s|^2,
+    I_s = integral of g over segment s.
+
+The real integrals I_s do not depend on phi: ``quadrature_response``
+integrates them once per mask, and ``QuadratureResponse.at`` combines them
+for any phase in a few scalar operations.  The integrator shares no
 special-function code with the closed-form route in ``stats``.
+
+Each I_s comes from globally adaptive Gauss-Kronrod quadrature with the
+21-point rule qk21 of QUADPACK (R. Piessens, E. de Doncker-Kapenga,
+C. W. Ueberhuber and D. K. Kahaner, *QUADPACK: A Subroutine Package for
+Automatic Integration*, Springer, 1983).  On a panel of half-length h the
+rule evaluates the integrand at the 21 Kronrod abscissae, which contain the
+10 Gauss-Legendre abscissae; K is the Kronrod estimate and G the Gauss one.
+With resasc = h * sum_j w_j * |g(x_j) - K/(2h)| (the Kronrod weights w_j)
+and resabs = h * sum_j w_j * |g(x_j)|, the panel's error estimate is
+
+    err = resasc * min(1, (200 * |K - G| / resasc)^1.5),
+    err = max(err, 50 * eps * resabs),
+
+eps being the double-precision machine epsilon.  The panel with the largest
+estimate is bisected until the estimates sum to the segment's budget or
+``max_subdivisions`` panels exist.  QUADPACK's extrapolation step is left
+out: the envelope is entire and each segment finite, so bisection alone
+converges geometrically.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import ParameterError, QuadratureToleranceError, RegimeError
@@ -21,6 +47,46 @@ from .model import (
     require_containment,
     require_mask_domain,
 )
+
+# qk21 (QUADPACK dqk21): the non-negative 21-point Kronrod abscissae on
+# [-1, 1] in descending order; the odd positions 1, 3, ..., 9 are the
+# 10-point Gauss abscissae.  _WGK are the Kronrod weights, _WG the Gauss
+# weights of _XGK[1], _XGK[3], ..., _XGK[9].
+_XGK = (
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0.0,
+)
+_WGK = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077208626368371,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -43,31 +109,138 @@ class QuadratureSpec:
             )
 
 
+def _gauss_kronrod(
+    f: Callable[[float], float], a: float, b: float
+) -> tuple[float, float]:
+    """qk21 on [a, b]: the Kronrod estimate and its error estimate (see the
+    module docstring), in QUADPACK's order of operations."""
+    centre = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    fc = f(centre)
+    res_g = 0.0
+    res_k = _WGK[10] * fc
+    res_abs = abs(res_k)
+    fv1 = [0.0] * 10
+    fv2 = [0.0] * 10
+    # the Gauss abscissae first, then the Kronrod extension
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):
+        x = half * _XGK[j]
+        f1 = f(centre - x)
+        f2 = f(centre + x)
+        fv1[j] = f1
+        fv2[j] = f2
+        if j % 2:
+            res_g += _WG[j // 2] * (f1 + f2)
+        res_k += _WGK[j] * (f1 + f2)
+        res_abs += _WGK[j] * (abs(f1) + abs(f2))
+    mean = 0.5 * res_k
+    res_asc = _WGK[10] * abs(fc - mean)
+    for j in range(10):
+        res_asc += _WGK[j] * (abs(fv1[j] - mean) + abs(fv2[j] - mean))
+    res_abs *= abs(half)
+    res_asc *= abs(half)
+    err = abs((res_k - res_g) * half)
+    if res_asc != 0.0 and err != 0.0:
+        err = res_asc * min(1.0, (200.0 * err / res_asc) ** 1.5)
+    if res_abs > _TINY / (50.0 * _EPS):
+        err = max(50.0 * _EPS * res_abs, err)
+    return res_k * half, err
+
+
+def _integrate(
+    f: Callable[[float], float], a: float, b: float, budget: float, max_panels: int
+) -> tuple[float, float]:
+    """Integral of f over [a, b] and its error estimate.
+
+    Globally adaptive: the panel with the largest qk21 error estimate is
+    bisected until the estimates sum to at most budget or max_panels panels
+    exist.  An exhausted budget is not an error here; the caller judges the
+    returned estimate.
+    """
+    value, err = _gauss_kronrod(f, a, b)
+    panels = [(a, b, value, err)]
+    err_sum = err
+    while err_sum > budget and len(panels) < max_panels:
+        worst = max(range(len(panels)), key=lambda i: panels[i][3])
+        lo, hi, _, worst_err = panels[worst]
+        mid = 0.5 * (lo + hi)
+        left = (lo, mid, *_gauss_kronrod(f, lo, mid))
+        right = (mid, hi, *_gauss_kronrod(f, mid, hi))
+        err_sum += left[3] + right[3] - worst_err
+        # as in QUADPACK, the half with the larger error takes the old slot
+        if right[3] > left[3]:
+            left, right = right, left
+        panels[worst] = left
+        panels.append(right)
+    value = 0.0
+    for panel in panels:
+        value += panel[2]
+    return value, err_sum
+
+
 @dataclass(frozen=True)
 class QuadratureResult:
     value: float
     error_estimate: float
 
 
-def prob_x0_quadrature(
+@dataclass(frozen=True)
+class QuadratureResponse:
+    """The phase-free part of the quadrature oracle for one mask.
+
+    integrals holds (I_s, v_s) per mask segment in ascending order: the
+    envelope's integral over the segment and the mask value on it.
+    error_sum is the sum of the segments' error estimates.
+    """
+
+    params: ProcedureParams
+    integrals: tuple[tuple[float, int], ...]
+    error_sum: float
+    spec: QuadratureSpec
+
+    def at(self, phi: float) -> QuadratureResult:
+        """Detection probability at phase phi, with the error estimate
+        propagated from the segments.
+
+        Raises QuadratureToleranceError, carrying the best values, when that
+        estimate exceeds the spec's abs_tol.
+        """
+        acc_re = 0.0
+        acc_im = 0.0
+        for val, v in self.integrals:
+            acc_re += val * math.cos(2.0 * phi * v)
+            acc_im += val * math.sin(2.0 * phi * v)
+        d = self.params.delta
+        norm = 4.0 * d * d / math.pi
+        mod = math.hypot(acc_re, acc_im)
+        err_sum = self.error_sum
+        value = norm * mod * mod
+        error_estimate = norm * (2.0 * mod * err_sum + err_sum * err_sum)
+        if error_estimate > self.spec.abs_tol:
+            raise QuadratureToleranceError(
+                f"propagated error estimate {error_estimate:.3e} exceeds "
+                f"abs_tol {self.spec.abs_tol:.3e} within "
+                f"{self.spec.max_subdivisions} subdivisions",
+                value=value,
+                error_estimate=error_estimate,
+            )
+        return QuadratureResult(value=value, error_estimate=error_estimate)
+
+
+def quadrature_response(
     p: ProcedureParams,
     f: PiecewiseBinaryFunction,
-    phi: float,
     spec: QuadratureSpec = QuadratureSpec(),
-) -> QuadratureResult:
-    """Detection probability via adaptive quadrature over the mask segments.
+) -> QuadratureResponse:
+    """Integrate the envelope over each segment of the mask, once for every
+    phase.
 
     The probability-level budget abs_tol is converted to a budget for the
     underlying complex integral (whose modulus is at most sqrt(pi)/(2*delta))
     and split across segments in proportion to their Gaussian mass, so tail
-    segments do not starve the centre.  The returned error_estimate is
-    propagated from the per-segment estimates; if it exceeds abs_tol a
-    QuadratureToleranceError carrying the best values is raised.
+    segments do not starve the centre.  Each segment may use up to
+    max_subdivisions panels.
     """
-    # imported here: scipy.integrate costs most of the package import time,
-    # and only this function integrates
-    from scipy.integrate import IntegrationWarning, quad
-
     require_containment(p)
     require_mask_domain(p, f)
     d = p.delta
@@ -87,34 +260,30 @@ def prob_x0_quadrature(
     def integrand(y: float) -> float:
         return math.exp(-4.0 * d * d * y * y)
 
-    acc_re = 0.0
-    acc_im = 0.0
+    integrals = []
     err_sum = 0.0
-    with warnings.catch_warnings():
-        # an exhausted budget surfaces through the propagated estimate below
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for (lo, hi, v), mass in zip(segs, masses):
-            seg_budget = integral_budget * max(mass / total_mass, 1e-6)
-            val, err = quad(
-                integrand, lo, hi, epsabs=seg_budget, epsrel=0.0,
-                limit=spec.max_subdivisions,
-            )
-            acc_re += val * math.cos(2.0 * phi * v)
-            acc_im += val * math.sin(2.0 * phi * v)
-            err_sum += err
+    for (lo, hi, v), mass in zip(segs, masses):
+        seg_budget = integral_budget * max(mass / total_mass, 1e-6)
+        val, err = _integrate(integrand, lo, hi, seg_budget, spec.max_subdivisions)
+        integrals.append((val, v))
+        err_sum += err
+    return QuadratureResponse(p, tuple(integrals), err_sum, spec)
 
-    norm = 4.0 * d * d / math.pi
-    mod = math.hypot(acc_re, acc_im)
-    value = norm * mod * mod
-    error_estimate = norm * (2.0 * mod * err_sum + err_sum * err_sum)
-    if error_estimate > spec.abs_tol:
-        raise QuadratureToleranceError(
-            f"propagated error estimate {error_estimate:.3e} exceeds "
-            f"abs_tol {spec.abs_tol:.3e} within {spec.max_subdivisions} subdivisions",
-            value=value,
-            error_estimate=error_estimate,
-        )
-    return QuadratureResult(value=value, error_estimate=error_estimate)
+
+def prob_x0_quadrature(
+    p: ProcedureParams,
+    f: PiecewiseBinaryFunction,
+    phi: float,
+    spec: QuadratureSpec = QuadratureSpec(),
+) -> QuadratureResult:
+    """Detection probability via adaptive quadrature over the mask segments:
+    ``quadrature_response(p, f, spec).at(phi)``.
+
+    The returned error_estimate is propagated from the per-segment
+    estimates; if it exceeds abs_tol a QuadratureToleranceError carrying the
+    best values is raised.
+    """
+    return quadrature_response(p, f, spec).at(phi)
 
 
 @dataclass(frozen=True)

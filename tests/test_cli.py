@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvphase import PiecewiseBinaryFunction, cli, grid, phase_response
+from cvphase import PiecewiseBinaryFunction, cli, experiments, grid, phase_response
 from helpers import BIG_P, canonical
 
 PI = math.pi
@@ -126,6 +126,34 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in err and "delta" in err
 
+    def test_grid_size_is_capped(self, capsys):
+        # the analytic engine allocates no grid, even if the cap were lost
+        cap = grid._MAX_POINTS
+        assert cap >= 2**20
+        assert run_cli(["fisher-phi", "--grid-n", str(cap)], capsys)[0] == 0
+        code, out, err = run_cli(["fisher-phi", "--grid-n", str(2 * cap)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and str(cap) in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dj", "--trials", "100000001"],
+            ["dj", "--trials", "10000000000000"],
+            ["estimate", "--shots", "10000000000000", "--replicas", "1"],
+        ],
+    )
+    def test_draw_count_is_capped(self, capsys, monkeypatch, argv):
+        def no_draw(*args):
+            raise AssertionError("drew outcomes for an over-cap count")
+
+        monkeypatch.setattr(experiments, "_count_hits", no_draw)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and str(experiments._MAX_DRAWS) in err
+
     def test_axis_count_is_capped(self, capsys):
         cap = cli._MAX_AXIS_COUNT
         assert len(cli._axis(f"0:1:{cap}")) == cap
@@ -155,6 +183,24 @@ class TestGridEngine:
             calls.update(prepare_gaussian=0, fourier=0)
             assert run_cli(argv, capsys)[0] == 0
             assert calls == {"prepare_gaussian": 1, "fourier": 2}, argv
+
+    def test_one_quadrature_response_per_threshold(self, capsys, monkeypatch):
+        built = []
+        original = cli.quadrature_response
+
+        def counted(p, f, spec):
+            built.append(f.breakpoints)
+            return original(p, f, spec)
+
+        monkeypatch.setattr(cli, "quadrature_response", counted)
+        assert not hasattr(cli, "prob_x0_quadrature")
+        for argv, thresholds in (
+            (["crosscheck"], 5),
+            (["crosscheck", "--r", f"0,{BIG_P / 4!r}", "--phi", "0:3:7"], 2),
+        ):
+            built.clear()
+            assert run_cli(argv, capsys)[0] == 0
+            assert len(built) == len(set(built)) == thresholds, argv
 
     def test_fisher_at_saturated_phases_is_the_grid_limit(self, capsys):
         code, out, _ = run_cli(
@@ -411,26 +457,36 @@ def test_console_script_help_runs():
     assert "fisher-phi" in proc.stdout
 
 
-def test_scipy_is_imported_only_to_integrate():
+def test_table_commands_load_neither_numpy_nor_scipy():
+    # numpy is registered at import but loads on first use: its submodules
+    # appear only once something builds an array
     script = (
         "import io, sys, contextlib\n"
         "import cvphase, cvphase.cli\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m.startswith(('numpy.', 'scipy')))\n"
+        "print(loaded())\n"
+        "tables = [['audit'], ['gap'], ['fisher-phi', '--fig4'], ['fisher-r', '--fig5']]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cvphase.cli.main(argv) for argv in tables]\n"
+        "print(codes, loaded())\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [cvphase.cli.main(['crosscheck', '--phi', '0.3', '--r', '0']),\n"
-        "             cvphase.cli.main(['gap', '--phi', '1.0'])]\n"
-        "print(codes, 'scipy.integrate' in sys.modules)\n"
+        "             cvphase.cli.main(['dj', '--trials', '100'])]\n"
+        "print(codes, 'numpy.fft' in sys.modules)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "[0, 0] True"]
+    assert proc.stdout.splitlines() == ["[]", "[0, 0, 0, 0] []", "[0, 0] True"]
 
 
 # small runs: the property is about exit codes and error reporting, not output
 _FUZZ_COMMANDS = {  # command: (fixed arguments, fuzzed flags it accepts)
-    "fisher-phi": ([], ("--phi", "--r", "--delta")),
+    # --grid-n only where the analytic engine never allocates the grid
+    "fisher-phi": ([], ("--phi", "--r", "--delta", "--grid-n")),
     "fisher-r": ([], ("--phi", "--r", "--delta")),
     "dj": (["--trials", "20"], ("--r", "--delta")),
     "estimate": (["--shots", "5", "--replicas", "2"], ("--phi", "--r", "--delta")),
@@ -444,15 +500,20 @@ _fuzz_value = st.one_of(
     ),
     st.floats(allow_nan=True, allow_infinity=True),
 )
+_fuzz_grid_n = st.one_of(
+    st.sampled_from([0, -1, 255, 256, 4096, 2**24, 2**25, 2**40, 3 * 2**20]),
+    st.integers(),
+)
 
 
 @st.composite
 def _fuzz_argv(draw):
     command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
     fixed, accepted = _FUZZ_COMMANDS[command]
-    flags = draw(st.dictionaries(st.sampled_from(accepted), _fuzz_value, max_size=3))
+    flags = draw(st.lists(st.sampled_from(accepted), unique=True, max_size=3))
     argv = [command, *fixed]
-    for flag, value in flags.items():
+    for flag in flags:
+        value = draw(_fuzz_grid_n if flag == "--grid-n" else _fuzz_value)
         argv += [flag, repr(value)]
     return argv
 

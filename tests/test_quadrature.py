@@ -14,8 +14,11 @@ from cvphase import (
     prob_x0,
     prob_x0_factorized,
     prob_x0_quadrature,
+    quadrature,
+    quadrature_response,
     step_hat_gap,
 )
+from erf_oracle import erf_series
 from helpers import BIG_P, DELTA, canonical, with_mask_product
 
 GAP_PRED_S01 = 4.9401694335724335e-06  # series prediction at P*delta=0.1, phi=pi/2
@@ -40,6 +43,75 @@ class TestQuadratureSpec:
         err = QuadratureToleranceError("budget blown", value=0.5, error_estimate=1e-7)
         assert err.value == 0.5
         assert err.error_estimate == 1e-7
+
+
+def _monomial_integral(k: int) -> float:
+    """Integral of x^k over [-1, 1]."""
+    return 0.0 if k % 2 else 2.0 / (k + 1)
+
+
+class TestGaussKronrod:
+    """The qk21 rule and the adaptive routine built on it."""
+
+    @pytest.mark.parametrize("k", range(32))
+    def test_kronrod_nodes_are_exact_to_degree_31(self, k):
+        xgk, wgk = quadrature._XGK, quadrature._WGK
+        total = sum(w * (x**k + (-x) ** k) for x, w in zip(xgk[:10], wgk[:10]))
+        total += wgk[10] * 0.0**k
+        assert total == pytest.approx(_monomial_integral(k), abs=1e-14)
+        value, _ = quadrature._gauss_kronrod(lambda x: x**k, -1.0, 1.0)
+        assert value == pytest.approx(_monomial_integral(k), abs=1e-14)
+
+    @pytest.mark.parametrize("k", range(20))
+    def test_gauss_nodes_are_exact_to_degree_19(self, k):
+        nodes = quadrature._XGK[1:10:2]
+        total = sum(w * (x**k + (-x) ** k) for x, w in zip(nodes, quadrature._WG))
+        assert total == pytest.approx(_monomial_integral(k), abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "lo, hi, budget, min_evals",
+        [
+            (-BIG_P / 8, BIG_P / 8, 1e-13, 21),  # centre
+            (-BIG_P, -BIG_P / 2, 1e-15, 21),  # left tail
+            (BIG_P / 2, BIG_P, 1e-15, 21),  # right tail
+            (BIG_P, BIG_P, 1e-15, 21),  # zero width
+            (-BIG_P, BIG_P, 1e-12, 63),  # one qk21 panel misses the budget
+        ],
+    )
+    def test_adaptive_matches_the_erf_oracle(self, lo, hi, budget, min_evals):
+        evals = []
+
+        def envelope(y):
+            evals.append(y)
+            return math.exp(-4.0 * DELTA * DELTA * y * y)
+
+        value, err = quadrature._integrate(envelope, lo, hi, budget, 256)
+        a = 2.0 * DELTA
+        exact = float(
+            (erf_series(a * hi) - erf_series(a * lo)) * math.sqrt(math.pi) / (2.0 * a)
+        )
+        assert len(evals) >= min_evals
+        assert err <= budget
+        assert abs(value - exact) <= err
+
+    def test_unreachable_budget_raises_with_best_values(self):
+        p = canonical()
+        f = PiecewiseBinaryFunction.step(BIG_P / 4, BIG_P)
+        spec = QuadratureSpec(abs_tol=1e-300, max_subdivisions=64)
+        with pytest.raises(QuadratureToleranceError) as info:
+            prob_x0_quadrature(p, f, 0.7, spec)
+        exc = info.value
+        assert exc.value == pytest.approx(prob_x0(p, BIG_P / 4, 0.7).p_x0, abs=1e-12)
+        assert 1e-300 < exc.error_estimate < 1e-12
+
+    def test_response_at_phi_is_prob_x0_quadrature(self):
+        p = canonical()
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            f = _random_mask(rng)
+            response = quadrature_response(p, f)
+            for phi in rng.uniform(0.0, math.pi, size=5):
+                assert response.at(phi) == prob_x0_quadrature(p, f, phi)
 
 
 def _random_mask(rng: np.random.Generator) -> PiecewiseBinaryFunction:
