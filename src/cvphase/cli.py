@@ -6,7 +6,8 @@ significant digits, so identical invocations are byte-identical; JSON maps
 non-finite floats to null.  Exit status: 0 success, 2 usage or parameter
 error, 3 crosscheck tolerance failure.  Axis flags take a number, a comma
 list, or start:stop:count with at most 100000 points.  --grid-n is a power
-of two in [256, 2^24]; --trials and --shots are at most 10^8.
+of two in [256, 2^24]; --trials and --shots are at most 10^8, --replicas
+at most 10^5.
 
 Column schemas per command are listed in each subcommand's --help epilog.
 """
@@ -28,7 +29,7 @@ from .errors import CvPhaseError, ParameterError
 from .experiments import heisenberg_audit, replicated_mse, sample_outcomes
 from .grid import aligned_half_width, phase_response
 from .model import MeasurementDistribution, PiecewiseBinaryFunction, ProcedureParams
-from .quadrature import QuadratureSpec, quadrature_response, step_hat_gap
+from .quadrature import QuadratureSpec, quadrature_response, step_hat_gaps
 from .stats import dj_statistics, fisher_phi, fisher_r, mask_efficiency, prob_x0
 
 _DEFAULT_GRID_N = 4096
@@ -418,10 +419,8 @@ def cmd_audit(
 def cmd_gap(
     p: ProcedureParams, phis: tuple[float, ...]
 ) -> tuple[list[str], list[dict]]:
-    qspec = QuadratureSpec()
     rows = []
-    for phi in phis:
-        g = step_hat_gap(p, phi, qspec)
+    for phi, g in zip(phis, step_hat_gaps(p, phis)):
         rows.append({
             "phi": phi,
             "mask_product": p.mask_product,
@@ -526,7 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--phi", type=float, default=None,
                     help="true phase (default pi/4)")
     sp.add_argument("--shots", type=int, default=100)
-    sp.add_argument("--replicas", type=int, default=2000)
+    sp.add_argument("--replicas", type=int, default=2000,
+                    help="independent replicas, at most 10^5 (default 2000)")
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=_run_estimate)
 

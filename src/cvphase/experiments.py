@@ -40,6 +40,10 @@ _AUDIT_TOL = 1e-3
 # most trials one hit count may draw: the draw holds its n uniforms at once,
 # 800 MB at this cap, and a larger count fails allocating instead of running
 _MAX_DRAWS = 10**8
+# most replicas one estimate may run: each keeps its report (and the CLI one
+# row), so memory grows with the count; a larger run belongs in a script
+# that aggregates as it goes
+_MAX_REPLICAS = 10**5
 
 SeedMaterial = int | tuple[int, ...]
 
@@ -166,15 +170,18 @@ def replicated_mse(
     """Mean squared estimation error over independent replicas.
 
     Replica i counts its hits in the stream seeded with (seed, i); see the
-    module docstring; shots must lie in [1, 10^8].  The detection
-    probability and the bound are the same for every replica, so they are
-    computed once.  mse_over_crb is NaN when the bound is not finite.
+    module docstring.  shots must lie in [1, 10^8] and replicas in
+    [1, 10^5].  The detection probability and the bound are the same for
+    every replica, so they are computed once.  mse_over_crb is NaN when the
+    bound is not finite.
     """
     shots = int(shots)
     replicas = int(replicas)
     _require_draws(shots, "shots")
-    if replicas < 1:
-        raise ParameterError(f"need replicas >= 1, got {replicas}")
+    if not 1 <= replicas <= _MAX_REPLICAS:
+        raise ParameterError(
+            f"replicas must lie in [1, {_MAX_REPLICAS}], got {replicas}"
+        )
     phi_true = float(phi_true)
     model = _cosine_model(p, r, phi_true)
     prob = prob_x0_factorized(p, PiecewiseBinaryFunction.step(r, p.big_p), phi_true).p_x0

@@ -15,7 +15,8 @@ representative of the transform between the sqrt(step)-scaled vectors:
 ``fourier`` applies b = (dx/sqrt(pi)) * K a (K the bare kernel sum), which
 equals diag(1/sqrt(dy)) U diag(sqrt(dx)) a, so the step-weighted norm is
 preserved exactly and the round trip is the exact identity.  Both maps run
-in O(N log N) as an FFT with pre/post phase ramps.
+in O(N log N) as an FFT with pre/post phase ramps (exact on a position grid
+centred on 0; see the phase-linear split below).
 
 Conjugate-grid layout.  Samples sit at half-integer multiples of dy,
 
@@ -45,12 +46,27 @@ weights w_k = conj((F W)_k) * (F G)_k * dy the amplitude is
 
     A0 + exp(-2i*phi) * A1,   A0 = sum_{f(y_k)=0} w_k,   A1 = sum_{f(y_k)=1} w_k.
 
-``phase_response`` therefore prepares once and transforms twice (state and
-window); every phase then costs a few scalar operations, and every mask one
-pass over the weights.  Both routes take the mask's cell values from one
-helper, so they discretize the mask identically; they differ only by
-rounding (~1e-15 in the probability).  ``run_circuit`` stays the stage-by-
-stage reference.
+``phase_response`` therefore prepares once and transforms once; every phase
+then costs a few scalar operations, and every mask one pass over the
+weights.  Both routes take the mask's cell values from one helper, so they
+discretize the mask identically; they differ only by rounding (~1e-15 in the
+probability).  ``run_circuit`` stays the stage-by-stage reference.
+
+One transform serves both W and G because both are real.  ``fourier`` is
+dx/sqrt(pi) times a post-ramp exp(2i*xs*y_k) times X = sum_j
+exp(2pi i jk/N) * r_j * a_j, with the pre-ramp r_j = exp(2i*j*dx*ys).  For
+real a the half-offset layout gives X_k = conj(X_{N-1-k}), so the single
+sum Z of z = r * (W + iG) separates as
+
+    X_W = (Z_k + conj Z_{N-1-k}) / 2,   X_G = (Z_k - conj Z_{N-1-k}) / (2i).
+
+The post-ramp has unit modulus and cancels in conj(F W) * (F G), so
+w_k = (dx/sqrt(pi))^2 * conj(X_W) * X_G * dy.  The symmetry holds to
+rounding only if the ramps are exact, so they come from the layout
+identities 2*j*dx*ys = -pi*j + pi*j/N and 2*xs*y_k = -pi*k + pi*(N-1)/2
+(xs = -N*dx/2): r_j = (-1)^j * exp(i*pi*j/N), whose argument never exceeds
+pi, and exp(2i*xs*y_k) = (-1)^k * i^(N-1).  ``fourier`` and
+``inverse_fourier`` use the same identities.
 """
 
 from __future__ import annotations
@@ -164,39 +180,58 @@ def _conjugate_layout(n: int, dx: float) -> tuple[float, float]:
     return dy, y_start
 
 
+# i^m for m = 0..3: exp(2i*xs*y_k) = (-1)^k * i^(n-1) on the centred layout
+_I_POWERS = (1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j)
+
+
+def _half_offset_ramp(n: int) -> np.ndarray:
+    """exp(2i*j*dx*ys) for j = 0..n-1, with ys the half-offset grid start.
+
+    2*j*dx*ys = -pi*j + pi*j/n, so the ramp is (-1)^j * exp(i*pi*j/n), whose
+    argument never exceeds pi.  2*j*dx*ys itself reaches ~pi*n, and its
+    rounding (~1e-12 rad at n = 4096) would break the conjugate symmetry
+    that ``phase_response`` relies on.
+    """
+    angle = (math.pi / n) * np.arange(n)
+    ramp = np.empty(n, dtype=complex)
+    # cos and sin into the parts: the same values as exp(1j*angle), and faster
+    np.cos(angle, out=ramp.real)
+    np.sin(angle, out=ramp.imag)
+    ramp[1::2] *= -1.0
+    return ramp
+
+
 def fourier(s: GridState) -> GridState:
     """Transform position samples to the half-offset conjugate grid.
 
     b_k = (dx/sqrt(pi)) * exp(2i*xs*y_k) * sum_j exp(2pi i jk/N)
           * [exp(2i*j*dx*ys) * a_j], evaluated with an inverse FFT.
+    The position grid must be centred on 0 (xs = -N*dx/2), which makes both
+    ramps exact: ``_half_offset_ramp`` before the FFT, (-1)^k * i^(N-1) after.
     Preserves sum |a|^2 * step exactly (see module docstring).
     """
     if s.space != POSITION:
         raise GridLayoutError("fourier expects a position-space state")
     n = s.n
     dx = s.grid_step
+    if abs(s.grid_start + n * dx / 2.0) > 1e-9 * dx:
+        raise GridLayoutError("position grid is not centred on 0")
     dy, ys = _conjugate_layout(n, dx)
-    # the ramps and products of the formula above, in its order of operations
-    # but in place: at large N the temporaries, not the FFT, set peak memory
-    buf = 2j * np.arange(n)
-    buf *= dx
-    buf *= ys
-    np.exp(buf, out=buf)
+    # in place: at large N the temporaries, not the FFT, set peak memory
+    buf = _half_offset_ramp(n)
     buf *= s.amplitudes
     np.fft.ifft(buf, out=buf)
-    buf *= n
-    amps = 2j * s.grid_start * (ys + dy * np.arange(n))
-    np.exp(amps, out=amps)
-    amps *= dx / math.sqrt(math.pi)
-    amps *= buf
-    return GridState(amps, grid_start=ys, grid_step=dy, space=MOMENTUM)
+    buf *= _I_POWERS[(n - 1) % 4] * (n * dx / math.sqrt(math.pi))
+    buf[1::2] *= -1.0
+    return GridState(buf, grid_start=ys, grid_step=dy, space=MOMENTUM)
 
 
 def inverse_fourier(s: GridState) -> GridState:
     """Inverse of ``fourier``: conjugate-grid state back to its position grid.
 
-    a_j = (dy/sqrt(pi)) * exp(-2i*j*dx*ys) * fft(exp(-2i*xs*y) * b)[j];
-    the composition with ``fourier`` is the exact identity.
+    a_j = (dy/sqrt(pi)) * exp(-2i*j*dx*ys) * fft(exp(-2i*xs*y) * b)[j], with
+    the conjugates of the exact ramps of ``fourier``; the composition with
+    ``fourier`` is the exact identity.
     """
     if s.space != MOMENTUM:
         raise GridLayoutError("inverse_fourier expects a momentum-space state")
@@ -207,17 +242,13 @@ def inverse_fourier(s: GridState) -> GridState:
     if abs(ys - (-n / 2 + 0.5) * dy) > 1e-9 * dy:
         raise GridLayoutError("momentum grid is not in the half-offset layout")
     xs = -n * dx / 2.0
-    buf = -2j * xs * s.points
-    np.exp(buf, out=buf)
-    buf *= s.amplitudes
+    post = _I_POWERS[(n - 1) % 4].conjugate() * (dy / math.sqrt(math.pi))
+    buf = s.amplitudes * post
+    buf[1::2] *= -1.0
     np.fft.fft(buf, out=buf)
-    amps = -2j * np.arange(n)
-    amps *= dx
-    amps *= ys
-    np.exp(amps, out=amps)
-    amps *= dy / math.sqrt(math.pi)
-    amps *= buf
-    return GridState(amps, grid_start=xs, grid_step=dx, space=POSITION)
+    ramp = _half_offset_ramp(n)
+    buf *= np.conj(ramp, out=ramp)
+    return GridState(buf, grid_start=xs, grid_step=dx, space=POSITION)
 
 
 def fourier_matrix(s: GridState) -> np.ndarray:
@@ -337,23 +368,34 @@ class PhaseResponse:
 
 
 def phase_response(p: ProcedureParams, n: int) -> PhaseResponse:
-    """One prepare and two transforms that serve every phase and mask.
+    """One prepare and one transform that serve every phase and mask.
 
     Makes the checks of ``run_circuit`` that need no mask (containment, grid
-    size, a grid covering [-P, P], window support); ``PhaseResponse.split``
+    size, window support, a grid covering [-P, P]); ``PhaseResponse.split``
     makes the rest.
     """
     state = prepare_gaussian(p, n)
-    # no window array outlives its use: at large N they set the peak memory
-    weights = np.conj(fourier(GridState(
-        _detection_window(state.points, state.grid_step, p),
-        state.grid_start, state.grid_step, POSITION,
-    )).amplitudes)
-    state = fourier(state)
-    _require_cover(state.n, state.grid_step, p.big_p)
-    weights *= state.amplitudes
-    weights *= state.grid_step
-    return PhaseResponse(p, weights, state.grid_start, state.grid_step)
+    n = state.n
+    dx = state.grid_step
+    # window W and state G are real: transform W + iG once, split by symmetry
+    z = 1j * state.amplitudes.real
+    z += _detection_window(state.points, dx, p)
+    del state  # at large N the N-point arrays set the peak memory
+    dy, ys = _conjugate_layout(n, dx)
+    _require_cover(n, dy, p.big_p)
+    z *= _half_offset_ramp(n)
+    np.fft.ifft(z, out=z)
+    # real input: X_k = conj(X_{N-1-k}), so Z + R = 2 X_W and Z - R = 2i X_G
+    rev = np.conj(z[::-1])
+    weights = z + rev
+    z -= rev
+    del rev
+    np.conj(weights, out=weights)
+    weights *= z
+    # conj(2 X_W) * 2i X_G = 4i conj(X_W) X_G; the unit-modulus post-ramps of
+    # the two transforms cancel in the product
+    weights *= -0.25j * (n * dx / math.sqrt(math.pi)) ** 2 * dy
+    return PhaseResponse(p, weights, ys, dy)
 
 
 @dataclass(frozen=True)

@@ -307,10 +307,23 @@ def step_hat_gap(
     p: ProcedureParams, phi: float, spec: QuadratureSpec = QuadratureSpec()
 ) -> StepHatGap:
     """Quadrature-measured gap between Step(0) and Hat(-P/2, P/2) detection
-    probabilities, with its small-(P*delta) series prediction.
+    probabilities, with its small-(P*delta) series prediction:
+    ``step_hat_gaps(p, (phi,), spec)[0]``.
 
     Requires P*delta <= 1/2; beyond that the truncated series stops
     controlling the gap.
+    """
+    return step_hat_gaps(p, (phi,), spec)[0]
+
+
+def step_hat_gaps(
+    p: ProcedureParams,
+    phis: tuple[float, ...],
+    spec: QuadratureSpec = QuadratureSpec(),
+) -> tuple[StepHatGap, ...]:
+    """``step_hat_gap`` at each phase in phis, integrating each mask once.
+
+    Requires P*delta <= 1/2 (see ``step_hat_gap``).
     """
     s = p.mask_product
     if s > 0.5:
@@ -318,18 +331,22 @@ def step_hat_gap(
             f"step_hat_gap requires P*delta <= 0.5, got {s}; the series "
             "prediction does not control larger mask products"
         )
-    step = PiecewiseBinaryFunction.step(0.0, p.big_p)
-    hat = PiecewiseBinaryFunction.hat(-p.big_p / 2.0, p.big_p / 2.0, p.big_p)
-    p_step = prob_x0_quadrature(p, step, phi, spec).value
-    p_hat = prob_x0_quadrature(p, hat, phi, spec).value
-    signed = p_step - p_hat
-    prediction = (
-        abs(1.0 - math.cos(2.0 * phi)) * (8.0 / math.pi) * s**6 * abs(1.0 - 3.0 * s * s)
+    step = quadrature_response(p, PiecewiseBinaryFunction.step(0.0, p.big_p), spec)
+    hat = quadrature_response(
+        p, PiecewiseBinaryFunction.hat(-p.big_p / 2.0, p.big_p / 2.0, p.big_p), spec
     )
-    ratio = abs(signed) / prediction if prediction > 0.0 else float("nan")
-    return StepHatGap(
-        signed_gap=signed,
-        gap=abs(signed),
-        leading_order_prediction=prediction,
-        ratio=ratio,
-    )
+    gaps = []
+    for phi in phis:
+        signed = step.at(phi).value - hat.at(phi).value
+        prediction = (
+            abs(1.0 - math.cos(2.0 * phi)) * (8.0 / math.pi) * s**6
+            * abs(1.0 - 3.0 * s * s)
+        )
+        ratio = abs(signed) / prediction if prediction > 0.0 else float("nan")
+        gaps.append(StepHatGap(
+            signed_gap=signed,
+            gap=abs(signed),
+            leading_order_prediction=prediction,
+            ratio=ratio,
+        ))
+    return tuple(gaps)

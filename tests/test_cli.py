@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvphase import PiecewiseBinaryFunction, cli, experiments, grid, phase_response
+from cvphase import (
+    PiecewiseBinaryFunction, cli, experiments, grid, phase_response, quadrature,
+)
 from helpers import BIG_P, canonical
 
 PI = math.pi
@@ -154,6 +156,21 @@ class TestExitCodes:
         assert out == ""
         assert "error:" in err and str(experiments._MAX_DRAWS) in err
 
+    @pytest.mark.parametrize(
+        "replicas", [experiments._MAX_REPLICAS + 1, 10_000_000_000_000]
+    )
+    def test_replica_count_is_capped(self, capsys, monkeypatch, replicas):
+        def no_draw(*args):
+            raise AssertionError("drew outcomes for an over-cap replica count")
+
+        monkeypatch.setattr(experiments, "_count_hits", no_draw)
+        code, out, err = run_cli(
+            ["estimate", "--shots", "1", "--replicas", str(replicas)], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and str(experiments._MAX_REPLICAS) in err
+
     def test_axis_count_is_capped(self, capsys):
         cap = cli._MAX_AXIS_COUNT
         assert len(cli._axis(f"0:1:{cap}")) == cap
@@ -164,25 +181,29 @@ class TestExitCodes:
 
 
 class TestGridEngine:
-    def test_one_prepare_and_two_transforms_per_sweep(self, capsys, monkeypatch):
-        calls = {"prepare_gaussian": 0, "fourier": 0}
+    def test_one_prepare_and_one_transform_per_sweep(self, capsys, monkeypatch):
+        import numpy as np
 
-        def counted(name):
-            original = getattr(grid, name)
+        calls = {"prepare_gaussian": 0, "numpy.fft": 0}
+
+        def counted(module, name, key):
+            original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls[key] += 1
                 return original(*args, **kwargs)
 
-            monkeypatch.setattr(grid, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper)
 
-        counted("prepare_gaussian")
-        counted("fourier")
+        counted(grid, "prepare_gaussian", "prepare_gaussian")
+        for name in np.fft.__all__:
+            if not name.endswith(("freq", "shift")):  # index helpers, not transforms
+                counted(np.fft, name, "numpy.fft")
         assert not hasattr(cli, "run_circuit")
         for argv in (["crosscheck"], ["fisher-phi", "--fig4", "--engine", "all"]):
-            calls.update(prepare_gaussian=0, fourier=0)
+            calls.update({"prepare_gaussian": 0, "numpy.fft": 0})
             assert run_cli(argv, capsys)[0] == 0
-            assert calls == {"prepare_gaussian": 1, "fourier": 2}, argv
+            assert calls == {"prepare_gaussian": 1, "numpy.fft": 1}, argv
 
     def test_one_quadrature_response_per_threshold(self, capsys, monkeypatch):
         built = []
@@ -201,6 +222,20 @@ class TestGridEngine:
             built.clear()
             assert run_cli(argv, capsys)[0] == 0
             assert len(built) == len(set(built)) == thresholds, argv
+
+    def test_gap_integrates_each_mask_once(self, capsys, monkeypatch):
+        built = []
+        original = quadrature.quadrature_response
+
+        def counted(p, f, spec):
+            built.append(f.breakpoints)
+            return original(p, f, spec)
+
+        monkeypatch.setattr(quadrature, "quadrature_response", counted)
+        code, out, _ = run_cli(["gap"], capsys)
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 17
+        assert len(built) == len(set(built)) == 2
 
     def test_fisher_at_saturated_phases_is_the_grid_limit(self, capsys):
         code, out, _ = run_cli(

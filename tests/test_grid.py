@@ -145,6 +145,15 @@ class TestFourier:
         with pytest.raises(GridLayoutError):
             inverse_fourier(integer_grid)
 
+    def test_non_centred_position_grid_rejected(self):
+        pos = prepare_gaussian(canonical(), GRID_N)
+        shifted = GridState(
+            pos.amplitudes, grid_start=pos.grid_start + pos.grid_step,
+            grid_step=pos.grid_step, space=POSITION,
+        )
+        with pytest.raises(GridLayoutError):
+            fourier(shifted)
+
     def test_round_trip_random_state(self):
         rng = np.random.default_rng(7)
         n = 1024
@@ -322,6 +331,19 @@ class TestPhaseResponse:
             ) / (2.0 * h)
             # truncation h^2 * |p'''| / 6 <= 7e-11 (|p'''| <= 4), rounding ~ 1e-16 / h
             assert exact == pytest.approx(diff, abs=1e-9)
+
+    def test_matched_weights_are_the_closed_form_transform(self):
+        # x0 = 0 and a matched window: w_k = |b(y_k)|^2 * dy with
+        # |b(y)|^2 = (2*delta/sqrt(pi)) * exp(-4*delta^2*y^2); at this N both
+        # truncations are far below rounding, so only the arithmetic remains
+        response = phase_response(canonical(), GRID_N)
+        y = response.grid_start + response.grid_step * np.arange(GRID_N)
+        closed = (
+            (2.0 * DELTA / math.sqrt(math.pi))
+            * np.exp(-4.0 * DELTA**2 * y**2)
+            * response.grid_step
+        )
+        assert float(np.sum(np.abs(response.weights - closed))) <= 1e-14
 
     @pytest.mark.parametrize(
         "n, f, error",
