@@ -18,8 +18,6 @@ from .errors import (
     UnidentifiableFunctionError,
 )
 from .experiments import (
-    AuditReport,
-    AuditRow,
     EstimationReport,
     ReplicationSummary,
     heisenberg_audit,
@@ -50,7 +48,6 @@ from .model import (
     MeasurementDistribution,
     PiecewiseBinaryFunction,
     ProcedureParams,
-    ValidationReport,
     require_containment,
     validate_params,
 )
@@ -88,8 +85,6 @@ __all__ = [
     "RegimeError",
     "SingularityError",
     "UnidentifiableFunctionError",
-    "AuditReport",
-    "AuditRow",
     "EstimationReport",
     "ReplicationSummary",
     "heisenberg_audit",
@@ -116,7 +111,6 @@ __all__ = [
     "MeasurementDistribution",
     "PiecewiseBinaryFunction",
     "ProcedureParams",
-    "ValidationReport",
     "require_containment",
     "validate_params",
     "QuadratureResponse",

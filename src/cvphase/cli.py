@@ -4,10 +4,10 @@ Each command writes one table to stdout (or --out): CSV with a header row, or
 JSON with one object per row (--format json).  Floats print with 17
 significant digits, so identical invocations are byte-identical; JSON maps
 non-finite floats to null.  Exit status: 0 success, 2 usage or parameter
-error, 3 crosscheck tolerance failure.  Axis flags take a number, a comma
-list, or start:stop:count with at most 100000 points.  --grid-n is a power
-of two in [256, 2^24]; --trials and --shots are at most 10^8, --replicas
-at most 10^5.
+error (an unwritable --out path included), 3 crosscheck tolerance failure.
+Axis flags take a number, a comma list, or start:stop:count with at most
+100000 points.  --grid-n is a power of two in [256, 2^24]; --trials and
+--shots are at most 10^8, --replicas at most 10^5.
 
 Column schemas per command are listed in each subcommand's --help epilog.
 """
@@ -21,8 +21,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
-from enum import Enum
 from typing import Any, Callable
 
 from .errors import CvPhaseError, ParameterError
@@ -45,27 +43,6 @@ _PQ_ROUNDING = 1e-12
 # near-saturated top of the response, where the simulated momentum tail
 # (unphased outside the mask domain) dominates the comparison
 _COMPARABLE_COS_MAX = 2.0 / 3.0
-
-
-class Engine(Enum):
-    ANALYTIC = "analytic"
-    GRID = "grid"
-    ALL = "all"
-
-
-@dataclass(frozen=True)
-class SweepRequest:
-    """One table-producing sweep: what to compute, where, with which engines."""
-
-    phi_values: tuple[float, ...]
-    r_values: tuple[float, ...]
-    params: ProcedureParams
-    engine: Engine = Engine.ANALYTIC
-    grid_n: int = _DEFAULT_GRID_N
-
-    def __post_init__(self) -> None:
-        if not self.phi_values or not self.r_values:
-            raise ParameterError("sweep needs at least one phase and one threshold")
 
 
 def _axis(text: str) -> tuple[float, ...]:
@@ -149,8 +126,11 @@ def _emit(columns: list[str], rows: list[dict], fmt: str, out: str | None) -> No
             writer.writerow([_cell_csv(row[c]) for c in columns])
         text = buf.getvalue()
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParameterError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -215,19 +195,27 @@ def _fisher_grid(a0: complex, a1: complex, phi: float) -> float:
     return 4.0 * b * (1.0 + c) / prob
 
 
-def cmd_fisher_phi_sweep(req: SweepRequest) -> tuple[list[str], list[dict]]:
-    """Fisher information in the phase, analytic and/or from the grid response."""
-    p = req.params
-    want_analytic = req.engine in (Engine.ANALYTIC, Engine.ALL)
-    want_grid = req.engine in (Engine.GRID, Engine.ALL)
+def cmd_fisher_phi_sweep(
+    p: ProcedureParams,
+    r_values: tuple[float, ...],
+    phi_values: tuple[float, ...],
+    engine: str,
+    grid_n: int,
+) -> tuple[list[str], list[dict]]:
+    """Fisher information in the phase, analytic and/or from the grid response.
+
+    ``engine`` is "analytic", "grid" or "all" (both, plus a comparison).
+    """
+    want_analytic = engine in ("analytic", "all")
+    want_grid = engine in ("grid", "all")
     if want_grid:
         _require_matched_window(p)
-        response = phase_response(p, req.grid_n)
+        response = phase_response(p, grid_n)
     rows: list[dict] = []
-    for r in req.r_values:
+    for r in r_values:
         if want_grid:
             a0, a1 = response.split(PiecewiseBinaryFunction.step(r, p.big_p))
-        for phi in req.phi_values:
+        for phi in phi_values:
             row: dict[str, Any] = {"phi": phi, "r": r}
             if want_analytic:
                 rep = fisher_phi(p, r, phi)
@@ -240,7 +228,7 @@ def cmd_fisher_phi_sweep(req: SweepRequest) -> tuple[list[str], list[dict]]:
                 row["singular_limit"] = rep.singular_limit
             if want_grid:
                 row["fisher_grid"] = _fisher_grid(a0, a1, phi)
-            if req.engine is Engine.ALL:
+            if engine == "all":
                 row["comparable"] = (
                     not row["singular_limit"]
                     and math.cos(2.0 * phi) <= _COMPARABLE_COS_MAX
@@ -251,16 +239,18 @@ def cmd_fisher_phi_sweep(req: SweepRequest) -> tuple[list[str], list[dict]]:
         "phi", "r", "fisher", "variance_bound", "mean_bound", "delta_phi",
         "singular_limit",
     ]
-    if req.engine is Engine.ANALYTIC:
+    if engine == "analytic":
         columns = analytic_cols
-    elif req.engine is Engine.GRID:
+    elif engine == "grid":
         columns = ["phi", "r", "fisher_grid"]
     else:
         columns = analytic_cols + ["fisher_grid", "comparable", "max_pairwise_dev"]
     return columns, rows
 
 
-def cmd_fisher_r_sweep(req: SweepRequest) -> tuple[list[str], list[dict]]:
+def cmd_fisher_r_sweep(
+    p: ProcedureParams, r_values: tuple[float, ...], phi_values: tuple[float, ...]
+) -> tuple[list[str], list[dict]]:
     """Fisher information in the threshold position (closed form only).
 
     A circuit-difference column is not offered: moving the threshold moves a
@@ -268,9 +258,9 @@ def cmd_fisher_r_sweep(req: SweepRequest) -> tuple[list[str], list[dict]]:
     dominated by discretization, not by the derivative being estimated.
     """
     rows = [
-        {"phi": phi, "r": r, "fisher_r": fisher_r(req.params, r, phi)}
-        for phi in req.phi_values
-        for r in req.r_values
+        {"phi": phi, "r": r, "fisher_r": fisher_r(p, r, phi)}
+        for phi in phi_values
+        for r in r_values
     ]
     return ["phi", "r", "fisher_r"], rows
 
@@ -334,19 +324,17 @@ def cmd_estimate(
     replica mean."""
     summary = replicated_mse(p, r, phi_true, shots, replicas, seed)
     rows = []
-    for i, rep in enumerate(summary.reports):
-        ratio = (
-            rep.empirical_mse / rep.crb
-            if math.isfinite(rep.crb) and rep.crb > 0.0
-            else math.nan
-        )
+    crb = summary.crb
+    bounded = math.isfinite(crb) and crb > 0.0
+    for i, phi_hat in enumerate(summary.phi_hats):
+        mse = (phi_hat - summary.phi_true) ** 2
         rows.append({
             "replica": i,
-            "phi_hat": rep.phi_hat,
-            "n_shots": rep.n_shots,
-            "empirical_mse": rep.empirical_mse,
-            "crb": rep.crb,
-            "mse_over_crb": ratio,
+            "phi_hat": phi_hat,
+            "n_shots": summary.shots,
+            "empirical_mse": mse,
+            "crb": crb,
+            "mse_over_crb": mse / crb if bounded else math.nan,
         })
     rows.append({
         "replica": -1,
@@ -361,20 +349,22 @@ def cmd_estimate(
 
 
 def cmd_crosscheck(
-    req: SweepRequest, tol: float
+    p: ProcedureParams,
+    r_values: tuple[float, ...],
+    phi_values: tuple[float, ...],
+    grid_n: int,
 ) -> tuple[list[str], list[dict], float]:
     """Detection probability from all three engines, with worst deviation."""
-    p = req.params
     _require_matched_window(p)
-    response = phase_response(p, req.grid_n)
+    response = phase_response(p, grid_n)
     qspec = QuadratureSpec()
     rows = []
     worst = 0.0
-    for r in req.r_values:
+    for r in r_values:
         f = PiecewiseBinaryFunction.step(r, p.big_p)
         a0, a1 = response.split(f)
         integrals = quadrature_response(p, f, qspec)
-        for phi in req.phi_values:
+        for phi in phi_values:
             pa = prob_x0(p, r, phi).p_x0
             pq = integrals.at(phi).value
             pg = _grid_prob(a0, a1, phi)
@@ -395,20 +385,7 @@ def cmd_crosscheck(
 def cmd_audit(
     p: ProcedureParams, r: float, phis: tuple[float, ...] | None
 ) -> tuple[list[str], list[dict]]:
-    report = heisenberg_audit(p, r, phis)
-    rows = [
-        {
-            "phi": row.phi,
-            "r": float(r),
-            "fisher": row.fisher,
-            "variance_bound": row.variance_bound,
-            "mean_bound_generator_f": row.mean_bound_generator_f,
-            "mean_bound_generator_2f": row.mean_bound_generator_2f,
-            "dphi_sqrt_fisher": row.dphi_sqrt_fisher,
-            "optimal": row.optimal,
-        }
-        for row in report.rows
-    ]
+    rows = heisenberg_audit(p, r, phis)
     columns = [
         "phi", "r", "fisher", "variance_bound", "mean_bound_generator_f",
         "mean_bound_generator_2f", "dphi_sqrt_fisher", "optimal",
@@ -586,8 +563,9 @@ def _run_fisher_phi(args: argparse.Namespace) -> int:
     else:
         r_values = args.r if args.r is not None else (0.0,)
         phi_values = args.phi if args.phi is not None else _phase_axis(33)
-    req = SweepRequest(phi_values, r_values, p, Engine(args.engine), args.grid_n)
-    columns, rows = cmd_fisher_phi_sweep(req)
+    columns, rows = cmd_fisher_phi_sweep(
+        p, r_values, phi_values, args.engine, args.grid_n
+    )
     _emit(columns, rows, args.format, args.out)
     return 0
 
@@ -601,7 +579,7 @@ def _run_fisher_r(args: argparse.Namespace) -> int:
     else:
         phi_values = args.phi if args.phi is not None else (math.pi / 2.0,)
     r_values = args.r if args.r is not None else _open_threshold_axis(p.big_p)
-    columns, rows = cmd_fisher_r_sweep(SweepRequest(phi_values, r_values, p))
+    columns, rows = cmd_fisher_r_sweep(p, r_values, phi_values)
     _emit(columns, rows, args.format, args.out)
     return 0
 
@@ -630,8 +608,7 @@ def _run_crosscheck(args: argparse.Namespace) -> int:
     p = _resolve_params(args)
     r_values = args.r if args.r is not None else _fig4_thresholds(p.big_p)
     phi_values = args.phi if args.phi is not None else _phase_axis(17)
-    req = SweepRequest(phi_values, r_values, p, Engine.ALL, args.grid_n)
-    columns, rows, worst = cmd_crosscheck(req, args.tol)
+    columns, rows, worst = cmd_crosscheck(p, r_values, phi_values, args.grid_n)
     _emit(columns, rows, args.format, args.out)
     if worst > args.tol:
         print(

@@ -40,9 +40,9 @@ _AUDIT_TOL = 1e-3
 # most trials one hit count may draw: the draw holds its n uniforms at once,
 # 800 MB at this cap, and a larger count fails allocating instead of running
 _MAX_DRAWS = 10**8
-# most replicas one estimate may run: each keeps its report (and the CLI one
-# row), so memory grows with the count; a larger run belongs in a script
-# that aggregates as it goes
+# most replicas one estimate may run: each keeps one float (and the CLI one
+# table row), so memory grows with the count; a larger run belongs in a
+# script that aggregates as it goes
 _MAX_REPLICAS = 10**5
 
 SeedMaterial = int | tuple[int, ...]
@@ -115,17 +115,14 @@ def _cosine_model(
     return a, b, fisher_phi(p, r, phi_true).fisher
 
 
-def _estimate(
-    hits: int, shots: int, a: float, b: float, fisher: float, phi_true: float
-) -> EstimationReport:
-    phi_hat = 0.5 * math.acos(min(1.0, max(-1.0, (hits / shots - a) / b)))
-    crb = 1.0 / (shots * fisher) if fisher > 0.0 else math.inf
-    return EstimationReport(
-        phi_hat=phi_hat,
-        n_shots=shots,
-        empirical_mse=(phi_hat - phi_true) ** 2,
-        crb=crb,
-    )
+def _phi_hat(hits: int, shots: int, a: float, b: float) -> float:
+    """Invert the hit fraction through a + b*cos(2*phi), clamped to the
+    attainable range."""
+    return 0.5 * math.acos(min(1.0, max(-1.0, (hits / shots - a) / b)))
+
+
+def _crb(shots: int, fisher: float) -> float:
+    return 1.0 / (shots * fisher) if fisher > 0.0 else math.inf
 
 
 def mle_phi(
@@ -143,14 +140,24 @@ def mle_phi(
     hits, shots, phi_true = int(hits), int(shots), float(phi_true)
     if shots < 1 or not 0 <= hits <= shots:
         raise ParameterError(f"need 0 <= hits <= shots and shots >= 1, got {hits}, {shots}")
-    return _estimate(hits, shots, *_cosine_model(p, r, phi_true), phi_true)
+    a, b, fisher = _cosine_model(p, r, phi_true)
+    phi_hat = _phi_hat(hits, shots, a, b)
+    return EstimationReport(
+        phi_hat=phi_hat,
+        n_shots=shots,
+        empirical_mse=(phi_hat - phi_true) ** 2,
+        crb=_crb(shots, fisher),
+    )
 
 
 @dataclass(frozen=True)
 class ReplicationSummary:
-    """Replica-averaged estimation error next to the information bound."""
+    """Replica-averaged estimation error next to the information bound.
 
-    reports: tuple[EstimationReport, ...]
+    phi_hats[i] is replica i's estimate; every replica shares the bound crb.
+    """
+
+    phi_hats: tuple[float, ...]
     shots: int
     replicas: int
     phi_true: float
@@ -183,18 +190,18 @@ def replicated_mse(
             f"replicas must lie in [1, {_MAX_REPLICAS}], got {replicas}"
         )
     phi_true = float(phi_true)
-    model = _cosine_model(p, r, phi_true)
+    a, b, fisher = _cosine_model(p, r, phi_true)
     prob = prob_x0_factorized(p, PiecewiseBinaryFunction.step(r, p.big_p), phi_true).p_x0
     master = int(seed)
-    reports = tuple(
-        _estimate(_count_hits(prob, shots, (master, i)), shots, *model, phi_true)
+    phi_hats = tuple(
+        _phi_hat(_count_hits(prob, shots, (master, i)), shots, a, b)
         for i in range(replicas)
     )
-    mean_mse = sum(rep.empirical_mse for rep in reports) / replicas
-    crb = reports[0].crb
+    mean_mse = sum((h - phi_true) ** 2 for h in phi_hats) / replicas
+    crb = _crb(shots, fisher)
     ratio = mean_mse / crb if math.isfinite(crb) and crb > 0.0 else math.nan
     return ReplicationSummary(
-        reports=reports,
+        phi_hats=phi_hats,
         shots=shots,
         replicas=replicas,
         phi_true=phi_true,
@@ -204,27 +211,14 @@ def replicated_mse(
     )
 
 
-@dataclass(frozen=True)
-class AuditRow:
-    phi: float
-    fisher: float
-    variance_bound: float
-    mean_bound_generator_f: float
-    mean_bound_generator_2f: float
-    dphi_sqrt_fisher: float
-    optimal: bool
-
-
-@dataclass(frozen=True)
-class AuditReport:
-    rows: tuple[AuditRow, ...]
-    optimal_count: int
-
-
 def heisenberg_audit(
     p: ProcedureParams, r: float, phis: Sequence[float] | None = None
-) -> AuditReport:
+) -> list[dict]:
     """Tabulate the Fisher information against its generator bounds over phi.
+
+    One dict per phase, keyed by the ``audit`` table's columns: phi, r,
+    fisher, variance_bound, mean_bound_generator_f, mean_bound_generator_2f,
+    dphi_sqrt_fisher and optimal.
 
     variance_bound is 16*var(f), the convention-independent information cap
     (reading the mask exponent as f at doubled angle or as 2f at plain angle
@@ -248,15 +242,14 @@ def heisenberg_audit(
             product = delta_phi(p, phi) * math.sqrt(rep.fisher)
         except SingularityError:
             product = math.nan
-        rows.append(
-            AuditRow(
-                phi=float(phi),
-                fisher=rep.fisher,
-                variance_bound=variance_bound,
-                mean_bound_generator_f=4.0 * mean_sq,
-                mean_bound_generator_2f=16.0 * mean_sq,
-                dphi_sqrt_fisher=product,
-                optimal=math.isfinite(product) and abs(product - 1.0) <= _AUDIT_TOL,
-            )
-        )
-    return AuditReport(rows=tuple(rows), optimal_count=sum(r_.optimal for r_ in rows))
+        rows.append({
+            "phi": float(phi),
+            "r": float(r),
+            "fisher": rep.fisher,
+            "variance_bound": variance_bound,
+            "mean_bound_generator_f": 4.0 * mean_sq,
+            "mean_bound_generator_2f": 16.0 * mean_sq,
+            "dphi_sqrt_fisher": product,
+            "optimal": math.isfinite(product) and abs(product - 1.0) <= _AUDIT_TOL,
+        })
+    return rows

@@ -322,7 +322,6 @@ def measure_povm(s: GridState, p: ProcedureParams) -> MeasurementDistribution:
     width-epsilon Gaussian window at x0 (a rank-one projector)."""
     if s.space != POSITION:
         raise GridLayoutError("measure_povm expects a position-space state")
-    p.require_valid()
     window = _detection_window(s.points, s.grid_step, p)
     overlap = complex(np.sum(np.conj(window) * s.amplitudes) * s.grid_step)
     return MeasurementDistribution(abs(overlap) ** 2)

@@ -6,17 +6,18 @@ The protocol works with a Gaussian envelope of width ``delta`` centred at
 phase mask multiplies the conjugate-space amplitude by exp(-2i*phi*f(y))
 where f is a binary piecewise-constant function.
 
-Types here are immutable values.  Hard validity (signs, shapes) is checked
-eagerly where it would make an object meaningless; softer regime conditions
-(envelope containment, mask efficiency) are reported by ``validate_params``
-so that callers can decide how to proceed.
+Types here are immutable values.  Hard validity (finite values, positive
+scales within range, mask shapes) is checked once, when an object is built,
+so an invalid object cannot exist and the engines never re-check it; softer
+regime conditions (envelope containment, mask efficiency) are reported by
+``validate_params`` so that callers can decide how to proceed.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ParameterError, RegimeError
 
@@ -49,6 +50,11 @@ class ProcedureParams:
     big_t:   half-width of the position domain [-T, T]
     big_p:   half-width of the conjugate domain [-P, P]
     epsilon: width of the detection window; defaults to delta
+
+    Construction raises ParameterError unless every value is finite and the
+    four scales delta, big_t, big_p and epsilon are positive and within the
+    range where their squares are finite normal doubles.  Scale validity is
+    checked here, once; no engine checks it again.
     """
 
     x0: float
@@ -58,18 +64,22 @@ class ProcedureParams:
     epsilon: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x0", _require_finite("x0", self.x0))
-        object.__setattr__(self, "delta", _require_finite("delta", self.delta))
-        object.__setattr__(self, "big_t", _require_finite("big_t", self.big_t))
-        object.__setattr__(self, "big_p", _require_finite("big_p", self.big_p))
+        for name in ("x0", "delta", "big_t", "big_p"):
+            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
         eps = self.delta if self.epsilon is None else _require_finite("epsilon", self.epsilon)
         object.__setattr__(self, "epsilon", eps)
+        lo, hi = _SCALE_RANGE
+        errors = []
+        for name in ("delta", "big_t", "big_p", "epsilon"):
+            v = getattr(self, name)
+            if not lo <= v <= hi:
+                errors.append(f"{name} must be positive and within [{lo:g}, {hi:g}], got {v}")
+        if errors:
+            raise ParameterError("; ".join(errors))
 
     @property
     def containment_ratio(self) -> float:
         """(T - |x0|) / delta; the envelope tail outside the domain shrinks with this."""
-        if self.delta <= 0.0:
-            return float("-inf")
         return (self.big_t - abs(self.x0)) / self.delta
 
     @property
@@ -81,71 +91,39 @@ class ProcedureParams:
         """P * delta; controls how close the mask efficiency erf(2*P*delta)^2 is to 1."""
         return self.big_p * self.delta
 
-    def require_valid(self) -> None:
-        """Raise ParameterError if any hard validity constraint fails."""
-        report = validate_params(self)
-        if report.errors:
-            raise ParameterError("; ".join(report.errors))
 
+def validate_params(p: ProcedureParams) -> tuple[str, ...]:
+    """Warnings for the soft regime conditions of valid parameters.
 
-@dataclass(frozen=True)
-class ValidationReport:
-    errors: tuple[str, ...]
-    warnings: tuple[str, ...]
-    info: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
-def validate_params(p: ProcedureParams) -> ValidationReport:
-    """Check hard validity and soft regime conditions.
-
-    Hard errors: delta, big_t, big_p or epsilon nonpositive, or outside the
-    range where their squares are finite normal doubles.
-    Warnings: containment ratio below CONTAINMENT_RATIO (closed forms
-    untrustworthy), or mask product below FULL_EFFICIENCY_PRODUCT (mask
-    efficiency noticeably short of 1, so the ideal-limit identities drift).
-
-    The reciprocal-domain product 2*T*P is reported in ``info`` but not
-    enforced; the protocol is well defined for any positive pair (T, P).
+    Hard validity is checked once, when ``p`` is built.  The warnings are:
+    containment ratio below CONTAINMENT_RATIO (closed forms untrustworthy),
+    and mask product below FULL_EFFICIENCY_PRODUCT (mask efficiency
+    noticeably short of 1, so the ideal-limit identities drift).  The
+    reciprocal-domain product 2*T*P is not checked; the protocol is well
+    defined for any positive pair (T, P).
     """
-    errors = []
     warnings = []
-    lo, hi = _SCALE_RANGE
-    for name in ("delta", "big_t", "big_p", "epsilon"):
-        v = getattr(p, name)
-        if not lo <= v <= hi:
-            errors.append(f"{name} must be positive and within [{lo:g}, {hi:g}], got {v}")
-
-    info: dict[str, float] = {}
-    if not errors:
-        info["containment_ratio"] = p.containment_ratio
-        info["mask_product"] = p.mask_product
-        info["two_t_p"] = 2.0 * p.big_t * p.big_p
-        if not p.in_containment_regime:
-            warnings.append(
-                f"containment ratio (T - |x0|)/delta = {p.containment_ratio:.4g} "
-                f"is below {CONTAINMENT_RATIO}; envelope leaks out of [-T, T] and "
-                "closed-form statistics are unreliable"
-            )
-        if p.mask_product < FULL_EFFICIENCY_PRODUCT:
-            warnings.append(
-                f"mask product P*delta = {p.mask_product:.4g} is below "
-                f"{FULL_EFFICIENCY_PRODUCT}; mask efficiency erf(2*P*delta)^2 "
-                "is noticeably below 1"
-            )
-    return ValidationReport(tuple(errors), tuple(warnings), info)
+    if not p.in_containment_regime:
+        warnings.append(
+            f"containment ratio (T - |x0|)/delta = {p.containment_ratio:.4g} "
+            f"is below {CONTAINMENT_RATIO}; envelope leaks out of [-T, T] and "
+            "closed-form statistics are unreliable"
+        )
+    if p.mask_product < FULL_EFFICIENCY_PRODUCT:
+        warnings.append(
+            f"mask product P*delta = {p.mask_product:.4g} is below "
+            f"{FULL_EFFICIENCY_PRODUCT}; mask efficiency erf(2*P*delta)^2 "
+            "is noticeably below 1"
+        )
+    return tuple(warnings)
 
 
 def require_containment(p: ProcedureParams) -> None:
-    """Raise unless params are valid and the envelope is contained in [-T, T].
+    """Raise unless the envelope is contained in [-T, T].
 
     Every closed-form result downstream treats the position domain as
     effectively infinite; this is the single gate enforcing that assumption.
     """
-    p.require_valid()
     if not p.in_containment_regime:
         raise RegimeError(
             f"containment ratio {p.containment_ratio:.4g} < {CONTAINMENT_RATIO}: "
@@ -265,25 +243,12 @@ class PiecewiseBinaryFunction:
         """Lebesgue measure of {y : f(y) = 1} within [-H, H]."""
         return sum(hi - lo for lo, hi, v in self.segments() if v == 1)
 
-    def describe(self) -> str:
-        """Compact reproducible text form."""
-        if self.values == (0, 1) and len(self.breakpoints) == 1:
-            return f"step(r={self.breakpoints[0]:.17g},H={self.half_domain:.17g})"
-        if self.values == (0, 1, 0) and len(self.breakpoints) == 2:
-            return (
-                f"hat(r1={self.breakpoints[0]:.17g},r2={self.breakpoints[1]:.17g},"
-                f"H={self.half_domain:.17g})"
-            )
-        bps = ",".join(f"{b:.17g}" for b in self.breakpoints)
-        vals = ",".join(str(v) for v in self.values)
-        return f"piecewise(breakpoints=[{bps}],values=[{vals}],H={self.half_domain:.17g})"
-
 
 @dataclass(frozen=True)
 class MeasurementDistribution:
     """Two-outcome distribution of the detection: window hit or miss.
 
-    ``p_not_x0`` is derived, so the two probabilities sum to 1 exactly.
+    Only the hit probability is stored; the miss probability is 1 - p_x0.
     """
 
     p_x0: float
@@ -298,7 +263,3 @@ class MeasurementDistribution:
         if not 0.0 <= v <= 1.0:
             raise ParameterError(f"p_x0 must lie in [0, 1], got {v}")
         object.__setattr__(self, "p_x0", v)
-
-    @property
-    def p_not_x0(self) -> float:
-        return 1.0 - self.p_x0

@@ -44,7 +44,6 @@ def _require_r(p: ProcedureParams, r: float) -> float:
 
 def mask_efficiency(p: ProcedureParams) -> float:
     """E = erf(2*P*delta)^2, the weight the envelope places on [-P, P]."""
-    p.require_valid()
     e1 = math.erf(2.0 * p.big_p * p.delta)
     return e1 * e1
 
@@ -111,7 +110,6 @@ def generator_moments(p: ProcedureParams, r: float) -> GeneratorMoments:
     In the conjugate-space envelope, <f> = (erf(2*P*delta) - erf(2*r*delta))/2
     and, because f^2 = f, the variance is <f>(1 - <f>).
     """
-    p.require_valid()
     r = _require_r(p, r)
     mean = 0.5 * (math.erf(2.0 * p.big_p * p.delta) - math.erf(2.0 * r * p.delta))
     return GeneratorMoments(mean=mean, variance=mean * (1.0 - mean))
@@ -236,6 +234,5 @@ def dj_statistics(p: ProcedureParams, r: float) -> MeasurementDistribution:
     identifies a balanced mask with certainty and a constant mask is
     misidentified with probability 1 - E.
     """
-    p.require_valid()
     r = _require_r(p, r)
     return MeasurementDistribution(_G(p, r))

@@ -180,6 +180,29 @@ class TestExitCodes:
         assert "error:" in err and str(cap) in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit"],
+        ["gap"],
+        ["fisher-phi", "--phi", "0.3"],
+        ["fisher-r", "--r", "0.5"],
+        ["dj", "--trials", "20"],
+        ["estimate", "--shots", "5", "--replicas", "2"],
+        ["crosscheck", "--grid-n", "512", "--r", "0", "--phi", "0.3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("target", ["directory", "missing_parent"])
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv, target):
+    out = tmp_path if target == "directory" else tmp_path / "missing" / "t.csv"
+    code, stdout, err = run_cli(argv + ["--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in err
+    assert stdout == ""
+
+
 class TestGridEngine:
     def test_one_prepare_and_one_transform_per_sweep(self, capsys, monkeypatch):
         import numpy as np
@@ -519,15 +542,21 @@ def test_table_commands_load_neither_numpy_nor_scipy():
 
 
 # small runs: the property is about exit codes and error reporting, not output
+# the flags every command shares that ProcedureParams checks when it is built
+_SCALE_FLAGS = ("--big-t", "--big-p", "--epsilon", "--x0")
 _FUZZ_COMMANDS = {  # command: (fixed arguments, fuzzed flags it accepts)
     # --grid-n only where the analytic engine never allocates the grid
-    "fisher-phi": ([], ("--phi", "--r", "--delta", "--grid-n")),
-    "fisher-r": ([], ("--phi", "--r", "--delta")),
-    "dj": (["--trials", "20"], ("--r", "--delta")),
-    "estimate": (["--shots", "5", "--replicas", "2"], ("--phi", "--r", "--delta")),
-    "crosscheck": (["--grid-n", "512"], ("--phi", "--r", "--delta", "--tol")),
-    "audit": ([], ("--phi", "--r", "--delta")),
-    "gap": ([], ("--phi", "--delta")),
+    "fisher-phi": ([], ("--phi", "--r", "--delta", "--grid-n", *_SCALE_FLAGS)),
+    "fisher-r": ([], ("--phi", "--r", "--delta", *_SCALE_FLAGS)),
+    "dj": (["--trials", "20"], ("--r", "--delta", *_SCALE_FLAGS)),
+    "estimate": (
+        ["--shots", "5", "--replicas", "2"], ("--phi", "--r", "--delta", *_SCALE_FLAGS)
+    ),
+    "crosscheck": (
+        ["--grid-n", "512"], ("--phi", "--r", "--delta", "--tol", *_SCALE_FLAGS)
+    ),
+    "audit": ([], ("--phi", "--r", "--delta", *_SCALE_FLAGS)),
+    "gap": ([], ("--phi", "--delta", *_SCALE_FLAGS)),
 }
 _fuzz_value = st.one_of(
     st.sampled_from(

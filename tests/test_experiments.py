@@ -145,11 +145,10 @@ class TestReplicatedMse:
         p = canonical()
         s = replicated_mse(p, 0.0, math.pi / 4, 200, 50, 3)
         assert s.shots == 200 and s.replicas == 50
-        assert len(s.reports) == 50
-        assert all(rep.n_shots == 200 for rep in s.reports)
-        assert s.crb == s.reports[0].crb
+        assert len(s.phi_hats) == 50
+        assert s.crb == 1.0 / (200 * fisher_phi(p, 0.0, math.pi / 4).fisher)
         assert s.mean_mse == pytest.approx(
-            sum(rep.empirical_mse for rep in s.reports) / 50, rel=1e-12
+            sum((h - math.pi / 4) ** 2 for h in s.phi_hats) / 50, rel=1e-12
         )
         # near the quarter-phase the estimator is close to efficient
         assert 0.5 <= s.mse_over_crb <= 2.0
@@ -159,9 +158,11 @@ class TestReplicatedMse:
         r, phi_true, shots, seed = 0.5, 0.3, 37, 4
         s = replicated_mse(p, r, phi_true, shots, 30, seed)
         prob = prob_x0_factorized(p, PiecewiseBinaryFunction.step(r, BIG_P), phi_true).p_x0
-        for i, rep in enumerate(s.reports):
+        for i, phi_hat in enumerate(s.phi_hats):
             hits = _bare_count(prob, shots, (seed, i))
-            assert rep == mle_phi(hits, shots, p, r, phi_true)
+            rep = mle_phi(hits, shots, p, r, phi_true)
+            assert phi_hat == rep.phi_hat
+            assert s.crb == rep.crb
 
     def test_nan_ratio_when_bound_diverges(self):
         s = replicated_mse(canonical(), 0.0, 0.0, 20, 5, 1)
@@ -181,36 +182,36 @@ class TestReplicatedMse:
 
 class TestHeisenbergAudit:
     def test_balanced_step_is_optimal_everywhere(self):
-        report = heisenberg_audit(canonical(), 0.0)
-        assert len(report.rows) == 15
-        assert report.optimal_count == 15
-        for row in report.rows:
-            assert abs(row.dphi_sqrt_fisher - 1.0) <= 1e-3
-            assert row.fisher <= row.variance_bound + 1e-9
+        rows = heisenberg_audit(canonical(), 0.0)
+        assert len(rows) == 15
+        assert all(row["optimal"] for row in rows)
+        for row in rows:
+            assert abs(row["dphi_sqrt_fisher"] - 1.0) <= 1e-3
+            assert row["fisher"] <= row["variance_bound"] + 1e-9
 
     def test_bound_columns(self):
         from cvphase import generator_moments
 
         p = canonical()
         mom = generator_moments(p, 0.0)
-        row = heisenberg_audit(p, 0.0).rows[0]
-        assert row.variance_bound == pytest.approx(16.0 * mom.variance, rel=1e-13)
-        assert row.mean_bound_generator_f == pytest.approx(
+        row = heisenberg_audit(p, 0.0)[0]
+        assert row["variance_bound"] == pytest.approx(16.0 * mom.variance, rel=1e-13)
+        assert row["mean_bound_generator_f"] == pytest.approx(
             4.0 * mom.mean**2, rel=1e-13
         )
-        assert row.mean_bound_generator_2f == pytest.approx(
+        assert row["mean_bound_generator_2f"] == pytest.approx(
             16.0 * mom.mean**2, rel=1e-13
         )
 
     def test_constant_mask_never_optimal(self):
-        report = heisenberg_audit(canonical(), BIG_P)
-        assert report.optimal_count == 0
-        assert all(row.fisher == 0.0 for row in report.rows)
+        rows = heisenberg_audit(canonical(), BIG_P)
+        assert not any(row["optimal"] for row in rows)
+        assert all(row["fisher"] == 0.0 for row in rows)
 
     def test_singular_phase_rows_are_flagged_not_optimal(self):
-        report = heisenberg_audit(canonical(), 0.0, phis=(math.pi / 4, math.pi / 2))
-        fine, singular = report.rows
-        assert fine.optimal
-        assert math.isnan(singular.dphi_sqrt_fisher)
-        assert not singular.optimal
-        assert report.optimal_count == 1
+        fine, singular = heisenberg_audit(
+            canonical(), 0.0, phis=(math.pi / 4, math.pi / 2)
+        )
+        assert fine["optimal"] is True
+        assert math.isnan(singular["dphi_sqrt_fisher"])
+        assert singular["optimal"] is False

@@ -1,7 +1,6 @@
 """Parameter validation, mask geometry, and the two-outcome distribution."""
 
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -53,12 +52,16 @@ class TestProcedureParams:
     def test_nonpositive_scales_fail_validation(self, kwargs):
         base = dict(x0=0.0, delta=0.5, big_t=5.0, big_p=2.0, epsilon=0.5)
         base.update(kwargs)
-        p = ProcedureParams(**base)
-        report = validate_params(p)
-        assert report.errors
-        assert not report.ok
-        with pytest.raises(ParameterError):
-            p.require_valid()
+        (name,) = kwargs
+        with pytest.raises(ParameterError, match=f"^{name} must be positive"):
+            ProcedureParams(**base)
+
+    def test_every_scale_error_reported_at_once(self):
+        with pytest.raises(ParameterError) as info:
+            ProcedureParams(x0=0.0, delta=1e-200, big_t=-1.0, big_p=2.0)
+        messages = str(info.value).split("; ")
+        assert [m.split()[0] for m in messages] == ["delta", "big_t", "epsilon"]
+        assert all("within [1e-150, 1e+150]" in m for m in messages)
 
     def test_derived_properties(self):
         p = ProcedureParams(x0=1.0, delta=0.5, big_t=4.0, big_p=3.0)
@@ -66,17 +69,15 @@ class TestProcedureParams:
         assert p.mask_product == pytest.approx(1.5)
         assert p.in_containment_regime
 
-    def test_validation_warnings_and_info(self):
+    def test_validation_warnings(self):
         snug = ProcedureParams(x0=0.0, delta=1.0, big_t=3.0, big_p=1.0)
-        report = validate_params(snug)
-        assert report.ok  # warnings do not fail validation
-        assert len(report.warnings) == 2  # containment < 4.2 and P*delta < 1.5
-        assert report.info["containment_ratio"] == pytest.approx(3.0)
-        assert report.info["mask_product"] == pytest.approx(1.0)
-        assert report.info["two_t_p"] == pytest.approx(6.0)
+        warnings = validate_params(snug)  # warnings do not fail construction
+        assert len(warnings) == 2  # containment < 4.2 and P*delta < 1.5
+        assert "containment ratio (T - |x0|)/delta = 3 " in warnings[0]
+        assert "mask product P*delta = 1 " in warnings[1]
 
         roomy = canonical()
-        assert validate_params(roomy).warnings == ()
+        assert validate_params(roomy) == ()
 
     def test_require_containment_gate(self):
         snug = ProcedureParams(x0=0.0, delta=1.0, big_t=4.0, big_p=1.5)
@@ -161,10 +162,6 @@ class TestPiecewiseBinaryFunction:
         g = PiecewiseBinaryFunction.hat(-1.0, 0.25, 2.0)
         assert g.measure_of_ones() == pytest.approx(1.25)
 
-    def test_describe_names_the_shape(self):
-        assert "step" in PiecewiseBinaryFunction.step(0.5, 2.0).describe()
-        assert "hat" in PiecewiseBinaryFunction.hat(-0.5, 0.5, 2.0).describe()
-
     @given(
         data=st.lists(st.floats(-1.9, 1.9), min_size=0, max_size=5, unique=True),
         seed=st.integers(0, 2**16),
@@ -195,7 +192,7 @@ class TestMeasurementDistribution:
 
     def test_complement_probability(self):
         d = MeasurementDistribution(0.25)
-        assert d.p_not_x0 == pytest.approx(0.75)
+        assert 1.0 - d.p_x0 == pytest.approx(0.75)
 
     def test_oracle_consistency(self):
         # the unit-width reference value used across the stats tests

