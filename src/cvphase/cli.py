@@ -6,8 +6,10 @@ significant digits, so identical invocations are byte-identical; JSON maps
 non-finite floats to null.  Exit status: 0 success, 2 usage or parameter
 error (an unwritable --out path included), 3 crosscheck tolerance failure.
 Axis flags take a number, a comma list, or start:stop:count with at most
-100000 points.  --grid-n is a power of two in [256, 2^24]; --trials and
---shots are at most 10^8, --replicas at most 10^5.
+100000 points.  --grid-n is a power of two in [512, 2^24], down to 256 with
+an explicit --big-t (the default T needs N >= 512); --trials and --shots are
+at most 10^8, --replicas at most 10^5.  Detection always projects back onto
+the prepared Gaussian, the window the closed forms assume.
 
 Column schemas per command are listed in each subcommand's --help epilog.
 """
@@ -150,36 +152,24 @@ def _resolve_params(
         big_p = 3.0 / (2.0 * delta)
     grid_n = getattr(args, "grid_n", _DEFAULT_GRID_N)
     big_t = args.big_t if args.big_t is not None else aligned_half_width(big_p, grid_n)
-    return ProcedureParams(
-        x0=args.x0, delta=delta, big_t=big_t, big_p=big_p, epsilon=args.epsilon
-    )
+    return ProcedureParams(x0=args.x0, delta=delta, big_t=big_t, big_p=big_p)
 
 
-def _require_matched_window(p: ProcedureParams) -> None:
-    # the closed forms fix the detection window to the preparation width;
-    # letting them differ would report physics as engine disagreement
-    if abs(p.epsilon - p.delta) > 1e-12 * p.delta:
-        raise ParameterError(
-            "engine comparisons need --epsilon equal to --delta "
-            "(the analytic response assumes a matched detection window)"
-        )
-
-
-def _grid_prob(a0: complex, a1: complex, phi: float) -> float:
+def _grid_prob(a0: float, a1: float, phi: float) -> float:
     """Grid detection probability |A0 + exp(-2i*phi)*A1|^2 at phase phi."""
     return MeasurementDistribution(abs(a0 + cmath.exp(-2j * phi) * a1) ** 2).p_x0
 
 
-def _fisher_grid(a0: complex, a1: complex, phi: float) -> float:
+def _fisher_grid(a0: float, a1: float, phi: float) -> float:
     """Fisher information in phi of the grid response, exactly.
 
-    With conj(A0)*A1 = (b/2)*exp(i*theta) the response is
-    p = a + b*cos(2*phi - theta), a = |A0|^2 + |A1|^2, b = 2|A0*A1|, and
-    dp/dphi = 4*Im(exp(-2i*phi)*conj(A0)*A1).  Where p(1-p) vanishes to
-    rounding, the value is the phi-limit of dp^2/(p(1-p)), with the branches
-    of ``stats.fisher_phi``.
+    A0 and A1 are real and non-negative, so the response is
+    p = a + b*cos(2*phi), a = A0^2 + A1^2, b = 2*A0*A1, and
+    dp/dphi = 4*Im(exp(-2i*phi)*A0*A1).  Where p(1-p) vanishes to rounding,
+    the value is the phi-limit of dp^2/(p(1-p)), with the branches of
+    ``stats.fisher_phi``.
     """
-    z = cmath.exp(-2j * phi) * a0.conjugate() * a1
+    z = cmath.exp(-2j * phi) * a0 * a1
     prob = _grid_prob(a0, a1, phi)
     pq = prob * (1.0 - prob)
     if pq > _PQ_ROUNDING:
@@ -189,7 +179,7 @@ def _fisher_grid(a0: complex, a1: complex, phi: float) -> float:
     if b == 0.0:
         # constant mask: no phi dependence at all
         return 0.0
-    c = 2.0 * z.real / b  # cos(2*phi - theta)
+    c = 2.0 * z.real / b  # cos(2*phi)
     if prob < 0.5:
         return 4.0 * b * (1.0 - c) / (1.0 - prob)
     return 4.0 * b * (1.0 + c) / prob
@@ -209,7 +199,6 @@ def cmd_fisher_phi_sweep(
     want_analytic = engine in ("analytic", "all")
     want_grid = engine in ("grid", "all")
     if want_grid:
-        _require_matched_window(p)
         response = phase_response(p, grid_n)
     rows: list[dict] = []
     for r in r_values:
@@ -355,7 +344,6 @@ def cmd_crosscheck(
     grid_n: int,
 ) -> tuple[list[str], list[dict], float]:
     """Detection probability from all three engines, with worst deviation."""
-    _require_matched_window(p)
     response = phase_response(p, grid_n)
     qspec = QuadratureSpec()
     rows = []
@@ -423,8 +411,6 @@ def _add_common_flags(sp: argparse.ArgumentParser) -> None:
                          "edges with multiples of P/8 for the grid size")
     sp.add_argument("--big-p", type=float, default=None,
                     help="mask half-domain (default 3/(2*delta))")
-    sp.add_argument("--epsilon", type=float, default=None,
-                    help="detection window width (default: delta)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv",
                     help="table format (default csv)")
     sp.add_argument("--out", default=None,
@@ -456,8 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--engine", choices=("analytic", "grid", "all"),
                     default="analytic")
     sp.add_argument("--grid-n", type=int, default=_DEFAULT_GRID_N,
-                    help="simulator grid size, power of two in [256, 2^24] "
-                         "(default 4096)")
+                    help="simulator grid size, power of two in [512, 2^24], "
+                         "down to 256 with an explicit --big-t (default 4096)")
     sp.add_argument("--fig4", action="store_true",
                     help="canonical preset: thresholds {0,P/8,P/4,P/2,P}, "
                          "33 phases on [0, pi]")
@@ -519,8 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--phi", type=_axis, default=None,
                     help="phase axis (default 17 points on [0, pi])")
     sp.add_argument("--grid-n", type=int, default=_DEFAULT_GRID_N,
-                    help="simulator grid size, power of two in [256, 2^24] "
-                         "(default 4096)")
+                    help="simulator grid size, power of two in [512, 2^24], "
+                         "down to 256 with an explicit --big-t (default 4096)")
     sp.add_argument("--tol", type=float, default=1e-4,
                     help="max allowed pairwise deviation (default 1e-4)")
     sp.set_defaults(func=_run_crosscheck)

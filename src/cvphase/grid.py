@@ -52,21 +52,17 @@ weights.  Both routes take the mask's cell values from one helper, so they
 discretize the mask identically; they differ only by rounding (~1e-15 in the
 probability).  ``run_circuit`` stays the stage-by-stage reference.
 
-One transform serves both W and G because both are real.  ``fourier`` is
-dx/sqrt(pi) times a post-ramp exp(2i*xs*y_k) times X = sum_j
-exp(2pi i jk/N) * r_j * a_j, with the pre-ramp r_j = exp(2i*j*dx*ys).  For
-real a the half-offset layout gives X_k = conj(X_{N-1-k}), so the single
-sum Z of z = r * (W + iG) separates as
-
-    X_W = (Z_k + conj Z_{N-1-k}) / 2,   X_G = (Z_k - conj Z_{N-1-k}) / (2i).
-
-The post-ramp has unit modulus and cancels in conj(F W) * (F G), so
-w_k = (dx/sqrt(pi))^2 * conj(X_W) * X_G * dy.  The symmetry holds to
-rounding only if the ramps are exact, so they come from the layout
-identities 2*j*dx*ys = -pi*j + pi*j/N and 2*xs*y_k = -pi*k + pi*(N-1)/2
-(xs = -N*dx/2): r_j = (-1)^j * exp(i*pi*j/N), whose argument never exceeds
-pi, and exp(2i*xs*y_k) = (-1)^k * i^(N-1).  ``fourier`` and
-``inverse_fourier`` use the same identities.
+The sweep fixes the window to the prepared state, as the closed forms do
+(W = G), so w_k = |(F G)_k|^2 * dy is real and non-negative and one
+transform of G alone gives every weight.  ``fourier`` is dx/sqrt(pi) times a
+unit-modulus post-ramp exp(2i*xs*y_k) times X = sum_j exp(2pi i jk/N) *
+r_j * a_j, with the pre-ramp r_j = exp(2i*j*dx*ys); the post-ramp drops out
+of |.|^2, so w_k = (N*dx/sqrt(pi))^2 * |ifft(r * a)_k|^2 * dy.  The ramps
+come from the layout identities 2*j*dx*ys = -pi*j + pi*j/N and
+2*xs*y_k = -pi*k + pi*(N-1)/2 (xs = -N*dx/2): r_j = (-1)^j *
+exp(i*pi*j/N), whose argument never exceeds pi, and exp(2i*xs*y_k) =
+(-1)^k * i^(N-1).  ``fourier`` and ``inverse_fourier`` use the same
+identities.
 """
 
 from __future__ import annotations
@@ -170,7 +166,11 @@ def prepare_gaussian(p: ProcedureParams, n: int) -> GridState:
     dx = 2.0 * p.big_t / n
     x = -p.big_t + dx * np.arange(n)
     amps = np.exp(-((x - p.x0) ** 2) / (2.0 * p.delta**2)).astype(complex)
-    amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2)) * dx)
+    norm_sq = float(np.sum(np.abs(amps) ** 2)) * dx
+    if norm_sq == 0.0:
+        # every sample underflowed: the Gaussian falls between grid points
+        raise ParameterError("prepared state has no support on this grid")
+    amps /= math.sqrt(norm_sq)
     return GridState(amps, grid_start=-p.big_t, grid_step=dx, space=POSITION)
 
 
@@ -189,8 +189,8 @@ def _half_offset_ramp(n: int) -> np.ndarray:
 
     2*j*dx*ys = -pi*j + pi*j/n, so the ramp is (-1)^j * exp(i*pi*j/n), whose
     argument never exceeds pi.  2*j*dx*ys itself reaches ~pi*n, and its
-    rounding (~1e-12 rad at n = 4096) would break the conjugate symmetry
-    that ``phase_response`` relies on.
+    rounding (~1e-12 rad at n = 4096) would carry into every transformed
+    amplitude.
     """
     angle = (math.pi / n) * np.arange(n)
     ramp = np.empty(n, dtype=complex)
@@ -341,13 +341,14 @@ def run_circuit(
 
 @dataclass(frozen=True)
 class PhaseResponse:
-    """The circuit split at the mask: per-cell weights conj(W_k) * G_k * dy of
-    the transformed detection window W and transformed state G on the
-    conjugate grid y_k = grid_start + k*grid_step.
+    """The circuit split at the mask: per-cell weights |G_k|^2 * dy of the
+    transformed prepared state G on the conjugate grid
+    y_k = grid_start + k*grid_step, for the matched detection window.
 
     For a mask f the detected amplitude at phase phi is A0 + exp(-2i*phi)*A1,
     with (A0, A1) = ``split(f)``, and its squared modulus is the
-    ``run_circuit`` probability (see the module docstring).
+    ``run_circuit`` probability (see the module docstring).  The weights are
+    real and non-negative, and so are A0 and A1.
     """
 
     params: ProcedureParams
@@ -355,45 +356,45 @@ class PhaseResponse:
     grid_start: float
     grid_step: float
 
-    def split(self, f: PiecewiseBinaryFunction) -> tuple[complex, complex]:
-        """(A0, A1): the weight sums over the cells where f = 0 and f = 1.
+    def split(self, f: PiecewiseBinaryFunction) -> tuple[float, float]:
+        """(A0, A1): the weight sums over the cells where f = 0 and f = 1,
+        both real and non-negative.
 
         Cells beyond the mask domain count as f = 0, exactly as
         ``apply_blackbox`` leaves them unphased.
         """
         require_mask_domain(self.params, f)
         ones = _mask_cells(self.weights.size, self.grid_start, self.grid_step, f) == 1.0
-        return complex(np.sum(self.weights[~ones])), complex(np.sum(self.weights[ones]))
+        return float(np.sum(self.weights[~ones])), float(np.sum(self.weights[ones]))
 
 
 def phase_response(p: ProcedureParams, n: int) -> PhaseResponse:
     """One prepare and one transform that serve every phase and mask.
 
-    Makes the checks of ``run_circuit`` that need no mask (containment, grid
-    size, window support, a grid covering [-P, P]); ``PhaseResponse.split``
-    makes the rest.
+    Needs the matched window (epsilon equal to delta within 1e-12 relative),
+    so that the window's transform is the state's and w_k = |G_k|^2 * dy.
+    Makes the checks of ``run_circuit`` that need no mask
+    (containment, grid size, state support, a grid covering [-P, P]);
+    ``PhaseResponse.split`` makes the rest.
     """
+    if abs(p.epsilon - p.delta) > 1e-12 * p.delta:
+        raise ParameterError(
+            f"the grid sweep needs a matched detection window: epsilon={p.epsilon!r} "
+            f"differs from delta={p.delta!r}"
+        )
     state = prepare_gaussian(p, n)
     n = state.n
     dx = state.grid_step
-    # window W and state G are real: transform W + iG once, split by symmetry
-    z = 1j * state.amplitudes.real
-    z += _detection_window(state.points, dx, p)
-    del state  # at large N the N-point arrays set the peak memory
     dy, ys = _conjugate_layout(n, dx)
     _require_cover(n, dy, p.big_p)
+    z = state.amplitudes
+    del state  # at large N the N-point arrays set the peak memory
     z *= _half_offset_ramp(n)
     np.fft.ifft(z, out=z)
-    # real input: X_k = conj(X_{N-1-k}), so Z + R = 2 X_W and Z - R = 2i X_G
-    rev = np.conj(z[::-1])
-    weights = z + rev
-    z -= rev
-    del rev
-    np.conj(weights, out=weights)
-    weights *= z
-    # conj(2 X_W) * 2i X_G = 4i conj(X_W) X_G; the unit-modulus post-ramps of
-    # the two transforms cancel in the product
-    weights *= -0.25j * (n * dx / math.sqrt(math.pi)) ** 2 * dy
+    # the unit-modulus post-ramp of ``fourier`` drops out of |.|^2
+    weights = np.square(z.real)
+    weights += np.square(z.imag)
+    weights *= (n * dx / math.sqrt(math.pi)) ** 2 * dy
     return PhaseResponse(p, weights, ys, dy)
 
 

@@ -55,12 +55,8 @@ def _G(p: ProcedureParams, r: float) -> float:
 
 def prob_x0(p: ProcedureParams, r: float, phi: float) -> MeasurementDistribution:
     """Detection probability for the step mask with threshold r at phase phi."""
-    require_containment(p)
-    r = _require_r(p, r)
-    E = mask_efficiency(p)
-    G = _G(p, r)
-    c = math.cos(2.0 * phi)
-    return MeasurementDistribution(0.5 * (E + G) + 0.5 * (E - G) * c)
+    a, b = cosine_model_coefficients(p, r)
+    return MeasurementDistribution(a + b * math.cos(2.0 * phi))
 
 
 def cosine_model_coefficients(p: ProcedureParams, r: float) -> tuple[float, float]:
@@ -138,12 +134,8 @@ class FisherReport:
 
 def fisher_phi(p: ProcedureParams, r: float, phi: float) -> FisherReport:
     """Fisher information about phi carried by one detection, step mask r."""
-    require_containment(p)
-    r = _require_r(p, r)
-    E = mask_efficiency(p)
-    G = _G(p, r)
-    a = 0.5 * (E + G)
-    b = 0.5 * (E - G)
+    a, b = cosine_model_coefficients(p, r)
+    r = float(r)
     c = math.cos(2.0 * phi)
     s = math.sin(2.0 * phi)
     prob = a + b * c
@@ -159,16 +151,17 @@ def fisher_phi(p: ProcedureParams, r: float, phi: float) -> FisherReport:
         singular = True
     elif prob <= 0.0:
         # reachable only for G = 0 at cos(2*phi) = -1; limit of dp^2/(p(1-p))
-        fisher = 2.0 * (E - G) * (1.0 - c) / (1.0 - prob)
+        fisher = 4.0 * b * (1.0 - c) / (1.0 - prob)
         singular = True
     else:
         # prob = 1 requires E = 1 to machine precision at cos(2*phi) = +1
-        fisher = 2.0 * (E - G) * (1.0 + c) / prob
+        fisher = 4.0 * b * (1.0 + c) / prob
         singular = True
 
     moments = generator_moments(p, r)
     dphi: float | None = None
     if r == 0.0 and abs(s) >= _SIN_TOL:
+        E = mask_efficiency(p)
         mean_x = 0.5 * E * (1.0 + c)
         var_x = mean_x * (1.0 - mean_x)
         if var_x > 0.0:
@@ -189,13 +182,11 @@ def fisher_r(p: ProcedureParams, r: float, phi: float) -> float:
     dp/dr = dG/dr * (1 - cos(2*phi))/2.  As r -> 0 at cos(2*phi) = -1 the
     raw quotient is 0/0 with finite limit 64*delta^2/pi.
     """
-    require_containment(p)
-    r = _require_r(p, r)
+    a, b = cosine_model_coefficients(p, r)
+    r = float(r)
     d = p.delta
-    E = mask_efficiency(p)
-    G = _G(p, r)
     c = math.cos(2.0 * phi)
-    prob = 0.5 * (E + G) + 0.5 * (E - G) * c
+    prob = a + b * c
     dG = (8.0 * d / math.sqrt(math.pi)) * math.erf(2.0 * r * d) * math.exp(-4.0 * r * r * d * d)
     dp = 0.5 * dG * (1.0 - c)
     pq = prob * (1.0 - prob)

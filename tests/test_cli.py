@@ -62,12 +62,16 @@ class TestExitCodes:
         code, _, _ = run_cli(["fisher-r", "--engine", "grid"], capsys)
         assert code == 2
 
-    def test_crosscheck_rejects_mismatched_window(self, capsys):
-        code, _, err = run_cli(
-            ["crosscheck", "--epsilon", "0.1", "--phi", "0.3", "--r", "0"], capsys
-        )
+    @pytest.mark.parametrize(
+        "command",
+        ["audit", "crosscheck", "dj", "estimate", "fisher-phi", "fisher-r", "gap"],
+    )
+    def test_epsilon_flag_refused(self, capsys, command):
+        # detection always uses the prepared width; there is no window flag
+        code, out, err = run_cli([command, "--epsilon", "0.05"], capsys)
         assert code == 2
-        assert "epsilon" in err
+        assert out == ""
+        assert "error:" in err and "--epsilon" in err
 
     def test_crosscheck_tolerance_failure_is_exit_3(self, capsys):
         code, out, err = run_cli(
@@ -137,6 +141,12 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "error:" in err and str(cap) in err
+        # the floor: the default T needs N >= 512, even on the analytic engine
+        assert run_cli(["fisher-phi", "--grid-n", "512"], capsys)[0] == 0
+        code, out, err = run_cli(["fisher-phi", "--grid-n", "256"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and "n=256" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -506,6 +516,20 @@ class TestDjTable:
         assert req["analytic_error_rate"] == "nan"
 
 
+def test_unsupported_state_is_a_usage_error():
+    # the Gaussian falls between grid samples; -W error turns a numpy warning
+    # into a traceback
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "cvphase.cli", "crosscheck",
+         "--x0", "0.24", "--delta", "0.001", "--big-t", "1000", "--big-p", "3",
+         "--r", "0", "--phi", "0.3"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_console_script_help_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "cvphase.cli", "--help"],
@@ -543,7 +567,7 @@ def test_table_commands_load_neither_numpy_nor_scipy():
 
 # small runs: the property is about exit codes and error reporting, not output
 # the flags every command shares that ProcedureParams checks when it is built
-_SCALE_FLAGS = ("--big-t", "--big-p", "--epsilon", "--x0")
+_SCALE_FLAGS = ("--big-t", "--big-p", "--x0")
 _FUZZ_COMMANDS = {  # command: (fixed arguments, fuzzed flags it accepts)
     # --grid-n only where the analytic engine never allocates the grid
     "fisher-phi": ([], ("--phi", "--r", "--delta", "--grid-n", *_SCALE_FLAGS)),

@@ -84,6 +84,12 @@ class TestPrepareGaussian:
         with pytest.raises(GridLayoutError):
             prepare_gaussian(canonical(), n)
 
+    def test_gaussian_between_samples_rejected(self):
+        # dx = 0.49 and every sample lies >= 240 widths from x0: all underflow
+        p = ProcedureParams(x0=0.24, delta=0.001, big_t=1000.0, big_p=3.0)
+        with pytest.raises(ParameterError, match="no support"):
+            prepare_gaussian(p, 4096)
+
 
 class TestFourier:
     def test_norm_preserved(self):
@@ -306,7 +312,9 @@ class TestPhaseResponse:
 
     @pytest.mark.parametrize("n", [256, 4096, 2**14])
     @pytest.mark.parametrize("mask", sorted(MASKS))
-    @pytest.mark.parametrize("epsilon", [None, 0.5])
+    # the default window, and one a rounding step wider that the sweep takes
+    # as matched
+    @pytest.mark.parametrize("epsilon", [None, math.nextafter(DELTA, 1.0)])
     def test_probability_matches_circuit(self, n, mask, epsilon):
         p = ProcedureParams(
             x0=0.37, delta=DELTA, big_t=self.T, big_p=BIG_P, epsilon=epsilon
@@ -316,6 +324,27 @@ class TestPhaseResponse:
         for phi in (0.0, 0.3, math.pi / 2, 2.2, math.pi):
             got = abs(a0 + cmath.exp(-2j * phi) * a1) ** 2
             assert got == pytest.approx(run_circuit(p, f, phi, n).p_x0, abs=1e-14)
+
+    def test_mismatched_window_rejected(self):
+        p = ProcedureParams(x0=0.37, delta=DELTA, big_t=self.T, big_p=BIG_P, epsilon=0.5)
+        with pytest.raises(ParameterError, match="epsilon.*delta"):
+            phase_response(p, 256)
+        near = ProcedureParams(
+            x0=0.37, delta=DELTA, big_t=self.T, big_p=BIG_P,
+            epsilon=DELTA * (1.0 - 9e-13),
+        )
+        assert phase_response(near, 256).weights.size == 256
+
+    @pytest.mark.parametrize("x0", [0.0, 0.37])
+    @pytest.mark.parametrize("n", [256, 4096, 2**18])
+    def test_weights_are_a_probability_distribution(self, x0, n):
+        # n = 256 needs the finer layout to cover [-P, P]
+        big_t = self.T if n == 256 else aligned_half_width(BIG_P, n)
+        p = ProcedureParams(x0=x0, delta=DELTA, big_t=big_t, big_p=BIG_P)
+        weights = phase_response(p, n).weights
+        assert weights.dtype == np.float64
+        assert weights.min() >= 0.0
+        assert abs(float(weights.sum()) - 1.0) <= 1e-14
 
     @pytest.mark.parametrize("r", [0.0, BIG_P / 4])
     def test_exact_derivative_matches_circuit_difference(self, r):
