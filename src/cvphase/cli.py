@@ -36,11 +36,6 @@ _DEFAULT_GRID_N = 4096
 # most points a start:stop:count axis may ask for; every point is at least
 # one row, and a larger sweep belongs in a script calling the library
 _MAX_AXIS_COUNT = 100_000
-# p(1-p) of the grid response at or below this is rounding, not physics: the
-# matched window reaches p = 1 at phi = 0 to ~1e-15 (N up to 2^20), while the
-# smallest p the grid resolves, the unphased tail at the balanced decision
-# point, is ~5e-10
-_PQ_ROUNDING = 1e-12
 # grid-engine Fisher comparisons exclude probability-extremum rows and the
 # near-saturated top of the response, where the simulated momentum tail
 # (unphased outside the mask domain) dominates the comparison
@@ -163,26 +158,18 @@ def _grid_prob(a0: float, a1: float, phi: float) -> float:
 def _fisher_grid(a0: float, a1: float, phi: float) -> float:
     """Fisher information in phi of the grid response, exactly.
 
-    A0 and A1 are real and non-negative, so the response is
-    p = a + b*cos(2*phi), a = A0^2 + A1^2, b = 2*A0*A1, and
-    dp/dphi = 4*Im(exp(-2i*phi)*A0*A1).  Where p(1-p) vanishes to rounding,
-    the value is the phi-limit of dp^2/(p(1-p)), with the branches of
-    ``stats.fisher_phi``.
+    A0 and A1 are real and non-negative and sum to 1 (Parseval), so the
+    response p = A0^2 + A1^2 + 2*A0*A1*cos(2*phi) has
+    1 - p = 4*A0*A1*sin(phi)^2, p = (A0 - A1)^2 + 4*A0*A1*cos(phi)^2 and
+    dp/dphi = -8*A0*A1*sin(phi)*cos(phi).  Then dp^2/(p(1-p)) reduces to
+    16*A0*A1*cos(phi)^2 / p with no cancellation anywhere, also where p or
+    1 - p vanishes; at p = 0 (A0 = A1 = 1/2, cos(phi) = 0) the limit is 4.
     """
-    z = cmath.exp(-2j * phi) * a0 * a1
-    prob = _grid_prob(a0, a1, phi)
-    pq = prob * (1.0 - prob)
-    if pq > _PQ_ROUNDING:
-        dp = 4.0 * z.imag
-        return dp * dp / pq
-    b = 2.0 * abs(z)
-    if b == 0.0:
-        # constant mask: no phi dependence at all
-        return 0.0
-    c = 2.0 * z.real / b  # cos(2*phi)
-    if prob < 0.5:
-        return 4.0 * b * (1.0 - c) / (1.0 - prob)
-    return 4.0 * b * (1.0 + c) / prob
+    cos_sq = math.cos(phi) ** 2
+    prob = (a0 - a1) ** 2 + 4.0 * a0 * a1 * cos_sq
+    if prob == 0.0:
+        return 4.0
+    return 16.0 * a0 * a1 * cos_sq / prob
 
 
 def cmd_fisher_phi_sweep(

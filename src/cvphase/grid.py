@@ -47,27 +47,49 @@ weights w_k = conj((F W)_k) * (F G)_k * dy the amplitude is
     A0 + exp(-2i*phi) * A1,   A0 = sum_{f(y_k)=0} w_k,   A1 = sum_{f(y_k)=1} w_k.
 
 ``phase_response`` therefore prepares once and transforms once; every phase
-then costs a few scalar operations, and every mask one pass over the
-weights.  Both routes take the mask's cell values from one helper, so they
-discretize the mask identically; they differ only by rounding (~1e-15 in the
-probability).  ``run_circuit`` stays the stage-by-stage reference.
+then costs a few scalar operations, and every mask one pass over the cells
+of [-P, P].  Both routes take the mask's cell values from one helper, so
+they discretize the mask identically; they differ only by rounding (~1e-15
+in the probability).  ``run_circuit`` stays the stage-by-stage reference.
 
 The sweep fixes the window to the prepared state, as the closed forms do
 (W = G), so w_k = |(F G)_k|^2 * dy is real and non-negative and one
-transform of G alone gives every weight.  ``fourier`` is dx/sqrt(pi) times a
-unit-modulus post-ramp exp(2i*xs*y_k) times X = sum_j exp(2pi i jk/N) *
-r_j * a_j, with the pre-ramp r_j = exp(2i*j*dx*ys); the post-ramp drops out
-of |.|^2, so w_k = (N*dx/sqrt(pi))^2 * |ifft(r * a)_k|^2 * dy.  The ramps
-come from the layout identities 2*j*dx*ys = -pi*j + pi*j/N and
-2*xs*y_k = -pi*k + pi*(N-1)/2 (xs = -N*dx/2): r_j = (-1)^j *
-exp(i*pi*j/N), whose argument never exceeds pi, and exp(2i*xs*y_k) =
-(-1)^k * i^(N-1).  ``fourier`` and ``inverse_fourier`` use the same
-identities.
+transform of G alone gives every weight.  With x_j = xs + j*dx,
+``fourier`` is dx/sqrt(pi) times a unit-modulus post-ramp exp(2i*xs*y_k)
+times sum_j exp(2i*j*dx*y_k) * a_j, and the post-ramp drops out of |.|^2.
+The layout identity 2*j*dx*y_k = pi*j*(2k + 1 - N)/N turns the sum into
+
+    X(s) = sum_j a_j * exp(i*pi*j*s/N),   s = 2k + 1 - N,
+
+so w_k = (dx/sqrt(pi))^2 * |X(s)|^2 * dy.  ``fourier`` and
+``inverse_fourier`` evaluate the same sums as an FFT with exact ramps: the
+pre-ramp (-1)^j * exp(i*pi*j/N), whose argument never exceeds pi, and the
+post-ramp exp(2i*xs*y_k) = (-1)^k * i^(N-1) (xs = -N*dx/2).
+
+``phase_response`` pays only for the Gaussian's support and one FFT of half
+length.  Support: exp(-(x - x0)^2 / (2*delta^2)) underflows to exactly 0.0
+once |x - x0| > 40*delta (exp(-800) = 0), so ``prepare_gaussian`` evaluates
+only the samples of ``_support`` and every other amplitude is an exact 0.
+Half length: the amplitudes a_j are real, so X(-s) = conj X(s) and |X(s)| is
+known from the s = 1 (mod 4) half.  For s = 4l + 1, with
+c_j = a_j * exp(i*pi*j/N),
+
+    X(4l + 1) = sum_{j < N/2} (c_j + c_{j+N/2}) * exp(2pi i jl/(N/2)),
+
+one inverse FFT of length N/2 of c folded modulo N/2 (the fold overlaps
+itself when the support is wider than N/2 samples, which takes T < 80*delta,
+as near the containment floor).  X is periodic in l with period N/2.  Even k = 2m has
+s = 4(m - N/4) + 1, so w_{2m} comes from l = m - N/4; odd k = 2m + 1 has
+-s = 4(N/4 - 1 - m) + 1, so w_{2m+1} comes from l = N/4 - 1 - m: with W_l the
+squared FFT output, the even cells are np.roll(W, N/4) and the odd cells
+np.roll(W[::-1], N/4).  The ifft's 2/N and the (dx/sqrt(pi))^2 * dy above
+give the scale (N*dx/sqrt(pi))^2 * dy / 4.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -87,9 +109,14 @@ POSITION = "position"
 MOMENTUM = "momentum"
 
 _MIN_POINTS = 256
-# largest grid: a sweep holds a few N-point complex arrays (256 MiB each at
-# this size), and a larger request is a typo, not a convergence study
+# largest grid: a circuit holds a few N-point complex arrays (256 MiB each at
+# this size), a sweep the prepared state, one N/2-point complex FFT buffer
+# and the N float64 weights; a larger request is a typo, not a convergence
+# study
 _MAX_POINTS = 1 << 24
+# half-width of the sampled support in units of delta: the Gaussian's exp
+# underflows to exactly 0.0 beyond it (exp(-40^2/2) = exp(-800) = 0)
+_SUPPORT_WIDTHS = 40.0
 
 
 @dataclass(frozen=True)
@@ -159,18 +186,43 @@ def aligned_half_width(big_p: float, n: int, cells_per_eighth: int = 32) -> floa
     return 4.0 * math.pi * cells_per_eighth / big_p
 
 
+def _index_range(n: int, start: float, step: float, half: float) -> tuple[int, int]:
+    """Index range [lo, hi), clipped to [0, n), holding every k with
+    |start + k*step| <= half; rounded outwards, so it may hold one index
+    more each side."""
+    lo = math.floor((-half - start) / step)
+    hi = math.ceil((half - start) / step) + 1
+    return max(lo, 0), min(hi, n)
+
+
+def _support(p: ProcedureParams, n: int) -> tuple[int, int]:
+    """Sample range [lo, hi) holding every x_j with |x_j - x0| <= 40*delta;
+    the Gaussian is exactly 0.0 at every sample outside it."""
+    return _index_range(
+        n, -p.big_t - p.x0, 2.0 * p.big_t / n, _SUPPORT_WIDTHS * p.delta
+    )
+
+
 def prepare_gaussian(p: ProcedureParams, n: int) -> GridState:
-    """Sample the width-delta Gaussian at x0 on [-T, T) and renormalize."""
+    """Sample the width-delta Gaussian at x0 on [-T, T) and renormalize.
+
+    Only the samples of ``_support`` are evaluated (the same doubles as on
+    the full grid); every other amplitude is the exact 0 that ``exp`` would
+    give there.
+    """
     require_containment(p)
     n = _require_pow2(n)
     dx = 2.0 * p.big_t / n
-    x = -p.big_t + dx * np.arange(n)
-    amps = np.exp(-((x - p.x0) ** 2) / (2.0 * p.delta**2)).astype(complex)
-    norm_sq = float(np.sum(np.abs(amps) ** 2)) * dx
+    lo, hi = _support(p, n)
+    x = -p.big_t + dx * np.arange(lo, hi)
+    gauss = np.exp(-((x - p.x0) ** 2) / (2.0 * p.delta**2))
+    norm_sq = float(np.sum(gauss * gauss)) * dx
     if norm_sq == 0.0:
         # every sample underflowed: the Gaussian falls between grid points
         raise ParameterError("prepared state has no support on this grid")
-    amps /= math.sqrt(norm_sq)
+    gauss *= 1.0 / math.sqrt(norm_sq)
+    amps = np.zeros(n, dtype=complex)
+    amps.real[lo:hi] = gauss
     return GridState(amps, grid_start=-p.big_t, grid_step=dx, space=POSITION)
 
 
@@ -277,14 +329,17 @@ def _require_cover(n: int, dy: float, half_domain: float) -> None:
         )
 
 
-def _mask_cells(n: int, y_start: float, dy: float, f: PiecewiseBinaryFunction) -> np.ndarray:
-    """f at each conjugate sample y_start + k*dy, extended by 0 outside [-P, P]
-    (P = the mask's half-domain); the grid must cover the mask domain."""
+def _mask_cells(
+    n: int, y_start: float, dy: float, f: PiecewiseBinaryFunction, lo: int, hi: int
+) -> np.ndarray:
+    """f at the conjugate samples y_start + k*dy for k in [lo, hi), extended
+    by 0 outside [-P, P] (P = the mask's half-domain); the n-cell grid must
+    cover the mask domain."""
     _require_cover(n, dy, f.half_domain)
-    y = y_start + dy * np.arange(n)
+    y = y_start + dy * np.arange(lo, hi)
     slack = 1e-12 * max(1.0, f.half_domain)
     inside = np.abs(y) <= f.half_domain + slack
-    fvals = np.zeros(n)
+    fvals = np.zeros(hi - lo)
     if f.breakpoints:
         idx = np.searchsorted(np.asarray(f.breakpoints), y[inside], side="left")
         fvals[inside] = np.asarray(f.values, dtype=float)[idx]
@@ -302,7 +357,7 @@ def apply_blackbox(s: GridState, f: PiecewiseBinaryFunction, phi: float) -> Grid
     """
     if s.space != MOMENTUM:
         raise GridLayoutError("apply_blackbox expects a momentum-space state")
-    fvals = _mask_cells(s.n, s.grid_start, s.grid_step, f)
+    fvals = _mask_cells(s.n, s.grid_start, s.grid_step, f, 0, s.n)
     amps = s.amplitudes * np.exp(-2j * phi * fvals)
     return GridState(amps, s.grid_start, s.grid_step, s.space)
 
@@ -356,28 +411,51 @@ class PhaseResponse:
     grid_start: float
     grid_step: float
 
+    @functools.cached_property
+    def _mask_domain(self) -> tuple[int, int, float]:
+        """(lo, hi, rest): the cells any mask of this response can set to 1,
+        and the weight of all other cells.
+
+        The range reaches past P by more than the mask-domain match
+        (1e-9 relative) and ``_mask_cells``' slack (1e-12) together, so
+        every cell outside it is f = 0 for each mask ``split`` accepts.
+        """
+        big_p = self.params.big_p
+        half = big_p + 2e-9 * max(1.0, big_p)
+        lo, hi = _index_range(self.weights.size, self.grid_start, self.grid_step, half)
+        rest = float(np.sum(self.weights[:lo])) + float(np.sum(self.weights[hi:]))
+        return lo, hi, rest
+
     def split(self, f: PiecewiseBinaryFunction) -> tuple[float, float]:
         """(A0, A1): the weight sums over the cells where f = 0 and f = 1,
         both real and non-negative.
 
         Cells beyond the mask domain count as f = 0, exactly as
-        ``apply_blackbox`` leaves them unphased.
+        ``apply_blackbox`` leaves them unphased.  Only the cells around
+        [-P, P] are discretized per mask; the weight beyond them is summed
+        once per response and added to A0.
         """
         require_mask_domain(self.params, f)
-        ones = _mask_cells(self.weights.size, self.grid_start, self.grid_step, f) == 1.0
-        return float(np.sum(self.weights[~ones])), float(np.sum(self.weights[ones]))
+        lo, hi, rest = self._mask_domain
+        n = self.weights.size
+        ones = _mask_cells(n, self.grid_start, self.grid_step, f, lo, hi) == 1.0
+        cells = self.weights[lo:hi]
+        return rest + float(np.sum(cells[~ones])), float(np.sum(cells[ones]))
 
 
 def phase_response(p: ProcedureParams, n: int) -> PhaseResponse:
-    """One prepare and one transform that serve every phase and mask.
+    """One prepare and one half-length transform that serve every phase and mask.
 
-    Needs the matched window (epsilon equal to delta within 1e-12 relative),
-    so that the window's transform is the state's and w_k = |G_k|^2 * dy.
+    Needs the matched window (epsilon equal to delta within 4 ulps), so that
+    the window's transform is the state's and w_k = |G_k|^2 * dy.  Works on
+    the Gaussian's support only and folds it into one inverse FFT of length
+    n/2 (see the module docstring); the weights agree with
+    |fourier(prepare_gaussian(p, n))|^2 * dy to rounding.
     Makes the checks of ``run_circuit`` that need no mask
     (containment, grid size, state support, a grid covering [-P, P]);
     ``PhaseResponse.split`` makes the rest.
     """
-    if abs(p.epsilon - p.delta) > 1e-12 * p.delta:
+    if abs(p.epsilon - p.delta) > 4.0 * math.ulp(p.delta):
         raise ParameterError(
             f"the grid sweep needs a matched detection window: epsilon={p.epsilon!r} "
             f"differs from delta={p.delta!r}"
@@ -387,14 +465,26 @@ def phase_response(p: ProcedureParams, n: int) -> PhaseResponse:
     dx = state.grid_step
     dy, ys = _conjugate_layout(n, dx)
     _require_cover(n, dy, p.big_p)
-    z = state.amplitudes
-    del state  # at large N the N-point arrays set the peak memory
-    z *= _half_offset_ramp(n)
-    np.fft.ifft(z, out=z)
-    # the unit-modulus post-ramp of ``fourier`` drops out of |.|^2
-    weights = np.square(z.real)
-    weights += np.square(z.imag)
-    weights *= (n * dx / math.sqrt(math.pi)) ** 2 * dy
+    lo, hi = _support(p, n)
+    amps = state.amplitudes.real[lo:hi]
+    # c_j = a_j * exp(i*pi*j/n) on the support, folded modulo n/2
+    angle = (math.pi / n) * np.arange(lo, hi)
+    c = np.empty(hi - lo, dtype=complex)
+    np.multiply(amps, np.cos(angle), out=c.real)
+    np.multiply(amps, np.sin(angle), out=c.imag)
+    half = n // 2
+    folded = np.zeros(half, dtype=complex)
+    mid = min(max(lo, half), hi)  # first support sample in the upper half
+    folded[lo:mid] = c[: mid - lo]
+    if hi > mid:
+        folded[mid - half : hi - half] += c[mid - lo :]
+    np.fft.ifft(folded, out=folded)
+    w = np.square(folded.real)
+    w += np.square(folded.imag)
+    w *= (n * dx / math.sqrt(math.pi)) ** 2 * dy / 4.0
+    weights = np.empty(n)
+    weights[0::2] = np.roll(w, n // 4)
+    weights[1::2] = np.roll(w[::-1], n // 4)
     return PhaseResponse(p, weights, ys, dy)
 
 

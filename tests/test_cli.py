@@ -288,6 +288,22 @@ class TestGridEngine:
         assert by_r[0.0] == pytest.approx(4.0, rel=1e-6)
         assert by_r[BIG_P] == 0.0  # constant mask
 
+    def test_fisher_near_saturation_is_well_conditioned(self, capsys):
+        # p(1 - p) ~ 1e-11 here: last-bit changes of A0 or A1 must not show
+        argv = ["fisher-phi", "--engine", "grid", "--grid-n", "8192", "--r", "0.5",
+                "--phi", "3.14159"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        printed = float(parse_csv(out)[1][0][2])
+        a0, a1 = phase_response(canonical(), 8192).split(
+            PiecewiseBinaryFunction.step(0.5, BIG_P)
+        )
+        assert cli._fisher_grid(a0, a1, 3.14159) == printed
+        for scale0, scale1 in [(1 - 1e-16, 1.0), (1 + 3e-16, 1.0), (1.0, 1 - 4e-16),
+                               (1.0, 1 + 4e-16), (1 + 2e-16, 1 - 2e-16)]:
+            moved = cli._fisher_grid(a0 * scale0, a1 * scale1, 3.14159)
+            assert moved == pytest.approx(printed, rel=1e-12)
+
 
 class TestSchemas:
     def test_fisher_phi_analytic_columns(self, capsys):

@@ -1,6 +1,7 @@
 """Discretized circuit: grid states, unitary transform, mask, detection."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from cvphase import (
     apply_blackbox,
     fourier,
     fourier_matrix,
+    grid,
     inverse_fourier,
     measure_povm,
     phase_response,
@@ -329,11 +331,57 @@ class TestPhaseResponse:
         p = ProcedureParams(x0=0.37, delta=DELTA, big_t=self.T, big_p=BIG_P, epsilon=0.5)
         with pytest.raises(ParameterError, match="epsilon.*delta"):
             phase_response(p, 256)
+        # a few ulps are rounding; 9e-13 relative already moves the circuit's
+        # probability by ~1e-14, the agreement the sweep is held to
         near = ProcedureParams(
             x0=0.37, delta=DELTA, big_t=self.T, big_p=BIG_P,
             epsilon=DELTA * (1.0 - 9e-13),
         )
-        assert phase_response(near, 256).weights.size == 256
+        with pytest.raises(ParameterError, match="epsilon.*delta"):
+            phase_response(near, 256)
+        ulps = ProcedureParams(
+            x0=0.37, delta=DELTA, big_t=self.T, big_p=BIG_P,
+            epsilon=DELTA + 4.0 * math.ulp(DELTA),
+        )
+        assert phase_response(ulps, 256).weights.size == 256
+
+    @pytest.mark.parametrize(
+        "n, x0, big_t",
+        list(itertools.product((256, 4096, 2**14), (0.0, 0.37), (T,)))
+        + [
+            # the support is wider than n/2 samples, so the fold wraps
+            (256, 0.0, 3.5),
+            (256, 0.37, 3.5),
+            # the support is clipped at one grid end
+            (4096, T - 4.3 * DELTA, T),
+            (4096, -(T - 4.3 * DELTA), T),
+        ],
+    )
+    def test_weights_are_the_transformed_state(self, n, x0, big_t):
+        p = ProcedureParams(x0=x0, delta=DELTA, big_t=big_t, big_p=BIG_P)
+        response = phase_response(p, n)
+        moved = fourier(prepare_gaussian(p, n))
+        assert response.grid_start == moved.grid_start
+        assert response.grid_step == moved.grid_step
+        expected = np.abs(moved.amplitudes) ** 2 * moved.grid_step
+        assert float(np.max(np.abs(response.weights - expected))) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "n, x0, big_t",
+        [(256, 0.0, 3.5), (4096, 0.37, T), (4096, T - 4.3 * DELTA, T),
+         (2**18, 0.37, T)],
+    )
+    def test_state_is_evaluated_on_its_support_only(self, n, x0, big_t):
+        p = ProcedureParams(x0=x0, delta=DELTA, big_t=big_t, big_p=BIG_P)
+        lo, hi = grid._support(p, n)
+        dx = 2.0 * big_t / n
+        full = np.exp(-((-big_t + dx * np.arange(n) - x0) ** 2) / (2.0 * DELTA**2))
+        assert not full[:lo].any() and not full[hi:].any()
+        amps = prepare_gaussian(p, n).amplitudes
+        assert not amps[:lo].any() and not amps[hi:].any()
+        assert not amps.imag.any()
+        scale = 1.0 / math.sqrt(float(np.sum(full[lo:hi] ** 2)) * dx)
+        assert np.array_equal(amps.real[lo:hi], full[lo:hi] * scale)
 
     @pytest.mark.parametrize("x0", [0.0, 0.37])
     @pytest.mark.parametrize("n", [256, 4096, 2**18])
