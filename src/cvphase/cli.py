@@ -94,10 +94,7 @@ def _cell_csv(v: Any) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
+        # spells the non-finite values nan, inf and -inf (a negative NaN too)
         return format(v, ".17g")
     return str(v)
 
@@ -119,8 +116,7 @@ def _emit(columns: list[str], rows: list[dict], fmt: str, out: str | None) -> No
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell_csv(row[c]) for c in columns])
+        writer.writerows([_cell_csv(row[c]) for c in columns] for row in rows)
         text = buf.getvalue()
     if out:
         try:

@@ -7,18 +7,27 @@ So the layer works on hit counts.
 
 Randomness contract.  Every stochastic routine in this package draws from a
 ``numpy.random.Generator`` over the PCG64 bit generator, seeded through
-``numpy.random.SeedSequence`` with the caller's seed material.  A hit count
-is produced by a single vectorized ``rng.random(n) < p`` comparison, so a
-given (seed material, parameters) pair yields the same count on every
+``numpy.random.SeedSequence`` with the caller's non-negative seed material.
+A hit count compares the stream's first n uniforms ``rng.random()`` with p,
+so a given (seed material, parameters) pair yields the same count on every
 platform numpy supports; one count draws at most 10^8 trials.  Replicated
 runs give replica ``i`` the seed material ``(master_seed, i)``; the streams
 are then mutually independent and individually reproducible.
+
+How the streams are reached.  PCG64 takes one 64-bit output per double, so
+the uniforms are drawn in chunks of at most 2^16 into one reused buffer:
+the same stream as one ``rng.random(n)``, in bounded memory.  One run seeds
+all its streams in one batched pass: ``_seed_states`` runs SeedSequence's
+hash as uint32 column operations over one row of entropy words per stream,
+and one reused PCG64 is set to each stream's seeded state in turn.  The
+first stream's state is checked against numpy's own
+``PCG64(SeedSequence(m))`` on every run.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from ._lazy import lazy_numpy
@@ -37,9 +46,11 @@ np = lazy_numpy()
 _HALF_PI = math.pi / 2.0
 _IDENTIFIABILITY_TOL = 1e-9
 _AUDIT_TOL = 1e-3
-# most trials one hit count may draw: the draw holds its n uniforms at once,
-# 800 MB at this cap, and a larger count fails allocating instead of running
+# most trials one hit count may draw: a time bound (about a quarter second
+# per stream at this cap); memory stays at one chunk whatever the count
 _MAX_DRAWS = 10**8
+# most uniforms drawn into the reused buffer at once
+_CHUNK = 1 << 16
 # most replicas one estimate may run: each keeps one float (and the CLI one
 # table row), so memory grows with the count; a larger run belongs in a
 # script that aggregates as it goes
@@ -53,11 +64,143 @@ def _require_draws(n: int, what: str) -> None:
         raise ParameterError(f"{what} must lie in [1, {_MAX_DRAWS}], got {n}")
 
 
-def _count_hits(prob: float, n: int, seed: SeedMaterial) -> int:
-    """Hits among n Bernoulli(prob) trials drawn from the stream seeded by seed."""
-    material = tuple(int(s) for s in seed) if isinstance(seed, tuple) else int(seed)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(material)))
-    return int(np.count_nonzero(rng.random(n) < prob))
+# numpy's SeedSequence hash (pool size 4) and PCG64's default multiplier
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _entropy_words(material: SeedMaterial) -> list[int]:
+    """The uint32 words SeedSequence assembles from seed material: each
+    integer's 32-bit words, least significant first (0 is one word)."""
+    words = []
+    for value in material if isinstance(material, tuple) else (material,):
+        value = int(value)
+        if value < 0:
+            raise ParameterError(f"seed material must be non-negative, got {value}")
+        words.append(value & _MASK32)
+        value >>= 32
+        while value:
+            words.append(value & _MASK32)
+            value >>= 32
+    return words
+
+
+def _seed_states(words):
+    """``SeedSequence(m).generate_state(4, uint64)`` for each row m of words.
+
+    words is a uint32 matrix with one row per stream, the entropy words of
+    its seed material.  The hash runs column by column: its constants depend
+    on the word position only, so every row shares them.  They advance as
+    Python ints; the numpy operations are array-by-scalar and wrap modulo
+    2^32 silently.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
+
+    rows, width = words.shape
+    zeros = np.zeros(rows, dtype=np.uint32)
+    pool = [hashmix(words[:, i] if i < width else zeros) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    # entropy longer than the pool mixes each extra word into every pool word
+    for src in range(_POOL_SIZE, width):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(words[:, src]))
+    # generate_state: eight uint32 words, paired little-endian into four uint64
+    hash_const = _INIT_B
+    out = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * hash_const
+        out.append((value ^ (value >> 16)).astype(np.uint64))
+    return np.stack([out[2 * i] | (out[2 * i + 1] << 32) for i in range(4)], axis=1)
+
+
+def _stream_words(seed: SeedMaterial, streams: int | None):
+    """uint32 entropy words, one row per stream.
+
+    With streams None there is one stream, seeded by seed; otherwise there
+    are ``streams`` streams and stream i is seeded by (seed, i) for an
+    integer seed.
+    """
+    head = _entropy_words(seed)
+    if streams is None:
+        return np.array([head], dtype=np.uint32)
+    words = np.empty((streams, len(head) + 1), dtype=np.uint32)
+    words[:, :-1] = head
+    words[:, -1] = np.arange(streams)  # every index below 2^32 is one word
+    return words
+
+
+def _stream_states(words) -> Iterator[dict]:
+    """PCG64's seeded state for each row of words in turn, as
+    ``PCG64.state["state"]``.
+
+    PCG64 seeds from the four generate_state words w as ``pcg64_set_seed``:
+    inc = (w2:w3 << 1) | 1 and state = (inc + w0:w1) stepped once, all
+    modulo 2^128.  The words become Python ints one block of _CHUNK streams
+    at a time.
+    """
+    seeded = _seed_states(words)
+    for start in range(0, len(seeded), _CHUNK):
+        for w0, w1, w2, w3 in seeded[start : start + _CHUNK].tolist():
+            inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+            state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
+            yield {"state": state, "inc": inc}
+
+
+def _count_hits(
+    prob: float, n: int, seed: SeedMaterial, streams: int | None = None
+) -> list[int]:
+    """Hits among n Bernoulli(prob) trials in each stream of _stream_words.
+
+    Each count is that of ``rng.random(n) < prob`` on
+    ``Generator(PCG64(SeedSequence(material)))``; one PCG64 and one buffer
+    serve every stream.
+    """
+    words = _stream_words(seed, streams)
+    first = seed if streams is None else (seed, 0)
+    bit_gen = np.random.PCG64(np.random.SeedSequence(first))
+    raw = bit_gen.state
+    rng = np.random.Generator(bit_gen)
+    buf = np.empty(min(n, _CHUNK))
+    counts = []
+    for state in _stream_states(words):
+        if not counts and state != raw["state"]:
+            raise RuntimeError(
+                f"batched seeding of {first!r} disagrees with numpy's "
+                "PCG64(SeedSequence(...))"
+            )
+        raw["state"] = state
+        bit_gen.state = raw
+        hits = 0
+        for start in range(0, n, _CHUNK):
+            chunk = buf[: min(_CHUNK, n - start)]
+            rng.random(out=chunk)
+            hits += int(np.count_nonzero(chunk < prob))
+        counts.append(hits)
+    return counts
 
 
 def sample_outcomes(
@@ -69,14 +212,15 @@ def sample_outcomes(
 ) -> int:
     """Number of detection hits in n independent trials at phase phi under mask f.
 
-    Each trial hits with the closed-form detection probability; the draw is
-    ``rng.random(n) < p`` per the module-level randomness contract, and n
-    must lie in [1, 10^8].  ``seed`` is an integer, or a tuple of integers
+    Each trial hits with the closed-form detection probability; the count is
+    that of ``rng.random(n) < p`` per the module-level randomness contract,
+    and n must lie in [1, 10^8].  ``seed`` is an integer, or a tuple of integers
     for derived streams such as (master_seed, replica_index).
     """
     n = int(n)
     _require_draws(n, "the number of trials")
-    return _count_hits(prob_x0_factorized(p, f, phi).p_x0, n, seed)
+    (hits,) = _count_hits(prob_x0_factorized(p, f, phi).p_x0, n, seed)
+    return hits
 
 
 @dataclass(frozen=True)
@@ -192,10 +336,9 @@ def replicated_mse(
     phi_true = float(phi_true)
     a, b, fisher = _cosine_model(p, r, phi_true)
     prob = prob_x0_factorized(p, PiecewiseBinaryFunction.step(r, p.big_p), phi_true).p_x0
-    master = int(seed)
     phi_hats = tuple(
-        _phi_hat(_count_hits(prob, shots, (master, i)), shots, a, b)
-        for i in range(replicas)
+        _phi_hat(hits, shots, a, b)
+        for hits in _count_hits(prob, shots, int(seed), replicas)
     )
     mean_mse = sum((h - phi_true) ** 2 for h in phi_hats) / replicas
     crb = _crb(shots, fisher)

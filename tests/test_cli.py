@@ -181,6 +181,21 @@ class TestExitCodes:
         assert out == ""
         assert "error:" in err and str(experiments._MAX_REPLICAS) in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dj", "--seed", "-1", "--trials", "10"],
+            ["estimate", "--seed", "-3", "--replicas", "2"],
+            ["estimate", "--seed", str(-(2**130)), "--replicas", "2"],
+        ],
+    )
+    def test_negative_seed_is_a_usage_error(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: seed material must be non-negative")
+        assert "Traceback" not in err
+
     def test_axis_count_is_capped(self, capsys):
         cap = cli._MAX_AXIS_COUNT
         assert len(cli._axis(f"0:1:{cap}")) == cap
@@ -424,6 +439,21 @@ class TestDeterminism:
         assert out1.read_bytes() != out2.read_bytes()
 
 
+class TestCsvFormat:
+    def test_nonfinite_spellings(self):
+        # a NaN with its sign bit set still prints as nan
+        cells = [math.nan, math.copysign(math.nan, -1.0), math.inf, -math.inf]
+        assert [cli._cell_csv(v) for v in cells] == ["nan", "nan", "inf", "-inf"]
+        assert [cli._cell_csv(v) for v in (True, False, 3, 0.1, -0.0)] == [
+            "true", "false", "3", "0.10000000000000001", "-0"
+        ]
+
+    def test_nonfinite_cells_in_a_table(self, capsys):
+        rows = [{"a": math.inf, "b": math.nan}, {"a": -math.inf, "b": 1.5}]
+        cli._emit(["a", "b"], rows, "csv", None)
+        assert capsys.readouterr().out == "a,b\ninf,nan\n-inf,1.5\n"
+
+
 class TestJsonFormat:
     def test_rows_parse_and_nonfinite_maps_to_null(self, capsys):
         code, out, _ = run_cli(
@@ -588,9 +618,10 @@ _FUZZ_COMMANDS = {  # command: (fixed arguments, fuzzed flags it accepts)
     # --grid-n only where the analytic engine never allocates the grid
     "fisher-phi": ([], ("--phi", "--r", "--delta", "--grid-n", *_SCALE_FLAGS)),
     "fisher-r": ([], ("--phi", "--r", "--delta", *_SCALE_FLAGS)),
-    "dj": (["--trials", "20"], ("--r", "--delta", *_SCALE_FLAGS)),
+    "dj": (["--trials", "20"], ("--r", "--delta", "--seed", *_SCALE_FLAGS)),
     "estimate": (
-        ["--shots", "5", "--replicas", "2"], ("--phi", "--r", "--delta", *_SCALE_FLAGS)
+        ["--shots", "5", "--replicas", "2"],
+        ("--phi", "--r", "--delta", "--seed", *_SCALE_FLAGS),
     ),
     "crosscheck": (
         ["--grid-n", "512"], ("--phi", "--r", "--delta", "--tol", *_SCALE_FLAGS)
@@ -617,7 +648,12 @@ def _fuzz_argv(draw):
     flags = draw(st.lists(st.sampled_from(accepted), unique=True, max_size=3))
     argv = [command, *fixed]
     for flag in flags:
-        value = draw(_fuzz_grid_n if flag == "--grid-n" else _fuzz_value)
+        if flag == "--grid-n":
+            value = draw(_fuzz_grid_n)
+        elif flag == "--seed":
+            value = draw(st.integers())
+        else:
+            value = draw(_fuzz_value)
         argv += [flag, repr(value)]
     return argv
 

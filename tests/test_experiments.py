@@ -16,6 +16,7 @@ from cvphase import (
     replicated_mse,
     sample_outcomes,
 )
+from cvphase import experiments
 from helpers import BIG_P, canonical, saturated
 
 
@@ -26,6 +27,12 @@ def _step(r: float) -> PiecewiseBinaryFunction:
 def _bare_count(prob: float, n: int, seed) -> int:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     return int(np.count_nonzero(rng.random(n) < prob))
+
+
+# seeds of one to five entropy words; 2^96 with a replica index and 2^128 + 1
+# alone take the hash's extra-word mixing
+_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96, 2**128 + 1]
+_CHUNK_EDGES = [2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 7]
 
 
 class TestSampleOutcomes:
@@ -43,14 +50,16 @@ class TestSampleOutcomes:
 
     @pytest.mark.parametrize("seed", [42, (7, 2)])
     def test_count_is_the_bare_draw(self, seed):
-        # the randomness contract: one rng.random(n) < p comparison on the
-        # PCG64 stream seeded through SeedSequence with the seed material
+        # the randomness contract: the count of rng.random(n) < p on the
+        # PCG64 stream seeded through SeedSequence with the seed material,
+        # also where the chunked draw crosses a chunk edge
         p = canonical()
         f = _step(0.5)
         prob = prob_x0_factorized(p, f, 0.9).p_x0
-        hits = sample_outcomes(p, f, 0.9, 3000, seed)
-        assert type(hits) is int
-        assert hits == _bare_count(prob, 3000, seed)
+        for n in [3000, *_CHUNK_EDGES]:
+            hits = sample_outcomes(p, f, 0.9, n, seed)
+            assert type(hits) is int
+            assert hits == _bare_count(prob, n, seed), n
 
     def test_hit_fraction_tracks_probability(self):
         p = canonical()
@@ -84,6 +93,58 @@ class TestSampleOutcomes:
         a = sample_outcomes(p, _step(r), phi, 300, 11)
         b = sample_outcomes(p, mirrored, phi, 300, 11)
         assert a == b
+
+
+def _states(seed, streams) -> list[dict]:
+    return list(experiments._stream_states(experiments._stream_words(seed, streams)))
+
+
+def _numpy_state(material) -> dict:
+    return np.random.PCG64(np.random.SeedSequence(material)).state["state"]
+
+
+class TestBatchedSeeding:
+    @pytest.mark.parametrize("seed", _SEEDS)
+    def test_replica_states_are_numpys(self, seed):
+        replicas = experiments._MAX_REPLICAS
+        states = _states(seed, replicas)
+        assert len(states) == replicas
+        indices = [*range(2000), *range(2000, replicas, 4999), replicas - 1]
+        for i in indices:
+            assert states[i] == _numpy_state((seed, i)), i
+
+    @pytest.mark.parametrize("seed", _SEEDS)
+    def test_bare_seed_state_is_numpys(self, seed):
+        assert _states(seed, None) == [_numpy_state(seed)]
+
+    def test_tuple_seed_state_is_numpys(self):
+        material = (2**70 + 3, 0, 2**32)
+        assert _states(material, None) == [_numpy_state(material)]
+
+    @pytest.mark.parametrize("seed", [-1, (3, -2), -(2**128)])
+    def test_negative_seed_material_refused_before_hashing(self, seed, monkeypatch):
+        def no_hash(*args):
+            raise AssertionError("hashed negative seed material")
+
+        monkeypatch.setattr(experiments, "_seed_states", no_hash)
+        with pytest.raises(ParameterError, match="non-negative"):
+            sample_outcomes(canonical(), _step(0.0), 0.3, 10, seed)
+
+    def test_negative_master_seed_refused(self):
+        with pytest.raises(ParameterError, match="non-negative"):
+            replicated_mse(canonical(), 0.0, 0.5, 5, 5, -3)
+
+    def test_guard_catches_a_seeding_that_drifts_from_numpy(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_INIT_B", experiments._INIT_B ^ 1)
+        with pytest.raises(RuntimeError, match="disagrees"):
+            sample_outcomes(canonical(), _step(0.0), 0.3, 10, 1)
+
+
+class TestChunkedDraw:
+    @pytest.mark.parametrize("n", _CHUNK_EDGES)
+    def test_each_stream_reseeds_the_reused_generator(self, n):
+        counts = experiments._count_hits(0.5, n, 2**96, 3)
+        assert counts == [_bare_count(0.5, n, (2**96, i)) for i in range(3)]
 
 
 class TestMlePhi:
