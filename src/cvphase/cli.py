@@ -4,7 +4,9 @@ Each command writes one table to stdout (or --out): CSV with a header row, or
 JSON with one object per row (--format json).  Floats print with 17
 significant digits, so identical invocations are byte-identical; JSON maps
 non-finite floats to null.  Exit status: 0 success, 2 usage or parameter
-error (an unwritable --out path included), 3 crosscheck tolerance failure.
+error (an unwritable --out path included), 3 crosscheck tolerance failure
+(its stderr line gives the conjugate cell width and the thresholds off a
+cell edge).
 Axis flags take a number, a comma list, or start:stop:count with at most
 100000 points.  --grid-n is a power of two in [512, 2^24], down to 256 with
 an explicit --big-t (the default T needs N >= 512); --trials and --shots are
@@ -18,10 +20,10 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import csv
-import io
+import functools
 import json
 import math
+import operator
 import sys
 from typing import Any, Callable
 
@@ -40,6 +42,8 @@ _MAX_AXIS_COUNT = 100_000
 # near-saturated top of the response, where the simulated momentum tail
 # (unphased outside the mask domain) dominates the comparison
 _COMPARABLE_COS_MAX = 2.0 / 3.0
+# a threshold within this many cells of a conjugate cell edge counts as on it
+_EDGE_TOL = 1e-9
 
 
 def _axis(text: str) -> tuple[float, ...]:
@@ -90,13 +94,18 @@ def _open_threshold_axis(big_p: float) -> tuple[float, ...]:
     return tuple(k * big_p / 64.0 for k in range(1, 64))
 
 
-def _cell_csv(v: Any) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
+# a bool cell's CSV spelling, indexed by the bool
+_CSV_BOOL = ("false", "true")
+
+
+def _csv_spec(v: Any) -> str:
+    """The % conversion that spells every cell of v's column in CSV."""
     if isinstance(v, float):
-        # spells the non-finite values nan, inf and -inf (a negative NaN too)
-        return format(v, ".17g")
-    return str(v)
+        # 17 significant digits; nan, inf, -inf and -0 (a negative NaN as nan)
+        return "%.17g"
+    if isinstance(v, int) and not isinstance(v, bool):
+        return "%d"
+    return "%s"  # strs as they are; bools after _CSV_BOOL
 
 
 def _cell_json(v: Any) -> Any:
@@ -105,7 +114,29 @@ def _cell_json(v: Any) -> Any:
     return v
 
 
+def _csv_text(columns: list[str], rows: list[dict]) -> str:
+    """The CSV text of a table (see _emit), built apart so that its list of
+    lines is freed before the text is written."""
+    lines = [",".join(columns) + "\n"]
+    if rows:
+        first = rows[0]
+        template = ",".join(_csv_spec(first[c]) for c in columns) + "\n"
+        flags = [c for c in columns if isinstance(first[c], bool)]
+        if flags:
+            rows = [row | {c: _CSV_BOOL[row[c]] for c in flags} for row in rows]
+        lines += map(template.__mod__, map(operator.itemgetter(*columns), rows))
+    return "".join(lines)
+
+
 def _emit(columns: list[str], rows: list[dict], fmt: str, out: str | None) -> None:
+    """Write the table to out, or to stdout when out is None.
+
+    CSV is a header row, then each row through one % template built from
+    the first row's cell types: %.17g for floats (np.float64 too), %d for
+    ints, true/false for bools and strs as they are.  Every column holds
+    one cell type, and no cell needs quoting.  JSON is one object per row,
+    with non-finite floats as null.
+    """
     if fmt == "json":
         text = "".join(
             json.dumps({c: _cell_json(row[c]) for c in columns}, separators=(",", ":"))
@@ -113,11 +144,7 @@ def _emit(columns: list[str], rows: list[dict], fmt: str, out: str | None) -> No
             for row in rows
         )
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([_cell_csv(row[c]) for c in columns] for row in rows)
-        text = buf.getvalue()
+        text = _csv_text(columns, rows)
     if out:
         try:
             with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -298,8 +325,8 @@ def cmd_estimate(
     rows = []
     crb = summary.crb
     bounded = math.isfinite(crb) and crb > 0.0
-    for i, phi_hat in enumerate(summary.phi_hats):
-        mse = (phi_hat - summary.phi_true) ** 2
+    errors = zip(summary.phi_hats, summary.squared_errors)
+    for i, (phi_hat, mse) in enumerate(errors):
         rows.append({
             "replica": i,
             "phi_hat": phi_hat,
@@ -400,7 +427,10 @@ def _add_common_flags(sp: argparse.ArgumentParser) -> None:
                     help="write the table to this file instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The cvphase parser, built once per process; each parse_args call
+    returns a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="cvphase",
         description="Phase estimation and one-shot function classification "
@@ -582,11 +612,28 @@ def _run_crosscheck(args: argparse.Namespace) -> int:
     if worst > args.tol:
         print(
             f"crosscheck: worst deviation {worst:.3e} exceeds tolerance "
-            f"{args.tol:.3e}",
+            f"{args.tol:.3e}; {_cell_edge_note(p, r_values)}",
             file=sys.stderr,
         )
         return 3
     return 0
+
+
+def _cell_edge_note(p: ProcedureParams, r_values: tuple[float, ...]) -> str:
+    """The grid's conjugate cell width and the thresholds off a cell edge.
+
+    Cell edges sit at integer multiples of dy = pi/(2T); a threshold inside
+    a cell puts that whole cell on one side of the mask jump, an error
+    first order in dy.
+    """
+    dy = math.pi / (2.0 * p.big_t)
+    off = [r for r in r_values if abs(r / dy - round(r / dy)) > _EDGE_TOL]
+    where = (
+        "thresholds off a cell edge: r = " + ", ".join(map(repr, off))
+        if off
+        else "every threshold on a cell edge"
+    )
+    return f"conjugate cell dy = pi/(2T) = {dy:.6g}, {where}"
 
 
 def _run_audit(args: argparse.Namespace) -> int:

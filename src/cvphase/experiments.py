@@ -15,13 +15,16 @@ runs give replica ``i`` the seed material ``(master_seed, i)``; the streams
 are then mutually independent and individually reproducible.
 
 How the streams are reached.  PCG64 takes one 64-bit output per double, so
-the uniforms are drawn in chunks of at most 2^16 into one reused buffer:
-the same stream as one ``rng.random(n)``, in bounded memory.  One run seeds
-all its streams in one batched pass: ``_seed_states`` runs SeedSequence's
-hash as uint32 column operations over one row of entropy words per stream,
-and one reused PCG64 is set to each stream's seeded state in turn.  The
-first stream's state is checked against numpy's own
-``PCG64(SeedSequence(m))`` on every run.
+a stream's uniforms can be drawn piecewise into one reused buffer of 2^16
+doubles: the same stream as one ``rng.random(n)``, in bounded memory.  When
+n <= 2^16 the buffer is viewed as a block of 2^16 // n rows of n, each
+stream fills its own row, and one compare and one ``count_nonzero`` over
+the rows count the whole block; a longer stream is drawn and counted chunk
+by chunk.  One run seeds all its streams in one batched pass:
+``_seed_states`` runs SeedSequence's hash as uint32 column operations over
+one row of entropy words per stream, and one reused PCG64 is set to each
+stream's seeded state in turn.  The first stream's state is checked
+against numpy's own ``PCG64(SeedSequence(m))`` on every run.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 from ._lazy import lazy_numpy
 from .errors import ParameterError, SingularityError, UnidentifiableFunctionError
@@ -49,7 +53,8 @@ _AUDIT_TOL = 1e-3
 # most trials one hit count may draw: a time bound (about a quarter second
 # per stream at this cap); memory stays at one chunk whatever the count
 _MAX_DRAWS = 10**8
-# most uniforms drawn into the reused buffer at once
+# doubles in the reused draw buffer (512 KiB): a block of _CHUNK // n streams
+# of n draws each, or one chunk of a longer stream
 _CHUNK = 1 << 16
 # most replicas one estimate may run: each keeps one float (and the CLI one
 # table row), so memory grows with the count; a larger run belongs in a
@@ -177,21 +182,38 @@ def _count_hits(
 
     Each count is that of ``rng.random(n) < prob`` on
     ``Generator(PCG64(SeedSequence(material)))``; one PCG64 and one buffer
-    serve every stream.
+    serve every stream.  With n <= _CHUNK the buffer holds a block of
+    streams, one per row, counted together; a longer stream is counted
+    chunk by chunk.
     """
     words = _stream_words(seed, streams)
     first = seed if streams is None else (seed, 0)
     bit_gen = np.random.PCG64(np.random.SeedSequence(first))
     raw = bit_gen.state
     rng = np.random.Generator(bit_gen)
-    buf = np.empty(min(n, _CHUNK))
-    counts = []
-    for state in _stream_states(words):
-        if not counts and state != raw["state"]:
-            raise RuntimeError(
-                f"batched seeding of {first!r} disagrees with numpy's "
-                "PCG64(SeedSequence(...))"
-            )
+    states = _stream_states(words)
+    head = next(states)
+    if head != raw["state"]:
+        raise RuntimeError(
+            f"batched seeding of {first!r} disagrees with numpy's "
+            "PCG64(SeedSequence(...))"
+        )
+    states = chain((head,), states)
+    total = len(words)
+    counts: list[int] = []
+    if n <= _CHUNK:
+        block = np.empty((min(_CHUNK // n, total), n))
+        for start in range(0, total, len(block)):
+            rows = block[: total - start]
+            # rows before states: zip stops without taking the next state
+            for row, state in zip(rows, states):
+                raw["state"] = state
+                bit_gen.state = raw
+                rng.random(out=row)
+            counts += np.count_nonzero(rows < prob, axis=1).tolist()
+        return counts
+    buf = np.empty(_CHUNK)
+    for state in states:
         raw["state"] = state
         bit_gen.state = raw
         hits = 0
@@ -298,10 +320,12 @@ def mle_phi(
 class ReplicationSummary:
     """Replica-averaged estimation error next to the information bound.
 
-    phi_hats[i] is replica i's estimate; every replica shares the bound crb.
+    phi_hats[i] is replica i's estimate and squared_errors[i] its squared
+    error; every replica shares the bound crb.
     """
 
     phi_hats: tuple[float, ...]
+    squared_errors: tuple[float, ...]
     shots: int
     replicas: int
     phi_true: float
@@ -340,11 +364,13 @@ def replicated_mse(
         _phi_hat(hits, shots, a, b)
         for hits in _count_hits(prob, shots, int(seed), replicas)
     )
-    mean_mse = sum((h - phi_true) ** 2 for h in phi_hats) / replicas
+    squared_errors = tuple((h - phi_true) ** 2 for h in phi_hats)
+    mean_mse = sum(squared_errors) / replicas
     crb = _crb(shots, fisher)
     ratio = mean_mse / crb if math.isfinite(crb) and crb > 0.0 else math.nan
     return ReplicationSummary(
         phi_hats=phi_hats,
+        squared_errors=squared_errors,
         shots=shots,
         replicas=replicas,
         phi_true=phi_true,

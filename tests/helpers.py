@@ -1,5 +1,7 @@
-"""Shared parameter builders for the test suite."""
+"""Shared parameter builders and reference formatters for the test suite."""
 
+import csv
+import io
 import math
 
 from cvphase import ProcedureParams, aligned_half_width
@@ -33,3 +35,24 @@ def saturated() -> ProcedureParams:
     p = ProcedureParams(x0=0.0, delta=1.0, big_t=10.0, big_p=4.0)
     assert math.erf(2.0 * p.big_p * p.delta) == 1.0
     return p
+
+
+def cell_csv(v) -> str:
+    """One CSV cell as the CLI spelled it cell by cell: true/false for bools,
+    17 significant digits for floats (nan, inf, -inf, a negative NaN as nan),
+    str() for the rest."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return format(v, ".17g")
+    return str(v)
+
+
+def reference_csv(columns, rows) -> str:
+    """A table as the CLI wrote it through csv.writer, cell by cell: the
+    reference the typed row template must match byte for byte."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([cell_csv(row[c]) for c in columns] for row in rows)
+    return buf.getvalue()

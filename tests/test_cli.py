@@ -8,6 +8,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from cvphase import (
     PiecewiseBinaryFunction, cli, experiments, grid, phase_response, quadrature,
 )
-from helpers import BIG_P, canonical
+from helpers import BIG_P, canonical, cell_csv, reference_csv
 
 PI = math.pi
 
@@ -82,6 +83,26 @@ class TestExitCodes:
         # the table is still emitted for inspection
         header, rows = parse_csv(out)
         assert len(rows) == 1
+
+    def test_off_edge_threshold_failure_says_why(self, capsys):
+        # T = 3.5 gives dy = pi/7; r = 0 sits on a cell edge, r = 0.5 inside a cell
+        code, out, err = run_cli(
+            ["crosscheck", "--big-t", "3.5", "--grid-n", "256", "--r", "0,0.5",
+             "--phi", "0:3.14159:9"],
+            capsys,
+        )
+        assert code == 3
+        assert err == (
+            "crosscheck: worst deviation 4.672e-02 exceeds tolerance 1.000e-04; "
+            "conjugate cell dy = pi/(2T) = 0.448799, "
+            "thresholds off a cell edge: r = 0.5\n"
+        )
+        assert len(parse_csv(out)[1]) == 18
+
+    def test_default_crosscheck_passes_silently(self, capsys):
+        code, _, err = run_cli(["crosscheck"], capsys)
+        assert code == 0
+        assert err == ""
 
     def test_gap_rejects_large_mask_product(self, capsys):
         code, _, _ = run_cli(["gap", "--big-p", "2.0", "--phi", "1.0"], capsys)
@@ -443,8 +464,8 @@ class TestCsvFormat:
     def test_nonfinite_spellings(self):
         # a NaN with its sign bit set still prints as nan
         cells = [math.nan, math.copysign(math.nan, -1.0), math.inf, -math.inf]
-        assert [cli._cell_csv(v) for v in cells] == ["nan", "nan", "inf", "-inf"]
-        assert [cli._cell_csv(v) for v in (True, False, 3, 0.1, -0.0)] == [
+        assert [cell_csv(v) for v in cells] == ["nan", "nan", "inf", "-inf"]
+        assert [cell_csv(v) for v in (True, False, 3, 0.1, -0.0)] == [
             "true", "false", "3", "0.10000000000000001", "-0"
         ]
 
@@ -452,6 +473,47 @@ class TestCsvFormat:
         rows = [{"a": math.inf, "b": math.nan}, {"a": -math.inf, "b": 1.5}]
         cli._emit(["a", "b"], rows, "csv", None)
         assert capsys.readouterr().out == "a,b\ninf,nan\n-inf,1.5\n"
+
+    def test_typed_template_spells_every_cell_type_as_before(self, capsys):
+        columns = ["flag", "count", "label", "x", "y", "z", "w"]
+        rows = [
+            {"flag": True, "count": 3, "label": "balanced", "x": math.nan,
+             "y": math.inf, "z": -0.0, "w": np.float64(1.0 / 3.0)},
+            {"flag": False, "count": -1, "label": "constant",
+             "x": math.copysign(math.nan, -1.0), "y": -math.inf, "z": 0.1,
+             "w": np.float64(-2.5e-300)},
+        ]
+        cli._emit(columns, rows, "csv", None)
+        out = capsys.readouterr().out
+        assert out == reference_csv(columns, rows)
+        assert out == (
+            "flag,count,label,x,y,z,w\n"
+            "true,3,balanced,nan,inf,-0,0.33333333333333331\n"
+            "false,-1,constant,nan,-inf,0.10000000000000001,-2.5e-300\n"
+        )
+
+    def test_header_only_table(self, capsys):
+        cli._emit(["a", "b"], [], "csv", None)
+        assert capsys.readouterr().out == reference_csv(["a", "b"], []) == "a,b\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["fisher-phi"], ["fisher-phi", "--fig4", "--engine", "all"],
+        ["fisher-phi", "--engine", "grid"], ["fisher-r"], ["dj"], ["estimate"],
+        ["crosscheck"], ["audit"], ["gap"],
+    ], ids=" ".join)
+    def test_default_tables_match_the_cell_by_cell_writer(self, argv, capsys, monkeypatch):
+        tables = []
+        emit = cli._emit
+
+        def recording_emit(columns, rows, fmt, out):
+            tables.append((columns, rows))
+            emit(columns, rows, fmt, out)
+
+        monkeypatch.setattr(cli, "_emit", recording_emit)
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        ((columns, rows),) = tables
+        assert out == reference_csv(columns, rows)
 
 
 class TestJsonFormat:
@@ -574,6 +636,27 @@ def test_unsupported_state_is_a_usage_error():
     assert proc.returncode == 2
     assert "error:" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_parser_is_reused_without_leaking_flags(capsys):
+    # one process: a usage error that set flags, then two runs; each prints
+    # exactly what it prints alone in a fresh interpreter
+    sequence = [
+        ["crosscheck", "--tol", "0.5", "--grid-n", "1024", "--phi", "1", "--nope"],
+        ["estimate", "--shots", "30", "--replicas", "10", "--seed", "3"],
+        ["crosscheck", "--r", "0", "--phi", "0:1.5:3", "--grid-n", "512",
+         "--big-t", "20"],
+    ]
+    together = [run_cli(argv, capsys) for argv in sequence]
+    alone = []
+    for argv in sequence:
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "cvphase.cli", *argv],
+            capture_output=True, text=True,
+        )
+        alone.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [code for code, _, _ in together] == [2, 0, 0]
+    assert together == alone
 
 
 def test_console_script_help_runs():

@@ -147,6 +147,44 @@ class TestChunkedDraw:
         assert counts == [_bare_count(0.5, n, (2**96, i)) for i in range(3)]
 
 
+_BLOCK = 2**16
+
+
+def _block_cases():
+    # stream counts that fill the block exactly, leave a one-row partial
+    # block, and the default 2000 replicas
+    for n in [1, 100, _BLOCK - 1, _BLOCK, _BLOCK + 1]:
+        full = max(1, _BLOCK // n)
+        for streams in sorted({full, full + 1, 2000}):
+            yield n, streams
+
+
+def _probes(streams: int, rows: int) -> list[int]:
+    """Stream indices worth checking one by one: both ends, both sides of
+    every block edge, and a stride through the rest."""
+    picks = {*range(3), *range(streams - 3, streams), *range(0, streams, 97)}
+    for edge in range(rows, streams, rows):
+        picks.update(range(edge - 2, edge + 2))
+    return sorted(i for i in picks if 0 <= i < streams)
+
+
+class TestBlockDraw:
+    @pytest.mark.parametrize("n, streams", list(_block_cases()))
+    def test_block_counts_are_the_bare_draws(self, n, streams):
+        seed = 2**64 + 5
+        counts = experiments._count_hits(0.3, n, seed, streams)
+        assert len(counts) == streams
+        assert all(type(c) is int for c in counts)
+        rows = max(1, min(_BLOCK // n, streams))
+        for i in _probes(streams, rows):
+            assert counts[i] == _bare_count(0.3, n, (seed, i)), i
+
+    def test_guard_fires_on_the_first_stream_of_a_block(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_INIT_B", experiments._INIT_B ^ 1)
+        with pytest.raises(RuntimeError, match=r"\(5, 0\).*disagrees"):
+            experiments._count_hits(0.5, 100, 5, 2000)
+
+
 class TestMlePhi:
     def test_exact_inversion_endpoints(self):
         # saturated parameters make the response 1/2 + cos(2 phi)/2, whose
@@ -223,7 +261,10 @@ class TestReplicatedMse:
             hits = _bare_count(prob, shots, (seed, i))
             rep = mle_phi(hits, shots, p, r, phi_true)
             assert phi_hat == rep.phi_hat
+            assert s.squared_errors[i] == rep.empirical_mse
             assert s.crb == rep.crb
+        assert len(s.squared_errors) == 30
+        assert s.mean_mse == sum(s.squared_errors) / 30
 
     def test_nan_ratio_when_bound_diverges(self):
         s = replicated_mse(canonical(), 0.0, 0.0, 20, 5, 1)
