@@ -6,74 +6,68 @@ forms (``stats``), adaptive quadrature over the factorized integral
 (``quadrature``), and a circuit-level grid simulator (``grid``).  On top sit
 seeded Monte-Carlo hit counts (``experiments``) and a table-emitting CLI
 (``cli``, installed as the ``cvphase`` script).
+
+``import cvphase`` loads none of them: each public name resolves on first
+use, importing only the submodule that defines it (PEP 562), so a script or
+command pays for the engines it touches and no others.
 """
 
-from .errors import (
-    CvPhaseError,
-    GridLayoutError,
-    ParameterError,
-    QuadratureToleranceError,
-    RegimeError,
-    SingularityError,
-    UnidentifiableFunctionError,
-)
-from .experiments import (
-    EstimationReport,
-    ReplicationSummary,
-    heisenberg_audit,
-    mle_phi,
-    replicated_mse,
-    sample_outcomes,
-)
-from .grid import (
-    MOMENTUM,
-    POSITION,
-    GridState,
-    KickbackCheck,
-    PhaseResponse,
-    aligned_half_width,
-    apply_blackbox,
-    fourier,
-    fourier_matrix,
-    inverse_fourier,
-    measure_povm,
-    phase_response,
-    prepare_gaussian,
-    run_circuit,
-    two_register_kickback_check,
-)
-from .model import (
-    CONTAINMENT_RATIO,
-    FULL_EFFICIENCY_PRODUCT,
-    MeasurementDistribution,
-    PiecewiseBinaryFunction,
-    ProcedureParams,
-    require_containment,
-    validate_params,
-)
-from .quadrature import (
-    QuadratureResponse,
-    QuadratureResult,
-    QuadratureSpec,
-    StepHatGap,
-    prob_x0_quadrature,
-    quadrature_response,
-    step_hat_gap,
-    step_hat_gaps,
-)
-from .stats import (
-    FisherReport,
-    GeneratorMoments,
-    cosine_model_coefficients,
-    delta_phi,
-    dj_statistics,
-    fisher_phi,
-    fisher_r,
-    generator_moments,
-    mask_efficiency,
-    prob_x0,
-    prob_x0_factorized,
-)
+import importlib
+
+# public name -> the submodule defining it, imported when the name is first used
+_SUBMODULE = {
+    name: module
+    for module, names in (
+        ("errors", (
+            "CvPhaseError", "GridLayoutError", "ParameterError",
+            "QuadratureToleranceError", "RegimeError", "SingularityError",
+            "UnidentifiableFunctionError",
+        )),
+        ("experiments", (
+            "EstimationReport", "ReplicationSummary", "heisenberg_audit",
+            "mle_phi", "replicated_mse", "sample_outcomes",
+        )),
+        ("grid", (
+            "MOMENTUM", "POSITION", "GridState", "KickbackCheck",
+            "PhaseResponse", "apply_blackbox", "fourier", "fourier_matrix",
+            "inverse_fourier", "measure_povm", "phase_response",
+            "prepare_gaussian", "run_circuit", "two_register_kickback_check",
+        )),
+        ("model", (
+            "CONTAINMENT_RATIO", "FULL_EFFICIENCY_PRODUCT",
+            "MeasurementDistribution", "PiecewiseBinaryFunction",
+            "ProcedureParams", "aligned_half_width", "require_containment",
+            "validate_params",
+        )),
+        ("quadrature", (
+            "QuadratureResponse", "QuadratureResult", "QuadratureSpec",
+            "StepHatGap", "prob_x0_quadrature", "quadrature_response",
+            "step_hat_gap", "step_hat_gaps",
+        )),
+        ("stats", (
+            "FisherReport", "GeneratorMoments", "cosine_model_coefficients",
+            "delta_phi", "dj_statistics", "fisher_phi", "fisher_r",
+            "generator_moments", "mask_efficiency", "prob_x0",
+            "prob_x0_factorized",
+        )),
+    )
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    try:
+        module = _SUBMODULE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"
 

@@ -5,6 +5,12 @@ command that never builds an array need not pay numpy's import.  Modules
 bind ``np = lazy_numpy()`` instead of importing numpy: an ``import numpy``
 statement anywhere in the package would load it at once, since importlib
 reads the module's ``__spec__`` and that attribute access starts the load.
+
+The package's own modules load late by plainer means: ``cvphase`` resolves
+each public name on first use (``__getattr__`` in ``__init__``), and the CLI
+imports an engine inside the commands that run it.  Only the grid and
+Monte-Carlo modules import this one, so ``numpy`` is not even registered
+until one of them loads.
 """
 
 from __future__ import annotations

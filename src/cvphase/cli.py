@@ -5,8 +5,8 @@ JSON with one object per row (--format json).  Floats print with 17
 significant digits, so identical invocations are byte-identical; JSON maps
 non-finite floats to null.  Exit status: 0 success, 2 usage or parameter
 error (an unwritable --out path included), 3 crosscheck tolerance failure
-(its stderr line gives the conjugate cell width and the thresholds off a
-cell edge).
+(its stderr line gives the conjugate cell width and the mask jumps, the
+thresholds and the domain edge P, that fall inside a cell).
 Axis flags take a number, a comma list, or start:stop:count with at most
 100000 points.  --grid-n is a power of two in [512, 2^24], down to 256 with
 an explicit --big-t (the default T needs N >= 512); --trials and --shots are
@@ -21,17 +21,20 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
-import json
 import math
 import operator
 import sys
 from typing import Any, Callable
 
+# the engines (grid, quadrature, experiments) and json are imported by the
+# commands that use them, so a fresh process compiles only what it runs
 from .errors import CvPhaseError, ParameterError
-from .experiments import heisenberg_audit, replicated_mse, sample_outcomes
-from .grid import aligned_half_width, phase_response
-from .model import MeasurementDistribution, PiecewiseBinaryFunction, ProcedureParams
-from .quadrature import QuadratureSpec, quadrature_response, step_hat_gaps
+from .model import (
+    MeasurementDistribution,
+    PiecewiseBinaryFunction,
+    ProcedureParams,
+    aligned_half_width,
+)
 from .stats import dj_statistics, fisher_phi, fisher_r, mask_efficiency, prob_x0
 
 _DEFAULT_GRID_N = 4096
@@ -138,6 +141,8 @@ def _emit(columns: list[str], rows: list[dict], fmt: str, out: str | None) -> No
     with non-finite floats as null.
     """
     if fmt == "json":
+        import json
+
         text = "".join(
             json.dumps({c: _cell_json(row[c]) for c in columns}, separators=(",", ":"))
             + "\n"
@@ -209,6 +214,8 @@ def cmd_fisher_phi_sweep(
     want_analytic = engine in ("analytic", "all")
     want_grid = engine in ("grid", "all")
     if want_grid:
+        from .grid import phase_response
+
         response = phase_response(p, grid_n)
     rows: list[dict] = []
     for r in r_values:
@@ -273,6 +280,8 @@ def cmd_dj(
     (r=P) references at the same parameters.  Row i draws its trials from the
     stream seeded with (seed, i).
     """
+    from .experiments import sample_outcomes
+
     trials = int(trials)
     half_pi = math.pi / 2.0
     rows = []
@@ -321,6 +330,8 @@ def cmd_estimate(
 ) -> tuple[list[str], list[dict]]:
     """Replicated maximum-likelihood estimates; final row (replica=-1) is the
     replica mean."""
+    from .experiments import replicated_mse
+
     summary = replicated_mse(p, r, phi_true, shots, replicas, seed)
     rows = []
     crb = summary.crb
@@ -354,6 +365,9 @@ def cmd_crosscheck(
     grid_n: int,
 ) -> tuple[list[str], list[dict], float]:
     """Detection probability from all three engines, with worst deviation."""
+    from .grid import phase_response
+    from .quadrature import QuadratureSpec, quadrature_response
+
     response = phase_response(p, grid_n)
     qspec = QuadratureSpec()
     rows = []
@@ -383,6 +397,8 @@ def cmd_crosscheck(
 def cmd_audit(
     p: ProcedureParams, r: float, phis: tuple[float, ...] | None
 ) -> tuple[list[str], list[dict]]:
+    from .experiments import heisenberg_audit
+
     rows = heisenberg_audit(p, r, phis)
     columns = [
         "phi", "r", "fisher", "variance_bound", "mean_bound_generator_f",
@@ -394,6 +410,8 @@ def cmd_audit(
 def cmd_gap(
     p: ProcedureParams, phis: tuple[float, ...]
 ) -> tuple[list[str], list[dict]]:
+    from .quadrature import step_hat_gaps
+
     rows = []
     for phi, g in zip(phis, step_hat_gaps(p, phis)):
         rows.append({
@@ -620,19 +638,29 @@ def _run_crosscheck(args: argparse.Namespace) -> int:
 
 
 def _cell_edge_note(p: ProcedureParams, r_values: tuple[float, ...]) -> str:
-    """The grid's conjugate cell width and the thresholds off a cell edge.
+    """The grid's conjugate cell width and the mask jumps off a cell edge.
 
-    Cell edges sit at integer multiples of dy = pi/(2T); a threshold inside
-    a cell puts that whole cell on one side of the mask jump, an error
-    first order in dy.
+    Cell edges sit at integer multiples of dy = pi/(2T); a jump inside a
+    cell puts that whole cell on one side of it, an error first order in
+    dy.  The jumps are the thresholds and the domain edges +-P, outside
+    which the mask acts as 0; P is named unless a listed threshold is +-P.
     """
     dy = math.pi / (2.0 * p.big_t)
-    off = [r for r in r_values if abs(r / dy - round(r / dy)) > _EDGE_TOL]
+
+    def off_edge(v: float) -> bool:
+        return abs(v / dy - round(v / dy)) > _EDGE_TOL
+
+    off = [r for r in r_values if off_edge(r)]
     where = (
         "thresholds off a cell edge: r = " + ", ".join(map(repr, off))
         if off
         else "every threshold on a cell edge"
     )
+    if off_edge(p.big_p) and all(abs(r) != p.big_p for r in off):
+        where += (
+            f"; domain edge P = {p.big_p!r} off a cell edge "
+            f"(P/dy = {p.big_p / dy:.2f})"
+        )
     return f"conjugate cell dy = pi/(2T) = {dy:.6g}, {where}"
 
 

@@ -29,8 +29,8 @@ edges is applied exactly segment by segment (midpoint rule per segment,
 second-order in dy), whereas a sample sitting exactly on a jump would drag
 its whole cell to one side of the jump.  Second, no sample sits at y = 0, so
 the balanced decision run comes out exactly zero by symmetry instead of
-carrying an O(dy^2) artefact.  ``aligned_half_width`` picks T so that
-standard threshold sweeps (multiples of P/8) land on cell edges.
+carrying an O(dy^2) artefact.  ``aligned_half_width`` (in ``model``) picks
+T so that standard threshold sweeps (multiples of P/8) land on cell edges.
 
 Note the simulated state carries the full Gaussian momentum tail, while the
 closed forms truncate it to [-P, P]; outside the mask domain the mask acts
@@ -95,10 +95,13 @@ from dataclasses import dataclass
 
 from ._lazy import lazy_numpy
 from .errors import GridLayoutError, ParameterError
-from .model import (
+from .model import (  # noqa: F401  (_MAX_POINTS and T, re-exported)
+    _MAX_POINTS,
     MeasurementDistribution,
     PiecewiseBinaryFunction,
     ProcedureParams,
+    _require_pow2,
+    aligned_half_width,
     require_containment,
     require_mask_domain,
 )
@@ -108,12 +111,6 @@ np = lazy_numpy()
 POSITION = "position"
 MOMENTUM = "momentum"
 
-_MIN_POINTS = 256
-# largest grid: a circuit holds a few N-point complex arrays (256 MiB each at
-# this size), a sweep the prepared state, one N/2-point complex FFT buffer
-# and the N float64 weights; a larger request is a typo, not a convergence
-# study
-_MAX_POINTS = 1 << 24
 # half-width of the sampled support in units of delta: the Gaussian's exp
 # underflows to exactly 0.0 beyond it (exp(-40^2/2) = exp(-800) = 0)
 _SUPPORT_WIDTHS = 40.0
@@ -153,37 +150,6 @@ class GridState:
 
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2) * self.grid_step)
-
-
-def _require_pow2(n: int) -> int:
-    """n as an int, if it is a power of two in [_MIN_POINTS, _MAX_POINTS]."""
-    n = int(n)
-    if not _MIN_POINTS <= n <= _MAX_POINTS or n & (n - 1):
-        raise GridLayoutError(
-            f"grid size must be a power of two in [{_MIN_POINTS}, {_MAX_POINTS}], got {n}"
-        )
-    return n
-
-
-def aligned_half_width(big_p: float, n: int, cells_per_eighth: int = 32) -> float:
-    """Position half-width T making conjugate cell edges hit multiples of P/8.
-
-    With dy = pi/(2T), choosing T = 4*pi*q/P gives dy = P/(8q), so thresholds
-    at multiples of P/8 coincide with cell edges of the half-offset grid and
-    the mask discretization error drops to second order.  Larger q refines
-    the conjugate grid; the default suits n = 4096.
-    """
-    if big_p <= 0.0 or cells_per_eighth < 1:
-        raise ParameterError(
-            f"need big_p > 0 and cells_per_eighth >= 1, got {big_p}, {cells_per_eighth}"
-        )
-    n = _require_pow2(n)
-    if n < 16 * cells_per_eighth:
-        # conjugate span is N*dy/2 = N*P/(16 q); below this it cannot cover [-P, P]
-        raise GridLayoutError(
-            f"n={n} too small for cells_per_eighth={cells_per_eighth}"
-        )
-    return 4.0 * math.pi * cells_per_eighth / big_p
 
 
 def _index_range(n: int, start: float, step: float, half: float) -> tuple[int, int]:

@@ -19,7 +19,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .errors import ParameterError, RegimeError
+from .errors import GridLayoutError, ParameterError, RegimeError
 
 # Containment: closed forms treat the envelope as if the position domain were
 # infinite.  The neglected tail mass is erfc(ratio/sqrt(2)); ratio 4.2 keeps
@@ -138,6 +138,47 @@ def require_mask_domain(p: ProcedureParams, f: PiecewiseBinaryFunction) -> None:
         raise ParameterError(
             f"mask domain half-width {f.half_domain} does not match big_p={p.big_p}"
         )
+
+
+# grid sizes the simulator accepts; the default T needs N >= 512
+_MIN_POINTS = 256
+# largest grid: a circuit holds a few N-point complex arrays (256 MiB each at
+# this size), a sweep the prepared state, one N/2-point complex FFT buffer
+# and the N float64 weights; a larger request is a typo, not a convergence
+# study
+_MAX_POINTS = 1 << 24
+
+
+def _require_pow2(n: int) -> int:
+    """n as an int, if it is a power of two in [_MIN_POINTS, _MAX_POINTS]."""
+    n = int(n)
+    if not _MIN_POINTS <= n <= _MAX_POINTS or n & (n - 1):
+        raise GridLayoutError(
+            f"grid size must be a power of two in [{_MIN_POINTS}, {_MAX_POINTS}], got {n}"
+        )
+    return n
+
+
+def aligned_half_width(big_p: float, n: int, cells_per_eighth: int = 32) -> float:
+    """Position half-width T making conjugate cell edges hit multiples of P/8.
+
+    With dy = pi/(2T), choosing T = 4*pi*q/P gives dy = P/(8q), so thresholds
+    at multiples of P/8 coincide with cell edges of the half-offset grid and
+    the mask discretization error drops to second order.  Larger q refines
+    the conjugate grid; the default suits n = 4096.  It lives here, not with
+    the grid engine, because every command derives its default T from it.
+    """
+    if big_p <= 0.0 or cells_per_eighth < 1:
+        raise ParameterError(
+            f"need big_p > 0 and cells_per_eighth >= 1, got {big_p}, {cells_per_eighth}"
+        )
+    n = _require_pow2(n)
+    if n < 16 * cells_per_eighth:
+        # conjugate span is N*dy/2 = N*P/(16 q); below this it cannot cover [-P, P]
+        raise GridLayoutError(
+            f"n={n} too small for cells_per_eighth={cells_per_eighth}"
+        )
+    return 4.0 * math.pi * cells_per_eighth / big_p
 
 
 # slack when checking membership of breakpoints / evaluation points in the

@@ -164,8 +164,9 @@ def fisher_phi(p: ProcedureParams, r: float, phi: float) -> FisherReport:
         E = mask_efficiency(p)
         mean_x = 0.5 * E * (1.0 + c)
         var_x = mean_x * (1.0 - mean_x)
-        if var_x > 0.0:
-            dphi = math.sqrt(var_x) / (E * abs(s))
+        slope = E * abs(s)
+        if var_x > 0.0 and slope > 0.0:
+            dphi = math.sqrt(var_x) / slope
     return FisherReport(
         fisher=fisher,
         variance_bound=16.0 * moments.variance,
@@ -203,7 +204,8 @@ def delta_phi(p: ProcedureParams, phi: float) -> float:
     """Single-shot phase precision of the balanced threshold, from the
     detection observable's spread over the slope of its mean.
 
-    Undefined where the mean's derivative vanishes (phi = 0, pi/2, pi, ...).
+    Undefined where the mean's derivative -E*sin(2*phi) vanishes: at
+    phi = 0, pi/2, pi, ..., and wherever the product underflows to 0.
     """
     require_containment(p)
     E = mask_efficiency(p)
@@ -213,8 +215,14 @@ def delta_phi(p: ProcedureParams, phi: float) -> float:
         raise SingularityError(
             f"d<X>/dphi vanishes at phi={phi!r}; precision is undefined there"
         )
+    slope = E * abs(s)
+    if slope == 0.0:
+        raise SingularityError(
+            f"d<X>/dphi underflows to 0 at P*delta = {p.mask_product!r}; "
+            "precision is undefined there"
+        )
     mean_x = 0.5 * E * (1.0 + c)
-    return math.sqrt(mean_x * (1.0 - mean_x)) / (E * abs(s))
+    return math.sqrt(mean_x * (1.0 - mean_x)) / slope
 
 
 def dj_statistics(p: ProcedureParams, r: float) -> MeasurementDistribution:

@@ -14,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvphase import (
-    PiecewiseBinaryFunction, cli, experiments, grid, phase_response, quadrature,
+    PiecewiseBinaryFunction, ProcedureParams, cli, experiments, grid,
+    phase_response, quadrature,
 )
-from helpers import BIG_P, canonical, cell_csv, reference_csv
+from helpers import BIG_P, DELTA, canonical, cell_csv, reference_csv
 
 PI = math.pi
 
@@ -85,7 +86,8 @@ class TestExitCodes:
         assert len(rows) == 1
 
     def test_off_edge_threshold_failure_says_why(self, capsys):
-        # T = 3.5 gives dy = pi/7; r = 0 sits on a cell edge, r = 0.5 inside a cell
+        # T = 3.5 gives dy = pi/7; r = 0 sits on a cell edge, r = 0.5 inside a
+        # cell, and so does the domain edge P (P/dy = 4.73)
         code, out, err = run_cli(
             ["crosscheck", "--big-t", "3.5", "--grid-n", "256", "--r", "0,0.5",
              "--phi", "0:3.14159:9"],
@@ -95,14 +97,43 @@ class TestExitCodes:
         assert err == (
             "crosscheck: worst deviation 4.672e-02 exceeds tolerance 1.000e-04; "
             "conjugate cell dy = pi/(2T) = 0.448799, "
-            "thresholds off a cell edge: r = 0.5\n"
+            "thresholds off a cell edge: r = 0.5; "
+            f"domain edge P = {BIG_P!r} off a cell edge (P/dy = 4.73)\n"
         )
         assert len(parse_csv(out)[1]) == 18
+
+    def test_domain_edge_off_a_cell_edge_is_named(self, capsys):
+        # T = 200 puts r = 0 on a cell edge but P inside a cell (P/dy = 270.09)
+        code, _, err = run_cli(
+            ["crosscheck", "--r", "0", "--big-t", "200", "--tol", "1e-12"], capsys
+        )
+        assert code == 3
+        assert err.endswith(
+            "conjugate cell dy = pi/(2T) = 0.00785398, "
+            "every threshold on a cell edge; "
+            f"domain edge P = {BIG_P!r} off a cell edge (P/dy = 270.09)\n"
+        )
+
+    def test_domain_edge_listed_as_a_threshold_is_not_named_twice(self):
+        p = ProcedureParams(x0=0.0, delta=DELTA, big_t=3.5, big_p=BIG_P)
+        for r in (BIG_P, -BIG_P):
+            note = cli._cell_edge_note(p, (0.0, r))
+            assert note.endswith(f"thresholds off a cell edge: r = {r!r}"), note
+        # the default T puts P and every multiple of P/8 on a cell edge
+        note = cli._cell_edge_note(canonical(), (0.0, 0.3))
+        assert note.endswith("thresholds off a cell edge: r = 0.3"), note
 
     def test_default_crosscheck_passes_silently(self, capsys):
         code, _, err = run_cli(["crosscheck"], capsys)
         assert code == 0
         assert err == ""
+
+    def test_audit_with_underflowed_mask_efficiency_prints_nan(self, capsys):
+        # erf(2*P*delta)^2 underflows to 0: the precision has no slope to divide by
+        code, out, err = run_cli(["audit", "--big-p", "1e-90", "--delta", "1e-90"], capsys)
+        assert (code, err) == (0, "")
+        header, rows = parse_csv(out)
+        assert {row[header.index("dphi_sqrt_fisher")] for row in rows} == {"nan"}
 
     def test_gap_rejects_large_mask_product(self, capsys):
         code, _, _ = run_cli(["gap", "--big-p", "2.0", "--phi", "1.0"], capsys)
@@ -276,13 +307,13 @@ class TestGridEngine:
 
     def test_one_quadrature_response_per_threshold(self, capsys, monkeypatch):
         built = []
-        original = cli.quadrature_response
+        original = quadrature.quadrature_response
 
         def counted(p, f, spec):
             built.append(f.breakpoints)
             return original(p, f, spec)
 
-        monkeypatch.setattr(cli, "quadrature_response", counted)
+        monkeypatch.setattr(quadrature, "quadrature_response", counted)
         assert not hasattr(cli, "prob_x0_quadrature")
         for argv, thresholds in (
             (["crosscheck"], 5),
@@ -692,6 +723,60 @@ def test_table_commands_load_neither_numpy_nor_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "[0, 0, 0, 0] []", "[0, 0] True"]
+
+
+# what a fresh interpreter holds after one command, one line each: the exit
+# code, the cvphase submodules loaded, and whether json was loaded
+_LOADED_AFTER = (
+    "import io, sys, contextlib\n"
+    "import cvphase.cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = cvphase.cli.main(sys.argv[1:])\n"
+    "print(code)\n"
+    "print(*sorted(m[8:] for m in sys.modules if m.startswith('cvphase.')))\n"
+    "print('json' in sys.modules)\n"
+)
+_ENGINES = {"grid", "quadrature", "experiments"}
+
+
+@pytest.mark.parametrize(
+    "argv, engines",
+    [
+        (["audit"], {"experiments"}),
+        (["gap"], {"quadrature"}),
+        (["fisher-phi", "--fig4"], set()),
+        (["fisher-r", "--fig5"], set()),
+        (["dj", "--trials", "100"], {"experiments"}),
+        (["estimate", "--replicas", "3"], {"experiments"}),
+        (["fisher-phi", "--engine", "grid", "--phi", "0.3"], {"grid"}),
+        (["crosscheck", "--phi", "0.3", "--r", "0"], {"grid", "quadrature"}),
+        (["audit", "--format", "json"], {"experiments"}),
+        (["crosscheck", "--phi", "0.3", "--r", "0", "--format", "json"],
+         {"grid", "quadrature"}),
+    ],
+)
+def test_each_command_loads_only_its_engines(argv, engines):
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER, *argv], capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded, json_loaded = proc.stdout.splitlines()
+    loaded = set(loaded.split())
+    assert code == "0"
+    assert loaded & _ENGINES == engines, argv
+    assert {"cli", "errors", "model", "stats"} <= loaded
+    assert json_loaded == str("--format" in argv)
+
+
+def test_package_import_loads_no_submodule():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cvphase\n"
+         "print(sorted(m for m in sys.modules if m.startswith('cvphase')))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['cvphase']\n"
 
 
 # small runs: the property is about exit codes and error reporting, not output

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cvphase import (
     ParameterError,
     PiecewiseBinaryFunction,
+    ProcedureParams,
     RegimeError,
     SingularityError,
     cosine_model_coefficients,
@@ -246,6 +247,14 @@ class TestDeltaPhi:
     def test_singular_at_vanishing_slope(self, phi):
         with pytest.raises(SingularityError):
             delta_phi(canonical(), phi)
+
+    def test_singular_where_the_slope_underflows(self):
+        # erf(2*P*delta)^2 underflows to 0, so the mean has no slope at any phase
+        p = ProcedureParams(x0=0.0, delta=1e-90, big_t=1.0, big_p=1e-90)
+        assert mask_efficiency(p) == 0.0
+        with pytest.raises(SingularityError, match="underflows"):
+            delta_phi(p, math.pi / 4)
+        assert fisher_phi(p, 0.0, math.pi / 4).delta_phi is None
 
     @given(phi=st.floats(0.05, math.pi / 2 - 0.05))
     @settings(max_examples=80, deadline=None)
