@@ -7,9 +7,10 @@ forms (``stats``), adaptive quadrature over the factorized integral
 seeded Monte-Carlo hit counts (``experiments``) and a table-emitting CLI
 (``cli``, installed as the ``cvphase`` script).
 
-``import cvphase`` loads none of them: each public name resolves on first
-use, importing only the submodule that defines it (PEP 562), so a script or
-command pays for the engines it touches and no others.
+``import cvphase`` loads none of them: each public name, and each submodule
+as an attribute (``cvphase.grid``), resolves on first use, importing only
+the submodule that defines it (PEP 562), so a script or command pays for
+the engines it touches and no others.
 """
 
 import importlib
@@ -53,78 +54,24 @@ _SUBMODULE = {
     )
     for name in names
 }
+_MODULES = frozenset(_SUBMODULE.values())
 
 
 def __getattr__(name: str):
-    try:
-        module = _SUBMODULE[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    if name in _SUBMODULE:
+        value = getattr(importlib.import_module(f"{__name__}.{_SUBMODULE[name]}"), name)
+    elif name in _MODULES:
+        value = importlib.import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value  # later lookups skip this hook
     return value
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+    return sorted(set(globals()) | set(__all__) | set(_MODULES))
 
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CvPhaseError",
-    "GridLayoutError",
-    "ParameterError",
-    "QuadratureToleranceError",
-    "RegimeError",
-    "SingularityError",
-    "UnidentifiableFunctionError",
-    "EstimationReport",
-    "ReplicationSummary",
-    "heisenberg_audit",
-    "mle_phi",
-    "replicated_mse",
-    "sample_outcomes",
-    "MOMENTUM",
-    "POSITION",
-    "GridState",
-    "KickbackCheck",
-    "PhaseResponse",
-    "aligned_half_width",
-    "apply_blackbox",
-    "fourier",
-    "fourier_matrix",
-    "inverse_fourier",
-    "measure_povm",
-    "phase_response",
-    "prepare_gaussian",
-    "run_circuit",
-    "two_register_kickback_check",
-    "CONTAINMENT_RATIO",
-    "FULL_EFFICIENCY_PRODUCT",
-    "MeasurementDistribution",
-    "PiecewiseBinaryFunction",
-    "ProcedureParams",
-    "require_containment",
-    "validate_params",
-    "QuadratureResponse",
-    "QuadratureResult",
-    "QuadratureSpec",
-    "StepHatGap",
-    "prob_x0_quadrature",
-    "quadrature_response",
-    "step_hat_gap",
-    "step_hat_gaps",
-    "FisherReport",
-    "GeneratorMoments",
-    "cosine_model_coefficients",
-    "delta_phi",
-    "dj_statistics",
-    "fisher_phi",
-    "fisher_r",
-    "generator_moments",
-    "mask_efficiency",
-    "prob_x0",
-    "prob_x0_factorized",
-    "__version__",
-]
+__all__ = [*_SUBMODULE, "__version__"]

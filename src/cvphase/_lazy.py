@@ -1,15 +1,18 @@
-"""numpy, loaded when the package first uses it.
+"""Modules registered at import and loaded when first used.
 
 Most tables are closed forms and the quadrature engine is pure Python, so a
-command that never builds an array need not pay numpy's import.  Modules
-bind ``np = lazy_numpy()`` instead of importing numpy: an ``import numpy``
-statement anywhere in the package would load it at once, since importlib
+command that never builds an array need not pay numpy's import, and one that
+never runs an engine need not compile it.  ``np = lazy_import("numpy")`` (in
+``grid`` and ``experiments``) and ``grid = lazy_import("cvphase.grid")`` (in
+``cli``, for each engine) bind a module that is in ``sys.modules`` at once
+but runs its code on its first attribute access.  An ``import`` statement
+anywhere in the package would load the module at once, since importlib
 reads the module's ``__spec__`` and that attribute access starts the load.
 
-The package's own modules load late by plainer means: ``cvphase`` resolves
-each public name on first use (``__getattr__`` in ``__init__``), and the CLI
-imports an engine inside the commands that run it.  Only the grid and
-Monte-Carlo modules import this one, so ``numpy`` is not even registered
+So ``import cvphase.cli`` registers every layer of the package but runs only
+``cli``, ``errors``, ``model`` and ``stats``; ``cvphase`` itself resolves each
+public name on first use (``__getattr__`` in ``__init__``).  Only the grid
+and Monte-Carlo modules register numpy, so it is not even in ``sys.modules``
 until one of them loads.
 """
 
@@ -20,16 +23,16 @@ import sys
 from types import ModuleType
 
 
-def lazy_numpy() -> ModuleType:
-    """The numpy module: the loaded one if there is one, else a module
+def lazy_import(name: str) -> ModuleType:
+    """The module ``name``: the loaded one if there is one, else a module
     registered in ``sys.modules`` that loads itself on its first attribute
     access."""
-    if "numpy" in sys.modules:
-        return sys.modules["numpy"]
-    spec = importlib.util.find_spec("numpy")
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
     loader = importlib.util.LazyLoader(spec.loader)
     spec.loader = loader
     module = importlib.util.module_from_spec(spec)
-    sys.modules["numpy"] = module
+    sys.modules[name] = module
     loader.exec_module(module)
     return module

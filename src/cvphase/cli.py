@@ -26,8 +26,7 @@ import operator
 import sys
 from typing import Any, Callable
 
-# the engines (grid, quadrature, experiments) and json are imported by the
-# commands that use them, so a fresh process compiles only what it runs
+from ._lazy import lazy_import
 from .errors import CvPhaseError, ParameterError
 from .model import (
     MeasurementDistribution,
@@ -36,6 +35,12 @@ from .model import (
     aligned_half_width,
 )
 from .stats import dj_statistics, fisher_phi, fisher_r, mask_efficiency, prob_x0
+
+# each engine runs its module code when a command first uses it, so a fresh
+# process compiles only the engines it runs; json is imported by --format json
+experiments = lazy_import("cvphase.experiments")
+grid = lazy_import("cvphase.grid")
+quadrature = lazy_import("cvphase.quadrature")
 
 _DEFAULT_GRID_N = 4096
 # most points a start:stop:count axis may ask for; every point is at least
@@ -214,9 +219,7 @@ def cmd_fisher_phi_sweep(
     want_analytic = engine in ("analytic", "all")
     want_grid = engine in ("grid", "all")
     if want_grid:
-        from .grid import phase_response
-
-        response = phase_response(p, grid_n)
+        response = grid.phase_response(p, grid_n)
     rows: list[dict] = []
     for r in r_values:
         if want_grid:
@@ -280,8 +283,6 @@ def cmd_dj(
     (r=P) references at the same parameters.  Row i draws its trials from the
     stream seeded with (seed, i).
     """
-    from .experiments import sample_outcomes
-
     trials = int(trials)
     half_pi = math.pi / 2.0
     rows = []
@@ -291,7 +292,7 @@ def cmd_dj(
         p_x0 = dj_statistics(p, r_case).p_x0
         f = PiecewiseBinaryFunction.step(r_case, p.big_p)
         # a detection at the decision phase classifies the mask as constant
-        n_const = sample_outcomes(p, f, half_pi, trials, (int(seed), idx))
+        n_const = experiments.sample_outcomes(p, f, half_pi, trials, (int(seed), idx))
         n_bal = trials - n_const
         if r_case == 0.0:
             truth = "balanced"
@@ -330,9 +331,7 @@ def cmd_estimate(
 ) -> tuple[list[str], list[dict]]:
     """Replicated maximum-likelihood estimates; final row (replica=-1) is the
     replica mean."""
-    from .experiments import replicated_mse
-
-    summary = replicated_mse(p, r, phi_true, shots, replicas, seed)
+    summary = experiments.replicated_mse(p, r, phi_true, shots, replicas, seed)
     rows = []
     crb = summary.crb
     bounded = math.isfinite(crb) and crb > 0.0
@@ -365,17 +364,14 @@ def cmd_crosscheck(
     grid_n: int,
 ) -> tuple[list[str], list[dict], float]:
     """Detection probability from all three engines, with worst deviation."""
-    from .grid import phase_response
-    from .quadrature import QuadratureSpec, quadrature_response
-
-    response = phase_response(p, grid_n)
-    qspec = QuadratureSpec()
+    response = grid.phase_response(p, grid_n)
+    qspec = quadrature.QuadratureSpec()
     rows = []
     worst = 0.0
     for r in r_values:
         f = PiecewiseBinaryFunction.step(r, p.big_p)
         a0, a1 = response.split(f)
-        integrals = quadrature_response(p, f, qspec)
+        integrals = quadrature.quadrature_response(p, f, qspec)
         for phi in phi_values:
             pa = prob_x0(p, r, phi).p_x0
             pq = integrals.at(phi).value
@@ -397,9 +393,7 @@ def cmd_crosscheck(
 def cmd_audit(
     p: ProcedureParams, r: float, phis: tuple[float, ...] | None
 ) -> tuple[list[str], list[dict]]:
-    from .experiments import heisenberg_audit
-
-    rows = heisenberg_audit(p, r, phis)
+    rows = experiments.heisenberg_audit(p, r, phis)
     columns = [
         "phi", "r", "fisher", "variance_bound", "mean_bound_generator_f",
         "mean_bound_generator_2f", "dphi_sqrt_fisher", "optimal",
@@ -410,10 +404,8 @@ def cmd_audit(
 def cmd_gap(
     p: ProcedureParams, phis: tuple[float, ...]
 ) -> tuple[list[str], list[dict]]:
-    from .quadrature import step_hat_gaps
-
     rows = []
-    for phi, g in zip(phis, step_hat_gaps(p, phis)):
+    for phi, g in zip(phis, quadrature.step_hat_gaps(p, phis)):
         rows.append({
             "phi": phi,
             "mask_product": p.mask_product,

@@ -34,7 +34,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain
 
-from ._lazy import lazy_numpy
+from ._lazy import lazy_import
 from .errors import ParameterError, SingularityError, UnidentifiableFunctionError
 from .model import PiecewiseBinaryFunction, ProcedureParams
 from .stats import (
@@ -45,7 +45,7 @@ from .stats import (
     prob_x0_factorized,
 )
 
-np = lazy_numpy()
+np = lazy_import("numpy")
 
 _HALF_PI = math.pi / 2.0
 _IDENTIFIABILITY_TOL = 1e-9

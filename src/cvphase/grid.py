@@ -93,7 +93,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from ._lazy import lazy_numpy
+from ._lazy import lazy_import
 from .errors import GridLayoutError, ParameterError
 from .model import (  # noqa: F401  (_MAX_POINTS and T, re-exported)
     _MAX_POINTS,
@@ -106,7 +106,7 @@ from .model import (  # noqa: F401  (_MAX_POINTS and T, re-exported)
     require_mask_domain,
 )
 
-np = lazy_numpy()
+np = lazy_import("numpy")
 
 POSITION = "position"
 MOMENTUM = "momentum"

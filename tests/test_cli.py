@@ -726,22 +726,28 @@ def test_table_commands_load_neither_numpy_nor_scipy():
 
 
 # what a fresh interpreter holds after one command, one line each: the exit
-# code, the cvphase submodules loaded, and whether json was loaded
+# code, the cvphase submodules that ran their code, those registered in
+# sys.modules, and whether json was loaded.  A module registered lazily stays
+# a ModuleType subclass until its first attribute access runs its code.
 _LOADED_AFTER = (
-    "import io, sys, contextlib\n"
+    "import io, sys, contextlib, types\n"
     "import cvphase.cli\n"
     "with contextlib.redirect_stdout(io.StringIO()):\n"
     "    code = cvphase.cli.main(sys.argv[1:])\n"
     "print(code)\n"
-    "print(*sorted(m[8:] for m in sys.modules if m.startswith('cvphase.')))\n"
+    "mods = {m[8:]: v for m, v in sys.modules.items() if m.startswith('cvphase.')}\n"
+    "print(*sorted(m for m, v in mods.items() if type(v) is types.ModuleType))\n"
+    "print(*sorted(mods))\n"
     "print('json' in sys.modules)\n"
 )
 _ENGINES = {"grid", "quadrature", "experiments"}
+_LAYERS = {"cli", "errors", "model", "stats", *_ENGINES}
 
 
 @pytest.mark.parametrize(
     "argv, engines",
     [
+        ([], set()),  # a usage error: no command runs
         (["audit"], {"experiments"}),
         (["gap"], {"quadrature"}),
         (["fisher-phi", "--fig4"], set()),
@@ -760,12 +766,37 @@ def test_each_command_loads_only_its_engines(argv, engines):
         [sys.executable, "-c", _LOADED_AFTER, *argv], capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    code, loaded, json_loaded = proc.stdout.splitlines()
-    loaded = set(loaded.split())
-    assert code == "0"
-    assert loaded & _ENGINES == engines, argv
-    assert {"cli", "errors", "model", "stats"} <= loaded
+    code, ran, registered, json_loaded = proc.stdout.splitlines()
+    ran, registered = set(ran.split()), set(registered.split())
+    assert code == ("0" if argv else "2")
+    assert ran & _ENGINES == engines, argv
+    assert {"cli", "errors", "model", "stats"} <= ran
+    # every layer is in sys.modules, run or not, for code that looks it up there
+    assert _LAYERS <= registered
     assert json_loaded == str("--format" in argv)
+
+
+def test_a_registered_engine_loads_on_first_access_and_can_be_patched():
+    # perfbench's tracer reads each layer from sys.modules after importing
+    # cvphase.cli, lists its functions with vars() and rebinds them
+    script = (
+        "import io, sys, contextlib, types\n"
+        "import cvphase.cli\n"
+        "grid = sys.modules['cvphase.grid']\n"
+        "print(type(grid) is types.ModuleType)\n"
+        "print('phase_response' in vars(grid), type(grid) is types.ModuleType)\n"
+        "calls = []\n"
+        "original = grid.phase_response\n"
+        "grid.phase_response = lambda *a: calls.append(a) or original(*a)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cvphase.cli.main(['fisher-phi', '--engine', 'grid', '--phi', '0.3'])\n"
+        "print(code, len(calls))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False", "True True", "0 1"]
 
 
 def test_package_import_loads_no_submodule():

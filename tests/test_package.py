@@ -18,20 +18,31 @@ def test_public_name_is_the_defining_modules_object(name):
         assert value.__module__ == defining.__name__
 
 
-def test_table_covers_exactly_the_public_names():
-    assert set(cvphase._SUBMODULE) == set(cvphase.__all__) - {"__version__"}
-    assert len(cvphase.__all__) == len(set(cvphase.__all__))
-
-
-def test_dir_lists_every_public_name():
+def test_dir_lists_every_public_name_and_submodule():
     # in a fresh interpreter, before any name has been resolved
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import cvphase; print(sorted(set(cvphase.__all__) - set(dir(cvphase))))"],
+         "import cvphase; print(sorted(set(cvphase.__all__) - set(dir(cvphase))))\n"
+         "print(sorted(set(cvphase._SUBMODULE.values()) - set(dir(cvphase))))"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[]\n[]\n"
+
+
+@pytest.mark.parametrize(
+    "module", ["errors", "experiments", "grid", "model", "quadrature", "stats"],
+)
+def test_submodule_is_an_attribute_after_a_bare_import(module):
+    # in a fresh interpreter, where nothing else has imported the submodule
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, cvphase; m = cvphase.{module}\n"
+         f"print(m is sys.modules['cvphase.{module}'], m.__name__)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"True cvphase.{module}\n"
 
 
 def test_unknown_name_raises_attribute_error():

@@ -21,6 +21,7 @@ from cvphase import (
     mask_efficiency,
     prob_x0,
     prob_x0_factorized,
+    stats,
 )
 from erf_oracle import erf_series
 from helpers import BIG_P, DELTA, canonical, saturated
@@ -255,6 +256,14 @@ class TestDeltaPhi:
         with pytest.raises(SingularityError, match="underflows"):
             delta_phi(p, math.pi / 4)
         assert fisher_phi(p, 0.0, math.pi / 4).delta_phi is None
+
+    def test_no_precision_where_a_subnormal_slope_underflows(self, monkeypatch):
+        # a subnormal E keeps var_x > 0 while E*|sin(2*phi)| underflows to 0
+        monkeypatch.setattr(stats, "mask_efficiency", lambda p: 1e-320)
+        phi = 5e-12  # |sin(2*phi)| = 1e-11, above the vanishing-derivative cutoff
+        assert fisher_phi(canonical(), 0.0, phi).delta_phi is None
+        with pytest.raises(SingularityError, match="underflows"):
+            delta_phi(canonical(), phi)
 
     @given(phi=st.floats(0.05, math.pi / 2 - 0.05))
     @settings(max_examples=80, deadline=None)
