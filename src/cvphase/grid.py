@@ -67,9 +67,12 @@ pre-ramp (-1)^j * exp(i*pi*j/N), whose argument never exceeds pi, and the
 post-ramp exp(2i*xs*y_k) = (-1)^k * i^(N-1) (xs = -N*dx/2).
 
 ``phase_response`` pays only for the Gaussian's support and one FFT of half
-length.  Support: exp(-(x - x0)^2 / (2*delta^2)) underflows to exactly 0.0
-once |x - x0| > 40*delta (exp(-800) = 0), so ``prepare_gaussian`` evaluates
-only the samples of ``_support`` and every other amplitude is an exact 0.
+length, and allocates only the arrays it reads.  Support:
+exp(-(x - x0)^2 / (2*delta^2)) underflows to exactly 0.0 once
+|x - x0| > 40*delta (exp(-800) = 0), so ``_support_gaussian`` evaluates only
+the samples of ``_support`` and every other amplitude is an exact 0; the
+sweep reads that support array and never builds the N-point state that
+``prepare_gaussian`` returns for ``run_circuit``.
 Half length: the amplitudes a_j are real, so X(-s) = conj X(s) and |X(s)| is
 known from the s = 1 (mod 4) half.  For s = 4l + 1, with
 c_j = a_j * exp(i*pi*j/N),
@@ -82,8 +85,15 @@ as near the containment floor).  X is periodic in l with period N/2.  Even k = 2
 s = 4(m - N/4) + 1, so w_{2m} comes from l = m - N/4; odd k = 2m + 1 has
 -s = 4(N/4 - 1 - m) + 1, so w_{2m+1} comes from l = N/4 - 1 - m: with W_l the
 squared FFT output, the even cells are np.roll(W, N/4) and the odd cells
-np.roll(W[::-1], N/4).  The ifft's 2/N and the (dx/sqrt(pi))^2 * dy above
-give the scale (N*dx/sqrt(pi))^2 * dy / 4.
+np.roll(W[::-1], N/4), which the sweep writes as four strided slice copies.
+The ifft's 2/N and the (dx/sqrt(pi))^2 * dy above give the scale
+(N*dx/sqrt(pi))^2 * dy / 4.
+
+Memory: the c_j go straight into the N/2-point complex buffer (8*N bytes),
+the ifft runs in it in place, and its parts are squared in place and summed
+into W (4*N bytes).  The buffer and the support arrays are released before
+the N float64 weights (8*N bytes) are allocated, so the sweep's numpy arrays
+peak at about 12*N bytes and only the weights outlive the call.
 """
 
 from __future__ import annotations
@@ -169,12 +179,13 @@ def _support(p: ProcedureParams, n: int) -> tuple[int, int]:
     )
 
 
-def prepare_gaussian(p: ProcedureParams, n: int) -> GridState:
-    """Sample the width-delta Gaussian at x0 on [-T, T) and renormalize.
+def _support_gaussian(p: ProcedureParams, n: int) -> tuple[int, int, float, np.ndarray]:
+    """(lo, hi, dx, g): the width-delta Gaussian at x0 on the samples
+    x_j = -T + j*dx of ``_support``, renormalized so that sum g^2 * dx = 1.
 
-    Only the samples of ``_support`` are evaluated (the same doubles as on
-    the full grid); every other amplitude is the exact 0 that ``exp`` would
-    give there.
+    Checks containment and the grid size first, then raises if every sample
+    underflowed.  These are the same doubles as on the full grid; every
+    other sample is the exact 0 that ``exp`` would give there.
     """
     require_containment(p)
     n = _require_pow2(n)
@@ -187,7 +198,17 @@ def prepare_gaussian(p: ProcedureParams, n: int) -> GridState:
         # every sample underflowed: the Gaussian falls between grid points
         raise ParameterError("prepared state has no support on this grid")
     gauss *= 1.0 / math.sqrt(norm_sq)
-    amps = np.zeros(n, dtype=complex)
+    return lo, hi, dx, gauss
+
+
+def prepare_gaussian(p: ProcedureParams, n: int) -> GridState:
+    """Sample the width-delta Gaussian at x0 on [-T, T) and renormalize.
+
+    Only the samples of ``_support`` are evaluated (``_support_gaussian``);
+    every other amplitude is the exact 0 that ``exp`` would give there.
+    """
+    lo, hi, dx, gauss = _support_gaussian(p, n)
+    amps = np.zeros(int(n), dtype=complex)
     amps.real[lo:hi] = gauss
     return GridState(amps, grid_start=-p.big_t, grid_step=dx, space=POSITION)
 
@@ -410,14 +431,17 @@ class PhaseResponse:
 
 
 def phase_response(p: ProcedureParams, n: int) -> PhaseResponse:
-    """One prepare and one half-length transform that serve every phase and mask.
+    """One Gaussian evaluation and one half-length transform that serve every
+    phase and mask.
 
     Needs the matched window (epsilon equal to delta within 4 ulps), so that
-    the window's transform is the state's and w_k = |G_k|^2 * dy.  Works on
-    the Gaussian's support only and folds it into one inverse FFT of length
-    n/2 (see the module docstring); the weights agree with
-    |fourier(prepare_gaussian(p, n))|^2 * dy to rounding.
-    Makes the checks of ``run_circuit`` that need no mask
+    the window's transform is the state's and w_k = |G_k|^2 * dy.  Evaluates
+    the Gaussian on its support only (``_support_gaussian``, no N-point
+    state) and folds it into one in-place inverse FFT of length n/2 (see the
+    module docstring); the weights agree with
+    |fourier(prepare_gaussian(p, n))|^2 * dy to rounding.  Peak array memory
+    is about 12*n bytes, of which the returned 8*n-byte weights stay.
+    Makes the checks of ``run_circuit`` that need no mask, in its order
     (containment, grid size, state support, a grid covering [-P, P]);
     ``PhaseResponse.split`` makes the rest.
     """
@@ -426,31 +450,37 @@ def phase_response(p: ProcedureParams, n: int) -> PhaseResponse:
             f"the grid sweep needs a matched detection window: epsilon={p.epsilon!r} "
             f"differs from delta={p.delta!r}"
         )
-    state = prepare_gaussian(p, n)
-    n = state.n
-    dx = state.grid_step
+    lo, hi, dx, gauss = _support_gaussian(p, n)
+    n = int(n)
     dy, ys = _conjugate_layout(n, dx)
     _require_cover(n, dy, p.big_p)
-    lo, hi = _support(p, n)
-    amps = state.amplitudes.real[lo:hi]
-    # c_j = a_j * exp(i*pi*j/n) on the support, folded modulo n/2
-    angle = (math.pi / n) * np.arange(lo, hi)
-    c = np.empty(hi - lo, dtype=complex)
-    np.multiply(amps, np.cos(angle), out=c.real)
-    np.multiply(amps, np.sin(angle), out=c.imag)
+    # c_j = a_j * exp(i*pi*j/n) on the support, folded modulo n/2 part by part
     half = n // 2
-    folded = np.zeros(half, dtype=complex)
     mid = min(max(lo, half), hi)  # first support sample in the upper half
-    folded[lo:mid] = c[: mid - lo]
-    if hi > mid:
-        folded[mid - half : hi - half] += c[mid - lo :]
+    folded = np.zeros(half, dtype=complex)
+    angle = (math.pi / n) * np.arange(lo, hi)
+    c = np.empty(hi - lo)
+    for part, trig in ((folded.real, np.cos), (folded.imag, np.sin)):
+        trig(angle, out=c)
+        c *= gauss
+        part[lo:mid] = c[: mid - lo]
+        if hi > mid:
+            part[mid - half : hi - half] += c[mid - lo :]
+    del angle, gauss, c, part  # part is a view: it would keep folded alive
     np.fft.ifft(folded, out=folded)
-    w = np.square(folded.real)
-    w += np.square(folded.imag)
+    np.square(folded.real, out=folded.real)
+    np.square(folded.imag, out=folded.imag)
+    w = np.add(folded.real, folded.imag)
+    del folded
     w *= (n * dx / math.sqrt(math.pi)) ** 2 * dy / 4.0
+    # even cells 2m take l = m - n/4, odd cells 2m + 1 take l = n/4 - 1 - m
+    # (mod n/2): np.roll(w, n/4) and np.roll(w[::-1], n/4), slice by slice
+    q = n // 4
     weights = np.empty(n)
-    weights[0::2] = np.roll(w, n // 4)
-    weights[1::2] = np.roll(w[::-1], n // 4)
+    weights[0:half:2] = w[q:]
+    weights[half::2] = w[:q]
+    weights[1:half:2] = w[q - 1 :: -1]
+    weights[half + 1 :: 2] = w[: q - 1 : -1]
     return PhaseResponse(p, weights, ys, dy)
 
 

@@ -143,9 +143,9 @@ def require_mask_domain(p: ProcedureParams, f: PiecewiseBinaryFunction) -> None:
 # grid sizes the simulator accepts; the default T needs N >= 512
 _MIN_POINTS = 256
 # largest grid: a circuit holds a few N-point complex arrays (256 MiB each at
-# this size), a sweep the prepared state, one N/2-point complex FFT buffer
-# and the N float64 weights; a larger request is a typo, not a convergence
-# study
+# this size); a sweep holds at most two of its N/2-point complex FFT buffer,
+# the N/2 squared magnitudes and the N float64 weights at once, ~12*N bytes;
+# a larger request is a typo, not a convergence study
 _MAX_POINTS = 1 << 24
 
 

@@ -284,7 +284,9 @@ class TestGridEngine:
     def test_one_prepare_and_one_transform_per_sweep(self, capsys, monkeypatch):
         import numpy as np
 
-        calls = {"prepare_gaussian": 0, "numpy.fft": 0}
+        # the sweep evaluates the Gaussian through _support_gaussian, which
+        # prepare_gaussian also calls: each count is a Gaussian evaluation
+        calls = {"_support_gaussian": 0, "numpy.fft": 0}
 
         def counted(module, name, key):
             original = getattr(module, name)
@@ -295,15 +297,15 @@ class TestGridEngine:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(grid, "prepare_gaussian", "prepare_gaussian")
+        counted(grid, "_support_gaussian", "_support_gaussian")
         for name in np.fft.__all__:
             if not name.endswith(("freq", "shift")):  # index helpers, not transforms
                 counted(np.fft, name, "numpy.fft")
         assert not hasattr(cli, "run_circuit")
         for argv in (["crosscheck"], ["fisher-phi", "--fig4", "--engine", "all"]):
-            calls.update({"prepare_gaussian": 0, "numpy.fft": 0})
+            calls.update({"_support_gaussian": 0, "numpy.fft": 0})
             assert run_cli(argv, capsys)[0] == 0
-            assert calls == {"prepare_gaussian": 1, "numpy.fft": 1}, argv
+            assert calls == {"_support_gaussian": 1, "numpy.fft": 1}, argv
 
     def test_one_quadrature_response_per_threshold(self, capsys, monkeypatch):
         built = []

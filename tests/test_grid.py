@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from cvphase import (
     ParameterError,
     PiecewiseBinaryFunction,
     ProcedureParams,
+    RegimeError,
     aligned_half_width,
     apply_blackbox,
     fourier,
@@ -28,7 +30,7 @@ from cvphase import (
     run_circuit,
     two_register_kickback_check,
 )
-from helpers import BIG_P, DELTA, GRID_N, canonical
+from helpers import BIG_P, DELTA, GRID_N, canonical, reference_phase_weights
 
 
 class TestGridState:
@@ -345,18 +347,16 @@ class TestPhaseResponse:
         )
         assert phase_response(ulps, 256).weights.size == 256
 
-    @pytest.mark.parametrize(
-        "n, x0, big_t",
-        list(itertools.product((256, 4096, 2**14), (0.0, 0.37), (T,)))
-        + [
-            # the support is wider than n/2 samples, so the fold wraps
-            (256, 0.0, 3.5),
-            (256, 0.37, 3.5),
-            # the support is clipped at one grid end
-            (4096, T - 4.3 * DELTA, T),
-            (4096, -(T - 4.3 * DELTA), T),
-        ],
-    )
+    SWEEP_CASES = list(itertools.product((256, 4096, 2**14), (0.0, 0.37), (T,))) + [
+        # the support is wider than n/2 samples, so the fold wraps
+        (256, 0.0, 3.5),
+        (256, 0.37, 3.5),
+        # the support is clipped at one grid end
+        (4096, T - 4.3 * DELTA, T),
+        (4096, -(T - 4.3 * DELTA), T),
+    ]
+
+    @pytest.mark.parametrize("n, x0, big_t", SWEEP_CASES)
     def test_weights_are_the_transformed_state(self, n, x0, big_t):
         p = ProcedureParams(x0=x0, delta=DELTA, big_t=big_t, big_p=BIG_P)
         response = phase_response(p, n)
@@ -365,6 +365,60 @@ class TestPhaseResponse:
         assert response.grid_step == moved.grid_step
         expected = np.abs(moved.amplitudes) ** 2 * moved.grid_step
         assert float(np.max(np.abs(response.weights - expected))) <= 1e-15
+
+    @pytest.mark.parametrize("n, x0, big_t", SWEEP_CASES)
+    def test_weights_match_the_reference_sweep_bit_for_bit(self, n, x0, big_t):
+        p = ProcedureParams(x0=x0, delta=DELTA, big_t=big_t, big_p=BIG_P)
+        assert np.array_equal(phase_response(p, n).weights, reference_phase_weights(p, n))
+
+    @pytest.mark.parametrize("n, x0, big_t", SWEEP_CASES)
+    def test_support_gaussian_is_normalized(self, n, x0, big_t):
+        # the sweep's only norm check: it builds no GridState to call norm_sq on
+        p = ProcedureParams(x0=x0, delta=DELTA, big_t=big_t, big_p=BIG_P)
+        lo, hi, dx, gauss = grid._support_gaussian(p, n)
+        assert gauss.size == hi - lo and dx == 2.0 * big_t / n
+        assert abs(float(np.sum(gauss * gauss)) * dx - 1.0) <= 1e-12
+
+    def test_sweep_allocates_only_what_it_reads(self):
+        # numpy reports its buffers to tracemalloc.  The N/2-point complex FFT
+        # buffer with the squared magnitudes (8*N + 4*N bytes), then those
+        # with the N float64 weights (4*N + 8*N), set a peak of ~12*N; a
+        # buffer kept alive past the fold reads 20*N, the full prepared
+        # state 48*N.  Only the weights stay.
+        n = 2**18
+        p = canonical(n)
+        phase_response(p, n)  # numpy's lazy set-up is not the sweep's
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            response = phase_response(p, n)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert response.weights.nbytes == 8 * n
+        assert peak - base <= 16 * n
+        assert 8 * n <= held - base < 9 * n
+
+    @pytest.mark.parametrize(
+        "params, n, error, match",
+        [
+            (dict(x0=0.0, delta=1.0, big_t=2.0, big_p=3.0, epsilon=0.5), 1000,
+             ParameterError, "matched detection window"),
+            (dict(x0=0.0, delta=1.0, big_t=2.0, big_p=3.0), 1000,
+             RegimeError, "containment"),
+            (dict(x0=0.24, delta=0.001, big_t=1000.0, big_p=3.0), 1000,
+             GridLayoutError, "power of two"),
+            (dict(x0=0.24, delta=0.001, big_t=1000.0, big_p=3.0), 256,
+             ParameterError, "no support"),
+            (dict(x0=0.0, delta=DELTA, big_t=aligned_half_width(BIG_P, GRID_N),
+                  big_p=BIG_P), 256, GridLayoutError, "does not cover"),
+        ],
+        ids=["epsilon", "containment", "grid-size", "empty-support", "cover"],
+    )
+    def test_checks_run_in_order(self, params, n, error, match):
+        # each input but the last also fails the next check: the earlier wins
+        with pytest.raises(error, match=match):
+            phase_response(ProcedureParams(**params), n)
 
     @pytest.mark.parametrize(
         "n, x0, big_t",
