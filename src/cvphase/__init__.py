@@ -25,25 +25,24 @@ _SUBMODULE = {
             "UnidentifiableFunctionError",
         )),
         ("experiments", (
-            "EstimationReport", "ReplicationSummary", "heisenberg_audit",
-            "mle_phi", "replicated_mse", "sample_outcomes",
+            "ReplicationSummary", "heisenberg_audit", "replicated_mse",
+            "sample_outcomes",
         )),
         ("grid", (
             "MOMENTUM", "POSITION", "GridState", "KickbackCheck",
-            "PhaseResponse", "apply_blackbox", "fourier", "fourier_matrix",
-            "inverse_fourier", "measure_povm", "phase_response",
-            "prepare_gaussian", "run_circuit", "two_register_kickback_check",
+            "PhaseResponse", "apply_blackbox", "fourier", "inverse_fourier",
+            "measure_povm", "phase_response", "prepare_gaussian", "run_circuit",
+            "two_register_kickback_check",
         )),
         ("model", (
-            "CONTAINMENT_RATIO", "FULL_EFFICIENCY_PRODUCT",
-            "MeasurementDistribution", "PiecewiseBinaryFunction",
-            "ProcedureParams", "aligned_half_width", "require_containment",
-            "validate_params",
+            "CONTAINMENT_RATIO", "MeasurementDistribution",
+            "PiecewiseBinaryFunction", "ProcedureParams", "aligned_half_width",
+            "require_containment",
         )),
         ("quadrature", (
-            "QuadratureResponse", "QuadratureResult", "QuadratureSpec",
-            "StepHatGap", "prob_x0_quadrature", "quadrature_response",
-            "step_hat_gap", "step_hat_gaps",
+            "QuadratureResponse", "QuadratureResult", "StepHatGap",
+            "prob_x0_quadrature", "quadrature_response", "step_hat_gap",
+            "step_hat_gaps",
         )),
         ("stats", (
             "FisherReport", "GeneratorMoments", "cosine_model_coefficients",

@@ -33,6 +33,7 @@ from .model import (
     PiecewiseBinaryFunction,
     ProcedureParams,
     aligned_half_width,
+    require_scale,
 )
 from .stats import dj_statistics, fisher_phi, fisher_r, mask_efficiency, prob_x0
 
@@ -170,8 +171,7 @@ def _resolve_params(
     default_big_p: Callable[[float], float] | None = None,
 ) -> ProcedureParams:
     delta = args.delta if args.delta is not None else 1.0 / math.sqrt(2.0)
-    if not delta > 0.0:  # the default P and T divide by it
-        raise ParameterError(f"delta must be positive, got {delta!r}")
+    delta = require_scale("delta", delta)  # before P and T are derived from it
     if args.big_p is not None:
         big_p = args.big_p
     elif default_big_p is not None:
@@ -365,13 +365,12 @@ def cmd_crosscheck(
 ) -> tuple[list[str], list[dict], float]:
     """Detection probability from all three engines, with worst deviation."""
     response = grid.phase_response(p, grid_n)
-    qspec = quadrature.QuadratureSpec()
     rows = []
     worst = 0.0
     for r in r_values:
         f = PiecewiseBinaryFunction.step(r, p.big_p)
         a0, a1 = response.split(f)
-        integrals = quadrature.quadrature_response(p, f, qspec)
+        integrals = quadrature.quadrature_response(p, f)
         for phi in phi_values:
             pa = prob_x0(p, r, phi).p_x0
             pq = integrals.at(phi).value

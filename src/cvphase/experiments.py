@@ -245,21 +245,6 @@ def sample_outcomes(
     return hits
 
 
-@dataclass(frozen=True)
-class EstimationReport:
-    """Point estimate of the phase with its error and the information bound.
-
-    empirical_mse is the squared error of this single estimate against the
-    true phase; crb = 1/(n_shots * F(true_phi)), infinite when the Fisher
-    information vanishes at the true phase.
-    """
-
-    phi_hat: float
-    n_shots: int
-    empirical_mse: float
-    crb: float
-
-
 def _cosine_model(
     p: ProcedureParams, r: float, phi_true: float
 ) -> tuple[float, float, float]:
@@ -282,38 +267,14 @@ def _cosine_model(
 
 
 def _phi_hat(hits: int, shots: int, a: float, b: float) -> float:
-    """Invert the hit fraction through a + b*cos(2*phi), clamped to the
-    attainable range."""
-    return 0.5 * math.acos(min(1.0, max(-1.0, (hits / shots - a) / b)))
+    """Maximum-likelihood phase from ``hits`` detections in ``shots`` trials.
 
-
-def _crb(shots: int, fisher: float) -> float:
-    return 1.0 / (shots * fisher) if fisher > 0.0 else math.inf
-
-
-def mle_phi(
-    hits: int, shots: int, p: ProcedureParams, r: float, phi_true: float
-) -> EstimationReport:
-    """Maximum-likelihood phase from ``hits`` detections in ``shots`` trials
-    of the step mask r.
-
-    The hit fraction estimates a + b*cos(2*phi); inverting (with clamping to
-    the attainable range) maximizes the Bernoulli likelihood over the
-    principal branch [0, pi/2].  The response is 2-periodic in 2*phi, so only
-    that branch is identifiable from this measurement, and phi_true must lie
-    on it.
+    The hit fraction estimates a + b*cos(2*phi); inverting it, clamped to
+    the attainable range, maximizes the Bernoulli likelihood over the
+    principal branch [0, pi/2].  The response is 2-periodic in 2*phi, so
+    only that branch is identifiable from this measurement.
     """
-    hits, shots, phi_true = int(hits), int(shots), float(phi_true)
-    if shots < 1 or not 0 <= hits <= shots:
-        raise ParameterError(f"need 0 <= hits <= shots and shots >= 1, got {hits}, {shots}")
-    a, b, fisher = _cosine_model(p, r, phi_true)
-    phi_hat = _phi_hat(hits, shots, a, b)
-    return EstimationReport(
-        phi_hat=phi_hat,
-        n_shots=shots,
-        empirical_mse=(phi_hat - phi_true) ** 2,
-        crb=_crb(shots, fisher),
-    )
+    return 0.5 * math.acos(min(1.0, max(-1.0, (hits / shots - a) / b)))
 
 
 @dataclass(frozen=True)
@@ -366,7 +327,7 @@ def replicated_mse(
     )
     squared_errors = tuple((h - phi_true) ** 2 for h in phi_hats)
     mean_mse = sum(squared_errors) / replicas
-    crb = _crb(shots, fisher)
+    crb = 1.0 / (shots * fisher) if fisher > 0.0 else math.inf
     ratio = mean_mse / crb if math.isfinite(crb) and crb > 0.0 else math.nan
     return ReplicationSummary(
         phi_hats=phi_hats,

@@ -52,7 +52,7 @@ of [-P, P].  Both routes take the mask's cell values from one helper, so
 they discretize the mask identically; they differ only by rounding (~1e-15
 in the probability).  ``run_circuit`` stays the stage-by-stage reference.
 
-The sweep fixes the window to the prepared state, as the closed forms do
+Detection projects back onto the prepared state, as the closed forms assume
 (W = G), so w_k = |(F G)_k|^2 * dy is real and non-negative and one
 transform of G alone gives every weight.  With x_j = xs + j*dx,
 ``fourier`` is dx/sqrt(pi) times a unit-modulus post-ramp exp(2i*xs*y_k)
@@ -105,13 +105,11 @@ from dataclasses import dataclass
 
 from ._lazy import lazy_import
 from .errors import GridLayoutError, ParameterError
-from .model import (  # noqa: F401  (_MAX_POINTS and T, re-exported)
-    _MAX_POINTS,
+from .model import (
     MeasurementDistribution,
     PiecewiseBinaryFunction,
     ProcedureParams,
     _require_pow2,
-    aligned_half_width,
     require_containment,
     require_mask_domain,
 )
@@ -290,23 +288,6 @@ def inverse_fourier(s: GridState) -> GridState:
     return GridState(buf, grid_start=xs, grid_step=dx, space=POSITION)
 
 
-def fourier_matrix(s: GridState) -> np.ndarray:
-    """Dense N x N unitary U[k, j] = sqrt(dx*dy/pi) * exp(2i*x_j*y_k).
-
-    This is the transform between sqrt(step)-scaled amplitude vectors:
-    sqrt(dy) * fourier(s).amplitudes == U @ (sqrt(dx) * s.amplitudes).
-    Intended for small-N unitarity checks; quadratic memory.
-    """
-    if s.space != POSITION:
-        raise GridLayoutError("fourier_matrix expects a position-space state")
-    n = s.n
-    dx = s.grid_step
-    dy, ys = _conjugate_layout(n, dx)
-    x = s.points
-    y = ys + dy * np.arange(n)
-    return math.sqrt(dx * dy / math.pi) * np.exp(2j * np.outer(y, x))
-
-
 def _require_cover(n: int, dy: float, half_domain: float) -> None:
     half_span = n * dy / 2.0
     if half_span < half_domain * (1.0 - 1e-12):
@@ -350,9 +331,10 @@ def apply_blackbox(s: GridState, f: PiecewiseBinaryFunction, phi: float) -> Grid
 
 
 def _detection_window(x: np.ndarray, dx: float, p: ProcedureParams) -> np.ndarray:
-    """The width-epsilon Gaussian window at x0 on the samples x, normalized so
-    that sum |w|^2 * dx = 1."""
-    window = np.exp(-((x - p.x0) ** 2) / (2.0 * p.epsilon**2))
+    """The width-delta Gaussian window at x0 on the samples x, normalized so
+    that sum |w|^2 * dx = 1: the prepared state, the window the closed forms
+    assume."""
+    window = np.exp(-((x - p.x0) ** 2) / (2.0 * p.delta**2))
     wnorm = float(np.sum(window**2)) * dx
     if wnorm <= 0.0:
         raise ParameterError("detection window has no support on this grid")
@@ -361,7 +343,7 @@ def _detection_window(x: np.ndarray, dx: float, p: ProcedureParams) -> np.ndarra
 
 def measure_povm(s: GridState, p: ProcedureParams) -> MeasurementDistribution:
     """Probability of the detection outcome: overlap with the normalized
-    width-epsilon Gaussian window at x0 (a rank-one projector)."""
+    width-delta Gaussian window at x0 (a rank-one projector)."""
     if s.space != POSITION:
         raise GridLayoutError("measure_povm expects a position-space state")
     window = _detection_window(s.points, s.grid_step, p)
@@ -385,7 +367,7 @@ def run_circuit(
 class PhaseResponse:
     """The circuit split at the mask: per-cell weights |G_k|^2 * dy of the
     transformed prepared state G on the conjugate grid
-    y_k = grid_start + k*grid_step, for the matched detection window.
+    y_k = grid_start + k*grid_step; detection projects back onto G.
 
     For a mask f the detected amplitude at phase phi is A0 + exp(-2i*phi)*A1,
     with (A0, A1) = ``split(f)``, and its squared modulus is the
@@ -434,22 +416,17 @@ def phase_response(p: ProcedureParams, n: int) -> PhaseResponse:
     """One Gaussian evaluation and one half-length transform that serve every
     phase and mask.
 
-    Needs the matched window (epsilon equal to delta within 4 ulps), so that
-    the window's transform is the state's and w_k = |G_k|^2 * dy.  Evaluates
-    the Gaussian on its support only (``_support_gaussian``, no N-point
-    state) and folds it into one in-place inverse FFT of length n/2 (see the
-    module docstring); the weights agree with
-    |fourier(prepare_gaussian(p, n))|^2 * dy to rounding.  Peak array memory
-    is about 12*n bytes, of which the returned 8*n-byte weights stay.
+    The detection window is the prepared state, so its transform is the
+    state's and w_k = |G_k|^2 * dy.  Evaluates the Gaussian on its support
+    only (``_support_gaussian``, no N-point state) and folds it into one
+    in-place inverse FFT of length n/2 (see the module docstring); the
+    weights agree with |fourier(prepare_gaussian(p, n))|^2 * dy to rounding.
+    Peak array memory is about 12*n bytes, of which the returned 8*n-byte
+    weights stay.
     Makes the checks of ``run_circuit`` that need no mask, in its order
     (containment, grid size, state support, a grid covering [-P, P]);
     ``PhaseResponse.split`` makes the rest.
     """
-    if abs(p.epsilon - p.delta) > 4.0 * math.ulp(p.delta):
-        raise ParameterError(
-            f"the grid sweep needs a matched detection window: epsilon={p.epsilon!r} "
-            f"differs from delta={p.delta!r}"
-        )
     lo, hi, dx, gauss = _support_gaussian(p, n)
     n = int(n)
     dy, ys = _conjugate_layout(n, dx)
@@ -488,7 +465,7 @@ def phase_response(p: ProcedureParams, n: int) -> PhaseResponse:
 class KickbackCheck:
     """Deviation metrics of the two-register shift circuit from ideal kickback.
 
-    phase_deviation: |arg(overlap) - (-pi * f(x) * repeats)| wrapped to (-pi, pi]
+    phase_deviation: |arg(overlap) - (-pi * f(x))| wrapped to (-pi, pi]
     magnitude_deviation: |1 - |overlap||
     """
 
@@ -497,19 +474,16 @@ class KickbackCheck:
 
 
 def two_register_kickback_check(
-    x_point: float,
-    f: PiecewiseBinaryFunction,
-    n_target: int,
-    repeats: int = 1,
+    x_point: float, f: PiecewiseBinaryFunction, n_target: int
 ) -> KickbackCheck:
     """Check that shifting the plane-wave target by f(x) kicks back phase -pi*f(x).
 
     The target is the discretized plane wave exp(i*pi*y) on a periodic grid
     over [0, 4): period-2 wave, two full periods, so wrap-around is seamless.
     A unit shift y -> y + 1 must be an integer number of cells, which needs
-    n_target divisible by 4.  Applying the shift f(x) times per repeat and
-    overlapping with the unshifted target yields exp(-i*pi*f(x)*repeats)
-    exactly, up to rounding; the metrics quantify any deviation.
+    n_target divisible by 4.  Applying the shift f(x) times and overlapping
+    with the unshifted target yields exp(-i*pi*f(x)) exactly, up to
+    rounding; the metrics quantify any deviation.
     """
     n_target = int(n_target)
     if n_target < 8 or n_target % 4 != 0:
@@ -517,16 +491,14 @@ def two_register_kickback_check(
             f"n_target must be a multiple of 4 (>= 8) so the unit shift is an "
             f"integer number of cells, got {n_target}"
         )
-    if repeats < 1:
-        raise ParameterError(f"repeats must be >= 1, got {repeats}")
     fx = f(x_point)
     du = 4.0 / n_target
     cells_per_unit = n_target // 4
     u = du * np.arange(n_target)
     target = np.exp(1j * math.pi * u) / math.sqrt(n_target)
-    shifted = np.roll(target, cells_per_unit * fx * repeats)
+    shifted = np.roll(target, cells_per_unit * fx)
     overlap = complex(np.sum(np.conj(target) * shifted))
-    expected = -math.pi * fx * repeats
+    expected = -math.pi * fx
     phase_dev = abs(math.remainder(cmath.phase(overlap) - expected, 2.0 * math.pi))
     return KickbackCheck(
         phase_deviation=phase_dev,

@@ -8,9 +8,9 @@ where f is a binary piecewise-constant function.
 
 Types here are immutable values.  Hard validity (finite values, positive
 scales within range, mask shapes) is checked once, when an object is built,
-so an invalid object cannot exist and the engines never re-check it; softer
-regime conditions (envelope containment, mask efficiency) are reported by
-``validate_params`` so that callers can decide how to proceed.
+so an invalid object cannot exist and the engines never re-check it; the
+engines that need the envelope contained in [-T, T] gate on
+``require_containment``.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ from .errors import GridLayoutError, ParameterError, RegimeError
 # it below ~1.3e-5, matching the accuracy targets used throughout.
 CONTAINMENT_RATIO = 4.2
 
-# Mask efficiency erf(2*P*delta)^2 is within ~4.4e-5 of 1 once P*delta >= 1.5.
-FULL_EFFICIENCY_PRODUCT = 1.5
-
 # The engines square the scales and divide by them; inside this range neither
 # step over- or underflows a double.
 _SCALE_RANGE = (1e-150, 1e150)
@@ -41,19 +38,36 @@ def _require_finite(name: str, value: float) -> float:
     return v
 
 
+def _scale_error(name: str, value: float) -> str:
+    """Why value cannot be the scale name, or '' if it can."""
+    lo, hi = _SCALE_RANGE
+    if lo <= value <= hi:
+        return ""
+    return f"{name} must be positive and within [{lo:g}, {hi:g}], got {value}"
+
+
+def require_scale(name: str, value: float) -> float:
+    """value as a float, if it is finite and a scale ``ProcedureParams`` accepts."""
+    v = _require_finite(name, value)
+    error = _scale_error(name, v)
+    if error:
+        raise ParameterError(error)
+    return v
+
+
 @dataclass(frozen=True)
 class ProcedureParams:
     """Parameters of one protocol configuration.
 
-    x0:      centre of the position-space Gaussian envelope
-    delta:   envelope width
-    big_t:   half-width of the position domain [-T, T]
-    big_p:   half-width of the conjugate domain [-P, P]
-    epsilon: width of the detection window; defaults to delta
+    x0:    centre of the position-space Gaussian envelope, and of the
+           detection, which projects back onto the prepared Gaussian
+    delta: envelope width
+    big_t: half-width of the position domain [-T, T]
+    big_p: half-width of the conjugate domain [-P, P]
 
     Construction raises ParameterError unless every value is finite and the
-    four scales delta, big_t, big_p and epsilon are positive and within the
-    range where their squares are finite normal doubles.  Scale validity is
+    three scales delta, big_t and big_p are positive and within the range
+    where their squares are finite normal doubles.  Scale validity is
     checked here, once; no engine checks it again.
     """
 
@@ -61,21 +75,13 @@ class ProcedureParams:
     delta: float
     big_t: float
     big_p: float
-    epsilon: float | None = None
 
     def __post_init__(self) -> None:
         for name in ("x0", "delta", "big_t", "big_p"):
             object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-        eps = self.delta if self.epsilon is None else _require_finite("epsilon", self.epsilon)
-        object.__setattr__(self, "epsilon", eps)
-        lo, hi = _SCALE_RANGE
-        errors = []
-        for name in ("delta", "big_t", "big_p", "epsilon"):
-            v = getattr(self, name)
-            if not lo <= v <= hi:
-                errors.append(f"{name} must be positive and within [{lo:g}, {hi:g}], got {v}")
-        if errors:
-            raise ParameterError("; ".join(errors))
+        errors = [_scale_error(n, getattr(self, n)) for n in ("delta", "big_t", "big_p")]
+        if any(errors):
+            raise ParameterError("; ".join(e for e in errors if e))
 
     @property
     def containment_ratio(self) -> float:
@@ -90,32 +96,6 @@ class ProcedureParams:
     def mask_product(self) -> float:
         """P * delta; controls how close the mask efficiency erf(2*P*delta)^2 is to 1."""
         return self.big_p * self.delta
-
-
-def validate_params(p: ProcedureParams) -> tuple[str, ...]:
-    """Warnings for the soft regime conditions of valid parameters.
-
-    Hard validity is checked once, when ``p`` is built.  The warnings are:
-    containment ratio below CONTAINMENT_RATIO (closed forms untrustworthy),
-    and mask product below FULL_EFFICIENCY_PRODUCT (mask efficiency
-    noticeably short of 1, so the ideal-limit identities drift).  The
-    reciprocal-domain product 2*T*P is not checked; the protocol is well
-    defined for any positive pair (T, P).
-    """
-    warnings = []
-    if not p.in_containment_regime:
-        warnings.append(
-            f"containment ratio (T - |x0|)/delta = {p.containment_ratio:.4g} "
-            f"is below {CONTAINMENT_RATIO}; envelope leaks out of [-T, T] and "
-            "closed-form statistics are unreliable"
-        )
-    if p.mask_product < FULL_EFFICIENCY_PRODUCT:
-        warnings.append(
-            f"mask product P*delta = {p.mask_product:.4g} is below "
-            f"{FULL_EFFICIENCY_PRODUCT}; mask efficiency erf(2*P*delta)^2 "
-            "is noticeably below 1"
-        )
-    return tuple(warnings)
 
 
 def require_containment(p: ProcedureParams) -> None:
@@ -168,10 +148,9 @@ def aligned_half_width(big_p: float, n: int, cells_per_eighth: int = 32) -> floa
     the conjugate grid; the default suits n = 4096.  It lives here, not with
     the grid engine, because every command derives its default T from it.
     """
-    if big_p <= 0.0 or cells_per_eighth < 1:
-        raise ParameterError(
-            f"need big_p > 0 and cells_per_eighth >= 1, got {big_p}, {cells_per_eighth}"
-        )
+    big_p = require_scale("big_p", big_p)
+    if cells_per_eighth < 1:
+        raise ParameterError(f"cells_per_eighth must be >= 1, got {cells_per_eighth}")
     n = _require_pow2(n)
     if n < 16 * cells_per_eighth:
         # conjugate span is N*dy/2 = N*P/(16 q); below this it cannot cover [-P, P]
@@ -267,22 +246,12 @@ class PiecewiseBinaryFunction:
             raise ParameterError(f"evaluation point {y} outside [-{self.half_domain}, {self.half_domain}]")
         return self.values[bisect_left(self.breakpoints, y)]
 
-    def complement(self) -> "PiecewiseBinaryFunction":
-        """The pointwise 1-f mask on the same domain."""
-        return PiecewiseBinaryFunction(
-            self.breakpoints, tuple(1 - v for v in self.values), self.half_domain
-        )
-
     def segments(self) -> tuple[tuple[float, float, int], ...]:
         """(lo, hi, value) triples covering [-H, H] in ascending order."""
         edges = (-self.half_domain, *self.breakpoints, self.half_domain)
         return tuple(
             (edges[i], edges[i + 1], self.values[i]) for i in range(len(self.values))
         )
-
-    def measure_of_ones(self) -> float:
-        """Lebesgue measure of {y : f(y) = 1} within [-H, H]."""
-        return sum(hi - lo for lo, hi, v in self.segments() if v == 1)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ and resabs = h * sum_j w_j * |g(x_j)|, the panel's error estimate is
 
 eps being the double-precision machine epsilon.  The panel with the largest
 estimate is bisected until the estimates sum to the segment's budget or
-``max_subdivisions`` panels exist.  QUADPACK's extrapolation step is left
+_MAX_PANELS panels exist.  QUADPACK's extrapolation step is left
 out: the envelope is entire and each segment finite, so bisection alone
 converges geometrically.
 """
@@ -40,7 +40,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .errors import ParameterError, QuadratureToleranceError, RegimeError
+from .errors import QuadratureToleranceError, RegimeError
 from .model import (
     PiecewiseBinaryFunction,
     ProcedureParams,
@@ -88,25 +88,11 @@ _WG = (
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Error budget for one probability evaluation.
-
-    abs_tol applies to the final probability; it must not exceed 1e-6 because
-    this module exists to resolve deviations well below that scale.
-    """
-
-    abs_tol: float = 1e-10
-    max_subdivisions: int = 256
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.abs_tol <= 1e-6):
-            raise ParameterError(f"abs_tol must lie in (0, 1e-6], got {self.abs_tol}")
-        if self.max_subdivisions < 64:
-            raise ParameterError(
-                f"max_subdivisions must be at least 64, got {self.max_subdivisions}"
-            )
+# error budget of one probability, far below the 1e-6 scale of the deviations
+# this module exists to resolve, and the most panels one segment may use;
+# both are read at call time
+_ABS_TOL = 1e-10
+_MAX_PANELS = 256
 
 
 def _gauss_kronrod(
@@ -196,14 +182,13 @@ class QuadratureResponse:
     params: ProcedureParams
     integrals: tuple[tuple[float, int], ...]
     error_sum: float
-    spec: QuadratureSpec
 
     def at(self, phi: float) -> QuadratureResult:
         """Detection probability at phase phi, with the error estimate
         propagated from the segments.
 
         Raises QuadratureToleranceError, carrying the best values, when that
-        estimate exceeds the spec's abs_tol.
+        estimate exceeds _ABS_TOL.
         """
         acc_re = 0.0
         acc_im = 0.0
@@ -216,11 +201,10 @@ class QuadratureResponse:
         err_sum = self.error_sum
         value = norm * mod * mod
         error_estimate = norm * (2.0 * mod * err_sum + err_sum * err_sum)
-        if error_estimate > self.spec.abs_tol:
+        if error_estimate > _ABS_TOL:
             raise QuadratureToleranceError(
                 f"propagated error estimate {error_estimate:.3e} exceeds "
-                f"abs_tol {self.spec.abs_tol:.3e} within "
-                f"{self.spec.max_subdivisions} subdivisions",
+                f"abs_tol {_ABS_TOL:.3e} within {_MAX_PANELS} subdivisions",
                 value=value,
                 error_estimate=error_estimate,
             )
@@ -228,18 +212,16 @@ class QuadratureResponse:
 
 
 def quadrature_response(
-    p: ProcedureParams,
-    f: PiecewiseBinaryFunction,
-    spec: QuadratureSpec = QuadratureSpec(),
+    p: ProcedureParams, f: PiecewiseBinaryFunction
 ) -> QuadratureResponse:
     """Integrate the envelope over each segment of the mask, once for every
     phase.
 
-    The probability-level budget abs_tol is converted to a budget for the
+    The probability-level budget _ABS_TOL is converted to a budget for the
     underlying complex integral (whose modulus is at most sqrt(pi)/(2*delta))
     and split across segments in proportion to their Gaussian mass, so tail
     segments do not starve the centre.  Each segment may use up to
-    max_subdivisions panels.
+    _MAX_PANELS panels.
     """
     require_containment(p)
     require_mask_domain(p, f)
@@ -248,7 +230,7 @@ def quadrature_response(
 
     # first-order: |dp| <= (4 d^2/pi) * 2 |I|_max * |dI|, |I|_max <= sqrt(pi)/(2d)
     # => an integral budget of abs_tol * sqrt(pi)/(4d) meets abs_tol; halve for safety
-    integral_budget = spec.abs_tol * math.sqrt(math.pi) / (8.0 * d)
+    integral_budget = _ABS_TOL * math.sqrt(math.pi) / (8.0 * d)
 
     # mass weights only steer the split; they never enter the value
     masses = []
@@ -264,26 +246,23 @@ def quadrature_response(
     err_sum = 0.0
     for (lo, hi, v), mass in zip(segs, masses):
         seg_budget = integral_budget * max(mass / total_mass, 1e-6)
-        val, err = _integrate(integrand, lo, hi, seg_budget, spec.max_subdivisions)
+        val, err = _integrate(integrand, lo, hi, seg_budget, _MAX_PANELS)
         integrals.append((val, v))
         err_sum += err
-    return QuadratureResponse(p, tuple(integrals), err_sum, spec)
+    return QuadratureResponse(p, tuple(integrals), err_sum)
 
 
 def prob_x0_quadrature(
-    p: ProcedureParams,
-    f: PiecewiseBinaryFunction,
-    phi: float,
-    spec: QuadratureSpec = QuadratureSpec(),
+    p: ProcedureParams, f: PiecewiseBinaryFunction, phi: float
 ) -> QuadratureResult:
     """Detection probability via adaptive quadrature over the mask segments:
-    ``quadrature_response(p, f, spec).at(phi)``.
+    ``quadrature_response(p, f).at(phi)``.
 
     The returned error_estimate is propagated from the per-segment
-    estimates; if it exceeds abs_tol a QuadratureToleranceError carrying the
-    best values is raised.
+    estimates; if it exceeds _ABS_TOL a QuadratureToleranceError carrying
+    the best values is raised.
     """
-    return quadrature_response(p, f, spec).at(phi)
+    return quadrature_response(p, f).at(phi)
 
 
 @dataclass(frozen=True)
@@ -303,23 +282,19 @@ class StepHatGap:
     ratio: float
 
 
-def step_hat_gap(
-    p: ProcedureParams, phi: float, spec: QuadratureSpec = QuadratureSpec()
-) -> StepHatGap:
+def step_hat_gap(p: ProcedureParams, phi: float) -> StepHatGap:
     """Quadrature-measured gap between Step(0) and Hat(-P/2, P/2) detection
     probabilities, with its small-(P*delta) series prediction:
-    ``step_hat_gaps(p, (phi,), spec)[0]``.
+    ``step_hat_gaps(p, (phi,))[0]``.
 
     Requires P*delta <= 1/2; beyond that the truncated series stops
     controlling the gap.
     """
-    return step_hat_gaps(p, (phi,), spec)[0]
+    return step_hat_gaps(p, (phi,))[0]
 
 
 def step_hat_gaps(
-    p: ProcedureParams,
-    phis: tuple[float, ...],
-    spec: QuadratureSpec = QuadratureSpec(),
+    p: ProcedureParams, phis: tuple[float, ...]
 ) -> tuple[StepHatGap, ...]:
     """``step_hat_gap`` at each phase in phis, integrating each mask once.
 
@@ -331,9 +306,9 @@ def step_hat_gaps(
             f"step_hat_gap requires P*delta <= 0.5, got {s}; the series "
             "prediction does not control larger mask products"
         )
-    step = quadrature_response(p, PiecewiseBinaryFunction.step(0.0, p.big_p), spec)
+    step = quadrature_response(p, PiecewiseBinaryFunction.step(0.0, p.big_p))
     hat = quadrature_response(
-        p, PiecewiseBinaryFunction.hat(-p.big_p / 2.0, p.big_p / 2.0, p.big_p), spec
+        p, PiecewiseBinaryFunction.hat(-p.big_p / 2.0, p.big_p / 2.0, p.big_p)
     )
     gaps = []
     for phi in phis:

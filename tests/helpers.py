@@ -1,4 +1,5 @@
-"""Shared parameter builders and reference formatters for the test suite."""
+"""Shared parameter builders, reference computations and formatters for the
+test suite."""
 
 import csv
 import io
@@ -35,6 +36,16 @@ def saturated() -> ProcedureParams:
     p = ProcedureParams(x0=0.0, delta=1.0, big_t=10.0, big_p=4.0)
     assert math.erf(2.0 * p.big_p * p.delta) == 1.0
     return p
+
+
+def inverted_phase(hits: int, shots: int, p: ProcedureParams, r: float) -> float:
+    """The maximum-likelihood phase of ``hits`` detections in ``shots``
+    trials of the step mask r: the hit fraction inverted in closed form
+    through a + b*cos(2*phi), clamped to the attainable range."""
+    from cvphase import cosine_model_coefficients
+
+    a, b = cosine_model_coefficients(p, r)
+    return 0.5 * math.acos(min(1.0, max(-1.0, (hits / shots - a) / b)))
 
 
 def cell_csv(v) -> str:
@@ -91,3 +102,24 @@ def reference_phase_weights(p: ProcedureParams, n: int):
     weights[0::2] = np.roll(w, n // 4)
     weights[1::2] = np.roll(w[::-1], n // 4)
     return weights
+
+
+def fourier_matrix(s):
+    """Dense N x N unitary U[k, j] = sqrt(dx*dy/pi) * exp(2i*x_j*y_k).
+
+    This is the transform between sqrt(step)-scaled amplitude vectors:
+    sqrt(dy) * fourier(s).amplitudes == U @ (sqrt(dx) * s.amplitudes).
+    Intended for small-N unitarity checks; quadratic memory.
+    """
+    import numpy as np
+
+    from cvphase import GridLayoutError, grid
+
+    if s.space != grid.POSITION:
+        raise GridLayoutError("fourier_matrix expects a position-space state")
+    n = s.n
+    dx = s.grid_step
+    dy, ys = grid._conjugate_layout(n, dx)
+    x = s.points
+    y = ys + dy * np.arange(n)
+    return math.sqrt(dx * dy / math.pi) * np.exp(2j * np.outer(y, x))

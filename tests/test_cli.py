@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvphase import (
-    PiecewiseBinaryFunction, ProcedureParams, cli, experiments, grid,
+    PiecewiseBinaryFunction, ProcedureParams, cli, experiments, grid, model,
     phase_response, quadrature,
 )
 from helpers import BIG_P, DELTA, canonical, cell_csv, reference_csv
@@ -178,15 +178,25 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in err and "[0, pi/2]" in err
 
-    @pytest.mark.parametrize("delta", ["0", "-0.0", "nan"])
+    # inf and 1e-320 would otherwise reach the P and T derived from delta
+    @pytest.mark.parametrize("delta", ["0", "-0.0", "nan", "inf", "1e-320"])
     def test_nonpositive_delta_rejected(self, capsys, delta):
         code, _, err = run_cli(["fisher-phi", "--delta", delta], capsys)
         assert code == 2
         assert "error:" in err and "delta" in err
 
+    @pytest.mark.parametrize("big_p", ["nan", "inf", "0", "-1", "1e200"])
+    def test_bad_big_p_is_named(self, capsys, big_p):
+        # the default T derives from P: the error names P, not T or its helper
+        code, out, err = run_cli(["audit", "--big-p", big_p], capsys)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and "big_p" in err
+        assert "big_t" not in err and "cells_per_eighth" not in err
+
     def test_grid_size_is_capped(self, capsys):
         # the analytic engine allocates no grid, even if the cap were lost
-        cap = grid._MAX_POINTS
+        cap = model._MAX_POINTS
         assert cap >= 2**20
         assert run_cli(["fisher-phi", "--grid-n", str(cap)], capsys)[0] == 0
         code, out, err = run_cli(["fisher-phi", "--grid-n", str(2 * cap)], capsys)
@@ -311,9 +321,9 @@ class TestGridEngine:
         built = []
         original = quadrature.quadrature_response
 
-        def counted(p, f, spec):
+        def counted(p, f):
             built.append(f.breakpoints)
-            return original(p, f, spec)
+            return original(p, f)
 
         monkeypatch.setattr(quadrature, "quadrature_response", counted)
         assert not hasattr(cli, "prob_x0_quadrature")
@@ -329,9 +339,9 @@ class TestGridEngine:
         built = []
         original = quadrature.quadrature_response
 
-        def counted(p, f, spec):
+        def counted(p, f):
             built.append(f.breakpoints)
-            return original(p, f, spec)
+            return original(p, f)
 
         monkeypatch.setattr(quadrature, "quadrature_response", counted)
         code, out, _ = run_cli(["gap"], capsys)

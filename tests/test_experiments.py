@@ -10,14 +10,14 @@ from cvphase import (
     PiecewiseBinaryFunction,
     UnidentifiableFunctionError,
     fisher_phi,
+    cosine_model_coefficients,
     heisenberg_audit,
-    mle_phi,
     prob_x0_factorized,
     replicated_mse,
     sample_outcomes,
 )
 from cvphase import experiments
-from helpers import BIG_P, canonical, saturated
+from helpers import BIG_P, canonical, inverted_phase, saturated
 
 
 def _step(r: float) -> PiecewiseBinaryFunction:
@@ -186,50 +186,42 @@ class TestBlockDraw:
 
 
 class TestMlePhi:
+    """The maximum-likelihood inversion and the refusals of the estimator."""
+
     def test_exact_inversion_endpoints(self):
         # saturated parameters make the response 1/2 + cos(2 phi)/2, whose
         # inversion at the sample extremes is exact in floats
-        sat = saturated()
-        assert mle_phi(10, 10, sat, 0.0, 0.3).phi_hat == 0.0
-        assert mle_phi(0, 10, sat, 0.0, 0.3).phi_hat == math.pi / 2
-        assert mle_phi(5, 10, sat, 0.0, 0.3).phi_hat == pytest.approx(
-            math.pi / 4, abs=1e-15
-        )
+        a, b = cosine_model_coefficients(saturated(), 0.0)
+        assert experiments._phi_hat(10, 10, a, b) == 0.0
+        assert experiments._phi_hat(0, 10, a, b) == math.pi / 2
+        assert experiments._phi_hat(5, 10, a, b) == pytest.approx(math.pi / 4, abs=1e-15)
 
     def test_report_contents(self):
         sat = saturated()
         phi_true = 0.7
-        rep = mle_phi(3, 10, sat, 0.0, phi_true)
-        assert rep.n_shots == 10
-        assert rep.empirical_mse == (rep.phi_hat - phi_true) ** 2
+        s = replicated_mse(sat, 0.0, phi_true, 10, 3, 2)
+        assert s.squared_errors == tuple((h - phi_true) ** 2 for h in s.phi_hats)
         fisher = fisher_phi(sat, 0.0, phi_true).fisher
-        assert rep.crb * rep.n_shots * fisher == pytest.approx(1.0, rel=1e-12)
+        assert s.crb * s.shots * fisher == pytest.approx(1.0, rel=1e-12)
 
     def test_constant_mask_unidentifiable(self):
-        p = canonical()
-        hits = sample_outcomes(p, _step(BIG_P), 0.7, 10, 1)
         with pytest.raises(UnidentifiableFunctionError):
-            mle_phi(hits, 10, p, BIG_P, 0.7)
+            replicated_mse(canonical(), BIG_P, 0.7, 10, 5, 1)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ParameterError):
-            mle_phi(0, 0, canonical(), 0.0, 0.3)
-
-    @pytest.mark.parametrize("hits", [-1, 11])
-    def test_count_outside_shots_rejected(self, hits):
-        with pytest.raises(ParameterError):
-            mle_phi(hits, 10, canonical(), 0.0, 0.3)
+            replicated_mse(canonical(), 0.0, 0.3, 0, 5, 1)
 
     @pytest.mark.parametrize("phi_true", [-0.1, math.pi / 2 + 1e-9, 2.0, math.nan])
     def test_true_phase_off_the_principal_branch_rejected(self, phi_true):
         with pytest.raises(ParameterError):
-            mle_phi(5, 10, canonical(), 0.0, phi_true)
+            replicated_mse(canonical(), 0.0, phi_true, 10, 5, 1)
 
     def test_infinite_bound_when_information_vanishes(self):
         # at phi = 0 the slope of the response vanishes (with E < 1 the
         # probability stays interior, so F = 0 there)
-        rep = mle_phi(10, 10, canonical(), 0.0, 0.0)
-        assert math.isinf(rep.crb)
+        s = replicated_mse(canonical(), 0.0, 0.0, 10, 5, 1)
+        assert math.isinf(s.crb)
 
 
 class TestReplicatedMse:
@@ -259,10 +251,9 @@ class TestReplicatedMse:
         prob = prob_x0_factorized(p, PiecewiseBinaryFunction.step(r, BIG_P), phi_true).p_x0
         for i, phi_hat in enumerate(s.phi_hats):
             hits = _bare_count(prob, shots, (seed, i))
-            rep = mle_phi(hits, shots, p, r, phi_true)
-            assert phi_hat == rep.phi_hat
-            assert s.squared_errors[i] == rep.empirical_mse
-            assert s.crb == rep.crb
+            assert phi_hat == inverted_phase(hits, shots, p, r)
+            assert s.squared_errors[i] == (phi_hat - phi_true) ** 2
+        assert s.crb == 1.0 / (shots * fisher_phi(p, r, phi_true).fisher)
         assert len(s.squared_errors) == 30
         assert s.mean_mse == sum(s.squared_errors) / 30
 

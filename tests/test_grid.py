@@ -20,7 +20,6 @@ from cvphase import (
     aligned_half_width,
     apply_blackbox,
     fourier,
-    fourier_matrix,
     grid,
     inverse_fourier,
     measure_povm,
@@ -30,7 +29,9 @@ from cvphase import (
     run_circuit,
     two_register_kickback_check,
 )
-from helpers import BIG_P, DELTA, GRID_N, canonical, reference_phase_weights
+from helpers import (
+    BIG_P, DELTA, GRID_N, canonical, fourier_matrix, reference_phase_weights,
+)
 
 
 class TestGridState:
@@ -67,6 +68,17 @@ class TestAlignedHalfWidth:
             aligned_half_width(-1.0, GRID_N)
         with pytest.raises(GridLayoutError):
             aligned_half_width(BIG_P, 1000)
+
+    @pytest.mark.parametrize("big_p", [math.nan, math.inf, 0.0, -1.0, 1e200])
+    def test_bad_big_p_is_named(self, big_p):
+        # T = 4*pi*q/P: a bad P must not pass on as a bad, or silent, T
+        with pytest.raises(ParameterError, match="^big_p must be") as info:
+            aligned_half_width(big_p, GRID_N)
+        assert "cells_per_eighth" not in str(info.value)
+
+    def test_bad_cells_per_eighth_is_named(self):
+        with pytest.raises(ParameterError, match="^cells_per_eighth must be >= 1, got 0$"):
+            aligned_half_width(BIG_P, GRID_N, cells_per_eighth=0)
 
 
 class TestPrepareGaussian:
@@ -250,11 +262,11 @@ class TestMeasurePovm:
     def test_unsupported_window_rejected(self):
         p = canonical()
         s = prepare_gaussian(p, GRID_N)
+        # a window this narrow between two samples underflows on every one
         off_grid = ProcedureParams(
-            x0=s.grid_step / 2.0, delta=p.delta, big_t=p.big_t, big_p=p.big_p,
-            epsilon=1e-8,
+            x0=s.grid_step / 2.0, delta=1e-8, big_t=p.big_t, big_p=p.big_p
         )
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="no support"):
             measure_povm(s, off_grid)
 
     def test_requires_position_space(self):
@@ -316,36 +328,13 @@ class TestPhaseResponse:
 
     @pytest.mark.parametrize("n", [256, 4096, 2**14])
     @pytest.mark.parametrize("mask", sorted(MASKS))
-    # the default window, and one a rounding step wider that the sweep takes
-    # as matched
-    @pytest.mark.parametrize("epsilon", [None, math.nextafter(DELTA, 1.0)])
-    def test_probability_matches_circuit(self, n, mask, epsilon):
-        p = ProcedureParams(
-            x0=0.37, delta=DELTA, big_t=self.T, big_p=BIG_P, epsilon=epsilon
-        )
+    def test_probability_matches_circuit(self, n, mask):
+        p = ProcedureParams(x0=0.37, delta=DELTA, big_t=self.T, big_p=BIG_P)
         f = self.MASKS[mask]
         a0, a1 = phase_response(p, n).split(f)
         for phi in (0.0, 0.3, math.pi / 2, 2.2, math.pi):
             got = abs(a0 + cmath.exp(-2j * phi) * a1) ** 2
             assert got == pytest.approx(run_circuit(p, f, phi, n).p_x0, abs=1e-14)
-
-    def test_mismatched_window_rejected(self):
-        p = ProcedureParams(x0=0.37, delta=DELTA, big_t=self.T, big_p=BIG_P, epsilon=0.5)
-        with pytest.raises(ParameterError, match="epsilon.*delta"):
-            phase_response(p, 256)
-        # a few ulps are rounding; 9e-13 relative already moves the circuit's
-        # probability by ~1e-14, the agreement the sweep is held to
-        near = ProcedureParams(
-            x0=0.37, delta=DELTA, big_t=self.T, big_p=BIG_P,
-            epsilon=DELTA * (1.0 - 9e-13),
-        )
-        with pytest.raises(ParameterError, match="epsilon.*delta"):
-            phase_response(near, 256)
-        ulps = ProcedureParams(
-            x0=0.37, delta=DELTA, big_t=self.T, big_p=BIG_P,
-            epsilon=DELTA + 4.0 * math.ulp(DELTA),
-        )
-        assert phase_response(ulps, 256).weights.size == 256
 
     SWEEP_CASES = list(itertools.product((256, 4096, 2**14), (0.0, 0.37), (T,))) + [
         # the support is wider than n/2 samples, so the fold wraps
@@ -402,8 +391,6 @@ class TestPhaseResponse:
     @pytest.mark.parametrize(
         "params, n, error, match",
         [
-            (dict(x0=0.0, delta=1.0, big_t=2.0, big_p=3.0, epsilon=0.5), 1000,
-             ParameterError, "matched detection window"),
             (dict(x0=0.0, delta=1.0, big_t=2.0, big_p=3.0), 1000,
              RegimeError, "containment"),
             (dict(x0=0.24, delta=0.001, big_t=1000.0, big_p=3.0), 1000,
@@ -413,7 +400,7 @@ class TestPhaseResponse:
             (dict(x0=0.0, delta=DELTA, big_t=aligned_half_width(BIG_P, GRID_N),
                   big_p=BIG_P), 256, GridLayoutError, "does not cover"),
         ],
-        ids=["epsilon", "containment", "grid-size", "empty-support", "cover"],
+        ids=["containment", "grid-size", "empty-support", "cover"],
     )
     def test_checks_run_in_order(self, params, n, error, match):
         # each input but the last also fails the next check: the earlier wins
@@ -497,10 +484,11 @@ class TestPhaseResponse:
 class TestKickback:
     @pytest.mark.parametrize("r", [0.0, BIG_P / 2])
     @pytest.mark.parametrize("x_point", [-1.0, 0.5])
-    @pytest.mark.parametrize("repeats", [1, 2, 3])
-    def test_exact_phase_kickback(self, r, x_point, repeats):
+    # target grids of 64, 128 and 192 cells: 16, 32 and 48 cells per unit shift
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_exact_phase_kickback(self, r, x_point, size):
         f = PiecewiseBinaryFunction.step(r, BIG_P)
-        check = two_register_kickback_check(x_point, f, 64, repeats)
+        check = two_register_kickback_check(x_point, f, 64 * size)
         assert check.phase_deviation <= 1e-10
         assert check.magnitude_deviation <= 1e-10
 
@@ -510,8 +498,3 @@ class TestKickback:
             two_register_kickback_check(0.5, f, 66)
         with pytest.raises(GridLayoutError):
             two_register_kickback_check(0.5, f, 4)
-
-    def test_repeats_validated(self):
-        f = PiecewiseBinaryFunction.step(0.0, BIG_P)
-        with pytest.raises(ParameterError):
-            two_register_kickback_check(0.5, f, 64, repeats=0)

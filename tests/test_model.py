@@ -17,7 +17,6 @@ from cvphase import (
     prob_x0_quadrature,
     require_containment,
     run_circuit,
-    validate_params,
 )
 from cvphase.model import require_mask_domain
 from erf_oracle import erf_f
@@ -25,14 +24,6 @@ from helpers import BIG_P, canonical
 
 
 class TestProcedureParams:
-    def test_epsilon_defaults_to_preparation_width(self):
-        p = ProcedureParams(x0=0.0, delta=0.5, big_t=5.0, big_p=2.0)
-        assert p.epsilon == 0.5
-
-    def test_explicit_epsilon_kept(self):
-        p = ProcedureParams(x0=0.0, delta=0.5, big_t=5.0, big_p=2.0, epsilon=0.25)
-        assert p.epsilon == 0.25
-
     def test_nonfinite_rejected_at_construction(self):
         with pytest.raises(ParameterError):
             ProcedureParams(x0=math.nan, delta=0.5, big_t=5.0, big_p=2.0)
@@ -46,11 +37,10 @@ class TestProcedureParams:
             {"delta": -1.0},
             {"big_t": 0.0},
             {"big_p": -2.0},
-            {"epsilon": 0.0},
         ],
     )
     def test_nonpositive_scales_fail_validation(self, kwargs):
-        base = dict(x0=0.0, delta=0.5, big_t=5.0, big_p=2.0, epsilon=0.5)
+        base = dict(x0=0.0, delta=0.5, big_t=5.0, big_p=2.0)
         base.update(kwargs)
         (name,) = kwargs
         with pytest.raises(ParameterError, match=f"^{name} must be positive"):
@@ -60,7 +50,7 @@ class TestProcedureParams:
         with pytest.raises(ParameterError) as info:
             ProcedureParams(x0=0.0, delta=1e-200, big_t=-1.0, big_p=2.0)
         messages = str(info.value).split("; ")
-        assert [m.split()[0] for m in messages] == ["delta", "big_t", "epsilon"]
+        assert [m.split()[0] for m in messages] == ["delta", "big_t"]
         assert all("within [1e-150, 1e+150]" in m for m in messages)
 
     def test_derived_properties(self):
@@ -68,16 +58,6 @@ class TestProcedureParams:
         assert p.containment_ratio == pytest.approx((4.0 - 1.0) / 0.5)
         assert p.mask_product == pytest.approx(1.5)
         assert p.in_containment_regime
-
-    def test_validation_warnings(self):
-        snug = ProcedureParams(x0=0.0, delta=1.0, big_t=3.0, big_p=1.0)
-        warnings = validate_params(snug)  # warnings do not fail construction
-        assert len(warnings) == 2  # containment < 4.2 and P*delta < 1.5
-        assert "containment ratio (T - |x0|)/delta = 3 " in warnings[0]
-        assert "mask product P*delta = 1 " in warnings[1]
-
-        roomy = canonical()
-        assert validate_params(roomy) == ()
 
     def test_require_containment_gate(self):
         snug = ProcedureParams(x0=0.0, delta=1.0, big_t=4.0, big_p=1.5)
@@ -114,8 +94,8 @@ class TestPiecewiseBinaryFunction:
         high = PiecewiseBinaryFunction.step(-2.0, 2.0)
         assert low.breakpoints == () and low.values == (0,)
         assert high.breakpoints == () and high.values == (1,)
-        assert low.measure_of_ones() == 0.0
-        assert high.measure_of_ones() == 4.0
+        assert low.segments() == ((-2.0, 2.0, 0),)
+        assert high.segments() == ((-2.0, 2.0, 1),)
 
     def test_hat_semantics(self):
         f = PiecewiseBinaryFunction.hat(-0.5, 0.5, 2.0)
@@ -123,7 +103,7 @@ class TestPiecewiseBinaryFunction:
         assert f(-0.5) == 0  # left edge excluded, consistent with step
         assert f(0.5) == 1
         assert f(1.0) == 0
-        assert f.measure_of_ones() == pytest.approx(1.0)
+        assert f.segments() == ((-2.0, -0.5, 0), (-0.5, 0.5, 1), (0.5, 2.0, 0))
 
     def test_invalid_constructions(self):
         with pytest.raises(ParameterError):
@@ -156,12 +136,6 @@ class TestPiecewiseBinaryFunction:
             assert hi == lo
         assert [v for _, _, v in segs] == [1, 0, 1, 0]
 
-    def test_measure_of_ones(self):
-        f = PiecewiseBinaryFunction.step(0.5, 2.0)
-        assert f.measure_of_ones() == pytest.approx(1.5)
-        g = PiecewiseBinaryFunction.hat(-1.0, 0.25, 2.0)
-        assert g.measure_of_ones() == pytest.approx(1.25)
-
     @given(
         data=st.lists(st.floats(-1.9, 1.9), min_size=0, max_size=5, unique=True),
         seed=st.integers(0, 2**16),
@@ -172,9 +146,12 @@ class TestPiecewiseBinaryFunction:
         n_vals = len(bps) + 1
         vals = tuple((seed >> i) & 1 for i in range(n_vals))
         f = PiecewiseBinaryFunction(breakpoints=bps, values=vals, half_domain=2.0)
-        g = f.complement()
-        assert g.complement() == f
-        assert f.measure_of_ones() + g.measure_of_ones() == pytest.approx(4.0)
+        g = PiecewiseBinaryFunction(bps, tuple(1 - v for v in vals), 2.0)
+
+        def measure_of_ones(h):
+            return sum(hi - lo for lo, hi, v in h.segments() if v == 1)
+
+        assert measure_of_ones(f) + measure_of_ones(g) == pytest.approx(4.0)
         for y in (-2.0, -1.0, 0.0, 0.33, 2.0):
             assert f(y) + g(y) == 1
 

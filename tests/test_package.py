@@ -9,6 +9,30 @@ import pytest
 import cvphase
 
 
+# the public surface, spelled out so that adding or dropping a name is a
+# visible change here
+PUBLIC_NAMES = [
+    "CONTAINMENT_RATIO", "CvPhaseError", "FisherReport", "GeneratorMoments",
+    "GridLayoutError", "GridState", "KickbackCheck", "MOMENTUM",
+    "MeasurementDistribution", "POSITION", "ParameterError", "PhaseResponse",
+    "PiecewiseBinaryFunction", "ProcedureParams", "QuadratureResponse",
+    "QuadratureResult", "QuadratureToleranceError", "RegimeError",
+    "ReplicationSummary", "SingularityError", "StepHatGap",
+    "UnidentifiableFunctionError", "__version__", "aligned_half_width",
+    "apply_blackbox", "cosine_model_coefficients", "delta_phi", "dj_statistics",
+    "fisher_phi", "fisher_r", "fourier", "generator_moments", "heisenberg_audit",
+    "inverse_fourier", "mask_efficiency", "measure_povm", "phase_response",
+    "prepare_gaussian", "prob_x0", "prob_x0_factorized", "prob_x0_quadrature",
+    "quadrature_response", "replicated_mse", "require_containment",
+    "run_circuit", "sample_outcomes", "step_hat_gap", "step_hat_gaps",
+    "two_register_kickback_check",
+]
+
+
+def test_public_surface_is_pinned():
+    assert sorted(cvphase.__all__) == PUBLIC_NAMES
+
+
 @pytest.mark.parametrize("name", [n for n in cvphase.__all__ if n != "__version__"])
 def test_public_name_is_the_defining_modules_object(name):
     value = getattr(cvphase, name)

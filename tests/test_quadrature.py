@@ -8,7 +8,6 @@ import pytest
 from cvphase import (
     ParameterError,
     PiecewiseBinaryFunction,
-    QuadratureSpec,
     QuadratureToleranceError,
     RegimeError,
     prob_x0,
@@ -25,19 +24,11 @@ GAP_PRED_S01 = 4.9401694335724335e-06  # series prediction at P*delta=0.1, phi=p
 
 
 class TestQuadratureSpec:
+    """The error budget of one probability and what exceeding it raises."""
+
     def test_defaults_valid(self):
-        spec = QuadratureSpec()
-        assert spec.abs_tol == 1e-10
-        assert spec.max_subdivisions == 256
-
-    @pytest.mark.parametrize("tol", [0.0, -1e-10, 1e-5, 1.0])
-    def test_rejects_bad_tolerance(self, tol):
-        with pytest.raises(ParameterError):
-            QuadratureSpec(abs_tol=tol)
-
-    def test_rejects_small_subdivision_cap(self):
-        with pytest.raises(ParameterError):
-            QuadratureSpec(max_subdivisions=32)
+        assert quadrature._ABS_TOL == 1e-10
+        assert quadrature._MAX_PANELS == 256
 
     def test_tolerance_error_carries_best_values(self):
         err = QuadratureToleranceError("budget blown", value=0.5, error_estimate=1e-7)
@@ -94,12 +85,14 @@ class TestGaussKronrod:
         assert err <= budget
         assert abs(value - exact) <= err
 
-    def test_unreachable_budget_raises_with_best_values(self):
+    def test_unreachable_budget_raises_with_best_values(self, monkeypatch):
         p = canonical()
         f = PiecewiseBinaryFunction.step(BIG_P / 4, BIG_P)
-        spec = QuadratureSpec(abs_tol=1e-300, max_subdivisions=64)
-        with pytest.raises(QuadratureToleranceError) as info:
-            prob_x0_quadrature(p, f, 0.7, spec)
+        monkeypatch.setattr(quadrature, "_ABS_TOL", 1e-300)
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 64)
+        match = "abs_tol 1.000e-300 within 64 subdivisions"
+        with pytest.raises(QuadratureToleranceError, match=match) as info:
+            prob_x0_quadrature(p, f, 0.7)
         exc = info.value
         assert exc.value == pytest.approx(prob_x0(p, BIG_P / 4, 0.7).p_x0, abs=1e-12)
         assert 1e-300 < exc.error_estimate < 1e-12
@@ -131,15 +124,15 @@ def _random_mask(rng: np.random.Generator) -> PiecewiseBinaryFunction:
 class TestProbQuadrature:
     def test_agrees_with_segment_sum_on_random_masks(self):
         p = canonical()
-        spec = QuadratureSpec()
+        tol = quadrature._ABS_TOL
         rng = np.random.default_rng(20240817)
         for _ in range(50):
             f = _random_mask(rng)
             phi = float(rng.uniform(0.0, math.pi))
-            res = prob_x0_quadrature(p, f, phi, spec)
+            res = prob_x0_quadrature(p, f, phi)
             ref = prob_x0_factorized(p, f, phi).p_x0
-            assert res.error_estimate <= spec.abs_tol
-            assert abs(res.value - ref) <= max(spec.abs_tol, 1e-9)
+            assert res.error_estimate <= tol
+            assert abs(res.value - ref) <= max(tol, 1e-9)
 
     def test_agrees_with_closed_form_step(self):
         p = canonical()
