@@ -35,7 +35,7 @@ from .model import (
     aligned_half_width,
     require_scale,
 )
-from .stats import dj_statistics, fisher_phi, fisher_r, mask_efficiency, prob_x0
+from .stats import dj_statistics, fisher_phis, fisher_rs, mask_efficiency, prob_x0s
 
 # each engine runs its module code when a command first uses it, so a fresh
 # process compiles only the engines it runs; json is imported by --format json
@@ -172,14 +172,18 @@ def _resolve_params(
 ) -> ProcedureParams:
     delta = args.delta if args.delta is not None else 1.0 / math.sqrt(2.0)
     delta = require_scale("delta", delta)  # before P and T are derived from it
+    # a derived P or T out of range names the flag it was derived from
+    source = f"delta={delta!r}"
     if args.big_p is not None:
         big_p = args.big_p
-    elif default_big_p is not None:
-        big_p = default_big_p(delta)
+        source = f"big_p={big_p!r}"
     else:
-        big_p = 3.0 / (2.0 * delta)
-    grid_n = getattr(args, "grid_n", _DEFAULT_GRID_N)
-    big_t = args.big_t if args.big_t is not None else aligned_half_width(big_p, grid_n)
+        big_p = default_big_p(delta) if default_big_p else 3.0 / (2.0 * delta)
+        big_p = require_scale(f"P derived from {source}", big_p)
+    big_t = args.big_t
+    if big_t is None:
+        big_t = aligned_half_width(big_p, getattr(args, "grid_n", _DEFAULT_GRID_N))
+        big_t = require_scale(f"T derived from {source}", big_t)
     return ProcedureParams(x0=args.x0, delta=delta, big_t=big_t, big_p=big_p)
 
 
@@ -224,10 +228,12 @@ def cmd_fisher_phi_sweep(
     for r in r_values:
         if want_grid:
             a0, a1 = response.split(PiecewiseBinaryFunction.step(r, p.big_p))
-        for phi in phi_values:
+        if want_analytic:
+            reports = fisher_phis(p, r, phi_values)
+        for k, phi in enumerate(phi_values):
             row: dict[str, Any] = {"phi": phi, "r": r}
             if want_analytic:
-                rep = fisher_phi(p, r, phi)
+                rep = reports[k]
                 row["fisher"] = rep.fisher
                 row["variance_bound"] = rep.variance_bound
                 row["mean_bound"] = rep.mean_bound_diagnostic
@@ -265,11 +271,13 @@ def cmd_fisher_r_sweep(
     A circuit-difference column is not offered: moving the threshold moves a
     mask jump within a conjugate-grid cell, so the difference quotient is
     dominated by discretization, not by the derivative being estimated.
+    Each threshold's column is computed at once; rows run phi-major.
     """
+    columns = [fisher_rs(p, r, phi_values) for r in r_values]
     rows = [
-        {"phi": phi, "r": r, "fisher_r": fisher_r(p, r, phi)}
-        for phi in phi_values
-        for r in r_values
+        {"phi": phi, "r": r, "fisher_r": column[k]}
+        for k, phi in enumerate(phi_values)
+        for r, column in zip(r_values, columns)
     ]
     return ["phi", "r", "fisher_r"], rows
 
@@ -371,8 +379,8 @@ def cmd_crosscheck(
         f = PiecewiseBinaryFunction.step(r, p.big_p)
         a0, a1 = response.split(f)
         integrals = quadrature.quadrature_response(p, f)
-        for phi in phi_values:
-            pa = prob_x0(p, r, phi).p_x0
+        for phi, dist in zip(phi_values, prob_x0s(p, r, phi_values)):
+            pa = dist.p_x0
             pq = integrals.at(phi).value
             pg = _grid_prob(a0, a1, phi)
             dev = max(abs(pa - pq), abs(pa - pg), abs(pq - pg))

@@ -41,7 +41,7 @@ from .stats import (
     cosine_model_coefficients,
     delta_phi,
     fisher_phi,
-    generator_moments,
+    fisher_phis,
     prob_x0_factorized,
 )
 
@@ -362,12 +362,8 @@ def heisenberg_audit(
     """
     if phis is None:
         phis = tuple(k * math.pi / 32.0 for k in range(1, 16))
-    mom = generator_moments(p, r)
-    variance_bound = 16.0 * mom.variance
-    mean_sq = mom.mean * mom.mean
     rows = []
-    for phi in phis:
-        rep = fisher_phi(p, r, phi)
+    for phi, rep in zip(phis, fisher_phis(p, r, phis)):
         try:
             product = delta_phi(p, phi) * math.sqrt(rep.fisher)
         except SingularityError:
@@ -376,9 +372,9 @@ def heisenberg_audit(
             "phi": float(phi),
             "r": float(r),
             "fisher": rep.fisher,
-            "variance_bound": variance_bound,
-            "mean_bound_generator_f": 4.0 * mean_sq,
-            "mean_bound_generator_2f": 16.0 * mean_sq,
+            "variance_bound": rep.variance_bound,
+            "mean_bound_generator_f": rep.mean_bound_diagnostic,
+            "mean_bound_generator_2f": 4.0 * rep.mean_bound_diagnostic,
             "dphi_sqrt_fisher": product,
             "optimal": math.isfinite(product) and abs(product - 1.0) <= _AUDIT_TOL,
         })

@@ -14,13 +14,16 @@ For a threshold (step) mask with f = 1 on (r, P] this collapses to
 
 which drives the Fisher information, the estimator precision bound and the
 constant-vs-balanced decision statistics.  E is the mask efficiency; G only
-depends on |r|, so every quantity here is even in r.
+depends on |r|, so every quantity here is even in r.  Only the cosine
+depends on phi, so the phase sweeps (prob_x0s, fisher_phis, fisher_rs)
+compute (a, b), the generator moments and E once per threshold.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import ParameterError, SingularityError
@@ -55,8 +58,15 @@ def _G(p: ProcedureParams, r: float) -> float:
 
 def prob_x0(p: ProcedureParams, r: float, phi: float) -> MeasurementDistribution:
     """Detection probability for the step mask with threshold r at phase phi."""
+    return prob_x0s(p, r, (phi,))[0]
+
+
+def prob_x0s(
+    p: ProcedureParams, r: float, phis: Iterable[float]
+) -> list[MeasurementDistribution]:
+    """prob_x0 at each phase of phis, from one (a, b) for the threshold r."""
     a, b = cosine_model_coefficients(p, r)
-    return MeasurementDistribution(a + b * math.cos(2.0 * phi))
+    return [MeasurementDistribution(a + b * math.cos(2.0 * phi)) for phi in phis]
 
 
 def cosine_model_coefficients(p: ProcedureParams, r: float) -> tuple[float, float]:
@@ -134,46 +144,62 @@ class FisherReport:
 
 def fisher_phi(p: ProcedureParams, r: float, phi: float) -> FisherReport:
     """Fisher information about phi carried by one detection, step mask r."""
+    return fisher_phis(p, r, (phi,))[0]
+
+
+def fisher_phis(
+    p: ProcedureParams, r: float, phis: Iterable[float]
+) -> list[FisherReport]:
+    """fisher_phi at each phase of phis.
+
+    (a, b), the generator moments and, for r = 0, E depend on r alone and
+    are computed once; each phase costs only its cos/sin arithmetic.
+    """
     a, b = cosine_model_coefficients(p, r)
     r = float(r)
-    c = math.cos(2.0 * phi)
-    s = math.sin(2.0 * phi)
-    prob = a + b * c
-    dp = -2.0 * b * s
-    pq = prob * (1.0 - prob)
-
-    singular = False
-    if pq > 0.0:
-        fisher = dp * dp / pq
-    elif b == 0.0:
-        # constant mask: no phi dependence at all
-        fisher = 0.0
-        singular = True
-    elif prob <= 0.0:
-        # reachable only for G = 0 at cos(2*phi) = -1; limit of dp^2/(p(1-p))
-        fisher = 4.0 * b * (1.0 - c) / (1.0 - prob)
-        singular = True
-    else:
-        # prob = 1 requires E = 1 to machine precision at cos(2*phi) = +1
-        fisher = 4.0 * b * (1.0 + c) / prob
-        singular = True
-
     moments = generator_moments(p, r)
-    dphi: float | None = None
-    if r == 0.0 and abs(s) >= _SIN_TOL:
-        E = mask_efficiency(p)
-        mean_x = 0.5 * E * (1.0 + c)
-        var_x = mean_x * (1.0 - mean_x)
-        slope = E * abs(s)
-        if var_x > 0.0 and slope > 0.0:
-            dphi = math.sqrt(var_x) / slope
-    return FisherReport(
-        fisher=fisher,
-        variance_bound=16.0 * moments.variance,
-        mean_bound_diagnostic=4.0 * moments.mean * moments.mean,
-        delta_phi=dphi,
-        singular_limit=singular,
-    )
+    variance_bound = 16.0 * moments.variance
+    mean_bound = 4.0 * moments.mean * moments.mean
+    E = mask_efficiency(p) if r == 0.0 else math.nan
+    reports = []
+    for phi in phis:
+        c = math.cos(2.0 * phi)
+        s = math.sin(2.0 * phi)
+        prob = a + b * c
+        dp = -2.0 * b * s
+        pq = prob * (1.0 - prob)
+
+        singular = False
+        if pq > 0.0:
+            fisher = dp * dp / pq
+        elif b == 0.0:
+            # constant mask: no phi dependence at all
+            fisher = 0.0
+            singular = True
+        elif prob <= 0.0:
+            # reachable only for G = 0 at cos(2*phi) = -1; limit of dp^2/(p(1-p))
+            fisher = 4.0 * b * (1.0 - c) / (1.0 - prob)
+            singular = True
+        else:
+            # prob = 1 requires E = 1 to machine precision at cos(2*phi) = +1
+            fisher = 4.0 * b * (1.0 + c) / prob
+            singular = True
+
+        dphi: float | None = None
+        if r == 0.0 and abs(s) >= _SIN_TOL:
+            mean_x = 0.5 * E * (1.0 + c)
+            var_x = mean_x * (1.0 - mean_x)
+            slope = E * abs(s)
+            if var_x > 0.0 and slope > 0.0:
+                dphi = math.sqrt(var_x) / slope
+        reports.append(FisherReport(
+            fisher=fisher,
+            variance_bound=variance_bound,
+            mean_bound_diagnostic=mean_bound,
+            delta_phi=dphi,
+            singular_limit=singular,
+        ))
+    return reports
 
 
 def fisher_r(p: ProcedureParams, r: float, phi: float) -> float:
@@ -183,21 +209,30 @@ def fisher_r(p: ProcedureParams, r: float, phi: float) -> float:
     dp/dr = dG/dr * (1 - cos(2*phi))/2.  As r -> 0 at cos(2*phi) = -1 the
     raw quotient is 0/0 with finite limit 64*delta^2/pi.
     """
+    return fisher_rs(p, r, (phi,))[0]
+
+
+def fisher_rs(p: ProcedureParams, r: float, phis: Iterable[float]) -> list[float]:
+    """fisher_r at each phase of phis, from one a, b and dG/dr for r."""
     a, b = cosine_model_coefficients(p, r)
     r = float(r)
     d = p.delta
-    c = math.cos(2.0 * phi)
-    prob = a + b * c
     dG = (8.0 * d / math.sqrt(math.pi)) * math.erf(2.0 * r * d) * math.exp(-4.0 * r * r * d * d)
-    dp = 0.5 * dG * (1.0 - c)
-    pq = prob * (1.0 - prob)
-    if pq > 0.0:
-        return dp * dp / pq
-    if prob <= 0.0:
-        # G = 0 and cos(2*phi) = -1: p ~ (16 d^2/pi) r^2, dp ~ (32 d^2/pi) r
-        return 64.0 * d * d / math.pi
-    # p = 1: happens only at cos(2*phi) = 1 where p has no r dependence
-    return 0.0
+    fishers = []
+    for phi in phis:
+        c = math.cos(2.0 * phi)
+        prob = a + b * c
+        dp = 0.5 * dG * (1.0 - c)
+        pq = prob * (1.0 - prob)
+        if pq > 0.0:
+            fishers.append(dp * dp / pq)
+        elif prob <= 0.0:
+            # G = 0 and cos(2*phi) = -1: p ~ (16 d^2/pi) r^2, dp ~ (32 d^2/pi) r
+            fishers.append(64.0 * d * d / math.pi)
+        else:
+            # p = 1: happens only at cos(2*phi) = 1 where p has no r dependence
+            fishers.append(0.0)
+    return fishers
 
 
 def delta_phi(p: ProcedureParams, phi: float) -> float:

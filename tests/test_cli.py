@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from cvphase import (
     PiecewiseBinaryFunction, ProcedureParams, cli, experiments, grid, model,
-    phase_response, quadrature,
+    phase_response, quadrature, stats,
 )
 from helpers import BIG_P, DELTA, canonical, cell_csv, reference_csv
 
@@ -194,6 +194,25 @@ class TestExitCodes:
         assert "error:" in err and "big_p" in err
         assert "big_t" not in err and "cells_per_eighth" not in err
 
+    @pytest.mark.parametrize(
+        "argv, given, absent",
+        [
+            (["fisher-phi", "--delta", "1e150"], "delta", ("big_t", "big_p")),
+            (["fisher-phi", "--delta", "1e-150"], "delta", ("big_t", "big_p")),
+            (["audit", "--big-p", "1e-149"], "big_p", ("big_t", "delta")),
+        ],
+    )
+    def test_derived_scale_out_of_range_names_its_source(
+        self, capsys, argv, given, absent
+    ):
+        # P = 3/(2*delta) and T = 4*pi*32/P land outside the scale range
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and given in err
+        for name in absent:
+            assert name not in err
+
     def test_grid_size_is_capped(self, capsys):
         # the analytic engine allocates no grid, even if the cap were lost
         cap = model._MAX_POINTS
@@ -334,6 +353,27 @@ class TestGridEngine:
             built.clear()
             assert run_cli(argv, capsys)[0] == 0
             assert len(built) == len(set(built)) == thresholds, argv
+
+    def test_closed_form_runs_once_per_threshold(self, capsys, monkeypatch):
+        calls = []
+        original = stats.cosine_model_coefficients
+
+        def counted(p, r):
+            calls.append(r)
+            return original(p, r)
+
+        for module in (stats, experiments):
+            monkeypatch.setattr(module, "cosine_model_coefficients", counted)
+        for argv, thresholds in (
+            (["crosscheck"], 5),
+            (["fisher-phi", "--fig4"], 5),
+            (["fisher-phi", "--fig4", "--engine", "all"], 5),
+            (["fisher-r", "--fig5"], 63),
+            (["audit"], 1),
+        ):
+            calls.clear()
+            assert run_cli(argv, capsys)[0] == 0
+            assert len(calls) == len(set(calls)) == thresholds, argv
 
     def test_gap_integrates_each_mask_once(self, capsys, monkeypatch):
         built = []

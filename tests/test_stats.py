@@ -16,11 +16,14 @@ from cvphase import (
     delta_phi,
     dj_statistics,
     fisher_phi,
+    fisher_phis,
     fisher_r,
+    fisher_rs,
     generator_moments,
     mask_efficiency,
     prob_x0,
     prob_x0_factorized,
+    prob_x0s,
     stats,
 )
 from erf_oracle import erf_series
@@ -239,6 +242,67 @@ class TestFisherR:
         p = canonical()
         for r in (0.2, 0.9, 1.7):
             assert fisher_r(p, r, 1.1) == fisher_r(p, -r, 1.1)
+
+
+# phase axes through every branch: phi = 0 (sin vanishes), pi/4, pi/2
+# (cos(2*phi) = -1), pi, and off-grid and negative phases
+_AXIS_PHASES = (0.0, math.pi / 4, math.pi / 2, math.pi, 0.3, -0.7, 2.0)
+
+
+class TestPhaseAxes:
+    """Each axis function gives, phase by phase, exactly its scalar's value."""
+
+    @staticmethod
+    def _assert_axis_matches_scalars(p, r, phis):
+        reports = fisher_phis(p, r, phis)
+        dists = prob_x0s(p, r, phis)
+        fishers = fisher_rs(p, r, phis)
+        assert len(reports) == len(dists) == len(fishers) == len(phis)
+        for phi, rep, dist, f_r in zip(phis, reports, dists, fishers):
+            want = fisher_phi(p, r, phi)
+            assert rep.fisher == want.fisher
+            assert rep.variance_bound == want.variance_bound
+            assert rep.mean_bound_diagnostic == want.mean_bound_diagnostic
+            assert (rep.delta_phi is None) == (want.delta_phi is None)
+            assert rep.delta_phi == want.delta_phi
+            assert rep.singular_limit == want.singular_limit
+            assert dist.p_x0 == prob_x0(p, r, phi).p_x0
+            assert f_r == fisher_r(p, r, phi)
+
+    @pytest.mark.parametrize(
+        "params, r",
+        [
+            (canonical, 0.0),  # p = 0 limit at pi/2, no delta_phi at 0
+            (canonical, BIG_P),  # constant mask r = P
+            (canonical, -BIG_P / 4),
+            (saturated, 0.0),  # p = 1 limit at phi = 0
+            (saturated, 4.0),  # E = G = 1: b = 0
+        ],
+    )
+    def test_singular_branches(self, params, r):
+        p = params()
+        self._assert_axis_matches_scalars(p, r, _AXIS_PHASES)
+        reports = fisher_phis(p, r, _AXIS_PHASES)
+        assert reports[0].delta_phi is None  # phi = 0
+        if r == 0.0:
+            assert reports[2].singular_limit  # phi = pi/2
+
+    @given(
+        r=st.floats(-BIG_P, BIG_P),
+        phis=st.lists(st.floats(-2 * math.pi, 2 * math.pi), min_size=1, max_size=8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalars(self, r, phis):
+        self._assert_axis_matches_scalars(canonical(), r, tuple(phis))
+
+    @pytest.mark.parametrize("axis", [fisher_phis, prob_x0s, fisher_rs])
+    def test_checks_run_even_without_phases(self, axis):
+        assert axis(canonical(), 0.3, ()) == []
+        with pytest.raises(ParameterError):
+            axis(canonical(), BIG_P * 1.01, ())
+        snug = ProcedureParams(x0=0.0, delta=1.0, big_t=4.0, big_p=1.5)
+        with pytest.raises(RegimeError):
+            axis(snug, 0.0, ())
 
 
 class TestDeltaPhi:
