@@ -24,10 +24,7 @@ _SUBMODULE = {
             "QuadratureToleranceError", "RegimeError", "SingularityError",
             "UnidentifiableFunctionError",
         )),
-        ("experiments", (
-            "ReplicationSummary", "heisenberg_audit", "replicated_mse",
-            "sample_outcomes",
-        )),
+        ("experiments", ("ReplicationSummary", "replicated_mse", "sample_outcomes")),
         ("grid", (
             "MOMENTUM", "POSITION", "GridState", "KickbackCheck",
             "PhaseResponse", "apply_blackbox", "fourier", "inverse_fourier",
@@ -47,8 +44,8 @@ _SUBMODULE = {
         ("stats", (
             "FisherReport", "GeneratorMoments", "cosine_model_coefficients",
             "delta_phi", "dj_statistics", "fisher_phi", "fisher_phis",
-            "fisher_r", "fisher_rs", "generator_moments", "mask_efficiency",
-            "prob_x0", "prob_x0_factorized", "prob_x0s",
+            "fisher_r", "fisher_rs", "generator_moments", "heisenberg_audit",
+            "mask_efficiency", "prob_x0", "prob_x0_factorized", "prob_x0s",
         )),
     )
     for name in names

@@ -1,19 +1,18 @@
-"""Modules registered at import and loaded when first used.
+"""Engine modules registered at import and loaded when first used.
 
 Most tables are closed forms and the quadrature engine is pure Python, so a
-command that never builds an array need not pay numpy's import, and one that
-never runs an engine need not compile it.  ``np = lazy_import("numpy")`` (in
-``grid`` and ``experiments``) and ``grid = lazy_import("cvphase.grid")`` (in
-``cli``, for each engine) bind a module that is in ``sys.modules`` at once
-but runs its code on its first attribute access.  An ``import`` statement
-anywhere in the package would load the module at once, since importlib
-reads the module's ``__spec__`` and that attribute access starts the load.
+command that never runs an engine need not compile it, nor import numpy for
+it.  ``cli`` binds each engine as ``grid = lazy_import("cvphase.grid")``: a
+module that is in ``sys.modules`` at once but runs its code on its first
+attribute access.  An ``import`` statement anywhere in the package would
+load the module at once, since importlib reads the module's ``__spec__``
+and that attribute access starts the load.
 
 So ``import cvphase.cli`` registers every layer of the package but runs only
 ``cli``, ``errors``, ``model`` and ``stats``; ``cvphase`` itself resolves each
 public name on first use (``__getattr__`` in ``__init__``).  Only the grid
-and Monte-Carlo modules register numpy, so it is not even in ``sys.modules``
-until one of them loads.
+and Monte-Carlo modules import numpy; every entry point of theirs builds
+arrays, so numpy loads only when a command first runs one of them.
 """
 
 from __future__ import annotations

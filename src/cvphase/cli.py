@@ -35,7 +35,14 @@ from .model import (
     aligned_half_width,
     require_scale,
 )
-from .stats import dj_statistics, fisher_phis, fisher_rs, mask_efficiency, prob_x0s
+from .stats import (
+    dj_statistics,
+    fisher_phis,
+    fisher_rs,
+    heisenberg_audit,
+    mask_efficiency,
+    prob_x0s,
+)
 
 # each engine runs its module code when a command first uses it, so a fresh
 # process compiles only the engines it runs; json is imported by --format json
@@ -289,18 +296,16 @@ def cmd_dj(
 
     Three rows: the requested threshold, then balanced (r=0) and constant
     (r=P) references at the same parameters.  Row i draws its trials from the
-    stream seeded with (seed, i).
+    stream seeded with (seed, i), each hitting with the p_x0 the row prints.
     """
     trials = int(trials)
-    half_pi = math.pi / 2.0
     rows = []
     cases = (("requested", float(r)), ("balanced_reference", 0.0),
              ("constant_reference", p.big_p))
     for idx, (label, r_case) in enumerate(cases):
         p_x0 = dj_statistics(p, r_case).p_x0
-        f = PiecewiseBinaryFunction.step(r_case, p.big_p)
         # a detection at the decision phase classifies the mask as constant
-        n_const = experiments.sample_outcomes(p, f, half_pi, trials, (int(seed), idx))
+        n_const = experiments.sample_outcomes(p_x0, trials, (int(seed), idx))
         n_bal = trials - n_const
         if r_case == 0.0:
             truth = "balanced"
@@ -400,7 +405,7 @@ def cmd_crosscheck(
 def cmd_audit(
     p: ProcedureParams, r: float, phis: tuple[float, ...] | None
 ) -> tuple[list[str], list[dict]]:
-    rows = experiments.heisenberg_audit(p, r, phis)
+    rows = heisenberg_audit(p, r, phis)
     columns = [
         "phi", "r", "fisher", "variance_bound", "mean_bound_generator_f",
         "mean_bound_generator_2f", "dphi_sqrt_fisher", "optimal",

@@ -1,9 +1,11 @@
-"""Monte-Carlo layer: seeded hit counts, one-shot classification, phase estimation.
+"""Monte-Carlo layer: seeded hit counts and replicated phase estimation.
 
 Both Monte-Carlo results depend on the detections only through their number:
 one-shot classification at phi = pi/2 counts hits, and the maximum-likelihood
 phase inverts the hit fraction k/n, the sufficient statistic of a binomial.
-So the layer works on hit counts.
+So the layer only counts hits, and each caller passes the detection
+probability it already has: ``dj`` the p_x0 it prints, the estimator the
+a + b*cos(2*phi) it inverts.
 
 Randomness contract.  Every stochastic routine in this package draws from a
 ``numpy.random.Generator`` over the PCG64 bit generator, seeded through
@@ -14,42 +16,34 @@ platform numpy supports; one count draws at most 10^8 trials.  Replicated
 runs give replica ``i`` the seed material ``(master_seed, i)``; the streams
 are then mutually independent and individually reproducible.
 
-How the streams are reached.  PCG64 takes one 64-bit output per double, so
-a stream's uniforms can be drawn piecewise into one reused buffer of 2^16
-doubles: the same stream as one ``rng.random(n)``, in bounded memory.  When
-n <= 2^16 the buffer is viewed as a block of 2^16 // n rows of n, each
-stream fills its own row, and one compare and one ``count_nonzero`` over
-the rows count the whole block; a longer stream is drawn and counted chunk
-by chunk.  One run seeds all its streams in one batched pass:
-``_seed_states`` runs SeedSequence's hash as uint32 column operations over
-one row of entropy words per stream, and one reused PCG64 is set to each
-stream's seeded state in turn.  The first stream's state is checked
-against numpy's own ``PCG64(SeedSequence(m))`` on every run.
+How the streams are reached.  One run hashes all its seed materials in one
+batched pass: ``_seed_states`` runs SeedSequence's hash as uint32 column
+operations over one row of entropy words per stream, giving each stream the
+four words ``SeedSequence(m).generate_state(4, np.uint64)`` would.  numpy
+seeds each stream from its row: ``PCG64(_HashedSeed(row))`` hands the row to
+PCG64's own seeding, as a SeedSequence would.  The first row is checked
+against numpy's own ``SeedSequence`` on every run.  PCG64 takes one 64-bit
+output per double, so a stream's uniforms can be drawn piecewise into one
+reused buffer of 2^16 doubles: the same stream as one ``rng.random(n)``, in
+bounded memory.  When n <= 2^16 the buffer is viewed as a block of
+2^16 // n rows of n, each stream fills its own row, and one compare and one
+``count_nonzero`` over the rows count the whole block; a longer stream is
+drawn and counted chunk by chunk.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain
 
-from ._lazy import lazy_import
-from .errors import ParameterError, SingularityError, UnidentifiableFunctionError
-from .model import PiecewiseBinaryFunction, ProcedureParams
-from .stats import (
-    cosine_model_coefficients,
-    delta_phi,
-    fisher_phi,
-    fisher_phis,
-    prob_x0_factorized,
-)
+import numpy as np
 
-np = lazy_import("numpy")
+from .errors import ParameterError, UnidentifiableFunctionError
+from .model import MeasurementDistribution, ProcedureParams
+from .stats import cosine_model_coefficients, fisher_phi
 
 _HALF_PI = math.pi / 2.0
 _IDENTIFIABILITY_TOL = 1e-9
-_AUDIT_TOL = 1e-3
 # most trials one hit count may draw: a time bound (about a quarter second
 # per stream at this cap); memory stays at one chunk whatever the count
 _MAX_DRAWS = 10**8
@@ -69,9 +63,8 @@ def _require_draws(n: int, what: str) -> None:
         raise ParameterError(f"{what} must lie in [1, {_MAX_DRAWS}], got {n}")
 
 
-# numpy's SeedSequence hash (pool size 4) and PCG64's default multiplier
+# numpy's SeedSequence hash (pool size 4)
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _POOL_SIZE = 4
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
@@ -79,7 +72,6 @@ _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _entropy_words(material: SeedMaterial) -> list[int]:
@@ -158,21 +150,16 @@ def _stream_words(seed: SeedMaterial, streams: int | None):
     return words
 
 
-def _stream_states(words) -> Iterator[dict]:
-    """PCG64's seeded state for each row of words in turn, as
-    ``PCG64.state["state"]``.
+class _HashedSeed(np.random.bit_generator.ISeedSequence):
+    """Seed words already hashed: a row of _seed_states, which is what
+    ``SeedSequence(m).generate_state(4, np.uint64)`` returns, and so all
+    PCG64 asks of its seed sequence."""
 
-    PCG64 seeds from the four generate_state words w as ``pcg64_set_seed``:
-    inc = (w2:w3 << 1) | 1 and state = (inc + w0:w1) stepped once, all
-    modulo 2^128.  The words become Python ints one block of _CHUNK streams
-    at a time.
-    """
-    seeded = _seed_states(words)
-    for start in range(0, len(seeded), _CHUNK):
-        for w0, w1, w2, w3 in seeded[start : start + _CHUNK].tolist():
-            inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-            state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
-            yield {"state": state, "inc": inc}
+    def __init__(self, words) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 def _count_hits(
@@ -181,41 +168,32 @@ def _count_hits(
     """Hits among n Bernoulli(prob) trials in each stream of _stream_words.
 
     Each count is that of ``rng.random(n) < prob`` on
-    ``Generator(PCG64(SeedSequence(material)))``; one PCG64 and one buffer
-    serve every stream.  With n <= _CHUNK the buffer holds a block of
-    streams, one per row, counted together; a longer stream is counted
-    chunk by chunk.
+    ``Generator(PCG64(SeedSequence(material)))``; one buffer serves every
+    stream.  With n <= _CHUNK the buffer holds a block of streams, one per
+    row, counted together; a longer stream is counted chunk by chunk.
     """
-    words = _stream_words(seed, streams)
+    seeded = _seed_states(_stream_words(seed, streams))
     first = seed if streams is None else (seed, 0)
-    bit_gen = np.random.PCG64(np.random.SeedSequence(first))
-    raw = bit_gen.state
-    rng = np.random.Generator(bit_gen)
-    states = _stream_states(words)
-    head = next(states)
-    if head != raw["state"]:
+    if not np.array_equal(
+        seeded[0], np.random.SeedSequence(first).generate_state(4, np.uint64)
+    ):
         raise RuntimeError(
             f"batched seeding of {first!r} disagrees with numpy's "
-            "PCG64(SeedSequence(...))"
+            "SeedSequence(...).generate_state(4, uint64)"
         )
-    states = chain((head,), states)
-    total = len(words)
+    total = len(seeded)
     counts: list[int] = []
     if n <= _CHUNK:
         block = np.empty((min(_CHUNK // n, total), n))
         for start in range(0, total, len(block)):
             rows = block[: total - start]
-            # rows before states: zip stops without taking the next state
-            for row, state in zip(rows, states):
-                raw["state"] = state
-                bit_gen.state = raw
-                rng.random(out=row)
+            for row, words in zip(rows, seeded[start:]):
+                np.random.Generator(np.random.PCG64(_HashedSeed(words))).random(out=row)
             counts += np.count_nonzero(rows < prob, axis=1).tolist()
         return counts
     buf = np.empty(_CHUNK)
-    for state in states:
-        raw["state"] = state
-        bit_gen.state = raw
+    for words in seeded:
+        rng = np.random.Generator(np.random.PCG64(_HashedSeed(words)))
         hits = 0
         for start in range(0, n, _CHUNK):
             chunk = buf[: min(_CHUNK, n - start)]
@@ -225,23 +203,19 @@ def _count_hits(
     return counts
 
 
-def sample_outcomes(
-    p: ProcedureParams,
-    f: PiecewiseBinaryFunction,
-    phi: float,
-    n: int,
-    seed: SeedMaterial,
-) -> int:
-    """Number of detection hits in n independent trials at phase phi under mask f.
+def sample_outcomes(prob: float, n: int, seed: SeedMaterial) -> int:
+    """Number of hits in n independent trials that each hit with probability prob.
 
-    Each trial hits with the closed-form detection probability; the count is
-    that of ``rng.random(n) < p`` per the module-level randomness contract,
-    and n must lie in [1, 10^8].  ``seed`` is an integer, or a tuple of integers
-    for derived streams such as (master_seed, replica_index).
+    The count is that of ``rng.random(n) < prob`` per the module-level
+    randomness contract.  prob must lie in [0, 1] (within 1e-12, as a
+    ``MeasurementDistribution``) and n in [1, 10^8].  ``seed`` is an integer,
+    or a tuple of integers for derived streams such as
+    (master_seed, replica_index).
     """
+    prob = MeasurementDistribution(prob).p_x0
     n = int(n)
     _require_draws(n, "the number of trials")
-    (hits,) = _count_hits(prob_x0_factorized(p, f, phi).p_x0, n, seed)
+    (hits,) = _count_hits(prob, n, seed)
     return hits
 
 
@@ -307,9 +281,9 @@ def replicated_mse(
 
     Replica i counts its hits in the stream seeded with (seed, i); see the
     module docstring.  shots must lie in [1, 10^8] and replicas in
-    [1, 10^5].  The detection probability and the bound are the same for
-    every replica, so they are computed once.  mse_over_crb is NaN when the
-    bound is not finite.
+    [1, 10^5].  Every replica draws from the response a + b*cos(2*phi_true)
+    that its estimate inverts, and shares the bound, so both are computed
+    once.  mse_over_crb is NaN when the bound is not finite.
     """
     shots = int(shots)
     replicas = int(replicas)
@@ -320,7 +294,7 @@ def replicated_mse(
         )
     phi_true = float(phi_true)
     a, b, fisher = _cosine_model(p, r, phi_true)
-    prob = prob_x0_factorized(p, PiecewiseBinaryFunction.step(r, p.big_p), phi_true).p_x0
+    prob = a + b * math.cos(2.0 * phi_true)
     phi_hats = tuple(
         _phi_hat(hits, shots, a, b)
         for hits in _count_hits(prob, shots, int(seed), replicas)
@@ -339,43 +313,3 @@ def replicated_mse(
         crb=crb,
         mse_over_crb=ratio,
     )
-
-
-def heisenberg_audit(
-    p: ProcedureParams, r: float, phis: Sequence[float] | None = None
-) -> list[dict]:
-    """Tabulate the Fisher information against its generator bounds over phi.
-
-    One dict per phase, keyed by the ``audit`` table's columns: phi, r,
-    fisher, variance_bound, mean_bound_generator_f, mean_bound_generator_2f,
-    dphi_sqrt_fisher and optimal.
-
-    variance_bound is 16*var(f), the convention-independent information cap
-    (reading the mask exponent as f at doubled angle or as 2f at plain angle
-    gives the same number).  The two mean-square columns, 4*mean^2 under each
-    of those readings, are convention-dependent diagnostics only: never used
-    as a cap.  dphi_sqrt_fisher multiplies the phase-propagation error of the
-    threshold-at-zero reference procedure by sqrt(F) of the procedure under
-    audit; a row is flagged optimal when that product is 1 within 1e-3.  The
-    default grid leaves out the propagation singularities at multiples of
-    pi/2.
-    """
-    if phis is None:
-        phis = tuple(k * math.pi / 32.0 for k in range(1, 16))
-    rows = []
-    for phi, rep in zip(phis, fisher_phis(p, r, phis)):
-        try:
-            product = delta_phi(p, phi) * math.sqrt(rep.fisher)
-        except SingularityError:
-            product = math.nan
-        rows.append({
-            "phi": float(phi),
-            "r": float(r),
-            "fisher": rep.fisher,
-            "variance_bound": rep.variance_bound,
-            "mean_bound_generator_f": rep.mean_bound_diagnostic,
-            "mean_bound_generator_2f": 4.0 * rep.mean_bound_diagnostic,
-            "dphi_sqrt_fisher": product,
-            "optimal": math.isfinite(product) and abs(product - 1.0) <= _AUDIT_TOL,
-        })
-    return rows

@@ -103,7 +103,8 @@ import functools
 import math
 from dataclasses import dataclass
 
-from ._lazy import lazy_import
+import numpy as np
+
 from .errors import GridLayoutError, ParameterError
 from .model import (
     MeasurementDistribution,
@@ -113,8 +114,6 @@ from .model import (
     require_containment,
     require_mask_domain,
 )
-
-np = lazy_import("numpy")
 
 POSITION = "position"
 MOMENTUM = "momentum"

@@ -16,14 +16,16 @@ which drives the Fisher information, the estimator precision bound and the
 constant-vs-balanced decision statistics.  E is the mask efficiency; G only
 depends on |r|, so every quantity here is even in r.  Only the cosine
 depends on phi, so the phase sweeps (prob_x0s, fisher_phis, fisher_rs)
-compute (a, b), the generator moments and E once per threshold.
+compute (a, b), the generator moments and E once per threshold, and the
+``audit`` table (heisenberg_audit) is built from them and the balanced
+threshold's precision alone.  Nothing here builds an array.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .errors import ParameterError, SingularityError
@@ -36,11 +38,12 @@ from .model import (
 )
 
 _SIN_TOL = 1e-12  # |sin(2*phi)| below this counts as a vanishing derivative
+_AUDIT_TOL = 1e-3  # |delta_phi*sqrt(F) - 1| within this flags an audit row optimal
 
 
-def _require_r(p: ProcedureParams, r: float) -> float:
+def _require_r(p: ProcedureParams, r: float, slack: float = 1e-12) -> float:
     r = float(r)
-    if not math.isfinite(r) or abs(r) > p.big_p * (1.0 + 1e-12):
+    if not math.isfinite(r) or abs(r) > p.big_p * (1.0 + slack):
         raise ParameterError(f"threshold r={r} outside [-P, P] with P={p.big_p}")
     return r
 
@@ -185,18 +188,11 @@ def fisher_phis(
             fisher = 4.0 * b * (1.0 + c) / prob
             singular = True
 
-        dphi: float | None = None
-        if r == 0.0 and abs(s) >= _SIN_TOL:
-            mean_x = 0.5 * E * (1.0 + c)
-            var_x = mean_x * (1.0 - mean_x)
-            slope = E * abs(s)
-            if var_x > 0.0 and slope > 0.0:
-                dphi = math.sqrt(var_x) / slope
         reports.append(FisherReport(
             fisher=fisher,
             variance_bound=variance_bound,
             mean_bound_diagnostic=mean_bound,
-            delta_phi=dphi,
+            delta_phi=_precision(E, c, s) if r == 0.0 else None,
             singular_limit=singular,
         ))
     return reports
@@ -235,29 +231,39 @@ def fisher_rs(p: ProcedureParams, r: float, phis: Iterable[float]) -> list[float
     return fishers
 
 
+def _precision(E: float, c: float, s: float) -> float | None:
+    """Single-shot phase precision of the balanced threshold at the phase
+    with c = cos(2*phi) and s = sin(2*phi): the spread of the detection
+    observable X, whose mean is E*(1 + c)/2, over the slope E*|s| of that
+    mean.  None where it is undefined: where the slope vanishes (|s| below
+    _SIN_TOL) or underflows to 0, and where the variance rounds to 0 (the
+    mean rounds to 0 or 1 within about 1e-8 of a slope zero).
+    """
+    slope = E * abs(s)
+    mean_x = 0.5 * E * (1.0 + c)
+    var_x = mean_x * (1.0 - mean_x)
+    if abs(s) < _SIN_TOL or slope == 0.0 or var_x == 0.0:
+        return None
+    return math.sqrt(var_x) / slope
+
+
 def delta_phi(p: ProcedureParams, phi: float) -> float:
     """Single-shot phase precision of the balanced threshold, from the
     detection observable's spread over the slope of its mean.
 
     Undefined where the mean's derivative -E*sin(2*phi) vanishes: at
-    phi = 0, pi/2, pi, ..., and wherever the product underflows to 0.
+    phi = 0, pi/2, pi, ..., and wherever the slope or the variance
+    underflows to 0.
     """
     require_containment(p)
-    E = mask_efficiency(p)
-    c = math.cos(2.0 * phi)
-    s = math.sin(2.0 * phi)
-    if abs(s) < _SIN_TOL:
+    dphi = _precision(mask_efficiency(p), math.cos(2.0 * phi), math.sin(2.0 * phi))
+    if dphi is None:
         raise SingularityError(
-            f"d<X>/dphi vanishes at phi={phi!r}; precision is undefined there"
+            f"d<X>/dphi vanishes, or it or var(X) underflows to 0, at "
+            f"phi={phi!r} with P*delta = {p.mask_product!r}; precision is "
+            "undefined there"
         )
-    slope = E * abs(s)
-    if slope == 0.0:
-        raise SingularityError(
-            f"d<X>/dphi underflows to 0 at P*delta = {p.mask_product!r}; "
-            "precision is undefined there"
-        )
-    mean_x = 0.5 * E * (1.0 + c)
-    return math.sqrt(mean_x * (1.0 - mean_x)) / slope
+    return dphi
 
 
 def dj_statistics(p: ProcedureParams, r: float) -> MeasurementDistribution:
@@ -266,7 +272,51 @@ def dj_statistics(p: ProcedureParams, r: float) -> MeasurementDistribution:
     p_x0 = erf(2*r*delta)^2: exactly 0 for the balanced threshold r = 0, and
     the mask efficiency E for a constant mask (|r| = P), so a window miss
     identifies a balanced mask with certainty and a constant mask is
-    misidentified with probability 1 - E.
+    misidentified with probability 1 - E.  The decision mask is a step on
+    [-P, P], so r gets no rounding slack past P, and the envelope must be
+    contained, as for every closed form here.
     """
-    r = _require_r(p, r)
+    require_containment(p)
+    r = _require_r(p, r, slack=0.0)
     return MeasurementDistribution(_G(p, r))
+
+
+def heisenberg_audit(
+    p: ProcedureParams, r: float, phis: Sequence[float] | None = None
+) -> list[dict]:
+    """Tabulate the Fisher information against its generator bounds over phi.
+
+    One dict per phase, keyed by the ``audit`` table's columns: phi, r,
+    fisher, variance_bound, mean_bound_generator_f, mean_bound_generator_2f,
+    dphi_sqrt_fisher and optimal.
+
+    variance_bound is 16*var(f), the convention-independent information cap
+    (reading the mask exponent as f at doubled angle or as 2f at plain angle
+    gives the same number).  The two mean-square columns, 4*mean^2 under each
+    of those readings, are convention-dependent diagnostics only: never used
+    as a cap.  dphi_sqrt_fisher multiplies the phase-propagation error of the
+    threshold-at-zero reference procedure by sqrt(F) of the procedure under
+    audit, and is NaN where that error is undefined (see delta_phi); a row
+    is flagged optimal when the product is 1 within 1e-3.  The default grid
+    leaves out the propagation singularities at multiples of pi/2.  E and
+    the threshold's closed forms are computed once per call.
+    """
+    if phis is None:
+        phis = tuple(k * math.pi / 32.0 for k in range(1, 16))
+    reports = fisher_phis(p, r, phis)
+    E = mask_efficiency(p)
+    rows = []
+    for phi, rep in zip(phis, reports):
+        dphi = _precision(E, math.cos(2.0 * phi), math.sin(2.0 * phi))
+        product = math.nan if dphi is None else dphi * math.sqrt(rep.fisher)
+        rows.append({
+            "phi": float(phi),
+            "r": float(r),
+            "fisher": rep.fisher,
+            "variance_bound": rep.variance_bound,
+            "mean_bound_generator_f": rep.mean_bound_diagnostic,
+            "mean_bound_generator_2f": 4.0 * rep.mean_bound_diagnostic,
+            "dphi_sqrt_fisher": product,
+            "optimal": math.isfinite(product) and abs(product - 1.0) <= _AUDIT_TOL,
+        })
+    return rows

@@ -706,6 +706,45 @@ class TestDjTable:
         assert req["empirical_error_rate"] == "nan"
         assert req["analytic_error_rate"] == "nan"
 
+    @pytest.mark.parametrize("r", ["0", str(BIG_P / 8), str(BIG_P)])
+    def test_each_row_draws_from_the_probability_it_prints(
+        self, capsys, monkeypatch, r
+    ):
+        drawn = []
+        original = experiments.sample_outcomes
+
+        def recorded(prob, n, seed):
+            drawn.append(prob)
+            return original(prob, n, seed)
+
+        monkeypatch.setattr(experiments, "sample_outcomes", recorded)
+        code, out, _ = run_cli(["dj", "--r", r, "--trials", "100"], capsys)
+        assert code == 0
+        header, rows = parse_csv(out)
+        # %.17g round-trips every double
+        printed = [float(row[header.index("p_x0")]) for row in rows]
+        assert drawn == printed
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # just past P, within the sweeps' rounding slack: not a step on [-P, P]
+            ["dj", "--r", "2.1213203435596446"],
+            ["dj", "--r", "-2.1213203435596446"],
+            # the envelope is not contained in [-T, T]
+            ["dj", "--big-t", "2"],
+        ],
+    )
+    def test_refused_before_any_draw(self, capsys, monkeypatch, argv):
+        def no_draw(*args):
+            raise AssertionError("drew outcomes for a refused run")
+
+        monkeypatch.setattr(experiments, "sample_outcomes", no_draw)
+        code, out, err = run_cli([*argv, "--trials", "100"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
 
 def test_unsupported_state_is_a_usage_error():
     # the Gaussian falls between grid samples; -W error turns a numpy warning
@@ -800,7 +839,7 @@ _LAYERS = {"cli", "errors", "model", "stats", *_ENGINES}
     "argv, engines",
     [
         ([], set()),  # a usage error: no command runs
-        (["audit"], {"experiments"}),
+        (["audit"], set()),
         (["gap"], {"quadrature"}),
         (["fisher-phi", "--fig4"], set()),
         (["fisher-r", "--fig5"], set()),
@@ -808,7 +847,7 @@ _LAYERS = {"cli", "errors", "model", "stats", *_ENGINES}
         (["estimate", "--replicas", "3"], {"experiments"}),
         (["fisher-phi", "--engine", "grid", "--phi", "0.3"], {"grid"}),
         (["crosscheck", "--phi", "0.3", "--r", "0"], {"grid", "quadrature"}),
-        (["audit", "--format", "json"], {"experiments"}),
+        (["audit", "--format", "json"], set()),
         (["crosscheck", "--phi", "0.3", "--r", "0", "--format", "json"],
          {"grid", "quadrature"}),
     ],

@@ -9,9 +9,11 @@ from cvphase import (
     ParameterError,
     PiecewiseBinaryFunction,
     UnidentifiableFunctionError,
-    fisher_phi,
     cosine_model_coefficients,
+    dj_statistics,
+    fisher_phi,
     heisenberg_audit,
+    prob_x0,
     prob_x0_factorized,
     replicated_mse,
     sample_outcomes,
@@ -37,45 +39,50 @@ _CHUNK_EDGES = [2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 7]
 
 class TestSampleOutcomes:
     def test_same_seed_reproduces_byte_for_byte(self):
-        p = canonical()
-        a = sample_outcomes(p, _step(0.0), math.pi / 4, 500, 42)
-        b = sample_outcomes(p, _step(0.0), math.pi / 4, 500, 42)
-        assert a == b
+        prob = prob_x0(canonical(), 0.0, math.pi / 4).p_x0
+        assert sample_outcomes(prob, 500, 42) == sample_outcomes(prob, 500, 42)
 
     def test_different_seeds_differ(self):
-        p = canonical()
-        a = sample_outcomes(p, _step(0.0), math.pi / 4, 200, 1)
-        b = sample_outcomes(p, _step(0.0), math.pi / 4, 200, 2)
-        assert a != b
+        prob = prob_x0(canonical(), 0.0, math.pi / 4).p_x0
+        assert sample_outcomes(prob, 200, 1) != sample_outcomes(prob, 200, 2)
 
     @pytest.mark.parametrize("seed", [42, (7, 2)])
     def test_count_is_the_bare_draw(self, seed):
         # the randomness contract: the count of rng.random(n) < p on the
         # PCG64 stream seeded through SeedSequence with the seed material,
         # also where the chunked draw crosses a chunk edge
-        p = canonical()
-        f = _step(0.5)
-        prob = prob_x0_factorized(p, f, 0.9).p_x0
+        prob = prob_x0_factorized(canonical(), _step(0.5), 0.9).p_x0
         for n in [3000, *_CHUNK_EDGES]:
-            hits = sample_outcomes(p, f, 0.9, n, seed)
+            hits = sample_outcomes(prob, n, seed)
             assert type(hits) is int
             assert hits == _bare_count(prob, n, seed), n
 
     def test_hit_fraction_tracks_probability(self):
-        p = canonical()
         n = 4000
-        prob = prob_x0_factorized(p, _step(0.0), math.pi / 4).p_x0
-        frac = sample_outcomes(p, _step(0.0), math.pi / 4, n, 2024) / n
+        prob = prob_x0(canonical(), 0.0, math.pi / 4).p_x0
+        frac = sample_outcomes(prob, n, 2024) / n
         sigma = math.sqrt(prob * (1.0 - prob) / n)
         assert abs(frac - prob) <= 3.0 * sigma
 
     def test_sure_outcomes_at_the_decision_phase(self):
-        p = canonical()
-        assert sample_outcomes(p, _step(0.0), math.pi / 2, 200, 5) == 0
+        # the balanced mask is never detected at phi = pi/2
+        prob = dj_statistics(canonical(), 0.0).p_x0
+        assert prob == 0.0
+        assert sample_outcomes(prob, 200, 5) == 0
+        assert sample_outcomes(1.0, 200, 5) == 200
 
     def test_needs_at_least_one_trial(self):
         with pytest.raises(ParameterError):
-            sample_outcomes(canonical(), _step(0.0), 0.3, 0, 1)
+            sample_outcomes(0.3, 0, 1)
+
+    @pytest.mark.parametrize("prob", [math.nan, -0.1, 1.1])
+    def test_probability_outside_the_unit_interval_refused(self, prob, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew outcomes for a bad probability")
+
+        monkeypatch.setattr(experiments, "_count_hits", no_draw)
+        with pytest.raises(ParameterError, match="p_x0"):
+            sample_outcomes(prob, 10, 1)
 
     def test_mirrored_mask_gives_identical_stream(self):
         # reflecting the mask leaves the detection probability unchanged, so
@@ -86,21 +93,18 @@ class TestSampleOutcomes:
             breakpoints=(-r,), values=(1, 0), half_domain=BIG_P
         )
         phi = 0.6
-        assert (
-            prob_x0_factorized(p, mirrored, phi).p_x0
-            == prob_x0_factorized(p, _step(r), phi).p_x0
-        )
-        a = sample_outcomes(p, _step(r), phi, 300, 11)
-        b = sample_outcomes(p, mirrored, phi, 300, 11)
-        assert a == b
+        prob = prob_x0_factorized(p, _step(r), phi).p_x0
+        mirrored_prob = prob_x0_factorized(p, mirrored, phi).p_x0
+        assert mirrored_prob == prob
+        assert sample_outcomes(mirrored_prob, 300, 11) == sample_outcomes(prob, 300, 11)
 
 
-def _states(seed, streams) -> list[dict]:
-    return list(experiments._stream_states(experiments._stream_words(seed, streams)))
+def _states(seed, streams) -> np.ndarray:
+    return experiments._seed_states(experiments._stream_words(seed, streams))
 
 
-def _numpy_state(material) -> dict:
-    return np.random.PCG64(np.random.SeedSequence(material)).state["state"]
+def _numpy_state(material) -> np.ndarray:
+    return np.random.SeedSequence(material).generate_state(4, np.uint64)
 
 
 class TestBatchedSeeding:
@@ -108,18 +112,31 @@ class TestBatchedSeeding:
     def test_replica_states_are_numpys(self, seed):
         replicas = experiments._MAX_REPLICAS
         states = _states(seed, replicas)
-        assert len(states) == replicas
+        assert states.shape == (replicas, 4)
+        assert states.dtype == np.uint64
         indices = [*range(2000), *range(2000, replicas, 4999), replicas - 1]
         for i in indices:
-            assert states[i] == _numpy_state((seed, i)), i
+            assert np.array_equal(states[i], _numpy_state((seed, i))), i
 
     @pytest.mark.parametrize("seed", _SEEDS)
     def test_bare_seed_state_is_numpys(self, seed):
-        assert _states(seed, None) == [_numpy_state(seed)]
+        states = _states(seed, None)
+        assert states.shape == (1, 4)
+        assert np.array_equal(states[0], _numpy_state(seed))
 
     def test_tuple_seed_state_is_numpys(self):
         material = (2**70 + 3, 0, 2**32)
-        assert _states(material, None) == [_numpy_state(material)]
+        states = _states(material, None)
+        assert states.shape == (1, 4)
+        assert np.array_equal(states[0], _numpy_state(material))
+
+    @pytest.mark.parametrize(
+        "material", [0, 2**128 + 1, (2**96, 7), (2**70 + 3, 0, 2**32)]
+    )
+    def test_hashed_seed_gives_numpys_generator_state(self, material):
+        (row,) = _states(material, None)
+        seeded = np.random.PCG64(experiments._HashedSeed(row))
+        assert seeded.state == np.random.PCG64(np.random.SeedSequence(material)).state
 
     @pytest.mark.parametrize("seed", [-1, (3, -2), -(2**128)])
     def test_negative_seed_material_refused_before_hashing(self, seed, monkeypatch):
@@ -128,7 +145,7 @@ class TestBatchedSeeding:
 
         monkeypatch.setattr(experiments, "_seed_states", no_hash)
         with pytest.raises(ParameterError, match="non-negative"):
-            sample_outcomes(canonical(), _step(0.0), 0.3, 10, seed)
+            sample_outcomes(0.3, 10, seed)
 
     def test_negative_master_seed_refused(self):
         with pytest.raises(ParameterError, match="non-negative"):
@@ -137,7 +154,7 @@ class TestBatchedSeeding:
     def test_guard_catches_a_seeding_that_drifts_from_numpy(self, monkeypatch):
         monkeypatch.setattr(experiments, "_INIT_B", experiments._INIT_B ^ 1)
         with pytest.raises(RuntimeError, match="disagrees"):
-            sample_outcomes(canonical(), _step(0.0), 0.3, 10, 1)
+            sample_outcomes(0.3, 10, 1)
 
 
 class TestChunkedDraw:
@@ -248,7 +265,9 @@ class TestReplicatedMse:
         p = canonical()
         r, phi_true, shots, seed = 0.5, 0.3, 37, 4
         s = replicated_mse(p, r, phi_true, shots, 30, seed)
-        prob = prob_x0_factorized(p, PiecewiseBinaryFunction.step(r, BIG_P), phi_true).p_x0
+        # every replica draws from the response its estimate inverts
+        a, b = cosine_model_coefficients(p, r)
+        prob = a + b * math.cos(2.0 * phi_true)
         for i, phi_hat in enumerate(s.phi_hats):
             hits = _bare_count(prob, shots, (seed, i))
             assert phi_hat == inverted_phase(hits, shots, p, r)

@@ -20,6 +20,7 @@ from cvphase import (
     fisher_r,
     fisher_rs,
     generator_moments,
+    heisenberg_audit,
     mask_efficiency,
     prob_x0,
     prob_x0_factorized,
@@ -340,6 +341,62 @@ class TestDeltaPhi:
         assert product == pytest.approx(1.0, abs=1e-12)
 
 
+class TestAuditClosedForms:
+    def test_mask_efficiency_calls_do_not_grow_with_the_phases(self, monkeypatch):
+        # E depends on P and delta alone: a fixed number of erf calls per
+        # audit (one of them the audit's own), none per phase
+        calls = []
+        original = stats.mask_efficiency
+
+        def counted(p):
+            calls.append(p)
+            return original(p)
+
+        monkeypatch.setattr(stats, "mask_efficiency", counted)
+        counts = []
+        for count in (1, 15, 200):
+            calls.clear()
+            phis = tuple(k * math.pi / (2 * count + 2) for k in range(1, count + 1))
+            assert len(heisenberg_audit(canonical(), 0.0, phis)) == count
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == counts[2] <= 3
+
+    @pytest.mark.parametrize("r", [0.0, BIG_P / 4])
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            0.3,
+            math.pi / 4,
+            math.pi / 2,
+            # cos(2*phi) rounds to -1 with |sin(2*phi)| ~ 1e-8 above the
+            # cutoff: the detection variance rounds to 0
+            1.570796322,
+            math.pi / 2 + 3e-9,
+        ],
+    )
+    def test_one_precision_for_the_table_the_audit_and_delta_phi(self, r, phi):
+        p = canonical()
+        reference = fisher_phi(p, 0.0, phi).delta_phi
+        (row,) = heisenberg_audit(p, r, (phi,))
+        if reference is None:
+            with pytest.raises(SingularityError):
+                delta_phi(p, phi)
+            assert math.isnan(row["dphi_sqrt_fisher"])
+            assert row["optimal"] is False
+        else:
+            assert delta_phi(p, phi) == reference
+            assert row["dphi_sqrt_fisher"] == reference * math.sqrt(
+                fisher_phi(p, r, phi).fisher
+            )
+
+    def test_rounded_variance_has_no_precision(self):
+        # the true precision there is about 1/(2*sqrt(E)); a rounded-away
+        # variance must not print as a perfect 0
+        p = canonical()
+        assert math.cos(2.0 * 1.570796322) == -1.0
+        assert fisher_phi(p, 0.0, 1.570796322).delta_phi is None
+
+
 class TestDjStatistics:
     def test_balanced_is_exactly_silent(self):
         assert dj_statistics(canonical(), 0.0).p_x0 == 0.0
@@ -355,3 +412,17 @@ class TestDjStatistics:
         assert dj_statistics(canonical(), BIG_P / 2).p_x0 == pytest.approx(
             G_HALF, rel=1e-14
         )
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_threshold_past_the_domain_refused(self, sign):
+        # the decision mask is a step on [-P, P]: no rounding slack past P
+        with pytest.raises(ParameterError):
+            dj_statistics(canonical(), sign * math.nextafter(BIG_P, math.inf))
+        assert dj_statistics(canonical(), sign * BIG_P).p_x0 == pytest.approx(
+            E_CANON, rel=1e-15
+        )
+
+    def test_uncontained_envelope_refused(self):
+        snug = ProcedureParams(x0=0.0, delta=1.0, big_t=4.0, big_p=1.5)
+        with pytest.raises(RegimeError):
+            dj_statistics(snug, 0.0)
