@@ -24,7 +24,6 @@ import functools
 import math
 import operator
 import sys
-from typing import Any, Callable
 
 from ._lazy import lazy_import
 from .errors import CvPhaseError, ParameterError

@@ -6,18 +6,19 @@ The protocol works with a Gaussian envelope of width ``delta`` centred at
 phase mask multiplies the conjugate-space amplitude by exp(-2i*phi*f(y))
 where f is a binary piecewise-constant function.
 
-Types here are immutable values.  Hard validity (finite values, positive
-scales within range, mask shapes) is checked once, when an object is built,
-so an invalid object cannot exist and the engines never re-check it; the
-engines that need the envelope contained in [-T, T] gate on
-``require_containment``.
+Types here are immutable values: named tuples, so they are iterable and
+compare equal to a plain tuple of the same fields.  Hard validity (finite
+values, positive scales within range, mask shapes) is checked once, when an
+object is built (``_replace`` included), so an invalid object cannot exist
+and the engines never re-check it; the engines that need the envelope
+contained in [-T, T] gate on ``require_containment``.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import GridLayoutError, ParameterError, RegimeError
 
@@ -55,8 +56,18 @@ def require_scale(name: str, value: float) -> float:
     return v
 
 
-@dataclass(frozen=True)
-class ProcedureParams:
+class _Checked:
+    """Routes namedtuple's ``_make``, and so ``_replace``, through the
+    validating ``__new__`` of the value type."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class ProcedureParams(_Checked, namedtuple("ProcedureParams", "x0 delta big_t big_p")):
     """Parameters of one protocol configuration.
 
     x0:    centre of the position-space Gaussian envelope, and of the
@@ -71,17 +82,19 @@ class ProcedureParams:
     checked here, once; no engine checks it again.
     """
 
-    x0: float
-    delta: float
-    big_t: float
-    big_p: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("x0", "delta", "big_t", "big_p"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
+    def __new__(cls, x0: float, delta: float, big_t: float, big_p: float) -> ProcedureParams:
+        self = tuple.__new__(cls, (
+            _require_finite("x0", x0),
+            _require_finite("delta", delta),
+            _require_finite("big_t", big_t),
+            _require_finite("big_p", big_p),
+        ))
         errors = [_scale_error(n, getattr(self, n)) for n in ("delta", "big_t", "big_p")]
         if any(errors):
             raise ParameterError("; ".join(e for e in errors if e))
+        return self
 
     @property
     def containment_ratio(self) -> float:
@@ -165,8 +178,9 @@ def aligned_half_width(big_p: float, n: int, cells_per_eighth: int = 32) -> floa
 _DOMAIN_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class PiecewiseBinaryFunction:
+class PiecewiseBinaryFunction(
+    _Checked, namedtuple("PiecewiseBinaryFunction", "breakpoints values half_domain")
+):
     """A {0,1}-valued piecewise-constant function on [-H, H].
 
     ``breakpoints`` are strictly ascending interior jump locations; segment i
@@ -176,17 +190,16 @@ class PiecewiseBinaryFunction:
     with threshold r satisfies f(r) = 0 and f(y) = 1 exactly for y > r.
     """
 
-    breakpoints: tuple[float, ...]
-    values: tuple[int, ...]
-    half_domain: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        hd = _require_finite("half_domain", self.half_domain)
+    def __new__(
+        cls, breakpoints: tuple[float, ...], values: tuple[int, ...], half_domain: float
+    ) -> PiecewiseBinaryFunction:
+        hd = _require_finite("half_domain", half_domain)
         if hd <= 0.0:
             raise ParameterError(f"half_domain must be positive, got {hd}")
-        object.__setattr__(self, "half_domain", hd)
-        bps = tuple(float(b) for b in self.breakpoints)
-        vals = tuple(int(v) for v in self.values)
+        bps = tuple(float(b) for b in breakpoints)
+        vals = tuple(int(v) for v in values)
         if len(vals) != len(bps) + 1:
             raise ParameterError(
                 f"need len(values) == len(breakpoints) + 1, got {len(vals)} and {len(bps)}"
@@ -201,8 +214,7 @@ class PiecewiseBinaryFunction:
         for v in vals:
             if v not in (0, 1):
                 raise ParameterError(f"values must be 0 or 1, got {vals}")
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "values", vals)
+        return tuple.__new__(cls, (bps, vals, hd))
 
     @classmethod
     def step(cls, r: float, half_domain: float) -> "PiecewiseBinaryFunction":
@@ -254,17 +266,16 @@ class PiecewiseBinaryFunction:
         )
 
 
-@dataclass(frozen=True)
-class MeasurementDistribution:
+class MeasurementDistribution(_Checked, namedtuple("MeasurementDistribution", "p_x0")):
     """Two-outcome distribution of the detection: window hit or miss.
 
     Only the hit probability is stored; the miss probability is 1 - p_x0.
     """
 
-    p_x0: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        v = _require_finite("p_x0", self.p_x0)
+    def __new__(cls, p_x0: float) -> MeasurementDistribution:
+        v = _require_finite("p_x0", p_x0)
         # tolerate rounding spill just outside [0, 1]
         if -1e-12 <= v < 0.0:
             v = 0.0
@@ -272,4 +283,4 @@ class MeasurementDistribution:
             v = 1.0
         if not 0.0 <= v <= 1.0:
             raise ParameterError(f"p_x0 must lie in [0, 1], got {v}")
-        object.__setattr__(self, "p_x0", v)
+        return tuple.__new__(cls, (v,))

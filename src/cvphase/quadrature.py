@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .errors import QuadratureToleranceError, RegimeError
 from .model import (
@@ -164,24 +164,19 @@ def _integrate(
     return value, err_sum
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    error_estimate: float
+QuadratureResult = namedtuple("QuadratureResult", "value error_estimate")
 
 
-@dataclass(frozen=True)
-class QuadratureResponse:
+class QuadratureResponse(namedtuple("QuadratureResponse", "params integrals error_sum")):
     """The phase-free part of the quadrature oracle for one mask.
 
-    integrals holds (I_s, v_s) per mask segment in ascending order: the
-    envelope's integral over the segment and the mask value on it.
-    error_sum is the sum of the segments' error estimates.
+    params is the configuration the integrals were taken for.  integrals
+    holds (I_s, v_s) per mask segment in ascending order: the envelope's
+    integral over the segment and the mask value on it.  error_sum is the
+    sum of the segments' error estimates.
     """
 
-    params: ProcedureParams
-    integrals: tuple[tuple[float, int], ...]
-    error_sum: float
+    __slots__ = ()
 
     def at(self, phi: float) -> QuadratureResult:
         """Detection probability at phase phi, with the error estimate
@@ -265,8 +260,7 @@ def prob_x0_quadrature(
     return quadrature_response(p, f).at(phi)
 
 
-@dataclass(frozen=True)
-class StepHatGap:
+class StepHatGap(namedtuple("StepHatGap", "signed_gap gap leading_order_prediction ratio")):
     """Difference between the balanced step mask and the centred window mask.
 
     signed_gap = p_step - p_hat (analytically nonpositive: the window mask
@@ -276,10 +270,7 @@ class StepHatGap:
     and ratio = gap / prediction (nan when the prediction vanishes).
     """
 
-    signed_gap: float
-    gap: float
-    leading_order_prediction: float
-    ratio: float
+    __slots__ = ()
 
 
 def step_hat_gap(p: ProcedureParams, phi: float) -> StepHatGap:

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 from .errors import ParameterError, SingularityError
 from .model import (
@@ -107,10 +107,7 @@ def prob_x0_factorized(
     return MeasurementDistribution(val)
 
 
-@dataclass(frozen=True)
-class GeneratorMoments:
-    mean: float
-    variance: float
+GeneratorMoments = namedtuple("GeneratorMoments", "mean variance")
 
 
 def generator_moments(p: ProcedureParams, r: float) -> GeneratorMoments:
@@ -124,8 +121,11 @@ def generator_moments(p: ProcedureParams, r: float) -> GeneratorMoments:
     return GeneratorMoments(mean=mean, variance=mean * (1.0 - mean))
 
 
-@dataclass(frozen=True)
-class FisherReport:
+class FisherReport(namedtuple(
+    "FisherReport",
+    "fisher variance_bound mean_bound_diagnostic delta_phi singular_limit",
+    defaults=(None, False),
+)):
     """Fisher information at one (r, phi) point plus its precision bounds.
 
     variance_bound = 16 * variance of the generator; the information can
@@ -138,11 +138,7 @@ class FisherReport:
     quotient is 0/0.
     """
 
-    fisher: float
-    variance_bound: float
-    mean_bound_diagnostic: float
-    delta_phi: float | None = None
-    singular_limit: bool = False
+    __slots__ = ()
 
 
 def fisher_phi(p: ProcedureParams, r: float, phi: float) -> FisherReport:

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cvphase
 from cvphase import (
     PiecewiseBinaryFunction, ProcedureParams, cli, experiments, grid, model,
     phase_response, quadrature, stats,
@@ -791,8 +793,8 @@ def test_console_script_help_runs():
 
 
 def test_table_commands_load_neither_numpy_nor_scipy():
-    # numpy is registered at import but loads on first use: its submodules
-    # appear only once something builds an array
+    # only the grid and Monte-Carlo modules import numpy, so its submodules
+    # appear only once a command runs one of them
     script = (
         "import io, sys, contextlib\n"
         "import cvphase, cvphase.cli\n"
@@ -814,6 +816,28 @@ def test_table_commands_load_neither_numpy_nor_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "[0, 0, 0, 0] []", "[0, 0] True"]
+
+
+def test_table_commands_load_neither_dataclasses_nor_inspect_nor_typing():
+    # -S keeps the host's site hooks, which may import any of the three,
+    # from hiding a regression; each line is an exit code and what is loaded
+    script = (
+        "import io, sys, contextlib\n"
+        "import cvphase.cli\n"
+        "tables = [['audit'], ['audit', '--format', 'json'], ['gap'],\n"
+        "          ['fisher-phi', '--fig4'], ['fisher-r', '--fig5']]\n"
+        "for argv in tables:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cvphase.cli.main(argv)\n"
+        "    print(code, *sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cvphase.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0"] * 5
 
 
 # what a fresh interpreter holds after one command, one line each: the exit

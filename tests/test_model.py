@@ -174,3 +174,82 @@ class TestMeasurementDistribution:
     def test_oracle_consistency(self):
         # the unit-width reference value used across the stats tests
         assert erf_f(3.0) == math.erf(3.0)
+
+
+class TestValueTypes:
+    """What callers may rely on: keyword construction, immutability, float
+    coercion, the repr, and the checks on every build, in a fixed order."""
+
+    def test_keyword_construction_stores_floats(self):
+        p = ProcedureParams(x0=1, delta=1, big_t=10, big_p=2)
+        fields = (p.x0, p.delta, p.big_t, p.big_p)
+        assert fields == (1.0, 1.0, 10.0, 2.0)
+        assert [type(v) for v in fields] == [float] * 4
+        f = PiecewiseBinaryFunction(breakpoints=(0,), values=(0, 1), half_domain=2)
+        assert type(f.breakpoints[0]) is float and type(f.half_domain) is float
+        assert [type(v) for v in f.values] == [int, int]
+        d = MeasurementDistribution(p_x0=1)
+        assert d.p_x0 == 1.0 and type(d.p_x0) is float
+
+    @pytest.mark.parametrize(
+        "value, field",
+        [
+            (ProcedureParams(x0=0.0, delta=0.5, big_t=5.0, big_p=2.0), "delta"),
+            (PiecewiseBinaryFunction.step(0.0, 2.0), "values"),
+            (MeasurementDistribution(0.5), "p_x0"),
+        ],
+    )
+    def test_fields_cannot_be_assigned(self, value, field):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 1.0)
+        with pytest.raises(AttributeError):
+            value.extra = 1.0
+
+    def test_repr(self):
+        assert repr(ProcedureParams(x0=1, delta=0.5, big_t=10, big_p=2)) == (
+            "ProcedureParams(x0=1.0, delta=0.5, big_t=10.0, big_p=2.0)"
+        )
+        assert repr(PiecewiseBinaryFunction.hat(-1, 1, 2)) == (
+            "PiecewiseBinaryFunction(breakpoints=(-1.0, 1.0), values=(0, 1, 0), "
+            "half_domain=2.0)"
+        )
+        assert repr(MeasurementDistribution(0.25)) == "MeasurementDistribution(p_x0=0.25)"
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ProcedureParams(x0=math.nan, delta=-1.0, big_t=math.inf, big_p=0.0),
+             "x0 must be finite, got nan"),
+            (lambda: ProcedureParams(x0=0.0, delta=math.inf, big_t=math.nan, big_p=0.0),
+             "delta must be finite, got inf"),
+            (lambda: PiecewiseBinaryFunction((5.0, 0.1), (0, 2), math.nan),
+             "half_domain must be finite, got nan"),
+            (lambda: PiecewiseBinaryFunction((5.0, 0.1), (0, 2), -1.0),
+             "half_domain must be positive, got -1.0"),
+            (lambda: PiecewiseBinaryFunction((5.0, 0.1), (0, 2), 1.0),
+             "need len(values) == len(breakpoints) + 1, got 2 and 2"),
+            (lambda: PiecewiseBinaryFunction((5.0, 0.1), (0, 2, 1), 1.0),
+             "breakpoint 5.0 outside [-1.0, 1.0]"),
+            (lambda: PiecewiseBinaryFunction((0.5, 0.1), (0, 2, 1), 1.0),
+             "breakpoints must be strictly ascending, got (0.5, 0.1)"),
+            (lambda: PiecewiseBinaryFunction((0.1, 0.5), (0, 2, 1), 1.0),
+             "values must be 0 or 1, got (0, 2, 1)"),
+            (lambda: MeasurementDistribution(p_x0=math.inf), "p_x0 must be finite, got inf"),
+            (lambda: MeasurementDistribution(p_x0=-0.5), "p_x0 must lie in [0, 1], got -0.5"),
+        ],
+    )
+    def test_first_failed_check_is_reported(self, build, message):
+        with pytest.raises(ParameterError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_replace_runs_the_checks(self):
+        p = ProcedureParams(x0=0.0, delta=0.5, big_t=5.0, big_p=2.0)
+        moved = p._replace(x0=1)
+        assert moved == ProcedureParams(1.0, 0.5, 5.0, 2.0) and type(moved.x0) is float
+        with pytest.raises(ParameterError, match="^delta must be positive"):
+            p._replace(delta=-1.0)
+        with pytest.raises(ParameterError, match="^values must be 0 or 1"):
+            PiecewiseBinaryFunction.step(0.0, 2.0)._replace(values=(0, 2))
+        with pytest.raises(ParameterError, match=r"^p_x0 must lie in \[0, 1\]"):
+            MeasurementDistribution(0.5)._replace(p_x0=2.0)

@@ -8,8 +8,12 @@ import pytest
 from cvphase import (
     ParameterError,
     PiecewiseBinaryFunction,
+    ProcedureParams,
+    QuadratureResponse,
+    QuadratureResult,
     QuadratureToleranceError,
     RegimeError,
+    StepHatGap,
     prob_x0,
     prob_x0_factorized,
     prob_x0_quadrature,
@@ -236,3 +240,41 @@ class TestStepHatGap:
     def test_large_mask_product_rejected(self):
         with pytest.raises(RegimeError):
             step_hat_gap(with_mask_product(0.6), math.pi / 2)
+
+
+class TestValueTypes:
+    """What callers may rely on: keyword construction, immutability and the
+    repr."""
+
+    def test_keyword_construction_and_repr(self):
+        res = QuadratureResult(value=0.5, error_estimate=1e-12)
+        assert (res.value, res.error_estimate) == (0.5, 1e-12)
+        assert repr(res) == "QuadratureResult(value=0.5, error_estimate=1e-12)"
+        gap = StepHatGap(signed_gap=-1.0, gap=1.0, leading_order_prediction=2.0, ratio=0.5)
+        assert (gap.signed_gap, gap.ratio) == (-1.0, 0.5)
+        assert repr(gap) == (
+            "StepHatGap(signed_gap=-1.0, gap=1.0, leading_order_prediction=2.0, "
+            "ratio=0.5)"
+        )
+        p = ProcedureParams(x0=1, delta=0.5, big_t=10, big_p=2)
+        response = QuadratureResponse(params=p, integrals=((1.0, 0), (2.0, 1)), error_sum=1e-12)
+        assert response.params is p
+        assert repr(response) == (
+            "QuadratureResponse(params=ProcedureParams(x0=1.0, delta=0.5, big_t=10.0, "
+            "big_p=2.0), integrals=((1.0, 0), (2.0, 1)), error_sum=1e-12)"
+        )
+
+    @pytest.mark.parametrize(
+        "value, field",
+        [
+            (QuadratureResult(value=0.5, error_estimate=1e-12), "value"),
+            (QuadratureResponse(params=None, integrals=(), error_sum=0.0), "error_sum"),
+            (StepHatGap(signed_gap=-1.0, gap=1.0, leading_order_prediction=2.0, ratio=0.5),
+             "ratio"),
+        ],
+    )
+    def test_fields_cannot_be_assigned(self, value, field):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 1.0)
+        with pytest.raises(AttributeError):
+            value.extra = 1.0

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvphase import (
+    FisherReport,
+    GeneratorMoments,
     ParameterError,
     PiecewiseBinaryFunction,
     ProcedureParams,
@@ -426,3 +428,45 @@ class TestDjStatistics:
         snug = ProcedureParams(x0=0.0, delta=1.0, big_t=4.0, big_p=1.5)
         with pytest.raises(RegimeError):
             dj_statistics(snug, 0.0)
+
+
+class TestValueTypes:
+    """What callers may rely on: keyword construction, immutability, the
+    FisherReport defaults and the repr."""
+
+    def test_fisher_report_defaults(self):
+        rep = FisherReport(fisher=1.0, variance_bound=2.0, mean_bound_diagnostic=3.0)
+        assert rep.delta_phi is None
+        assert rep.singular_limit is False
+        assert repr(rep) == (
+            "FisherReport(fisher=1.0, variance_bound=2.0, mean_bound_diagnostic=3.0, "
+            "delta_phi=None, singular_limit=False)"
+        )
+
+    def test_keyword_construction_and_repr(self):
+        rep = FisherReport(
+            fisher=1.0, variance_bound=2.0, mean_bound_diagnostic=3.0,
+            delta_phi=0.5, singular_limit=True,
+        )
+        assert (rep.delta_phi, rep.singular_limit) == (0.5, True)
+        assert repr(rep) == (
+            "FisherReport(fisher=1.0, variance_bound=2.0, mean_bound_diagnostic=3.0, "
+            "delta_phi=0.5, singular_limit=True)"
+        )
+        mom = GeneratorMoments(mean=0.5, variance=0.25)
+        assert (mom.mean, mom.variance) == (0.5, 0.25)
+        assert repr(mom) == "GeneratorMoments(mean=0.5, variance=0.25)"
+
+    @pytest.mark.parametrize(
+        "value, field",
+        [
+            (GeneratorMoments(mean=0.5, variance=0.25), "mean"),
+            (FisherReport(fisher=1.0, variance_bound=2.0, mean_bound_diagnostic=3.0),
+             "delta_phi"),
+        ],
+    )
+    def test_fields_cannot_be_assigned(self, value, field):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 1.0)
+        with pytest.raises(AttributeError):
+            value.extra = 1.0
