@@ -129,13 +129,18 @@ def _cell_json(v: Any) -> Any:
     return v
 
 
+def _csv_template(cells) -> str:
+    """The % template that spells a CSV line of cells typed like these."""
+    return ",".join(map(_csv_spec, cells)) + "\n"
+
+
 def _csv_text(columns: list[str], rows: list[dict]) -> str:
     """The CSV text of a table (see _emit), built apart so that its list of
     lines is freed before the text is written."""
     lines = [",".join(columns) + "\n"]
     if rows:
         first = rows[0]
-        template = ",".join(_csv_spec(first[c]) for c in columns) + "\n"
+        template = _csv_template(first[c] for c in columns)
         flags = [c for c in columns if isinstance(first[c], bool)]
         if flags:
             rows = [row | {c: _CSV_BOOL[row[c]] for c in flags} for row in rows]
@@ -162,6 +167,11 @@ def _emit(columns: list[str], rows: list[dict], fmt: str, out: str | None) -> No
         )
     else:
         text = _csv_text(columns, rows)
+    _write(text, out)
+
+
+def _write(text: str, out: str | None) -> None:
+    """Write text to the file out, or to stdout when out is None."""
     if out:
         try:
             with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -333,39 +343,33 @@ def cmd_dj(
     return columns, rows
 
 
+_ESTIMATE_COLUMNS = (
+    "replica", "phi_hat", "n_shots", "empirical_mse", "crb", "mse_over_crb",
+)
+
+
+def _estimate_tails(s) -> tuple[dict[int, tuple], tuple]:
+    """The cells after the replica column: one tuple per distinct hit count
+    of the ReplicationSummary s, and the replica mean's (replica=-1)."""
+    bounded = math.isfinite(s.crb) and s.crb > 0.0
+    per_count = dict(zip(s.hits, zip(s.phi_hats, s.squared_errors)))
+    tails = {
+        k: (phi_hat, s.shots, mse, s.crb, mse / s.crb if bounded else math.nan)
+        for k, (phi_hat, mse) in per_count.items()
+    }
+    return tails, (math.nan, s.shots, s.mean_mse, s.crb, s.mse_over_crb)
+
+
 def cmd_estimate(
-    p: ProcedureParams,
-    r: float,
-    phi_true: float,
-    shots: int,
-    replicas: int,
-    seed: int,
+    p: ProcedureParams, r: float, phi_true: float, shots: int, replicas: int, seed: int
 ) -> tuple[list[str], list[dict]]:
     """Replicated maximum-likelihood estimates; final row (replica=-1) is the
     replica mean."""
-    summary = experiments.replicated_mse(p, r, phi_true, shots, replicas, seed)
-    rows = []
-    crb = summary.crb
-    bounded = math.isfinite(crb) and crb > 0.0
-    errors = zip(summary.phi_hats, summary.squared_errors)
-    for i, (phi_hat, mse) in enumerate(errors):
-        rows.append({
-            "replica": i,
-            "phi_hat": phi_hat,
-            "n_shots": summary.shots,
-            "empirical_mse": mse,
-            "crb": crb,
-            "mse_over_crb": mse / crb if bounded else math.nan,
-        })
-    rows.append({
-        "replica": -1,
-        "phi_hat": math.nan,
-        "n_shots": summary.shots,
-        "empirical_mse": summary.mean_mse,
-        "crb": summary.crb,
-        "mse_over_crb": summary.mse_over_crb,
-    })
-    columns = ["replica", "phi_hat", "n_shots", "empirical_mse", "crb", "mse_over_crb"]
+    s = experiments.replicated_mse(p, r, phi_true, shots, replicas, seed)
+    tails, mean = _estimate_tails(s)
+    columns = list(_ESTIMATE_COLUMNS)
+    rows = [dict(zip(columns, (i, *tails[k]))) for i, k in enumerate(s.hits)]
+    rows.append(dict(zip(columns, (-1, *mean))))
     return columns, rows
 
 
@@ -415,19 +419,10 @@ def cmd_audit(
 def cmd_gap(
     p: ProcedureParams, phis: tuple[float, ...]
 ) -> tuple[list[str], list[dict]]:
-    rows = []
-    for phi, g in zip(phis, quadrature.step_hat_gaps(p, phis)):
-        rows.append({
-            "phi": phi,
-            "mask_product": p.mask_product,
-            "signed_gap": g.signed_gap,
-            "gap": g.gap,
-            "leading_order_prediction": g.leading_order_prediction,
-            "ratio": g.ratio,
-        })
-    columns = [
-        "phi", "mask_product", "signed_gap", "gap", "leading_order_prediction",
-        "ratio",
+    columns = ["phi", "mask_product", *quadrature.StepHatGap._fields]
+    rows = [
+        dict(zip(columns, (phi, p.mask_product, *g)))
+        for phi, g in zip(phis, quadrature.step_hat_gaps(p, phis))
     ]
     return columns, rows
 
@@ -583,10 +578,8 @@ def _run_fisher_phi(args: argparse.Namespace) -> int:
     else:
         r_values = args.r if args.r is not None else (0.0,)
         phi_values = args.phi if args.phi is not None else _phase_axis(33)
-    columns, rows = cmd_fisher_phi_sweep(
-        p, r_values, phi_values, args.engine, args.grid_n
-    )
-    _emit(columns, rows, args.format, args.out)
+    table = cmd_fisher_phi_sweep(p, r_values, phi_values, args.engine, args.grid_n)
+    _emit(*table, args.format, args.out)
     return 0
 
 
@@ -599,25 +592,31 @@ def _run_fisher_r(args: argparse.Namespace) -> int:
     else:
         phi_values = args.phi if args.phi is not None else (math.pi / 2.0,)
     r_values = args.r if args.r is not None else _open_threshold_axis(p.big_p)
-    columns, rows = cmd_fisher_r_sweep(p, r_values, phi_values)
-    _emit(columns, rows, args.format, args.out)
+    _emit(*cmd_fisher_r_sweep(p, r_values, phi_values), args.format, args.out)
     return 0
 
 
 def _run_dj(args: argparse.Namespace) -> int:
     p = _resolve_params(args)
-    columns, rows = cmd_dj(p, args.r, args.trials, args.seed)
-    _emit(columns, rows, args.format, args.out)
+    _emit(*cmd_dj(p, args.r, args.trials, args.seed), args.format, args.out)
     return 0
 
 
 def _run_estimate(args: argparse.Namespace) -> int:
     p = _resolve_params(args)
     phi_true = args.phi if args.phi is not None else math.pi / 4.0
-    columns, rows = cmd_estimate(
-        p, args.r, phi_true, args.shots, args.replicas, args.seed
-    )
-    _emit(columns, rows, args.format, args.out)
+    run = (p, args.r, phi_true, args.shots, args.replicas, args.seed)
+    if args.format == "json":
+        _emit(*cmd_estimate(*run), "json", args.out)
+        return 0
+    # _emit's CSV, each distinct hit count's line tail spelled once
+    s = experiments.replicated_mse(*run)
+    tails, mean = _estimate_tails(s)
+    template = _csv_template(mean)
+    spelled = {k: template % cells for k, cells in tails.items()}
+    lines = map("%d,%s".__mod__, enumerate(map(spelled.__getitem__, s.hits)))
+    head = ",".join(_ESTIMATE_COLUMNS) + "\n"
+    _write(head + "".join(lines) + "-1," + template % mean, args.out)
     return 0
 
 
@@ -669,16 +668,14 @@ def _cell_edge_note(p: ProcedureParams, r_values: tuple[float, ...]) -> str:
 
 def _run_audit(args: argparse.Namespace) -> int:
     p = _resolve_params(args)
-    columns, rows = cmd_audit(p, args.r, args.phi)
-    _emit(columns, rows, args.format, args.out)
+    _emit(*cmd_audit(p, args.r, args.phi), args.format, args.out)
     return 0
 
 
 def _run_gap(args: argparse.Namespace) -> int:
     p = _resolve_params(args, default_big_p=lambda delta: 0.1 / delta)
     phi_values = args.phi if args.phi is not None else _phase_axis(17)
-    columns, rows = cmd_gap(p, phi_values)
-    _emit(columns, rows, args.format, args.out)
+    _emit(*cmd_gap(p, phi_values), args.format, args.out)
     return 0
 
 

@@ -5,7 +5,11 @@ one-shot classification at phi = pi/2 counts hits, and the maximum-likelihood
 phase inverts the hit fraction k/n, the sufficient statistic of a binomial.
 So the layer only counts hits, and each caller passes the detection
 probability it already has: ``dj`` the p_x0 it prints, the estimator the
-a + b*cos(2*phi) it inverts.
+a + b*cos(2*phi) it inverts.  An estimate depends on its replica only
+through the hit count, so a replicated run inverts each distinct count once
+(the default 2000 replicas of 100 shots hold 35 at seed 0) and looks every
+replica's estimate and squared error up by its count: the same doubles as
+one inversion per replica.  Its mean keeps the sequential sum over replicas.
 
 Randomness contract.  Every stochastic routine in this package draws from a
 ``numpy.random.Generator`` over the PCG64 bit generator, seeded through
@@ -34,6 +38,7 @@ drawn and counted chunk by chunk.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,9 +63,20 @@ _MAX_REPLICAS = 10**5
 SeedMaterial = int | tuple[int, ...]
 
 
-def _require_draws(n: int, what: str) -> None:
+def _integer(value, what: str) -> int:
+    """value as an int, when it is one (numpy integers too); a float or a
+    str is refused rather than truncated or left to numpy to reject."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _draws(n, what: str) -> int:
+    n = _integer(n, what)
     if not 1 <= n <= _MAX_DRAWS:
         raise ParameterError(f"{what} must lie in [1, {_MAX_DRAWS}], got {n}")
+    return n
 
 
 # numpy's SeedSequence hash (pool size 4)
@@ -79,7 +95,7 @@ def _entropy_words(material: SeedMaterial) -> list[int]:
     integer's 32-bit words, least significant first (0 is one word)."""
     words = []
     for value in material if isinstance(material, tuple) else (material,):
-        value = int(value)
+        value = _integer(value, "seed material")
         if value < 0:
             raise ParameterError(f"seed material must be non-negative, got {value}")
         words.append(value & _MASK32)
@@ -210,11 +226,11 @@ def sample_outcomes(prob: float, n: int, seed: SeedMaterial) -> int:
     randomness contract.  prob must lie in [0, 1] (within 1e-12, as a
     ``MeasurementDistribution``) and n in [1, 10^8].  ``seed`` is an integer,
     or a tuple of integers for derived streams such as
-    (master_seed, replica_index).
+    (master_seed, replica_index).  n and the seed integers must be ints
+    (numpy integers too); anything else is a ParameterError.
     """
     prob = MeasurementDistribution(prob).p_x0
-    n = int(n)
-    _require_draws(n, "the number of trials")
+    n = _draws(n, "the number of trials")
     (hits,) = _count_hits(prob, n, seed)
     return hits
 
@@ -255,10 +271,14 @@ def _phi_hat(hits: int, shots: int, a: float, b: float) -> float:
 class ReplicationSummary:
     """Replica-averaged estimation error next to the information bound.
 
-    phi_hats[i] is replica i's estimate and squared_errors[i] its squared
-    error; every replica shares the bound crb.
+    hits[i] is replica i's hit count, phi_hats[i] its estimate and
+    squared_errors[i] its squared error; both depend on the replica only
+    through hits[i], so replicas with equal counts hold the same doubles.
+    mean_mse is the sequential sum of squared_errors over the replicas.
+    Every replica shares the bound crb.
     """
 
+    hits: tuple[int, ...]
     phi_hats: tuple[float, ...]
     squared_errors: tuple[float, ...]
     shots: int
@@ -281,13 +301,17 @@ def replicated_mse(
 
     Replica i counts its hits in the stream seeded with (seed, i); see the
     module docstring.  shots must lie in [1, 10^8] and replicas in
-    [1, 10^5].  Every replica draws from the response a + b*cos(2*phi_true)
-    that its estimate inverts, and shares the bound, so both are computed
-    once.  mse_over_crb is NaN when the bound is not finite.
+    [1, 10^5]; shots, replicas and seed must be ints (numpy integers too).
+    Every replica draws from the response a + b*cos(2*phi_true) that its
+    estimate inverts, and shares the bound, so both are computed once.  The
+    estimate and squared error are computed once per distinct hit count and
+    looked up for each replica; mean_mse stays the sequential
+    ``sum(squared_errors) / replicas``, since a count-weighted sum would
+    round differently.  mse_over_crb is NaN when the bound is not finite.
     """
-    shots = int(shots)
-    replicas = int(replicas)
-    _require_draws(shots, "shots")
+    shots = _draws(shots, "shots")
+    replicas = _integer(replicas, "replicas")
+    seed = _integer(seed, "seed")
     if not 1 <= replicas <= _MAX_REPLICAS:
         raise ParameterError(
             f"replicas must lie in [1, {_MAX_REPLICAS}], got {replicas}"
@@ -295,15 +319,16 @@ def replicated_mse(
     phi_true = float(phi_true)
     a, b, fisher = _cosine_model(p, r, phi_true)
     prob = a + b * math.cos(2.0 * phi_true)
-    phi_hats = tuple(
-        _phi_hat(hits, shots, a, b)
-        for hits in _count_hits(prob, shots, int(seed), replicas)
-    )
-    squared_errors = tuple((h - phi_true) ** 2 for h in phi_hats)
+    hits = tuple(_count_hits(prob, shots, seed, replicas))
+    estimates = {k: _phi_hat(k, shots, a, b) for k in set(hits)}
+    errors = {k: (h - phi_true) ** 2 for k, h in estimates.items()}
+    phi_hats = tuple(map(estimates.__getitem__, hits))
+    squared_errors = tuple(map(errors.__getitem__, hits))
     mean_mse = sum(squared_errors) / replicas
     crb = 1.0 / (shots * fisher) if fisher > 0.0 else math.inf
     ratio = mean_mse / crb if math.isfinite(crb) and crb > 0.0 else math.nan
     return ReplicationSummary(
+        hits=hits,
         phi_hats=phi_hats,
         squared_errors=squared_errors,
         shots=shots,

@@ -288,7 +288,8 @@ class TestExitCodes:
         assert "error:" in err and str(cap) in err
 
 
-@pytest.mark.parametrize(
+# one small run of every command
+_SMALL_RUNS = pytest.mark.parametrize(
     "argv",
     [
         ["audit"],
@@ -301,6 +302,9 @@ class TestExitCodes:
     ],
     ids=lambda argv: argv[0],
 )
+
+
+@_SMALL_RUNS
 @pytest.mark.parametrize("target", ["directory", "missing_parent"])
 def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv, target):
     out = tmp_path if target == "directory" else tmp_path / "missing" / "t.csv"
@@ -309,6 +313,18 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv, target):
     assert err.startswith(f"error: cannot write {out}: ")
     assert "Traceback" not in err
     assert stdout == ""
+
+
+@_SMALL_RUNS
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_out_file_holds_exactly_the_stdout_table(capsys, tmp_path, argv, fmt):
+    argv = argv + ["--format", fmt]
+    code, stdout, _ = run_cli(argv, capsys)
+    assert code == 0 and stdout
+    out = tmp_path / "table"
+    code, nothing, err = run_cli(argv + ["--out", str(out)], capsys)
+    assert (code, nothing, err) == (0, "", "")
+    assert out.read_bytes() == stdout.encode("utf-8")
 
 
 class TestGridEngine:
@@ -584,6 +600,10 @@ class TestCsvFormat:
     @pytest.mark.parametrize("argv", [
         ["fisher-phi"], ["fisher-phi", "--fig4", "--engine", "all"],
         ["fisher-phi", "--engine", "grid"], ["fisher-r"], ["dj"], ["estimate"],
+        # every estimate clamped to phi_hat = 0
+        ["estimate", "--shots", "1", "--replicas", "50", "--r", "2.0"],
+        # an infinite bound: crb = inf, mse_over_crb = nan
+        ["estimate", "--phi", "0", "--replicas", "5"],
         ["crosscheck"], ["audit"], ["gap"],
     ], ids=" ".join)
     def test_default_tables_match_the_cell_by_cell_writer(self, argv, capsys, monkeypatch):
@@ -597,6 +617,16 @@ class TestCsvFormat:
         monkeypatch.setattr(cli, "_emit", recording_emit)
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
+        if argv[0] == "estimate":
+            # the estimate CSV is spelled per distinct hit count, not by _emit:
+            # it must match the rows cmd_estimate builds for --format json
+            assert tables == []
+            args = cli.build_parser().parse_args(argv)
+            phi = args.phi if args.phi is not None else PI / 4
+            tables.append(cli.cmd_estimate(
+                cli._resolve_params(args), args.r, phi, args.shots,
+                args.replicas, args.seed,
+            ))
         ((columns, rows),) = tables
         assert out == reference_csv(columns, rows)
 

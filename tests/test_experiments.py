@@ -75,6 +75,22 @@ class TestSampleOutcomes:
         with pytest.raises(ParameterError):
             sample_outcomes(0.3, 0, 1)
 
+    @pytest.mark.parametrize("n, seed", [
+        (2.9, 1), (10.0, 1), ("10", 1), (10, 1.5), (10, (1, 2.5)), (10, "1"),
+    ], ids=["float_n", "integral_float_n", "str_n", "float_seed", "float_in_tuple",
+            "str_seed"])
+    def test_non_integer_count_or_seed_refused(self, n, seed):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            sample_outcomes(0.5, n, seed)
+
+    def test_numpy_integers_count_as_integers(self):
+        assert sample_outcomes(0.5, np.int64(300), np.uint32(7)) == sample_outcomes(
+            0.5, 300, 7
+        )
+        assert sample_outcomes(0.5, 300, (np.int8(7), np.uint64(2))) == (
+            sample_outcomes(0.5, 300, (7, 2))
+        )
+
     @pytest.mark.parametrize("prob", [math.nan, -0.1, 1.1])
     def test_probability_outside_the_unit_interval_refused(self, prob, monkeypatch):
         def no_draw(*args):
@@ -272,6 +288,12 @@ class TestReplicatedMse:
             hits = _bare_count(prob, shots, (seed, i))
             assert phi_hat == inverted_phase(hits, shots, p, r)
             assert s.squared_errors[i] == (phi_hat - phi_true) ** 2
+            # the per-count table: each estimate is its count's inversion
+            assert type(s.hits[i]) is int
+            assert s.hits[i] == hits == sample_outcomes(prob, shots, (seed, i))
+            assert phi_hat == experiments._phi_hat(s.hits[i], shots, a, b)
+        # replicas share counts, so the table is smaller than the run
+        assert len(set(s.hits)) < len(s.hits) == 30
         assert s.crb == 1.0 / (shots * fisher_phi(p, r, phi_true).fisher)
         assert len(s.squared_errors) == 30
         assert s.mean_mse == sum(s.squared_errors) / 30
@@ -286,6 +308,40 @@ class TestReplicatedMse:
             replicated_mse(canonical(), 0.0, 0.5, 0, 5, 1)
         with pytest.raises(ParameterError):
             replicated_mse(canonical(), 0.0, 0.5, 5, 0, 1)
+
+    @pytest.mark.parametrize("shots, replicas, seed", [
+        (100.9, 3, 1), (100, 3.7, 1), (100, 3, 1.9), (100, 3, (1, 2)),
+    ], ids=["float_shots", "float_replicas", "float_seed", "tuple_seed"])
+    def test_non_integer_counts_and_seed_refused(
+        self, shots, replicas, seed, monkeypatch
+    ):
+        def no_draw(*args):
+            raise AssertionError("drew outcomes for a non-integer argument")
+
+        monkeypatch.setattr(experiments, "_count_hits", no_draw)
+        with pytest.raises(ParameterError, match="must be an integer"):
+            replicated_mse(canonical(), 0.0, 0.5, shots, replicas, seed)
+
+    def test_numpy_integer_counts_and_seed(self):
+        p = canonical()
+        s = replicated_mse(p, 0.0, 0.5, np.int64(40), np.int32(6), np.uint8(3))
+        assert s == replicated_mse(p, 0.0, 0.5, 40, 6, 3)
+        assert type(s.shots) is int and type(s.replicas) is int
+
+    def test_default_estimate_inverts_each_distinct_count_once(self, capsys, monkeypatch):
+        from cvphase import cli
+
+        calls = []
+        phi_hat = experiments._phi_hat
+
+        def counting_phi_hat(hits, shots, a, b):
+            calls.append(hits)
+            return phi_hat(hits, shots, a, b)
+
+        monkeypatch.setattr(experiments, "_phi_hat", counting_phi_hat)
+        assert cli.main(["estimate"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2002
+        assert calls and len(calls) == len(set(calls))
 
     def test_true_phase_off_the_principal_branch_rejected(self):
         with pytest.raises(ParameterError):
