@@ -24,6 +24,7 @@ import functools
 import math
 import operator
 import sys
+from collections.abc import Callable
 
 from ._lazy import lazy_import
 from .errors import CvPhaseError, ParameterError
@@ -113,7 +114,7 @@ def _open_threshold_axis(big_p: float) -> tuple[float, ...]:
 _CSV_BOOL = ("false", "true")
 
 
-def _csv_spec(v: Any) -> str:
+def _csv_spec(v: object) -> str:
     """The % conversion that spells every cell of v's column in CSV."""
     if isinstance(v, float):
         # 17 significant digits; nan, inf, -inf and -0 (a negative NaN as nan)
@@ -123,7 +124,7 @@ def _csv_spec(v: Any) -> str:
     return "%s"  # strs as they are; bools after _CSV_BOOL
 
 
-def _cell_json(v: Any) -> Any:
+def _cell_json(v: object) -> object:
     if isinstance(v, float) and not math.isfinite(v):
         return None
     return v
@@ -247,7 +248,7 @@ def cmd_fisher_phi_sweep(
         if want_analytic:
             reports = fisher_phis(p, r, phi_values)
         for k, phi in enumerate(phi_values):
-            row: dict[str, Any] = {"phi": phi, "r": r}
+            row: dict[str, object] = {"phi": phi, "r": r}
             if want_analytic:
                 rep = reports[k]
                 row["fisher"] = rep.fisher
@@ -306,15 +307,22 @@ def cmd_dj(
     Three rows: the requested threshold, then balanced (r=0) and constant
     (r=P) references at the same parameters.  Row i draws its trials from the
     stream seeded with (seed, i), each hitting with the p_x0 the row prints.
+    trials and seed must be ints (numpy integers too), as for
+    ``sample_outcomes``; anything else is a ParameterError.
     """
-    trials = int(trials)
+    try:
+        trials, seed = operator.index(trials), operator.index(seed)
+    except TypeError:
+        raise ParameterError(
+            f"trials and seed must be integers, got {trials!r} and {seed!r}"
+        ) from None
     rows = []
     cases = (("requested", float(r)), ("balanced_reference", 0.0),
              ("constant_reference", p.big_p))
     for idx, (label, r_case) in enumerate(cases):
         p_x0 = dj_statistics(p, r_case).p_x0
         # a detection at the decision phase classifies the mask as constant
-        n_const = experiments.sample_outcomes(p_x0, trials, (int(seed), idx))
+        n_const = experiments.sample_outcomes(p_x0, trials, (seed, idx))
         n_bal = trials - n_const
         if r_case == 0.0:
             truth = "balanced"

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import ParameterError, UnidentifiableFunctionError
 from .model import MeasurementDistribution, ProcedureParams
-from .stats import cosine_model_coefficients, fisher_phi
+from .stats import _fisher, cosine_model_coefficients
 
 _HALF_PI = math.pi / 2.0
 _IDENTIFIABILITY_TOL = 1e-9
@@ -253,7 +253,8 @@ def _cosine_model(
             f"cosine amplitude {b:.3g} is below {_IDENTIFIABILITY_TOL:g}; "
             "a (near-)constant mask carries no phase information"
         )
-    return a, b, fisher_phi(p, r, phi_true).fisher
+    c, s = math.cos(2.0 * phi_true), math.sin(2.0 * phi_true)
+    return a, b, _fisher(a, b, c, s)[0]
 
 
 def _phi_hat(hits: int, shots: int, a: float, b: float) -> float:

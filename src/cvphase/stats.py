@@ -14,11 +14,15 @@ For a threshold (step) mask with f = 1 on (r, P] this collapses to
 
 which drives the Fisher information, the estimator precision bound and the
 constant-vs-balanced decision statistics.  E is the mask efficiency; G only
-depends on |r|, so every quantity here is even in r.  Only the cosine
-depends on phi, so the phase sweeps (prob_x0s, fisher_phis, fisher_rs)
-compute (a, b), the generator moments and E once per threshold, and the
-``audit`` table (heisenberg_audit) is built from them and the balanced
-threshold's precision alone.  Nothing here builds an array.
+depends on |r|, so p, F_phi and F_r are even in r.  The generator mean is
+not (mean(r) + mean(-r) = erf(2*P*delta)), nor are the bounds built on it.
+
+One private record, ``_threshold``, holds what depends on r alone: (r, a,
+b, E, generator mean, dG/dr), from one erf(2*P*delta) and one
+erf(2*r*delta) after the containment and r checks.  Every sweep (prob_x0s,
+fisher_phis, fisher_rs, the ``audit`` table and the estimator) reads it
+once per threshold; only the cosine depends on phi, so each phase costs its
+cos/sin arithmetic alone.  Nothing here builds an array.
 """
 
 from __future__ import annotations
@@ -54,9 +58,23 @@ def mask_efficiency(p: ProcedureParams) -> float:
     return e1 * e1
 
 
-def _G(p: ProcedureParams, r: float) -> float:
-    g1 = math.erf(2.0 * r * p.delta)
-    return g1 * g1
+def _threshold(p: ProcedureParams, r: float) -> tuple[float, ...]:
+    """The closed forms of threshold r that do not depend on phi.
+
+    (r, a, b, E, mean, dG): the checked r as a float, the response
+    coefficients a = (E + G)/2 and b = (E - G)/2, the mask efficiency E, the
+    generator mean <f> = (erf(2*P*delta) - erf(2*r*delta))/2 and
+    dG/dr = (8*delta/sqrt(pi)) * erf(2*r*delta) * exp(-4*r^2*delta^2).
+    """
+    require_containment(p)
+    r = _require_r(p, r)
+    d = p.delta
+    e1 = math.erf(2.0 * p.big_p * d)
+    g1 = math.erf(2.0 * r * d)
+    E = e1 * e1
+    G = g1 * g1
+    dG = (8.0 * d / math.sqrt(math.pi)) * g1 * math.exp(-4.0 * r * r * d * d)
+    return r, 0.5 * (E + G), 0.5 * (E - G), E, 0.5 * (e1 - g1), dG
 
 
 def prob_x0(p: ProcedureParams, r: float, phi: float) -> MeasurementDistribution:
@@ -78,11 +96,7 @@ def cosine_model_coefficients(p: ProcedureParams, r: float) -> tuple[float, floa
     a = (E + G)/2, b = (E - G)/2 for the step mask with threshold r; b is the
     identifiable signal strength (b = 0 for a constant mask).
     """
-    require_containment(p)
-    r = _require_r(p, r)
-    E = mask_efficiency(p)
-    G = _G(p, r)
-    return 0.5 * (E + G), 0.5 * (E - G)
+    return _threshold(p, r)[1:3]
 
 
 def prob_x0_factorized(
@@ -114,10 +128,10 @@ def generator_moments(p: ProcedureParams, r: float) -> GeneratorMoments:
     """Moments of the step mask viewed as the phase generator.
 
     In the conjugate-space envelope, <f> = (erf(2*P*delta) - erf(2*r*delta))/2
-    and, because f^2 = f, the variance is <f>(1 - <f>).
+    and, because f^2 = f, the variance is <f>(1 - <f>).  The mean is not
+    even in r: mean(r) + mean(-r) = erf(2*P*delta).
     """
-    r = _require_r(p, r)
-    mean = 0.5 * (math.erf(2.0 * p.big_p * p.delta) - math.erf(2.0 * r * p.delta))
+    mean = _threshold(p, r)[4]
     return GeneratorMoments(mean=mean, variance=mean * (1.0 - mean))
 
 
@@ -151,39 +165,17 @@ def fisher_phis(
 ) -> list[FisherReport]:
     """fisher_phi at each phase of phis.
 
-    (a, b), the generator moments and, for r = 0, E depend on r alone and
-    are computed once; each phase costs only its cos/sin arithmetic.
+    The threshold's record (a, b, the generator mean and, for r = 0, E) is
+    read once; each phase costs only its cos/sin arithmetic.
     """
-    a, b = cosine_model_coefficients(p, r)
-    r = float(r)
-    moments = generator_moments(p, r)
-    variance_bound = 16.0 * moments.variance
-    mean_bound = 4.0 * moments.mean * moments.mean
-    E = mask_efficiency(p) if r == 0.0 else math.nan
+    r, a, b, E, mean, _ = _threshold(p, r)
+    variance_bound = 16.0 * (mean * (1.0 - mean))
+    mean_bound = 4.0 * mean * mean
     reports = []
     for phi in phis:
         c = math.cos(2.0 * phi)
         s = math.sin(2.0 * phi)
-        prob = a + b * c
-        dp = -2.0 * b * s
-        pq = prob * (1.0 - prob)
-
-        singular = False
-        if pq > 0.0:
-            fisher = dp * dp / pq
-        elif b == 0.0:
-            # constant mask: no phi dependence at all
-            fisher = 0.0
-            singular = True
-        elif prob <= 0.0:
-            # reachable only for G = 0 at cos(2*phi) = -1; limit of dp^2/(p(1-p))
-            fisher = 4.0 * b * (1.0 - c) / (1.0 - prob)
-            singular = True
-        else:
-            # prob = 1 requires E = 1 to machine precision at cos(2*phi) = +1
-            fisher = 4.0 * b * (1.0 + c) / prob
-            singular = True
-
+        fisher, singular = _fisher(a, b, c, s)
         reports.append(FisherReport(
             fisher=fisher,
             variance_bound=variance_bound,
@@ -192,6 +184,25 @@ def fisher_phis(
             singular_limit=singular,
         ))
     return reports
+
+
+def _fisher(a: float, b: float, c: float, s: float) -> tuple[float, bool]:
+    """(F_phi, singular_limit) of the response a + b*cos(2*phi) at the phase
+    with c = cos(2*phi) and s = sin(2*phi); singular_limit marks an analytic
+    limit taken where the raw quotient is 0/0."""
+    prob = a + b * c
+    dp = -2.0 * b * s
+    pq = prob * (1.0 - prob)
+    if pq > 0.0:
+        return dp * dp / pq, False
+    if b == 0.0:
+        # constant mask: no phi dependence at all
+        return 0.0, True
+    if prob <= 0.0:
+        # reachable only for G = 0 at cos(2*phi) = -1; limit of dp^2/(p(1-p))
+        return 4.0 * b * (1.0 - c) / (1.0 - prob), True
+    # prob = 1 requires E = 1 to machine precision at cos(2*phi) = +1
+    return 4.0 * b * (1.0 + c) / prob, True
 
 
 def fisher_r(p: ProcedureParams, r: float, phi: float) -> float:
@@ -206,10 +217,8 @@ def fisher_r(p: ProcedureParams, r: float, phi: float) -> float:
 
 def fisher_rs(p: ProcedureParams, r: float, phis: Iterable[float]) -> list[float]:
     """fisher_r at each phase of phis, from one a, b and dG/dr for r."""
-    a, b = cosine_model_coefficients(p, r)
-    r = float(r)
+    _, a, b, _, _, dG = _threshold(p, r)
     d = p.delta
-    dG = (8.0 * d / math.sqrt(math.pi)) * math.erf(2.0 * r * d) * math.exp(-4.0 * r * r * d * d)
     fishers = []
     for phi in phis:
         c = math.cos(2.0 * phi)
@@ -273,8 +282,8 @@ def dj_statistics(p: ProcedureParams, r: float) -> MeasurementDistribution:
     contained, as for every closed form here.
     """
     require_containment(p)
-    r = _require_r(p, r, slack=0.0)
-    return MeasurementDistribution(_G(p, r))
+    g1 = math.erf(2.0 * _require_r(p, r, slack=0.0) * p.delta)
+    return MeasurementDistribution(g1 * g1)
 
 
 def heisenberg_audit(
@@ -294,24 +303,28 @@ def heisenberg_audit(
     threshold-at-zero reference procedure by sqrt(F) of the procedure under
     audit, and is NaN where that error is undefined (see delta_phi); a row
     is flagged optimal when the product is 1 within 1e-3.  The default grid
-    leaves out the propagation singularities at multiples of pi/2.  E and
-    the threshold's closed forms are computed once per call.
+    leaves out the propagation singularities at multiples of pi/2.  The
+    threshold's record is read once, and each phase's cos/sin once.
     """
     if phis is None:
         phis = tuple(k * math.pi / 32.0 for k in range(1, 16))
-    reports = fisher_phis(p, r, phis)
-    E = mask_efficiency(p)
+    r, a, b, E, mean, _ = _threshold(p, r)
+    variance_bound = 16.0 * (mean * (1.0 - mean))
+    mean_bound = 4.0 * mean * mean
     rows = []
-    for phi, rep in zip(phis, reports):
-        dphi = _precision(E, math.cos(2.0 * phi), math.sin(2.0 * phi))
-        product = math.nan if dphi is None else dphi * math.sqrt(rep.fisher)
+    for phi in phis:
+        c = math.cos(2.0 * phi)
+        s = math.sin(2.0 * phi)
+        fisher = _fisher(a, b, c, s)[0]
+        dphi = _precision(E, c, s)
+        product = math.nan if dphi is None else dphi * math.sqrt(fisher)
         rows.append({
             "phi": float(phi),
-            "r": float(r),
-            "fisher": rep.fisher,
-            "variance_bound": rep.variance_bound,
-            "mean_bound_generator_f": rep.mean_bound_diagnostic,
-            "mean_bound_generator_2f": 4.0 * rep.mean_bound_diagnostic,
+            "r": r,
+            "fisher": fisher,
+            "variance_bound": variance_bound,
+            "mean_bound_generator_f": mean_bound,
+            "mean_bound_generator_2f": 4.0 * mean_bound,
             "dphi_sqrt_fisher": product,
             "optimal": math.isfinite(product) and abs(product - 1.0) <= _AUDIT_TOL,
         })

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 import cvphase
 from cvphase import (
-    PiecewiseBinaryFunction, ProcedureParams, cli, experiments, grid, model,
-    phase_response, quadrature, stats,
+    ParameterError, PiecewiseBinaryFunction, ProcedureParams, cli, experiments,
+    grid, model, phase_response, quadrature, stats,
 )
 from helpers import BIG_P, DELTA, canonical, cell_csv, reference_csv
 
@@ -374,24 +374,51 @@ class TestGridEngine:
 
     def test_closed_form_runs_once_per_threshold(self, capsys, monkeypatch):
         calls = []
-        original = stats.cosine_model_coefficients
+        original = stats._threshold
 
         def counted(p, r):
             calls.append(r)
             return original(p, r)
 
-        for module in (stats, experiments):
-            monkeypatch.setattr(module, "cosine_model_coefficients", counted)
+        monkeypatch.setattr(stats, "_threshold", counted)
         for argv, thresholds in (
             (["crosscheck"], 5),
             (["fisher-phi", "--fig4"], 5),
             (["fisher-phi", "--fig4", "--engine", "all"], 5),
             (["fisher-r", "--fig5"], 63),
             (["audit"], 1),
+            (["estimate", "--seed", "0"], 1),
         ):
             calls.clear()
             assert run_cli(argv, capsys)[0] == 0
             assert len(calls) == len(set(calls)) == thresholds, argv
+
+    def test_erf_calls_per_command(self, capsys, monkeypatch):
+        # two erfs per threshold record; dj takes one per row and one for
+        # the constant row's analytic error rate
+        calls = []
+
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def erf(self, x):
+                calls.append(x)
+                return math.erf(x)
+
+        for module in (stats, experiments):
+            monkeypatch.setattr(module, "math", CountingMath())
+        for argv, erfs in (
+            (["fisher-phi", "--fig4"], 10),
+            (["audit"], 2),
+            (["estimate", "--seed", "0"], 2),
+            (["fisher-r", "--fig5"], 126),
+            (["dj"], 4),
+            (["crosscheck"], 10),
+        ):
+            calls.clear()
+            assert run_cli(argv, capsys)[0] == 0
+            assert len(calls) == erfs, argv
 
     def test_gap_integrates_each_mask_once(self, capsys, monkeypatch):
         built = []
@@ -726,6 +753,21 @@ class TestDjTable:
             4.418050600711324e-05, rel=1e-10
         )
         assert float(con["empirical_error_rate"]) <= 2e-3
+
+    @pytest.mark.parametrize("trials, seed", [(2.9, 1), (3, 1.7), ("3", 1)])
+    def test_non_integer_trials_or_seed_refused(self, monkeypatch, trials, seed):
+        def no_draw(*args):
+            raise AssertionError("drew outcomes for a refused run")
+
+        monkeypatch.setattr(experiments, "sample_outcomes", no_draw)
+        with pytest.raises(ParameterError, match="must be integers"):
+            cli.cmd_dj(canonical(), 0.0, trials, seed)
+
+    def test_numpy_integer_trials_stay_json_ints(self):
+        _, rows = cli.cmd_dj(canonical(), 0.0, np.int64(40), np.int64(3))
+        assert [type(row["trials"]) for row in rows] == [int] * 3
+        json.dumps(rows)
+        assert rows == cli.cmd_dj(canonical(), 0.0, 40, 3)[1]
 
     def test_intermediate_threshold_has_no_truth(self, capsys):
         code, out, _ = run_cli(

@@ -1,8 +1,11 @@
 """The package namespace: every public name resolves on first use."""
 
 import importlib
+import inspect
+import pkgutil
 import subprocess
 import sys
+import typing
 
 import pytest
 
@@ -81,3 +84,27 @@ def test_star_import_binds_every_public_name():
     assert set(cvphase.__all__) <= set(namespace)
     assert namespace["ProcedureParams"] is cvphase.model.ProcedureParams
     assert namespace["__version__"] == "0.1.0"
+
+
+def _annotated(module):
+    """The functions, classes and methods a cvphase module defines."""
+    for value in vars(module).values():
+        if getattr(value, "__module__", None) != module.__name__:
+            continue
+        if inspect.isclass(value):
+            yield value
+            yield from (m for m in vars(value).values() if inspect.isfunction(m))
+        elif inspect.isfunction(value):
+            yield value
+
+
+@pytest.mark.parametrize(
+    "module", [m.name for m in pkgutil.iter_modules(cvphase.__path__)]
+)
+def test_every_annotation_resolves(module):
+    # annotations are strings (from __future__ import annotations), so a
+    # name the module never imports fails only here, not at import
+    defined = list(_annotated(importlib.import_module(f"cvphase.{module}")))
+    assert defined
+    for obj in defined:
+        typing.get_type_hints(obj)

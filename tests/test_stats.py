@@ -152,6 +152,20 @@ class TestGeneratorMoments:
         assert mom.mean == 0.0
         assert mom.variance == 0.0
 
+    @given(r=st.floats(0.0, BIG_P))
+    @settings(max_examples=60, deadline=None)
+    def test_mean_is_not_even_in_r(self, r):
+        # mean(r) + mean(-r) = erf(2*P*delta), so only at mean = erf/2 (r = 0)
+        # are the two equal; p, F_phi and F_r are even in r
+        p = canonical()
+        total = generator_moments(p, r).mean + generator_moments(p, -r).mean
+        assert total == pytest.approx(math.erf(2.0 * BIG_P * DELTA), abs=4e-16)
+
+    def test_uncontained_envelope_refused(self):
+        snug = ProcedureParams(x0=0.0, delta=1.0, big_t=4.0, big_p=1.5)
+        with pytest.raises(RegimeError):
+            generator_moments(snug, 0.0)
+
 
 class TestFisherPhi:
     def test_balanced_decision_point_is_the_singular_maximum(self):
@@ -327,13 +341,14 @@ class TestDeltaPhi:
             delta_phi(p, math.pi / 4)
         assert fisher_phi(p, 0.0, math.pi / 4).delta_phi is None
 
-    def test_no_precision_where_a_subnormal_slope_underflows(self, monkeypatch):
+    def test_no_precision_where_a_subnormal_slope_underflows(self):
         # a subnormal E keeps var_x > 0 while E*|sin(2*phi)| underflows to 0
-        monkeypatch.setattr(stats, "mask_efficiency", lambda p: 1e-320)
+        p = ProcedureParams(x0=0.0, delta=1e-80, big_t=1.0, big_p=4.43e-81)
+        assert mask_efficiency(p) == pytest.approx(9.995e-321, rel=1e-3)
         phi = 5e-12  # |sin(2*phi)| = 1e-11, above the vanishing-derivative cutoff
-        assert fisher_phi(canonical(), 0.0, phi).delta_phi is None
+        assert fisher_phi(p, 0.0, phi).delta_phi is None
         with pytest.raises(SingularityError, match="underflows"):
-            delta_phi(canonical(), phi)
+            delta_phi(p, phi)
 
     @given(phi=st.floats(0.05, math.pi / 2 - 0.05))
     @settings(max_examples=80, deadline=None)
@@ -344,24 +359,21 @@ class TestDeltaPhi:
 
 
 class TestAuditClosedForms:
-    def test_mask_efficiency_calls_do_not_grow_with_the_phases(self, monkeypatch):
-        # E depends on P and delta alone: a fixed number of erf calls per
-        # audit (one of them the audit's own), none per phase
+    def test_one_threshold_record_per_audit(self, monkeypatch):
+        # everything phase-free comes from one record, however many phases
         calls = []
-        original = stats.mask_efficiency
+        original = stats._threshold
 
-        def counted(p):
-            calls.append(p)
-            return original(p)
+        def counted(p, r):
+            calls.append(r)
+            return original(p, r)
 
-        monkeypatch.setattr(stats, "mask_efficiency", counted)
-        counts = []
+        monkeypatch.setattr(stats, "_threshold", counted)
         for count in (1, 15, 200):
             calls.clear()
             phis = tuple(k * math.pi / (2 * count + 2) for k in range(1, count + 1))
             assert len(heisenberg_audit(canonical(), 0.0, phis)) == count
-            counts.append(len(calls))
-        assert counts[0] == counts[1] == counts[2] <= 3
+            assert calls == [0.0], count
 
     @pytest.mark.parametrize("r", [0.0, BIG_P / 4])
     @pytest.mark.parametrize(
