@@ -329,7 +329,9 @@ def cmd_dj(
             emp_err, ana_err = n_const / trials, 0.0
         elif abs(abs(r_case) - p.big_p) <= 1e-12 * p.big_p:
             truth = "constant"
-            emp_err, ana_err = n_bal / trials, 1.0 - mask_efficiency(p)
+            # p_x0 is E itself at |r| = P; an r within rounding of P is not
+            e = p_x0 if abs(r_case) == p.big_p else mask_efficiency(p)
+            emp_err, ana_err = n_bal / trials, 1.0 - e
         else:
             truth = "neither"
             emp_err = ana_err = math.nan
@@ -622,7 +624,7 @@ def _run_estimate(args: argparse.Namespace) -> int:
     tails, mean = _estimate_tails(s)
     template = _csv_template(mean)
     spelled = {k: template % cells for k, cells in tails.items()}
-    lines = map("%d,%s".__mod__, enumerate(map(spelled.__getitem__, s.hits)))
+    lines = [f"{i},{spelled[k]}" for i, k in enumerate(s.hits)]
     head = ",".join(_ESTIMATE_COLUMNS) + "\n"
     _write(head + "".join(lines) + "-1," + template % mean, args.out)
     return 0

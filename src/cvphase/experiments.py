@@ -24,9 +24,11 @@ How the streams are reached.  One run hashes all its seed materials in one
 batched pass: ``_seed_states`` runs SeedSequence's hash as uint32 column
 operations over one row of entropy words per stream, giving each stream the
 four words ``SeedSequence(m).generate_state(4, np.uint64)`` would.  numpy
-seeds each stream from its row: ``PCG64(_HashedSeed(row))`` hands the row to
-PCG64's own seeding, as a SeedSequence would.  The first row is checked
-against numpy's own ``SeedSequence`` on every run.  PCG64 takes one 64-bit
+seeds every stream of the run from one seed source over those rows: each
+``PCG64(source)`` asks it once for its state and gets the next row, as it
+would get that row from ``SeedSequence(m)``.  The first row is checked
+against numpy's own ``SeedSequence`` on every run, and at its end the source
+must have handed out exactly one row per stream.  PCG64 takes one 64-bit
 output per double, so a stream's uniforms can be drawn piecewise into one
 reused buffer of 2^16 doubles: the same stream as one ``rng.random(n)``, in
 bounded memory.  When n <= 2^16 the buffer is viewed as a block of
@@ -166,16 +168,35 @@ def _stream_words(seed: SeedMaterial, streams: int | None):
     return words
 
 
-class _HashedSeed(np.random.bit_generator.ISeedSequence):
-    """Seed words already hashed: a row of _seed_states, which is what
-    ``SeedSequence(m).generate_state(4, np.uint64)`` returns, and so all
-    PCG64 asks of its seed sequence."""
+class _SeedRows(np.random.bit_generator.ISeedSequence):
+    """The rows of a _seed_states matrix, handed out in order.
 
-    def __init__(self, words) -> None:
-        self.words = words
+    A row is what ``SeedSequence(m).generate_state(4, np.uint64)`` returns
+    for its stream's seed material m, and that one call is all PCG64 asks of
+    its seed sequence; so ``PCG64(source)`` seeds the next stream as
+    ``PCG64(SeedSequence(m))`` would.  A PCG64 that asked for more than one
+    row would leave every later stream misaligned, so running out of rows
+    raises, and so does a row left over at the end (see _count_hits).
+    """
+
+    def __init__(self, states, first: SeedMaterial) -> None:
+        self.first = first
+        if not np.array_equal(
+            states[0], np.random.SeedSequence(first).generate_state(4, np.uint64)
+        ):
+            raise self.disagrees("SeedSequence(...).generate_state(4, uint64)")
+        self.rows = iter(states)
+
+    def disagrees(self, what: str) -> RuntimeError:
+        return RuntimeError(
+            f"batched seeding of {self.first!r} disagrees with numpy's {what}"
+        )
 
     def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+        row = next(self.rows, None)
+        if row is None:
+            raise self.disagrees("PCG64: more seed rows asked for than streams")
+        return row
 
 
 def _count_hits(
@@ -184,38 +205,38 @@ def _count_hits(
     """Hits among n Bernoulli(prob) trials in each stream of _stream_words.
 
     Each count is that of ``rng.random(n) < prob`` on
-    ``Generator(PCG64(SeedSequence(material)))``; one buffer serves every
-    stream.  With n <= _CHUNK the buffer holds a block of streams, one per
-    row, counted together; a longer stream is counted chunk by chunk.
+    ``Generator(PCG64(SeedSequence(material)))``.  One _SeedRows source seeds
+    every stream's PCG64 and one buffer serves every stream, so the loops
+    build no seed object per replica.  With n <= _CHUNK the buffer holds a
+    block of streams, one per row, counted together; a longer stream is
+    counted chunk by chunk.  Raises RuntimeError when the first
+    stream's seeding disagrees with numpy's SeedSequence, or when the
+    streams did not take exactly one row of the source each.
     """
     seeded = _seed_states(_stream_words(seed, streams))
-    first = seed if streams is None else (seed, 0)
-    if not np.array_equal(
-        seeded[0], np.random.SeedSequence(first).generate_state(4, np.uint64)
-    ):
-        raise RuntimeError(
-            f"batched seeding of {first!r} disagrees with numpy's "
-            "SeedSequence(...).generate_state(4, uint64)"
-        )
+    source = _SeedRows(seeded, seed if streams is None else (seed, 0))
+    generator, pcg64 = np.random.Generator, np.random.PCG64
     total = len(seeded)
     counts: list[int] = []
     if n <= _CHUNK:
         block = np.empty((min(_CHUNK // n, total), n))
         for start in range(0, total, len(block)):
             rows = block[: total - start]
-            for row, words in zip(rows, seeded[start:]):
-                np.random.Generator(np.random.PCG64(_HashedSeed(words))).random(out=row)
+            for row in rows:
+                generator(pcg64(source)).random(out=row)
             counts += np.count_nonzero(rows < prob, axis=1).tolist()
-        return counts
-    buf = np.empty(_CHUNK)
-    for words in seeded:
-        rng = np.random.Generator(np.random.PCG64(_HashedSeed(words)))
-        hits = 0
-        for start in range(0, n, _CHUNK):
-            chunk = buf[: min(_CHUNK, n - start)]
-            rng.random(out=chunk)
-            hits += int(np.count_nonzero(chunk < prob))
-        counts.append(hits)
+    else:
+        buf = np.empty(_CHUNK)
+        for _ in range(total):
+            rng = generator(pcg64(source))
+            hits = 0
+            for start in range(0, n, _CHUNK):
+                chunk = buf[: min(_CHUNK, n - start)]
+                rng.random(out=chunk)
+                hits += int(np.count_nonzero(chunk < prob))
+            counts.append(hits)
+    if next(source.rows, None) is not None:
+        raise source.disagrees("PCG64: a seed row left over at the end")
     return counts
 
 

@@ -394,8 +394,8 @@ class TestGridEngine:
             assert len(calls) == len(set(calls)) == thresholds, argv
 
     def test_erf_calls_per_command(self, capsys, monkeypatch):
-        # two erfs per threshold record; dj takes one per row and one for
-        # the constant row's analytic error rate
+        # two erfs per threshold record; dj takes one per row, and its
+        # constant row's analytic error rate reuses that row's p_x0
         calls = []
 
         class CountingMath:
@@ -413,7 +413,7 @@ class TestGridEngine:
             (["audit"], 2),
             (["estimate", "--seed", "0"], 2),
             (["fisher-r", "--fig5"], 126),
-            (["dj"], 4),
+            (["dj"], 3),
             (["crosscheck"], 10),
         ):
             calls.clear()
@@ -753,6 +753,23 @@ class TestDjTable:
             4.418050600711324e-05, rel=1e-10
         )
         assert float(con["empirical_error_rate"]) <= 2e-3
+
+    # at 1 - 9e-13, within the 1e-12 relative rounding of +-P, p_x0 sits
+    # 7e-16 below E
+    @pytest.mark.parametrize("r", [
+        BIG_P, -BIG_P, BIG_P * (1.0 - 9e-13), -BIG_P * (1.0 - 9e-13),
+    ])
+    def test_constant_rows_report_one_minus_the_mask_efficiency(self, r):
+        # the constant reference reuses its p_x0, E itself; a requested r
+        # within rounding of +-P but not on it still reports 1 - E
+        p = canonical()
+        _, rows = cli.cmd_dj(p, r, 10, 0)
+        constant = [row for row in rows if row["truth"] == "constant"]
+        assert [row["label"] for row in constant] == [
+            "requested", "constant_reference"
+        ]
+        for row in constant:
+            assert row["analytic_error_rate"] == 1.0 - cvphase.mask_efficiency(p)
 
     @pytest.mark.parametrize("trials, seed", [(2.9, 1), (3, 1.7), ("3", 1)])
     def test_non_integer_trials_or_seed_refused(self, monkeypatch, trials, seed):

@@ -150,9 +150,18 @@ class TestBatchedSeeding:
         "material", [0, 2**128 + 1, (2**96, 7), (2**70 + 3, 0, 2**32)]
     )
     def test_hashed_seed_gives_numpys_generator_state(self, material):
-        (row,) = _states(material, None)
-        seeded = np.random.PCG64(experiments._HashedSeed(row))
+        # the hashed words now reach PCG64 through the shared _SeedRows source
+        source = experiments._SeedRows(_states(material, None), material)
+        seeded = np.random.PCG64(source)
         assert seeded.state == np.random.PCG64(np.random.SeedSequence(material)).state
+
+    def test_shared_source_seeds_each_replica_as_numpy_would(self):
+        seed, streams = 2**64 + 5, 2000
+        source = experiments._SeedRows(_states(seed, streams), (seed, 0))
+        seeded = [np.random.PCG64(source) for _ in range(streams)]
+        for i in (0, 1, streams - 1):
+            want = np.random.PCG64(np.random.SeedSequence((seed, i))).state
+            assert seeded[i].state == want, i
 
     @pytest.mark.parametrize("seed", [-1, (3, -2), -(2**128)])
     def test_negative_seed_material_refused_before_hashing(self, seed, monkeypatch):
@@ -216,6 +225,40 @@ class TestBlockDraw:
         monkeypatch.setattr(experiments, "_INIT_B", experiments._INIT_B ^ 1)
         with pytest.raises(RuntimeError, match=r"\(5, 0\).*disagrees"):
             experiments._count_hits(0.5, 100, 5, 2000)
+
+    def test_one_seed_source_serves_every_stream(self, monkeypatch):
+        sources = []
+
+        class RecordingPCG64(np.random.PCG64):
+            def __init__(self, seed_seq):
+                sources.append(seed_seq)
+                super().__init__(seed_seq)
+
+        monkeypatch.setattr(np.random, "PCG64", RecordingPCG64)
+        counts = experiments._count_hits(0.5, 100, 5, 2000)
+        assert len(counts) == len(sources) == 2000
+        assert len({id(s) for s in sources}) == 1
+        assert isinstance(sources[0], experiments._SeedRows)
+
+    @pytest.mark.parametrize("n, streams", [(100, 2000), (100, 1), (_BLOCK + 1, 3)])
+    @pytest.mark.parametrize("rows_taken", [0, 2])
+    def test_guard_fires_when_a_pcg64_takes_other_than_one_row(
+        self, n, streams, rows_taken, monkeypatch
+    ):
+        # a numpy whose PCG64 asked its seed sequence twice (or not at all)
+        # would misalign every stream after the first, while the first row
+        # still matches
+        class MisalignedPCG64(np.random.PCG64):
+            def __init__(self, seed_seq):
+                if rows_taken == 0:
+                    seed_seq = np.random.SeedSequence(0)
+                else:
+                    seed_seq.generate_state(4, np.uint64)
+                super().__init__(seed_seq)
+
+        monkeypatch.setattr(np.random, "PCG64", MisalignedPCG64)
+        with pytest.raises(RuntimeError, match=r"\(5, 0\).*disagrees"):
+            experiments._count_hits(0.5, n, 5, streams)
 
 
 class TestMlePhi:
