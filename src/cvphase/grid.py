@@ -66,8 +66,8 @@ so w_k = (dx/sqrt(pi))^2 * |X(s)|^2 * dy.  ``fourier`` and
 pre-ramp (-1)^j * exp(i*pi*j/N), whose argument never exceeds pi, and the
 post-ramp exp(2i*xs*y_k) = (-1)^k * i^(N-1) (xs = -N*dx/2).
 
-``phase_response`` pays only for the Gaussian's support and one FFT of half
-length, and allocates only the arrays it reads.  Support:
+``phase_response`` pays only for the Gaussian's support and one transform
+of half length, and allocates only the arrays it reads.  Support:
 exp(-(x - x0)^2 / (2*delta^2)) underflows to exactly 0.0 once
 |x - x0| > 40*delta (exp(-800) = 0), so ``_support_gaussian`` evaluates only
 the samples of ``_support`` and every other amplitude is an exact 0; the
@@ -89,11 +89,30 @@ np.roll(W[::-1], N/4), which the sweep writes as four strided slice copies.
 The ifft's 2/N and the (dx/sqrt(pi))^2 * dy above give the scale
 (N*dx/sqrt(pi))^2 * dy / 4.
 
-Memory: the c_j go straight into the N/2-point complex buffer (8*N bytes),
-the ifft runs in it in place, and its parts are squared in place and summed
-into W (4*N bytes).  The buffer and the support arrays are released before
-the N float64 weights (8*N bytes) are allocated, so the sweep's numpy arrays
-peak at about 12*N bytes and only the weights outlive the call.
+Four quarter-length transforms.  pocketfft, numpy's FFT, takes twice its
+input as scratch, so one in-place N/2-point ifft adds 16*N bytes to its
+8*N-byte buffer.  Above ``_SPLIT_POINTS`` = 2^18 points the sweep splits l
+by its residue r mod 4: with l = 4m + r,
+
+    X(4l + 1) = sum_{j < N/8} [sum_{j' = j (mod N/8)} c_j' * exp(4i*pi*j'*r/N)]
+                * exp(2pi i jm/(N/8)),
+
+so row r is the support c_j times exp(4i*pi*j*r/N), folded modulo N/8, and
+its N/8-point ifft gives the cells l = r (mod 4).  Row r + 1 is row r times
+exp(4i*pi*j/N), the c_j ramp squared twice.  Each ifft's 8/N instead of 2/N
+divides the scale by 4^2.  At 2^18 points and below the sweep runs the
+single transform (one row), so those weights, and every default table, keep
+their bits.
+
+Memory: the rows fill one (K, N/(2K)) complex buffer of 8*N bytes (K = 1 or
+4), built from the support in bounded blocks; the support Gaussian is
+released before the in-place iffts, whose parts are squared in place and
+summed into W (4*N bytes).  The buffer is released before the N float64
+weights (8*N bytes) are allocated, and only the weights outlive the call.
+With K = 4 each ifft's scratch is 4*N bytes, so the sweep peaks at about
+12*N bytes: a 2^20 sweep raises the process's peak RSS by 13*N bytes, and
+a 2^24 ``crosscheck`` peaks at 232 MB.  With K = 1 the 16*N-byte scratch
+sets the peak: 26*N at 2^20 (28*N at 2^18, 7 MB), and 454 MB at 2^24.
 """
 
 from __future__ import annotations
@@ -121,6 +140,12 @@ MOMENTUM = "momentum"
 # half-width of the sampled support in units of delta: the Gaussian's exp
 # underflows to exactly 0.0 beyond it (exp(-40^2/2) = exp(-800) = 0)
 _SUPPORT_WIDTHS = 40.0
+
+# above this many points the sweep runs its transform as four quarter-length
+# FFTs, whose scratch is a quarter of one half-length FFT's (module docstring)
+_SPLIT_POINTS = 1 << 18
+# support samples per block of the sweep's fold: bounds its temporaries
+_FOLD_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -253,7 +278,8 @@ def fourier(s: GridState) -> GridState:
     if abs(s.grid_start + n * dx / 2.0) > 1e-9 * dx:
         raise GridLayoutError("position grid is not centred on 0")
     dy, ys = _conjugate_layout(n, dx)
-    # in place: at large N the temporaries, not the FFT, set peak memory
+    # in place; numpy's FFT still takes twice the buffer (32*N bytes) as
+    # scratch, the largest allocation of the transform
     buf = _half_offset_ramp(n)
     buf *= s.amplitudes
     np.fft.ifft(buf, out=buf)
@@ -411,6 +437,42 @@ class PhaseResponse:
         return rest + float(np.sum(cells[~ones])), float(np.sum(cells[ones]))
 
 
+def _folded_rows(
+    lo: int, hi: int, gauss: np.ndarray, n: int, k: int
+) -> np.ndarray:
+    """The (k, n/(2k)) complex rows whose inverse FFTs give X(4l + 1) for
+    l = r (mod k) in row r: c_j * exp(4i*pi*j*r/n) on the support [lo, hi),
+    with c_j = gauss_j * exp(i*pi*j/n), folded modulo n/(2k).
+
+    The support is taken in blocks of at most ``_FOLD_BLOCK`` samples that
+    never cross a fold period, so each block lands in one contiguous slice
+    of every row.  The factor exp(4i*pi*j/n) between rows is the block's
+    ramp squared twice: no trig pass beyond the ramp's.
+    """
+    period = n // (2 * k)
+    rows = np.zeros((k, period), dtype=complex)
+    start = lo
+    while start < hi:
+        stop = min(hi, start + _FOLD_BLOCK, (start // period + 1) * period)
+        angle = (math.pi / n) * np.arange(start, stop)
+        c = np.empty(stop - start, dtype=complex)
+        np.cos(angle, out=c.real)
+        np.sin(angle, out=c.imag)
+        if k > 1:
+            step = np.square(c)
+            np.square(step, out=step)
+        g = gauss[start - lo : stop - lo]
+        c.real *= g
+        c.imag *= g
+        at = start % period
+        rows[0, at : at + stop - start] += c
+        for r in range(1, k):
+            c *= step
+            rows[r, at : at + stop - start] += c
+        start = stop
+    return rows
+
+
 def phase_response(p: ProcedureParams, n: int) -> PhaseResponse:
     """One Gaussian evaluation and one half-length transform that serve every
     phase and mask.
@@ -418,10 +480,11 @@ def phase_response(p: ProcedureParams, n: int) -> PhaseResponse:
     The detection window is the prepared state, so its transform is the
     state's and w_k = |G_k|^2 * dy.  Evaluates the Gaussian on its support
     only (``_support_gaussian``, no N-point state) and folds it into one
-    in-place inverse FFT of length n/2 (see the module docstring); the
-    weights agree with |fourier(prepare_gaussian(p, n))|^2 * dy to rounding.
-    Peak array memory is about 12*n bytes, of which the returned 8*n-byte
-    weights stay.
+    in-place inverse FFT of length n/2, or above ``_SPLIT_POINTS`` into four
+    of length n/8 (see the module docstring); the weights agree with
+    |fourier(prepare_gaussian(p, n))|^2 * dy to rounding.  Peak memory,
+    numpy's FFT scratch included, is about 13*n bytes above 2^18 points and
+    28*n at or below, of which the returned 8*n-byte weights stay.
     Makes the checks of ``run_circuit`` that need no mask, in its order
     (containment, grid size, state support, a grid covering [-P, P]);
     ``PhaseResponse.split`` makes the rest.
@@ -430,25 +493,19 @@ def phase_response(p: ProcedureParams, n: int) -> PhaseResponse:
     n = int(n)
     dy, ys = _conjugate_layout(n, dx)
     _require_cover(n, dy, p.big_p)
-    # c_j = a_j * exp(i*pi*j/n) on the support, folded modulo n/2 part by part
+    k = 4 if n > _SPLIT_POINTS else 1
+    rows = _folded_rows(lo, hi, gauss, n, k)
+    del gauss
+    for row in rows:
+        np.fft.ifft(row, out=row)
+    np.square(rows.real, out=rows.real)
+    np.square(rows.imag, out=rows.imag)
+    # row r holds the classes l = r (mod k): w[r::k]
     half = n // 2
-    mid = min(max(lo, half), hi)  # first support sample in the upper half
-    folded = np.zeros(half, dtype=complex)
-    angle = (math.pi / n) * np.arange(lo, hi)
-    c = np.empty(hi - lo)
-    for part, trig in ((folded.real, np.cos), (folded.imag, np.sin)):
-        trig(angle, out=c)
-        c *= gauss
-        part[lo:mid] = c[: mid - lo]
-        if hi > mid:
-            part[mid - half : hi - half] += c[mid - lo :]
-    del angle, gauss, c, part  # part is a view: it would keep folded alive
-    np.fft.ifft(folded, out=folded)
-    np.square(folded.real, out=folded.real)
-    np.square(folded.imag, out=folded.imag)
-    w = np.add(folded.real, folded.imag)
-    del folded
-    w *= (n * dx / math.sqrt(math.pi)) ** 2 * dy / 4.0
+    w = np.empty(half)
+    np.add(rows.real, rows.imag, out=w.reshape(half // k, k).T)
+    del rows, row
+    w *= (n * dx / math.sqrt(math.pi)) ** 2 * dy / (4.0 * k * k)
     # even cells 2m take l = m - n/4, odd cells 2m + 1 take l = n/4 - 1 - m
     # (mod n/2): np.roll(w, n/4) and np.roll(w[::-1], n/4), slice by slice
     q = n // 4

@@ -136,9 +136,10 @@ def require_mask_domain(p: ProcedureParams, f: PiecewiseBinaryFunction) -> None:
 # grid sizes the simulator accepts; the default T needs N >= 512
 _MIN_POINTS = 256
 # largest grid: a circuit holds a few N-point complex arrays (256 MiB each at
-# this size); a sweep holds at most two of its N/2-point complex FFT buffer,
-# the N/2 squared magnitudes and the N float64 weights at once, ~12*N bytes;
-# a larger request is a typo, not a convergence study
+# this size) and numpy's FFT scratch of twice one of them; a sweep peaks at
+# about 13*N bytes, its four quarter-length FFTs' scratch included (a 2^24
+# crosscheck peaks at 232 MB of process RSS); a larger request is a typo,
+# not a convergence study
 _MAX_POINTS = 1 << 24
 
 

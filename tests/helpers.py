@@ -73,7 +73,8 @@ def reference_phase_weights(p: ProcedureParams, n: int):
     """``phase_response(p, n).weights`` computed the plain way: the full
     N-point prepared state, its support folded modulo n/2 through a complex
     temporary, one ifft, |.|^2 into a new array and the cell layout as two
-    ``np.roll`` copies.  The sweep must match it bit for bit."""
+    ``np.roll`` copies.  Up to 2^18 points the sweep must match it bit for
+    bit; above, it splits the transform in four and matches to rounding."""
     import numpy as np
 
     from cvphase import grid

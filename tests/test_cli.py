@@ -332,27 +332,34 @@ class TestGridEngine:
         import numpy as np
 
         # the sweep evaluates the Gaussian through _support_gaussian, which
-        # prepare_gaussian also calls: each count is a Gaussian evaluation
-        calls = {"_support_gaussian": 0, "numpy.fft": 0}
+        # prepare_gaussian also calls: each entry is a Gaussian evaluation or
+        # the length of one transform
+        calls = []
 
-        def counted(module, name, key):
+        def counted(module, name):
             original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
-                calls[key] += 1
+                calls.append(name if module is grid else len(args[0]))
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(grid, "_support_gaussian", "_support_gaussian")
+        counted(grid, "_support_gaussian")
         for name in np.fft.__all__:
             if not name.endswith(("freq", "shift")):  # index helpers, not transforms
-                counted(np.fft, name, "numpy.fft")
+                counted(np.fft, name)
         assert not hasattr(cli, "run_circuit")
-        for argv in (["crosscheck"], ["fisher-phi", "--fig4", "--engine", "all"]):
-            calls.update({"_support_gaussian": 0, "numpy.fft": 0})
+        # one half-length transform up to 2^18 points, four of N/8 above
+        n = 2**19
+        for argv, lengths in (
+            (["crosscheck"], [4096 // 2]),
+            (["fisher-phi", "--fig4", "--engine", "all"], [4096 // 2]),
+            (["crosscheck", "--grid-n", str(n), "--r", "0", "--phi", "0"], [n // 8] * 4),
+        ):
+            calls.clear()
             assert run_cli(argv, capsys)[0] == 0
-            assert calls == {"_support_gaussian": 1, "numpy.fft": 1}, argv
+            assert calls == ["_support_gaussian"] + lengths, argv
 
     def test_one_quadrature_response_per_threshold(self, capsys, monkeypatch):
         built = []

@@ -3,6 +3,9 @@
 import cmath
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -326,10 +329,26 @@ class TestPhaseResponse:
         "constant": PiecewiseBinaryFunction((), (1,), BIG_P),
     }
 
-    @pytest.mark.parametrize("n", [256, 4096, 2**14])
+    # above 2^18 points the sweep splits its transform in four: at the default
+    # T, with the support clipped at one grid end, and with a support that
+    # covers the whole grid, so every row of the split folds onto itself
+    SPLIT_CASES = [
+        (2**19, 0.0, aligned_half_width(BIG_P, 2**19)),
+        (2**19, T - 4.3 * DELTA, T),
+        (2**19, 0.37, 3.5),
+    ]
+
+    @pytest.mark.parametrize(
+        "n, x0, big_t",
+        [
+            pytest.param(n, x0, big_t, id=str(n))
+            for n, x0, big_t in itertools.product((256, 4096, 2**14), (0.37,), (T,))
+        ]
+        + SPLIT_CASES,
+    )
     @pytest.mark.parametrize("mask", sorted(MASKS))
-    def test_probability_matches_circuit(self, n, mask):
-        p = ProcedureParams(x0=0.37, delta=DELTA, big_t=self.T, big_p=BIG_P)
+    def test_probability_matches_circuit(self, n, x0, big_t, mask):
+        p = ProcedureParams(x0=x0, delta=DELTA, big_t=big_t, big_p=BIG_P)
         f = self.MASKS[mask]
         a0, a1 = phase_response(p, n).split(f)
         for phi in (0.0, 0.3, math.pi / 2, 2.2, math.pi):
@@ -345,7 +364,7 @@ class TestPhaseResponse:
         (4096, -(T - 4.3 * DELTA), T),
     ]
 
-    @pytest.mark.parametrize("n, x0, big_t", SWEEP_CASES)
+    @pytest.mark.parametrize("n, x0, big_t", SWEEP_CASES + SPLIT_CASES)
     def test_weights_are_the_transformed_state(self, n, x0, big_t):
         p = ProcedureParams(x0=x0, delta=DELTA, big_t=big_t, big_p=BIG_P)
         response = phase_response(p, n)
@@ -355,7 +374,11 @@ class TestPhaseResponse:
         expected = np.abs(moved.amplitudes) ** 2 * moved.grid_step
         assert float(np.max(np.abs(response.weights - expected))) <= 1e-15
 
-    @pytest.mark.parametrize("n, x0, big_t", SWEEP_CASES)
+    # 2^18, the largest grid whose sweep runs one transform, whose support
+    # takes several blocks of the fold (at T = 3.5 it also folds onto itself)
+    @pytest.mark.parametrize(
+        "n, x0, big_t", SWEEP_CASES + [(2**18, 0.37, T), (2**18, 0.0, 3.5)]
+    )
     def test_weights_match_the_reference_sweep_bit_for_bit(self, n, x0, big_t):
         p = ProcedureParams(x0=x0, delta=DELTA, big_t=big_t, big_p=BIG_P)
         assert np.array_equal(phase_response(p, n).weights, reference_phase_weights(p, n))
@@ -373,7 +396,9 @@ class TestPhaseResponse:
         # buffer with the squared magnitudes (8*N + 4*N bytes), then those
         # with the N float64 weights (4*N + 8*N), set a peak of ~12*N; a
         # buffer kept alive past the fold reads 20*N, the full prepared
-        # state 48*N.  Only the weights stay.
+        # state 48*N.  Only the weights stay.  pocketfft's scratch is C++
+        # memory that tracemalloc does not see: the next test takes it from
+        # the process's peak RSS.
         n = 2**18
         p = canonical(n)
         phase_response(p, n)  # numpy's lazy set-up is not the sweep's
@@ -387,6 +412,40 @@ class TestPhaseResponse:
         assert response.weights.nbytes == 8 * n
         assert peak - base <= 16 * n
         assert 8 * n <= held - base < 9 * n
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="reads VmHWM (Linux)"
+    )
+    def test_sweep_peak_rss_includes_the_fft_scratch(self):
+        # a fresh interpreter, with np.fft loaded, takes the rise of its peak
+        # RSS over one 2^20 sweep.  pocketfft's scratch is twice its input:
+        # one N/2-point transform adds 16*N bytes to its 8*N-byte buffer
+        # (~26*N in all), four of N/8 points add 4*N (~13*N).  It reads
+        # VmHWM, its own address space's peak: ru_maxrss also holds the peak
+        # of the process it was started from, here the test runner's.
+        n = 2**20
+        script = (
+            "import numpy as np\n"
+            "from cvphase import phase_response\n"
+            "from helpers import canonical\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        kib = [line.split()[1] for line in status if line.startswith('VmHWM:')]\n"
+            "    return int(kib[0]) * 1024\n"
+            f"p = canonical({n})\n"
+            "np.fft.ifft(np.zeros(8, dtype=complex))\n"
+            "before = peak()\n"
+            f"phase_response(p, {n})\n"
+            "print(peak() - before)\n"
+        )
+        src = os.path.dirname(os.path.dirname(grid.__file__))
+        here = os.path.dirname(os.path.abspath(__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join((src, here))},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) <= 16 * n
 
     @pytest.mark.parametrize(
         "params, n, error, match",
