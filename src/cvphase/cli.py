@@ -1,9 +1,10 @@
 """Command-line sweeps and seeded experiments over the phase-estimation model.
 
-Each command writes one table to stdout (or --out): CSV with a header row, or
-JSON with one object per row (--format json).  Floats print with 17
-significant digits, so identical invocations are byte-identical; JSON maps
-non-finite floats to null.  Exit status: 0 success, 2 usage or parameter
+Each command builds its table as columns, each a list of cells, and writes it
+to stdout (or --out): CSV with a header row, where a column whose cells mostly
+repeat is spelled once per distinct cell, or JSON with one object per row
+(--format json).  Floats print with 17 significant digits, so identical
+invocations are byte-identical; JSON maps non-finite floats to null.  Exit status: 0 success, 2 usage or parameter
 error (an unwritable --out path included), 3 crosscheck tolerance failure
 (its stderr line gives the conjugate cell width and the mask jumps, the
 thresholds and the domain edge P, that fall inside a cell).
@@ -135,39 +136,62 @@ def _csv_template(cells) -> str:
     return ",".join(map(_csv_spec, cells)) + "\n"
 
 
-def _csv_text(columns: list[str], rows: list[dict]) -> str:
-    """The CSV text of a table (see _emit), built apart so that its list of
-    lines is freed before the text is written."""
-    lines = [",".join(columns) + "\n"]
-    if rows:
-        first = rows[0]
-        template = _csv_template(first[c] for c in columns)
-        flags = [c for c in columns if isinstance(first[c], bool)]
-        if flags:
-            rows = [row | {c: _CSV_BOOL[row[c]] for c in flags} for row in rows]
-        lines += map(template.__mod__, map(operator.itemgetter(*columns), rows))
-    return "".join(lines)
+def _csv_column(cells: list) -> tuple[str, list]:
+    """A column's % conversion in the CSV line template, and its cells.
 
-
-def _emit(columns: list[str], rows: list[dict], fmt: str, out: str | None) -> None:
-    """Write the table to out, or to stdout when out is None.
-
-    CSV is a header row, then each row through one % template built from
-    the first row's cell types: %.17g for floats (np.float64 too), %d for
-    ints, true/false for bools and strs as they are.  Every column holds
-    one cell type, and no cell needs quoting.  JSON is one object per row,
-    with non-finite floats as null.
+    Cells that mostly repeat are spelled here, each distinct one once (0.0
+    and -0.0 are one key but print 0 and -0, so zeros cell by cell; a NaN
+    matches only itself), and enter as %s strings.
     """
+    if isinstance(cells[0], bool):
+        return "%s", list(map(_CSV_BOOL.__getitem__, cells))
+    spec = _csv_spec(cells[0])
+    distinct = set(cells)
+    if 2 * len(distinct) > len(cells):
+        return spec, cells  # the template spells these faster than a memo
+    spelled = {v: spec % v for v in distinct}
+    if 0 in spelled:
+        return "%s", [spelled[v] if v else spec % v for v in cells]
+    return "%s", list(map(spelled.__getitem__, cells))
+
+
+def _csv_text(columns: list[str], cells: list[list]) -> str:
+    """The CSV text of a table's columns (see _emit), built apart so that
+    its spelled cells are freed before the text is written."""
+    head = ",".join(columns) + "\n"
+    if not cells[0]:
+        return head
+    specs, cells = zip(*map(_csv_column, cells))
+    template = ",".join(specs) + "\n"
+    return "".join([head, *map(template.__mod__, zip(*cells))])
+
+
+def _table_of(columns: list[str], rows) -> dict[str, list]:
+    """The table of these rows, each a dict keyed by the columns."""
+    return {c: [row[c] for row in rows] for c in columns}
+
+
+def _emit(columns: list[str], table: dict, fmt: str, out: str | None) -> None:
+    """Write the table, which maps each column to its list of cells, to out,
+    or to stdout when out is None.
+
+    CSV is a header row, then each row through one % template: %.17g for
+    floats (np.float64 too), %d for ints, true/false for bools and strs as
+    they are, set by each column's first cell, and %s for a column whose
+    repeating cells are spelled once each (see _csv_column).  No cell needs
+    quoting.  JSON is one object per row, with non-finite floats as null.
+    """
+    cells = [table[c] for c in columns]
     if fmt == "json":
         import json
 
         text = "".join(
-            json.dumps({c: _cell_json(row[c]) for c in columns}, separators=(",", ":"))
+            json.dumps(dict(zip(columns, map(_cell_json, row))), separators=(",", ":"))
             + "\n"
-            for row in rows
+            for row in zip(*cells)
         )
     else:
-        text = _csv_text(columns, rows)
+        text = _csv_text(columns, cells)
     _write(text, out)
 
 
@@ -232,57 +256,50 @@ def cmd_fisher_phi_sweep(
     phi_values: tuple[float, ...],
     engine: str,
     grid_n: int,
-) -> tuple[list[str], list[dict]]:
+) -> tuple[list[str], dict[str, list]]:
     """Fisher information in the phase, analytic and/or from the grid response.
 
     ``engine`` is "analytic", "grid" or "all" (both, plus a comparison).
     """
     want_analytic = engine in ("analytic", "all")
     want_grid = engine in ("grid", "all")
+    analytic_cols = [
+        "fisher", "variance_bound", "mean_bound", "delta_phi", "singular_limit",
+    ]
+    columns = ["phi", "r"] + (analytic_cols if want_analytic else [])
     if want_grid:
+        columns.append("fisher_grid")
         response = grid.phase_response(p, grid_n)
-    rows: list[dict] = []
+    table = {c: [] for c in columns}
+    table["phi"] = list(phi_values) * len(r_values)
+    table["r"] = [r for r in r_values for _ in phi_values]
     for r in r_values:
         if want_grid:
             a0, a1 = response.split(PiecewiseBinaryFunction.step(r, p.big_p))
+            table["fisher_grid"] += [_fisher_grid(a0, a1, phi) for phi in phi_values]
         if want_analytic:
-            reports = fisher_phis(p, r, phi_values)
-        for k, phi in enumerate(phi_values):
-            row: dict[str, object] = {"phi": phi, "r": r}
-            if want_analytic:
-                rep = reports[k]
-                row["fisher"] = rep.fisher
-                row["variance_bound"] = rep.variance_bound
-                row["mean_bound"] = rep.mean_bound_diagnostic
-                row["delta_phi"] = (
-                    rep.delta_phi if rep.delta_phi is not None else math.nan
-                )
-                row["singular_limit"] = rep.singular_limit
-            if want_grid:
-                row["fisher_grid"] = _fisher_grid(a0, a1, phi)
-            if engine == "all":
-                row["comparable"] = (
-                    not row["singular_limit"]
-                    and math.cos(2.0 * phi) <= _COMPARABLE_COS_MAX
-                )
-                row["max_pairwise_dev"] = abs(row["fisher"] - row["fisher_grid"])
-            rows.append(row)
-    analytic_cols = [
-        "phi", "r", "fisher", "variance_bound", "mean_bound", "delta_phi",
-        "singular_limit",
-    ]
-    if engine == "analytic":
-        columns = analytic_cols
-    elif engine == "grid":
-        columns = ["phi", "r", "fisher_grid"]
-    else:
-        columns = analytic_cols + ["fisher_grid", "comparable", "max_pairwise_dev"]
-    return columns, rows
+            for c, cells in zip(analytic_cols, zip(*fisher_phis(p, r, phi_values))):
+                table[c] += cells
+    if want_analytic:
+        table["delta_phi"] = [
+            math.nan if d is None else d for d in table["delta_phi"]
+        ]
+    if engine == "all":
+        columns += ["comparable", "max_pairwise_dev"]
+        cos_ok = [math.cos(2.0 * phi) <= _COMPARABLE_COS_MAX for phi in phi_values]
+        table["comparable"] = [
+            not singular and ok
+            for singular, ok in zip(table["singular_limit"], cos_ok * len(r_values))
+        ]
+        table["max_pairwise_dev"] = [
+            abs(f - g) for f, g in zip(table["fisher"], table["fisher_grid"])
+        ]
+    return columns, table
 
 
 def cmd_fisher_r_sweep(
     p: ProcedureParams, r_values: tuple[float, ...], phi_values: tuple[float, ...]
-) -> tuple[list[str], list[dict]]:
+) -> tuple[list[str], dict[str, list]]:
     """Fisher information in the threshold position (closed form only).
 
     A circuit-difference column is not offered: moving the threshold moves a
@@ -290,13 +307,13 @@ def cmd_fisher_r_sweep(
     dominated by discretization, not by the derivative being estimated.
     Each threshold's column is computed at once; rows run phi-major.
     """
-    columns = [fisher_rs(p, r, phi_values) for r in r_values]
-    rows = [
-        {"phi": phi, "r": r, "fisher_r": column[k]}
-        for k, phi in enumerate(phi_values)
-        for r, column in zip(r_values, columns)
-    ]
-    return ["phi", "r", "fisher_r"], rows
+    per_r = [fisher_rs(p, r, phi_values) for r in r_values]
+    table = {
+        "phi": [phi for phi in phi_values for _ in r_values],
+        "r": list(r_values) * len(phi_values),
+        "fisher_r": [f for at_phi in zip(*per_r) for f in at_phi],
+    }
+    return ["phi", "r", "fisher_r"], table
 
 
 def cmd_dj(
@@ -372,15 +389,14 @@ def _estimate_tails(s) -> tuple[dict[int, tuple], tuple]:
 
 def cmd_estimate(
     p: ProcedureParams, r: float, phi_true: float, shots: int, replicas: int, seed: int
-) -> tuple[list[str], list[dict]]:
+) -> tuple[list[str], dict[str, list]]:
     """Replicated maximum-likelihood estimates; final row (replica=-1) is the
     replica mean."""
     s = experiments.replicated_mse(p, r, phi_true, shots, replicas, seed)
     tails, mean = _estimate_tails(s)
+    rows = [(i, *tails[k]) for i, k in enumerate(s.hits)] + [(-1, *mean)]
     columns = list(_ESTIMATE_COLUMNS)
-    rows = [dict(zip(columns, (i, *tails[k]))) for i, k in enumerate(s.hits)]
-    rows.append(dict(zip(columns, (-1, *mean))))
-    return columns, rows
+    return columns, dict(zip(columns, map(list, zip(*rows))))
 
 
 def cmd_crosscheck(
@@ -388,9 +404,10 @@ def cmd_crosscheck(
     r_values: tuple[float, ...],
     phi_values: tuple[float, ...],
     grid_n: int,
-) -> tuple[list[str], list[dict], float]:
+) -> tuple[list[str], dict[str, list], float]:
     """Detection probability from all three engines, with worst deviation."""
     response = grid.phase_response(p, grid_n)
+    columns = ["phi", "r", "p_analytic", "p_quadrature", "p_grid", "max_pairwise_dev"]
     rows = []
     worst = 0.0
     for r in r_values:
@@ -403,38 +420,29 @@ def cmd_crosscheck(
             pg = _grid_prob(a0, a1, phi)
             dev = max(abs(pa - pq), abs(pa - pg), abs(pq - pg))
             worst = max(worst, dev)
-            rows.append({
-                "phi": phi,
-                "r": r,
-                "p_analytic": pa,
-                "p_quadrature": pq,
-                "p_grid": pg,
-                "max_pairwise_dev": dev,
-            })
-    columns = ["phi", "r", "p_analytic", "p_quadrature", "p_grid", "max_pairwise_dev"]
-    return columns, rows, worst
+            rows.append((pa, pq, pg, dev))
+    phis = list(phi_values) * len(r_values)
+    rs = [r for r in r_values for _ in phi_values]
+    return columns, dict(zip(columns, (phis, rs, *map(list, zip(*rows))))), worst
 
 
 def cmd_audit(
     p: ProcedureParams, r: float, phis: tuple[float, ...] | None
-) -> tuple[list[str], list[dict]]:
-    rows = heisenberg_audit(p, r, phis)
+) -> tuple[list[str], dict[str, list]]:
     columns = [
         "phi", "r", "fisher", "variance_bound", "mean_bound_generator_f",
         "mean_bound_generator_2f", "dphi_sqrt_fisher", "optimal",
     ]
-    return columns, rows
+    return columns, _table_of(columns, heisenberg_audit(p, r, phis))
 
 
 def cmd_gap(
     p: ProcedureParams, phis: tuple[float, ...]
-) -> tuple[list[str], list[dict]]:
+) -> tuple[list[str], dict[str, list]]:
     columns = ["phi", "mask_product", *quadrature.StepHatGap._fields]
-    rows = [
-        dict(zip(columns, (phi, p.mask_product, *g)))
-        for phi, g in zip(phis, quadrature.step_hat_gaps(p, phis))
-    ]
-    return columns, rows
+    gaps = zip(*quadrature.step_hat_gaps(p, phis))
+    cells = (list(phis), [p.mask_product] * len(phis), *map(list, gaps))
+    return columns, dict(zip(columns, cells))
 
 
 def _add_common_flags(sp: argparse.ArgumentParser) -> None:
@@ -608,7 +616,8 @@ def _run_fisher_r(args: argparse.Namespace) -> int:
 
 def _run_dj(args: argparse.Namespace) -> int:
     p = _resolve_params(args)
-    _emit(*cmd_dj(p, args.r, args.trials, args.seed), args.format, args.out)
+    columns, rows = cmd_dj(p, args.r, args.trials, args.seed)
+    _emit(columns, _table_of(columns, rows), args.format, args.out)
     return 0
 
 
@@ -637,8 +646,8 @@ def _run_crosscheck(args: argparse.Namespace) -> int:
     p = _resolve_params(args)
     r_values = args.r if args.r is not None else _fig4_thresholds(p.big_p)
     phi_values = args.phi if args.phi is not None else _phase_axis(17)
-    columns, rows, worst = cmd_crosscheck(p, r_values, phi_values, args.grid_n)
-    _emit(columns, rows, args.format, args.out)
+    columns, table, worst = cmd_crosscheck(p, r_values, phi_values, args.grid_n)
+    _emit(columns, table, args.format, args.out)
     if worst > args.tol:
         print(
             f"crosscheck: worst deviation {worst:.3e} exceeds tolerance "

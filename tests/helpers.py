@@ -59,13 +59,14 @@ def cell_csv(v) -> str:
     return str(v)
 
 
-def reference_csv(columns, rows) -> str:
-    """A table as the CLI wrote it through csv.writer, cell by cell: the
-    reference the typed row template must match byte for byte."""
+def reference_csv(columns, table) -> str:
+    """A table, which maps each column to its list of cells, as the CLI wrote
+    it through csv.writer, cell by cell: the reference the column writer must
+    match byte for byte."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows([cell_csv(row[c]) for c in columns] for row in rows)
+    writer.writerows(map(cell_csv, row) for row in zip(*(table[c] for c in columns)))
     return buf.getvalue()
 
 

@@ -2,16 +2,18 @@
 
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cvphase
@@ -86,6 +88,34 @@ class TestExitCodes:
         # the table is still emitted for inspection
         header, rows = parse_csv(out)
         assert len(rows) == 1
+
+    def test_crosscheck_gate_reads_the_worst_printed_deviation(self, capsys):
+        code, out, err = run_cli(["crosscheck", "--tol", "1e-6"], capsys)
+        assert code == 3
+        assert err == (
+            "crosscheck: worst deviation 4.662e-05 exceeds tolerance 1.000e-06; "
+            "conjugate cell dy = pi/(2T) = 0.00828641, "
+            "every threshold on a cell edge\n"
+        )
+        header, rows = parse_csv(out)
+        devs = [float(row[header.index("max_pairwise_dev")]) for row in rows]
+        assert f"{max(devs):.3e}" == "4.662e-05"
+
+    def test_crosscheck_worst_is_the_sequential_max_nan_included(self, monkeypatch):
+        # max(worst, dev) keeps worst when dev is NaN: the gate reads the
+        # same number as a row-by-row loop over the deviation column
+        exact = cli.prob_x0s
+
+        def first_nan(p, r, phis):
+            return [types.SimpleNamespace(p_x0=math.nan), *exact(p, r, phis)[1:]]
+
+        monkeypatch.setattr(cli, "prob_x0s", first_nan)
+        _, table, worst = cli.cmd_crosscheck(
+            canonical(), (0.0, BIG_P / 8), (0.3, 0.5), 512
+        )
+        devs = table["max_pairwise_dev"]
+        assert [math.isnan(d) for d in devs] == [True, False, True, False]
+        assert worst == functools.reduce(max, devs, 0.0) == max(devs[1], devs[3])
 
     def test_off_edge_threshold_failure_says_why(self, capsys):
         # T = 3.5 gives dy = pi/7; r = 0 sits on a cell edge, r = 0.5 inside a
@@ -595,6 +625,40 @@ class TestDeterminism:
         assert out1.read_bytes() != out2.read_bytes()
 
 
+def _nan(sign):
+    # a new NaN object on every draw: it equals no cell, itself included
+    return math.copysign(float("nan"), sign)
+
+
+_FLOAT_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.1, 1.5, math.inf, -math.inf, math.nan]),
+    st.sampled_from([1.0, -1.0]).map(_nan),
+    st.floats(),
+)
+# one cell type per column, drawn from few values so that cells repeat
+_CELLS = {
+    "float": _FLOAT_CELLS,
+    "float_and_np": st.one_of(_FLOAT_CELLS, _FLOAT_CELLS.map(np.float64)),
+    "int": st.one_of(st.sampled_from([0, -1, 3]), st.integers()),
+    "bool": st.booleans(),
+    "str": st.sampled_from(["balanced", "constant", "neither"]),
+}
+
+
+@st.composite
+def _tables(draw):
+    """A table's columns of cells, all of one length, header-only included."""
+    n = draw(st.integers(0, 6))
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=5))
+    return [draw(st.lists(_CELLS[k], min_size=n, max_size=n)) for k in kinds]
+
+
+def _emitted(columns, table, fmt):
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        cli._emit(columns, table, fmt, None)
+    return buf.getvalue()
+
+
 class TestCsvFormat:
     def test_nonfinite_spellings(self):
         # a NaN with its sign bit set still prints as nan
@@ -605,22 +669,20 @@ class TestCsvFormat:
         ]
 
     def test_nonfinite_cells_in_a_table(self, capsys):
-        rows = [{"a": math.inf, "b": math.nan}, {"a": -math.inf, "b": 1.5}]
-        cli._emit(["a", "b"], rows, "csv", None)
+        table = {"a": [math.inf, -math.inf], "b": [math.nan, 1.5]}
+        cli._emit(["a", "b"], table, "csv", None)
         assert capsys.readouterr().out == "a,b\ninf,nan\n-inf,1.5\n"
 
     def test_typed_template_spells_every_cell_type_as_before(self, capsys):
         columns = ["flag", "count", "label", "x", "y", "z", "w"]
-        rows = [
-            {"flag": True, "count": 3, "label": "balanced", "x": math.nan,
-             "y": math.inf, "z": -0.0, "w": np.float64(1.0 / 3.0)},
-            {"flag": False, "count": -1, "label": "constant",
-             "x": math.copysign(math.nan, -1.0), "y": -math.inf, "z": 0.1,
-             "w": np.float64(-2.5e-300)},
-        ]
-        cli._emit(columns, rows, "csv", None)
+        table = {
+            "flag": [True, False], "count": [3, -1], "label": ["balanced", "constant"],
+            "x": [math.nan, math.copysign(math.nan, -1.0)], "y": [math.inf, -math.inf],
+            "z": [-0.0, 0.1], "w": [np.float64(1.0 / 3.0), np.float64(-2.5e-300)],
+        }
+        cli._emit(columns, table, "csv", None)
         out = capsys.readouterr().out
-        assert out == reference_csv(columns, rows)
+        assert out == reference_csv(columns, table)
         assert out == (
             "flag,count,label,x,y,z,w\n"
             "true,3,balanced,nan,inf,-0,0.33333333333333331\n"
@@ -628,8 +690,29 @@ class TestCsvFormat:
         )
 
     def test_header_only_table(self, capsys):
-        cli._emit(["a", "b"], [], "csv", None)
-        assert capsys.readouterr().out == reference_csv(["a", "b"], []) == "a,b\n"
+        table = {"a": [], "b": []}
+        cli._emit(["a", "b"], table, "csv", None)
+        assert capsys.readouterr().out == reference_csv(["a", "b"], table) == "a,b\n"
+
+    @example([[0.0, -0.0, 0.0], [-0.0, 0.0, 0.0], [1.5, 1.5, 1.5]])
+    @example([[float("nan"), math.copysign(float("nan"), -1.0), math.nan],
+              [np.float64(0.1), 0.1, np.float64(-0.0)], [1, 0, 1]])
+    @example([[math.inf, -math.inf], [True, False], ["balanced", "balanced"]])
+    @example([[0.5], [0], [False], ["constant"]])
+    @example([[], []])
+    @given(_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_column_writer_matches_the_cell_by_cell_writer(self, cells):
+        columns = [f"c{k}" for k in range(len(cells))]
+        table = dict(zip(columns, cells))
+        assert _emitted(columns, table, "csv") == reference_csv(columns, table)
+        # JSON zips the columns into one object per row
+        assert _emitted(columns, table, "json") == "".join(
+            json.dumps({c: None if isinstance(v, float) and not math.isfinite(v)
+                        else v for c, v in zip(columns, row)}, separators=(",", ":"))
+            + "\n"
+            for row in zip(*cells)
+        )
 
     @pytest.mark.parametrize("argv", [
         ["fisher-phi"], ["fisher-phi", "--fig4", "--engine", "all"],
@@ -639,21 +722,23 @@ class TestCsvFormat:
         # an infinite bound: crb = inf, mse_over_crb = nan
         ["estimate", "--phi", "0", "--replicas", "5"],
         ["crosscheck"], ["audit"], ["gap"],
+        # equal zeros of both signs in one column
+        ["crosscheck", "--r", "0,-0.0", "--phi", "0,-0.0"],
     ], ids=" ".join)
     def test_default_tables_match_the_cell_by_cell_writer(self, argv, capsys, monkeypatch):
         tables = []
         emit = cli._emit
 
-        def recording_emit(columns, rows, fmt, out):
-            tables.append((columns, rows))
-            emit(columns, rows, fmt, out)
+        def recording_emit(columns, table, fmt, out):
+            tables.append((columns, table))
+            emit(columns, table, fmt, out)
 
         monkeypatch.setattr(cli, "_emit", recording_emit)
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
         if argv[0] == "estimate":
             # the estimate CSV is spelled per distinct hit count, not by _emit:
-            # it must match the rows cmd_estimate builds for --format json
+            # it must match the columns cmd_estimate builds for --format json
             assert tables == []
             args = cli.build_parser().parse_args(argv)
             phi = args.phi if args.phi is not None else PI / 4
@@ -661,8 +746,8 @@ class TestCsvFormat:
                 cli._resolve_params(args), args.r, phi, args.shots,
                 args.replicas, args.seed,
             ))
-        ((columns, rows),) = tables
-        assert out == reference_csv(columns, rows)
+        ((columns, table),) = tables
+        assert out == reference_csv(columns, table)
 
 
 class TestJsonFormat:
