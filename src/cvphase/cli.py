@@ -4,10 +4,11 @@ Each command builds its table as columns, each a list of cells, and writes it
 to stdout (or --out): CSV with a header row, where a column whose cells mostly
 repeat is spelled once per distinct cell, or JSON with one object per row
 (--format json).  Floats print with 17 significant digits, so identical
-invocations are byte-identical; JSON maps non-finite floats to null.  Exit status: 0 success, 2 usage or parameter
-error (an unwritable --out path included), 3 crosscheck tolerance failure
-(its stderr line gives the conjugate cell width and the mask jumps, the
-thresholds and the domain edge P, that fall inside a cell).
+invocations are byte-identical; JSON maps non-finite floats to null.  Exit
+status: 0 success, 2 usage or parameter error (an unwritable --out path
+included), 3 crosscheck tolerance failure (its stderr line gives the
+conjugate cell width and the mask jumps, the thresholds and the domain edge
+P, that fall inside a cell).
 Axis flags take a number, a comma list, or start:stop:count with at most
 100000 points.  --grid-n is a power of two in [512, 2^24], down to 256 with
 an explicit --big-t (the default T needs N >= 512); --trials and --shots are
@@ -166,11 +167,6 @@ def _csv_text(columns: list[str], cells: list[list]) -> str:
     return "".join([head, *map(template.__mod__, zip(*cells))])
 
 
-def _table_of(columns: list[str], rows) -> dict[str, list]:
-    """The table of these rows, each a dict keyed by the columns."""
-    return {c: [row[c] for row in rows] for c in columns}
-
-
 def _emit(columns: list[str], table: dict, fmt: str, out: str | None) -> None:
     """Write the table, which maps each column to its list of cells, to out,
     or to stdout when out is None.
@@ -197,7 +193,7 @@ def _emit(columns: list[str], table: dict, fmt: str, out: str | None) -> None:
 
 def _write(text: str, out: str | None) -> None:
     """Write text to the file out, or to stdout when out is None."""
-    if out:
+    if out is not None:
         try:
             with open(out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
@@ -278,12 +274,10 @@ def cmd_fisher_phi_sweep(
             a0, a1 = response.split(PiecewiseBinaryFunction.step(r, p.big_p))
             table["fisher_grid"] += [_fisher_grid(a0, a1, phi) for phi in phi_values]
         if want_analytic:
-            for c, cells in zip(analytic_cols, zip(*fisher_phis(p, r, phi_values))):
+            for c, cells in zip(analytic_cols, fisher_phis(p, r, phi_values).values()):
                 table[c] += cells
     if want_analytic:
-        table["delta_phi"] = [
-            math.nan if d is None else d for d in table["delta_phi"]
-        ]
+        table["delta_phi"] = [math.nan if d is None else d for d in table["delta_phi"]]
     if engine == "all":
         columns += ["comparable", "max_pairwise_dev"]
         cos_ok = [math.cos(2.0 * phi) <= _COMPARABLE_COS_MAX for phi in phi_values]
@@ -379,10 +373,9 @@ def _estimate_tails(s) -> tuple[dict[int, tuple], tuple]:
     """The cells after the replica column: one tuple per distinct hit count
     of the ReplicationSummary s, and the replica mean's (replica=-1)."""
     bounded = math.isfinite(s.crb) and s.crb > 0.0
-    per_count = dict(zip(s.hits, zip(s.phi_hats, s.squared_errors)))
     tails = {
         k: (phi_hat, s.shots, mse, s.crb, mse / s.crb if bounded else math.nan)
-        for k, (phi_hat, mse) in per_count.items()
+        for k, (phi_hat, mse) in s.per_count.items()
     }
     return tails, (math.nan, s.shots, s.mean_mse, s.crb, s.mse_over_crb)
 
@@ -394,9 +387,10 @@ def cmd_estimate(
     replica mean."""
     s = experiments.replicated_mse(p, r, phi_true, shots, replicas, seed)
     tails, mean = _estimate_tails(s)
-    rows = [(i, *tails[k]) for i, k in enumerate(s.hits)] + [(-1, *mean)]
-    columns = list(_ESTIMATE_COLUMNS)
-    return columns, dict(zip(columns, map(list, zip(*rows))))
+    table = {"replica": [*range(s.replicas), -1]}
+    for j, column in enumerate(_ESTIMATE_COLUMNS[1:]):
+        table[column] = [tails[k][j] for k in s.hits] + [mean[j]]
+    return list(_ESTIMATE_COLUMNS), table
 
 
 def cmd_crosscheck(
@@ -408,41 +402,41 @@ def cmd_crosscheck(
     """Detection probability from all three engines, with worst deviation."""
     response = grid.phase_response(p, grid_n)
     columns = ["phi", "r", "p_analytic", "p_quadrature", "p_grid", "max_pairwise_dev"]
-    rows = []
-    worst = 0.0
+    pas, pqs, pgs = [], [], []
     for r in r_values:
         f = PiecewiseBinaryFunction.step(r, p.big_p)
         a0, a1 = response.split(f)
         integrals = quadrature.quadrature_response(p, f)
-        for phi, dist in zip(phi_values, prob_x0s(p, r, phi_values)):
-            pa = dist.p_x0
-            pq = integrals.at(phi).value
-            pg = _grid_prob(a0, a1, phi)
-            dev = max(abs(pa - pq), abs(pa - pg), abs(pq - pg))
-            worst = max(worst, dev)
-            rows.append((pa, pq, pg, dev))
+        pas += [dist.p_x0 for dist in prob_x0s(p, r, phi_values)]
+        pqs += [integrals.at(phi).value for phi in phi_values]
+        pgs += [_grid_prob(a0, a1, phi) for phi in phi_values]
+    devs = [
+        max(abs(pa - pq), abs(pa - pg), abs(pq - pg))
+        for pa, pq, pg in zip(pas, pqs, pgs)
+    ]
     phis = list(phi_values) * len(r_values)
     rs = [r for r in r_values for _ in phi_values]
-    return columns, dict(zip(columns, (phis, rs, *map(list, zip(*rows))))), worst
+    table = dict(zip(columns, (phis, rs, pas, pqs, pgs, devs)))
+    # the sequential max(worst, dev), which skips a NaN deviation
+    return columns, table, functools.reduce(max, devs, 0.0)
 
 
 def cmd_audit(
     p: ProcedureParams, r: float, phis: tuple[float, ...] | None
 ) -> tuple[list[str], dict[str, list]]:
-    columns = [
-        "phi", "r", "fisher", "variance_bound", "mean_bound_generator_f",
-        "mean_bound_generator_2f", "dphi_sqrt_fisher", "optimal",
-    ]
-    return columns, _table_of(columns, heisenberg_audit(p, r, phis))
+    table = heisenberg_audit(p, r, phis)
+    return list(table), table
 
 
 def cmd_gap(
     p: ProcedureParams, phis: tuple[float, ...]
 ) -> tuple[list[str], dict[str, list]]:
-    columns = ["phi", "mask_product", *quadrature.StepHatGap._fields]
-    gaps = zip(*quadrature.step_hat_gaps(p, phis))
-    cells = (list(phis), [p.mask_product] * len(phis), *map(list, gaps))
-    return columns, dict(zip(columns, cells))
+    table = {
+        "phi": list(phis),
+        "mask_product": [p.mask_product] * len(phis),
+        **quadrature.step_hat_gaps(p, phis),
+    }
+    return list(table), table
 
 
 def _add_common_flags(sp: argparse.ArgumentParser) -> None:
@@ -617,7 +611,8 @@ def _run_fisher_r(args: argparse.Namespace) -> int:
 def _run_dj(args: argparse.Namespace) -> int:
     p = _resolve_params(args)
     columns, rows = cmd_dj(p, args.r, args.trials, args.seed)
-    _emit(columns, _table_of(columns, rows), args.format, args.out)
+    table = {c: [row[c] for row in rows] for c in columns}
+    _emit(columns, table, args.format, args.out)
     return 0
 
 

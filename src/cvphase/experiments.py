@@ -7,9 +7,10 @@ So the layer only counts hits, and each caller passes the detection
 probability it already has: ``dj`` the p_x0 it prints, the estimator the
 a + b*cos(2*phi) it inverts.  An estimate depends on its replica only
 through the hit count, so a replicated run inverts each distinct count once
-(the default 2000 replicas of 100 shots hold 35 at seed 0) and looks every
-replica's estimate and squared error up by its count: the same doubles as
-one inversion per replica.  Its mean keeps the sequential sum over replicas.
+(the default 2000 replicas of 100 shots hold 35 at seed 0) and reports the
+estimate and squared error per distinct count, next to every replica's
+count: the same doubles as one inversion per replica.  Its mean keeps the
+sequential sum over replicas.
 
 Randomness contract.  Every stochastic routine in this package draws from a
 ``numpy.random.Generator`` over the PCG64 bit generator, seeded through
@@ -57,8 +58,8 @@ _MAX_DRAWS = 10**8
 # doubles in the reused draw buffer (512 KiB): a block of _CHUNK // n streams
 # of n draws each, or one chunk of a longer stream
 _CHUNK = 1 << 16
-# most replicas one estimate may run: each keeps one float (and the CLI one
-# table row), so memory grows with the count; a larger run belongs in a
+# most replicas one estimate may run: each keeps its hit count (and the CLI
+# one table row), so memory grows with the count; a larger run belongs in a
 # script that aggregates as it goes
 _MAX_REPLICAS = 10**5
 
@@ -293,16 +294,16 @@ def _phi_hat(hits: int, shots: int, a: float, b: float) -> float:
 class ReplicationSummary:
     """Replica-averaged estimation error next to the information bound.
 
-    hits[i] is replica i's hit count, phi_hats[i] its estimate and
-    squared_errors[i] its squared error; both depend on the replica only
-    through hits[i], so replicas with equal counts hold the same doubles.
-    mean_mse is the sequential sum of squared_errors over the replicas.
+    hits[i] is replica i's hit count.  An estimate and its squared error
+    depend on the replica only through that count, so they are held once per
+    distinct count: per_count[k] is (phi_hat, squared_error) for k hits, and
+    replica i's are per_count[hits[i]].  mean_mse is the sequential sum of
+    the replicas' squared errors, in replica order, over replicas.
     Every replica shares the bound crb.
     """
 
     hits: tuple[int, ...]
-    phi_hats: tuple[float, ...]
-    squared_errors: tuple[float, ...]
+    per_count: dict[int, tuple[float, float]]
     shots: int
     replicas: int
     phi_true: float
@@ -326,10 +327,10 @@ def replicated_mse(
     [1, 10^5]; shots, replicas and seed must be ints (numpy integers too).
     Every replica draws from the response a + b*cos(2*phi_true) that its
     estimate inverts, and shares the bound, so both are computed once.  The
-    estimate and squared error are computed once per distinct hit count and
-    looked up for each replica; mean_mse stays the sequential
-    ``sum(squared_errors) / replicas``, since a count-weighted sum would
-    round differently.  mse_over_crb is NaN when the bound is not finite.
+    estimate and squared error are computed once per distinct hit count;
+    mean_mse stays the sequential sum of each replica's squared error over
+    replicas, since a count-weighted sum would round differently.
+    mse_over_crb is NaN when the bound is not finite.
     """
     shots = _draws(shots, "shots")
     replicas = _integer(replicas, "replicas")
@@ -344,15 +345,12 @@ def replicated_mse(
     hits = tuple(_count_hits(prob, shots, seed, replicas))
     estimates = {k: _phi_hat(k, shots, a, b) for k in set(hits)}
     errors = {k: (h - phi_true) ** 2 for k, h in estimates.items()}
-    phi_hats = tuple(map(estimates.__getitem__, hits))
-    squared_errors = tuple(map(errors.__getitem__, hits))
-    mean_mse = sum(squared_errors) / replicas
+    mean_mse = sum(map(errors.__getitem__, hits)) / replicas
     crb = 1.0 / (shots * fisher) if fisher > 0.0 else math.inf
     ratio = mean_mse / crb if math.isfinite(crb) and crb > 0.0 else math.nan
     return ReplicationSummary(
         hits=hits,
-        phi_hats=phi_hats,
-        squared_errors=squared_errors,
+        per_count={k: (h, errors[k]) for k, h in estimates.items()},
         shots=shots,
         replicas=replicas,
         phi_true=phi_true,

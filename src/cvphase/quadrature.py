@@ -275,19 +275,20 @@ class StepHatGap(namedtuple("StepHatGap", "signed_gap gap leading_order_predicti
 
 def step_hat_gap(p: ProcedureParams, phi: float) -> StepHatGap:
     """Quadrature-measured gap between Step(0) and Hat(-P/2, P/2) detection
-    probabilities, with its small-(P*delta) series prediction:
-    ``step_hat_gaps(p, (phi,))[0]``.
+    probabilities, with its small-(P*delta) series prediction: the
+    one-phase read of ``step_hat_gaps``.
 
     Requires P*delta <= 1/2; beyond that the truncated series stops
     controlling the gap.
     """
-    return step_hat_gaps(p, (phi,))[0]
+    columns = step_hat_gaps(p, (phi,))
+    return StepHatGap._make(column[0] for column in columns.values())
 
 
-def step_hat_gaps(
-    p: ProcedureParams, phis: tuple[float, ...]
-) -> tuple[StepHatGap, ...]:
-    """``step_hat_gap`` at each phase in phis, integrating each mask once.
+def step_hat_gaps(p: ProcedureParams, phis: tuple[float, ...]) -> dict[str, list]:
+    """``step_hat_gap`` at each phase in phis, integrating each mask once, as
+    one list per StepHatGap field keyed by its name, in field order, with a
+    cell per phase.
 
     Requires P*delta <= 1/2 (see ``step_hat_gap``).
     """
@@ -301,18 +302,17 @@ def step_hat_gaps(
     hat = quadrature_response(
         p, PiecewiseBinaryFunction.hat(-p.big_p / 2.0, p.big_p / 2.0, p.big_p)
     )
-    gaps = []
+    signed_gaps, predictions = [], []
     for phi in phis:
-        signed = step.at(phi).value - hat.at(phi).value
-        prediction = (
+        signed_gaps.append(step.at(phi).value - hat.at(phi).value)
+        predictions.append(
             abs(1.0 - math.cos(2.0 * phi)) * (8.0 / math.pi) * s**6
             * abs(1.0 - 3.0 * s * s)
         )
-        ratio = abs(signed) / prediction if prediction > 0.0 else float("nan")
-        gaps.append(StepHatGap(
-            signed_gap=signed,
-            gap=abs(signed),
-            leading_order_prediction=prediction,
-            ratio=ratio,
-        ))
-    return tuple(gaps)
+    gaps = [abs(signed) for signed in signed_gaps]
+    return {
+        "signed_gap": signed_gaps,
+        "gap": gaps,
+        "leading_order_prediction": predictions,
+        "ratio": [g / x if x > 0.0 else math.nan for g, x in zip(gaps, predictions)],
+    }

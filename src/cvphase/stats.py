@@ -22,7 +22,9 @@ b, E, generator mean, dG/dr), from one erf(2*P*delta) and one
 erf(2*r*delta) after the containment and r checks.  Every sweep (prob_x0s,
 fisher_phis, fisher_rs, the ``audit`` table and the estimator) reads it
 once per threshold; only the cosine depends on phi, so each phase costs its
-cos/sin arithmetic alone.  Nothing here builds an array.
+cos/sin arithmetic alone.  The sweeps return columns, a list with one cell
+per phase (``fisher_phis`` and ``heisenberg_audit`` a dict of named ones),
+not a record per phase.  Nothing here builds an array.
 """
 
 from __future__ import annotations
@@ -156,34 +158,37 @@ class FisherReport(namedtuple(
 
 
 def fisher_phi(p: ProcedureParams, r: float, phi: float) -> FisherReport:
-    """Fisher information about phi carried by one detection, step mask r."""
-    return fisher_phis(p, r, (phi,))[0]
+    """Fisher information about phi carried by one detection, step mask r:
+    the one-phase read of ``fisher_phis``."""
+    columns = fisher_phis(p, r, (phi,))
+    return FisherReport._make(column[0] for column in columns.values())
 
 
 def fisher_phis(
     p: ProcedureParams, r: float, phis: Iterable[float]
-) -> list[FisherReport]:
-    """fisher_phi at each phase of phis.
+) -> dict[str, list]:
+    """fisher_phi at each phase of phis, as one list per FisherReport field
+    keyed by its name, in field order, each with one cell per phase.
 
     The threshold's record (a, b, the generator mean and, for r = 0, E) is
     read once; each phase costs only its cos/sin arithmetic.
     """
     r, a, b, E, mean, _ = _threshold(p, r)
-    variance_bound = 16.0 * (mean * (1.0 - mean))
-    mean_bound = 4.0 * mean * mean
-    reports = []
+    fishers, precisions, singulars = [], [], []
     for phi in phis:
-        c = math.cos(2.0 * phi)
-        s = math.sin(2.0 * phi)
+        c, s = math.cos(2.0 * phi), math.sin(2.0 * phi)
         fisher, singular = _fisher(a, b, c, s)
-        reports.append(FisherReport(
-            fisher=fisher,
-            variance_bound=variance_bound,
-            mean_bound_diagnostic=mean_bound,
-            delta_phi=_precision(E, c, s) if r == 0.0 else None,
-            singular_limit=singular,
-        ))
-    return reports
+        fishers.append(fisher)
+        singulars.append(singular)
+        precisions.append(_precision(E, c, s) if r == 0.0 else None)
+    n = len(fishers)
+    return {
+        "fisher": fishers,
+        "variance_bound": [16.0 * (mean * (1.0 - mean))] * n,
+        "mean_bound_diagnostic": [4.0 * mean * mean] * n,
+        "delta_phi": precisions,
+        "singular_limit": singulars,
+    }
 
 
 def _fisher(a: float, b: float, c: float, s: float) -> tuple[float, bool]:
@@ -288,12 +293,12 @@ def dj_statistics(p: ProcedureParams, r: float) -> MeasurementDistribution:
 
 def heisenberg_audit(
     p: ProcedureParams, r: float, phis: Sequence[float] | None = None
-) -> list[dict]:
+) -> dict[str, list]:
     """Tabulate the Fisher information against its generator bounds over phi.
 
-    One dict per phase, keyed by the ``audit`` table's columns: phi, r,
+    The ``audit`` table's columns, keyed by name in table order (phi, r,
     fisher, variance_bound, mean_bound_generator_f, mean_bound_generator_2f,
-    dphi_sqrt_fisher and optimal.
+    dphi_sqrt_fisher, optimal), each a list with one cell per phase.
 
     variance_bound is 16*var(f), the convention-independent information cap
     (reading the mask exponent as f at doubled angle or as 2f at plain angle
@@ -309,23 +314,23 @@ def heisenberg_audit(
     if phis is None:
         phis = tuple(k * math.pi / 32.0 for k in range(1, 16))
     r, a, b, E, mean, _ = _threshold(p, r)
-    variance_bound = 16.0 * (mean * (1.0 - mean))
-    mean_bound = 4.0 * mean * mean
-    rows = []
+    phis = [float(phi) for phi in phis]
+    fishers, products = [], []
     for phi in phis:
-        c = math.cos(2.0 * phi)
-        s = math.sin(2.0 * phi)
+        c, s = math.cos(2.0 * phi), math.sin(2.0 * phi)
         fisher = _fisher(a, b, c, s)[0]
         dphi = _precision(E, c, s)
-        product = math.nan if dphi is None else dphi * math.sqrt(fisher)
-        rows.append({
-            "phi": float(phi),
-            "r": r,
-            "fisher": fisher,
-            "variance_bound": variance_bound,
-            "mean_bound_generator_f": mean_bound,
-            "mean_bound_generator_2f": 4.0 * mean_bound,
-            "dphi_sqrt_fisher": product,
-            "optimal": math.isfinite(product) and abs(product - 1.0) <= _AUDIT_TOL,
-        })
-    return rows
+        fishers.append(fisher)
+        products.append(math.nan if dphi is None else dphi * math.sqrt(fisher))
+    n = len(fishers)
+    mean_bound = 4.0 * mean * mean
+    return {
+        "phi": phis,
+        "r": [r] * n,
+        "fisher": fishers,
+        "variance_bound": [16.0 * (mean * (1.0 - mean))] * n,
+        "mean_bound_generator_f": [mean_bound] * n,
+        "mean_bound_generator_2f": [4.0 * mean_bound] * n,
+        "dphi_sqrt_fisher": products,
+        "optimal": [math.isfinite(x) and abs(x - 1.0) <= _AUDIT_TOL for x in products],
+    }

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -335,9 +336,13 @@ _SMALL_RUNS = pytest.mark.parametrize(
 
 
 @_SMALL_RUNS
-@pytest.mark.parametrize("target", ["directory", "missing_parent"])
+@pytest.mark.parametrize("target", ["directory", "missing_parent", "empty"])
 def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv, target):
-    out = tmp_path if target == "directory" else tmp_path / "missing" / "t.csv"
+    out = {
+        "directory": tmp_path,
+        "missing_parent": tmp_path / "missing" / "t.csv",
+        "empty": "",  # an empty path names no file; it is not stdout
+    }[target]
     code, stdout, err = run_cli(argv + ["--out", str(out)], capsys)
     assert code == 2
     assert err.startswith(f"error: cannot write {out}: ")
@@ -504,6 +509,74 @@ class TestGridEngine:
                                (1.0, 1 + 4e-16), (1 + 2e-16, 1 - 2e-16)]:
             moved = cli._fisher_grid(a0 * scale0, a1 * scale1, 3.14159)
             assert moved == pytest.approx(printed, rel=1e-12)
+
+
+class TestNoPerRowRecords:
+    """The library hands the CLI columns: no layer builds a record per row
+    for the next layer to take apart."""
+
+    def test_fig4_builds_no_fisher_report(self, capsys, monkeypatch):
+        built = []
+
+        class CountedReport(stats.FisherReport):
+            __slots__ = ()
+
+            def __new__(cls, *args, **kwargs):
+                built.append(cls)
+                return super().__new__(cls, *args, **kwargs)
+
+            @classmethod
+            def _make(cls, iterable):
+                built.append(cls)
+                return super()._make(iterable)
+
+        monkeypatch.setattr(stats, "FisherReport", CountedReport)
+        code, out, _ = run_cli(["fisher-phi", "--fig4"], capsys)
+        assert code == 0 and len(out.splitlines()) == 1 + 165
+        assert built == []
+        # the one-phase read builds its one record, and the count sees it
+        assert type(stats.fisher_phi(canonical(), 0.0, 0.3)) is CountedReport
+        assert built == [CountedReport]
+
+    def test_audit_table_is_the_library_columns(self, capsys, monkeypatch):
+        returned = []
+        original = cli.heisenberg_audit
+
+        def recorded(*args):
+            returned.append(original(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(cli, "heisenberg_audit", recorded)
+        code, out, _ = run_cli(["audit"], capsys)
+        assert code == 0
+        (table,) = returned
+        # no row dicts: the printed table is the column map stats returns
+        assert type(table) is dict
+        assert all(type(cells) is list and len(cells) == 15 for cells in table.values())
+        assert out.splitlines()[0] == ",".join(table)
+        columns, emitted = cli.cmd_audit(canonical(), 0.0, None)
+        assert emitted is returned[-1] and columns == list(table)
+
+    def test_estimate_keeps_no_per_replica_float(self, capsys, monkeypatch):
+        summaries = []
+        original = experiments.replicated_mse
+
+        def recorded(*args):
+            summaries.append(original(*args))
+            return summaries[-1]
+
+        monkeypatch.setattr(experiments, "replicated_mse", recorded)
+        code, out, _ = run_cli(["estimate", "--seed", "0"], capsys)
+        assert code == 0 and len(out.splitlines()) == 2002
+        (s,) = summaries
+        for field in dataclasses.fields(s):
+            value = getattr(s, field.name)
+            if isinstance(value, (tuple, list)):
+                assert not any(isinstance(v, float) for v in value), field.name
+        # the estimates and squared errors live once per distinct hit count
+        assert len(s.hits) == 2000
+        assert set(s.per_count) == set(s.hits)
+        assert len(s.per_count) == 35
 
 
 class TestSchemas:

@@ -276,7 +276,9 @@ class TestMlePhi:
         sat = saturated()
         phi_true = 0.7
         s = replicated_mse(sat, 0.0, phi_true, 10, 3, 2)
-        assert s.squared_errors == tuple((h - phi_true) ** 2 for h in s.phi_hats)
+        assert set(s.per_count) == set(s.hits)
+        for phi_hat, squared_error in s.per_count.values():
+            assert squared_error == (phi_hat - phi_true) ** 2
         fisher = fisher_phi(sat, 0.0, phi_true).fisher
         assert s.crb * s.shots * fisher == pytest.approx(1.0, rel=1e-12)
 
@@ -312,10 +314,11 @@ class TestReplicatedMse:
         p = canonical()
         s = replicated_mse(p, 0.0, math.pi / 4, 200, 50, 3)
         assert s.shots == 200 and s.replicas == 50
-        assert len(s.phi_hats) == 50
+        assert len(s.hits) == 50
         assert s.crb == 1.0 / (200 * fisher_phi(p, 0.0, math.pi / 4).fisher)
+        phi_hats = [s.per_count[k][0] for k in s.hits]
         assert s.mean_mse == pytest.approx(
-            sum((h - math.pi / 4) ** 2 for h in s.phi_hats) / 50, rel=1e-12
+            sum((h - math.pi / 4) ** 2 for h in phi_hats) / 50, rel=1e-12
         )
         # near the quarter-phase the estimator is close to efficient
         assert 0.5 <= s.mse_over_crb <= 2.0
@@ -327,19 +330,24 @@ class TestReplicatedMse:
         # every replica draws from the response its estimate inverts
         a, b = cosine_model_coefficients(p, r)
         prob = a + b * math.cos(2.0 * phi_true)
-        for i, phi_hat in enumerate(s.phi_hats):
+        assert len(s.hits) == 30
+        squared_errors = []
+        for i, k in enumerate(s.hits):
             hits = _bare_count(prob, shots, (seed, i))
-            assert phi_hat == inverted_phase(hits, shots, p, r)
-            assert s.squared_errors[i] == (phi_hat - phi_true) ** 2
             # the per-count table: each estimate is its count's inversion
-            assert type(s.hits[i]) is int
-            assert s.hits[i] == hits == sample_outcomes(prob, shots, (seed, i))
-            assert phi_hat == experiments._phi_hat(s.hits[i], shots, a, b)
+            phi_hat, squared_error = s.per_count[k]
+            assert phi_hat == inverted_phase(hits, shots, p, r)
+            assert squared_error == (phi_hat - phi_true) ** 2
+            assert type(k) is int
+            assert k == hits == sample_outcomes(prob, shots, (seed, i))
+            assert phi_hat == experiments._phi_hat(k, shots, a, b)
+            squared_errors.append(squared_error)
         # replicas share counts, so the table is smaller than the run
-        assert len(set(s.hits)) < len(s.hits) == 30
+        assert set(s.per_count) == set(s.hits)
+        assert len(s.per_count) < len(s.hits)
         assert s.crb == 1.0 / (shots * fisher_phi(p, r, phi_true).fisher)
-        assert len(s.squared_errors) == 30
-        assert s.mean_mse == sum(s.squared_errors) / 30
+        # the sequential sum in replica order
+        assert s.mean_mse == sum(squared_errors) / 30
 
     def test_nan_ratio_when_bound_diverges(self):
         s = replicated_mse(canonical(), 0.0, 0.0, 20, 5, 1)
@@ -393,36 +401,37 @@ class TestReplicatedMse:
 
 class TestHeisenbergAudit:
     def test_balanced_step_is_optimal_everywhere(self):
-        rows = heisenberg_audit(canonical(), 0.0)
-        assert len(rows) == 15
-        assert all(row["optimal"] for row in rows)
-        for row in rows:
-            assert abs(row["dphi_sqrt_fisher"] - 1.0) <= 1e-3
-            assert row["fisher"] <= row["variance_bound"] + 1e-9
+        table = heisenberg_audit(canonical(), 0.0)
+        assert len(table["phi"]) == 15
+        assert all(optimal is True for optimal in table["optimal"])
+        for product in table["dphi_sqrt_fisher"]:
+            assert abs(product - 1.0) <= 1e-3
+        for fisher, bound in zip(table["fisher"], table["variance_bound"]):
+            assert fisher <= bound + 1e-9
 
     def test_bound_columns(self):
         from cvphase import generator_moments
 
         p = canonical()
         mom = generator_moments(p, 0.0)
-        row = heisenberg_audit(p, 0.0)[0]
-        assert row["variance_bound"] == pytest.approx(16.0 * mom.variance, rel=1e-13)
-        assert row["mean_bound_generator_f"] == pytest.approx(
-            4.0 * mom.mean**2, rel=1e-13
-        )
-        assert row["mean_bound_generator_2f"] == pytest.approx(
-            16.0 * mom.mean**2, rel=1e-13
-        )
+        table = heisenberg_audit(p, 0.0)
+        # one value per threshold, repeated on every phase's row
+        (variance_bound,) = set(table["variance_bound"])
+        (mean_bound_f,) = set(table["mean_bound_generator_f"])
+        (mean_bound_2f,) = set(table["mean_bound_generator_2f"])
+        assert table["r"] == [0.0] * 15
+        assert variance_bound == pytest.approx(16.0 * mom.variance, rel=1e-13)
+        assert mean_bound_f == pytest.approx(4.0 * mom.mean**2, rel=1e-13)
+        assert mean_bound_2f == pytest.approx(16.0 * mom.mean**2, rel=1e-13)
 
     def test_constant_mask_never_optimal(self):
-        rows = heisenberg_audit(canonical(), BIG_P)
-        assert not any(row["optimal"] for row in rows)
-        assert all(row["fisher"] == 0.0 for row in rows)
+        table = heisenberg_audit(canonical(), BIG_P)
+        assert not any(table["optimal"])
+        assert all(fisher == 0.0 for fisher in table["fisher"])
 
     def test_singular_phase_rows_are_flagged_not_optimal(self):
-        fine, singular = heisenberg_audit(
-            canonical(), 0.0, phis=(math.pi / 4, math.pi / 2)
-        )
-        assert fine["optimal"] is True
-        assert math.isnan(singular["dphi_sqrt_fisher"])
-        assert singular["optimal"] is False
+        table = heisenberg_audit(canonical(), 0.0, phis=(math.pi / 4, math.pi / 2))
+        fine, singular = table["optimal"]
+        assert fine is True
+        assert singular is False
+        assert math.isnan(table["dphi_sqrt_fisher"][1])

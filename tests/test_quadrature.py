@@ -20,6 +20,7 @@ from cvphase import (
     quadrature,
     quadrature_response,
     step_hat_gap,
+    step_hat_gaps,
 )
 from erf_oracle import erf_series
 from helpers import BIG_P, DELTA, canonical, with_mask_product
@@ -240,6 +241,24 @@ class TestStepHatGap:
     def test_large_mask_product_rejected(self):
         with pytest.raises(RegimeError):
             step_hat_gap(with_mask_product(0.6), math.pi / 2)
+        # checked even with no phases
+        with pytest.raises(RegimeError):
+            step_hat_gaps(with_mask_product(0.6), ())
+
+    def test_columns_match_the_scalar(self):
+        p = with_mask_product(0.1)
+        phis = (0.0, 0.3, math.pi / 2, 1.0, -0.7)
+        columns = step_hat_gaps(p, phis)
+        assert list(columns) == list(StepHatGap._fields)
+        assert all(type(column) is list for column in columns.values())
+        for i, phi in enumerate(phis):
+            want = step_hat_gap(p, phi)
+            got = [column[i] for column in columns.values()]
+            # ratio is nan at phi = 0, where the prediction vanishes
+            assert all(
+                g == w or (math.isnan(g) and math.isnan(w)) for g, w in zip(got, want)
+            )
+        assert step_hat_gaps(p, ()) == {field: [] for field in StepHatGap._fields}
 
 
 class TestValueTypes:

@@ -267,22 +267,30 @@ _AXIS_PHASES = (0.0, math.pi / 4, math.pi / 2, math.pi, 0.3, -0.7, 2.0)
 
 
 class TestPhaseAxes:
-    """Each axis function gives, phase by phase, exactly its scalar's value."""
+    """Each axis function gives, phase by phase, exactly its scalar's value;
+    fisher_phis as one column per FisherReport field."""
 
     @staticmethod
     def _assert_axis_matches_scalars(p, r, phis):
-        reports = fisher_phis(p, r, phis)
+        columns = fisher_phis(p, r, phis)
         dists = prob_x0s(p, r, phis)
         fishers = fisher_rs(p, r, phis)
-        assert len(reports) == len(dists) == len(fishers) == len(phis)
-        for phi, rep, dist, f_r in zip(phis, reports, dists, fishers):
+        assert list(columns) == list(FisherReport._fields)
+        assert all(type(column) is list for column in columns.values())
+        assert {len(column) for column in columns.values()} == {len(phis)}
+        assert len(dists) == len(fishers) == len(phis)
+        # the bounds depend on r alone
+        moments = generator_moments(p, r)
+        assert set(columns["variance_bound"]) <= {16.0 * moments.variance}
+        assert set(columns["mean_bound_diagnostic"]) <= {4.0 * moments.mean**2}
+        for i, (phi, dist, f_r) in enumerate(zip(phis, dists, fishers)):
             want = fisher_phi(p, r, phi)
-            assert rep.fisher == want.fisher
-            assert rep.variance_bound == want.variance_bound
-            assert rep.mean_bound_diagnostic == want.mean_bound_diagnostic
-            assert (rep.delta_phi is None) == (want.delta_phi is None)
-            assert rep.delta_phi == want.delta_phi
-            assert rep.singular_limit == want.singular_limit
+            assert columns["fisher"][i] == want.fisher
+            assert columns["variance_bound"][i] == want.variance_bound
+            assert columns["mean_bound_diagnostic"][i] == want.mean_bound_diagnostic
+            assert (columns["delta_phi"][i] is None) == (want.delta_phi is None)
+            assert columns["delta_phi"][i] == want.delta_phi
+            assert columns["singular_limit"][i] is want.singular_limit
             assert dist.p_x0 == prob_x0(p, r, phi).p_x0
             assert f_r == fisher_r(p, r, phi)
 
@@ -299,10 +307,10 @@ class TestPhaseAxes:
     def test_singular_branches(self, params, r):
         p = params()
         self._assert_axis_matches_scalars(p, r, _AXIS_PHASES)
-        reports = fisher_phis(p, r, _AXIS_PHASES)
-        assert reports[0].delta_phi is None  # phi = 0
+        columns = fisher_phis(p, r, _AXIS_PHASES)
+        assert columns["delta_phi"][0] is None  # phi = 0
         if r == 0.0:
-            assert reports[2].singular_limit  # phi = pi/2
+            assert columns["singular_limit"][2]  # phi = pi/2
 
     @given(
         r=st.floats(-BIG_P, BIG_P),
@@ -312,9 +320,17 @@ class TestPhaseAxes:
     def test_matches_scalars(self, r, phis):
         self._assert_axis_matches_scalars(canonical(), r, tuple(phis))
 
-    @pytest.mark.parametrize("axis", [fisher_phis, prob_x0s, fisher_rs])
-    def test_checks_run_even_without_phases(self, axis):
-        assert axis(canonical(), 0.3, ()) == []
+    @pytest.mark.parametrize(
+        "axis, empty",
+        [
+            (fisher_phis, {field: [] for field in FisherReport._fields}),
+            (prob_x0s, []),
+            (fisher_rs, []),
+        ],
+        ids=["fisher_phis", "prob_x0s", "fisher_rs"],
+    )
+    def test_checks_run_even_without_phases(self, axis, empty):
+        assert axis(canonical(), 0.3, ()) == empty
         with pytest.raises(ParameterError):
             axis(canonical(), BIG_P * 1.01, ())
         snug = ProcedureParams(x0=0.0, delta=1.0, big_t=4.0, big_p=1.5)
@@ -372,8 +388,22 @@ class TestAuditClosedForms:
         for count in (1, 15, 200):
             calls.clear()
             phis = tuple(k * math.pi / (2 * count + 2) for k in range(1, count + 1))
-            assert len(heisenberg_audit(canonical(), 0.0, phis)) == count
+            table = heisenberg_audit(canonical(), 0.0, phis)
+            assert {len(column) for column in table.values()} == {count}
             assert calls == [0.0], count
+
+    def test_checks_run_even_without_phases(self):
+        table = heisenberg_audit(canonical(), 0.3, ())
+        assert list(table) == [
+            "phi", "r", "fisher", "variance_bound", "mean_bound_generator_f",
+            "mean_bound_generator_2f", "dphi_sqrt_fisher", "optimal",
+        ]
+        assert all(column == [] for column in table.values())
+        with pytest.raises(ParameterError):
+            heisenberg_audit(canonical(), BIG_P * 1.01, ())
+        snug = ProcedureParams(x0=0.0, delta=1.0, big_t=4.0, big_p=1.5)
+        with pytest.raises(RegimeError):
+            heisenberg_audit(snug, 0.0, ())
 
     @pytest.mark.parametrize("r", [0.0, BIG_P / 4])
     @pytest.mark.parametrize(
@@ -391,17 +421,18 @@ class TestAuditClosedForms:
     def test_one_precision_for_the_table_the_audit_and_delta_phi(self, r, phi):
         p = canonical()
         reference = fisher_phi(p, 0.0, phi).delta_phi
-        (row,) = heisenberg_audit(p, r, (phi,))
+        table = heisenberg_audit(p, r, (phi,))
+        (product,) = table["dphi_sqrt_fisher"]
+        (optimal,) = table["optimal"]
         if reference is None:
             with pytest.raises(SingularityError):
                 delta_phi(p, phi)
-            assert math.isnan(row["dphi_sqrt_fisher"])
-            assert row["optimal"] is False
+            assert math.isnan(product)
+            assert optimal is False
         else:
             assert delta_phi(p, phi) == reference
-            assert row["dphi_sqrt_fisher"] == reference * math.sqrt(
-                fisher_phi(p, r, phi).fisher
-            )
+            assert product == reference * math.sqrt(fisher_phi(p, r, phi).fisher)
+        assert table["fisher"] == [fisher_phi(p, r, phi).fisher]
 
     def test_rounded_variance_has_no_precision(self):
         # the true precision there is about 1/(2*sqrt(E)); a rounded-away
