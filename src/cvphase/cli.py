@@ -1,10 +1,11 @@
 """Command-line sweeps and seeded experiments over the phase-estimation model.
 
-Each command builds its table as columns, each a list of cells, and writes it
-to stdout (or --out): CSV with a header row, where a column whose cells mostly
-repeat is spelled once per distinct cell, or JSON with one object per row
-(--format json).  Floats print with 17 significant digits, so identical
-invocations are byte-identical; JSON maps non-finite floats to null.  Exit
+Each command builds its table as one dict from column name to list of cells,
+whose key order is the column order, and writes it to stdout (or --out): CSV
+with a header row, where a column whose cells mostly repeat is spelled once
+per distinct cell, or JSON with one object per row (--format json).  Floats
+print with 17 significant digits, so identical invocations are
+byte-identical; JSON maps non-finite floats to null.  Exit
 status: 0 success, 2 usage or parameter error (an unwritable --out path
 included), 3 crosscheck tolerance failure (its stderr line gives the
 conjugate cell width and the mask jumps, the thresholds and the domain edge
@@ -15,13 +16,13 @@ an explicit --big-t (the default T needs N >= 512); --trials and --shots are
 at most 10^8, --replicas at most 10^5.  Detection always projects back onto
 the prepared Gaussian, the window the closed forms assume.
 
-Column schemas per command are listed in each subcommand's --help epilog.
+Column schemas per command are listed in each subcommand's --help epilog,
+which the tests check against the header each table prints.
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import math
 import operator
@@ -31,7 +32,6 @@ from collections.abc import Callable
 from ._lazy import lazy_import
 from .errors import CvPhaseError, ParameterError
 from .model import (
-    MeasurementDistribution,
     PiecewiseBinaryFunction,
     ProcedureParams,
     aligned_half_width,
@@ -60,8 +60,6 @@ _MAX_AXIS_COUNT = 100_000
 # near-saturated top of the response, where the simulated momentum tail
 # (unphased outside the mask domain) dominates the comparison
 _COMPARABLE_COS_MAX = 2.0 / 3.0
-# a threshold within this many cells of a conjugate cell edge counts as on it
-_EDGE_TOL = 1e-9
 
 
 def _axis(text: str) -> tuple[float, ...]:
@@ -132,11 +130,6 @@ def _cell_json(v: object) -> object:
     return v
 
 
-def _csv_template(cells) -> str:
-    """The % template that spells a CSV line of cells typed like these."""
-    return ",".join(map(_csv_spec, cells)) + "\n"
-
-
 def _csv_column(cells: list) -> tuple[str, list]:
     """A column's % conversion in the CSV line template, and its cells.
 
@@ -156,20 +149,20 @@ def _csv_column(cells: list) -> tuple[str, list]:
     return "%s", list(map(spelled.__getitem__, cells))
 
 
-def _csv_text(columns: list[str], cells: list[list]) -> str:
-    """The CSV text of a table's columns (see _emit), built apart so that
-    its spelled cells are freed before the text is written."""
-    head = ",".join(columns) + "\n"
-    if not cells[0]:
+def _csv_text(table: dict[str, list]) -> str:
+    """The CSV text of a table (see _emit), built apart so that its spelled
+    cells are freed before the text is written."""
+    head = ",".join(table) + "\n"
+    if not next(iter(table.values())):
         return head
-    specs, cells = zip(*map(_csv_column, cells))
+    specs, cells = zip(*map(_csv_column, table.values()))
     template = ",".join(specs) + "\n"
     return "".join([head, *map(template.__mod__, zip(*cells))])
 
 
-def _emit(columns: list[str], table: dict, fmt: str, out: str | None) -> None:
-    """Write the table, which maps each column to its list of cells, to out,
-    or to stdout when out is None.
+def _emit(table: dict[str, list], fmt: str, out: str | None) -> None:
+    """Write the table, which maps each column, in column order, to its list
+    of cells, to out, or to stdout when out is None.
 
     CSV is a header row, then each row through one % template: %.17g for
     floats (np.float64 too), %d for ints, true/false for bools and strs as
@@ -177,17 +170,16 @@ def _emit(columns: list[str], table: dict, fmt: str, out: str | None) -> None:
     repeating cells are spelled once each (see _csv_column).  No cell needs
     quoting.  JSON is one object per row, with non-finite floats as null.
     """
-    cells = [table[c] for c in columns]
     if fmt == "json":
         import json
 
         text = "".join(
-            json.dumps(dict(zip(columns, map(_cell_json, row))), separators=(",", ":"))
+            json.dumps(dict(zip(table, map(_cell_json, row))), separators=(",", ":"))
             + "\n"
-            for row in zip(*cells)
+            for row in zip(*table.values())
         )
     else:
-        text = _csv_text(columns, cells)
+        text = _csv_text(table)
     _write(text, out)
 
 
@@ -224,76 +216,56 @@ def _resolve_params(
     return ProcedureParams(x0=args.x0, delta=delta, big_t=big_t, big_p=big_p)
 
 
-def _grid_prob(a0: float, a1: float, phi: float) -> float:
-    """Grid detection probability |A0 + exp(-2i*phi)*A1|^2 at phase phi."""
-    return MeasurementDistribution(abs(a0 + cmath.exp(-2j * phi) * a1) ** 2).p_x0
-
-
-def _fisher_grid(a0: float, a1: float, phi: float) -> float:
-    """Fisher information in phi of the grid response, exactly.
-
-    A0 and A1 are real and non-negative and sum to 1 (Parseval), so the
-    response p = A0^2 + A1^2 + 2*A0*A1*cos(2*phi) has
-    1 - p = 4*A0*A1*sin(phi)^2, p = (A0 - A1)^2 + 4*A0*A1*cos(phi)^2 and
-    dp/dphi = -8*A0*A1*sin(phi)*cos(phi).  Then dp^2/(p(1-p)) reduces to
-    16*A0*A1*cos(phi)^2 / p with no cancellation anywhere, also where p or
-    1 - p vanishes; at p = 0 (A0 = A1 = 1/2, cos(phi) = 0) the limit is 4.
-    """
-    cos_sq = math.cos(phi) ** 2
-    prob = (a0 - a1) ** 2 + 4.0 * a0 * a1 * cos_sq
-    if prob == 0.0:
-        return 4.0
-    return 16.0 * a0 * a1 * cos_sq / prob
-
-
 def cmd_fisher_phi_sweep(
     p: ProcedureParams,
     r_values: tuple[float, ...],
     phi_values: tuple[float, ...],
     engine: str,
     grid_n: int,
-) -> tuple[list[str], dict[str, list]]:
+) -> dict[str, list]:
     """Fisher information in the phase, analytic and/or from the grid response.
 
     ``engine`` is "analytic", "grid" or "all" (both, plus a comparison).
     """
     want_analytic = engine in ("analytic", "all")
     want_grid = engine in ("grid", "all")
-    analytic_cols = [
-        "fisher", "variance_bound", "mean_bound", "delta_phi", "singular_limit",
-    ]
-    columns = ["phi", "r"] + (analytic_cols if want_analytic else [])
+    table = {
+        "phi": list(phi_values) * len(r_values),
+        "r": [r for r in r_values for _ in phi_values],
+    }
+    if want_analytic:
+        # stats.fisher_phis' columns in its order, mean_bound_diagnostic renamed
+        names = "fisher variance_bound mean_bound delta_phi singular_limit".split()
+        analytic = {c: [] for c in names}
+        table |= analytic
     if want_grid:
-        columns.append("fisher_grid")
+        table["fisher_grid"] = fisher_grid = []
         response = grid.phase_response(p, grid_n)
-    table = {c: [] for c in columns}
-    table["phi"] = list(phi_values) * len(r_values)
-    table["r"] = [r for r in r_values for _ in phi_values]
     for r in r_values:
         if want_grid:
-            a0, a1 = response.split(PiecewiseBinaryFunction.step(r, p.big_p))
-            table["fisher_grid"] += [_fisher_grid(a0, a1, phi) for phi in phi_values]
+            f = PiecewiseBinaryFunction.step(r, p.big_p)
+            fisher_grid += response.fishers(f, phi_values)
         if want_analytic:
-            for c, cells in zip(analytic_cols, fisher_phis(p, r, phi_values).values()):
-                table[c] += cells
+            more = fisher_phis(p, r, phi_values).values()
+            for cells, cells_at_r in zip(analytic.values(), more):
+                cells += cells_at_r
     if want_analytic:
         table["delta_phi"] = [math.nan if d is None else d for d in table["delta_phi"]]
     if engine == "all":
-        columns += ["comparable", "max_pairwise_dev"]
         cos_ok = [math.cos(2.0 * phi) <= _COMPARABLE_COS_MAX for phi in phi_values]
         table["comparable"] = [
             not singular and ok
             for singular, ok in zip(table["singular_limit"], cos_ok * len(r_values))
         ]
         table["max_pairwise_dev"] = [
-            abs(f - g) for f, g in zip(table["fisher"], table["fisher_grid"])
+            abs(f - g) for f, g in zip(table["fisher"], fisher_grid)
         ]
-    return columns, table
+    return table
 
 
 def cmd_fisher_r_sweep(
     p: ProcedureParams, r_values: tuple[float, ...], phi_values: tuple[float, ...]
-) -> tuple[list[str], dict[str, list]]:
+) -> dict[str, list]:
     """Fisher information in the threshold position (closed form only).
 
     A circuit-difference column is not offered: moving the threshold moves a
@@ -302,12 +274,11 @@ def cmd_fisher_r_sweep(
     Each threshold's column is computed at once; rows run phi-major.
     """
     per_r = [fisher_rs(p, r, phi_values) for r in r_values]
-    table = {
+    return {
         "phi": [phi for phi in phi_values for _ in r_values],
         "r": list(r_values) * len(phi_values),
         "fisher_r": [f for at_phi in zip(*per_r) for f in at_phi],
     }
-    return ["phi", "r", "fisher_r"], table
 
 
 def cmd_dj(
@@ -357,11 +328,7 @@ def cmd_dj(
             "empirical_error_rate": emp_err,
             "analytic_error_rate": ana_err,
         })
-    columns = [
-        "label", "r", "truth", "p_x0", "trials", "classified_constant",
-        "classified_balanced", "empirical_error_rate", "analytic_error_rate",
-    ]
-    return columns, rows
+    return list(rows[0]), rows
 
 
 _ESTIMATE_COLUMNS = (
@@ -382,7 +349,7 @@ def _estimate_tails(s) -> tuple[dict[int, tuple], tuple]:
 
 def cmd_estimate(
     p: ProcedureParams, r: float, phi_true: float, shots: int, replicas: int, seed: int
-) -> tuple[list[str], dict[str, list]]:
+) -> dict[str, list]:
     """Replicated maximum-likelihood estimates; final row (replica=-1) is the
     replica mean."""
     s = experiments.replicated_mse(p, r, phi_true, shots, replicas, seed)
@@ -390,7 +357,7 @@ def cmd_estimate(
     table = {"replica": [*range(s.replicas), -1]}
     for j, column in enumerate(_ESTIMATE_COLUMNS[1:]):
         table[column] = [tails[k][j] for k in s.hits] + [mean[j]]
-    return list(_ESTIMATE_COLUMNS), table
+    return table
 
 
 def cmd_crosscheck(
@@ -398,45 +365,44 @@ def cmd_crosscheck(
     r_values: tuple[float, ...],
     phi_values: tuple[float, ...],
     grid_n: int,
-) -> tuple[list[str], dict[str, list], float]:
+) -> tuple[dict[str, list], float]:
     """Detection probability from all three engines, with worst deviation."""
     response = grid.phase_response(p, grid_n)
-    columns = ["phi", "r", "p_analytic", "p_quadrature", "p_grid", "max_pairwise_dev"]
     pas, pqs, pgs = [], [], []
     for r in r_values:
         f = PiecewiseBinaryFunction.step(r, p.big_p)
-        a0, a1 = response.split(f)
         integrals = quadrature.quadrature_response(p, f)
         pas += [dist.p_x0 for dist in prob_x0s(p, r, phi_values)]
         pqs += [integrals.at(phi).value for phi in phi_values]
-        pgs += [_grid_prob(a0, a1, phi) for phi in phi_values]
+        pgs += response.p_x0s(f, phi_values)
     devs = [
         max(abs(pa - pq), abs(pa - pg), abs(pq - pg))
         for pa, pq, pg in zip(pas, pqs, pgs)
     ]
-    phis = list(phi_values) * len(r_values)
-    rs = [r for r in r_values for _ in phi_values]
-    table = dict(zip(columns, (phis, rs, pas, pqs, pgs, devs)))
+    table = {
+        "phi": list(phi_values) * len(r_values),
+        "r": [r for r in r_values for _ in phi_values],
+        "p_analytic": pas,
+        "p_quadrature": pqs,
+        "p_grid": pgs,
+        "max_pairwise_dev": devs,
+    }
     # the sequential max(worst, dev), which skips a NaN deviation
-    return columns, table, functools.reduce(max, devs, 0.0)
+    return table, functools.reduce(max, devs, 0.0)
 
 
 def cmd_audit(
     p: ProcedureParams, r: float, phis: tuple[float, ...] | None
-) -> tuple[list[str], dict[str, list]]:
-    table = heisenberg_audit(p, r, phis)
-    return list(table), table
+) -> dict[str, list]:
+    return heisenberg_audit(p, r, phis)
 
 
-def cmd_gap(
-    p: ProcedureParams, phis: tuple[float, ...]
-) -> tuple[list[str], dict[str, list]]:
-    table = {
+def cmd_gap(p: ProcedureParams, phis: tuple[float, ...]) -> dict[str, list]:
+    return {
         "phi": list(phis),
         "mask_product": [p.mask_product] * len(phis),
         **quadrature.step_hat_gaps(p, phis),
     }
-    return list(table), table
 
 
 def _add_common_flags(sp: argparse.ArgumentParser) -> None:
@@ -591,7 +557,7 @@ def _run_fisher_phi(args: argparse.Namespace) -> int:
         r_values = args.r if args.r is not None else (0.0,)
         phi_values = args.phi if args.phi is not None else _phase_axis(33)
     table = cmd_fisher_phi_sweep(p, r_values, phi_values, args.engine, args.grid_n)
-    _emit(*table, args.format, args.out)
+    _emit(table, args.format, args.out)
     return 0
 
 
@@ -604,15 +570,14 @@ def _run_fisher_r(args: argparse.Namespace) -> int:
     else:
         phi_values = args.phi if args.phi is not None else (math.pi / 2.0,)
     r_values = args.r if args.r is not None else _open_threshold_axis(p.big_p)
-    _emit(*cmd_fisher_r_sweep(p, r_values, phi_values), args.format, args.out)
+    _emit(cmd_fisher_r_sweep(p, r_values, phi_values), args.format, args.out)
     return 0
 
 
 def _run_dj(args: argparse.Namespace) -> int:
     p = _resolve_params(args)
     columns, rows = cmd_dj(p, args.r, args.trials, args.seed)
-    table = {c: [row[c] for row in rows] for c in columns}
-    _emit(columns, table, args.format, args.out)
+    _emit({c: [row[c] for row in rows] for c in columns}, args.format, args.out)
     return 0
 
 
@@ -621,12 +586,12 @@ def _run_estimate(args: argparse.Namespace) -> int:
     phi_true = args.phi if args.phi is not None else math.pi / 4.0
     run = (p, args.r, phi_true, args.shots, args.replicas, args.seed)
     if args.format == "json":
-        _emit(*cmd_estimate(*run), "json", args.out)
+        _emit(cmd_estimate(*run), "json", args.out)
         return 0
     # _emit's CSV, each distinct hit count's line tail spelled once
     s = experiments.replicated_mse(*run)
     tails, mean = _estimate_tails(s)
-    template = _csv_template(mean)
+    template = ",".join(map(_csv_spec, mean)) + "\n"
     spelled = {k: template % cells for k, cells in tails.items()}
     lines = [f"{i},{spelled[k]}" for i, k in enumerate(s.hits)]
     head = ",".join(_ESTIMATE_COLUMNS) + "\n"
@@ -641,55 +606,28 @@ def _run_crosscheck(args: argparse.Namespace) -> int:
     p = _resolve_params(args)
     r_values = args.r if args.r is not None else _fig4_thresholds(p.big_p)
     phi_values = args.phi if args.phi is not None else _phase_axis(17)
-    columns, table, worst = cmd_crosscheck(p, r_values, phi_values, args.grid_n)
-    _emit(columns, table, args.format, args.out)
+    table, worst = cmd_crosscheck(p, r_values, phi_values, args.grid_n)
+    _emit(table, args.format, args.out)
     if worst > args.tol:
         print(
             f"crosscheck: worst deviation {worst:.3e} exceeds tolerance "
-            f"{args.tol:.3e}; {_cell_edge_note(p, r_values)}",
+            f"{args.tol:.3e}; {grid._cell_edge_note(p, r_values)}",
             file=sys.stderr,
         )
         return 3
     return 0
 
 
-def _cell_edge_note(p: ProcedureParams, r_values: tuple[float, ...]) -> str:
-    """The grid's conjugate cell width and the mask jumps off a cell edge.
-
-    Cell edges sit at integer multiples of dy = pi/(2T); a jump inside a
-    cell puts that whole cell on one side of it, an error first order in
-    dy.  The jumps are the thresholds and the domain edges +-P, outside
-    which the mask acts as 0; P is named unless a listed threshold is +-P.
-    """
-    dy = math.pi / (2.0 * p.big_t)
-
-    def off_edge(v: float) -> bool:
-        return abs(v / dy - round(v / dy)) > _EDGE_TOL
-
-    off = [r for r in r_values if off_edge(r)]
-    where = (
-        "thresholds off a cell edge: r = " + ", ".join(map(repr, off))
-        if off
-        else "every threshold on a cell edge"
-    )
-    if off_edge(p.big_p) and all(abs(r) != p.big_p for r in off):
-        where += (
-            f"; domain edge P = {p.big_p!r} off a cell edge "
-            f"(P/dy = {p.big_p / dy:.2f})"
-        )
-    return f"conjugate cell dy = pi/(2T) = {dy:.6g}, {where}"
-
-
 def _run_audit(args: argparse.Namespace) -> int:
     p = _resolve_params(args)
-    _emit(*cmd_audit(p, args.r, args.phi), args.format, args.out)
+    _emit(cmd_audit(p, args.r, args.phi), args.format, args.out)
     return 0
 
 
 def _run_gap(args: argparse.Namespace) -> int:
     p = _resolve_params(args, default_big_p=lambda delta: 0.1 / delta)
     phi_values = args.phi if args.phi is not None else _phase_axis(17)
-    _emit(*cmd_gap(p, phi_values), args.format, args.out)
+    _emit(cmd_gap(p, phi_values), args.format, args.out)
     return 0
 
 

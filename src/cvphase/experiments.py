@@ -41,13 +41,12 @@ drawn and counted chunk by chunk.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, UnidentifiableFunctionError
-from .model import MeasurementDistribution, ProcedureParams
+from .model import MeasurementDistribution, ProcedureParams, _integer
 from .stats import _fisher, cosine_model_coefficients
 
 _HALF_PI = math.pi / 2.0
@@ -64,15 +63,6 @@ _CHUNK = 1 << 16
 _MAX_REPLICAS = 10**5
 
 SeedMaterial = int | tuple[int, ...]
-
-
-def _integer(value, what: str) -> int:
-    """value as an int, when it is one (numpy integers too); a float or a
-    str is refused rather than truncated or left to numpy to reject."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ParameterError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _draws(n, what: str) -> int:

@@ -47,7 +47,9 @@ weights w_k = conj((F W)_k) * (F G)_k * dy the amplitude is
     A0 + exp(-2i*phi) * A1,   A0 = sum_{f(y_k)=0} w_k,   A1 = sum_{f(y_k)=1} w_k.
 
 ``phase_response`` therefore prepares once and transforms once; every phase
-then costs a few scalar operations, and every mask one pass over the cells
+then costs a few scalar operations (``PhaseResponse.p_x0s`` and
+``PhaseResponse.fishers`` give a mask's probability and Fisher information
+over a phase sweep as one column), and every mask one pass over the cells
 of [-P, P].  Both routes take the mask's cell values from one helper, so
 they discretize the mask identically; they differ only by rounding (~1e-15
 in the probability).  ``run_circuit`` stays the stage-by-stage reference.
@@ -120,6 +122,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,6 +132,7 @@ from .model import (
     MeasurementDistribution,
     PiecewiseBinaryFunction,
     ProcedureParams,
+    _integer,
     _require_pow2,
     require_containment,
     require_mask_domain,
@@ -167,7 +171,7 @@ class GridState:
             raise GridLayoutError("amplitudes must be a 1-d array with at least 2 points")
         if self.space not in (POSITION, MOMENTUM):
             raise GridLayoutError(f"unknown space tag {self.space!r}")
-        if not (math.isfinite(self.grid_start) and self.grid_step > 0.0):
+        if not (math.isfinite(self.grid_start) and 0.0 < self.grid_step < math.inf):
             raise GridLayoutError(
                 f"bad grid: start={self.grid_start}, step={self.grid_step}"
             )
@@ -239,6 +243,29 @@ def _conjugate_layout(n: int, dx: float) -> tuple[float, float]:
     dy = math.pi / (n * dx)
     y_start = (-n / 2 + 0.5) * dy
     return dy, y_start
+
+
+# a mask jump within this many cells of a conjugate cell edge counts as on it
+_EDGE_TOL = 1e-9
+
+
+def _cell_edge_note(p: ProcedureParams, r_values: tuple[float, ...]) -> str:
+    """The conjugate cell width and the mask jumps off a cell edge.
+
+    Cell edges sit at integer multiples of dy = pi/(2T); a jump inside a
+    cell puts that whole cell on one side of it, an error first order in
+    dy.  The jumps are the thresholds and the domain edges +-P, outside
+    which the mask acts as 0; P is named unless a listed threshold is +-P.
+    """
+    dy = math.pi / (2.0 * p.big_t)
+    off = [r for r in r_values if abs(r / dy - round(r / dy)) > _EDGE_TOL]
+    where = "thresholds off a cell edge: r = " + ", ".join(map(repr, off))
+    if not off:
+        where = "every threshold on a cell edge"
+    edge = p.big_p / dy
+    if abs(edge - round(edge)) > _EDGE_TOL and all(abs(r) != p.big_p for r in off):
+        where += f"; domain edge P = {p.big_p!r} off a cell edge (P/dy = {edge:.2f})"
+    return f"conjugate cell dy = pi/(2T) = {dy:.6g}, {where}"
 
 
 # i^m for m = 0..3: exp(2i*xs*y_k) = (-1)^k * i^(n-1) on the centred layout
@@ -388,6 +415,23 @@ def run_circuit(
     return measure_povm(state, p)
 
 
+def _fisher(a0: float, a1: float, phi: float) -> float:
+    """Fisher information in phi of the response to (A0, A1), exactly.
+
+    A0 and A1 are real and non-negative and sum to 1 (Parseval), so the
+    response p = A0^2 + A1^2 + 2*A0*A1*cos(2*phi) has
+    1 - p = 4*A0*A1*sin(phi)^2, p = (A0 - A1)^2 + 4*A0*A1*cos(phi)^2 and
+    dp/dphi = -8*A0*A1*sin(phi)*cos(phi).  Then dp^2/(p(1-p)) reduces to
+    16*A0*A1*cos(phi)^2 / p with no cancellation anywhere, also where p or
+    1 - p vanishes; at p = 0 (A0 = A1 = 1/2, cos(phi) = 0) the limit is 4.
+    """
+    cos_sq = math.cos(phi) ** 2
+    prob = (a0 - a1) ** 2 + 4.0 * a0 * a1 * cos_sq
+    if prob == 0.0:
+        return 4.0
+    return 16.0 * a0 * a1 * cos_sq / prob
+
+
 @dataclass(frozen=True)
 class PhaseResponse:
     """The circuit split at the mask: per-cell weights |G_k|^2 * dy of the
@@ -397,7 +441,8 @@ class PhaseResponse:
     For a mask f the detected amplitude at phase phi is A0 + exp(-2i*phi)*A1,
     with (A0, A1) = ``split(f)``, and its squared modulus is the
     ``run_circuit`` probability (see the module docstring).  The weights are
-    real and non-negative, and so are A0 and A1.
+    real and non-negative, and so are A0 and A1.  ``p_x0s`` and ``fishers``
+    sweep a mask over phases, one split and one column each.
     """
 
     params: ProcedureParams
@@ -435,6 +480,21 @@ class PhaseResponse:
         ones = _mask_cells(n, self.grid_start, self.grid_step, f, lo, hi) == 1.0
         cells = self.weights[lo:hi]
         return rest + float(np.sum(cells[~ones])), float(np.sum(cells[ones]))
+
+    def p_x0s(self, f: PiecewiseBinaryFunction, phis: Iterable[float]) -> list[float]:
+        """The detection probability |A0 + exp(-2i*phi)*A1|^2 of mask f at
+        each phase of phis, each checked as a ``MeasurementDistribution``."""
+        a0, a1 = self.split(f)
+        return [
+            MeasurementDistribution(abs(a0 + cmath.exp(-2j * phi) * a1) ** 2).p_x0
+            for phi in phis
+        ]
+
+    def fishers(self, f: PiecewiseBinaryFunction, phis: Iterable[float]) -> list[float]:
+        """The Fisher information in phi of mask f's response at each phase
+        of phis (see ``_fisher``)."""
+        a0, a1 = self.split(f)
+        return [_fisher(a0, a1, phi) for phi in phis]
 
 
 def _folded_rows(
@@ -541,7 +601,7 @@ def two_register_kickback_check(
     with the unshifted target yields exp(-i*pi*f(x)) exactly, up to
     rounding; the metrics quantify any deviation.
     """
-    n_target = int(n_target)
+    n_target = _integer(n_target, "n_target")
     if n_target < 8 or n_target % 4 != 0:
         raise GridLayoutError(
             f"n_target must be a multiple of 4 (>= 8) so the unit shift is an "

@@ -11,12 +11,14 @@ compare equal to a plain tuple of the same fields.  Hard validity (finite
 values, positive scales within range, mask shapes) is checked once, when an
 object is built (``_replace`` included), so an invalid object cannot exist
 and the engines never re-check it; the engines that need the envelope
-contained in [-T, T] gate on ``require_containment``.
+contained in [-T, T] gate on ``require_containment``.  Counts, sizes and
+mask values pass ``_integer``: ints, numpy integers too, never truncated.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from collections import namedtuple
 
@@ -37,6 +39,15 @@ def _require_finite(name: str, value: float) -> float:
     if not math.isfinite(v):
         raise ParameterError(f"{name} must be finite, got {value!r}")
     return v
+
+
+def _integer(value, what: str) -> int:
+    """value as an int, when it is one (numpy integers too); a float or a
+    str is refused rather than truncated or left to numpy to reject."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _scale_error(name: str, value: float) -> str:
@@ -145,7 +156,7 @@ _MAX_POINTS = 1 << 24
 
 def _require_pow2(n: int) -> int:
     """n as an int, if it is a power of two in [_MIN_POINTS, _MAX_POINTS]."""
-    n = int(n)
+    n = _integer(n, "grid size")
     if not _MIN_POINTS <= n <= _MAX_POINTS or n & (n - 1):
         raise GridLayoutError(
             f"grid size must be a power of two in [{_MIN_POINTS}, {_MAX_POINTS}], got {n}"
@@ -163,6 +174,7 @@ def aligned_half_width(big_p: float, n: int, cells_per_eighth: int = 32) -> floa
     the grid engine, because every command derives its default T from it.
     """
     big_p = require_scale("big_p", big_p)
+    cells_per_eighth = _integer(cells_per_eighth, "cells_per_eighth")
     if cells_per_eighth < 1:
         raise ParameterError(f"cells_per_eighth must be >= 1, got {cells_per_eighth}")
     n = _require_pow2(n)
@@ -200,7 +212,7 @@ class PiecewiseBinaryFunction(
         if hd <= 0.0:
             raise ParameterError(f"half_domain must be positive, got {hd}")
         bps = tuple(float(b) for b in breakpoints)
-        vals = tuple(int(v) for v in values)
+        vals = tuple(_integer(v, "mask value") for v in values)
         if len(vals) != len(bps) + 1:
             raise ParameterError(
                 f"need len(values) == len(breakpoints) + 1, got {len(vals)} and {len(bps)}"

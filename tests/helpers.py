@@ -59,14 +59,14 @@ def cell_csv(v) -> str:
     return str(v)
 
 
-def reference_csv(columns, table) -> str:
-    """A table, which maps each column to its list of cells, as the CLI wrote
-    it through csv.writer, cell by cell: the reference the column writer must
-    match byte for byte."""
+def reference_csv(table) -> str:
+    """A table, which maps each column, in column order, to its list of
+    cells, as the CLI wrote it through csv.writer, cell by cell: the
+    reference the column writer must match byte for byte."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(map(cell_csv, row) for row in zip(*(table[c] for c in columns)))
+    writer.writerow(table)
+    writer.writerows(map(cell_csv, row) for row in zip(*table.values()))
     return buf.getvalue()
 
 

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -111,7 +112,7 @@ class TestExitCodes:
             return [types.SimpleNamespace(p_x0=math.nan), *exact(p, r, phis)[1:]]
 
         monkeypatch.setattr(cli, "prob_x0s", first_nan)
-        _, table, worst = cli.cmd_crosscheck(
+        table, worst = cli.cmd_crosscheck(
             canonical(), (0.0, BIG_P / 8), (0.3, 0.5), 512
         )
         devs = table["max_pairwise_dev"]
@@ -150,10 +151,10 @@ class TestExitCodes:
     def test_domain_edge_listed_as_a_threshold_is_not_named_twice(self):
         p = ProcedureParams(x0=0.0, delta=DELTA, big_t=3.5, big_p=BIG_P)
         for r in (BIG_P, -BIG_P):
-            note = cli._cell_edge_note(p, (0.0, r))
+            note = grid._cell_edge_note(p, (0.0, r))
             assert note.endswith(f"thresholds off a cell edge: r = {r!r}"), note
         # the default T puts P and every multiple of P/8 on a cell edge
-        note = cli._cell_edge_note(canonical(), (0.0, 0.3))
+        note = grid._cell_edge_note(canonical(), (0.0, 0.3))
         assert note.endswith("thresholds off a cell edge: r = 0.3"), note
 
     def test_default_crosscheck_passes_silently(self, capsys):
@@ -504,10 +505,10 @@ class TestGridEngine:
         a0, a1 = phase_response(canonical(), 8192).split(
             PiecewiseBinaryFunction.step(0.5, BIG_P)
         )
-        assert cli._fisher_grid(a0, a1, 3.14159) == printed
+        assert grid._fisher(a0, a1, 3.14159) == printed
         for scale0, scale1 in [(1 - 1e-16, 1.0), (1 + 3e-16, 1.0), (1.0, 1 - 4e-16),
                                (1.0, 1 + 4e-16), (1 + 2e-16, 1 - 2e-16)]:
-            moved = cli._fisher_grid(a0 * scale0, a1 * scale1, 3.14159)
+            moved = grid._fisher(a0 * scale0, a1 * scale1, 3.14159)
             assert moved == pytest.approx(printed, rel=1e-12)
 
 
@@ -554,8 +555,7 @@ class TestNoPerRowRecords:
         assert type(table) is dict
         assert all(type(cells) is list and len(cells) == 15 for cells in table.values())
         assert out.splitlines()[0] == ",".join(table)
-        columns, emitted = cli.cmd_audit(canonical(), 0.0, None)
-        assert emitted is returned[-1] and columns == list(table)
+        assert cli.cmd_audit(canonical(), 0.0, None) is returned[-1]
 
     def test_estimate_keeps_no_per_replica_float(self, capsys, monkeypatch):
         summaries = []
@@ -667,6 +667,51 @@ class TestSchemas:
         assert float(row["signed_gap"]) <= 0.0
 
 
+def _listed(epilog, label):
+    """The comma-separated column names the epilog lists after label."""
+    (names,) = re.findall(re.escape(label) + r" ([\w,]+)", epilog)
+    return names.split(",")
+
+
+class TestHelpEpilogs:
+    """Each subcommand's --help epilog lists the header its table prints."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fisher-phi", "--phi", "0.3"],
+        ["fisher-phi", "--phi", "0.3", "--engine", "grid"],
+        ["fisher-phi", "--phi", "0.3", "--engine", "all"],
+        ["fisher-r", "--r", "0.5"],
+        ["dj", "--trials", "20"],
+        ["estimate", "--shots", "5", "--replicas", "2"],
+        ["crosscheck", "--grid-n", "512", "--r", "0", "--phi", "0.3"],
+        ["audit"],
+        ["gap"],
+    ], ids=" ".join)
+    def test_epilog_lists_exactly_the_printed_header(self, argv, capsys, monkeypatch):
+        # wide enough that argparse wraps the epilog only at spaces (at 80
+        # columns it breaks the longest lists inside a name); no list has one
+        monkeypatch.setenv("COLUMNS", "1000")
+        code, text, _ = run_cli([argv[0], "--help"], capsys)
+        assert code == 0
+        epilog = " ".join(text.split())
+        if argv[0] != "fisher-phi":
+            listed = _listed(epilog, "columns:")
+        else:
+            analytic = _listed(epilog, "columns (analytic):")
+            grid_only = _listed(epilog, "engine=grid:")
+            engine = argv[argv.index("--engine") + 1] if "--engine" in argv else None
+            listed = {
+                None: analytic,
+                "grid": grid_only,
+                "all": analytic
+                + [c for c in grid_only if c not in analytic]
+                + _listed(epilog, "engine=all: both plus"),
+            }[engine]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert out.splitlines()[0].split(",") == listed
+
+
 class TestDeterminism:
     def test_seeded_command_is_byte_identical(self, capsys, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -726,9 +771,9 @@ def _tables(draw):
     return [draw(st.lists(_CELLS[k], min_size=n, max_size=n)) for k in kinds]
 
 
-def _emitted(columns, table, fmt):
+def _emitted(table, fmt):
     with contextlib.redirect_stdout(io.StringIO()) as buf:
-        cli._emit(columns, table, fmt, None)
+        cli._emit(table, fmt, None)
     return buf.getvalue()
 
 
@@ -743,19 +788,18 @@ class TestCsvFormat:
 
     def test_nonfinite_cells_in_a_table(self, capsys):
         table = {"a": [math.inf, -math.inf], "b": [math.nan, 1.5]}
-        cli._emit(["a", "b"], table, "csv", None)
+        cli._emit(table, "csv", None)
         assert capsys.readouterr().out == "a,b\ninf,nan\n-inf,1.5\n"
 
     def test_typed_template_spells_every_cell_type_as_before(self, capsys):
-        columns = ["flag", "count", "label", "x", "y", "z", "w"]
         table = {
             "flag": [True, False], "count": [3, -1], "label": ["balanced", "constant"],
             "x": [math.nan, math.copysign(math.nan, -1.0)], "y": [math.inf, -math.inf],
             "z": [-0.0, 0.1], "w": [np.float64(1.0 / 3.0), np.float64(-2.5e-300)],
         }
-        cli._emit(columns, table, "csv", None)
+        cli._emit(table, "csv", None)
         out = capsys.readouterr().out
-        assert out == reference_csv(columns, table)
+        assert out == reference_csv(table)
         assert out == (
             "flag,count,label,x,y,z,w\n"
             "true,3,balanced,nan,inf,-0,0.33333333333333331\n"
@@ -764,8 +808,8 @@ class TestCsvFormat:
 
     def test_header_only_table(self, capsys):
         table = {"a": [], "b": []}
-        cli._emit(["a", "b"], table, "csv", None)
-        assert capsys.readouterr().out == reference_csv(["a", "b"], table) == "a,b\n"
+        cli._emit(table, "csv", None)
+        assert capsys.readouterr().out == reference_csv(table) == "a,b\n"
 
     @example([[0.0, -0.0, 0.0], [-0.0, 0.0, 0.0], [1.5, 1.5, 1.5]])
     @example([[float("nan"), math.copysign(float("nan"), -1.0), math.nan],
@@ -778,9 +822,9 @@ class TestCsvFormat:
     def test_column_writer_matches_the_cell_by_cell_writer(self, cells):
         columns = [f"c{k}" for k in range(len(cells))]
         table = dict(zip(columns, cells))
-        assert _emitted(columns, table, "csv") == reference_csv(columns, table)
+        assert _emitted(table, "csv") == reference_csv(table)
         # JSON zips the columns into one object per row
-        assert _emitted(columns, table, "json") == "".join(
+        assert _emitted(table, "json") == "".join(
             json.dumps({c: None if isinstance(v, float) and not math.isfinite(v)
                         else v for c, v in zip(columns, row)}, separators=(",", ":"))
             + "\n"
@@ -802,9 +846,9 @@ class TestCsvFormat:
         tables = []
         emit = cli._emit
 
-        def recording_emit(columns, table, fmt, out):
-            tables.append((columns, table))
-            emit(columns, table, fmt, out)
+        def recording_emit(table, fmt, out):
+            tables.append(table)
+            emit(table, fmt, out)
 
         monkeypatch.setattr(cli, "_emit", recording_emit)
         code, out, _ = run_cli(argv, capsys)
@@ -819,8 +863,8 @@ class TestCsvFormat:
                 cli._resolve_params(args), args.r, phi, args.shots,
                 args.replicas, args.seed,
             ))
-        ((columns, table),) = tables
-        assert out == reference_csv(columns, table)
+        (table,) = tables
+        assert out == reference_csv(table)
 
 
 class TestJsonFormat:

@@ -47,6 +47,10 @@ class TestGridState:
             GridState(np.ones(8), grid_start=0.0, grid_step=0.0, space=POSITION)
         with pytest.raises(GridLayoutError):
             GridState(np.ones((2, 4)), grid_start=0.0, grid_step=0.1, space=POSITION)
+        # an infinite step made norm_sq() infinite instead of failing here
+        for step in (math.inf, math.nan):
+            with pytest.raises(GridLayoutError, match="^bad grid: start=0.0, step="):
+                GridState(np.ones(4), grid_start=0.0, grid_step=step, space=POSITION)
 
     def test_points_layout(self):
         s = GridState(np.ones(4), grid_start=-1.0, grid_step=0.5, space=POSITION)
@@ -83,6 +87,25 @@ class TestAlignedHalfWidth:
         with pytest.raises(ParameterError, match="^cells_per_eighth must be >= 1, got 0$"):
             aligned_half_width(BIG_P, GRID_N, cells_per_eighth=0)
 
+    @pytest.mark.parametrize(
+        "n, q, message",
+        [
+            (4096.7, 32, "grid size must be an integer, got 4096.7"),
+            (4096.0, 32, "grid size must be an integer, got 4096.0"),
+            # T = 4*pi*32.7/P would put no multiple of P/8 on a cell edge
+            (GRID_N, 32.7, "cells_per_eighth must be an integer, got 32.7"),
+            (GRID_N, "32", "cells_per_eighth must be an integer, got '32'"),
+        ],
+    )
+    def test_non_integer_sizes_refused(self, n, q, message):
+        with pytest.raises(ParameterError) as info:
+            aligned_half_width(BIG_P, n, cells_per_eighth=q)
+        assert str(info.value) == message
+
+    def test_numpy_integer_sizes_accepted(self):
+        t = aligned_half_width(BIG_P, np.int64(GRID_N), cells_per_eighth=np.int32(32))
+        assert t == aligned_half_width(BIG_P, GRID_N)
+
 
 class TestPrepareGaussian:
     def test_normalized(self):
@@ -102,6 +125,22 @@ class TestPrepareGaussian:
     def test_grid_size_rejected(self, n):
         with pytest.raises(GridLayoutError):
             prepare_gaussian(canonical(), n)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            prepare_gaussian,
+            phase_response,
+            lambda p, n: run_circuit(p, PiecewiseBinaryFunction.step(0.0, BIG_P), 0.3, n),
+        ],
+        ids=["prepare_gaussian", "phase_response", "run_circuit"],
+    )
+    @pytest.mark.parametrize("n", [4096.7, 4096.0, "4096"])
+    def test_non_integer_grid_size_refused(self, run, n):
+        # int() truncated 4096.7 to a 4096-point grid
+        with pytest.raises(ParameterError) as info:
+            run(canonical(), n)
+        assert str(info.value) == f"grid size must be an integer, got {n!r}"
 
     def test_gaussian_between_samples_rejected(self):
         # dx = 0.49 and every sample lies >= 240 widths from x0: all underflow
@@ -509,6 +548,36 @@ class TestPhaseResponse:
             # truncation h^2 * |p'''| / 6 <= 7e-11 (|p'''| <= 4), rounding ~ 1e-16 / h
             assert exact == pytest.approx(diff, abs=1e-9)
 
+    @pytest.mark.parametrize("mask", sorted(MASKS))
+    def test_sweep_columns_match_the_circuit(self, mask):
+        p = ProcedureParams(x0=0.37, delta=DELTA, big_t=self.T, big_p=BIG_P)
+        f = self.MASKS[mask]
+        response = phase_response(p, 256)
+        phis = (0.0, 0.3, 0.7, math.pi / 2, 2.0, math.pi)
+        probs = response.p_x0s(f, phis)
+        assert probs == pytest.approx(
+            [run_circuit(p, f, phi, 256).p_x0 for phi in phis], abs=1e-14
+        )
+        # F = p'^2/(p(1 - p)) with p' = 4*Im(exp(-2i*phi)*A0*A1), where
+        # p(1 - p) is well away from 0
+        a0, a1 = response.split(f)
+        fishers = response.fishers(f, phis)
+        assert len(fishers) == len(phis)
+        for phi, prob, fisher in zip(phis, probs, fishers):
+            if 1e-6 < prob < 1.0 - 1e-6:
+                slope = 4.0 * (cmath.exp(-2j * phi) * a0 * a1).imag
+                assert fisher == pytest.approx(
+                    slope * slope / (prob * (1.0 - prob)), rel=1e-9
+                )
+        assert response.p_x0s(f, ()) == response.fishers(f, ()) == []
+
+    def test_sweep_probabilities_are_checked(self, monkeypatch):
+        response = phase_response(canonical(), GRID_N)
+        # A0 + A1 = 3/2 belongs to no normalized state: p(0) = 9/4
+        monkeypatch.setattr(grid.PhaseResponse, "split", lambda self, f: (1.0, 0.5))
+        with pytest.raises(ParameterError, match=r"^p_x0 must lie in \[0, 1\], got 2.25$"):
+            response.p_x0s(PiecewiseBinaryFunction.step(0.0, BIG_P), (0.0, 0.3))
+
     def test_matched_weights_are_the_closed_form_transform(self):
         # x0 = 0 and a matched window: w_k = |b(y_k)|^2 * dy with
         # |b(y)|^2 = (2*delta/sqrt(pi)) * exp(-4*delta^2*y^2); at this N both
@@ -557,3 +626,17 @@ class TestKickback:
             two_register_kickback_check(0.5, f, 66)
         with pytest.raises(GridLayoutError):
             two_register_kickback_check(0.5, f, 4)
+
+    @pytest.mark.parametrize("n_target", [8.9, 64.0, "64"])
+    def test_non_integer_target_size_refused(self, n_target):
+        # int() truncated 8.9 to an 8-cell target
+        f = PiecewiseBinaryFunction.step(0.0, BIG_P)
+        with pytest.raises(ParameterError) as info:
+            two_register_kickback_check(0.5, f, n_target)
+        assert str(info.value) == f"n_target must be an integer, got {n_target!r}"
+
+    def test_numpy_integer_target_size_accepted(self):
+        f = PiecewiseBinaryFunction.step(0.0, BIG_P)
+        assert two_register_kickback_check(0.5, f, np.int64(64)) == (
+            two_register_kickback_check(0.5, f, 64)
+        )

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -120,6 +121,25 @@ class TestPiecewiseBinaryFunction:
             PiecewiseBinaryFunction.step(3.0, 2.0)
         with pytest.raises(ParameterError):
             PiecewiseBinaryFunction.hat(0.5, 0.5, 2.0)
+
+    @pytest.mark.parametrize(
+        "breakpoints, values, shown",
+        [
+            # int() truncated these to the values (0, 1) and (1,)
+            ((0.0,), (0.9, 1.7), "0.9"),
+            ((0.0,), (0, 1.0), "1.0"),
+            ((), ("1",), "'1'"),
+        ],
+    )
+    def test_non_integer_values_refused(self, breakpoints, values, shown):
+        with pytest.raises(ParameterError) as info:
+            PiecewiseBinaryFunction(breakpoints, values, 2.0)
+        assert str(info.value) == f"mask value must be an integer, got {shown}"
+
+    def test_numpy_integer_values_are_ints(self):
+        f = PiecewiseBinaryFunction((0.0,), (np.int64(0), np.uint8(1)), 2.0)
+        assert f == PiecewiseBinaryFunction.step(0.0, 2.0)
+        assert [type(v) for v in f.values] == [int, int]
 
     def test_out_of_domain_evaluation_rejected(self):
         f = PiecewiseBinaryFunction.step(0.0, 1.0)
