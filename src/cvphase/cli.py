@@ -27,13 +27,13 @@ import functools
 import math
 import operator
 import sys
-from collections.abc import Callable
 
 from ._lazy import lazy_import
 from .errors import CvPhaseError, ParameterError
 from .model import (
     PiecewiseBinaryFunction,
     ProcedureParams,
+    _real,
     aligned_half_width,
     require_scale,
 )
@@ -196,8 +196,7 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _resolve_params(
-    args: argparse.Namespace,
-    default_big_p: Callable[[float], float] | None = None,
+    args: argparse.Namespace, mask_product: float = 1.5
 ) -> ProcedureParams:
     delta = args.delta if args.delta is not None else 1.0 / math.sqrt(2.0)
     delta = require_scale("delta", delta)  # before P and T are derived from it
@@ -207,8 +206,7 @@ def _resolve_params(
         big_p = args.big_p
         source = f"big_p={big_p!r}"
     else:
-        big_p = default_big_p(delta) if default_big_p else 3.0 / (2.0 * delta)
-        big_p = require_scale(f"P derived from {source}", big_p)
+        big_p = require_scale(f"P derived from {source}", mask_product / delta)
     big_t = args.big_t
     if big_t is None:
         big_t = aligned_half_width(big_p, getattr(args, "grid_n", _DEFAULT_GRID_N))
@@ -233,24 +231,21 @@ def cmd_fisher_phi_sweep(
         "phi": list(phi_values) * len(r_values),
         "r": [r for r in r_values for _ in phi_values],
     }
-    if want_analytic:
-        # stats.fisher_phis' columns in its order, mean_bound_diagnostic renamed
-        names = "fisher variance_bound mean_bound delta_phi singular_limit".split()
-        analytic = {c: [] for c in names}
-        table |= analytic
+    fisher_grid = []
     if want_grid:
-        table["fisher_grid"] = fisher_grid = []
         response = grid.phase_response(p, grid_n)
     for r in r_values:
         if want_grid:
             f = PiecewiseBinaryFunction.step(r, p.big_p)
             fisher_grid += response.fishers(f, phi_values)
         if want_analytic:
-            more = fisher_phis(p, r, phi_values).values()
-            for cells, cells_at_r in zip(analytic.values(), more):
-                cells += cells_at_r
+            # stats.fisher_phis keys its columns by the names printed here
+            for name, cells in fisher_phis(p, r, phi_values).items():
+                table.setdefault(name, []).extend(cells)
     if want_analytic:
         table["delta_phi"] = [math.nan if d is None else d for d in table["delta_phi"]]
+    if want_grid:
+        table["fisher_grid"] = fisher_grid
     if engine == "all":
         cos_ok = [math.cos(2.0 * phi) <= _COMPARABLE_COS_MAX for phi in phi_values]
         table["comparable"] = [
@@ -299,7 +294,7 @@ def cmd_dj(
             f"trials and seed must be integers, got {trials!r} and {seed!r}"
         ) from None
     rows = []
-    cases = (("requested", float(r)), ("balanced_reference", 0.0),
+    cases = (("requested", _real(r, "r")), ("balanced_reference", 0.0),
              ("constant_reference", p.big_p))
     for idx, (label, r_case) in enumerate(cases):
         p_x0 = dj_statistics(p, r_case).p_x0
@@ -372,7 +367,7 @@ def cmd_crosscheck(
     for r in r_values:
         f = PiecewiseBinaryFunction.step(r, p.big_p)
         integrals = quadrature.quadrature_response(p, f)
-        pas += [dist.p_x0 for dist in prob_x0s(p, r, phi_values)]
+        pas += prob_x0s(p, r, phi_values)
         pqs += [integrals.at(phi).value for phi in phi_values]
         pgs += response.p_x0s(f, phi_values)
     devs = [
@@ -437,9 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "fisher-phi",
         help="sweep Fisher information in the phase",
-        epilog="columns (analytic): phi,r,fisher,variance_bound,mean_bound,"
-               "delta_phi,singular_limit; engine=grid: phi,r,fisher_grid; "
-               "engine=all: both plus comparable,max_pairwise_dev",
+        epilog="columns (analytic): phi, r, fisher, variance_bound, mean_bound, "
+               "delta_phi, singular_limit; engine=grid: phi, r, fisher_grid; "
+               "engine=all: both plus comparable, max_pairwise_dev",
     )
     _add_common_flags(sp)
     sp.add_argument("--r", type=_axis, default=None,
@@ -459,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "fisher-r",
         help="sweep Fisher information in the threshold position",
-        epilog="columns: phi,r,fisher_r",
+        epilog="columns: phi, r, fisher_r",
     )
     _add_common_flags(sp)
     sp.add_argument("--r", type=_axis, default=None,
@@ -474,8 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "dj",
         help="seeded one-shot classification trials at the decision phase",
-        epilog="columns: label,r,truth,p_x0,trials,classified_constant,"
-               "classified_balanced,empirical_error_rate,analytic_error_rate",
+        epilog="columns: label, r, truth, p_x0, trials, classified_constant, "
+               "classified_balanced, empirical_error_rate, analytic_error_rate",
     )
     _add_common_flags(sp)
     sp.add_argument("--r", type=float, default=0.0, help="threshold (default 0)")
@@ -487,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
         "estimate",
         help="replicated maximum-likelihood phase estimation vs the "
              "information bound",
-        epilog="columns: replica,phi_hat,n_shots,empirical_mse,crb,"
+        epilog="columns: replica, phi_hat, n_shots, empirical_mse, crb, "
                "mse_over_crb; the replica=-1 row is the replica mean",
     )
     _add_common_flags(sp)
@@ -503,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "crosscheck",
         help="tri-engine agreement table for the detection probability",
-        epilog="columns: phi,r,p_analytic,p_quadrature,p_grid,"
+        epilog="columns: phi, r, p_analytic, p_quadrature, p_grid, "
                "max_pairwise_dev; exits 3 if any deviation exceeds --tol",
     )
     _add_common_flags(sp)
@@ -521,8 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "audit",
         help="information bounds and optimality flags across phases",
-        epilog="columns: phi,r,fisher,variance_bound,mean_bound_generator_f,"
-               "mean_bound_generator_2f,dphi_sqrt_fisher,optimal",
+        epilog="columns: phi, r, fisher, variance_bound, mean_bound_generator_f, "
+               "mean_bound_generator_2f, dphi_sqrt_fisher, optimal",
     )
     _add_common_flags(sp)
     sp.add_argument("--r", type=float, default=0.0, help="threshold (default 0)")
@@ -534,8 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
         "gap",
         help="detection-probability gap between the one-sided and centered "
              "masks of equal measure, vs its leading-order size",
-        epilog="columns: phi,mask_product,signed_gap,gap,"
-               "leading_order_prediction,ratio; needs mask_product <= 1/2, "
+        epilog="columns: phi, mask_product, signed_gap, gap, "
+               "leading_order_prediction, ratio; needs mask_product <= 1/2, "
                "default P puts it at 0.1",
     )
     _add_common_flags(sp)
@@ -625,7 +620,7 @@ def _run_audit(args: argparse.Namespace) -> int:
 
 
 def _run_gap(args: argparse.Namespace) -> int:
-    p = _resolve_params(args, default_big_p=lambda delta: 0.1 / delta)
+    p = _resolve_params(args, mask_product=0.1)
     phi_values = args.phi if args.phi is not None else _phase_axis(17)
     _emit(cmd_gap(p, phi_values), args.format, args.out)
     return 0

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, UnidentifiableFunctionError
-from .model import MeasurementDistribution, ProcedureParams, _integer
+from .model import MeasurementDistribution, ProcedureParams, _integer, _real
 from .stats import _fisher, cosine_model_coefficients
 
 _HALF_PI = math.pi / 2.0
@@ -329,7 +329,7 @@ def replicated_mse(
         raise ParameterError(
             f"replicas must lie in [1, {_MAX_REPLICAS}], got {replicas}"
         )
-    phi_true = float(phi_true)
+    phi_true = _real(phi_true, "phi_true")
     a, b, fisher = _cosine_model(p, r, phi_true)
     prob = a + b * math.cos(2.0 * phi_true)
     hits = tuple(_count_hits(prob, shots, seed, replicas))

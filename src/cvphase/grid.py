@@ -132,6 +132,8 @@ from .model import (
     MeasurementDistribution,
     PiecewiseBinaryFunction,
     ProcedureParams,
+    _DOMAIN_SLACK,
+    _MASK_DOMAIN_TOL,
     _integer,
     _require_pow2,
     require_containment,
@@ -342,7 +344,7 @@ def inverse_fourier(s: GridState) -> GridState:
 
 def _require_cover(n: int, dy: float, half_domain: float) -> None:
     half_span = n * dy / 2.0
-    if half_span < half_domain * (1.0 - 1e-12):
+    if half_span < half_domain * (1.0 - _DOMAIN_SLACK):
         raise GridLayoutError(
             f"conjugate grid half-span {half_span:.6g} does not cover the mask "
             f"domain [-{half_domain:.6g}, {half_domain:.6g}]"
@@ -357,7 +359,7 @@ def _mask_cells(
     cover the mask domain."""
     _require_cover(n, dy, f.half_domain)
     y = y_start + dy * np.arange(lo, hi)
-    slack = 1e-12 * max(1.0, f.half_domain)
+    slack = _DOMAIN_SLACK * max(1.0, f.half_domain)
     inside = np.abs(y) <= f.half_domain + slack
     fvals = np.zeros(hi - lo)
     if f.breakpoints:
@@ -455,12 +457,12 @@ class PhaseResponse:
         """(lo, hi, rest): the cells any mask of this response can set to 1,
         and the weight of all other cells.
 
-        The range reaches past P by more than the mask-domain match
-        (1e-9 relative) and ``_mask_cells``' slack (1e-12) together, so
-        every cell outside it is f = 0 for each mask ``split`` accepts.
+        The range reaches past P by more than ``require_mask_domain``'s match
+        and ``_mask_cells``' slack together, so every cell outside it is
+        f = 0 for each mask ``split`` accepts.
         """
         big_p = self.params.big_p
-        half = big_p + 2e-9 * max(1.0, big_p)
+        half = big_p + 2.0 * _MASK_DOMAIN_TOL * max(1.0, big_p)
         lo, hi = _index_range(self.weights.size, self.grid_start, self.grid_step, half)
         rest = float(np.sum(self.weights[:lo])) + float(np.sum(self.weights[hi:]))
         return lo, hi, rest

@@ -12,7 +12,8 @@ values, positive scales within range, mask shapes) is checked once, when an
 object is built (``_replace`` included), so an invalid object cannot exist
 and the engines never re-check it; the engines that need the envelope
 contained in [-T, T] gate on ``require_containment``.  Counts, sizes and
-mask values pass ``_integer``: ints, numpy integers too, never truncated.
+mask values pass ``_integer`` (ints, numpy integers too, never truncated),
+every other number ``_real`` (numpy numbers too, never a str parsed).
 """
 
 from __future__ import annotations
@@ -34,8 +35,15 @@ CONTAINMENT_RATIO = 4.2
 _SCALE_RANGE = (1e-150, 1e150)
 
 
+def _real(value, what: str) -> float:
+    """value as a float, if it is a number (numpy ones too; not str, bytes or None)."""
+    if not hasattr(type(value), "__float__"):
+        raise ParameterError(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _require_finite(name: str, value: float) -> float:
-    v = float(value)
+    v = _real(value, name)
     if not math.isfinite(v):
         raise ParameterError(f"{name} must be finite, got {value!r}")
     return v
@@ -113,10 +121,6 @@ class ProcedureParams(_Checked, namedtuple("ProcedureParams", "x0 delta big_t bi
         return (self.big_t - abs(self.x0)) / self.delta
 
     @property
-    def in_containment_regime(self) -> bool:
-        return self.containment_ratio >= CONTAINMENT_RATIO
-
-    @property
     def mask_product(self) -> float:
         """P * delta; controls how close the mask efficiency erf(2*P*delta)^2 is to 1."""
         return self.big_p * self.delta
@@ -128,7 +132,7 @@ def require_containment(p: ProcedureParams) -> None:
     Every closed-form result downstream treats the position domain as
     effectively infinite; this is the single gate enforcing that assumption.
     """
-    if not p.in_containment_regime:
+    if p.containment_ratio < CONTAINMENT_RATIO:
         raise RegimeError(
             f"containment ratio {p.containment_ratio:.4g} < {CONTAINMENT_RATIO}: "
             "the envelope is not contained in [-T, T], so closed-form "
@@ -138,7 +142,7 @@ def require_containment(p: ProcedureParams) -> None:
 
 def require_mask_domain(p: ProcedureParams, f: PiecewiseBinaryFunction) -> None:
     """Raise unless the mask is defined on the conjugate domain [-P, P]."""
-    if abs(f.half_domain - p.big_p) > 1e-9 * max(1.0, p.big_p):
+    if abs(f.half_domain - p.big_p) > _MASK_DOMAIN_TOL * max(1.0, p.big_p):
         raise ParameterError(
             f"mask domain half-width {f.half_domain} does not match big_p={p.big_p}"
         )
@@ -187,8 +191,10 @@ def aligned_half_width(big_p: float, n: int, cells_per_eighth: int = 32) -> floa
 
 
 # slack when checking membership of breakpoints / evaluation points in the
-# mask domain, relative to the domain size
+# mask domain, and how far a mask's half-domain may sit from P, both relative
+# to the domain size (or to 1)
 _DOMAIN_SLACK = 1e-12
+_MASK_DOMAIN_TOL = 1e-9
 
 
 class PiecewiseBinaryFunction(
@@ -211,7 +217,7 @@ class PiecewiseBinaryFunction(
         hd = _require_finite("half_domain", half_domain)
         if hd <= 0.0:
             raise ParameterError(f"half_domain must be positive, got {hd}")
-        bps = tuple(float(b) for b in breakpoints)
+        bps = tuple(_real(b, "breakpoint") for b in breakpoints)
         vals = tuple(_integer(v, "mask value") for v in values)
         if len(vals) != len(bps) + 1:
             raise ParameterError(
@@ -265,7 +271,7 @@ class PiecewiseBinaryFunction(
         return cls(tuple(bps), tuple(vals), hd)
 
     def __call__(self, y: float) -> int:
-        y = float(y)
+        y = _real(y, "evaluation point")
         slack = _DOMAIN_SLACK * max(1.0, self.half_domain)
         if not math.isfinite(y) or abs(y) > self.half_domain + slack:
             raise ParameterError(f"evaluation point {y} outside [-{self.half_domain}, {self.half_domain}]")

@@ -134,19 +134,19 @@ def _gauss_kronrod(
 
 
 def _integrate(
-    f: Callable[[float], float], a: float, b: float, budget: float, max_panels: int
+    f: Callable[[float], float], a: float, b: float, budget: float
 ) -> tuple[float, float]:
     """Integral of f over [a, b] and its error estimate.
 
     Globally adaptive: the panel with the largest qk21 error estimate is
-    bisected until the estimates sum to at most budget or max_panels panels
+    bisected until the estimates sum to at most budget or _MAX_PANELS panels
     exist.  An exhausted budget is not an error here; the caller judges the
     returned estimate.
     """
     value, err = _gauss_kronrod(f, a, b)
     panels = [(a, b, value, err)]
     err_sum = err
-    while err_sum > budget and len(panels) < max_panels:
+    while err_sum > budget and len(panels) < _MAX_PANELS:
         worst = max(range(len(panels)), key=lambda i: panels[i][3])
         lo, hi, _, worst_err = panels[worst]
         mid = 0.5 * (lo + hi)
@@ -241,7 +241,7 @@ def quadrature_response(
     err_sum = 0.0
     for (lo, hi, v), mass in zip(segs, masses):
         seg_budget = integral_budget * max(mass / total_mass, 1e-6)
-        val, err = _integrate(integrand, lo, hi, seg_budget, _MAX_PANELS)
+        val, err = _integrate(integrand, lo, hi, seg_budget)
         integrals.append((val, v))
         err_sum += err
     return QuadratureResponse(p, tuple(integrals), err_sum)

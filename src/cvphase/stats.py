@@ -23,8 +23,9 @@ erf(2*r*delta) after the containment and r checks.  Every sweep (prob_x0s,
 fisher_phis, fisher_rs, the ``audit`` table and the estimator) reads it
 once per threshold; only the cosine depends on phi, so each phase costs its
 cos/sin arithmetic alone.  The sweeps return columns, a list with one cell
-per phase (``fisher_phis`` and ``heisenberg_audit`` a dict of named ones),
-not a record per phase.  Nothing here builds an array.
+per phase (``fisher_phis`` and ``heisenberg_audit`` a dict of them keyed by
+the names their tables print), not a record per phase.  Nothing here builds
+an array.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .model import (
     MeasurementDistribution,
     PiecewiseBinaryFunction,
     ProcedureParams,
+    _real,
     require_containment,
     require_mask_domain,
 )
@@ -48,7 +50,7 @@ _AUDIT_TOL = 1e-3  # |delta_phi*sqrt(F) - 1| within this flags an audit row opti
 
 
 def _require_r(p: ProcedureParams, r: float, slack: float = 1e-12) -> float:
-    r = float(r)
+    r = _real(r, "threshold r")
     if not math.isfinite(r) or abs(r) > p.big_p * (1.0 + slack):
         raise ParameterError(f"threshold r={r} outside [-P, P] with P={p.big_p}")
     return r
@@ -81,15 +83,13 @@ def _threshold(p: ProcedureParams, r: float) -> tuple[float, ...]:
 
 def prob_x0(p: ProcedureParams, r: float, phi: float) -> MeasurementDistribution:
     """Detection probability for the step mask with threshold r at phase phi."""
-    return prob_x0s(p, r, (phi,))[0]
+    return MeasurementDistribution(prob_x0s(p, r, (phi,))[0])
 
 
-def prob_x0s(
-    p: ProcedureParams, r: float, phis: Iterable[float]
-) -> list[MeasurementDistribution]:
-    """prob_x0 at each phase of phis, from one (a, b) for the threshold r."""
+def prob_x0s(p: ProcedureParams, r: float, phis: Iterable[float]) -> list[float]:
+    """prob_x0's checked p_x0 at each phase of phis, from one (a, b) for r."""
     a, b = cosine_model_coefficients(p, r)
-    return [MeasurementDistribution(a + b * math.cos(2.0 * phi)) for phi in phis]
+    return [MeasurementDistribution(a + b * math.cos(2.0 * phi)).p_x0 for phi in phis]
 
 
 def cosine_model_coefficients(p: ProcedureParams, r: float) -> tuple[float, float]:
@@ -139,15 +139,15 @@ def generator_moments(p: ProcedureParams, r: float) -> GeneratorMoments:
 
 class FisherReport(namedtuple(
     "FisherReport",
-    "fisher variance_bound mean_bound_diagnostic delta_phi singular_limit",
+    "fisher variance_bound mean_bound delta_phi singular_limit",
     defaults=(None, False),
 )):
     """Fisher information at one (r, phi) point plus its precision bounds.
 
     variance_bound = 16 * variance of the generator; the information can
-    never exceed it (up to rounding).  mean_bound_diagnostic = 4 * mean^2 is
-    reported for inspection only: it is convention-dependent (it shifts by a
-    factor 4 if the generator is scaled by 2) and is not asserted anywhere.
+    never exceed it (up to rounding).  mean_bound = 4 * mean^2 is a
+    diagnostic, for inspection only: it is convention-dependent (it shifts
+    by a factor 4 if the generator is scaled by 2) and is asserted nowhere.
     delta_phi is the closed-form single-shot precision, available only for
     the balanced threshold r = 0 away from vanishing-derivative phases.
     singular_limit marks values obtained as analytic limits where the raw
@@ -168,7 +168,8 @@ def fisher_phis(
     p: ProcedureParams, r: float, phis: Iterable[float]
 ) -> dict[str, list]:
     """fisher_phi at each phase of phis, as one list per FisherReport field
-    keyed by its name, in field order, each with one cell per phase.
+    keyed by its name, in field order, each with one cell per phase: the
+    analytic columns of the ``fisher-phi`` table, which prints these names.
 
     The threshold's record (a, b, the generator mean and, for r = 0, E) is
     read once; each phase costs only its cos/sin arithmetic.
@@ -185,7 +186,7 @@ def fisher_phis(
     return {
         "fisher": fishers,
         "variance_bound": [16.0 * (mean * (1.0 - mean))] * n,
-        "mean_bound_diagnostic": [4.0 * mean * mean] * n,
+        "mean_bound": [4.0 * mean * mean] * n,
         "delta_phi": precisions,
         "singular_limit": singulars,
     }
@@ -210,18 +211,14 @@ def _fisher(a: float, b: float, c: float, s: float) -> tuple[float, bool]:
     return 4.0 * b * (1.0 + c) / prob, True
 
 
-def fisher_r(p: ProcedureParams, r: float, phi: float) -> float:
-    """Fisher information about the threshold r at fixed phase phi.
+def fisher_rs(p: ProcedureParams, r: float, phis: Iterable[float]) -> list[float]:
+    """Fisher information about the threshold r at each phase of phis, from
+    one a, b and dG/dr for r.
 
     dG/dr = (8*delta/sqrt(pi)) * erf(2*r*delta) * exp(-4*r^2*delta^2) and
     dp/dr = dG/dr * (1 - cos(2*phi))/2.  As r -> 0 at cos(2*phi) = -1 the
     raw quotient is 0/0 with finite limit 64*delta^2/pi.
     """
-    return fisher_rs(p, r, (phi,))[0]
-
-
-def fisher_rs(p: ProcedureParams, r: float, phis: Iterable[float]) -> list[float]:
-    """fisher_r at each phase of phis, from one a, b and dG/dr for r."""
     _, a, b, _, _, dG = _threshold(p, r)
     d = p.delta
     fishers = []
@@ -314,7 +311,7 @@ def heisenberg_audit(
     if phis is None:
         phis = tuple(k * math.pi / 32.0 for k in range(1, 16))
     r, a, b, E, mean, _ = _threshold(p, r)
-    phis = [float(phi) for phi in phis]
+    phis = [_real(phi, "phase") for phi in phis]
     fishers, products = [], []
     for phi in phis:
         c, s = math.cos(2.0 * phi), math.sin(2.0 * phi)

@@ -11,7 +11,6 @@ import os
 import re
 import subprocess
 import sys
-import types
 
 import numpy as np
 import pytest
@@ -109,7 +108,7 @@ class TestExitCodes:
         exact = cli.prob_x0s
 
         def first_nan(p, r, phis):
-            return [types.SimpleNamespace(p_x0=math.nan), *exact(p, r, phis)[1:]]
+            return [math.nan, *exact(p, r, phis)[1:]]
 
         monkeypatch.setattr(cli, "prob_x0s", first_nan)
         table, worst = cli.cmd_crosscheck(
@@ -590,6 +589,14 @@ class TestSchemas:
         ]
         assert len(rows) == 1
 
+    def test_fisher_phis_keys_are_the_printed_analytic_columns(self, capsys):
+        # the sweep extends each column by the name stats gives it
+        code, out, _ = run_cli(["fisher-phi", "--phi", "0.4", "--r", "0"], capsys)
+        assert code == 0
+        header = out.splitlines()[0].split(",")
+        assert header[:2] == ["phi", "r"]
+        assert list(stats.fisher_phis(canonical(), 0.0, (0.4,))) == header[2:]
+
     def test_fisher_phi_all_engine_columns(self, capsys):
         code, out, _ = run_cli(
             ["fisher-phi", "--phi", "0.9", "--r", "0", "--engine", "all"], capsys
@@ -668,9 +675,10 @@ class TestSchemas:
 
 
 def _listed(epilog, label):
-    """The comma-separated column names the epilog lists after label."""
-    (names,) = re.findall(re.escape(label) + r" ([\w,]+)", epilog)
-    return names.split(",")
+    """The column names, each followed by ", " but the last, that the epilog
+    lists after label."""
+    (names,) = re.findall(re.escape(label) + r" (\w+(?:, \w+)*)", epilog)
+    return names.split(", ")
 
 
 class TestHelpEpilogs:
@@ -688,9 +696,9 @@ class TestHelpEpilogs:
         ["gap"],
     ], ids=" ".join)
     def test_epilog_lists_exactly_the_printed_header(self, argv, capsys, monkeypatch):
-        # wide enough that argparse wraps the epilog only at spaces (at 80
-        # columns it breaks the longest lists inside a name); no list has one
-        monkeypatch.setenv("COLUMNS", "1000")
+        # argparse's width when stdout is not a terminal; it wraps the epilog
+        # at spaces, and breaks a word longer than a line
+        monkeypatch.setenv("COLUMNS", "80")
         code, text, _ = run_cli([argv[0], "--help"], capsys)
         assert code == 0
         epilog = " ".join(text.split())
@@ -709,7 +717,11 @@ class TestHelpEpilogs:
             }[engine]
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
-        assert out.splitlines()[0].split(",") == listed
+        header = out.splitlines()[0].split(",")
+        assert header == listed
+        # each name is printed whole, on one line of the --help text
+        for name in header:
+            assert re.search(rf"(?<!\w){name}(?!\w)", text), name
 
 
 class TestDeterminism:
@@ -988,6 +1000,18 @@ class TestDjTable:
         monkeypatch.setattr(experiments, "sample_outcomes", no_draw)
         with pytest.raises(ParameterError, match="must be integers"):
             cli.cmd_dj(canonical(), 0.0, trials, seed)
+
+    @pytest.mark.parametrize(
+        "r", ["0.5", b"0.5", None], ids=["str", "bytes", "None"]
+    )
+    def test_threshold_must_be_a_real_number(self, monkeypatch, r):
+        def no_draw(*args):
+            raise AssertionError("drew outcomes for a refused run")
+
+        monkeypatch.setattr(experiments, "sample_outcomes", no_draw)
+        with pytest.raises(ParameterError) as info:
+            cli.cmd_dj(canonical(), r, 10, 0)
+        assert str(info.value) == f"r must be a real number, got {r!r}"
 
     def test_numpy_integer_trials_stay_json_ints(self):
         _, rows = cli.cmd_dj(canonical(), 0.0, np.int64(40), np.int64(3))

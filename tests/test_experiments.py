@@ -295,6 +295,16 @@ class TestMlePhi:
         with pytest.raises(ParameterError):
             replicated_mse(canonical(), 0.0, phi_true, 10, 5, 1)
 
+    @pytest.mark.parametrize(
+        "phi_true", ["0.5", b"0.5", None], ids=["str", "bytes", "None"]
+    )
+    def test_true_phase_must_be_a_real_number(self, phi_true):
+        with pytest.raises(ParameterError) as info:
+            replicated_mse(canonical(), 0.0, phi_true, 10, 5, 1)
+        assert str(info.value) == f"phi_true must be a real number, got {phi_true!r}"
+        s = replicated_mse(canonical(), 0.0, np.float32(0.5), 10, 5, 1)
+        assert type(s.phi_true) is float and s.phi_true == 0.5
+
     def test_infinite_bound_when_information_vanishes(self):
         # at phi = 0 the slope of the response vanishes (with E < 1 the
         # probability stays interior, so F = 0 there)

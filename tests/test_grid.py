@@ -609,6 +609,38 @@ class TestPhaseResponse:
             phase_response(p, n).split(f)
 
 
+class TestConvergence:
+    def test_second_order_in_the_conjugate_cell_width(self):
+        # T = aligned_half_width(P, 128*q, q) keeps dx near 0.093 while
+        # dy = P/(8q) halves with q, and P and every r below stay on cell
+        # edges; the cells strictly inside [-P, P] (the tail beyond is left
+        # out, as the closed forms leave it out) then form a midpoint sum
+        # whose error against the closed form falls as dy^2
+        phi = 0.7
+        thresholds = (0.0, BIG_P / 8, BIG_P / 4, BIG_P / 2)
+        errors = []
+        for q in (32, 64, 128, 256):
+            n = 128 * q
+            p = ProcedureParams(0.0, DELTA, aligned_half_width(BIG_P, n, q), BIG_P)
+            response = phase_response(p, n)
+            assert response.grid_step == pytest.approx(BIG_P / (8 * q), rel=1e-12)
+            assert 2.0 * p.big_t / n == pytest.approx(0.0926, rel=1e-3)
+            y = response.grid_start + response.grid_step * np.arange(n)
+            inside = np.abs(y) < BIG_P
+            row = []
+            for r in thresholds:
+                a0 = float(np.sum(response.weights[inside & (y < r)]))
+                a1 = float(np.sum(response.weights[inside & (y > r)]))
+                p_grid = abs(a0 + cmath.exp(-2j * phi) * a1) ** 2
+                row.append(abs(p_grid - prob_x0(p, r, phi).p_x0))
+            errors.append(row)
+        # q = 32 (the default grid): 5.6e-9, 1.4e-6, 3.3e-6, 1.6e-6
+        assert max(errors[0]) < 4e-6
+        for coarse, fine in zip(errors, errors[1:]):
+            for r, e_coarse, e_fine in zip(thresholds, coarse, fine):
+                assert e_coarse >= 3.5 * e_fine, (r, e_coarse, e_fine)
+
+
 class TestKickback:
     @pytest.mark.parametrize("r", [0.0, BIG_P / 2])
     @pytest.mark.parametrize("x_point", [-1.0, 0.5])

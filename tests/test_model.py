@@ -58,7 +58,7 @@ class TestProcedureParams:
         p = ProcedureParams(x0=1.0, delta=0.5, big_t=4.0, big_p=3.0)
         assert p.containment_ratio == pytest.approx((4.0 - 1.0) / 0.5)
         assert p.mask_product == pytest.approx(1.5)
-        assert p.in_containment_regime
+        assert p.containment_ratio >= CONTAINMENT_RATIO
 
     def test_require_containment_gate(self):
         snug = ProcedureParams(x0=0.0, delta=1.0, big_t=4.0, big_p=1.5)
@@ -262,6 +262,41 @@ class TestValueTypes:
         with pytest.raises(ParameterError) as info:
             build()
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "value", ["0.5", b"0.5", None, bytearray(b"1")],
+        ids=["str", "bytes", "None", "bytearray"],
+    )
+    @pytest.mark.parametrize(
+        "build, what",
+        [
+            (lambda v: ProcedureParams(x0=v, delta=0.5, big_t=10.0, big_p=2.0), "x0"),
+            (lambda v: ProcedureParams(x0=0.0, delta=v, big_t=10.0, big_p=2.0), "delta"),
+            (lambda v: ProcedureParams(x0=0.0, delta=0.5, big_t=v, big_p=2.0), "big_t"),
+            (lambda v: ProcedureParams(x0=0.0, delta=0.5, big_t=10.0, big_p=v), "big_p"),
+            (lambda v: PiecewiseBinaryFunction((v,), (0, 1), 1.0), "breakpoint"),
+            (lambda v: PiecewiseBinaryFunction((0.5,), (0, 1), v), "half_domain"),
+            (lambda v: PiecewiseBinaryFunction.step(0.5, 1.0)(v), "evaluation point"),
+            (lambda v: MeasurementDistribution(v), "p_x0"),
+        ],
+        ids=[
+            "x0", "delta", "big_t", "big_p", "breakpoint", "half_domain", "call", "p_x0",
+        ],
+    )
+    def test_only_real_numbers_pass(self, build, what, value):
+        # float() would parse the str and bytes forms; none of them is a number
+        with pytest.raises(ParameterError) as info:
+            build(value)
+        assert str(info.value) == f"{what} must be a real number, got {value!r}"
+
+    def test_numpy_numbers_pass_as_floats(self):
+        p = ProcedureParams(np.int64(1), np.float32(0.5), np.uint16(10), np.float64(2))
+        assert p == (1.0, 0.5, 10.0, 2.0)
+        assert [type(v) for v in p] == [float] * 4
+        f = PiecewiseBinaryFunction((np.float64(0.5),), (0, 1), np.int32(1))
+        assert f == PiecewiseBinaryFunction.step(0.5, 1.0)
+        assert type(f.breakpoints[0]) is float and f(np.float32(0.75)) == 1
+        assert MeasurementDistribution(np.float64(0.25)) == (0.25,)
 
     def test_replace_runs_the_checks(self):
         p = ProcedureParams(x0=0.0, delta=0.5, big_t=5.0, big_p=2.0)

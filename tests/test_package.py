@@ -23,7 +23,7 @@ PUBLIC_NAMES = [
     "ReplicationSummary", "SingularityError", "StepHatGap",
     "UnidentifiableFunctionError", "__version__", "aligned_half_width",
     "apply_blackbox", "cosine_model_coefficients", "delta_phi", "dj_statistics",
-    "fisher_phi", "fisher_phis", "fisher_r", "fisher_rs", "fourier",
+    "fisher_phi", "fisher_phis", "fisher_rs", "fourier",
     "generator_moments", "heisenberg_audit", "inverse_fourier", "mask_efficiency",
     "measure_povm", "phase_response", "prepare_gaussian", "prob_x0",
     "prob_x0_factorized", "prob_x0_quadrature", "prob_x0s", "quadrature_response", "replicated_mse", "require_containment",

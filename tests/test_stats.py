@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,6 @@ from cvphase import (
     dj_statistics,
     fisher_phi,
     fisher_phis,
-    fisher_r,
     fisher_rs,
     generator_moments,
     heisenberg_audit,
@@ -42,6 +42,11 @@ ONE_MINUS_E = 4.418050600711324e-05   # 1 - erf(3)^2
 G_HALF = 0.9333591540460816           # erf(1.5)^2, threshold at P/2
 FISHER_R_LIMIT = 10.185916357881302   # 32/pi = 64*delta^2/pi at delta=1/sqrt(2)
 DPHI_QUARTER = 0.5000220907410043     # sqrt((E/2)(1-E/2))/E
+
+
+def fisher_r(p, r, phi):
+    """Fisher information about r at one phase: fisher_rs' one-phase read."""
+    return fisher_rs(p, r, (phi,))[0]
 
 
 class TestProbX0:
@@ -223,7 +228,7 @@ class TestFisherPhi:
     def test_bound_fields(self):
         rep = fisher_phi(canonical(), 0.0, 0.7)
         assert rep.variance_bound == pytest.approx(16.0 * VAR_CANON, rel=1e-13)
-        assert rep.mean_bound_diagnostic == pytest.approx(
+        assert rep.mean_bound == pytest.approx(
             4.0 * MEAN_CANON**2, rel=1e-13
         )
 
@@ -273,25 +278,25 @@ class TestPhaseAxes:
     @staticmethod
     def _assert_axis_matches_scalars(p, r, phis):
         columns = fisher_phis(p, r, phis)
-        dists = prob_x0s(p, r, phis)
+        probs = prob_x0s(p, r, phis)
         fishers = fisher_rs(p, r, phis)
         assert list(columns) == list(FisherReport._fields)
         assert all(type(column) is list for column in columns.values())
         assert {len(column) for column in columns.values()} == {len(phis)}
-        assert len(dists) == len(fishers) == len(phis)
+        assert len(probs) == len(fishers) == len(phis)
         # the bounds depend on r alone
         moments = generator_moments(p, r)
         assert set(columns["variance_bound"]) <= {16.0 * moments.variance}
-        assert set(columns["mean_bound_diagnostic"]) <= {4.0 * moments.mean**2}
-        for i, (phi, dist, f_r) in enumerate(zip(phis, dists, fishers)):
+        assert set(columns["mean_bound"]) <= {4.0 * moments.mean**2}
+        for i, (phi, prob, f_r) in enumerate(zip(phis, probs, fishers)):
             want = fisher_phi(p, r, phi)
             assert columns["fisher"][i] == want.fisher
             assert columns["variance_bound"][i] == want.variance_bound
-            assert columns["mean_bound_diagnostic"][i] == want.mean_bound_diagnostic
+            assert columns["mean_bound"][i] == want.mean_bound
             assert (columns["delta_phi"][i] is None) == (want.delta_phi is None)
             assert columns["delta_phi"][i] == want.delta_phi
             assert columns["singular_limit"][i] is want.singular_limit
-            assert dist.p_x0 == prob_x0(p, r, phi).p_x0
+            assert type(prob) is float and prob == prob_x0(p, r, phi).p_x0
             assert f_r == fisher_r(p, r, phi)
 
     @pytest.mark.parametrize(
@@ -336,6 +341,32 @@ class TestPhaseAxes:
         snug = ProcedureParams(x0=0.0, delta=1.0, big_t=4.0, big_p=1.5)
         with pytest.raises(RegimeError):
             axis(snug, 0.0, ())
+
+
+class TestRealNumbers:
+    """Thresholds and phases are numbers: a str is refused, never parsed."""
+
+    @pytest.mark.parametrize(
+        "value", ["0.5", b"0.5", None], ids=["str", "bytes", "None"]
+    )
+    def test_threshold_and_audit_phases_refuse_non_numbers(self, value):
+        p = canonical()
+        for call, what in (
+            (lambda: prob_x0s(p, value, (0.3,)), "threshold r"),
+            (lambda: fisher_rs(p, value, (0.3,)), "threshold r"),
+            (lambda: dj_statistics(p, value), "threshold r"),
+            (lambda: heisenberg_audit(p, 0.0, (0.3, value)), "phase"),
+        ):
+            with pytest.raises(ParameterError) as info:
+                call()
+            assert str(info.value) == f"{what} must be a real number, got {value!r}"
+
+    def test_numpy_numbers_pass(self):
+        p = canonical()
+        columns = heisenberg_audit(p, np.int64(0), (np.float32(0.5), np.float64(0.25)))
+        assert columns == heisenberg_audit(p, 0.0, (0.5, 0.25))
+        assert [type(phi) for phi in columns["phi"]] == [float, float]
+        assert type(columns["r"][0]) is float
 
 
 class TestDeltaPhi:
@@ -478,22 +509,22 @@ class TestValueTypes:
     FisherReport defaults and the repr."""
 
     def test_fisher_report_defaults(self):
-        rep = FisherReport(fisher=1.0, variance_bound=2.0, mean_bound_diagnostic=3.0)
+        rep = FisherReport(fisher=1.0, variance_bound=2.0, mean_bound=3.0)
         assert rep.delta_phi is None
         assert rep.singular_limit is False
         assert repr(rep) == (
-            "FisherReport(fisher=1.0, variance_bound=2.0, mean_bound_diagnostic=3.0, "
+            "FisherReport(fisher=1.0, variance_bound=2.0, mean_bound=3.0, "
             "delta_phi=None, singular_limit=False)"
         )
 
     def test_keyword_construction_and_repr(self):
         rep = FisherReport(
-            fisher=1.0, variance_bound=2.0, mean_bound_diagnostic=3.0,
+            fisher=1.0, variance_bound=2.0, mean_bound=3.0,
             delta_phi=0.5, singular_limit=True,
         )
         assert (rep.delta_phi, rep.singular_limit) == (0.5, True)
         assert repr(rep) == (
-            "FisherReport(fisher=1.0, variance_bound=2.0, mean_bound_diagnostic=3.0, "
+            "FisherReport(fisher=1.0, variance_bound=2.0, mean_bound=3.0, "
             "delta_phi=0.5, singular_limit=True)"
         )
         mom = GeneratorMoments(mean=0.5, variance=0.25)
@@ -504,7 +535,7 @@ class TestValueTypes:
         "value, field",
         [
             (GeneratorMoments(mean=0.5, variance=0.25), "mean"),
-            (FisherReport(fisher=1.0, variance_bound=2.0, mean_bound_diagnostic=3.0),
+            (FisherReport(fisher=1.0, variance_bound=2.0, mean_bound=3.0),
              "delta_phi"),
         ],
     )
