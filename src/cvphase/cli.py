@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import operator
 import sys
 
 from ._lazy import lazy_import
@@ -33,6 +32,7 @@ from .errors import CvPhaseError, ParameterError
 from .model import (
     PiecewiseBinaryFunction,
     ProcedureParams,
+    _integer,
     _real,
     aligned_half_width,
     require_scale,
@@ -283,16 +283,12 @@ def cmd_dj(
 
     Three rows: the requested threshold, then balanced (r=0) and constant
     (r=P) references at the same parameters.  Row i draws its trials from the
-    stream seeded with (seed, i), each hitting with the p_x0 the row prints.
-    trials and seed must be ints (numpy integers too), as for
+    stream seeded with (seed, i), each hitting with the p_x0 the row prints;
+    a row at p_x0 = 0 (the balanced ones) draws nothing, as its count is
+    exact.  trials and seed must be ints (numpy integers too), as for
     ``sample_outcomes``; anything else is a ParameterError.
     """
-    try:
-        trials, seed = operator.index(trials), operator.index(seed)
-    except TypeError:
-        raise ParameterError(
-            f"trials and seed must be integers, got {trials!r} and {seed!r}"
-        ) from None
+    trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
     rows = []
     cases = (("requested", _real(r, "r")), ("balanced_reference", 0.0),
              ("constant_reference", p.big_p))

@@ -17,9 +17,12 @@ Randomness contract.  Every stochastic routine in this package draws from a
 ``numpy.random.SeedSequence`` with the caller's non-negative seed material.
 A hit count compares the stream's first n uniforms ``rng.random()`` with p,
 so a given (seed material, parameters) pair yields the same count on every
-platform numpy supports; one count draws at most 10^8 trials.  Replicated
-runs give replica ``i`` the seed material ``(master_seed, i)``; the streams
-are then mutually independent and individually reproducible.
+platform numpy supports; one count draws at most 10^8 trials.  Every
+uniform lies in [0, 1), so at p >= 1 the count is n and at p = 0 it is 0
+whatever the stream: such a count draws nothing and builds no generator,
+once its n and seed material have been checked as for any other count.
+Replicated runs give replica ``i`` the seed material ``(master_seed, i)``;
+the streams are then mutually independent and individually reproducible.
 
 How the streams are reached.  One run hashes all its seed materials in one
 batched pass: ``_seed_states`` runs SeedSequence's hash as uint32 column
@@ -196,15 +199,23 @@ def _count_hits(
     """Hits among n Bernoulli(prob) trials in each stream of _stream_words.
 
     Each count is that of ``rng.random(n) < prob`` on
-    ``Generator(PCG64(SeedSequence(material)))``.  One _SeedRows source seeds
+    ``Generator(PCG64(SeedSequence(material)))``.  Every uniform lies in
+    [0, 1), so when prob >= 1 each stream counts n, and when prob is not > 0
+    (0.0, -0.0 or NaN) each counts 0: once the seed material has passed its
+    checks, such a run returns those counts without hashing a seed or
+    building a generator, and the seeding guards below, which check the
+    generators built, do not apply.  Otherwise one _SeedRows source seeds
     every stream's PCG64 and one buffer serves every stream, so the loops
     build no seed object per replica.  With n <= _CHUNK the buffer holds a
     block of streams, one per row, counted together; a longer stream is
-    counted chunk by chunk.  Raises RuntimeError when the first
-    stream's seeding disagrees with numpy's SeedSequence, or when the
-    streams did not take exactly one row of the source each.
+    counted chunk by chunk.  Raises RuntimeError when the first stream's
+    seeding disagrees with numpy's SeedSequence, or when the streams did not
+    take exactly one row of the source each.
     """
-    seeded = _seed_states(_stream_words(seed, streams))
+    words = _stream_words(seed, streams)
+    if not 0.0 < prob < 1.0:
+        return [n if prob >= 1.0 else 0] * len(words)
+    seeded = _seed_states(words)
     source = _SeedRows(seeded, seed if streams is None else (seed, 0))
     generator, pcg64 = np.random.Generator, np.random.PCG64
     total = len(seeded)
@@ -235,7 +246,8 @@ def sample_outcomes(prob: float, n: int, seed: SeedMaterial) -> int:
     """Number of hits in n independent trials that each hit with probability prob.
 
     The count is that of ``rng.random(n) < prob`` per the module-level
-    randomness contract.  prob must lie in [0, 1] (within 1e-12, as a
+    randomness contract; at prob 0 or 1 it is exact, and nothing is drawn.
+    prob must lie in [0, 1] (within 1e-12, as a
     ``MeasurementDistribution``) and n in [1, 10^8].  ``seed`` is an integer,
     or a tuple of integers for derived streams such as
     (master_seed, replica_index).  n and the seed integers must be ints

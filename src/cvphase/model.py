@@ -12,8 +12,9 @@ values, positive scales within range, mask shapes) is checked once, when an
 object is built (``_replace`` included), so an invalid object cannot exist
 and the engines never re-check it; the engines that need the envelope
 contained in [-T, T] gate on ``require_containment``.  Counts, sizes and
-mask values pass ``_integer`` (ints, numpy integers too, never truncated),
-every other number ``_real`` (numpy numbers too, never a str parsed).
+mask values pass ``_integer`` (ints, numpy integers too, never a bool, never
+truncated), every other number ``_real`` (numpy numbers too, never a str
+parsed, never a complex number cut to its real part).
 """
 
 from __future__ import annotations
@@ -36,8 +37,21 @@ _SCALE_RANGE = (1e-150, 1e150)
 
 
 def _real(value, what: str) -> float:
-    """value as a float, if it is a number (numpy ones too; not str, bytes or None)."""
-    if not hasattr(type(value), "__float__"):
+    """value as a float, if it is a real number (numpy ones too).
+
+    A str, bytes or None is refused rather than parsed, and a complex number
+    (numpy's too) rather than cut to its real part.  A complex type has
+    ``__complex__`` but no ``__round__``; the real types of the numbers
+    tower (Fraction, Decimal) have both.  A float, the common case, returns
+    at once; ``__round__`` is looked up before ``__complex__`` because a
+    missing type attribute costs an exception to find.
+    """
+    kind = type(value)
+    if kind is float:
+        return value
+    if not hasattr(kind, "__float__") or (
+        not hasattr(kind, "__round__") and hasattr(kind, "__complex__")
+    ):
         raise ParameterError(f"{what} must be a real number, got {value!r}")
     return float(value)
 
@@ -50,12 +64,15 @@ def _require_finite(name: str, value: float) -> float:
 
 
 def _integer(value, what: str) -> int:
-    """value as an int, when it is one (numpy integers too); a float or a
-    str is refused rather than truncated or left to numpy to reject."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ParameterError(f"{what} must be an integer, got {value!r}") from None
+    """value as an int, when it is one (numpy integers too); a bool, a float
+    or a str is refused rather than counted as 0 or 1, truncated or left to
+    numpy to reject."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ParameterError(f"{what} must be an integer, got {value!r}")
 
 
 def _scale_error(name: str, value: float) -> str:

@@ -992,13 +992,15 @@ class TestDjTable:
         for row in constant:
             assert row["analytic_error_rate"] == 1.0 - cvphase.mask_efficiency(p)
 
-    @pytest.mark.parametrize("trials, seed", [(2.9, 1), (3, 1.7), ("3", 1)])
+    @pytest.mark.parametrize(
+        "trials, seed", [(2.9, 1), (3, 1.7), ("3", 1), (True, 1), (3, False)]
+    )
     def test_non_integer_trials_or_seed_refused(self, monkeypatch, trials, seed):
         def no_draw(*args):
             raise AssertionError("drew outcomes for a refused run")
 
         monkeypatch.setattr(experiments, "sample_outcomes", no_draw)
-        with pytest.raises(ParameterError, match="must be integers"):
+        with pytest.raises(ParameterError, match="must be an integer"):
             cli.cmd_dj(canonical(), 0.0, trials, seed)
 
     @pytest.mark.parametrize(
@@ -1141,8 +1143,9 @@ def test_table_commands_load_neither_numpy_nor_scipy():
 
 
 def test_table_commands_load_neither_dataclasses_nor_inspect_nor_typing():
-    # -S keeps the host's site hooks, which may import any of the three,
-    # from hiding a regression; each line is an exit code and what is loaded
+    # -S keeps the host's site hooks, which may import any of these, from
+    # hiding a regression; each line is an exit code and what is loaded.
+    # numbers is held out too: the number gates tell types apart without it
     script = (
         "import io, sys, contextlib\n"
         "import cvphase.cli\n"
@@ -1151,7 +1154,8 @@ def test_table_commands_load_neither_dataclasses_nor_inspect_nor_typing():
         "for argv in tables:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = cvphase.cli.main(argv)\n"
-        "    print(code, *sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n"
+        "    print(code, *sorted({'dataclasses', 'inspect', 'numbers', 'typing'}\n"
+        "                        & set(sys.modules)))\n"
     )
     src = os.path.dirname(os.path.dirname(cvphase.__file__))
     proc = subprocess.run(

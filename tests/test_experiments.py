@@ -77,11 +77,22 @@ class TestSampleOutcomes:
 
     @pytest.mark.parametrize("n, seed", [
         (2.9, 1), (10.0, 1), ("10", 1), (10, 1.5), (10, (1, 2.5)), (10, "1"),
+        (True, 0), (10, True), (10, (1, False)),
     ], ids=["float_n", "integral_float_n", "str_n", "float_seed", "float_in_tuple",
-            "str_seed"])
+            "str_seed", "bool_n", "bool_seed", "bool_in_tuple"])
     def test_non_integer_count_or_seed_refused(self, n, seed):
         with pytest.raises(ParameterError, match="must be an integer"):
             sample_outcomes(0.5, n, seed)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "prob", [0.5 + 1j, np.complex128(0.5 + 1j), np.complex64(0.5)],
+        ids=["complex", "numpy_complex128", "numpy_complex64"],
+    )
+    def test_complex_probability_refused(self, prob):
+        # float() of a numpy complex warns and keeps the real part
+        with pytest.raises(ParameterError, match="p_x0 must be a real number"):
+            sample_outcomes(prob, 10, 0)
 
     def test_numpy_integers_count_as_integers(self):
         assert sample_outcomes(0.5, np.int64(300), np.uint32(7)) == sample_outcomes(
@@ -261,6 +272,78 @@ class TestBlockDraw:
             experiments._count_hits(0.5, n, 5, streams)
 
 
+def _record_draws(monkeypatch) -> tuple[list, list]:
+    """Lists that fill, as the run goes, with one entry per PCG64 built and
+    the number of uniforms of each Generator.random call."""
+    built, drawn = [], []
+
+    class CountingPCG64(np.random.PCG64):
+        def __init__(self, seed_seq):
+            built.append(seed_seq)
+            super().__init__(seed_seq)
+
+    class CountingGenerator(np.random.Generator):
+        def random(self, size=None, dtype=np.float64, out=None):
+            drawn.append(out.size if out is not None else int(np.prod(size)))
+            return super().random(size, dtype, out)
+
+    monkeypatch.setattr(np.random, "PCG64", CountingPCG64)
+    monkeypatch.setattr(np.random, "Generator", CountingGenerator)
+    return built, drawn
+
+
+class TestSureCounts:
+    """Every uniform lies in [0, 1), so a count at probability 0 or 1 is the
+    same on every stream: it builds no generator and draws nothing."""
+
+    @pytest.mark.parametrize("n", [100, _BLOCK + 1])
+    @pytest.mark.parametrize("streams", [None, 3])
+    @pytest.mark.parametrize(
+        "prob, draws",
+        [(0.0, False), (-0.0, False), (math.nan, False), (5e-324, True),
+         (1.0 - 2.0**-53, True), (1.0, False)],
+        ids=["zero", "negative_zero", "nan", "least_subnormal", "below_one", "one"],
+    )
+    def test_counts_are_the_bare_draws(self, prob, draws, n, streams, monkeypatch):
+        seed = 2**64 + 5
+        materials = [seed] if streams is None else [(seed, i) for i in range(streams)]
+        want = [_bare_count(prob, n, m) for m in materials]
+        built, drawn = _record_draws(monkeypatch)
+        assert experiments._count_hits(prob, n, seed, streams) == want
+        if draws:
+            assert len(built) == len(materials) and sum(drawn) == n * len(materials)
+        else:
+            assert built == [] and drawn == []
+
+    def test_default_dj_draws_only_its_constant_row(self, capsys, monkeypatch):
+        from cvphase import cli
+
+        built, drawn = _record_draws(monkeypatch)
+        assert cli.main(["dj", "--trials", "1000000", "--seed", "0"]) == 0
+        # the requested r = 0 row and the balanced reference sit at p_x0 = 0
+        assert len(built) == 1 and sum(drawn) == 10**6
+        assert capsys.readouterr().out.count(",balanced,0,1000000,0,1000000,0,0\n") == 2
+
+    def test_estimate_at_a_silent_phase_draws_nothing(self, monkeypatch):
+        built, drawn = _record_draws(monkeypatch)
+        s = replicated_mse(canonical(), 0.0, math.pi / 2, 100, 2000, 0)
+        assert built == [] and drawn == []
+        assert s.hits == (0,) * 2000 and s.mean_mse == 0.0
+
+    @pytest.mark.parametrize("prob", [0.0, 1.0])
+    def test_counts_and_seeds_are_checked_before_the_shortcut(self, prob):
+        with pytest.raises(ParameterError, match="non-negative"):
+            sample_outcomes(prob, 10, -1)
+        with pytest.raises(ParameterError, match="non-negative"):
+            experiments._count_hits(prob, 10, -3, 4)
+        with pytest.raises(ParameterError, match="must be an integer"):
+            sample_outcomes(prob, 2.5, 0)
+        with pytest.raises(ParameterError, match="must lie in"):
+            sample_outcomes(prob, 0, 0)
+        with pytest.raises(ParameterError, match="non-negative"):
+            replicated_mse(canonical(), 0.0, math.pi / 2, 5, 5, -1)
+
+
 class TestMlePhi:
     """The maximum-likelihood inversion and the refusals of the estimator."""
 
@@ -372,7 +455,9 @@ class TestReplicatedMse:
 
     @pytest.mark.parametrize("shots, replicas, seed", [
         (100.9, 3, 1), (100, 3.7, 1), (100, 3, 1.9), (100, 3, (1, 2)),
-    ], ids=["float_shots", "float_replicas", "float_seed", "tuple_seed"])
+        (True, 3, 0), (100, True, 0), (100, 3, True),
+    ], ids=["float_shots", "float_replicas", "float_seed", "tuple_seed",
+            "bool_shots", "bool_replicas", "bool_seed"])
     def test_non_integer_counts_and_seed_refused(
         self, shots, replicas, seed, monkeypatch
     ):

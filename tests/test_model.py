@@ -1,6 +1,8 @@
 """Parameter validation, mask geometry, and the two-outcome distribution."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -129,6 +131,8 @@ class TestPiecewiseBinaryFunction:
             ((0.0,), (0.9, 1.7), "0.9"),
             ((0.0,), (0, 1.0), "1.0"),
             ((), ("1",), "'1'"),
+            # operator.index counted these as 0 and 1
+            ((0.0,), (False, True), "False"),
         ],
     )
     def test_non_integer_values_refused(self, breakpoints, values, shown):
@@ -263,9 +267,13 @@ class TestValueTypes:
             build()
         assert str(info.value) == message
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "value", ["0.5", b"0.5", None, bytearray(b"1")],
-        ids=["str", "bytes", "None", "bytearray"],
+        "value",
+        ["0.5", b"0.5", None, bytearray(b"1"), 0.5 + 1j, np.complex128(0.5 + 1j),
+         np.complex64(0.5)],
+        ids=["str", "bytes", "None", "bytearray", "complex", "numpy_complex128",
+             "numpy_complex64"],
     )
     @pytest.mark.parametrize(
         "build, what",
@@ -284,7 +292,8 @@ class TestValueTypes:
         ],
     )
     def test_only_real_numbers_pass(self, build, what, value):
-        # float() would parse the str and bytes forms; none of them is a number
+        # float() would parse the str and bytes forms, and keep a numpy
+        # complex's real part after a ComplexWarning; none is a real number
         with pytest.raises(ParameterError) as info:
             build(value)
         assert str(info.value) == f"{what} must be a real number, got {value!r}"
@@ -297,6 +306,12 @@ class TestValueTypes:
         assert f == PiecewiseBinaryFunction.step(0.5, 1.0)
         assert type(f.breakpoints[0]) is float and f(np.float32(0.75)) == 1
         assert MeasurementDistribution(np.float64(0.25)) == (0.25,)
+
+    def test_real_numbers_of_the_numbers_tower_pass(self):
+        # Fraction and Decimal carry __complex__ too, as every numbers.Real does
+        p = ProcedureParams(Fraction(1, 2), Decimal("0.5"), 10, 2)
+        assert p == (0.5, 0.5, 10.0, 2.0)
+        assert [type(v) for v in p] == [float] * 4
 
     def test_replace_runs_the_checks(self):
         p = ProcedureParams(x0=0.0, delta=0.5, big_t=5.0, big_p=2.0)
