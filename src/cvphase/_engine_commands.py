@@ -1,0 +1,180 @@
+"""The commands that run an engine on every call: ``dj``, ``estimate`` and
+``crosscheck``.
+
+``cli`` imports this module only when one of them runs, so a table command
+(``audit``, ``gap``, ``fisher-phi``, ``fisher-r``) compiles none of it.
+Functions of the other layers are looked up on their modules at call time
+(``stats.prob_x0s``, ``cli.experiments.sample_outcomes``), never bound here
+by name: an engine bound by an import statement would load at once (see
+``_lazy``), and perfbench's tracer wraps each layer's functions where that
+layer's module holds them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import functools
+import math
+import sys
+
+from . import cli, stats
+from .cli import (
+    _csv_spec,
+    _emit,
+    _fig4_thresholds,
+    _phase_axis,
+    _resolve_params,
+    _write,
+)
+from .errors import ParameterError
+from .model import PiecewiseBinaryFunction, ProcedureParams, _integer, _real
+
+
+def cmd_dj(
+    p: ProcedureParams, r: float, trials: int, seed: int
+) -> tuple[list[str], list[dict]]:
+    """Seeded one-shot classification at the decision phase.
+
+    Three rows: the requested threshold, then balanced (r=0) and constant
+    (r=P) references at the same parameters.  Row i draws its trials from the
+    stream seeded with (seed, i), each hitting with the p_x0 the row prints;
+    a row at p_x0 = 0 (the balanced ones) draws nothing, as its count is
+    exact.  trials and seed must be ints (numpy integers too), as for
+    ``sample_outcomes``; anything else is a ParameterError.
+    """
+    trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
+    rows = []
+    cases = (("requested", _real(r, "r")), ("balanced_reference", 0.0),
+             ("constant_reference", p.big_p))
+    for idx, (label, r_case) in enumerate(cases):
+        p_x0 = stats.dj_statistics(p, r_case).p_x0
+        # a detection at the decision phase classifies the mask as constant
+        n_const = cli.experiments.sample_outcomes(p_x0, trials, (seed, idx))
+        n_bal = trials - n_const
+        if r_case == 0.0:
+            truth = "balanced"
+            emp_err, ana_err = n_const / trials, 0.0
+        elif abs(abs(r_case) - p.big_p) <= 1e-12 * p.big_p:
+            truth = "constant"
+            # p_x0 is E itself at |r| = P; an r within rounding of P is not
+            e = p_x0 if abs(r_case) == p.big_p else stats.mask_efficiency(p)
+            emp_err, ana_err = n_bal / trials, 1.0 - e
+        else:
+            truth = "neither"
+            emp_err = ana_err = math.nan
+        rows.append({
+            "label": label,
+            "r": r_case,
+            "truth": truth,
+            "p_x0": p_x0,
+            "trials": trials,
+            "classified_constant": n_const,
+            "classified_balanced": n_bal,
+            "empirical_error_rate": emp_err,
+            "analytic_error_rate": ana_err,
+        })
+    return list(rows[0]), rows
+
+
+_ESTIMATE_COLUMNS = (
+    "replica", "phi_hat", "n_shots", "empirical_mse", "crb", "mse_over_crb",
+)
+
+
+def _estimate_tails(s) -> tuple[dict[int, tuple], tuple]:
+    """The cells after the replica column: one tuple per distinct hit count
+    of the ReplicationSummary s, and the replica mean's (replica=-1)."""
+    bounded = math.isfinite(s.crb) and s.crb > 0.0
+    tails = {
+        k: (phi_hat, s.shots, mse, s.crb, mse / s.crb if bounded else math.nan)
+        for k, (phi_hat, mse) in s.per_count.items()
+    }
+    return tails, (math.nan, s.shots, s.mean_mse, s.crb, s.mse_over_crb)
+
+
+def cmd_estimate(
+    p: ProcedureParams, r: float, phi_true: float, shots: int, replicas: int, seed: int
+) -> dict[str, list]:
+    """Replicated maximum-likelihood estimates; final row (replica=-1) is the
+    replica mean."""
+    s = cli.experiments.replicated_mse(p, r, phi_true, shots, replicas, seed)
+    tails, mean = _estimate_tails(s)
+    table = {"replica": [*range(s.replicas), -1]}
+    for j, column in enumerate(_ESTIMATE_COLUMNS[1:]):
+        table[column] = [tails[k][j] for k in s.hits] + [mean[j]]
+    return table
+
+
+def cmd_crosscheck(
+    p: ProcedureParams,
+    r_values: tuple[float, ...],
+    phi_values: tuple[float, ...],
+    grid_n: int,
+) -> tuple[dict[str, list], float]:
+    """Detection probability from all three engines, with worst deviation."""
+    response = cli.grid.phase_response(p, grid_n)
+    pas, pqs, pgs = [], [], []
+    for r in r_values:
+        f = PiecewiseBinaryFunction.step(r, p.big_p)
+        integrals = cli.quadrature.quadrature_response(p, f)
+        pas += stats.prob_x0s(p, r, phi_values)
+        pqs += [integrals.at(phi).value for phi in phi_values]
+        pgs += response.p_x0s(f, phi_values)
+    devs = [
+        max(abs(pa - pq), abs(pa - pg), abs(pq - pg))
+        for pa, pq, pg in zip(pas, pqs, pgs)
+    ]
+    table = {
+        "phi": list(phi_values) * len(r_values),
+        "r": [r for r in r_values for _ in phi_values],
+        "p_analytic": pas,
+        "p_quadrature": pqs,
+        "p_grid": pgs,
+        "max_pairwise_dev": devs,
+    }
+    # the sequential max(worst, dev), which skips a NaN deviation
+    return table, functools.reduce(max, devs, 0.0)
+
+
+def _run_dj(args: argparse.Namespace) -> int:
+    p = _resolve_params(args)
+    columns, rows = cmd_dj(p, args.r, args.trials, args.seed)
+    _emit({c: [row[c] for row in rows] for c in columns}, args.format, args.out)
+    return 0
+
+
+def _run_estimate(args: argparse.Namespace) -> int:
+    p = _resolve_params(args)
+    phi_true = args.phi if args.phi is not None else math.pi / 4.0
+    run = (p, args.r, phi_true, args.shots, args.replicas, args.seed)
+    if args.format == "json":
+        _emit(cmd_estimate(*run), "json", args.out)
+        return 0
+    # _emit's CSV, each distinct hit count's line tail spelled once
+    s = cli.experiments.replicated_mse(*run)
+    tails, mean = _estimate_tails(s)
+    template = ",".join(map(_csv_spec, mean)) + "\n"
+    spelled = {k: template % cells for k, cells in tails.items()}
+    lines = [f"{i},{spelled[k]}" for i, k in enumerate(s.hits)]
+    head = ",".join(_ESTIMATE_COLUMNS) + "\n"
+    _write(head + "".join(lines) + "-1," + template % mean, args.out)
+    return 0
+
+
+def _run_crosscheck(args: argparse.Namespace) -> int:
+    # a NaN tolerance would never compare as exceeded and so disable the gate
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ParameterError(f"--tol must be finite and positive, got {args.tol!r}")
+    p = _resolve_params(args)
+    r_values = args.r if args.r is not None else _fig4_thresholds(p.big_p)
+    phi_values = args.phi if args.phi is not None else _phase_axis(17)
+    table, worst = cmd_crosscheck(p, r_values, phi_values, args.grid_n)
+    _emit(table, args.format, args.out)
+    if worst > args.tol:
+        print(
+            f"crosscheck: worst deviation {worst:.3e} exceeds tolerance "
+            f"{args.tol:.3e}; {cli.grid._cell_edge_note(p, r_values)}",
+            file=sys.stderr,
+        )
+        return 3
+    return 0

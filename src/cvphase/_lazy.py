@@ -10,9 +10,13 @@ and that attribute access starts the load.
 
 So ``import cvphase.cli`` registers every layer of the package but runs only
 ``cli``, ``errors``, ``model`` and ``stats``; ``cvphase`` itself resolves each
-public name on first use (``__getattr__`` in ``__init__``).  Only the grid
-and Monte-Carlo modules import numpy; every entry point of theirs builds
-arrays, so numpy loads only when a command first runs one of them.
+public name on first use (``__getattr__`` in ``__init__``).  The code of the
+``dj``, ``estimate`` and ``crosscheck`` commands sits in ``_engine_commands``,
+which ``cli`` imports, and so registers, only when one of them runs; a table
+command neither compiles it nor builds the flags of any other subcommand.
+Only the grid and Monte-Carlo modules import numpy; every entry point of
+theirs builds arrays, so numpy loads only when a command first runs one of
+them.
 """
 
 from __future__ import annotations

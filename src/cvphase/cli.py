@@ -18,6 +18,14 @@ the prepared Gaussian, the window the closed forms assume.
 
 Column schemas per command are listed in each subcommand's --help epilog,
 which the tests check against the header each table prints.
+
+A cold table command (audit, gap, fisher-phi, fisher-r) compiles this
+module, errors, model and stats, plus the one engine it runs, if any (see
+``_lazy``).  The code of dj, estimate and crosscheck sits in
+``_engine_commands``, which only those three import.  The parser registers
+every subcommand, with its help line and epilog, so usage and help text
+never depend on the command; flags are added only to the subcommand that
+the first argument names, or to each of them when it names none.
 """
 
 from __future__ import annotations
@@ -32,19 +40,10 @@ from .errors import CvPhaseError, ParameterError
 from .model import (
     PiecewiseBinaryFunction,
     ProcedureParams,
-    _integer,
-    _real,
     aligned_half_width,
     require_scale,
 )
-from .stats import (
-    dj_statistics,
-    fisher_phis,
-    fisher_rs,
-    heisenberg_audit,
-    mask_efficiency,
-    prob_x0s,
-)
+from .stats import fisher_phis, fisher_rs, heisenberg_audit
 
 # each engine runs its module code when a command first uses it, so a fresh
 # process compiles only the engines it runs; json is imported by --format json
@@ -276,112 +275,6 @@ def cmd_fisher_r_sweep(
     }
 
 
-def cmd_dj(
-    p: ProcedureParams, r: float, trials: int, seed: int
-) -> tuple[list[str], list[dict]]:
-    """Seeded one-shot classification at the decision phase.
-
-    Three rows: the requested threshold, then balanced (r=0) and constant
-    (r=P) references at the same parameters.  Row i draws its trials from the
-    stream seeded with (seed, i), each hitting with the p_x0 the row prints;
-    a row at p_x0 = 0 (the balanced ones) draws nothing, as its count is
-    exact.  trials and seed must be ints (numpy integers too), as for
-    ``sample_outcomes``; anything else is a ParameterError.
-    """
-    trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
-    rows = []
-    cases = (("requested", _real(r, "r")), ("balanced_reference", 0.0),
-             ("constant_reference", p.big_p))
-    for idx, (label, r_case) in enumerate(cases):
-        p_x0 = dj_statistics(p, r_case).p_x0
-        # a detection at the decision phase classifies the mask as constant
-        n_const = experiments.sample_outcomes(p_x0, trials, (seed, idx))
-        n_bal = trials - n_const
-        if r_case == 0.0:
-            truth = "balanced"
-            emp_err, ana_err = n_const / trials, 0.0
-        elif abs(abs(r_case) - p.big_p) <= 1e-12 * p.big_p:
-            truth = "constant"
-            # p_x0 is E itself at |r| = P; an r within rounding of P is not
-            e = p_x0 if abs(r_case) == p.big_p else mask_efficiency(p)
-            emp_err, ana_err = n_bal / trials, 1.0 - e
-        else:
-            truth = "neither"
-            emp_err = ana_err = math.nan
-        rows.append({
-            "label": label,
-            "r": r_case,
-            "truth": truth,
-            "p_x0": p_x0,
-            "trials": trials,
-            "classified_constant": n_const,
-            "classified_balanced": n_bal,
-            "empirical_error_rate": emp_err,
-            "analytic_error_rate": ana_err,
-        })
-    return list(rows[0]), rows
-
-
-_ESTIMATE_COLUMNS = (
-    "replica", "phi_hat", "n_shots", "empirical_mse", "crb", "mse_over_crb",
-)
-
-
-def _estimate_tails(s) -> tuple[dict[int, tuple], tuple]:
-    """The cells after the replica column: one tuple per distinct hit count
-    of the ReplicationSummary s, and the replica mean's (replica=-1)."""
-    bounded = math.isfinite(s.crb) and s.crb > 0.0
-    tails = {
-        k: (phi_hat, s.shots, mse, s.crb, mse / s.crb if bounded else math.nan)
-        for k, (phi_hat, mse) in s.per_count.items()
-    }
-    return tails, (math.nan, s.shots, s.mean_mse, s.crb, s.mse_over_crb)
-
-
-def cmd_estimate(
-    p: ProcedureParams, r: float, phi_true: float, shots: int, replicas: int, seed: int
-) -> dict[str, list]:
-    """Replicated maximum-likelihood estimates; final row (replica=-1) is the
-    replica mean."""
-    s = experiments.replicated_mse(p, r, phi_true, shots, replicas, seed)
-    tails, mean = _estimate_tails(s)
-    table = {"replica": [*range(s.replicas), -1]}
-    for j, column in enumerate(_ESTIMATE_COLUMNS[1:]):
-        table[column] = [tails[k][j] for k in s.hits] + [mean[j]]
-    return table
-
-
-def cmd_crosscheck(
-    p: ProcedureParams,
-    r_values: tuple[float, ...],
-    phi_values: tuple[float, ...],
-    grid_n: int,
-) -> tuple[dict[str, list], float]:
-    """Detection probability from all three engines, with worst deviation."""
-    response = grid.phase_response(p, grid_n)
-    pas, pqs, pgs = [], [], []
-    for r in r_values:
-        f = PiecewiseBinaryFunction.step(r, p.big_p)
-        integrals = quadrature.quadrature_response(p, f)
-        pas += prob_x0s(p, r, phi_values)
-        pqs += [integrals.at(phi).value for phi in phi_values]
-        pgs += response.p_x0s(f, phi_values)
-    devs = [
-        max(abs(pa - pq), abs(pa - pg), abs(pq - pg))
-        for pa, pq, pg in zip(pas, pqs, pgs)
-    ]
-    table = {
-        "phi": list(phi_values) * len(r_values),
-        "r": [r for r in r_values for _ in phi_values],
-        "p_analytic": pas,
-        "p_quadrature": pqs,
-        "p_grid": pgs,
-        "max_pairwise_dev": devs,
-    }
-    # the sequential max(worst, dev), which skips a NaN deviation
-    return table, functools.reduce(max, devs, 0.0)
-
-
 def cmd_audit(
     p: ProcedureParams, r: float, phis: tuple[float, ...] | None
 ) -> dict[str, list]:
@@ -412,47 +305,26 @@ def _add_common_flags(sp: argparse.ArgumentParser) -> None:
                     help="write the table to this file instead of stdout")
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The cvphase parser, built once per process; each parse_args call
-    returns a fresh Namespace."""
-    parser = argparse.ArgumentParser(
-        prog="cvphase",
-        description="Phase estimation and one-shot function classification "
-                    "with finite-domain Gaussian states and binary spectral "
-                    "masks: closed forms, quadrature, and a circuit-level "
-                    "grid simulator.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_grid_n(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--grid-n", type=int, default=_DEFAULT_GRID_N,
+                    help="simulator grid size, power of two in [512, 2^24], "
+                         "down to 256 with an explicit --big-t (default 4096)")
 
-    sp = sub.add_parser(
-        "fisher-phi",
-        help="sweep Fisher information in the phase",
-        epilog="columns (analytic): phi, r, fisher, variance_bound, mean_bound, "
-               "delta_phi, singular_limit; engine=grid: phi, r, fisher_grid; "
-               "engine=all: both plus comparable, max_pairwise_dev",
-    )
-    _add_common_flags(sp)
+
+def _fisher_phi_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--r", type=_axis, default=None,
                     help="threshold axis (default 0)")
     sp.add_argument("--phi", type=_axis, default=None,
                     help="phase axis (default 33 points on [0, pi])")
     sp.add_argument("--engine", choices=("analytic", "grid", "all"),
                     default="analytic")
-    sp.add_argument("--grid-n", type=int, default=_DEFAULT_GRID_N,
-                    help="simulator grid size, power of two in [512, 2^24], "
-                         "down to 256 with an explicit --big-t (default 4096)")
+    _add_grid_n(sp)
     sp.add_argument("--fig4", action="store_true",
                     help="canonical preset: thresholds {0,P/8,P/4,P/2,P}, "
                          "33 phases on [0, pi]")
-    sp.set_defaults(func=_run_fisher_phi)
 
-    sp = sub.add_parser(
-        "fisher-r",
-        help="sweep Fisher information in the threshold position",
-        epilog="columns: phi, r, fisher_r",
-    )
-    _add_common_flags(sp)
+
+def _fisher_r_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--r", type=_axis, default=None,
                     help="threshold axis (default 63 interior points of (0, P))")
     sp.add_argument("--phi", type=_axis, default=None,
@@ -460,28 +332,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fig5", action="store_true",
                     help="canonical preset: phases {pi/2,5pi/12,pi/3,pi/4,pi/8} "
                          "over the interior threshold axis")
-    sp.set_defaults(func=_run_fisher_r)
 
-    sp = sub.add_parser(
-        "dj",
-        help="seeded one-shot classification trials at the decision phase",
-        epilog="columns: label, r, truth, p_x0, trials, classified_constant, "
-               "classified_balanced, empirical_error_rate, analytic_error_rate",
-    )
-    _add_common_flags(sp)
+
+def _dj_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--r", type=float, default=0.0, help="threshold (default 0)")
     sp.add_argument("--trials", type=int, default=100000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=_run_dj)
 
-    sp = sub.add_parser(
-        "estimate",
-        help="replicated maximum-likelihood phase estimation vs the "
-             "information bound",
-        epilog="columns: replica, phi_hat, n_shots, empirical_mse, crb, "
-               "mse_over_crb; the replica=-1 row is the replica mean",
-    )
-    _add_common_flags(sp)
+
+def _estimate_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--r", type=float, default=0.0, help="threshold (default 0)")
     sp.add_argument("--phi", type=float, default=None,
                     help="true phase (default pi/4)")
@@ -489,52 +348,27 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--replicas", type=int, default=2000,
                     help="independent replicas, at most 10^5 (default 2000)")
     sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=_run_estimate)
 
-    sp = sub.add_parser(
-        "crosscheck",
-        help="tri-engine agreement table for the detection probability",
-        epilog="columns: phi, r, p_analytic, p_quadrature, p_grid, "
-               "max_pairwise_dev; exits 3 if any deviation exceeds --tol",
-    )
-    _add_common_flags(sp)
+
+def _crosscheck_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--r", type=_axis, default=None,
                     help="threshold axis (default {0,P/8,P/4,P/2,P})")
     sp.add_argument("--phi", type=_axis, default=None,
                     help="phase axis (default 17 points on [0, pi])")
-    sp.add_argument("--grid-n", type=int, default=_DEFAULT_GRID_N,
-                    help="simulator grid size, power of two in [512, 2^24], "
-                         "down to 256 with an explicit --big-t (default 4096)")
+    _add_grid_n(sp)
     sp.add_argument("--tol", type=float, default=1e-4,
                     help="max allowed pairwise deviation (default 1e-4)")
-    sp.set_defaults(func=_run_crosscheck)
 
-    sp = sub.add_parser(
-        "audit",
-        help="information bounds and optimality flags across phases",
-        epilog="columns: phi, r, fisher, variance_bound, mean_bound_generator_f, "
-               "mean_bound_generator_2f, dphi_sqrt_fisher, optimal",
-    )
-    _add_common_flags(sp)
+
+def _audit_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--r", type=float, default=0.0, help="threshold (default 0)")
     sp.add_argument("--phi", type=_axis, default=None,
                     help="phase axis (default 15 interior points of (0, pi/2))")
-    sp.set_defaults(func=_run_audit)
 
-    sp = sub.add_parser(
-        "gap",
-        help="detection-probability gap between the one-sided and centered "
-             "masks of equal measure, vs its leading-order size",
-        epilog="columns: phi, mask_product, signed_gap, gap, "
-               "leading_order_prediction, ratio; needs mask_product <= 1/2, "
-               "default P puts it at 0.1",
-    )
-    _add_common_flags(sp)
+
+def _gap_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--phi", type=_axis, default=None,
                     help="phase axis (default 17 points on [0, pi])")
-    sp.set_defaults(func=_run_gap)
-
-    return parser
 
 
 def _run_fisher_phi(args: argparse.Namespace) -> int:
@@ -565,48 +399,12 @@ def _run_fisher_r(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_dj(args: argparse.Namespace) -> int:
-    p = _resolve_params(args)
-    columns, rows = cmd_dj(p, args.r, args.trials, args.seed)
-    _emit({c: [row[c] for row in rows] for c in columns}, args.format, args.out)
-    return 0
+def _run_engine_command(args: argparse.Namespace) -> int:
+    """Run dj, estimate or crosscheck from ``_engine_commands``, which is
+    imported here, on the first run of one of them."""
+    from . import _engine_commands
 
-
-def _run_estimate(args: argparse.Namespace) -> int:
-    p = _resolve_params(args)
-    phi_true = args.phi if args.phi is not None else math.pi / 4.0
-    run = (p, args.r, phi_true, args.shots, args.replicas, args.seed)
-    if args.format == "json":
-        _emit(cmd_estimate(*run), "json", args.out)
-        return 0
-    # _emit's CSV, each distinct hit count's line tail spelled once
-    s = experiments.replicated_mse(*run)
-    tails, mean = _estimate_tails(s)
-    template = ",".join(map(_csv_spec, mean)) + "\n"
-    spelled = {k: template % cells for k, cells in tails.items()}
-    lines = [f"{i},{spelled[k]}" for i, k in enumerate(s.hits)]
-    head = ",".join(_ESTIMATE_COLUMNS) + "\n"
-    _write(head + "".join(lines) + "-1," + template % mean, args.out)
-    return 0
-
-
-def _run_crosscheck(args: argparse.Namespace) -> int:
-    # a NaN tolerance would never compare as exceeded and so disable the gate
-    if not (math.isfinite(args.tol) and args.tol > 0.0):
-        raise ParameterError(f"--tol must be finite and positive, got {args.tol!r}")
-    p = _resolve_params(args)
-    r_values = args.r if args.r is not None else _fig4_thresholds(p.big_p)
-    phi_values = args.phi if args.phi is not None else _phase_axis(17)
-    table, worst = cmd_crosscheck(p, r_values, phi_values, args.grid_n)
-    _emit(table, args.format, args.out)
-    if worst > args.tol:
-        print(
-            f"crosscheck: worst deviation {worst:.3e} exceeds tolerance "
-            f"{args.tol:.3e}; {grid._cell_edge_note(p, r_values)}",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
+    return getattr(_engine_commands, "_run_" + args.command)(args)
 
 
 def _run_audit(args: argparse.Namespace) -> int:
@@ -622,8 +420,100 @@ def _run_gap(args: argparse.Namespace) -> int:
     return 0
 
 
+# each subcommand, in the order its help lists them: its runner, the flags it
+# adds after the common ones, and its help line and column epilog
+_COMMANDS = {
+    "fisher-phi": (
+        _run_fisher_phi, _fisher_phi_flags,
+        "sweep Fisher information in the phase",
+        "columns (analytic): phi, r, fisher, variance_bound, mean_bound, "
+        "delta_phi, singular_limit; engine=grid: phi, r, fisher_grid; "
+        "engine=all: both plus comparable, max_pairwise_dev",
+    ),
+    "fisher-r": (
+        _run_fisher_r, _fisher_r_flags,
+        "sweep Fisher information in the threshold position",
+        "columns: phi, r, fisher_r",
+    ),
+    "dj": (
+        _run_engine_command, _dj_flags,
+        "seeded one-shot classification trials at the decision phase",
+        "columns: label, r, truth, p_x0, trials, classified_constant, "
+        "classified_balanced, empirical_error_rate, analytic_error_rate",
+    ),
+    "estimate": (
+        _run_engine_command, _estimate_flags,
+        "replicated maximum-likelihood phase estimation vs the "
+        "information bound",
+        "columns: replica, phi_hat, n_shots, empirical_mse, crb, "
+        "mse_over_crb; the replica=-1 row is the replica mean",
+    ),
+    "crosscheck": (
+        _run_engine_command, _crosscheck_flags,
+        "tri-engine agreement table for the detection probability",
+        "columns: phi, r, p_analytic, p_quadrature, p_grid, "
+        "max_pairwise_dev; exits 3 if any deviation exceeds --tol",
+    ),
+    "audit": (
+        _run_audit, _audit_flags,
+        "information bounds and optimality flags across phases",
+        "columns: phi, r, fisher, variance_bound, mean_bound_generator_f, "
+        "mean_bound_generator_2f, dphi_sqrt_fisher, optimal",
+    ),
+    "gap": (
+        _run_gap, _gap_flags,
+        "detection-probability gap between the one-sided and centered "
+        "masks of equal measure, vs its leading-order size",
+        "columns: phi, mask_product, signed_gap, gap, "
+        "leading_order_prediction, ratio; needs mask_product <= 1/2, "
+        "default P puts it at 0.1",
+    ),
+}
+
+
+@functools.cache
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The cvphase parser for one command, built once per process; each
+    parse_args call returns a fresh Namespace.
+
+    Every subcommand is registered, with its help and epilog, so the usage
+    lines and the top-level help never depend on the command; only the
+    subcommand named ``command`` gets its flags and runner, or each of them
+    when ``command`` is None.
+    """
+    parser = argparse.ArgumentParser(
+        prog="cvphase",
+        description="Phase estimation and one-shot function classification "
+                    "with finite-domain Gaussian states and binary spectral "
+                    "masks: closed forms, quadrature, and a circuit-level "
+                    "grid simulator.",
+    )
+    # the prog argparse would derive by formatting a usage line: it is the
+    # prefix of each subcommand's prog, "cvphase audit"
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
+    for name, (run, add_flags, help_line, epilog) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_line, epilog=epilog)
+        if command is None or command == name:
+            _add_common_flags(sp)
+            add_flags(sp)
+            sp.set_defaults(func=run)
+    return parser
+
+
+def __getattr__(name: str):
+    # the engine commands' functions stay importable from here (PEP 562)
+    if name in ("cmd_dj", "cmd_estimate", "cmd_crosscheck"):
+        from . import _engine_commands
+
+        return getattr(_engine_commands, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # a first argument that names no command gets the parser of every command
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -636,4 +526,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
+    # under python -m this module runs as __main__; _engine_commands imports
+    # it as cvphase.cli, which would otherwise compile and run it a second time
+    sys.modules.setdefault("cvphase.cli", sys.modules[__name__])
     sys.exit(main())

@@ -135,6 +135,8 @@ from .model import (
     _DOMAIN_SLACK,
     _MASK_DOMAIN_TOL,
     _integer,
+    _phase,
+    _phases,
     _require_pow2,
     require_containment,
     require_mask_domain,
@@ -409,6 +411,7 @@ def run_circuit(
     p: ProcedureParams, f: PiecewiseBinaryFunction, phi: float, n: int
 ) -> MeasurementDistribution:
     """prepare -> transform -> mask -> inverse transform -> detect."""
+    phi = _phase(phi)
     require_mask_domain(p, f)
     state = prepare_gaussian(p, n)
     state = fourier(state)
@@ -486,6 +489,7 @@ class PhaseResponse:
     def p_x0s(self, f: PiecewiseBinaryFunction, phis: Iterable[float]) -> list[float]:
         """The detection probability |A0 + exp(-2i*phi)*A1|^2 of mask f at
         each phase of phis, each checked as a ``MeasurementDistribution``."""
+        phis = _phases(phis)
         a0, a1 = self.split(f)
         return [
             MeasurementDistribution(abs(a0 + cmath.exp(-2j * phi) * a1) ** 2).p_x0
@@ -495,6 +499,7 @@ class PhaseResponse:
     def fishers(self, f: PiecewiseBinaryFunction, phis: Iterable[float]) -> list[float]:
         """The Fisher information in phi of mask f's response at each phase
         of phis (see ``_fisher``)."""
+        phis = _phases(phis)
         a0, a1 = self.split(f)
         return [_fisher(a0, a1, phi) for phi in phis]
 

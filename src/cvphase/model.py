@@ -14,7 +14,9 @@ and the engines never re-check it; the engines that need the envelope
 contained in [-T, T] gate on ``require_containment``.  Counts, sizes and
 mask values pass ``_integer`` (ints, numpy integers too, never a bool, never
 truncated), every other number ``_real`` (numpy numbers too, never a str
-parsed, never a complex number cut to its real part).
+parsed, never a complex number cut to its real part).  Every phase that an
+engine takes, closed form, quadrature or grid, passes ``_phase`` (an axis
+``_phases``), which also refuses a non-finite one.
 """
 
 from __future__ import annotations
@@ -54,6 +56,28 @@ def _real(value, what: str) -> float:
     ):
         raise ParameterError(f"{what} must be a real number, got {value!r}")
     return float(value)
+
+
+def _phase(phi) -> float:
+    """phi as a float, refused unless it is a finite real number (numpy ones
+    too)."""
+    if type(phi) is not float:
+        phi = _real(phi, "phase")
+    if not math.isfinite(phi):
+        raise ParameterError(f"phase must be finite, got {phi!r}")
+    return phi
+
+
+def _phases(phis) -> list[float]:
+    """The phase axis phis, any iterable, as a list of ``_phase``.
+
+    A float needs no conversion, so only other types go through ``_real``
+    one by one; finiteness is one C-level pass over the axis.
+    """
+    phis = [phi if type(phi) is float else _real(phi, "phase") for phi in phis]
+    if not all(map(math.isfinite, phis)):
+        _phase(next(phi for phi in phis if not math.isfinite(phi)))
+    return phis
 
 
 def _require_finite(name: str, value: float) -> float:

@@ -44,6 +44,8 @@ from .errors import QuadratureToleranceError, RegimeError
 from .model import (
     PiecewiseBinaryFunction,
     ProcedureParams,
+    _phase,
+    _phases,
     require_containment,
     require_mask_domain,
 )
@@ -185,6 +187,7 @@ class QuadratureResponse(namedtuple("QuadratureResponse", "params integrals erro
         Raises QuadratureToleranceError, carrying the best values, when that
         estimate exceeds _ABS_TOL.
         """
+        phi = _phase(phi)
         acc_re = 0.0
         acc_im = 0.0
         for val, v in self.integrals:
@@ -298,6 +301,7 @@ def step_hat_gaps(p: ProcedureParams, phis: tuple[float, ...]) -> dict[str, list
             f"step_hat_gap requires P*delta <= 0.5, got {s}; the series "
             "prediction does not control larger mask products"
         )
+    phis = _phases(phis)
     step = quadrature_response(p, PiecewiseBinaryFunction.step(0.0, p.big_p))
     hat = quadrature_response(
         p, PiecewiseBinaryFunction.hat(-p.big_p / 2.0, p.big_p / 2.0, p.big_p)

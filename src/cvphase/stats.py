@@ -22,11 +22,12 @@ b, E, generator mean, dG/dr), from one erf(2*P*delta) and one
 erf(2*r*delta) after the containment and r checks.  Every sweep (prob_x0s,
 fisher_phis, fisher_rs, the ``audit`` table and the estimator) reads it
 once per threshold; only the cosine depends on phi, so each phase costs its
-cos/sin arithmetic alone.  Every phase passes one gate, ``_phases``, which
-refuses a phase that is not a finite real number in one pass over the axis.
-The sweeps return columns, a list with one cell per phase (``fisher_phis``
-and ``heisenberg_audit`` a dict of them keyed by the names their tables
-print), not a record per phase.  Nothing here builds an array.
+cos/sin arithmetic alone.  Every phase passes one gate, ``model._phases``
+(a single phase ``model._phase``), which refuses a phase that is not a
+finite real number in one pass over the axis.  The sweeps return columns,
+a list with one cell per phase (``fisher_phis`` and ``heisenberg_audit`` a
+dict of them keyed by the names their tables print), not a record per
+phase.  Nothing here builds an array.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ from .model import (
     MeasurementDistribution,
     PiecewiseBinaryFunction,
     ProcedureParams,
+    _phase,
+    _phases,
     _real,
     require_containment,
     require_mask_domain,
@@ -55,20 +58,6 @@ def _require_r(p: ProcedureParams, r: float, slack: float = 1e-12) -> float:
     if not math.isfinite(r) or abs(r) > p.big_p * (1.0 + slack):
         raise ParameterError(f"threshold r={r} outside [-P, P] with P={p.big_p}")
     return r
-
-
-def _phases(phis: Iterable[float]) -> list[float]:
-    """The phase axis phis as floats, refused unless every phase is a finite
-    real number (numpy ones too).
-
-    A float needs no conversion, so only other types go through ``_real``
-    one by one; finiteness is one C-level pass over the axis.
-    """
-    phis = [phi if type(phi) is float else _real(phi, "phase") for phi in phis]
-    if not all(map(math.isfinite, phis)):
-        bad = next(phi for phi in phis if not math.isfinite(phi))
-        raise ParameterError(f"phase must be finite, got {bad!r}")
-    return phis
 
 
 def mask_efficiency(p: ProcedureParams) -> float:
@@ -130,7 +119,7 @@ def prob_x0_factorized(
     """
     require_containment(p)
     require_mask_domain(p, f)
-    (phi,) = _phases((phi,))
+    phi = _phase(phi)
     d = p.delta
     # integral over [lo, hi] of exp(-4 d^2 y^2) = sqrt(pi)/(4d) * (erf(2d hi) - erf(2d lo))
     acc = 0.0 + 0.0j
@@ -282,7 +271,7 @@ def delta_phi(p: ProcedureParams, phi: float) -> float:
     underflows to 0.
     """
     require_containment(p)
-    (phi,) = _phases((phi,))
+    phi = _phase(phi)
     dphi = _precision(mask_efficiency(p), math.cos(2.0 * phi), math.sin(2.0 * phi))
     if dphi is None:
         raise SingularityError(

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cvphase
+import cvphase._engine_commands as engine_commands
 from cvphase import (
     ParameterError, PiecewiseBinaryFunction, ProcedureParams, cli, experiments,
     grid, model, phase_response, quadrature, stats,
@@ -105,13 +106,13 @@ class TestExitCodes:
     def test_crosscheck_worst_is_the_sequential_max_nan_included(self, monkeypatch):
         # max(worst, dev) keeps worst when dev is NaN: the gate reads the
         # same number as a row-by-row loop over the deviation column
-        exact = cli.prob_x0s
+        exact = stats.prob_x0s
 
         def first_nan(p, r, phis):
             return [math.nan, *exact(p, r, phis)[1:]]
 
-        monkeypatch.setattr(cli, "prob_x0s", first_nan)
-        table, worst = cli.cmd_crosscheck(
+        monkeypatch.setattr(stats, "prob_x0s", first_nan)
+        table, worst = engine_commands.cmd_crosscheck(
             canonical(), (0.0, BIG_P / 8), (0.3, 0.5), 512
         )
         devs = table["max_pairwise_dev"]
@@ -862,7 +863,9 @@ class TestCsvFormat:
             tables.append(table)
             emit(table, fmt, out)
 
+        # dj, estimate and crosscheck emit from their own module
         monkeypatch.setattr(cli, "_emit", recording_emit)
+        monkeypatch.setattr(engine_commands, "_emit", recording_emit)
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
         if argv[0] == "estimate":
@@ -871,7 +874,7 @@ class TestCsvFormat:
             assert tables == []
             args = cli.build_parser().parse_args(argv)
             phi = args.phi if args.phi is not None else PI / 4
-            tables.append(cli.cmd_estimate(
+            tables.append(engine_commands.cmd_estimate(
                 cli._resolve_params(args), args.r, phi, args.shots,
                 args.replicas, args.seed,
             ))
@@ -984,7 +987,7 @@ class TestDjTable:
         # the constant reference reuses its p_x0, E itself; a requested r
         # within rounding of +-P but not on it still reports 1 - E
         p = canonical()
-        _, rows = cli.cmd_dj(p, r, 10, 0)
+        _, rows = engine_commands.cmd_dj(p, r, 10, 0)
         constant = [row for row in rows if row["truth"] == "constant"]
         assert [row["label"] for row in constant] == [
             "requested", "constant_reference"
@@ -1001,7 +1004,7 @@ class TestDjTable:
 
         monkeypatch.setattr(experiments, "sample_outcomes", no_draw)
         with pytest.raises(ParameterError, match="must be an integer"):
-            cli.cmd_dj(canonical(), 0.0, trials, seed)
+            engine_commands.cmd_dj(canonical(), 0.0, trials, seed)
 
     @pytest.mark.parametrize(
         "r", ["0.5", b"0.5", None], ids=["str", "bytes", "None"]
@@ -1012,14 +1015,14 @@ class TestDjTable:
 
         monkeypatch.setattr(experiments, "sample_outcomes", no_draw)
         with pytest.raises(ParameterError) as info:
-            cli.cmd_dj(canonical(), r, 10, 0)
+            engine_commands.cmd_dj(canonical(), r, 10, 0)
         assert str(info.value) == f"r must be a real number, got {r!r}"
 
     def test_numpy_integer_trials_stay_json_ints(self):
-        _, rows = cli.cmd_dj(canonical(), 0.0, np.int64(40), np.int64(3))
+        _, rows = engine_commands.cmd_dj(canonical(), 0.0, np.int64(40), np.int64(3))
         assert [type(row["trials"]) for row in rows] == [int] * 3
         json.dumps(rows)
-        assert rows == cli.cmd_dj(canonical(), 0.0, 40, 3)[1]
+        assert rows == engine_commands.cmd_dj(canonical(), 0.0, 40, 3)[1]
 
     def test_intermediate_threshold_has_no_truth(self, capsys):
         code, out, _ = run_cli(
@@ -1114,6 +1117,20 @@ def test_console_script_help_runs():
     )
     assert proc.returncode == 0
     assert "fisher-phi" in proc.stdout
+
+
+def test_a_module_run_imports_the_cli_once():
+    # under -m the CLI runs as __main__, and the engine commands' module must
+    # find it there rather than compile and run cvphase.cli a second time
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "cvphase.cli",
+         "dj", "--trials", "10"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+    assert "cvphase._engine_commands" in imported
+    assert "cvphase.cli" not in imported
 
 
 def test_table_commands_load_neither_numpy_nor_scipy():
@@ -1215,6 +1232,56 @@ def test_each_command_loads_only_its_engines(argv, engines):
     # every layer is in sys.modules, run or not, for code that looks it up there
     assert _LAYERS <= registered
     assert json_loaded == str("--format" in argv)
+    # a table command compiles none of the engine commands' code
+    engine_command = argv[:1] in (["dj"], ["estimate"], ["crosscheck"])
+    assert ("_engine_commands" in registered) == engine_command, argv
+    assert ("_engine_commands" in ran) == engine_command, argv
+
+
+# a bad value of one flag of each command, which its parser refuses
+_BAD_FLAG_VALUE = {
+    "fisher-phi": ["--r", "x"],
+    "fisher-r": ["--phi", "1:2:1"],
+    "dj": ["--trials", "x"],
+    "estimate": ["--shots", "1.5"],
+    "crosscheck": ["--grid-n", "z"],
+    "audit": ["--format", "xml"],
+    "gap": ["--phi", "nan"],
+}
+
+
+@pytest.mark.parametrize("tail", ["--help", "--bogus", "bad value"])
+@pytest.mark.parametrize("command", list(_BAD_FLAG_VALUE))
+def test_a_command_parser_prints_what_the_full_parser_prints(command, tail, capsys):
+    # main builds flags for the named subcommand only; help, usage errors
+    # and exit codes read the same as from the parser of every command
+    argv = [command, *(_BAD_FLAG_VALUE[command] if tail == "bad value" else [tail])]
+    got = (cli.main(argv), *capsys.readouterr())
+    with pytest.raises(SystemExit) as exit_info:
+        cli.build_parser().parse_args(argv)
+    want = (exit_info.value.code, *capsys.readouterr())
+    assert got == want
+    assert want[0] == (0 if tail == "--help" else 2)
+    assert want[1 if tail == "--help" else 2]
+
+
+def test_a_command_parser_holds_only_its_own_flags(capsys):
+    full, audit = cli.build_parser(), cli.build_parser("audit")
+    assert full.parse_args(["gap", "--phi", "1"]).phi == (1.0,)
+    assert audit.parse_args(["audit", "--phi", "1"]).phi == (1.0,)
+    with pytest.raises(SystemExit):
+        audit.parse_args(["gap", "--phi", "1"])
+    assert "unrecognized arguments: --phi 1" in capsys.readouterr().err
+    assert cli.build_parser("audit") is audit  # built once per process
+
+
+def test_engine_command_functions_stay_importable_from_cli():
+    from cvphase.cli import cmd_crosscheck, cmd_dj, cmd_estimate
+
+    assert cmd_dj is engine_commands.cmd_dj
+    assert cmd_estimate is engine_commands.cmd_estimate
+    assert cmd_crosscheck is engine_commands.cmd_crosscheck
+    assert not hasattr(cli, "_run_dj")
 
 
 def test_a_registered_engine_loads_on_first_access_and_can_be_patched():

@@ -357,6 +357,53 @@ class TestRunCircuit:
             run_circuit(p, f, 0.5, GRID_N)
 
 
+class TestPhaseGate:
+    """The grid refuses a phase that is not a finite real number, before any
+    array is built: fishers returned nan at NaN and raised a bare ValueError
+    at inf, and run_circuit ran the whole circuit before blaming p_x0."""
+
+    @pytest.fixture(scope="class")
+    def response(self):
+        return phase_response(canonical(), 512)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "phase", [math.nan, math.inf, -math.inf, np.float64(math.nan)]
+    )
+    @pytest.mark.parametrize("sweep", ["p_x0s", "fishers"])
+    def test_sweeps_refuse_a_non_finite_phase(self, response, sweep, phase):
+        f = PiecewiseBinaryFunction.step(0.0, BIG_P)
+        with pytest.raises(ParameterError) as info:
+            getattr(response, sweep)(f, [0.3, phase])
+        assert str(info.value) == f"phase must be finite, got {float(phase)!r}"
+
+    @pytest.mark.parametrize("phase", ["0.3", None, 0.3 + 1j])
+    @pytest.mark.parametrize("sweep", ["p_x0s", "fishers"])
+    def test_sweeps_refuse_a_phase_that_is_not_a_real_number(
+        self, response, sweep, phase
+    ):
+        f = PiecewiseBinaryFunction.step(0.0, BIG_P)
+        with pytest.raises(ParameterError) as info:
+            getattr(response, sweep)(f, [phase])
+        assert str(info.value) == f"phase must be a real number, got {phase!r}"
+
+    def test_sweeps_read_an_axis_once(self, response):
+        f, phis = PiecewiseBinaryFunction.step(0.3, BIG_P), (0.1, 0.7, 1.2)
+        assert response.p_x0s(f, iter(phis)) == response.p_x0s(f, phis)
+        assert response.fishers(f, iter(phis)) == response.fishers(f, phis)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("phase", [math.nan, math.inf, "0.3"])
+    def test_circuit_refuses_before_building_a_state(self, monkeypatch, phase):
+        def no_state(*args):
+            raise AssertionError("built a state for a refused phase")
+
+        monkeypatch.setattr(grid, "prepare_gaussian", no_state)
+        f = PiecewiseBinaryFunction.step(0.0, BIG_P)
+        with pytest.raises(ParameterError, match="^phase must be"):
+            run_circuit(canonical(), f, phase, GRID_N)
+
+
 class TestPhaseResponse:
     """The phase-linear split A0 + exp(-2i*phi)*A1 against the full circuit."""
 

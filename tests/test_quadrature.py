@@ -261,6 +261,34 @@ class TestStepHatGap:
         assert step_hat_gaps(p, ()) == {field: [] for field in StepHatGap._fields}
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "phase", [math.nan, math.inf, -math.inf, np.float64(math.nan)],
+    ids=["nan", "inf", "-inf", "numpy_nan"],
+)
+class TestPhaseGate:
+    """Each quadrature read of a phase refuses a non-finite one; at(nan) and
+    step_hat_gap at nan returned nan in every field, with no error."""
+
+    def _refused(self, call, phase):
+        with pytest.raises(ParameterError) as info:
+            call()
+        assert str(info.value) == f"phase must be finite, got {float(phase)!r}"
+
+    def test_at(self, phase):
+        f = PiecewiseBinaryFunction.step(0.0, BIG_P)
+        response = quadrature_response(canonical(), f)
+        self._refused(lambda: response.at(phase), phase)
+
+    def test_step_hat_gap(self, phase):
+        p = ProcedureParams(0.0, 2.0, 20.0, 0.2)
+        self._refused(lambda: step_hat_gap(p, phase), phase)
+
+    def test_step_hat_gaps(self, phase):
+        p = with_mask_product(0.1)
+        self._refused(lambda: step_hat_gaps(p, (0.3, phase)), phase)
+
+
 class TestValueTypes:
     """What callers may rely on: keyword construction, immutability and the
     repr."""
