@@ -118,7 +118,7 @@ def cmd_crosscheck(
         f = PiecewiseBinaryFunction.step(r, p.big_p)
         integrals = cli.quadrature.quadrature_response(p, f)
         pas += stats.prob_x0s(p, r, phi_values)
-        pqs += [integrals.at(phi).value for phi in phi_values]
+        pqs += integrals.p_x0s(phi_values)
         pgs += response.p_x0s(f, phi_values)
     devs = [
         max(abs(pa - pq), abs(pa - pg), abs(pq - pg))

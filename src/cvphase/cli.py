@@ -15,6 +15,10 @@ Axis flags take a number, a comma list, or start:stop:count with at most
 an explicit --big-t (the default T needs N >= 512); --trials and --shots are
 at most 10^8, --replicas at most 10^5.  Detection always projects back onto
 the prepared Gaussian, the window the closed forms assume.
+Without --big-t, T = 4*pi*q/P with q = max(32, N/128) conjugate cells per
+P/8, so P and every multiple of P/8 sit on cell edges.  Up to the default
+N = 4096 that is one T; above it the position step dx = 2T/N stays the
+default grid's and each doubling of N halves the cell dy = P/(8q).
 
 Column schemas per command are listed in each subcommand's --help epilog,
 which the tests check against the header each table prints.
@@ -57,7 +61,8 @@ _DEFAULT_GRID_N = 4096
 _MAX_AXIS_COUNT = 100_000
 # grid-engine Fisher comparisons exclude probability-extremum rows and the
 # near-saturated top of the response, where the simulated momentum tail
-# (unphased outside the mask domain) dominates the comparison
+# (unphased outside the mask domain) dominates the comparison, and rows whose
+# threshold falls inside a conjugate cell, an error first order in its width
 _COMPARABLE_COS_MAX = 2.0 / 3.0
 
 
@@ -208,7 +213,10 @@ def _resolve_params(
         big_p = require_scale(f"P derived from {source}", mask_product / delta)
     big_t = args.big_t
     if big_t is None:
-        big_t = aligned_half_width(big_p, getattr(args, "grid_n", _DEFAULT_GRID_N))
+        # 32 cells per P/8 up to the default grid, then N/128: above it dx
+        # stays the default grid's and each doubling of N halves dy = P/(8q)
+        n = getattr(args, "grid_n", _DEFAULT_GRID_N)
+        big_t = aligned_half_width(big_p, n, max(32, n // 128))
         big_t = require_scale(f"T derived from {source}", big_t)
     return ProcedureParams(x0=args.x0, delta=delta, big_t=big_t, big_p=big_p)
 
@@ -247,9 +255,12 @@ def cmd_fisher_phi_sweep(
         table["fisher_grid"] = fisher_grid
     if engine == "all":
         cos_ok = [math.cos(2.0 * phi) <= _COMPARABLE_COS_MAX for phi in phi_values]
+        none_ok = [False] * len(phi_values)
+        row_ok = []
+        for r in r_values:
+            row_ok += none_ok if grid._off_cell_edge(p, r) else cos_ok
         table["comparable"] = [
-            not singular and ok
-            for singular, ok in zip(table["singular_limit"], cos_ok * len(r_values))
+            not singular and ok for singular, ok in zip(table["singular_limit"], row_ok)
         ]
         table["max_pairwise_dev"] = [
             abs(f - g) for f, g in zip(table["fisher"], fisher_grid)
@@ -295,8 +306,10 @@ def _add_common_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--x0", type=float, default=0.0,
                     help="preparation and detection center (default 0)")
     sp.add_argument("--big-t", type=float, default=None,
-                    help="position half-width; default aligns conjugate cell "
-                         "edges with multiples of P/8 for the grid size")
+                    help="position half-width; default 4*pi*q/P with "
+                         "q = max(32, N/128), N the --grid-n (4096 where "
+                         "there is none), which puts multiples of P/8 on "
+                         "conjugate cell edges")
     sp.add_argument("--big-p", type=float, default=None,
                     help="mask half-domain (default 3/(2*delta))")
     sp.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -308,7 +321,9 @@ def _add_common_flags(sp: argparse.ArgumentParser) -> None:
 def _add_grid_n(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--grid-n", type=int, default=_DEFAULT_GRID_N,
                     help="simulator grid size, power of two in [512, 2^24], "
-                         "down to 256 with an explicit --big-t (default 4096)")
+                         "down to 256 with an explicit --big-t (default 4096); "
+                         "above 4096 each doubling halves the default T's "
+                         "conjugate cell")
 
 
 def _fisher_phi_flags(sp: argparse.ArgumentParser) -> None:

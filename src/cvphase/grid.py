@@ -30,7 +30,12 @@ second-order in dy), whereas a sample sitting exactly on a jump would drag
 its whole cell to one side of the jump.  Second, no sample sits at y = 0, so
 the balanced decision run comes out exactly zero by symmetry instead of
 carrying an O(dy^2) artefact.  ``aligned_half_width`` (in ``model``) picks
-T so that standard threshold sweeps (multiples of P/8) land on cell edges.
+T = 4*pi*q/P, so that dy = P/(8q) and standard threshold sweeps (multiples
+of P/8) and P land on cell edges.  The CLI's default takes q = max(32, N/128):
+above N = 4096, dx = 2T/N stays the default grid's and a larger N refines
+the cell instead of sampling the same Gaussian more finely, so the support
+the sweep folds stays 80*delta/dx samples (613 at the default delta) at
+every N, while the mask domain spans 16q cells.
 
 Note the simulated state carries the full Gaussian momentum tail, while the
 closed forms truncate it to [-P, P]; outside the mask domain the mask acts
@@ -253,22 +258,30 @@ def _conjugate_layout(n: int, dx: float) -> tuple[float, float]:
 _EDGE_TOL = 1e-9
 
 
+def _off_cell_edge(p: ProcedureParams, r: float) -> bool:
+    """Whether a mask jump at r falls inside a conjugate cell of the grids
+    of p, whose edges sit at integer multiples of dy = pi/(2T)."""
+    cells = r / (math.pi / (2.0 * p.big_t))
+    return abs(cells - round(cells)) > _EDGE_TOL
+
+
 def _cell_edge_note(p: ProcedureParams, r_values: tuple[float, ...]) -> str:
     """The conjugate cell width and the mask jumps off a cell edge.
 
-    Cell edges sit at integer multiples of dy = pi/(2T); a jump inside a
-    cell puts that whole cell on one side of it, an error first order in
-    dy.  The jumps are the thresholds and the domain edges +-P, outside
-    which the mask acts as 0; P is named unless a listed threshold is +-P.
+    A jump inside a cell puts that whole cell on one side of it, an error
+    first order in dy (see ``_off_cell_edge``).  The jumps are the
+    thresholds and the domain edges +-P, outside which the mask acts as 0;
+    P is named unless a listed threshold is +-P.
     """
     dy = math.pi / (2.0 * p.big_t)
-    off = [r for r in r_values if abs(r / dy - round(r / dy)) > _EDGE_TOL]
+    off = [r for r in r_values if _off_cell_edge(p, r)]
     where = "thresholds off a cell edge: r = " + ", ".join(map(repr, off))
     if not off:
         where = "every threshold on a cell edge"
-    edge = p.big_p / dy
-    if abs(edge - round(edge)) > _EDGE_TOL and all(abs(r) != p.big_p for r in off):
-        where += f"; domain edge P = {p.big_p!r} off a cell edge (P/dy = {edge:.2f})"
+    if _off_cell_edge(p, p.big_p) and all(abs(r) != p.big_p for r in off):
+        where += (
+            f"; domain edge P = {p.big_p!r} off a cell edge (P/dy = {p.big_p / dy:.2f})"
+        )
     return f"conjugate cell dy = pi/(2T) = {dy:.6g}, {where}"
 
 
@@ -358,17 +371,26 @@ def _mask_cells(
 ) -> np.ndarray:
     """f at the conjugate samples y_start + k*dy for k in [lo, hi), extended
     by 0 outside [-P, P] (P = the mask's half-domain); the n-cell grid must
-    cover the mask domain."""
+    cover the mask domain.
+
+    A sample is inside when |y| <= P + slack, and there takes the value of
+    the segment f's right-closed convention gives it.  The samples ascend,
+    so f is constant on runs of cells: one search places the domain edges
+    and the jumps on the axis, and each run of ones is filled.  The run
+    before the first cut holds the samples y < -(P + slack), and segment i
+    ends after the last sample y <= b_i.
+    """
     _require_cover(n, dy, f.half_domain)
     y = y_start + dy * np.arange(lo, hi)
-    slack = _DOMAIN_SLACK * max(1.0, f.half_domain)
-    inside = np.abs(y) <= f.half_domain + slack
+    edge = f.half_domain + _DOMAIN_SLACK * max(1.0, f.half_domain)
+    # y < -edge is y <= the double below -edge, so every cut counts y <= cut
+    cuts = np.searchsorted(
+        y, (math.nextafter(-edge, -math.inf), *f.breakpoints, edge), side="right"
+    ).tolist()
     fvals = np.zeros(hi - lo)
-    if f.breakpoints:
-        idx = np.searchsorted(np.asarray(f.breakpoints), y[inside], side="left")
-        fvals[inside] = np.asarray(f.values, dtype=float)[idx]
-    else:
-        fvals[inside] = float(f.values[0])
+    for value, start, stop in zip(f.values, cuts, cuts[1:]):
+        if value:
+            fvals[start:stop] = 1.0
     return fvals
 
 

@@ -11,7 +11,8 @@ is the constant exp(2i*phi*v), so
 
 The real integrals I_s do not depend on phi: ``quadrature_response``
 integrates them once per mask, and ``QuadratureResponse.at`` combines them
-for any phase in a few scalar operations.  The integrator shares no
+for any phase in a few scalar operations (``QuadratureResponse.p_x0s`` for
+a whole phase axis).  The integrator shares no
 special-function code with the closed-form route in ``stats``.
 
 Each I_s comes from globally adaptive Gauss-Kronrod quadrature with the
@@ -38,7 +39,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 
 from .errors import QuadratureToleranceError, RegimeError
 from .model import (
@@ -187,26 +188,38 @@ class QuadratureResponse(namedtuple("QuadratureResponse", "params integrals erro
         Raises QuadratureToleranceError, carrying the best values, when that
         estimate exceeds _ABS_TOL.
         """
-        phi = _phase(phi)
-        acc_re = 0.0
-        acc_im = 0.0
-        for val, v in self.integrals:
-            acc_re += val * math.cos(2.0 * phi * v)
-            acc_im += val * math.sin(2.0 * phi * v)
+        return QuadratureResult(*self._reads([_phase(phi)])[0])
+
+    def p_x0s(self, phis: Iterable[float]) -> list[float]:
+        """``at(phi).value`` at each phase of phis, the axis checked once;
+        raises as ``at`` does at the first phase whose estimate exceeds
+        _ABS_TOL."""
+        return [value for value, _ in self._reads(_phases(phis))]
+
+    def _reads(self, phis: list[float]) -> list[tuple[float, float]]:
+        """(value, error_estimate) at each of the checked phases phis."""
         d = self.params.delta
         norm = 4.0 * d * d / math.pi
-        mod = math.hypot(acc_re, acc_im)
         err_sum = self.error_sum
-        value = norm * mod * mod
-        error_estimate = norm * (2.0 * mod * err_sum + err_sum * err_sum)
-        if error_estimate > _ABS_TOL:
-            raise QuadratureToleranceError(
-                f"propagated error estimate {error_estimate:.3e} exceeds "
-                f"abs_tol {_ABS_TOL:.3e} within {_MAX_PANELS} subdivisions",
-                value=value,
-                error_estimate=error_estimate,
-            )
-        return QuadratureResult(value=value, error_estimate=error_estimate)
+        reads = []
+        for phi in phis:
+            acc_re = 0.0
+            acc_im = 0.0
+            for val, v in self.integrals:
+                acc_re += val * math.cos(2.0 * phi * v)
+                acc_im += val * math.sin(2.0 * phi * v)
+            mod = math.hypot(acc_re, acc_im)
+            value = norm * mod * mod
+            error_estimate = norm * (2.0 * mod * err_sum + err_sum * err_sum)
+            if error_estimate > _ABS_TOL:
+                raise QuadratureToleranceError(
+                    f"propagated error estimate {error_estimate:.3e} exceeds "
+                    f"abs_tol {_ABS_TOL:.3e} within {_MAX_PANELS} subdivisions",
+                    value=value,
+                    error_estimate=error_estimate,
+                )
+            reads.append((value, error_estimate))
+        return reads
 
 
 def quadrature_response(
@@ -306,13 +319,11 @@ def step_hat_gaps(p: ProcedureParams, phis: tuple[float, ...]) -> dict[str, list
     hat = quadrature_response(
         p, PiecewiseBinaryFunction.hat(-p.big_p / 2.0, p.big_p / 2.0, p.big_p)
     )
-    signed_gaps, predictions = [], []
-    for phi in phis:
-        signed_gaps.append(step.at(phi).value - hat.at(phi).value)
-        predictions.append(
-            abs(1.0 - math.cos(2.0 * phi)) * (8.0 / math.pi) * s**6
-            * abs(1.0 - 3.0 * s * s)
-        )
+    signed_gaps = [ps - ph for ps, ph in zip(step.p_x0s(phis), hat.p_x0s(phis))]
+    predictions = [
+        abs(1.0 - math.cos(2.0 * phi)) * (8.0 / math.pi) * s**6 * abs(1.0 - 3.0 * s * s)
+        for phi in phis
+    ]
     gaps = [abs(signed) for signed in signed_gaps]
     return {
         "signed_gap": signed_gaps,

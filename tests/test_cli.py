@@ -157,6 +157,20 @@ class TestExitCodes:
         note = grid._cell_edge_note(canonical(), (0.0, 0.3))
         assert note.endswith("thresholds off a cell edge: r = 0.3"), note
 
+    @pytest.mark.parametrize(
+        "grid_n, code, worst",
+        [(4096, 3, "9.802e-04"), (2**16, 0, "4.947e-05"), (2**20, 0, "2.838e-05")],
+    )
+    def test_larger_grid_refines_an_off_edge_threshold(self, capsys, grid_n, code, worst):
+        # r = 0.3 sits inside a cell at every N; the default T's cell shrinks
+        # with N above 4096, and the first-order error with it
+        argv = ["crosscheck", "--r", "0.3", "--phi", "0.785", "--grid-n", str(grid_n)]
+        got, out, err = run_cli(argv, capsys)
+        assert got == code
+        assert (err != "") == (code == 3)
+        header, (row,) = parse_csv(out)
+        assert f"{float(row[header.index('max_pairwise_dev')]):.3e}" == worst
+
     def test_default_crosscheck_passes_silently(self, capsys):
         code, _, err = run_cli(["crosscheck"], capsys)
         assert code == 0
@@ -415,6 +429,26 @@ class TestGridEngine:
             assert run_cli(argv, capsys)[0] == 0
             assert len(built) == len(set(built)) == thresholds, argv
 
+    def test_quadrature_column_is_read_once_per_threshold(self, capsys, monkeypatch):
+        # one axis read per mask, none of the one-phase reads
+        reads = []
+        response_type = quadrature.QuadratureResponse
+        original = response_type.p_x0s
+
+        def counted(self, phis):
+            reads.append(len(phis))
+            return original(self, phis)
+
+        def one_phase(self, phi):
+            raise AssertionError("read one phase at a time")
+
+        monkeypatch.setattr(response_type, "p_x0s", counted)
+        monkeypatch.setattr(response_type, "at", one_phase)
+        for argv, want in ((["crosscheck"], [17] * 5), (["gap"], [17, 17])):
+            reads.clear()
+            assert run_cli(argv, capsys)[0] == 0
+            assert reads == want, argv
+
     def test_closed_form_runs_once_per_threshold(self, capsys, monkeypatch):
         calls = []
         original = stats._threshold
@@ -502,14 +536,41 @@ class TestGridEngine:
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
         printed = float(parse_csv(out)[1][0][2])
-        a0, a1 = phase_response(canonical(), 8192).split(
-            PiecewiseBinaryFunction.step(0.5, BIG_P)
-        )
+        # the T the CLI resolves at 8192 points: 64 cells per P/8
+        p = ProcedureParams(0.0, DELTA, model.aligned_half_width(BIG_P, 8192, 64), BIG_P)
+        a0, a1 = phase_response(p, 8192).split(PiecewiseBinaryFunction.step(0.5, BIG_P))
         assert grid._fisher(a0, a1, 3.14159) == printed
         for scale0, scale1 in [(1 - 1e-16, 1.0), (1 + 3e-16, 1.0), (1.0, 1 - 4e-16),
                                (1.0, 1 + 4e-16), (1 + 2e-16, 1 - 2e-16)]:
             moved = grid._fisher(a0 * scale0, a1 * scale1, 3.14159)
             assert moved == pytest.approx(printed, rel=1e-12)
+
+
+class TestDefaultHalfWidth:
+    """The T the CLI derives from --grid-n when --big-t is not given."""
+
+    @staticmethod
+    def resolved(grid_n):
+        args = cli.build_parser().parse_args(["crosscheck", "--grid-n", str(grid_n)])
+        return cli._resolve_params(args)
+
+    @pytest.mark.parametrize("grid_n", [512, 1024, 2048, 4096])
+    def test_up_to_the_default_grid_t_is_unchanged(self, grid_n):
+        assert self.resolved(grid_n) == canonical(grid_n)
+        assert self.resolved(grid_n).big_t == 4.0 * PI * 32 / BIG_P
+
+    @pytest.mark.parametrize("grid_n", [2**k for k in range(13, 25)])
+    def test_above_it_each_doubling_halves_the_cell(self, grid_n):
+        p = self.resolved(grid_n)
+        dy = PI / (2.0 * p.big_t)
+        assert dy == pytest.approx(BIG_P / (grid_n / 16), rel=1e-12)
+        # dx stays the default grid's
+        assert 2.0 * p.big_t / grid_n == pytest.approx(2.0 * canonical().big_t / 4096)
+        # every Fig. 4 threshold and the domain edge P sit on cell edges
+        thresholds = (0.0, BIG_P / 8, BIG_P / 4, BIG_P / 2, BIG_P, -BIG_P)
+        assert grid._cell_edge_note(p, thresholds).endswith(
+            "every threshold on a cell edge"
+        )
 
 
 class TestNoPerRowRecords:
@@ -608,6 +669,24 @@ class TestSchemas:
         row = dict(zip(header, rows[0]))
         assert row["comparable"] == "true"
         assert float(row["max_pairwise_dev"]) <= 1e-3
+
+    def test_fisher_phi_all_engine_off_edge_threshold_is_not_comparable(self, capsys):
+        # r = 0.3 falls inside a conjugate cell: its grid column carries an
+        # error first order in the cell width (1.14e-2 here)
+        code, out, _ = run_cli(
+            ["fisher-phi", "--phi", "0.785", "--r", f"0.3,0,{BIG_P / 8!r}",
+             "--engine", "all"],
+            capsys,
+        )
+        assert code == 0
+        header, rows = parse_csv(out)
+        cells = [dict(zip(header, row)) for row in rows]
+        assert [row["comparable"] for row in cells] == ["false", "true", "true"]
+        assert float(cells[0]["max_pairwise_dev"]) > 1e-2
+        p = canonical()
+        assert grid._cell_edge_note(p, (0.3, 0.0, BIG_P / 8)).endswith(
+            "thresholds off a cell edge: r = 0.3"
+        )
 
     def test_fisher_r_columns(self, capsys):
         code, out, _ = run_cli(["fisher-r", "--r", "0.5", "--phi", "1.2"], capsys)

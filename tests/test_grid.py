@@ -26,6 +26,7 @@ from cvphase import (
     grid,
     inverse_fourier,
     measure_povm,
+    model,
     phase_response,
     prepare_gaussian,
     prob_x0,
@@ -654,6 +655,76 @@ class TestPhaseResponse:
             run_circuit(p, f, 0.5, n)
         with pytest.raises(error):
             phase_response(p, n).split(f)
+
+
+def _per_cell_mask(n, y_start, dy, f, lo, hi):
+    """The mask's cells the plain way, one comparison and one breakpoint
+    search per cell: the oracle the run-based ``grid._mask_cells`` must
+    match bit for bit."""
+    y = y_start + dy * np.arange(lo, hi)
+    slack = model._DOMAIN_SLACK * max(1.0, f.half_domain)
+    inside = np.abs(y) <= f.half_domain + slack
+    fvals = np.zeros(hi - lo)
+    if f.breakpoints:
+        idx = np.searchsorted(np.asarray(f.breakpoints), y[inside], side="left")
+        fvals[inside] = np.asarray(f.values, dtype=float)[idx]
+    else:
+        fvals[inside] = float(f.values[0])
+    return fvals
+
+
+class TestMaskCells:
+    """Runs of cells between the mask's jumps, against the per-cell rule."""
+
+    @staticmethod
+    def jumps(dy):
+        # 0 and -0, +-P, the multiples of P/8, and for a cell edge and a
+        # sample near 0.3: the point itself and one ulp either side
+        jumps = {0.0, -0.0, BIG_P, -BIG_P, *(k * BIG_P / 8 for k in range(-7, 8))}
+        for at in (round(0.3 / dy) * dy, (round(0.3 / dy) + 0.5) * dy):
+            jumps |= {at, math.nextafter(at, math.inf), math.nextafter(at, -math.inf)}
+        return sorted(jumps)
+
+    @pytest.mark.parametrize("n", [256, 512, 4096, 2**13, 2**18, 2**20])
+    def test_cells_and_split_match_the_per_cell_rule(self, n):
+        # the CLI's default T at n points, or --big-t 3.5 below its floor
+        big_t = 3.5 if n == 256 else aligned_half_width(BIG_P, n, max(32, n // 128))
+        p = ProcedureParams(x0=0.0, delta=DELTA, big_t=big_t, big_p=BIG_P)
+        response = phase_response(p, n)
+        ys, dy = response.grid_start, response.grid_step
+        jumps = self.jumps(dy)
+        masks = [PiecewiseBinaryFunction.step(r, BIG_P) for r in jumps]
+        masks += [
+            PiecewiseBinaryFunction.hat(r1, r2, BIG_P)
+            for r1, r2 in itertools.combinations(jumps[::3], 2)
+        ]
+        lo, hi, rest = response._mask_domain
+        cells = response.weights[lo:hi]
+        for f in masks:
+            for first, stop in ((lo, hi), (0, n)):  # split's cells, apply_blackbox's
+                got = grid._mask_cells(n, ys, dy, f, first, stop)
+                want = _per_cell_mask(n, ys, dy, f, first, stop)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (f, first)
+                assert not np.signbit(got).any()
+            ones = _per_cell_mask(n, ys, dy, f, lo, hi) == 1.0
+            want = (rest + float(np.sum(cells[~ones])), float(np.sum(cells[ones])))
+            assert response.split(f) == want, f
+
+    def test_samples_on_the_domain_edges_are_inside(self):
+        # the first and last samples are exactly -(P + slack) and P + slack,
+        # which |y| <= P + slack still counts; every jump is a sample too
+        edge = BIG_P + model._DOMAIN_SLACK * BIG_P
+        dy = edge / 16
+        y = -edge + dy * np.arange(33)
+        assert (y[0], y[-1]) == (-edge, edge)
+        for f in (
+            PiecewiseBinaryFunction((), (1,), BIG_P),
+            PiecewiseBinaryFunction.step(float(y[10]), BIG_P),
+            PiecewiseBinaryFunction.hat(float(y[3]), float(y[20]), BIG_P),
+        ):
+            got = grid._mask_cells(33, -edge, dy, f, 0, 33)
+            assert np.array_equal(got, _per_cell_mask(33, -edge, dy, f, 0, 33)), f
+            assert got[0] == float(f.values[0]) and got[-1] == float(f.values[-1])
 
 
 class TestConvergence:

@@ -111,6 +111,35 @@ class TestGaussKronrod:
             for phi in rng.uniform(0.0, math.pi, size=5):
                 assert response.at(phi) == prob_x0_quadrature(p, f, phi)
 
+    def test_axis_read_is_the_one_phase_read(self):
+        p = canonical()
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            f = _random_mask(rng)
+            response = quadrature_response(p, f)
+            phis = [0.0, -0.0, *rng.uniform(-4.0, 4.0, size=6), np.float64(0.4), 1]
+            got = response.p_x0s(phis)
+            assert all(type(v) is float for v in got)
+            assert got == [response.at(phi).value for phi in phis]
+        assert response.p_x0s(()) == []
+
+    def test_axis_read_raises_as_the_one_phase_read(self, monkeypatch):
+        p = canonical()
+        response = quadrature_response(p, PiecewiseBinaryFunction.step(BIG_P / 4, BIG_P))
+        # a budget between the estimates at phases 0 and 0.7 fails the axis
+        # at its second phase, with that phase's values
+        estimates = [response.at(phi).error_estimate for phi in (0.0, 0.7)]
+        assert estimates[1] < estimates[0]
+        monkeypatch.setattr(quadrature, "_ABS_TOL", 0.5 * sum(estimates))
+        with pytest.raises(QuadratureToleranceError) as one:
+            response.at(0.0)
+        with pytest.raises(QuadratureToleranceError) as axis:
+            response.p_x0s([0.7, 0.0, 0.7])
+        assert str(axis.value) == str(one.value)
+        assert (axis.value.value, axis.value.error_estimate) == (
+            one.value.value, one.value.error_estimate
+        )
+
 
 def _random_mask(rng: np.random.Generator) -> PiecewiseBinaryFunction:
     k = int(rng.integers(0, 7))
@@ -279,6 +308,11 @@ class TestPhaseGate:
         f = PiecewiseBinaryFunction.step(0.0, BIG_P)
         response = quadrature_response(canonical(), f)
         self._refused(lambda: response.at(phase), phase)
+
+    def test_p_x0s(self, phase):
+        f = PiecewiseBinaryFunction.step(0.0, BIG_P)
+        response = quadrature_response(canonical(), f)
+        self._refused(lambda: response.p_x0s((0.3, phase)), phase)
 
     def test_step_hat_gap(self, phase):
         p = ProcedureParams(0.0, 2.0, 20.0, 0.2)
