@@ -61,8 +61,9 @@ _DEFAULT_GRID_N = 4096
 _MAX_AXIS_COUNT = 100_000
 # grid-engine Fisher comparisons exclude probability-extremum rows and the
 # near-saturated top of the response, where the simulated momentum tail
-# (unphased outside the mask domain) dominates the comparison, and rows whose
-# threshold falls inside a conjugate cell, an error first order in its width
+# (unphased outside the mask domain) dominates the comparison, and rows with
+# a mask jump (the threshold, or the domain edge +-P) inside a conjugate
+# cell, an error first order in its width
 _COMPARABLE_COS_MAX = 2.0 / 3.0
 
 
@@ -256,9 +257,10 @@ def cmd_fisher_phi_sweep(
     if engine == "all":
         cos_ok = [math.cos(2.0 * phi) <= _COMPARABLE_COS_MAX for phi in phi_values]
         none_ok = [False] * len(phi_values)
+        edge_off = grid._off_cell_edge(p, p.big_p)
         row_ok = []
         for r in r_values:
-            row_ok += none_ok if grid._off_cell_edge(p, r) else cos_ok
+            row_ok += none_ok if edge_off or grid._off_cell_edge(p, r) else cos_ok
         table["comparable"] = [
             not singular and ok for singular, ok in zip(table["singular_limit"], row_ok)
         ]

@@ -34,7 +34,7 @@ T = 4*pi*q/P, so that dy = P/(8q) and standard threshold sweeps (multiples
 of P/8) and P land on cell edges.  The CLI's default takes q = max(32, N/128):
 above N = 4096, dx = 2T/N stays the default grid's and a larger N refines
 the cell instead of sampling the same Gaussian more finely, so the support
-the sweep folds stays 80*delta/dx samples (613 at the default delta) at
+the sweep evaluates stays 80*delta/dx samples (613 at the default delta) at
 every N, while the mask domain spans 16q cells.
 
 Note the simulated state carries the full Gaussian momentum tail, while the
@@ -51,81 +51,76 @@ weights w_k = conj((F W)_k) * (F G)_k * dy the amplitude is
 
     A0 + exp(-2i*phi) * A1,   A0 = sum_{f(y_k)=0} w_k,   A1 = sum_{f(y_k)=1} w_k.
 
-``phase_response`` therefore prepares once and transforms once; every phase
-then costs a few scalar operations (``PhaseResponse.p_x0s`` and
-``PhaseResponse.fishers`` give a mask's probability and Fisher information
-over a phase sweep as one column), and every mask one pass over the cells
-of [-P, P].  Both routes take the mask's cell values from one helper, so
-they discretize the mask identically; they differ only by rounding (~1e-15
-in the probability).  ``run_circuit`` stays the stage-by-stage reference.
+``phase_response`` therefore prepares once; every phase then costs a few
+scalar operations (``PhaseResponse.p_x0s`` and ``PhaseResponse.fishers``
+give a mask's probability and Fisher information over a phase sweep as one
+column), and every mask a few sums over its runs of cells.  Both routes
+place the mask's jumps with the same cuts (``_mask_cuts``) over the same
+doubles y_start + k*dy, so they discretize the mask identically; they
+differ only by rounding (~1e-15 in the probability).  ``run_circuit``
+stays the stage-by-stage reference.
 
 Detection projects back onto the prepared state, as the closed forms assume
-(W = G), so w_k = |(F G)_k|^2 * dy is real and non-negative and one
-transform of G alone gives every weight.  With x_j = xs + j*dx,
-``fourier`` is dx/sqrt(pi) times a unit-modulus post-ramp exp(2i*xs*y_k)
-times sum_j exp(2i*j*dx*y_k) * a_j, and the post-ramp drops out of |.|^2.
-The layout identity 2*j*dx*y_k = pi*j*(2k + 1 - N)/N turns the sum into
+(W = G), so w_k = |(F G)_k|^2 * dy is real and non-negative.  With
+x_j = xs + j*dx, ``fourier`` is dx/sqrt(pi) times a unit-modulus post-ramp
+exp(2i*xs*y_k) times sum_j exp(2i*j*dx*y_k) * a_j, and the post-ramp drops
+out of |.|^2.  The layout identity 2*j*dx*y_k = pi*j*(2k + 1 - N)/N turns
+the sum into
 
     X(s) = sum_j a_j * exp(i*pi*j*s/N),   s = 2k + 1 - N,
 
-so w_k = (dx/sqrt(pi))^2 * |X(s)|^2 * dy.  ``fourier`` and
+so w_k = C * |X(s)|^2 with C = (dx/sqrt(pi))^2 * dy.  ``fourier`` and
 ``inverse_fourier`` evaluate the same sums as an FFT with exact ramps: the
 pre-ramp (-1)^j * exp(i*pi*j/N), whose argument never exceeds pi, and the
 post-ramp exp(2i*xs*y_k) = (-1)^k * i^(N-1) (xs = -N*dx/2).
 
-``phase_response`` pays only for the Gaussian's support and one transform
-of half length, and allocates only the arrays it reads.  Support:
-exp(-(x - x0)^2 / (2*delta^2)) underflows to exactly 0.0 once
+Support.  exp(-(x - x0)^2 / (2*delta^2)) underflows to exactly 0.0 once
 |x - x0| > 40*delta (exp(-800) = 0), so ``_support_gaussian`` evaluates only
-the samples of ``_support`` and every other amplitude is an exact 0; the
+the L samples of ``_support`` and every other amplitude is an exact 0; the
 sweep reads that support array and never builds the N-point state that
 ``prepare_gaussian`` returns for ``run_circuit``.
-Half length: the amplitudes a_j are real, so X(-s) = conj X(s) and |X(s)| is
-known from the s = 1 (mod 4) half.  For s = 4l + 1, with
-c_j = a_j * exp(i*pi*j/N),
 
-    X(4l + 1) = sum_{j < N/2} (c_j + c_{j+N/2}) * exp(2pi i jl/(N/2)),
+Lag-domain sums.  The a_j are real, so with the support's autocorrelation
+R(m) = sum_j a_j * a_{j+m} (m = 0..L-1),
 
-one inverse FFT of length N/2 of c folded modulo N/2 (the fold overlaps
-itself when the support is wider than N/2 samples, which takes T < 80*delta,
-as near the containment floor).  X is periodic in l with period N/2.  Even k = 2m has
-s = 4(m - N/4) + 1, so w_{2m} comes from l = m - N/4; odd k = 2m + 1 has
--s = 4(N/4 - 1 - m) + 1, so w_{2m+1} comes from l = N/4 - 1 - m: with W_l the
-squared FFT output, the even cells are np.roll(W, N/4) and the odd cells
-np.roll(W[::-1], N/4), which the sweep writes as four strided slice copies.
-The ifft's 2/N and the (dx/sqrt(pi))^2 * dy above give the scale
-(N*dx/sqrt(pi))^2 * dy / 4.
+    |X(s)|^2 = R(0) + 2 * sum_{m=1}^{L-1} R(m) * cos(pi*m*s/N).
 
-Four quarter-length transforms.  pocketfft, numpy's FFT, takes twice its
-input as scratch, so one in-place N/2-point ifft adds 16*N bytes to its
-8*N-byte buffer.  Above ``_SPLIT_POINTS`` = 2^18 points the sweep splits l
-by its residue r mod 4: with l = 4m + r,
+A mask needs only sums of w_k over runs of cells, and every prefix sum
+P(k) = sum_{k' < k} w_k' has a closed form: the cosines telescope,
+sum_{k' < k} cos(pi*m*(2k' + 1 - N)/N) = sin(pi*m*(2k - N)/N) / (2*sin(pi*m/N)),
+so with h(m) = R(m) / sin(pi*m/N) (0 < m < N, so the sine is positive)
 
-    X(4l + 1) = sum_{j < N/8} [sum_{j' = j (mod N/8)} c_j' * exp(4i*pi*j'*r/N)]
-                * exp(2pi i jm/(N/8)),
+    P(k) = C * [k*R(0) + sum_{m=1}^{L-1} h(m) * sin(pi*m*(2k - N)/N)].
 
-so row r is the support c_j times exp(4i*pi*j*r/N), folded modulo N/8, and
-its N/8-point ifft gives the cells l = r (mod 4).  Row r + 1 is row r times
-exp(4i*pi*j/N), the c_j ramp squared twice.  Each ifft's 8/N instead of 2/N
-divides the scale by 4^2.  At 2^18 points and below the sweep runs the
-single transform (one row), so those weights, and every default table, keep
-their bits.
+P(N) = C*N*R(0), since every sine there is sin(pi*m) = 0, is the total
+weight (1 to rounding).  ``phase_response`` keeps C*R(0) and C*h(m) only.
+R comes from one rfft/irfft pair of the smallest power of two >= 2L - 1
+points, whose zero padding keeps the cyclic correlation from wrapping.
+``PhaseResponse.split`` finds each cut of the mask with a scalar search and
+takes A1 as the prefix sums' differences over f's runs of ones, and A0 as
+the rest of P(N); both are clamped to >= 0 against rounding.
 
-Memory: the rows fill one (K, N/(2K)) complex buffer of 8*N bytes (K = 1 or
-4), built from the support in bounded blocks; the support Gaussian is
-released before the in-place iffts, whose parts are squared in place and
-summed into W (4*N bytes).  The buffer is released before the N float64
-weights (8*N bytes) are allocated, and only the weights outlive the call.
-With K = 4 each ifft's scratch is 4*N bytes, so the sweep peaks at about
-12*N bytes: a 2^20 sweep raises the process's peak RSS by 13*N bytes, and
-a 2^24 ``crosscheck`` peaks at 232 MB.  With K = 1 the 16*N-byte scratch
-sets the peak: 26*N at 2^20 (28*N at 2^18, 7 MB), and 454 MB at 2^24.
+Exact angle reduction.  m*(2k - N) is an integer below N^2 <= 2^48 in
+magnitude, so it is reduced modulo 2N exactly in int64 (a bitwise and, 2N
+being a power of two) before the one rounding of pi*r/N.  The angle then
+never exceeds 2*pi, where pi*m*(2k - N)/N itself reaches pi*m and would
+carry its rounding (~1e-13 rad at m = 612, ~4e-9 near m = 2^24) into the
+term of lag m.
+
+Cost.  At the CLI's default T the support is 613 samples at every N: a
+sweep runs one 2048-point transform pair and each cut sums 612 lags, so
+neither its time nor its memory grows with N (a 2^24 ``crosscheck`` takes
+about 0.2 s and peaks at 31 MB of process RSS, mostly the interpreter).
+The one dear case is a support that spans the grid (L = N), which only an
+explicit small T gives, such as T = 3.5: the transform pair reaches 2N
+points and each cut sums N - 1 lags.  A 2^20 ``crosscheck`` of one mask
+then takes about 215 ms and raises the peak RSS by 73*N bytes, and each
+further mask costs about 60 ms.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -138,10 +133,10 @@ from .model import (
     PiecewiseBinaryFunction,
     ProcedureParams,
     _DOMAIN_SLACK,
-    _MASK_DOMAIN_TOL,
     _integer,
     _phase,
     _phases,
+    _probabilities,
     _require_pow2,
     require_containment,
     require_mask_domain,
@@ -153,12 +148,6 @@ MOMENTUM = "momentum"
 # half-width of the sampled support in units of delta: the Gaussian's exp
 # underflows to exactly 0.0 beyond it (exp(-40^2/2) = exp(-800) = 0)
 _SUPPORT_WIDTHS = 40.0
-
-# above this many points the sweep runs its transform as four quarter-length
-# FFTs, whose scratch is a quarter of one half-length FFT's (module docstring)
-_SPLIT_POINTS = 1 << 18
-# support samples per block of the sweep's fold: bounds its temporaries
-_FOLD_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -366,6 +355,30 @@ def _require_cover(n: int, dy: float, half_domain: float) -> None:
         )
 
 
+def _mask_cuts(f: PiecewiseBinaryFunction) -> tuple[float, ...]:
+    """The values that split the ascending conjugate samples into f's runs
+    of cells, each counting the samples y <= cut: the double below
+    -(P + slack), so that the first run holds y < -(P + slack), then f's
+    breakpoints, then P + slack (P = the mask's half-domain)."""
+    edge = f.half_domain + _DOMAIN_SLACK * max(1.0, f.half_domain)
+    return (math.nextafter(-edge, -math.inf), *f.breakpoints, edge)
+
+
+def _cells_at_most(n: int, y_start: float, dy: float, cut: float) -> int:
+    """How many of the samples y_start + k*dy, k in [0, n), are <= cut.
+
+    Each candidate is the double ``_mask_cells`` searches, y_start + dy*k,
+    and the samples ascend, so the count is the same as its searchsorted's:
+    the division only guesses it, and the two walks settle it exactly.
+    """
+    k = min(max(math.floor((cut - y_start) / dy) + 1, 0), n)
+    while k > 0 and y_start + dy * (k - 1) > cut:
+        k -= 1
+    while k < n and y_start + dy * k <= cut:
+        k += 1
+    return k
+
+
 def _mask_cells(
     n: int, y_start: float, dy: float, f: PiecewiseBinaryFunction, lo: int, hi: int
 ) -> np.ndarray:
@@ -382,11 +395,7 @@ def _mask_cells(
     """
     _require_cover(n, dy, f.half_domain)
     y = y_start + dy * np.arange(lo, hi)
-    edge = f.half_domain + _DOMAIN_SLACK * max(1.0, f.half_domain)
-    # y < -edge is y <= the double below -edge, so every cut counts y <= cut
-    cuts = np.searchsorted(
-        y, (math.nextafter(-edge, -math.inf), *f.breakpoints, edge), side="right"
-    ).tolist()
+    cuts = np.searchsorted(y, _mask_cuts(f), side="right").tolist()
     fvals = np.zeros(hi - lo)
     for value, start, stop in zip(f.values, cuts, cuts[1:]):
         if value:
@@ -461,62 +470,85 @@ def _fisher(a0: float, a1: float, phi: float) -> float:
 
 @dataclass(frozen=True)
 class PhaseResponse:
-    """The circuit split at the mask: per-cell weights |G_k|^2 * dy of the
-    transformed prepared state G on the conjugate grid
-    y_k = grid_start + k*grid_step; detection projects back onto G.
+    """The circuit split at the mask, through the support's autocorrelation.
+
+    The n conjugate cells y_k = grid_start + k*grid_step carry the weights
+    w_k = |G_k|^2 * dy of the transformed prepared state G (detection
+    projects back onto G).  They are never stored: a mask needs only sums
+    over runs of cells, and each prefix sum P(k) = sum_{k' < k} w_k' is
+    k*mean_weight plus a sum over the support's lags m = 1..L-1 with the
+    weights lag_weights[m - 1] = C*R(m)/sin(pi*m/n) (see the module
+    docstring).
 
     For a mask f the detected amplitude at phase phi is A0 + exp(-2i*phi)*A1,
     with (A0, A1) = ``split(f)``, and its squared modulus is the
-    ``run_circuit`` probability (see the module docstring).  The weights are
-    real and non-negative, and so are A0 and A1.  ``p_x0s`` and ``fishers``
-    sweep a mask over phases, one split and one column each.
+    ``run_circuit`` probability.  A0 and A1 are real and non-negative.
+    ``p_x0s`` and ``fishers`` sweep a mask over phases, one split and one
+    column each.
     """
 
     params: ProcedureParams
-    weights: np.ndarray
+    n: int
     grid_start: float
     grid_step: float
+    mean_weight: float
+    lag_weights: np.ndarray
 
-    @functools.cached_property
-    def _mask_domain(self) -> tuple[int, int, float]:
-        """(lo, hi, rest): the cells any mask of this response can set to 1,
-        and the weight of all other cells.
+    def _prefix_sums(self, ks: list[int]) -> np.ndarray:
+        """P(k), the weight of the cells 0..k-1, at each k of ks (0 <= k <= n):
+        k*mean_weight plus sum_m lag_weights[m - 1] * sin(pi*r_m/n), with
+        r_m = (m*(2k - n)) mod 2n."""
+        n = self.n
+        ks = np.array(ks, dtype=np.int64)
+        lags = np.arange(1, self.lag_weights.size + 1)
+        # |m*(2k - n)| < n^2 <= 2^48: exact in int64, and modulo 2n (a power
+        # of two) it is the bitwise and, also for a negative product
+        turns = np.multiply.outer(ks * 2 - n, lags)
+        turns &= 2 * n - 1
+        angles = turns * (math.pi / n)
+        np.sin(angles, out=angles)
+        angles *= self.lag_weights
+        return ks * self.mean_weight + angles.sum(axis=1)
 
-        The range reaches past P by more than ``require_mask_domain``'s match
-        and ``_mask_cells``' slack together, so every cell outside it is
-        f = 0 for each mask ``split`` accepts.
+    def _runs_of_ones(self, f: PiecewiseBinaryFunction) -> list[int]:
+        """start, stop, start, stop, ...: the non-empty runs of cells where
+        f = 1, the cells ``_mask_cells`` sets to 1 on this grid.
+
+        Cells beyond the mask domain count as f = 0, exactly as
+        ``apply_blackbox`` leaves them unphased, and each cut is placed over
+        the same doubles as there (``_cells_at_most``).
         """
-        big_p = self.params.big_p
-        half = big_p + 2.0 * _MASK_DOMAIN_TOL * max(1.0, big_p)
-        lo, hi = _index_range(self.weights.size, self.grid_start, self.grid_step, half)
-        rest = float(np.sum(self.weights[:lo])) + float(np.sum(self.weights[hi:]))
-        return lo, hi, rest
+        n, y_start, dy = self.n, self.grid_start, self.grid_step
+        _require_cover(n, dy, f.half_domain)
+        counts = [_cells_at_most(n, y_start, dy, cut) for cut in _mask_cuts(f)]
+        edges = []
+        for value, start, stop in zip(f.values, counts, counts[1:]):
+            if value and start < stop:
+                edges += (start, stop)
+        return edges
 
     def split(self, f: PiecewiseBinaryFunction) -> tuple[float, float]:
         """(A0, A1): the weight sums over the cells where f = 0 and f = 1,
         both real and non-negative.
 
-        Cells beyond the mask domain count as f = 0, exactly as
-        ``apply_blackbox`` leaves them unphased.  Only the cells around
-        [-P, P] are discretized per mask; the weight beyond them is summed
-        once per response and added to A0.
+        A1 sums the prefix sums' differences over f's runs of ones, and A0
+        is the rest of the total n*mean_weight.
         """
         require_mask_domain(self.params, f)
-        lo, hi, rest = self._mask_domain
-        n = self.weights.size
-        ones = _mask_cells(n, self.grid_start, self.grid_step, f, lo, hi) == 1.0
-        cells = self.weights[lo:hi]
-        return rest + float(np.sum(cells[~ones])), float(np.sum(cells[ones]))
+        edges = self._runs_of_ones(f)
+        total = self.n * self.mean_weight
+        if not edges:
+            return total, 0.0
+        sums = self._prefix_sums(edges)
+        a1 = float(np.sum(sums[1::2] - sums[::2]))
+        return max(total - a1, 0.0), max(a1, 0.0)
 
     def p_x0s(self, f: PiecewiseBinaryFunction, phis: Iterable[float]) -> list[float]:
         """The detection probability |A0 + exp(-2i*phi)*A1|^2 of mask f at
-        each phase of phis, each checked as a ``MeasurementDistribution``."""
+        each phase of phis, checked as a column (``_probabilities``)."""
         phis = _phases(phis)
         a0, a1 = self.split(f)
-        return [
-            MeasurementDistribution(abs(a0 + cmath.exp(-2j * phi) * a1) ** 2).p_x0
-            for phi in phis
-        ]
+        return _probabilities([abs(a0 + cmath.exp(-2j * phi) * a1) ** 2 for phi in phis])
 
     def fishers(self, f: PiecewiseBinaryFunction, phis: Iterable[float]) -> list[float]:
         """The Fisher information in phi of mask f's response at each phase
@@ -526,54 +558,18 @@ class PhaseResponse:
         return [_fisher(a0, a1, phi) for phi in phis]
 
 
-def _folded_rows(
-    lo: int, hi: int, gauss: np.ndarray, n: int, k: int
-) -> np.ndarray:
-    """The (k, n/(2k)) complex rows whose inverse FFTs give X(4l + 1) for
-    l = r (mod k) in row r: c_j * exp(4i*pi*j*r/n) on the support [lo, hi),
-    with c_j = gauss_j * exp(i*pi*j/n), folded modulo n/(2k).
-
-    The support is taken in blocks of at most ``_FOLD_BLOCK`` samples that
-    never cross a fold period, so each block lands in one contiguous slice
-    of every row.  The factor exp(4i*pi*j/n) between rows is the block's
-    ramp squared twice: no trig pass beyond the ramp's.
-    """
-    period = n // (2 * k)
-    rows = np.zeros((k, period), dtype=complex)
-    start = lo
-    while start < hi:
-        stop = min(hi, start + _FOLD_BLOCK, (start // period + 1) * period)
-        angle = (math.pi / n) * np.arange(start, stop)
-        c = np.empty(stop - start, dtype=complex)
-        np.cos(angle, out=c.real)
-        np.sin(angle, out=c.imag)
-        if k > 1:
-            step = np.square(c)
-            np.square(step, out=step)
-        g = gauss[start - lo : stop - lo]
-        c.real *= g
-        c.imag *= g
-        at = start % period
-        rows[0, at : at + stop - start] += c
-        for r in range(1, k):
-            c *= step
-            rows[r, at : at + stop - start] += c
-        start = stop
-    return rows
-
-
 def phase_response(p: ProcedureParams, n: int) -> PhaseResponse:
-    """One Gaussian evaluation and one half-length transform that serve every
+    """One Gaussian evaluation and one autocorrelation that serve every
     phase and mask.
 
     The detection window is the prepared state, so its transform is the
-    state's and w_k = |G_k|^2 * dy.  Evaluates the Gaussian on its support
-    only (``_support_gaussian``, no N-point state) and folds it into one
-    in-place inverse FFT of length n/2, or above ``_SPLIT_POINTS`` into four
-    of length n/8 (see the module docstring); the weights agree with
-    |fourier(prepare_gaussian(p, n))|^2 * dy to rounding.  Peak memory,
-    numpy's FFT scratch included, is about 13*n bytes above 2^18 points and
-    28*n at or below, of which the returned 8*n-byte weights stay.
+    state's and w_k = |G_k|^2 * dy.  Evaluates the Gaussian on its L support
+    samples only (``_support_gaussian``, no N-point state) and takes their
+    autocorrelation R(m), m < L, from one rfft/irfft pair of the smallest
+    power of two >= 2L - 1 points; the prefix sums of the cell weights then
+    follow in closed form (see the module docstring) and agree with the
+    sums of |fourier(prepare_gaussian(p, n))|^2 * dy to rounding.  Nothing
+    it allocates grows with n beyond the support.
     Makes the checks of ``run_circuit`` that need no mask, in its order
     (containment, grid size, state support, a grid covering [-P, P]);
     ``PhaseResponse.split`` makes the rest.
@@ -582,28 +578,20 @@ def phase_response(p: ProcedureParams, n: int) -> PhaseResponse:
     n = int(n)
     dy, ys = _conjugate_layout(n, dx)
     _require_cover(n, dy, p.big_p)
-    k = 4 if n > _SPLIT_POINTS else 1
-    rows = _folded_rows(lo, hi, gauss, n, k)
+    size = hi - lo
+    points = 1 << (2 * size - 2).bit_length()  # zero padding: no wrapped lag
+    spectrum = np.fft.rfft(gauss, points)
     del gauss
-    for row in rows:
-        np.fft.ifft(row, out=row)
-    np.square(rows.real, out=rows.real)
-    np.square(rows.imag, out=rows.imag)
-    # row r holds the classes l = r (mod k): w[r::k]
-    half = n // 2
-    w = np.empty(half)
-    np.add(rows.real, rows.imag, out=w.reshape(half // k, k).T)
-    del rows, row
-    w *= (n * dx / math.sqrt(math.pi)) ** 2 * dy / (4.0 * k * k)
-    # even cells 2m take l = m - n/4, odd cells 2m + 1 take l = n/4 - 1 - m
-    # (mod n/2): np.roll(w, n/4) and np.roll(w[::-1], n/4), slice by slice
-    q = n // 4
-    weights = np.empty(n)
-    weights[0:half:2] = w[q:]
-    weights[half::2] = w[:q]
-    weights[1:half:2] = w[q - 1 :: -1]
-    weights[half + 1 :: 2] = w[: q - 1 : -1]
-    return PhaseResponse(p, weights, ys, dy)
+    power = np.square(spectrum.real)
+    power += np.square(spectrum.imag)
+    del spectrum
+    autocorr = np.fft.irfft(power, points)
+    del power
+    scale = dx * dx * dy / math.pi
+    lag_weights = np.sin(np.arange(1, size) * (math.pi / n))
+    np.divide(autocorr[1:size], lag_weights, out=lag_weights)
+    lag_weights *= scale
+    return PhaseResponse(p, n, ys, dy, scale * float(autocorr[0]), lag_weights)
 
 
 @dataclass(frozen=True)

@@ -192,10 +192,9 @@ def require_mask_domain(p: ProcedureParams, f: PiecewiseBinaryFunction) -> None:
 # grid sizes the simulator accepts; the default T needs N >= 512
 _MIN_POINTS = 256
 # largest grid: a circuit holds a few N-point complex arrays (256 MiB each at
-# this size) and numpy's FFT scratch of twice one of them; a sweep peaks at
-# about 13*N bytes, its four quarter-length FFTs' scratch included (a 2^24
-# crosscheck peaks at 232 MB of process RSS); a larger request is a typo,
-# not a convergence study
+# this size) and numpy's FFT scratch of twice one of them; a sweep at the
+# CLI's T allocates nothing N-sized (a 2^24 crosscheck peaks at 31 MB of
+# process RSS); a larger request is a typo, not a convergence study
 _MAX_POINTS = 1 << 24
 
 
@@ -335,7 +334,28 @@ class MeasurementDistribution(_Checked, namedtuple("MeasurementDistribution", "p
     __slots__ = ()
 
     def __new__(cls, p_x0: float) -> MeasurementDistribution:
-        v = _require_finite("p_x0", p_x0)
+        return tuple.__new__(cls, _probabilities((p_x0,)))
+
+
+def _probabilities(values) -> list[float]:
+    """The sequence values as a column of hit probabilities, each checked
+    as a ``MeasurementDistribution`` is: a finite real number, clamped to
+    [0, 1] from a rounding spill of at most 1e-12 outside it, and otherwise
+    a ParameterError (the first failing value, in order, is reported).
+
+    A column of floats already in [0, 1] is returned as it is (-0.0 stays
+    -0.0) after three C-level passes: the types, then both bounds, which a
+    NaN fails.
+    """
+    if (
+        set(map(type, values)) == {float}
+        and all(map((0.0).__le__, values))
+        and all(map((1.0).__ge__, values))
+    ):
+        return list(values)
+    checked = []
+    for value in values:
+        v = _require_finite("p_x0", value)
         # tolerate rounding spill just outside [0, 1]
         if -1e-12 <= v < 0.0:
             v = 0.0
@@ -343,4 +363,5 @@ class MeasurementDistribution(_Checked, namedtuple("MeasurementDistribution", "p
             v = 1.0
         if not 0.0 <= v <= 1.0:
             raise ParameterError(f"p_x0 must lie in [0, 1], got {v}")
-        return tuple.__new__(cls, (v,))
+        checked.append(v)
+    return checked

@@ -47,6 +47,7 @@ from .model import (
     ProcedureParams,
     _phase,
     _phases,
+    _probabilities,
     require_containment,
     require_mask_domain,
 )
@@ -193,8 +194,9 @@ class QuadratureResponse(namedtuple("QuadratureResponse", "params integrals erro
     def p_x0s(self, phis: Iterable[float]) -> list[float]:
         """``at(phi).value`` at each phase of phis, the axis checked once;
         raises as ``at`` does at the first phase whose estimate exceeds
-        _ABS_TOL."""
-        return [value for value, _ in self._reads(_phases(phis))]
+        _ABS_TOL.  The column is checked as probabilities (``_probabilities``).
+        """
+        return _probabilities([value for value, _ in self._reads(_phases(phis))])
 
     def _reads(self, phis: list[float]) -> list[tuple[float, float]]:
         """(value, error_estimate) at each of the checked phases phis."""

@@ -44,6 +44,7 @@ from .model import (
     ProcedureParams,
     _phase,
     _phases,
+    _probabilities,
     _real,
     require_containment,
     require_mask_domain,
@@ -93,10 +94,7 @@ def prob_x0(p: ProcedureParams, r: float, phi: float) -> MeasurementDistribution
 def prob_x0s(p: ProcedureParams, r: float, phis: Iterable[float]) -> list[float]:
     """prob_x0's checked p_x0 at each phase of phis, from one (a, b) for r."""
     a, b = cosine_model_coefficients(p, r)
-    return [
-        MeasurementDistribution(a + b * math.cos(2.0 * phi)).p_x0
-        for phi in _phases(phis)
-    ]
+    return _probabilities([a + b * math.cos(2.0 * phi) for phi in _phases(phis)])
 
 
 def cosine_model_coefficients(p: ProcedureParams, r: float) -> tuple[float, float]:

@@ -71,39 +71,21 @@ def reference_csv(table) -> str:
 
 
 def reference_phase_weights(p: ProcedureParams, n: int):
-    """``phase_response(p, n).weights`` computed the plain way: the full
-    N-point prepared state, its support folded modulo n/2 through a complex
-    temporary, one ifft, |.|^2 into a new array and the cell layout as two
-    ``np.roll`` copies.  Up to 2^18 points the sweep must match it bit for
-    bit; above, it splits the transform in four and matches to rounding."""
+    """The cell weights |G_k|^2 * dy that ``phase_response(p, n)`` sums in
+    the lag domain, computed cell by cell along the circuit's own route:
+    the N-point prepared state and its ``fourier`` transform."""
     import numpy as np
 
     from cvphase import grid
 
-    state = grid.prepare_gaussian(p, n)
-    n = state.n
-    dx = state.grid_step
-    dy, _ = grid._conjugate_layout(n, dx)
-    lo, hi = grid._support(p, n)
-    amps = state.amplitudes.real[lo:hi]
-    angle = (math.pi / n) * np.arange(lo, hi)
-    c = np.empty(hi - lo, dtype=complex)
-    np.multiply(amps, np.cos(angle), out=c.real)
-    np.multiply(amps, np.sin(angle), out=c.imag)
-    half = n // 2
-    folded = np.zeros(half, dtype=complex)
-    mid = min(max(lo, half), hi)
-    folded[lo:mid] = c[: mid - lo]
-    if hi > mid:
-        folded[mid - half : hi - half] += c[mid - lo :]
-    np.fft.ifft(folded, out=folded)
-    w = np.square(folded.real)
-    w += np.square(folded.imag)
-    w *= (n * dx / math.sqrt(math.pi)) ** 2 * dy / 4.0
-    weights = np.empty(n)
-    weights[0::2] = np.roll(w, n // 4)
-    weights[1::2] = np.roll(w[::-1], n // 4)
-    return weights
+    moved = grid.fourier(grid.prepare_gaussian(p, n))
+    return np.abs(moved.amplitudes) ** 2 * moved.grid_step
+
+
+def cell_sums(weights, ks):
+    """sum(weights[:k]) for each k of ks, each summed on its own (numpy's
+    pairwise sum, so no running total carries its rounding from k to k)."""
+    return [float(weights[:k].sum()) for k in ks]
 
 
 def fourier_matrix(s):

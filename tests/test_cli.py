@@ -383,15 +383,15 @@ class TestGridEngine:
 
         # the sweep evaluates the Gaussian through _support_gaussian, which
         # prepare_gaussian also calls: each entry is a Gaussian evaluation or
-        # the length of one transform
+        # a transform with its length
         calls = []
 
         def counted(module, name):
             original = getattr(module, name)
 
-            def wrapper(*args, **kwargs):
-                calls.append(name if module is grid else len(args[0]))
-                return original(*args, **kwargs)
+            def wrapper(a, n=None, *args, **kwargs):
+                calls.append(name if module is grid else (name, n or len(a)))
+                return original(a, n, *args, **kwargs)
 
             monkeypatch.setattr(module, name, wrapper)
 
@@ -400,16 +400,18 @@ class TestGridEngine:
             if not name.endswith(("freq", "shift")):  # index helpers, not transforms
                 counted(np.fft, name)
         assert not hasattr(cli, "run_circuit")
-        # one half-length transform up to 2^18 points, four of N/8 above
-        n = 2**19
-        for argv, lengths in (
-            (["crosscheck"], [4096 // 2]),
-            (["fisher-phi", "--fig4", "--engine", "all"], [4096 // 2]),
-            (["crosscheck", "--grid-n", str(n), "--r", "0", "--phi", "0"], [n // 8] * 4),
+        # the CLI's T keeps the support at 613 samples at every N: one
+        # 2048-point autocorrelation pair, whatever the grid
+        for argv in (
+            ["crosscheck"],
+            ["fisher-phi", "--fig4", "--engine", "all"],
+            ["crosscheck", "--grid-n", str(2**19), "--r", "0", "--phi", "0"],
         ):
             calls.clear()
             assert run_cli(argv, capsys)[0] == 0
-            assert calls == ["_support_gaussian"] + lengths, argv
+            assert calls == [
+                "_support_gaussian", ("rfft", 2048), ("irfft", 2048)
+            ], argv
 
     def test_one_quadrature_response_per_threshold(self, capsys, monkeypatch):
         built = []
@@ -686,6 +688,26 @@ class TestSchemas:
         p = canonical()
         assert grid._cell_edge_note(p, (0.3, 0.0, BIG_P / 8)).endswith(
             "thresholds off a cell edge: r = 0.3"
+        )
+
+    def test_fisher_phi_all_engine_off_edge_domain_is_not_comparable(self, capsys):
+        # --big-t 200 puts the domain edge P, where the mask drops to 0,
+        # inside a conjugate cell (P/dy = 270.09) while r = 0 stays on a cell
+        # edge: the jump at P carries the same first-order error as an
+        # off-edge threshold, so no row is comparable
+        argv = ["fisher-phi", "--phi", "0.7", "--r", "0", "--engine", "all"]
+        rows = {}
+        for extra in ([], ["--big-t", "200"]):
+            code, out, _ = run_cli(argv + extra, capsys)
+            assert code == 0
+            header, (row,) = parse_csv(out)
+            rows[bool(extra)] = dict(zip(header, row))
+        assert rows[False]["comparable"] == "true"
+        assert rows[True]["comparable"] == "false"
+        p = canonical()._replace(big_t=200.0)
+        assert not grid._off_cell_edge(p, 0.0) and grid._off_cell_edge(p, BIG_P)
+        assert grid._cell_edge_note(p, (0.0,)).endswith(
+            f"domain edge P = {BIG_P!r} off a cell edge (P/dy = 270.09)"
         )
 
     def test_fisher_r_columns(self, capsys):

@@ -34,7 +34,8 @@ from cvphase import (
     two_register_kickback_check,
 )
 from helpers import (
-    BIG_P, DELTA, GRID_N, canonical, fourier_matrix, reference_phase_weights,
+    BIG_P, DELTA, GRID_N, canonical, cell_sums, fourier_matrix,
+    reference_phase_weights,
 )
 
 
@@ -415,10 +416,13 @@ class TestPhaseResponse:
         "hat": PiecewiseBinaryFunction.hat(-BIG_P / 2, BIG_P / 4, BIG_P),
         "constant": PiecewiseBinaryFunction((), (1,), BIG_P),
     }
+    # peak RSS rise of a 2^20 sweep and split whose support spans the grid,
+    # in units of N bytes: 72.4 measured (Python 3.11, numpy 2.4.6, Linux)
+    RSS_FULL_N = 80
 
-    # above 2^18 points the sweep splits its transform in four: at the default
-    # T, with the support clipped at one grid end, and with a support that
-    # covers the whole grid, so every row of the split folds onto itself
+    # 2^19 points: the CLI's default T there, a support clipped at one grid
+    # end, and a support that spans the whole grid (L = N, so the lag sums
+    # run over N - 1 lags and the autocorrelation over 2N points)
     SPLIT_CASES = [
         (2**19, 0.0, aligned_half_width(BIG_P, 2**19)),
         (2**19, T - 4.3 * DELTA, T),
@@ -443,7 +447,7 @@ class TestPhaseResponse:
             assert got == pytest.approx(run_circuit(p, f, phi, n).p_x0, abs=1e-14)
 
     SWEEP_CASES = list(itertools.product((256, 4096, 2**14), (0.0, 0.37), (T,))) + [
-        # the support is wider than n/2 samples, so the fold wraps
+        # the support spans the whole grid
         (256, 0.0, 3.5),
         (256, 0.37, 3.5),
         # the support is clipped at one grid end
@@ -453,22 +457,39 @@ class TestPhaseResponse:
 
     @pytest.mark.parametrize("n, x0, big_t", SWEEP_CASES + SPLIT_CASES)
     def test_weights_are_the_transformed_state(self, n, x0, big_t):
+        # every prefix sum P(k) in closed form over the lags is the sum of
+        # the transformed state's first k cell weights, to rounding
         p = ProcedureParams(x0=x0, delta=DELTA, big_t=big_t, big_p=BIG_P)
         response = phase_response(p, n)
         moved = fourier(prepare_gaussian(p, n))
-        assert response.grid_start == moved.grid_start
-        assert response.grid_step == moved.grid_step
-        expected = np.abs(moved.amplitudes) ** 2 * moved.grid_step
-        assert float(np.max(np.abs(response.weights - expected))) <= 1e-15
+        assert (response.n, response.grid_start, response.grid_step) == (
+            n, moved.grid_start, moved.grid_step
+        )
+        weights = np.abs(moved.amplitudes) ** 2 * moved.grid_step
+        # the grid ends, the centre and 24 cells in between
+        ends = [0, 1, n // 4, n // 2 - 1, n // 2, n // 2 + 1, n - 1, n]
+        between = np.random.default_rng(n).integers(0, n + 1, size=24).tolist()
+        ks = sorted({*ends, *between})
+        got = response._prefix_sums(ks)
+        assert float(np.max(np.abs(got - cell_sums(weights, ks)))) <= 2e-15
 
-    # 2^18, the largest grid whose sweep runs one transform, whose support
-    # takes several blocks of the fold (at T = 3.5 it also folds onto itself)
+    # 2^18 points, at the CLI's T and with a support spanning the grid
     @pytest.mark.parametrize(
         "n, x0, big_t", SWEEP_CASES + [(2**18, 0.37, T), (2**18, 0.0, 3.5)]
     )
     def test_weights_match_the_reference_sweep_bit_for_bit(self, n, x0, big_t):
+        # the sweep sums exactly the cells that the per-cell rule over the
+        # whole axis sets to 1, and its (A0, A1) are those cells' weight sums
         p = ProcedureParams(x0=x0, delta=DELTA, big_t=big_t, big_p=BIG_P)
-        assert np.array_equal(phase_response(p, n).weights, reference_phase_weights(p, n))
+        response = phase_response(p, n)
+        weights = reference_phase_weights(p, n)
+        ys, dy = response.grid_start, response.grid_step
+        for f in self.MASKS.values():
+            cells = _per_cell_mask(n, ys, dy, f, 0, n)
+            assert response._runs_of_ones(f) == _runs(cells), f
+            ones = cells == 1.0
+            want = (float(np.sum(weights[~ones])), float(np.sum(weights[ones])))
+            assert np.max(np.abs(np.subtract(response.split(f), want))) <= 2e-15, f
 
     @pytest.mark.parametrize("n, x0, big_t", SWEEP_CASES)
     def test_support_gaussian_is_normalized(self, n, x0, big_t):
@@ -479,51 +500,56 @@ class TestPhaseResponse:
         assert abs(float(np.sum(gauss * gauss)) * dx - 1.0) <= 1e-12
 
     def test_sweep_allocates_only_what_it_reads(self):
-        # numpy reports its buffers to tracemalloc.  The N/2-point complex FFT
-        # buffer with the squared magnitudes (8*N + 4*N bytes), then those
-        # with the N float64 weights (4*N + 8*N), set a peak of ~12*N; a
-        # buffer kept alive past the fold reads 20*N, the full prepared
-        # state 48*N.  Only the weights stay.  pocketfft's scratch is C++
-        # memory that tracemalloc does not see: the next test takes it from
-        # the process's peak RSS.
-        n = 2**18
-        p = canonical(n)
-        phase_response(p, n)  # numpy's lazy set-up is not the sweep's
+        # numpy reports its buffers to tracemalloc.  At the CLI's T the
+        # support is 613 samples at every N, so a 2^20 sweep allocates its
+        # 2048-point transform pair and the 612 lag weights, and keeps only
+        # those; any N-point float64 array would read 8 MB.  pocketfft's
+        # scratch is C++ memory that tracemalloc does not see: the next test
+        # takes it from the process's peak RSS.
+        n = 2**20
+        p = ProcedureParams(0.0, DELTA, aligned_half_width(BIG_P, n, n // 128), BIG_P)
+        f = PiecewiseBinaryFunction.step(BIG_P / 4, BIG_P)
+        phase_response(p, n).split(f)  # numpy's lazy set-up is not the sweep's
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             response = phase_response(p, n)
+            response.split(f)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert response.weights.nbytes == 8 * n
-        assert peak - base <= 16 * n
-        assert 8 * n <= held - base < 9 * n
+        assert response.lag_weights.nbytes == 8 * 612
+        assert peak - base < 1 << 20
+        assert held - base < 16 * 1024
 
     @pytest.mark.skipif(
         not os.path.exists("/proc/self/status"), reason="reads VmHWM (Linux)"
     )
     def test_sweep_peak_rss_includes_the_fft_scratch(self):
         # a fresh interpreter, with np.fft loaded, takes the rise of its peak
-        # RSS over one 2^20 sweep.  pocketfft's scratch is twice its input:
-        # one N/2-point transform adds 16*N bytes to its 8*N-byte buffer
-        # (~26*N in all), four of N/8 points add 4*N (~13*N).  It reads
-        # VmHWM, its own address space's peak: ru_maxrss also holds the peak
-        # of the process it was started from, here the test runner's.
+        # RSS over two 2^20 sweeps and their splits.  At the CLI's T the
+        # support is 613 samples and the rise is below N bytes.  With
+        # --big-t 3.5 the support spans the grid (L = N): the 2N-point
+        # transform pair, with pocketfft's scratch, and the N-lag sums of a
+        # split raise it by up to RSS_FULL_N * N bytes.  It reads VmHWM,
+        # its own address space's peak: ru_maxrss also holds the peak of the
+        # process it was started from, here the test runner's.
         n = 2**20
         script = (
             "import numpy as np\n"
-            "from cvphase import phase_response\n"
-            "from helpers import canonical\n"
+            "from cvphase import PiecewiseBinaryFunction, ProcedureParams, phase_response\n"
+            "from cvphase import aligned_half_width\n"
+            "from helpers import BIG_P, DELTA\n"
             "def peak():\n"
             "    with open('/proc/self/status') as status:\n"
             "        kib = [line.split()[1] for line in status if line.startswith('VmHWM:')]\n"
             "    return int(kib[0]) * 1024\n"
-            f"p = canonical({n})\n"
-            "np.fft.ifft(np.zeros(8, dtype=complex))\n"
-            "before = peak()\n"
-            f"phase_response(p, {n})\n"
-            "print(peak() - before)\n"
+            "f = PiecewiseBinaryFunction.step(BIG_P / 4, BIG_P)\n"
+            "np.fft.irfft(np.fft.rfft(np.zeros(8)))\n"
+            f"for big_t in (aligned_half_width(BIG_P, {n}, {n // 128}), 3.5):\n"
+            "    before = peak()\n"
+            f"    phase_response(ProcedureParams(0.0, DELTA, big_t, BIG_P), {n}).split(f)\n"
+            "    print(peak() - before)\n"
         )
         src = os.path.dirname(os.path.dirname(grid.__file__))
         here = os.path.dirname(os.path.abspath(__file__))
@@ -532,7 +558,9 @@ class TestPhaseResponse:
             env={**os.environ, "PYTHONPATH": os.pathsep.join((src, here))},
         )
         assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout) <= 16 * n
+        default, full = map(int, proc.stdout.split())
+        assert default <= n
+        assert full <= self.RSS_FULL_N * n
 
     @pytest.mark.parametrize(
         "params, n, error, match",
@@ -576,10 +604,18 @@ class TestPhaseResponse:
         # n = 256 needs the finer layout to cover [-P, P]
         big_t = self.T if n == 256 else aligned_half_width(BIG_P, n)
         p = ProcedureParams(x0=x0, delta=DELTA, big_t=big_t, big_p=BIG_P)
-        weights = phase_response(p, n).weights
-        assert weights.dtype == np.float64
-        assert weights.min() >= 0.0
-        assert abs(float(weights.sum()) - 1.0) <= 1e-14
+        response = phase_response(p, n)
+        assert abs(n * response.mean_weight - 1.0) <= 1e-14
+        # each cell weight P(k + 1) - P(k) is non-negative, to rounding: all
+        # of them up to 4096 cells, and the centre and both ends above
+        ks = list(range(n + 1)) if n <= 4096 else [
+            *range(64), *range(n // 2 - 64, n // 2 + 64), *range(n - 63, n + 1)
+        ]
+        sums = _prefix_sums_in_blocks(response, ks)
+        assert sums.dtype == np.float64
+        assert abs(sums[0]) <= 1e-15 and abs(sums[-1] - 1.0) <= 1e-14
+        steps = np.diff(sums)[np.diff(ks) == 1]
+        assert steps.min() >= -1e-15
 
     @pytest.mark.parametrize("r", [0.0, BIG_P / 4])
     def test_exact_derivative_matches_circuit_difference(self, r):
@@ -629,7 +665,8 @@ class TestPhaseResponse:
     def test_matched_weights_are_the_closed_form_transform(self):
         # x0 = 0 and a matched window: w_k = |b(y_k)|^2 * dy with
         # |b(y)|^2 = (2*delta/sqrt(pi)) * exp(-4*delta^2*y^2); at this N both
-        # truncations are far below rounding, so only the arithmetic remains
+        # truncations are far below rounding, so only the arithmetic remains.
+        # Every prefix sum of the sweep is that of the closed-form cells.
         response = phase_response(canonical(), GRID_N)
         y = response.grid_start + response.grid_step * np.arange(GRID_N)
         closed = (
@@ -637,7 +674,9 @@ class TestPhaseResponse:
             * np.exp(-4.0 * DELTA**2 * y**2)
             * response.grid_step
         )
-        assert float(np.sum(np.abs(response.weights - closed))) <= 1e-14
+        ks = list(range(GRID_N + 1))
+        got = _prefix_sums_in_blocks(response, ks)
+        assert float(np.max(np.abs(got - cell_sums(closed, ks)))) <= 1e-14
 
     @pytest.mark.parametrize(
         "n, f, error",
@@ -655,6 +694,20 @@ class TestPhaseResponse:
             run_circuit(p, f, 0.5, n)
         with pytest.raises(error):
             phase_response(p, n).split(f)
+
+
+def _prefix_sums_in_blocks(response, ks):
+    """response._prefix_sums over a long list of cells, 512 at a time, so
+    that its (cells, lags) temporaries stay small."""
+    return np.concatenate(
+        [response._prefix_sums(ks[i : i + 512]) for i in range(0, len(ks), 512)]
+    )
+
+
+def _runs(cells):
+    """start, stop, start, stop, ... of the runs of ones of a 0/1 cell array."""
+    steps = np.diff(np.concatenate(([0.0], cells, [0.0])))
+    return np.flatnonzero(steps).tolist()
 
 
 def _per_cell_mask(n, y_start, dy, f, lo, hi):
@@ -691,6 +744,7 @@ class TestMaskCells:
         big_t = 3.5 if n == 256 else aligned_half_width(BIG_P, n, max(32, n // 128))
         p = ProcedureParams(x0=0.0, delta=DELTA, big_t=big_t, big_p=BIG_P)
         response = phase_response(p, n)
+        weights = reference_phase_weights(p, n)
         ys, dy = response.grid_start, response.grid_step
         jumps = self.jumps(dy)
         masks = [PiecewiseBinaryFunction.step(r, BIG_P) for r in jumps]
@@ -698,17 +752,19 @@ class TestMaskCells:
             PiecewiseBinaryFunction.hat(r1, r2, BIG_P)
             for r1, r2 in itertools.combinations(jumps[::3], 2)
         ]
-        lo, hi, rest = response._mask_domain
-        cells = response.weights[lo:hi]
+        # the cells around [-P, P], and apply_blackbox's whole axis
+        lo, hi = grid._index_range(n, ys, dy, 1.01 * BIG_P)
         for f in masks:
-            for first, stop in ((lo, hi), (0, n)):  # split's cells, apply_blackbox's
+            for first, stop in ((lo, hi), (0, n)):
                 got = grid._mask_cells(n, ys, dy, f, first, stop)
                 want = _per_cell_mask(n, ys, dy, f, first, stop)
                 assert got.dtype == want.dtype and np.array_equal(got, want), (f, first)
                 assert not np.signbit(got).any()
-            ones = _per_cell_mask(n, ys, dy, f, lo, hi) == 1.0
-            want = (rest + float(np.sum(cells[~ones])), float(np.sum(cells[ones])))
-            assert response.split(f) == want, f
+            # the split's scalar cut search finds the same cells
+            assert response._runs_of_ones(f) == _runs(want), f
+            ones = want == 1.0
+            sums = (float(np.sum(weights[~ones])), float(np.sum(weights[ones])))
+            assert np.max(np.abs(np.subtract(response.split(f), sums))) <= 2e-15, f
 
     def test_samples_on_the_domain_edges_are_inside(self):
         # the first and last samples are exactly -(P + slack) and P + slack,
@@ -725,6 +781,12 @@ class TestMaskCells:
             got = grid._mask_cells(33, -edge, dy, f, 0, 33)
             assert np.array_equal(got, _per_cell_mask(33, -edge, dy, f, 0, 33)), f
             assert got[0] == float(f.values[0]) and got[-1] == float(f.values[-1])
+            # the split's scalar search counts a sample on a cut as <= it
+            response = grid.PhaseResponse(canonical(), 33, -edge, dy, 1.0, np.zeros(0))
+            assert response._runs_of_ones(f) == _runs(got), f
+        for cut in (*y, *np.nextafter(y, np.inf), *np.nextafter(y, -np.inf)):
+            count = grid._cells_at_most(33, -edge, dy, float(cut))
+            assert count == np.searchsorted(y, cut, side="right"), cut
 
 
 class TestConvergence:
@@ -744,11 +806,14 @@ class TestConvergence:
             assert response.grid_step == pytest.approx(BIG_P / (8 * q), rel=1e-12)
             assert 2.0 * p.big_t / n == pytest.approx(0.0926, rel=1e-3)
             y = response.grid_start + response.grid_step * np.arange(n)
-            inside = np.abs(y) < BIG_P
+            # cells [first, stop) lie strictly inside [-P, P]; no y is on an edge
+            first, stop = np.searchsorted(y, (-BIG_P, BIG_P))
             row = []
             for r in thresholds:
-                a0 = float(np.sum(response.weights[inside & (y < r)]))
-                a1 = float(np.sum(response.weights[inside & (y > r)]))
+                below, at, above = response._prefix_sums(
+                    [first, np.searchsorted(y, r), stop]
+                )
+                a0, a1 = at - below, above - at
                 p_grid = abs(a0 + cmath.exp(-2j * phi) * a1) ** 2
                 row.append(abs(p_grid - prob_x0(p, r, phi).p_x0))
             errors.append(row)

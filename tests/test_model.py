@@ -21,7 +21,7 @@ from cvphase import (
     require_containment,
     run_circuit,
 )
-from cvphase.model import require_mask_domain
+from cvphase.model import _probabilities, require_mask_domain
 from erf_oracle import erf_f
 from helpers import BIG_P, canonical
 
@@ -194,6 +194,42 @@ class TestMeasurementDistribution:
     def test_complement_probability(self):
         d = MeasurementDistribution(0.25)
         assert 1.0 - d.p_x0 == pytest.approx(0.75)
+
+    @pytest.mark.parametrize(
+        "column, want",
+        [
+            ([0.0, -0.0, 0.25, 1.0], [0.0, -0.0, 0.25, 1.0]),
+            ([-0.0, -1e-13, 0.5, 1.0 + 1e-13], [-0.0, 0.0, 0.5, 1.0]),
+            ([0.5, np.float64(0.25), Fraction(1, 2), 1], [0.5, 0.25, 0.5, 1.0]),
+            ([], []),
+        ],
+        ids=["in-range", "spill", "other-types", "empty"],
+    )
+    def test_column_is_checked_as_each_cell(self, column, want):
+        # one rule for a column and for MeasurementDistribution: floats, a
+        # spill within 1e-12 clamped, and -0.0 kept as -0.0
+        for got in (_probabilities(column), [MeasurementDistribution(v).p_x0 for v in column]):
+            assert [(type(v), v, math.copysign(1.0, v)) for v in got] == [
+                (float, v, math.copysign(1.0, v)) for v in want
+            ]
+
+    @pytest.mark.parametrize(
+        "column, message",
+        [
+            ([0.5, math.nan, 2.0], "p_x0 must be finite, got nan"),
+            ([0.5, 1.01, math.nan], "p_x0 must lie in [0, 1], got 1.01"),
+            ([-1e-3], "p_x0 must lie in [0, 1], got -0.001"),
+            ([0.5, "0.5"], "p_x0 must be a real number, got '0.5'"),
+            ([np.float64(math.inf)], "p_x0 must be finite, got np.float64(inf)"),
+        ],
+    )
+    def test_column_reports_its_first_bad_cell(self, column, message):
+        with pytest.raises(ParameterError) as column_error:
+            _probabilities(column)
+        bad = next(v for v in column if v not in (0.5,))
+        with pytest.raises(ParameterError) as cell_error:
+            MeasurementDistribution(bad)
+        assert str(column_error.value) == str(cell_error.value) == message
 
     def test_oracle_consistency(self):
         # the unit-width reference value used across the stats tests
