@@ -113,13 +113,12 @@ def cmd_crosscheck(
 ) -> tuple[dict[str, list], float]:
     """Detection probability from all three engines, with worst deviation."""
     response = cli.grid.phase_response(p, grid_n)
-    pas, pqs, pgs = [], [], []
-    for r in r_values:
-        f = PiecewiseBinaryFunction.step(r, p.big_p)
-        integrals = cli.quadrature.quadrature_response(p, f)
-        pas += stats.prob_x0s(p, r, phi_values)
-        pqs += integrals.p_x0s(phi_values)
-        pgs += response.p_x0s(f, phi_values)
+    masks = [PiecewiseBinaryFunction.step(r, p.big_p) for r in r_values]
+    pqs = []
+    for f in masks:  # one integration and one column read per mask
+        pqs += cli.quadrature.quadrature_response(p, f).p_x0s(phi_values)
+    pas = stats.prob_x0s(p, r_values, phi_values)
+    pgs = response.p_x0s(masks, phi_values)
     devs = [
         max(abs(pa - pq), abs(pa - pg), abs(pq - pg))
         for pa, pq, pg in zip(pas, pqs, pgs)

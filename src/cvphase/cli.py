@@ -3,9 +3,7 @@
 Each command builds its table as one dict from column name to list of cells,
 whose key order is the column order, and writes it to stdout (or --out): CSV
 with a header row, where a column whose cells mostly repeat is spelled once
-per distinct cell, or JSON with one object per row (--format json).  Floats
-print with 17 significant digits, so identical invocations are
-byte-identical; JSON maps non-finite floats to null.  Exit
+per distinct cell, or JSON with one object per row (--format json).  Exit
 status: 0 success, 2 usage or parameter error (an unwritable --out path
 included), 3 crosscheck tolerance failure (its stderr line gives the
 conjugate cell width and the mask jumps, the thresholds and the domain edge
@@ -20,16 +18,13 @@ P/8, so P and every multiple of P/8 sit on cell edges.  Up to the default
 N = 4096 that is one T; above it the position step dx = 2T/N stays the
 default grid's and each doubling of N halves the cell dy = P/(8q).
 
-Column schemas per command are listed in each subcommand's --help epilog,
-which the tests check against the header each table prints.
+Each subcommand's --help epilog lists its table's columns.
 
 A cold table command (audit, gap, fisher-phi, fisher-r) compiles this
 module, errors, model and stats, plus the one engine it runs, if any (see
 ``_lazy``).  The code of dj, estimate and crosscheck sits in
-``_engine_commands``, which only those three import.  The parser registers
-every subcommand, with its help line and epilog, so usage and help text
-never depend on the command; flags are added only to the subcommand that
-the first argument names, or to each of them when it names none.
+``_engine_commands``, which only those three import, and the parser adds
+flags only to the subcommand that runs (``build_parser``).
 """
 
 from __future__ import annotations
@@ -60,10 +55,9 @@ _DEFAULT_GRID_N = 4096
 # one row, and a larger sweep belongs in a script calling the library
 _MAX_AXIS_COUNT = 100_000
 # grid-engine Fisher comparisons exclude probability-extremum rows and the
-# near-saturated top of the response, where the simulated momentum tail
-# (unphased outside the mask domain) dominates the comparison, and rows with
-# a mask jump (the threshold, or the domain edge +-P) inside a conjugate
-# cell, an error first order in its width
+# near-saturated top of the response, where the momentum tail (unphased
+# outside the mask domain) dominates, and rows with a mask jump (the
+# threshold, or +-P) inside a conjugate cell, an error first order in dy
 _COMPARABLE_COS_MAX = 2.0 / 3.0
 
 
@@ -169,10 +163,8 @@ def _emit(table: dict[str, list], fmt: str, out: str | None) -> None:
     """Write the table, which maps each column, in column order, to its list
     of cells, to out, or to stdout when out is None.
 
-    CSV is a header row, then each row through one % template: %.17g for
-    floats (np.float64 too), %d for ints, true/false for bools and strs as
-    they are, set by each column's first cell, and %s for a column whose
-    repeating cells are spelled once each (see _csv_column).  No cell needs
+    CSV is a header row, then each row through one % template of the
+    columns' conversions (see _csv_spec and _csv_column); no cell needs
     quoting.  JSON is one object per row, with non-finite floats as null.
     """
     if fmt == "json":
@@ -214,8 +206,7 @@ def _resolve_params(
         big_p = require_scale(f"P derived from {source}", mask_product / delta)
     big_t = args.big_t
     if big_t is None:
-        # 32 cells per P/8 up to the default grid, then N/128: above it dx
-        # stays the default grid's and each doubling of N halves dy = P/(8q)
+        # q = max(32, N/128) cells per P/8 (see the module docstring)
         n = getattr(args, "grid_n", _DEFAULT_GRID_N)
         big_t = aligned_half_width(big_p, n, max(32, n // 128))
         big_t = require_scale(f"T derived from {source}", big_t)
@@ -229,31 +220,23 @@ def cmd_fisher_phi_sweep(
     engine: str,
     grid_n: int,
 ) -> dict[str, list]:
-    """Fisher information in the phase, analytic and/or from the grid response.
-
-    ``engine`` is "analytic", "grid" or "all" (both, plus a comparison).
-    """
-    want_analytic = engine in ("analytic", "all")
+    """Fisher information in the phase, analytic and/or from the grid
+    response, one sweep per engine; ``engine`` is "analytic", "grid" or
+    "all" (both, plus a comparison)."""
     want_grid = engine in ("grid", "all")
     table = {
         "phi": list(phi_values) * len(r_values),
         "r": [r for r in r_values for _ in phi_values],
     }
-    fisher_grid = []
     if want_grid:
         response = grid.phase_response(p, grid_n)
-    for r in r_values:
-        if want_grid:
-            f = PiecewiseBinaryFunction.step(r, p.big_p)
-            fisher_grid += response.fishers(f, phi_values)
-        if want_analytic:
-            # stats.fisher_phis keys its columns by the names printed here
-            for name, cells in fisher_phis(p, r, phi_values).items():
-                table.setdefault(name, []).extend(cells)
-    if want_analytic:
+        masks = [PiecewiseBinaryFunction.step(r, p.big_p) for r in r_values]
+    if engine in ("analytic", "all"):
+        # stats.fisher_phis keys its columns by the names printed here
+        table.update(fisher_phis(p, r_values, phi_values))
         table["delta_phi"] = [math.nan if d is None else d for d in table["delta_phi"]]
     if want_grid:
-        table["fisher_grid"] = fisher_grid
+        table["fisher_grid"] = fisher_grid = response.fishers(masks, phi_values)
     if engine == "all":
         cos_ok = [math.cos(2.0 * phi) <= _COMPARABLE_COS_MAX for phi in phi_values]
         none_ok = [False] * len(phi_values)

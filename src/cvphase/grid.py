@@ -51,10 +51,12 @@ weights w_k = conj((F W)_k) * (F G)_k * dy the amplitude is
 
     A0 + exp(-2i*phi) * A1,   A0 = sum_{f(y_k)=0} w_k,   A1 = sum_{f(y_k)=1} w_k.
 
-``phase_response`` therefore prepares once; every phase then costs a few
-scalar operations (``PhaseResponse.p_x0s`` and ``PhaseResponse.fishers``
-give a mask's probability and Fisher information over a phase sweep as one
-column), and every mask a few sums over its runs of cells.  Both routes
+``phase_response`` therefore prepares once; every cell of a sweep then
+costs a few scalar operations (``PhaseResponse.p_x0s`` and
+``PhaseResponse.fishers`` give the probability and Fisher information of a
+threshold axis of masks over a phase axis as one r-major column, taking
+each phase's exp(-2i*phi) or cos(phi)^2 once per sweep), and every mask a
+few sums over its runs of cells.  Both routes
 place the mask's jumps with the same cuts (``_mask_cuts``) over the same
 doubles y_start + k*dy, so they discretize the mask identically; they
 differ only by rounding (~1e-15 in the probability).  ``run_circuit``
@@ -98,7 +100,9 @@ R comes from one rfft/irfft pair of the smallest power of two >= 2L - 1
 points, whose zero padding keeps the cyclic correlation from wrapping.
 ``PhaseResponse.split`` finds each cut of the mask with a scalar search and
 takes A1 as the prefix sums' differences over f's runs of ones, and A0 as
-the rest of P(N); both are clamped to >= 0 against rounding.
+the rest of P(N); both are clamped to >= 0 against rounding.  A sweep over
+many masks takes every distinct cut of all of them from one prefix-sum
+pass, in blocks of at most max(2*(L - 1), 2^16) lag terms.
 
 Exact angle reduction.  m*(2k - N) is an integer below N^2 <= 2^48 in
 magnitude, so it is reduced modulo 2N exactly in int64 (a bitwise and, 2N
@@ -113,9 +117,9 @@ neither its time nor its memory grows with N (a 2^24 ``crosscheck`` takes
 about 0.2 s and peaks at 31 MB of process RSS, mostly the interpreter).
 The one dear case is a support that spans the grid (L = N), which only an
 explicit small T gives, such as T = 3.5: the transform pair reaches 2N
-points and each cut sums N - 1 lags.  A 2^20 ``crosscheck`` of one mask
-then takes about 215 ms and raises the peak RSS by 73*N bytes, and each
-further mask costs about 60 ms.
+points and each distinct cut sums N - 1 lags, two cuts per block.  A 2^20
+``crosscheck`` of one mask then takes about 215 ms and raises the peak RSS
+by 73*N bytes, and each further threshold adds one cut, about 20 ms.
 """
 
 from __future__ import annotations
@@ -134,10 +138,13 @@ from .model import (
     ProcedureParams,
     _DOMAIN_SLACK,
     _integer,
+    _iterable,
     _phase,
     _phases,
     _probabilities,
+    _real,
     _require_pow2,
+    _require_type,
     require_containment,
     require_mask_domain,
 )
@@ -148,6 +155,9 @@ MOMENTUM = "momentum"
 # half-width of the sampled support in units of delta: the Gaussian's exp
 # underflows to exactly 0.0 beyond it (exp(-40^2/2) = exp(-800) = 0)
 _SUPPORT_WIDTHS = 40.0
+# lag terms per block of prefix sums, unless two cuts need more: a block of
+# a full-support sweep holds two rows, as one mask's cuts did
+_LAG_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -163,13 +173,17 @@ class GridState:
     space: str
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        try:
+            amps = np.asarray(self.amplitudes, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise GridLayoutError(f"amplitudes must be numbers: {exc}") from None
         object.__setattr__(self, "amplitudes", amps)
         if amps.ndim != 1 or amps.size < 2:
             raise GridLayoutError("amplitudes must be a 1-d array with at least 2 points")
         if self.space not in (POSITION, MOMENTUM):
             raise GridLayoutError(f"unknown space tag {self.space!r}")
-        if not (math.isfinite(self.grid_start) and 0.0 < self.grid_step < math.inf):
+        start, step = _real(self.grid_start, "grid start"), _real(self.grid_step, "grid step")
+        if not (math.isfinite(start) and 0.0 < step < math.inf):
             raise GridLayoutError(
                 f"bad grid: start={self.grid_start}, step={self.grid_step}"
             )
@@ -184,6 +198,11 @@ class GridState:
 
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2) * self.grid_step)
+
+
+def _require_space(s: GridState, space: str, what: str) -> None:
+    if not (isinstance(s, GridState) and s.space == space):
+        raise GridLayoutError(f"{what} expects a {space}-space state")
 
 
 def _index_range(n: int, start: float, step: float, half: float) -> tuple[int, int]:
@@ -304,8 +323,7 @@ def fourier(s: GridState) -> GridState:
     ramps exact: ``_half_offset_ramp`` before the FFT, (-1)^k * i^(N-1) after.
     Preserves sum |a|^2 * step exactly (see module docstring).
     """
-    if s.space != POSITION:
-        raise GridLayoutError("fourier expects a position-space state")
+    _require_space(s, POSITION, "fourier")
     n = s.n
     dx = s.grid_step
     if abs(s.grid_start + n * dx / 2.0) > 1e-9 * dx:
@@ -328,8 +346,7 @@ def inverse_fourier(s: GridState) -> GridState:
     the conjugates of the exact ramps of ``fourier``; the composition with
     ``fourier`` is the exact identity.
     """
-    if s.space != MOMENTUM:
-        raise GridLayoutError("inverse_fourier expects a momentum-space state")
+    _require_space(s, MOMENTUM, "inverse_fourier")
     n = s.n
     dy = s.grid_step
     dx = math.pi / (n * dy)
@@ -410,8 +427,9 @@ def apply_blackbox(s: GridState, f: PiecewiseBinaryFunction, phi: float) -> Grid
     outside, matching a mask that cannot touch amplitudes beyond its domain.
     The grid must cover the mask domain.
     """
-    if s.space != MOMENTUM:
-        raise GridLayoutError("apply_blackbox expects a momentum-space state")
+    _require_space(s, MOMENTUM, "apply_blackbox")
+    _require_type(f, PiecewiseBinaryFunction, "mask")
+    phi = _phase(phi)
     fvals = _mask_cells(s.n, s.grid_start, s.grid_step, f, 0, s.n)
     amps = s.amplitudes * np.exp(-2j * phi * fvals)
     return GridState(amps, s.grid_start, s.grid_step, s.space)
@@ -431,8 +449,8 @@ def _detection_window(x: np.ndarray, dx: float, p: ProcedureParams) -> np.ndarra
 def measure_povm(s: GridState, p: ProcedureParams) -> MeasurementDistribution:
     """Probability of the detection outcome: overlap with the normalized
     width-delta Gaussian window at x0 (a rank-one projector)."""
-    if s.space != POSITION:
-        raise GridLayoutError("measure_povm expects a position-space state")
+    _require_space(s, POSITION, "measure_povm")
+    _require_type(p, ProcedureParams, "parameters")
     window = _detection_window(s.points, s.grid_step, p)
     overlap = complex(np.sum(np.conj(window) * s.amplitudes) * s.grid_step)
     return MeasurementDistribution(abs(overlap) ** 2)
@@ -451,8 +469,9 @@ def run_circuit(
     return measure_povm(state, p)
 
 
-def _fisher(a0: float, a1: float, phi: float) -> float:
-    """Fisher information in phi of the response to (A0, A1), exactly.
+def _fisher(a0: float, a1: float, cos_sq: float) -> float:
+    """Fisher information in phi of the response to (A0, A1), exactly, at
+    the phase with cos_sq = cos(phi)^2.
 
     A0 and A1 are real and non-negative and sum to 1 (Parseval), so the
     response p = A0^2 + A1^2 + 2*A0*A1*cos(2*phi) has
@@ -461,7 +480,6 @@ def _fisher(a0: float, a1: float, phi: float) -> float:
     16*A0*A1*cos(phi)^2 / p with no cancellation anywhere, also where p or
     1 - p vanishes; at p = 0 (A0 = A1 = 1/2, cos(phi) = 0) the limit is 4.
     """
-    cos_sq = math.cos(phi) ** 2
     prob = (a0 - a1) ** 2 + 4.0 * a0 * a1 * cos_sq
     if prob == 0.0:
         return 4.0
@@ -483,8 +501,9 @@ class PhaseResponse:
     For a mask f the detected amplitude at phase phi is A0 + exp(-2i*phi)*A1,
     with (A0, A1) = ``split(f)``, and its squared modulus is the
     ``run_circuit`` probability.  A0 and A1 are real and non-negative.
-    ``p_x0s`` and ``fishers`` sweep a mask over phases, one split and one
-    column each.
+    ``p_x0s`` and ``fishers`` sweep a threshold axis of masks over a phase
+    axis into one r-major column: the phase axis is checked once and each
+    phase's trig taken once, and every mask's cuts share one prefix-sum pass.
     """
 
     params: ProcedureParams
@@ -497,18 +516,28 @@ class PhaseResponse:
     def _prefix_sums(self, ks: list[int]) -> np.ndarray:
         """P(k), the weight of the cells 0..k-1, at each k of ks (0 <= k <= n):
         k*mean_weight plus sum_m lag_weights[m - 1] * sin(pi*r_m/n), with
-        r_m = (m*(2k - n)) mod 2n."""
+        r_m = (m*(2k - n)) mod 2n.
+
+        The ks run in blocks of max(2, 2^16 // (L - 1)) rows of the L - 1
+        lag terms, and a block's matrix is freed as the next one is built,
+        so a full-support sweep holds no more at once than one mask's two
+        cuts did.  Each row sums as it would alone.
+        """
         n = self.n
         ks = np.array(ks, dtype=np.int64)
         lags = np.arange(1, self.lag_weights.size + 1)
-        # |m*(2k - n)| < n^2 <= 2^48: exact in int64, and modulo 2n (a power
-        # of two) it is the bitwise and, also for a negative product
-        turns = np.multiply.outer(ks * 2 - n, lags)
-        turns &= 2 * n - 1
-        angles = turns * (math.pi / n)
-        np.sin(angles, out=angles)
-        angles *= self.lag_weights
-        return ks * self.mean_weight + angles.sum(axis=1)
+        sums = ks * self.mean_weight
+        rows = max(2, _LAG_BLOCK // max(lags.size, 1))
+        for start in range(0, ks.size, rows):
+            # |m*(2k - n)| < n^2 <= 2^48: exact in int64, and modulo 2n (a
+            # power of two) it is the bitwise and, also for a negative product
+            terms = np.multiply.outer(ks[start : start + rows] * 2 - n, lags)
+            terms &= 2 * n - 1
+            terms = terms * (math.pi / n)  # the angles, in place of the turns
+            np.sin(terms, out=terms)
+            terms *= self.lag_weights
+            sums[start : start + rows] += terms.sum(axis=1)
+        return sums
 
     def _runs_of_ones(self, f: PiecewiseBinaryFunction) -> list[int]:
         """start, stop, start, stop, ...: the non-empty runs of cells where
@@ -529,33 +558,62 @@ class PhaseResponse:
 
     def split(self, f: PiecewiseBinaryFunction) -> tuple[float, float]:
         """(A0, A1): the weight sums over the cells where f = 0 and f = 1,
-        both real and non-negative.
+        both real and non-negative: the one-mask read of ``_splits``."""
+        return self._splits((f,))[0]
+
+    def _splits(
+        self, masks: Iterable[PiecewiseBinaryFunction]
+    ) -> list[tuple[float, float]]:
+        """``split`` of each mask of masks, from one ``_prefix_sums`` pass
+        over the distinct cuts of them all.
 
         A1 sums the prefix sums' differences over f's runs of ones, and A0
         is the rest of the total n*mean_weight.
         """
-        require_mask_domain(self.params, f)
-        edges = self._runs_of_ones(f)
+        if isinstance(masks, PiecewiseBinaryFunction):  # itself a tuple
+            raise ParameterError("masks must be an iterable of masks, got one mask")
+        runs = []
+        for f in _iterable(masks, "the masks"):
+            require_mask_domain(self.params, f)
+            runs.append(self._runs_of_ones(f))
+        cuts = sorted({k for edges in runs for k in edges})
+        at = dict(zip(cuts, range(len(cuts))))
+        sums = self._prefix_sums(cuts)
+        # each run's weight, every mask's runs in order
+        widths = (
+            sums[[at[k] for edges in runs for k in edges[1::2]]]
+            - sums[[at[k] for edges in runs for k in edges[::2]]]
+        )
         total = self.n * self.mean_weight
-        if not edges:
-            return total, 0.0
-        sums = self._prefix_sums(edges)
-        a1 = float(np.sum(sums[1::2] - sums[::2]))
-        return max(total - a1, 0.0), max(a1, 0.0)
+        splits, stop = [], 0
+        for edges in runs:
+            start, stop = stop, stop + len(edges) // 2
+            a1 = float(np.add.reduce(widths[start:stop]))  # 0.0 with no run
+            splits.append((max(total - a1, 0.0), max(a1, 0.0)))
+        return splits
 
-    def p_x0s(self, f: PiecewiseBinaryFunction, phis: Iterable[float]) -> list[float]:
-        """The detection probability |A0 + exp(-2i*phi)*A1|^2 of mask f at
-        each phase of phis, checked as a column (``_probabilities``)."""
-        phis = _phases(phis)
-        a0, a1 = self.split(f)
-        return _probabilities([abs(a0 + cmath.exp(-2j * phi) * a1) ** 2 for phi in phis])
+    def p_x0s(
+        self, masks: Iterable[PiecewiseBinaryFunction], phis: Iterable[float]
+    ) -> list[float]:
+        """The detection probability |A0 + exp(-2i*phi)*A1|^2 of each mask of
+        masks at each phase of phis, r-major, checked as a column
+        (``_probabilities``)."""
+        factors = [cmath.exp(-2j * phi) for phi in _phases(phis)]
+        column = []
+        for a0, a1 in self._splits(masks):
+            column += [abs(a0 + factor * a1) ** 2 for factor in factors]
+        return _probabilities(column)
 
-    def fishers(self, f: PiecewiseBinaryFunction, phis: Iterable[float]) -> list[float]:
-        """The Fisher information in phi of mask f's response at each phase
-        of phis (see ``_fisher``)."""
-        phis = _phases(phis)
-        a0, a1 = self.split(f)
-        return [_fisher(a0, a1, phi) for phi in phis]
+    def fishers(
+        self, masks: Iterable[PiecewiseBinaryFunction], phis: Iterable[float]
+    ) -> list[float]:
+        """The Fisher information in phi of each mask of masks' response at
+        each phase of phis, r-major (see ``_fisher``)."""
+        cos_sqs = [math.cos(phi) ** 2 for phi in _phases(phis)]
+        column = []
+        for a0, a1 in self._splits(masks):
+            column += [_fisher(a0, a1, cos_sq) for cos_sq in cos_sqs]
+        return column
 
 
 def phase_response(p: ProcedureParams, n: int) -> PhaseResponse:
@@ -624,6 +682,7 @@ def two_register_kickback_check(
             f"n_target must be a multiple of 4 (>= 8) so the unit shift is an "
             f"integer number of cells, got {n_target}"
         )
+    _require_type(f, PiecewiseBinaryFunction, "mask")
     fx = f(x_point)
     du = 4.0 / n_target
     cells_per_unit = n_target // 4

@@ -14,9 +14,10 @@ and the engines never re-check it; the engines that need the envelope
 contained in [-T, T] gate on ``require_containment``.  Counts, sizes and
 mask values pass ``_integer`` (ints, numpy integers too, never a bool, never
 truncated), every other number ``_real`` (numpy numbers too, never a str
-parsed, never a complex number cut to its real part).  Every phase that an
-engine takes, closed form, quadrature or grid, passes ``_phase`` (an axis
-``_phases``), which also refuses a non-finite one.
+parsed, a bool or a complex number cut to its real part), and a parameter
+set or mask passes ``_require_type``.  Every phase that an engine takes,
+closed form, quadrature or grid, passes ``_phase`` (an axis ``_phases``),
+which also refuses a non-finite one.
 """
 
 from __future__ import annotations
@@ -41,17 +42,18 @@ _SCALE_RANGE = (1e-150, 1e150)
 def _real(value, what: str) -> float:
     """value as a float, if it is a real number (numpy ones too).
 
-    A str, bytes or None is refused rather than parsed, and a complex number
-    (numpy's too) rather than cut to its real part.  A complex type has
-    ``__complex__`` but no ``__round__``; the real types of the numbers
-    tower (Fraction, Decimal) have both.  A float, the common case, returns
-    at once; ``__round__`` is looked up before ``__complex__`` because a
-    missing type attribute costs an exception to find.
+    A str, bytes or None is refused rather than parsed, a bool rather than
+    read as 0 or 1, and a complex number (numpy's too) rather than cut to
+    its real part.  A complex type has ``__complex__`` but no ``__round__``;
+    the real types of the numbers tower (Fraction, Decimal) have both.  A
+    float, the common case, returns at once; ``__round__`` is looked up
+    before ``__complex__`` because a missing type attribute costs an
+    exception to find.
     """
     kind = type(value)
     if kind is float:
         return value
-    if not hasattr(kind, "__float__") or (
+    if kind is bool or not hasattr(kind, "__float__") or (
         not hasattr(kind, "__round__") and hasattr(kind, "__complex__")
     ):
         raise ParameterError(f"{what} must be a real number, got {value!r}")
@@ -68,13 +70,28 @@ def _phase(phi) -> float:
     return phi
 
 
+def _iterable(values, what: str):
+    try:
+        return iter(values)
+    except TypeError:
+        raise ParameterError(f"{what} must be iterable, got {values!r}") from None
+
+
+def _require_type(value, kind: type, what: str) -> None:
+    if not isinstance(value, kind):
+        raise ParameterError(f"{what} must be a {kind.__name__}, got {value!r}")
+
+
 def _phases(phis) -> list[float]:
     """The phase axis phis, any iterable, as a list of ``_phase``.
 
     A float needs no conversion, so only other types go through ``_real``
     one by one; finiteness is one C-level pass over the axis.
     """
-    phis = [phi if type(phi) is float else _real(phi, "phase") for phi in phis]
+    phis = [
+        phi if type(phi) is float else _real(phi, "phase")
+        for phi in _iterable(phis, "the phase axis")
+    ]
     if not all(map(math.isfinite, phis)):
         _phase(next(phi for phi in phis if not math.isfinite(phi)))
     return phis
@@ -173,6 +190,7 @@ def require_containment(p: ProcedureParams) -> None:
     Every closed-form result downstream treats the position domain as
     effectively infinite; this is the single gate enforcing that assumption.
     """
+    _require_type(p, ProcedureParams, "parameters")
     if p.containment_ratio < CONTAINMENT_RATIO:
         raise RegimeError(
             f"containment ratio {p.containment_ratio:.4g} < {CONTAINMENT_RATIO}: "
@@ -183,6 +201,8 @@ def require_containment(p: ProcedureParams) -> None:
 
 def require_mask_domain(p: ProcedureParams, f: PiecewiseBinaryFunction) -> None:
     """Raise unless the mask is defined on the conjugate domain [-P, P]."""
+    _require_type(p, ProcedureParams, "parameters")
+    _require_type(f, PiecewiseBinaryFunction, "mask")
     if abs(f.half_domain - p.big_p) > _MASK_DOMAIN_TOL * max(1.0, p.big_p):
         raise ParameterError(
             f"mask domain half-width {f.half_domain} does not match big_p={p.big_p}"
@@ -193,8 +213,8 @@ def require_mask_domain(p: ProcedureParams, f: PiecewiseBinaryFunction) -> None:
 _MIN_POINTS = 256
 # largest grid: a circuit holds a few N-point complex arrays (256 MiB each at
 # this size) and numpy's FFT scratch of twice one of them; a sweep at the
-# CLI's T allocates nothing N-sized (a 2^24 crosscheck peaks at 31 MB of
-# process RSS); a larger request is a typo, not a convergence study
+# CLI's T allocates nothing N-sized; a larger request is a typo, not a
+# convergence study
 _MAX_POINTS = 1 << 24
 
 
@@ -257,8 +277,8 @@ class PiecewiseBinaryFunction(
         hd = _require_finite("half_domain", half_domain)
         if hd <= 0.0:
             raise ParameterError(f"half_domain must be positive, got {hd}")
-        bps = tuple(_real(b, "breakpoint") for b in breakpoints)
-        vals = tuple(_integer(v, "mask value") for v in values)
+        bps = tuple(_real(b, "breakpoint") for b in _iterable(breakpoints, "breakpoints"))
+        vals = tuple(_integer(v, "mask value") for v in _iterable(values, "values"))
         if len(vals) != len(bps) + 1:
             raise ParameterError(
                 f"need len(values) == len(breakpoints) + 1, got {len(vals)} and {len(bps)}"

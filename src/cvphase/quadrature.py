@@ -48,6 +48,7 @@ from .model import (
     _phase,
     _phases,
     _probabilities,
+    _require_type,
     require_containment,
     require_mask_domain,
 )
@@ -310,6 +311,7 @@ def step_hat_gaps(p: ProcedureParams, phis: tuple[float, ...]) -> dict[str, list
 
     Requires P*delta <= 1/2 (see ``step_hat_gap``).
     """
+    _require_type(p, ProcedureParams, "parameters")
     s = p.mask_product
     if s > 0.5:
         raise RegimeError(

@@ -21,18 +21,16 @@ One private record, ``_threshold``, holds what depends on r alone: (r, a,
 b, E, generator mean, dG/dr), from one erf(2*P*delta) and one
 erf(2*r*delta) after the containment and r checks.  Every sweep (prob_x0s,
 fisher_phis, fisher_rs, the ``audit`` table and the estimator) reads it
-once per threshold; only the cosine depends on phi, so each phase costs its
-cos/sin arithmetic alone.  Every phase passes one gate, ``model._phases``
-(a single phase ``model._phase``), which refuses a phase that is not a
-finite real number in one pass over the axis.  The sweeps return columns,
-a list with one cell per phase (``fisher_phis`` and ``heisenberg_audit`` a
-dict of them keyed by the names their tables print), not a record per
-phase.  Nothing here builds an array.
+once per threshold; only the cosine depends on phi.  prob_x0s and
+fisher_phis take a threshold axis with the phase axis, which passes one
+gate, ``model._phases`` (a phase ``model._phase``); each phase's cos(2*phi)
+and sin(2*phi) are taken once per sweep.  The sweeps return columns,
+r-major (``fisher_phis`` and ``heisenberg_audit`` a dict of them keyed by
+the names their tables print).  Nothing here builds an array.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
@@ -42,10 +40,12 @@ from .model import (
     MeasurementDistribution,
     PiecewiseBinaryFunction,
     ProcedureParams,
+    _iterable,
     _phase,
     _phases,
     _probabilities,
     _real,
+    _require_type,
     require_containment,
     require_mask_domain,
 )
@@ -63,6 +63,7 @@ def _require_r(p: ProcedureParams, r: float, slack: float = 1e-12) -> float:
 
 def mask_efficiency(p: ProcedureParams) -> float:
     """E = erf(2*P*delta)^2, the weight the envelope places on [-P, P]."""
+    _require_type(p, ProcedureParams, "parameters")
     e1 = math.erf(2.0 * p.big_p * p.delta)
     return e1 * e1
 
@@ -86,15 +87,30 @@ def _threshold(p: ProcedureParams, r: float) -> tuple[float, ...]:
     return r, 0.5 * (E + G), 0.5 * (E - G), E, 0.5 * (e1 - g1), dG
 
 
+def _sweep(p: ProcedureParams, r_values: Iterable[float], phis: Iterable[float]):
+    """The _threshold record of each threshold, the checked phases and each
+    phase's (cos(2*phi), sin(2*phi))."""
+    require_containment(p)  # also when the threshold axis is empty
+    records = [_threshold(p, r) for r in _iterable(r_values, "the threshold axis")]
+    phis = _phases(phis)
+    return records, phis, [(math.cos(2.0 * phi), math.sin(2.0 * phi)) for phi in phis]
+
+
 def prob_x0(p: ProcedureParams, r: float, phi: float) -> MeasurementDistribution:
     """Detection probability for the step mask with threshold r at phase phi."""
-    return MeasurementDistribution(prob_x0s(p, r, (phi,))[0])
+    return MeasurementDistribution(prob_x0s(p, (r,), (phi,))[0])
 
 
-def prob_x0s(p: ProcedureParams, r: float, phis: Iterable[float]) -> list[float]:
-    """prob_x0's checked p_x0 at each phase of phis, from one (a, b) for r."""
-    a, b = cosine_model_coefficients(p, r)
-    return _probabilities([a + b * math.cos(2.0 * phi) for phi in _phases(phis)])
+def prob_x0s(
+    p: ProcedureParams, r_values: Iterable[float], phis: Iterable[float]
+) -> list[float]:
+    """prob_x0's checked p_x0 at each threshold of r_values and phase of
+    phis, r-major."""
+    records, _, trig = _sweep(p, r_values, phis)
+    column = []
+    for _, a, b, *_ in records:
+        column += [a + b * c for c, _ in trig]
+    return _probabilities(column)
 
 
 def cosine_model_coefficients(p: ProcedureParams, r: float) -> tuple[float, float]:
@@ -123,7 +139,8 @@ def prob_x0_factorized(
     acc = 0.0 + 0.0j
     for lo, hi, v in f.segments():
         weight = math.erf(2.0 * d * hi) - math.erf(2.0 * d * lo)
-        acc += cmath.exp(2j * phi * v) * weight
+        x = 2.0 * phi * v
+        acc += complex(math.cos(x), math.sin(x)) * weight
     acc *= math.sqrt(math.pi) / (4.0 * d)
     val = (4.0 * d * d / math.pi) * abs(acc) ** 2
     return MeasurementDistribution(val)
@@ -136,8 +153,7 @@ def generator_moments(p: ProcedureParams, r: float) -> GeneratorMoments:
     """Moments of the step mask viewed as the phase generator.
 
     In the conjugate-space envelope, <f> = (erf(2*P*delta) - erf(2*r*delta))/2
-    and, because f^2 = f, the variance is <f>(1 - <f>).  The mean is not
-    even in r: mean(r) + mean(-r) = erf(2*P*delta).
+    and, because f^2 = f, the variance is <f>(1 - <f>).
     """
     mean = _threshold(p, r)[4]
     return GeneratorMoments(mean=mean, variance=mean * (1.0 - mean))
@@ -165,37 +181,31 @@ class FisherReport(namedtuple(
 
 def fisher_phi(p: ProcedureParams, r: float, phi: float) -> FisherReport:
     """Fisher information about phi carried by one detection, step mask r:
-    the one-phase read of ``fisher_phis``."""
-    columns = fisher_phis(p, r, (phi,))
+    the one-cell read of ``fisher_phis``."""
+    columns = fisher_phis(p, (r,), (phi,))
     return FisherReport._make(column[0] for column in columns.values())
 
 
 def fisher_phis(
-    p: ProcedureParams, r: float, phis: Iterable[float]
+    p: ProcedureParams, r_values: Iterable[float], phis: Iterable[float]
 ) -> dict[str, list]:
-    """fisher_phi at each phase of phis, as one list per FisherReport field
-    keyed by its name, in field order, each with one cell per phase: the
-    analytic columns of the ``fisher-phi`` table, which prints these names.
-
-    The threshold's record (a, b, the generator mean and, for r = 0, E) is
-    read once; each phase costs only its cos/sin arithmetic.
-    """
-    r, a, b, E, mean, _ = _threshold(p, r)
-    fishers, precisions, singulars = [], [], []
-    for phi in _phases(phis):
-        c, s = math.cos(2.0 * phi), math.sin(2.0 * phi)
-        fisher, singular = _fisher(a, b, c, s)
-        fishers.append(fisher)
-        singulars.append(singular)
-        precisions.append(_precision(E, c, s) if r == 0.0 else None)
-    n = len(fishers)
-    return {
-        "fisher": fishers,
-        "variance_bound": [16.0 * (mean * (1.0 - mean))] * n,
-        "mean_bound": [4.0 * mean * mean] * n,
-        "delta_phi": precisions,
-        "singular_limit": singulars,
-    }
+    """fisher_phi at each threshold of r_values and phase of phis, r-major,
+    as one list per FisherReport field keyed by its name, in field order:
+    the analytic columns of the ``fisher-phi`` table, which prints these
+    names."""
+    records, _, trig = _sweep(p, r_values, phis)
+    columns = {name: [] for name in FisherReport._fields}
+    n = len(trig)
+    for r, a, b, E, mean, _ in records:
+        cells = [_fisher(a, b, c, s) for c, s in trig]
+        columns["fisher"] += [fisher for fisher, _ in cells]
+        columns["variance_bound"] += [16.0 * (mean * (1.0 - mean))] * n
+        columns["mean_bound"] += [4.0 * mean * mean] * n
+        columns["delta_phi"] += (
+            [_precision(E, c, s) for c, s in trig] if r == 0.0 else [None] * n
+        )
+        columns["singular_limit"] += [singular for _, singular in cells]
+    return columns
 
 
 def _fisher(a: float, b: float, c: float, s: float) -> tuple[float, bool]:
@@ -247,10 +257,9 @@ def fisher_rs(p: ProcedureParams, r: float, phis: Iterable[float]) -> list[float
 def _precision(E: float, c: float, s: float) -> float | None:
     """Single-shot phase precision of the balanced threshold at the phase
     with c = cos(2*phi) and s = sin(2*phi): the spread of the detection
-    observable X, whose mean is E*(1 + c)/2, over the slope E*|s| of that
-    mean.  None where it is undefined: where the slope vanishes (|s| below
-    _SIN_TOL) or underflows to 0, and where the variance rounds to 0 (the
-    mean rounds to 0 or 1 within about 1e-8 of a slope zero).
+    observable X, mean E*(1 + c)/2, over the slope E*|s| of that mean.
+    None where the slope vanishes (|s| < _SIN_TOL) or underflows to 0, or
+    the variance rounds to 0 (within about 1e-8 of a slope zero).
     """
     slope = E * abs(s)
     mean_x = 0.5 * E * (1.0 + c)
@@ -300,9 +309,8 @@ def heisenberg_audit(
 ) -> dict[str, list]:
     """Tabulate the Fisher information against its generator bounds over phi.
 
-    The ``audit`` table's columns, keyed by name in table order (phi, r,
-    fisher, variance_bound, mean_bound_generator_f, mean_bound_generator_2f,
-    dphi_sqrt_fisher, optimal), each a list with one cell per phase.
+    The ``audit`` table's columns, keyed by name in table order, each a
+    list with one cell per phase.
 
     variance_bound is 16*var(f), the convention-independent information cap
     (reading the mask exponent as f at doubled angle or as 2f at plain angle
@@ -312,20 +320,16 @@ def heisenberg_audit(
     threshold-at-zero reference procedure by sqrt(F) of the procedure under
     audit, and is NaN where that error is undefined (see delta_phi); a row
     is flagged optimal when the product is 1 within 1e-3.  The default grid
-    leaves out the propagation singularities at multiples of pi/2.  The
-    threshold's record is read once, and each phase's cos/sin once.
+    leaves out the propagation singularities at multiples of pi/2.
     """
     if phis is None:
         phis = tuple(k * math.pi / 32.0 for k in range(1, 16))
-    r, a, b, E, mean, _ = _threshold(p, r)
-    phis = _phases(phis)
-    fishers, products = [], []
-    for phi in phis:
-        c, s = math.cos(2.0 * phi), math.sin(2.0 * phi)
-        fisher = _fisher(a, b, c, s)[0]
-        dphi = _precision(E, c, s)
-        fishers.append(fisher)
-        products.append(math.nan if dphi is None else dphi * math.sqrt(fisher))
+    ((r, a, b, E, mean, _),), phis, trig = _sweep(p, (r,), phis)
+    fishers = [_fisher(a, b, c, s)[0] for c, s in trig]
+    products = [
+        math.nan if dphi is None else dphi * math.sqrt(fisher)
+        for dphi, fisher in zip((_precision(E, c, s) for c, s in trig), fishers)
+    ]
     n = len(fishers)
     mean_bound = 4.0 * mean * mean
     return {

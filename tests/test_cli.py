@@ -108,8 +108,10 @@ class TestExitCodes:
         # same number as a row-by-row loop over the deviation column
         exact = stats.prob_x0s
 
-        def first_nan(p, r, phis):
-            return [math.nan, *exact(p, r, phis)[1:]]
+        def first_nan(p, r_values, phis):
+            # NaN at each threshold's first phase
+            column = exact(p, r_values, phis)
+            return [math.nan if i % len(phis) == 0 else x for i, x in enumerate(column)]
 
         monkeypatch.setattr(stats, "prob_x0s", first_nan)
         table, worst = engine_commands.cmd_crosscheck(
@@ -413,6 +415,45 @@ class TestGridEngine:
                 "_support_gaussian", ("rfft", 2048), ("irfft", 2048)
             ], argv
 
+    def test_one_prefix_sum_pass_and_one_phase_gate_per_sweep(
+        self, capsys, monkeypatch
+    ):
+        # the grid splits every mask of a sweep from one prefix-sum pass over
+        # their distinct cuts, and the closed form and the grid each gate the
+        # phase axis once per sweep.  The quadrature gates it once per mask:
+        # each mask's column is its own QuadratureResponse.p_x0s read (see
+        # test_quadrature_column_is_read_once_per_threshold)
+        passes, gates = [], []
+        prefix_sums = grid.PhaseResponse._prefix_sums
+
+        def counted_pass(self, ks):
+            passes.append(len(ks))
+            return prefix_sums(self, ks)
+
+        monkeypatch.setattr(grid.PhaseResponse, "_prefix_sums", counted_pass)
+        for module in (stats, grid, quadrature):
+            name = module.__name__.rsplit(".", 1)[1]
+
+            def counted_gate(phis, name=name, original=module._phases):
+                gates.append(name)
+                return original(phis)
+
+            monkeypatch.setattr(module, "_phases", counted_gate)
+        grid_fine = ["crosscheck", "--grid-n", str(2**18), "--r", f"0,{BIG_P / 4!r}",
+                     "--phi", f"0:{math.pi / 2!r}:5"]
+        # cuts: each step below P ends a run of ones at its threshold and at
+        # the domain edge, which they share; the step at P has no ones
+        for argv, cuts, want in (
+            (["fisher-phi", "--fig4", "--engine", "all"], 5, ["stats", "grid"]),
+            (["crosscheck"], 5, ["quadrature"] * 5 + ["stats", "grid"]),
+            (grid_fine, 3, ["quadrature"] * 2 + ["stats", "grid"]),
+        ):
+            passes.clear()
+            gates.clear()
+            assert run_cli(argv, capsys)[0] == 0
+            assert passes == [cuts], argv
+            assert sorted(gates) == sorted(want), argv
+
     def test_one_quadrature_response_per_threshold(self, capsys, monkeypatch):
         built = []
         original = quadrature.quadrature_response
@@ -541,10 +582,11 @@ class TestGridEngine:
         # the T the CLI resolves at 8192 points: 64 cells per P/8
         p = ProcedureParams(0.0, DELTA, model.aligned_half_width(BIG_P, 8192, 64), BIG_P)
         a0, a1 = phase_response(p, 8192).split(PiecewiseBinaryFunction.step(0.5, BIG_P))
-        assert grid._fisher(a0, a1, 3.14159) == printed
+        cos_sq = math.cos(3.14159) ** 2
+        assert grid._fisher(a0, a1, cos_sq) == printed
         for scale0, scale1 in [(1 - 1e-16, 1.0), (1 + 3e-16, 1.0), (1.0, 1 - 4e-16),
                                (1.0, 1 + 4e-16), (1 + 2e-16, 1 - 2e-16)]:
-            moved = grid._fisher(a0 * scale0, a1 * scale1, 3.14159)
+            moved = grid._fisher(a0 * scale0, a1 * scale1, cos_sq)
             assert moved == pytest.approx(printed, rel=1e-12)
 
 
@@ -659,7 +701,7 @@ class TestSchemas:
         assert code == 0
         header = out.splitlines()[0].split(",")
         assert header[:2] == ["phi", "r"]
-        assert list(stats.fisher_phis(canonical(), 0.0, (0.4,))) == header[2:]
+        assert list(stats.fisher_phis(canonical(), (0.0,), (0.4,))) == header[2:]
 
     def test_fisher_phi_all_engine_columns(self, capsys):
         code, out, _ = run_cli(
@@ -1263,7 +1305,8 @@ def test_table_commands_load_neither_numpy_nor_scipy():
 def test_table_commands_load_neither_dataclasses_nor_inspect_nor_typing():
     # -S keeps the host's site hooks, which may import any of these, from
     # hiding a regression; each line is an exit code and what is loaded.
-    # numbers is held out too: the number gates tell types apart without it
+    # numbers is held out too: the number gates tell types apart without it;
+    # and cmath: the closed forms take their phase factors from math
     script = (
         "import io, sys, contextlib\n"
         "import cvphase.cli\n"
@@ -1272,7 +1315,8 @@ def test_table_commands_load_neither_dataclasses_nor_inspect_nor_typing():
         "for argv in tables:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = cvphase.cli.main(argv)\n"
-        "    print(code, *sorted({'dataclasses', 'inspect', 'numbers', 'typing'}\n"
+        "    print(code, *sorted({'cmath', 'dataclasses', 'inspect', 'numbers',\n"
+        "                         'typing'}\n"
         "                        & set(sys.modules)))\n"
     )
     src = os.path.dirname(os.path.dirname(cvphase.__file__))

@@ -376,7 +376,7 @@ class TestPhaseGate:
     def test_sweeps_refuse_a_non_finite_phase(self, response, sweep, phase):
         f = PiecewiseBinaryFunction.step(0.0, BIG_P)
         with pytest.raises(ParameterError) as info:
-            getattr(response, sweep)(f, [0.3, phase])
+            getattr(response, sweep)([f], [0.3, phase])
         assert str(info.value) == f"phase must be finite, got {float(phase)!r}"
 
     @pytest.mark.parametrize("phase", ["0.3", None, 0.3 + 1j])
@@ -386,13 +386,14 @@ class TestPhaseGate:
     ):
         f = PiecewiseBinaryFunction.step(0.0, BIG_P)
         with pytest.raises(ParameterError) as info:
-            getattr(response, sweep)(f, [phase])
+            getattr(response, sweep)([f], [phase])
         assert str(info.value) == f"phase must be a real number, got {phase!r}"
 
     def test_sweeps_read_an_axis_once(self, response):
-        f, phis = PiecewiseBinaryFunction.step(0.3, BIG_P), (0.1, 0.7, 1.2)
-        assert response.p_x0s(f, iter(phis)) == response.p_x0s(f, phis)
-        assert response.fishers(f, iter(phis)) == response.fishers(f, phis)
+        masks = [PiecewiseBinaryFunction.step(r, BIG_P) for r in (0.3, -0.5)]
+        phis = (0.1, 0.7, 1.2)
+        for sweep in (response.p_x0s, response.fishers):
+            assert sweep(iter(masks), iter(phis)) == sweep(masks, phis)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("phase", [math.nan, math.inf, "0.3"])
@@ -527,15 +528,18 @@ class TestPhaseResponse:
     )
     def test_sweep_peak_rss_includes_the_fft_scratch(self):
         # a fresh interpreter, with np.fft loaded, takes the rise of its peak
-        # RSS over two 2^20 sweeps and their splits.  At the CLI's T the
-        # support is 613 samples and the rise is below N bytes.  With
-        # --big-t 3.5 the support spans the grid (L = N): the 2N-point
-        # transform pair, with pocketfft's scratch, and the N-lag sums of a
-        # split raise it by up to RSS_FULL_N * N bytes.  It reads VmHWM,
-        # its own address space's peak: ru_maxrss also holds the peak of the
-        # process it was started from, here the test runner's.
+        # RSS over 2^20 sweeps.  At the CLI's T the support is 613 samples
+        # and the rise of one mask's split is below N bytes.  With --big-t
+        # 3.5 the support spans the grid (L = N): the 2N-point transform
+        # pair, with pocketfft's scratch, and the N-lag sums of a split raise
+        # it by up to RSS_FULL_N * N bytes, and a sweep over 9 thresholds,
+        # in its own interpreter, by no more: its 10 distinct cuts are
+        # summed two at a time.  It reads VmHWM, its own address space's
+        # peak: ru_maxrss also holds the peak of the process it was started
+        # from, here the test runner's.
         n = 2**20
         script = (
+            "import sys\n"
             "import numpy as np\n"
             "from cvphase import PiecewiseBinaryFunction, ProcedureParams, phase_response\n"
             "from cvphase import aligned_half_width\n"
@@ -545,22 +549,31 @@ class TestPhaseResponse:
             "        kib = [line.split()[1] for line in status if line.startswith('VmHWM:')]\n"
             "    return int(kib[0]) * 1024\n"
             "f = PiecewiseBinaryFunction.step(BIG_P / 4, BIG_P)\n"
+            "nine = [PiecewiseBinaryFunction.step(k * 0.25, BIG_P) for k in range(9)]\n"
             "np.fft.irfft(np.fft.rfft(np.zeros(8)))\n"
-            f"for big_t in (aligned_half_width(BIG_P, {n}, {n // 128}), 3.5):\n"
+            f"cases = {{'split': [(aligned_half_width(BIG_P, {n}, {n // 128}), [f]),\n"
+            "                   (3.5, [f])],\n"
+            "         'sweep': [(3.5, nine)]}[sys.argv[1]]\n"
+            "for big_t, masks in cases:\n"
             "    before = peak()\n"
-            f"    phase_response(ProcedureParams(0.0, DELTA, big_t, BIG_P), {n}).split(f)\n"
+            f"    response = phase_response(ProcedureParams(0.0, DELTA, big_t, BIG_P), {n})\n"
+            "    response.fishers(masks, (0.7,))\n"
             "    print(peak() - before)\n"
         )
         src = os.path.dirname(os.path.dirname(grid.__file__))
         here = os.path.dirname(os.path.abspath(__file__))
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join((src, here))},
-        )
-        assert proc.returncode == 0, proc.stderr
-        default, full = map(int, proc.stdout.split())
+        rises = []
+        for cases in ("split", "sweep"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, cases], capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join((src, here))},
+            )
+            assert proc.returncode == 0, proc.stderr
+            rises += map(int, proc.stdout.split())
+        default, full, nine = rises
         assert default <= n
         assert full <= self.RSS_FULL_N * n
+        assert nine <= self.RSS_FULL_N * n
 
     @pytest.mark.parametrize(
         "params, n, error, match",
@@ -611,7 +624,7 @@ class TestPhaseResponse:
         ks = list(range(n + 1)) if n <= 4096 else [
             *range(64), *range(n // 2 - 64, n // 2 + 64), *range(n - 63, n + 1)
         ]
-        sums = _prefix_sums_in_blocks(response, ks)
+        sums = response._prefix_sums(ks)
         assert sums.dtype == np.float64
         assert abs(sums[0]) <= 1e-15 and abs(sums[-1] - 1.0) <= 1e-14
         steps = np.diff(sums)[np.diff(ks) == 1]
@@ -638,14 +651,14 @@ class TestPhaseResponse:
         f = self.MASKS[mask]
         response = phase_response(p, 256)
         phis = (0.0, 0.3, 0.7, math.pi / 2, 2.0, math.pi)
-        probs = response.p_x0s(f, phis)
+        probs = response.p_x0s([f], phis)
         assert probs == pytest.approx(
             [run_circuit(p, f, phi, 256).p_x0 for phi in phis], abs=1e-14
         )
         # F = p'^2/(p(1 - p)) with p' = 4*Im(exp(-2i*phi)*A0*A1), where
         # p(1 - p) is well away from 0
         a0, a1 = response.split(f)
-        fishers = response.fishers(f, phis)
+        fishers = response.fishers([f], phis)
         assert len(fishers) == len(phis)
         for phi, prob, fisher in zip(phis, probs, fishers):
             if 1e-6 < prob < 1.0 - 1e-6:
@@ -653,14 +666,40 @@ class TestPhaseResponse:
                 assert fisher == pytest.approx(
                     slope * slope / (prob * (1.0 - prob)), rel=1e-9
                 )
-        assert response.p_x0s(f, ()) == response.fishers(f, ()) == []
+        assert response.p_x0s([f], ()) == response.fishers([f], ()) == []
+        assert response.p_x0s((), phis) == response.fishers((), phis) == []
+
+    # 2^18 points with a support spanning the grid: 262143 lags, so the
+    # prefix sums run two cuts per block
+    @pytest.mark.parametrize(
+        "n, x0, big_t", [(256, 0.37, T), (4096, 0.0, T), (2**18, 0.0, 3.5)]
+    )
+    def test_one_pass_splits_each_mask_as_alone(self, n, x0, big_t):
+        # the masks of a sweep share their cuts' prefix sums, and each
+        # mask's (A0, A1) and cells are the same doubles as its own sweep's
+        p = ProcedureParams(x0=x0, delta=DELTA, big_t=big_t, big_p=BIG_P)
+        response = phase_response(p, n)
+        masks = [*self.MASKS.values()] + [
+            PiecewiseBinaryFunction.step(k * BIG_P / 8, BIG_P) for k in range(-8, 9, 3)
+        ]
+        assert response._splits(masks) == [response.split(f) for f in masks]
+        phis = (0.0, 0.3, math.pi / 2, 2.0)
+        for sweep in (response.p_x0s, response.fishers):
+            assert sweep(masks, phis) == [
+                cell for f in masks for cell in sweep([f], phis)
+            ]
+        ks = sorted({k for f in masks for k in response._runs_of_ones(f)})
+        together = response._prefix_sums(ks).tolist()
+        assert together == [response._prefix_sums([k])[0] for k in ks]
 
     def test_sweep_probabilities_are_checked(self, monkeypatch):
         response = phase_response(canonical(), GRID_N)
         # A0 + A1 = 3/2 belongs to no normalized state: p(0) = 9/4
-        monkeypatch.setattr(grid.PhaseResponse, "split", lambda self, f: (1.0, 0.5))
+        monkeypatch.setattr(
+            grid.PhaseResponse, "_splits", lambda self, masks: [(1.0, 0.5) for _ in masks]
+        )
         with pytest.raises(ParameterError, match=r"^p_x0 must lie in \[0, 1\], got 2.25$"):
-            response.p_x0s(PiecewiseBinaryFunction.step(0.0, BIG_P), (0.0, 0.3))
+            response.p_x0s([PiecewiseBinaryFunction.step(0.0, BIG_P)], (0.0, 0.3))
 
     def test_matched_weights_are_the_closed_form_transform(self):
         # x0 = 0 and a matched window: w_k = |b(y_k)|^2 * dy with
@@ -675,7 +714,7 @@ class TestPhaseResponse:
             * response.grid_step
         )
         ks = list(range(GRID_N + 1))
-        got = _prefix_sums_in_blocks(response, ks)
+        got = response._prefix_sums(ks)
         assert float(np.max(np.abs(got - cell_sums(closed, ks)))) <= 1e-14
 
     @pytest.mark.parametrize(
@@ -694,14 +733,6 @@ class TestPhaseResponse:
             run_circuit(p, f, 0.5, n)
         with pytest.raises(error):
             phase_response(p, n).split(f)
-
-
-def _prefix_sums_in_blocks(response, ks):
-    """response._prefix_sums over a long list of cells, 512 at a time, so
-    that its (cells, lags) temporaries stay small."""
-    return np.concatenate(
-        [response._prefix_sums(ks[i : i + 512]) for i in range(0, len(ks), 512)]
-    )
 
 
 def _runs(cells):

@@ -277,8 +277,8 @@ class TestPhaseAxes:
 
     @staticmethod
     def _assert_axis_matches_scalars(p, r, phis):
-        columns = fisher_phis(p, r, phis)
-        probs = prob_x0s(p, r, phis)
+        columns = fisher_phis(p, (r,), phis)
+        probs = prob_x0s(p, (r,), phis)
         fishers = fisher_rs(p, r, phis)
         assert list(columns) == list(FisherReport._fields)
         assert all(type(column) is list for column in columns.values())
@@ -314,7 +314,7 @@ class TestPhaseAxes:
     def test_singular_branches(self, params, r):
         p = params()
         self._assert_axis_matches_scalars(p, r, _AXIS_PHASES)
-        columns = fisher_phis(p, r, _AXIS_PHASES)
+        columns = fisher_phis(p, (r,), _AXIS_PHASES)
         assert columns["delta_phi"][0] is None  # phi = 0
         if r == 0.0:
             assert columns["singular_limit"][2]  # phi = pi/2
@@ -328,11 +328,37 @@ class TestPhaseAxes:
     def test_matches_scalars(self, r, phis):
         self._assert_axis_matches_scalars(canonical(), r, tuple(phis))
 
+    @given(
+        r_values=st.lists(st.floats(-BIG_P, BIG_P), max_size=5),
+        phis=st.lists(st.floats(-2 * math.pi, 2 * math.pi), max_size=6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_threshold_axis_is_r_major(self, r_values, phis):
+        # one sweep over both axes gives, cell by cell, the same doubles as
+        # one sweep per threshold, in threshold order
+        p = canonical()
+        columns = fisher_phis(p, r_values, phis)
+        assert prob_x0s(p, r_values, phis) == [
+            cell for r in r_values for cell in prob_x0s(p, (r,), phis)
+        ]
+        for name, column in columns.items():
+            assert column == [
+                cell for r in r_values for cell in fisher_phis(p, (r,), phis)[name]
+            ], name
+
+    def test_an_empty_threshold_axis_still_checks_its_parameters(self):
+        snug = ProcedureParams(x0=0.0, delta=1.0, big_t=4.0, big_p=1.5)
+        for sweep in (prob_x0s, fisher_phis):
+            with pytest.raises(RegimeError):
+                sweep(snug, (), (0.3,))
+        assert prob_x0s(canonical(), (), (0.3,)) == []
+
     @pytest.mark.parametrize(
         "axis, empty",
         [
-            (fisher_phis, {field: [] for field in FisherReport._fields}),
-            (prob_x0s, []),
+            (lambda p, r, phis: fisher_phis(p, (r,), phis),
+             {field: [] for field in FisherReport._fields}),
+            (lambda p, r, phis: prob_x0s(p, (r,), phis), []),
             (fisher_rs, []),
         ],
         ids=["fisher_phis", "prob_x0s", "fisher_rs"],
@@ -355,7 +381,7 @@ class TestRealNumbers:
     def test_threshold_and_audit_phases_refuse_non_numbers(self, value):
         p = canonical()
         for call, what in (
-            (lambda: prob_x0s(p, value, (0.3,)), "threshold r"),
+            (lambda: prob_x0s(p, (value,), (0.3,)), "threshold r"),
             (lambda: fisher_rs(p, value, (0.3,)), "threshold r"),
             (lambda: dj_statistics(p, value), "threshold r"),
             (lambda: heisenberg_audit(p, 0.0, (0.3, value)), "phase"),
@@ -374,12 +400,12 @@ class TestRealNumbers:
 
 _PHASE_TAKERS = {
     "prob_x0": lambda p, phase: prob_x0(p, 0.0, phase),
-    "prob_x0s": lambda p, phase: prob_x0s(p, 0.0, [0.3, phase]),
+    "prob_x0s": lambda p, phase: prob_x0s(p, (0.0,), [0.3, phase]),
     "prob_x0_factorized": lambda p, phase: prob_x0_factorized(
         p, PiecewiseBinaryFunction.step(0.0, BIG_P), phase
     ),
     "fisher_phi": lambda p, phase: fisher_phi(p, 0.0, phase),
-    "fisher_phis": lambda p, phase: fisher_phis(p, 0.0, [0.3, phase]),
+    "fisher_phis": lambda p, phase: fisher_phis(p, (0.0,), [0.3, phase]),
     "fisher_rs": lambda p, phase: fisher_rs(p, 0.0, [0.3, phase]),
     "delta_phi": lambda p, phase: delta_phi(p, phase),
     "heisenberg_audit": lambda p, phase: heisenberg_audit(p, 0.0, [0.3, phase]),
@@ -415,8 +441,11 @@ class TestPhaseGate:
 
     def test_an_axis_is_read_once(self):
         p, phis = canonical(), (0.1, 0.7, 1.2)
-        assert prob_x0s(p, 0.2, iter(phis)) == prob_x0s(p, 0.2, phis)
-        assert fisher_phis(p, 0.2, iter(phis)) == fisher_phis(p, 0.2, phis)
+        r_values = (0.2, -0.5)
+        assert prob_x0s(p, iter(r_values), iter(phis)) == prob_x0s(p, r_values, phis)
+        assert fisher_phis(p, iter(r_values), iter(phis)) == fisher_phis(
+            p, r_values, phis
+        )
         assert fisher_rs(p, 0.2, iter(phis)) == fisher_rs(p, 0.2, phis)
         assert heisenberg_audit(p, 0.2, iter(phis)) == heisenberg_audit(p, 0.2, phis)
 
