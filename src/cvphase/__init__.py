@@ -37,9 +37,9 @@ _SUBMODULE = {
             "require_containment",
         )),
         ("quadrature", (
-            "QuadratureResponse", "QuadratureResult", "StepHatGap",
-            "prob_x0_quadrature", "quadrature_response", "step_hat_gap",
-            "step_hat_gaps",
+            "QuadratureResponse", "QuadratureResult", "QuadratureSweep",
+            "StepHatGap", "prob_x0_quadrature", "quadrature_response",
+            "quadrature_responses", "step_hat_gap", "step_hat_gaps",
         )),
         ("stats", (
             "FisherReport", "GeneratorMoments", "cosine_model_coefficients",

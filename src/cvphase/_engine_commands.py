@@ -4,7 +4,8 @@
 ``cli`` imports this module only when one of them runs, so a table command
 (``audit``, ``gap``, ``fisher-phi``, ``fisher-r``) compiles none of it.
 Functions of the other layers are looked up on their modules at call time
-(``stats.prob_x0s``, ``cli.experiments.sample_outcomes``), never bound here
+(``stats.prob_x0s``, ``cli.experiments.sample_outcomes``,
+``cli.quadrature.quadrature_responses``), never bound here
 by name: an engine bound by an import statement would load at once (see
 ``_lazy``), and perfbench's tracer wraps each layer's functions where that
 layer's module holds them.
@@ -114,9 +115,8 @@ def cmd_crosscheck(
     """Detection probability from all three engines, with worst deviation."""
     response = cli.grid.phase_response(p, grid_n)
     masks = [PiecewiseBinaryFunction.step(r, p.big_p) for r in r_values]
-    pqs = []
-    for f in masks:  # one integration and one column read per mask
-        pqs += cli.quadrature.quadrature_response(p, f).p_x0s(phi_values)
+    # one integration per piece of the masks' folded cuts, one column read
+    pqs = cli.quadrature.quadrature_responses(p, masks).p_x0s(phi_values)
     pas = stats.prob_x0s(p, r_values, phi_values)
     pgs = response.p_x0s(masks, phi_values)
     devs = [

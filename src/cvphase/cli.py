@@ -24,7 +24,12 @@ A cold table command (audit, gap, fisher-phi, fisher-r) compiles this
 module, errors, model and stats, plus the one engine it runs, if any (see
 ``_lazy``).  The code of dj, estimate and crosscheck sits in
 ``_engine_commands``, which only those three import, and the parser adds
-flags only to the subcommand that runs (``build_parser``).
+flags only to the subcommand that runs (``build_parser``).  argv is parsed
+once: when its first argument names a command, that command's parser reads
+the rest, and a token it leaves is refused as the full parser refuses it.
+``crosscheck`` and ``gap`` integrate each piece of their masks' folded cuts
+once per call (``quadrature.quadrature_responses``); nothing is cached
+across calls.
 """
 
 from __future__ import annotations
@@ -261,13 +266,14 @@ def cmd_fisher_r_sweep(
     A circuit-difference column is not offered: moving the threshold moves a
     mask jump within a conjugate-grid cell, so the difference quotient is
     dominated by discretization, not by the derivative being estimated.
-    Each threshold's column is computed at once; rows run phi-major.
+    The sweep's r-major column is computed at once; rows run phi-major.
     """
-    per_r = [fisher_rs(p, r, phi_values) for r in r_values]
+    column = fisher_rs(p, r_values, phi_values)
+    n = len(phi_values)
     return {
         "phi": [phi for phi in phi_values for _ in r_values],
-        "r": list(r_values) * len(phi_values),
-        "fisher_r": [f for at_phi in zip(*per_r) for f in at_phi],
+        "r": list(r_values) * n,
+        "fisher_r": [f for k in range(n) for f in column[k::n]],
     }
 
 
@@ -472,15 +478,10 @@ _COMMANDS = {
 
 
 @functools.cache
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The cvphase parser for one command, built once per process; each
-    parse_args call returns a fresh Namespace.
-
-    Every subcommand is registered, with its help and epilog, so the usage
-    lines and the top-level help never depend on the command; only the
-    subcommand named ``command`` gets its flags and runner, or each of them
-    when ``command`` is None.
-    """
+def _parsers(
+    command: str | None,
+) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """``build_parser(command)`` and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="cvphase",
         description="Phase estimation and one-shot function classification "
@@ -491,13 +492,42 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     # the prog argparse would derive by formatting a usage line: it is the
     # prefix of each subcommand's prog, "cvphase audit"
     sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
+    subparsers = {}
     for name, (run, add_flags, help_line, epilog) in _COMMANDS.items():
-        sp = sub.add_parser(name, help=help_line, epilog=epilog)
+        sp = subparsers[name] = sub.add_parser(name, help=help_line, epilog=epilog)
         if command is None or command == name:
             _add_common_flags(sp)
             add_flags(sp)
             sp.set_defaults(func=run)
-    return parser
+    return parser, subparsers
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The cvphase parser for one command, built once per process; each
+    parse_args call returns a fresh Namespace.
+
+    Every subcommand is registered, with its help and epilog, so the usage
+    lines and the top-level help never depend on the command; only the
+    subcommand named ``command`` gets its flags and runner, or each of them
+    when ``command`` is None.
+    """
+    return _parsers(command)[0]
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv's Namespace, read once: a first argument that names a command
+    hands the rest to that command's parser alone, and what it leaves is
+    refused as the full parser refuses it; any other argv gets the parser
+    of every command."""
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser, subparsers = _parsers(command)
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = subparsers[command].parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = command
+    return args
 
 
 def __getattr__(name: str):
@@ -512,10 +542,8 @@ def __getattr__(name: str):
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # a first argument that names no command gets the parser of every command
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -4,19 +4,27 @@ closed forms.
 The detection amplitude factorizes into one complex integral of the Gaussian
 envelope g(y) = exp(-4*delta^2*y^2) times the mask's phase factor
 exp(2i*phi*f(y)).  On a segment where the mask is constant at v that factor
-is the constant exp(2i*phi*v), so
+is the constant exp(2i*phi*v), and v is 0 or 1, so
 
-    p(x0 | phi) = (4*delta^2/pi) * |sum_s exp(2i*phi*v_s) * I_s|^2,
+    p(x0 | phi) = (4*delta^2/pi) * |I0 + exp(2i*phi) * I1|^2,
+    I_v = sum of I_s over the segments s where the mask is v,
     I_s = integral of g over segment s.
 
-The real integrals I_s do not depend on phi: ``quadrature_response``
-integrates them once per mask, and ``QuadratureResponse.at`` combines them
-for any phase in a few scalar operations (``QuadratureResponse.p_x0s`` for
-a whole phase axis).  The integrator shares no
+The real integrals I_s do not depend on phi, and a sweep's masks share
+them: g is even, so the integral over [-b, -a] is the one over [a, b], and
+every segment of every mask is a sum of the pieces into which the masks'
+segment edges, folded to their absolute values and joined by 0, cut [0, H].
+``quadrature_responses`` integrates each piece once per sweep and gives each
+mask its segment integrals as sums of pieces (a segment across 0 is the
+piece [0, -lo] plus the piece [0, hi]); ``quadrature_response`` is its
+one-mask read.  ``QuadratureResponse.at`` combines one mask's integrals for
+any phase in a few scalar operations, ``QuadratureResponse.p_x0s`` and
+``QuadratureSweep.p_x0s`` a whole phase axis, checked once, with each
+phase's cos(2*phi) and sin(2*phi) taken once.  The integrator shares no
 special-function code with the closed-form route in ``stats``.
 
-Each I_s comes from globally adaptive Gauss-Kronrod quadrature with the
-21-point rule qk21 of QUADPACK (R. Piessens, E. de Doncker-Kapenga,
+Each piece's integral comes from globally adaptive Gauss-Kronrod quadrature
+with the 21-point rule qk21 of QUADPACK (R. Piessens, E. de Doncker-Kapenga,
 C. W. Ueberhuber and D. K. Kahaner, *QUADPACK: A Subroutine Package for
 Automatic Integration*, Springer, 1983).  On a panel of half-length h the
 rule evaluates the integrand at the 21 Kronrod abscissae, which contain the
@@ -28,9 +36,9 @@ and resabs = h * sum_j w_j * |g(x_j)|, the panel's error estimate is
     err = max(err, 50 * eps * resabs),
 
 eps being the double-precision machine epsilon.  The panel with the largest
-estimate is bisected until the estimates sum to the segment's budget or
+estimate is bisected until the estimates sum to the piece's budget or
 _MAX_PANELS panels exist.  QUADPACK's extrapolation step is left
-out: the envelope is entire and each segment finite, so bisection alone
+out: the envelope is entire and each piece finite, so bisection alone
 converges geometrically.
 """
 
@@ -45,6 +53,7 @@ from .errors import QuadratureToleranceError, RegimeError
 from .model import (
     PiecewiseBinaryFunction,
     ProcedureParams,
+    _iterable,
     _phase,
     _phases,
     _probabilities,
@@ -177,41 +186,70 @@ class QuadratureResponse(namedtuple("QuadratureResponse", "params integrals erro
 
     params is the configuration the integrals were taken for.  integrals
     holds (I_s, v_s) per mask segment in ascending order: the envelope's
-    integral over the segment and the mask value on it.  error_sum is the
-    sum of the segments' error estimates.
+    integral over the segment, a sum of its sweep's pieces (see
+    ``quadrature_responses``), and the mask value on it, 0 or 1.  error_sum
+    is the sum of the error estimates of the pieces, each counted as often
+    as it enters a segment.
     """
 
     __slots__ = ()
 
     def at(self, phi: float) -> QuadratureResult:
         """Detection probability at phase phi, with the error estimate
-        propagated from the segments.
+        propagated from the pieces.
 
         Raises QuadratureToleranceError, carrying the best values, when that
         estimate exceeds _ABS_TOL.
         """
-        return QuadratureResult(*self._reads([_phase(phi)])[0])
+        return QuadratureResult(*_reads((self,), _trig((_phase(phi),)))[0])
 
     def p_x0s(self, phis: Iterable[float]) -> list[float]:
         """``at(phi).value`` at each phase of phis, the axis checked once;
         raises as ``at`` does at the first phase whose estimate exceeds
         _ABS_TOL.  The column is checked as probabilities (``_probabilities``).
         """
-        return _probabilities([value for value, _ in self._reads(_phases(phis))])
+        return _column((self,), _trig(_phases(phis)))
 
-    def _reads(self, phis: list[float]) -> list[tuple[float, float]]:
-        """(value, error_estimate) at each of the checked phases phis."""
-        d = self.params.delta
+
+class QuadratureSweep(tuple):
+    """The QuadratureResponse of each mask of one sweep, in mask order (see
+    ``quadrature_responses``)."""
+
+    __slots__ = ()
+
+    def p_x0s(self, phis: Iterable[float]) -> list[float]:
+        """Each response's ``p_x0s(phis)``, mask-major, as one column: the
+        axis is checked once and each phase's cos(2*phi) and sin(2*phi) are
+        taken once.  Raises as ``QuadratureResponse.at`` does at the first
+        (mask, phase) whose estimate exceeds _ABS_TOL.
+        """
+        return _column(self, _trig(_phases(phis)))
+
+
+def _trig(phis: Iterable[float]) -> list[tuple[float, float]]:
+    """(cos(2*phi), sin(2*phi)) of each checked phase of phis."""
+    return [(math.cos(2.0 * phi), math.sin(2.0 * phi)) for phi in phis]
+
+
+def _reads(
+    responses: Iterable[QuadratureResponse], trig: list[tuple[float, float]]
+) -> list[tuple[float, float]]:
+    """(value, error_estimate) of each response at each phase of trig (from
+    ``_trig``), mask-major."""
+    reads = []
+    for response in responses:
+        d = response.params.delta
         norm = 4.0 * d * d / math.pi
-        err_sum = self.error_sum
-        reads = []
-        for phi in phis:
-            acc_re = 0.0
-            acc_im = 0.0
-            for val, v in self.integrals:
-                acc_re += val * math.cos(2.0 * phi * v)
-                acc_im += val * math.sin(2.0 * phi * v)
-            mod = math.hypot(acc_re, acc_im)
+        err_sum = response.error_sum
+        i0 = i1 = 0.0
+        for val, v in response.integrals:
+            if v:
+                i1 += val
+            else:
+                i0 += val
+        for c, s in trig:
+            # |I0 + exp(2i*phi) * I1|
+            mod = math.hypot(i0 + c * i1, s * i1)
             value = norm * mod * mod
             error_estimate = norm * (2.0 * mod * err_sum + err_sum * err_sum)
             if error_estimate > _ABS_TOL:
@@ -222,25 +260,44 @@ class QuadratureResponse(namedtuple("QuadratureResponse", "params integrals erro
                     error_estimate=error_estimate,
                 )
             reads.append((value, error_estimate))
-        return reads
+    return reads
 
 
-def quadrature_response(
-    p: ProcedureParams, f: PiecewiseBinaryFunction
-) -> QuadratureResponse:
-    """Integrate the envelope over each segment of the mask, once for every
-    phase.
+def _column(
+    responses: Iterable[QuadratureResponse], trig: list[tuple[float, float]]
+) -> list[float]:
+    """The values of ``_reads``, checked as probabilities."""
+    return _probabilities([value for value, _ in _reads(responses, trig)])
+
+
+def quadrature_responses(
+    p: ProcedureParams, masks: Iterable[PiecewiseBinaryFunction]
+) -> QuadratureSweep:
+    """Integrate the envelope over the pieces that the masks' folded segment
+    edges cut [0, H] into, each piece once, and give each mask of masks its
+    QuadratureResponse.
+
+    The cuts are 0 and the absolute value of every mask's every segment
+    edge.  A segment's integral is the sum of the pieces it covers, mirrored
+    where it lies below 0, and both sides' where it crosses 0.
 
     The probability-level budget _ABS_TOL is converted to a budget for the
-    underlying complex integral (whose modulus is at most sqrt(pi)/(2*delta))
-    and split across segments in proportion to their Gaussian mass, so tail
-    segments do not starve the centre.  Each segment may use up to
-    _MAX_PANELS panels.
+    underlying complex integral (whose modulus is at most sqrt(pi)/(2*delta)).
+    Half of it goes to [0, H], split across the pieces in proportion to
+    their Gaussian mass (at least 1e-6 of it each), so tail pieces do not
+    starve the centre.  A piece enters a mask at most twice, once on each
+    side of 0, so each mask's error_sum stays within the whole budget.  Each
+    piece may use up to _MAX_PANELS panels.
     """
-    require_containment(p)
-    require_mask_domain(p, f)
+    require_containment(p)  # also when there are no masks
+    masks = list(_iterable(masks, "masks"))
+    for f in masks:
+        require_mask_domain(p, f)
     d = p.delta
-    segs = f.segments()
+    cuts = sorted({
+        0.0, *(abs(edge) for f in masks for edge in (f.half_domain, *f.breakpoints))
+    })
+    index = {cut: k for k, cut in enumerate(cuts)}
 
     # first-order: |dp| <= (4 d^2/pi) * 2 |I|_max * |dI|, |I|_max <= sqrt(pi)/(2d)
     # => an integral budget of abs_tol * sqrt(pi)/(4d) meets abs_tol; halve for safety
@@ -248,7 +305,7 @@ def quadrature_response(
 
     # mass weights only steer the split; they never enter the value
     masses = []
-    for lo, hi, _ in segs:
+    for lo, hi in zip(cuts, cuts[1:]):
         mid = 0.5 * (lo + hi)
         masses.append((hi - lo) * math.exp(-4.0 * d * d * mid * mid))
     total_mass = sum(masses) or 1.0
@@ -256,14 +313,45 @@ def quadrature_response(
     def integrand(y: float) -> float:
         return math.exp(-4.0 * d * d * y * y)
 
-    integrals = []
-    err_sum = 0.0
-    for (lo, hi, v), mass in zip(segs, masses):
-        seg_budget = integral_budget * max(mass / total_mass, 1e-6)
-        val, err = _integrate(integrand, lo, hi, seg_budget)
-        integrals.append((val, v))
-        err_sum += err
-    return QuadratureResponse(p, tuple(integrals), err_sum)
+    values, errors = [], []
+    for lo, hi, mass in zip(cuts, cuts[1:], masses):
+        piece_budget = 0.5 * integral_budget * max(mass / total_mass, 1e-6)
+        val, err = _integrate(integrand, lo, hi, piece_budget)
+        values.append(val)
+        errors.append(err)
+
+    def span(a: float, b: float) -> tuple[float, float]:
+        """The integral from cut a to cut b, both >= 0, and its error."""
+        i, j = index[a], index[b]
+        if i <= j:
+            return sum(values[i:j], 0.0), sum(errors[i:j], 0.0)
+        # a segment past the domain edge within the mask's slack
+        return -sum(values[j:i], 0.0), sum(errors[j:i], 0.0)
+
+    sweep = []
+    for f in masks:
+        integrals = []
+        err_sum = 0.0
+        for lo, hi, v in f.segments():
+            if lo >= 0.0:
+                val, err = span(lo, hi)
+            elif hi <= 0.0:
+                val, err = span(-hi, -lo)
+            else:
+                (below, err_below), (above, err_above) = span(0.0, -lo), span(0.0, hi)
+                val, err = below + above, err_below + err_above
+            integrals.append((val, v))
+            err_sum += err
+        sweep.append(QuadratureResponse(p, tuple(integrals), err_sum))
+    return QuadratureSweep(sweep)
+
+
+def quadrature_response(
+    p: ProcedureParams, f: PiecewiseBinaryFunction
+) -> QuadratureResponse:
+    """The envelope's integral over each segment of the mask, once for every
+    phase: the one-mask read of ``quadrature_responses``."""
+    return quadrature_responses(p, (f,))[0]
 
 
 def prob_x0_quadrature(
@@ -272,9 +360,9 @@ def prob_x0_quadrature(
     """Detection probability via adaptive quadrature over the mask segments:
     ``quadrature_response(p, f).at(phi)``.
 
-    The returned error_estimate is propagated from the per-segment
-    estimates; if it exceeds _ABS_TOL a QuadratureToleranceError carrying
-    the best values is raised.
+    The returned error_estimate is propagated from the pieces' estimates; if
+    it exceeds _ABS_TOL a QuadratureToleranceError carrying the best values
+    is raised.
     """
     return quadrature_response(p, f).at(phi)
 
@@ -305,9 +393,9 @@ def step_hat_gap(p: ProcedureParams, phi: float) -> StepHatGap:
 
 
 def step_hat_gaps(p: ProcedureParams, phis: tuple[float, ...]) -> dict[str, list]:
-    """``step_hat_gap`` at each phase in phis, integrating each mask once, as
-    one list per StepHatGap field keyed by its name, in field order, with a
-    cell per phase.
+    """``step_hat_gap`` at each phase in phis, from one sweep over both
+    masks, as one list per StepHatGap field keyed by its name, in field
+    order, with a cell per phase.
 
     Requires P*delta <= 1/2 (see ``step_hat_gap``).
     """
@@ -318,15 +406,17 @@ def step_hat_gaps(p: ProcedureParams, phis: tuple[float, ...]) -> dict[str, list
             f"step_hat_gap requires P*delta <= 0.5, got {s}; the series "
             "prediction does not control larger mask products"
         )
-    phis = _phases(phis)
-    step = quadrature_response(p, PiecewiseBinaryFunction.step(0.0, p.big_p))
-    hat = quadrature_response(
-        p, PiecewiseBinaryFunction.hat(-p.big_p / 2.0, p.big_p / 2.0, p.big_p)
+    trig = _trig(_phases(phis))
+    big_p = p.big_p
+    masks = (
+        PiecewiseBinaryFunction.step(0.0, big_p),
+        PiecewiseBinaryFunction.hat(-big_p / 2.0, big_p / 2.0, big_p),
     )
-    signed_gaps = [ps - ph for ps, ph in zip(step.p_x0s(phis), hat.p_x0s(phis))]
+    column = _column(quadrature_responses(p, masks), trig)
+    n = len(trig)
+    signed_gaps = [ps - ph for ps, ph in zip(column[:n], column[n:])]
     predictions = [
-        abs(1.0 - math.cos(2.0 * phi)) * (8.0 / math.pi) * s**6 * abs(1.0 - 3.0 * s * s)
-        for phi in phis
+        abs(1.0 - c) * (8.0 / math.pi) * s**6 * abs(1.0 - 3.0 * s * s) for c, _ in trig
     ]
     gaps = [abs(signed) for signed in signed_gaps]
     return {

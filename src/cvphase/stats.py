@@ -21,8 +21,9 @@ One private record, ``_threshold``, holds what depends on r alone: (r, a,
 b, E, generator mean, dG/dr), from one erf(2*P*delta) and one
 erf(2*r*delta) after the containment and r checks.  Every sweep (prob_x0s,
 fisher_phis, fisher_rs, the ``audit`` table and the estimator) reads it
-once per threshold; only the cosine depends on phi.  prob_x0s and
-fisher_phis take a threshold axis with the phase axis, which passes one
+once per threshold; only the cosine depends on phi.  prob_x0s,
+fisher_phis and fisher_rs take a threshold axis with the phase axis (in
+``_sweep``), which passes one
 gate, ``model._phases`` (a phase ``model._phase``); each phase's cos(2*phi)
 and sin(2*phi) are taken once per sweep.  The sweeps return columns,
 r-major (``fisher_phis`` and ``heisenberg_audit`` a dict of them keyed by
@@ -227,30 +228,32 @@ def _fisher(a: float, b: float, c: float, s: float) -> tuple[float, bool]:
     return 4.0 * b * (1.0 + c) / prob, True
 
 
-def fisher_rs(p: ProcedureParams, r: float, phis: Iterable[float]) -> list[float]:
-    """Fisher information about the threshold r at each phase of phis, from
-    one a, b and dG/dr for r.
+def fisher_rs(
+    p: ProcedureParams, r_values: Iterable[float], phis: Iterable[float]
+) -> list[float]:
+    """Fisher information about the threshold at each threshold of r_values
+    and phase of phis, r-major, from one a, b and dG/dr per threshold.
 
     dG/dr = (8*delta/sqrt(pi)) * erf(2*r*delta) * exp(-4*r^2*delta^2) and
     dp/dr = dG/dr * (1 - cos(2*phi))/2.  As r -> 0 at cos(2*phi) = -1 the
     raw quotient is 0/0 with finite limit 64*delta^2/pi.
     """
-    _, a, b, _, _, dG = _threshold(p, r)
+    records, _, trig = _sweep(p, r_values, phis)
     d = p.delta
     fishers = []
-    for phi in _phases(phis):
-        c = math.cos(2.0 * phi)
-        prob = a + b * c
-        dp = 0.5 * dG * (1.0 - c)
-        pq = prob * (1.0 - prob)
-        if pq > 0.0:
-            fishers.append(dp * dp / pq)
-        elif prob <= 0.0:
-            # G = 0 and cos(2*phi) = -1: p ~ (16 d^2/pi) r^2, dp ~ (32 d^2/pi) r
-            fishers.append(64.0 * d * d / math.pi)
-        else:
-            # p = 1: happens only at cos(2*phi) = 1 where p has no r dependence
-            fishers.append(0.0)
+    for _, a, b, _, _, dG in records:
+        for c, _ in trig:
+            prob = a + b * c
+            dp = 0.5 * dG * (1.0 - c)
+            pq = prob * (1.0 - prob)
+            if pq > 0.0:
+                fishers.append(dp * dp / pq)
+            elif prob <= 0.0:
+                # G = 0 and cos(2*phi) = -1: p ~ (16 d^2/pi) r^2, dp ~ (32 d^2/pi) r
+                fishers.append(64.0 * d * d / math.pi)
+            else:
+                # p = 1: happens only at cos(2*phi) = 1 where p has no r dependence
+                fishers.append(0.0)
     return fishers
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: schemas, determinism, presets, exit codes."""
 
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -419,10 +420,9 @@ class TestGridEngine:
         self, capsys, monkeypatch
     ):
         # the grid splits every mask of a sweep from one prefix-sum pass over
-        # their distinct cuts, and the closed form and the grid each gate the
-        # phase axis once per sweep.  The quadrature gates it once per mask:
-        # each mask's column is its own QuadratureResponse.p_x0s read (see
-        # test_quadrature_column_is_read_once_per_threshold)
+        # their distinct cuts, and the closed form, the quadrature and the
+        # grid each gate the phase axis once per sweep (see
+        # test_one_integration_per_folded_piece)
         passes, gates = [], []
         prefix_sums = grid.PhaseResponse._prefix_sums
 
@@ -445,8 +445,8 @@ class TestGridEngine:
         # the domain edge, which they share; the step at P has no ones
         for argv, cuts, want in (
             (["fisher-phi", "--fig4", "--engine", "all"], 5, ["stats", "grid"]),
-            (["crosscheck"], 5, ["quadrature"] * 5 + ["stats", "grid"]),
-            (grid_fine, 3, ["quadrature"] * 2 + ["stats", "grid"]),
+            (["crosscheck"], 5, ["quadrature", "stats", "grid"]),
+            (grid_fine, 3, ["quadrature", "stats", "grid"]),
         ):
             passes.clear()
             gates.clear()
@@ -454,43 +454,85 @@ class TestGridEngine:
             assert passes == [cuts], argv
             assert sorted(gates) == sorted(want), argv
 
-    def test_one_quadrature_response_per_threshold(self, capsys, monkeypatch):
-        built = []
-        original = quadrature.quadrature_response
+    @pytest.mark.parametrize(
+        "argv, masks, pieces",
+        [
+            # cuts 0, P/8, P/4, P/2, P; the step at P is constant
+            (["crosscheck"], 5, 4),
+            # cuts 0, P/4, P
+            (["crosscheck", "--grid-n", str(2**18), "--r", f"0,{BIG_P / 4!r}",
+              "--phi", f"0:{math.pi / 2!r}:5"], 2, 2),
+            # -P/4 folds onto P/4: cuts 0, P/8, P/4, P
+            (["crosscheck", f"--r={-BIG_P / 4!r},{BIG_P / 8!r}", "--phi", "0:1.5:5"],
+             2, 3),
+            # the step at 0 and the window (-P/2, P/2]: cuts 0, P/2, P
+            (["gap"], 2, 2),
+        ],
+        ids=["crosscheck", "crosscheck-2^18", "crosscheck-negative", "gap"],
+    )
+    def test_one_integration_per_folded_piece(
+        self, argv, masks, pieces, capsys, monkeypatch
+    ):
+        # a command integrates the envelope once per piece of [0, P] between
+        # its masks' folded cuts, in one sweep over every mask, and reads the
+        # sweep's column through one phase gate, never one mask or one phase
+        # at a time
+        integrated, sweeps, gates = [], [], []
+        integrate, sweep = quadrature._integrate, quadrature.quadrature_responses
 
-        def counted(p, f):
-            built.append(f.breakpoints)
-            return original(p, f)
+        def counted_integrate(f, a, b, budget):
+            integrated.append((a, b))
+            return integrate(f, a, b, budget)
 
-        monkeypatch.setattr(quadrature, "quadrature_response", counted)
-        assert not hasattr(cli, "prob_x0_quadrature")
-        for argv, thresholds in (
-            (["crosscheck"], 5),
-            (["crosscheck", "--r", f"0,{BIG_P / 4!r}", "--phi", "0:3:7"], 2),
-        ):
-            built.clear()
-            assert run_cli(argv, capsys)[0] == 0
-            assert len(built) == len(set(built)) == thresholds, argv
+        def counted_sweep(p, fs):
+            sweeps.append(len(fs))
+            return sweep(p, fs)
 
-    def test_quadrature_column_is_read_once_per_threshold(self, capsys, monkeypatch):
-        # one axis read per mask, none of the one-phase reads
-        reads = []
-        response_type = quadrature.QuadratureResponse
-        original = response_type.p_x0s
+        def counted_gate(phis, original=quadrature._phases):
+            gates.append(phis)
+            return original(phis)
 
-        def counted(self, phis):
-            reads.append(len(phis))
-            return original(self, phis)
+        def refused(*args):
+            raise AssertionError("read one mask or one phase at a time")
 
-        def one_phase(self, phi):
-            raise AssertionError("read one phase at a time")
+        monkeypatch.setattr(quadrature, "_integrate", counted_integrate)
+        monkeypatch.setattr(quadrature, "quadrature_responses", counted_sweep)
+        monkeypatch.setattr(quadrature, "_phases", counted_gate)
+        monkeypatch.setattr(quadrature, "quadrature_response", refused)
+        monkeypatch.setattr(quadrature.QuadratureResponse, "at", refused)
+        monkeypatch.setattr(quadrature.QuadratureResponse, "p_x0s", refused)
+        assert run_cli(argv, capsys)[0] == 0
+        assert sweeps == [masks]
+        assert len(gates) == 1
+        # the pieces tile [0, P] from 0 upwards, each integrated once
+        assert len(integrated) == pieces
+        assert integrated[0][0] == 0.0
+        assert all(a < b for a, b in integrated)
+        assert [a for a, _ in integrated[1:]] == [b for _, b in integrated[:-1]]
 
-        monkeypatch.setattr(response_type, "p_x0s", counted)
-        monkeypatch.setattr(response_type, "at", one_phase)
-        for argv, want in ((["crosscheck"], [17] * 5), (["gap"], [17, 17])):
-            reads.clear()
-            assert run_cli(argv, capsys)[0] == 0
-            assert reads == want, argv
+    def test_fisher_r_gates_its_phase_axis_once(self, capsys, monkeypatch):
+        # fisher-r --fig5: 63 thresholds, 5 phases, one sweep
+        gates, cosines = [], []
+
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def cos(self, x):
+                cosines.append(x)
+                return math.cos(x)
+
+        def counted_gate(phis, original=stats._phases):
+            gates.append(phis)
+            return original(phis)
+
+        monkeypatch.setattr(stats, "math", CountingMath())
+        monkeypatch.setattr(stats, "_phases", counted_gate)
+        code, out, _ = run_cli(["fisher-r", "--fig5"], capsys)
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 63 * 5
+        assert len(gates) == 1
+        assert len(cosines) == 5
 
     def test_closed_form_runs_once_per_threshold(self, capsys, monkeypatch):
         calls = []
@@ -539,20 +581,6 @@ class TestGridEngine:
             calls.clear()
             assert run_cli(argv, capsys)[0] == 0
             assert len(calls) == erfs, argv
-
-    def test_gap_integrates_each_mask_once(self, capsys, monkeypatch):
-        built = []
-        original = quadrature.quadrature_response
-
-        def counted(p, f):
-            built.append(f.breakpoints)
-            return original(p, f)
-
-        monkeypatch.setattr(quadrature, "quadrature_response", counted)
-        code, out, _ = run_cli(["gap"], capsys)
-        assert code == 0
-        assert len(out.splitlines()) == 1 + 17
-        assert len(built) == len(set(built)) == 2
 
     def test_fisher_at_saturated_phases_is_the_grid_limit(self, capsys):
         code, out, _ = run_cli(
@@ -1408,6 +1436,69 @@ def test_a_command_parser_prints_what_the_full_parser_prints(command, tail, caps
     assert got == want
     assert want[0] == (0 if tail == "--help" else 2)
     assert want[1 if tail == "--help" else 2]
+
+
+def _main_with_the_full_parser(argv):
+    """main as it was before it read a command's argv with that command's
+    parser alone: the parser of every command parses argv and hands the
+    subcommand's tokens to the subcommand's parser."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    try:
+        return args.func(args)
+    except cvphase.CvPhaseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fisher-phi", "--fig4", "extra"],
+        ["crosscheck", "--r", "0", "--", "3"],
+        ["crosscheck", "--grid-n=512", "--r", "0", "--phi", "0"],
+        ["crosscheck", "--grid", "512", "--r", "0", "--phi", "0"],  # an abbreviation
+        ["crosscheck", "--grid", "z"],
+        ["audit", "--r", "1", "--phi", "0.3", "--r", "0.5"],  # a repeated flag
+        ["gap", "--phi", "1", "--phi", "x"],
+        ["fisher-r", "--r", "0.5", "--phi", "1", "--", "--phi", "2"],
+        ["audit", "--phi=0.3", "--bogus", "x", "--r", "0"],
+        ["dj", "--trials", "10", "--seed", "1", "--trials", "20"],
+    ],
+    ids=" ".join,
+)
+def test_a_command_argv_runs_as_under_the_full_parser(argv, capsys):
+    # the one parse of a command's argv reads what the parser of every
+    # command read: the same table, or the same usage error
+    got = (cli.main(argv), *capsys.readouterr())
+    want = (_main_with_the_full_parser(argv), *capsys.readouterr())
+    assert got == want
+    assert want[1] or want[2]
+
+
+def test_main_parses_a_command_argv_once(capsys, monkeypatch):
+    # counted at the argparse boundary: only the named command's parser
+    # reads its tokens, whatever they hold
+    parsers = []
+    original = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, args=None, namespace=None):
+        parsers.append(self.prog)
+        return original(self, args, namespace)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    for argv in (
+        ["audit"],
+        ["fisher-r", "--fig5"],
+        ["crosscheck", "--grid-n", "512", "--r", "0", "--phi", "0"],
+        ["gap", "--bogus"],
+        ["fisher-phi", "--help"],
+    ):
+        parsers.clear()
+        run_cli(argv, capsys)
+        assert parsers == [f"cvphase {argv[0]}"], argv
 
 
 def test_a_command_parser_holds_only_its_own_flags(capsys):

@@ -26,14 +26,15 @@ PUBLIC_NAMES = [
     "GridLayoutError", "GridState", "KickbackCheck", "MOMENTUM",
     "MeasurementDistribution", "POSITION", "ParameterError", "PhaseResponse",
     "PiecewiseBinaryFunction", "ProcedureParams", "QuadratureResponse",
-    "QuadratureResult", "QuadratureToleranceError", "RegimeError",
+    "QuadratureResult", "QuadratureSweep", "QuadratureToleranceError", "RegimeError",
     "ReplicationSummary", "SingularityError", "StepHatGap",
     "UnidentifiableFunctionError", "__version__", "aligned_half_width",
     "apply_blackbox", "cosine_model_coefficients", "delta_phi", "dj_statistics",
     "fisher_phi", "fisher_phis", "fisher_rs", "fourier",
     "generator_moments", "heisenberg_audit", "inverse_fourier", "mask_efficiency",
     "measure_povm", "phase_response", "prepare_gaussian", "prob_x0",
-    "prob_x0_factorized", "prob_x0_quadrature", "prob_x0s", "quadrature_response", "replicated_mse", "require_containment",
+    "prob_x0_factorized", "prob_x0_quadrature", "prob_x0s", "quadrature_response",
+    "quadrature_responses", "replicated_mse", "require_containment",
     "run_circuit", "sample_outcomes", "step_hat_gap", "step_hat_gaps",
     "two_register_kickback_check",
 ]
@@ -126,7 +127,8 @@ def test_every_annotation_resolves(module):
 # results, not inputs), the exception types and the constants.
 _RECORDS = {
     "FisherReport", "GeneratorMoments", "KickbackCheck", "PhaseResponse",
-    "QuadratureResponse", "QuadratureResult", "ReplicationSummary", "StepHatGap",
+    "QuadratureResponse", "QuadratureResult", "QuadratureSweep",
+    "ReplicationSummary", "StepHatGap",
 }
 _CONSTANTS = {"CONTAINMENT_RATIO", "MOMENTUM", "POSITION", "__version__"}
 _BAD = [
@@ -146,6 +148,7 @@ def _contract_cases() -> dict:
     momentum = cvphase.fourier(position)
     grid_response = cvphase.phase_response(p, n)
     integrals = cvphase.quadrature_response(p, f)
+    sweep = cvphase.quadrature_responses(p, [f])
     return {
         "aligned_half_width": (cvphase.aligned_half_width, (BIG_P, n, 32)),
         "require_containment": (cvphase.require_containment, (p,)),
@@ -160,7 +163,7 @@ def _contract_cases() -> dict:
         "dj_statistics": (cvphase.dj_statistics, (p, 0.3)),
         "fisher_phi": (cvphase.fisher_phi, (p, 0.3, 0.4)),
         "fisher_phis": (cvphase.fisher_phis, (p, (0.3,), (0.4,))),
-        "fisher_rs": (cvphase.fisher_rs, (p, 0.3, (0.4,))),
+        "fisher_rs": (cvphase.fisher_rs, (p, (0.3,), (0.4,))),
         "generator_moments": (cvphase.generator_moments, (p, 0.3)),
         "heisenberg_audit": (cvphase.heisenberg_audit, (p, 0.3, (0.4,))),
         "mask_efficiency": (cvphase.mask_efficiency, (p,)),
@@ -171,6 +174,8 @@ def _contract_cases() -> dict:
         "quadrature_response": (cvphase.quadrature_response, (p, f)),
         "QuadratureResponse.at": (integrals.at, (0.4,)),
         "QuadratureResponse.p_x0s": (integrals.p_x0s, ((0.4,),)),
+        "quadrature_responses": (cvphase.quadrature_responses, (p, [f])),
+        "QuadratureSweep.p_x0s": (sweep.p_x0s, ((0.4,),)),
         "step_hat_gap": (cvphase.step_hat_gap, (small, 0.4)),
         "step_hat_gaps": (cvphase.step_hat_gaps, (small, (0.4,))),
         "GridState": (cvphase.GridState, (

@@ -11,14 +11,17 @@ from cvphase import (
     ProcedureParams,
     QuadratureResponse,
     QuadratureResult,
+    QuadratureSweep,
     QuadratureToleranceError,
     RegimeError,
     StepHatGap,
+    model,
     prob_x0,
     prob_x0_factorized,
     prob_x0_quadrature,
     quadrature,
     quadrature_response,
+    quadrature_responses,
     step_hat_gap,
     step_hat_gaps,
 )
@@ -236,6 +239,98 @@ class TestProbQuadrature:
         f = PiecewiseBinaryFunction.step(0.0, BIG_P / 2)
         with pytest.raises(ParameterError):
             prob_x0_quadrature(p, f, 0.3)
+
+
+def _sweep_masks(rng: np.random.Generator, big_p: float) -> list[PiecewiseBinaryFunction]:
+    """One to six masks on [-P, P]: random breakpoints, steps, windows,
+    constants, breakpoints at +-P and at -0.0, and a half-domain off P
+    within the tolerance a mask may have."""
+    masks = []
+    for _ in range(int(rng.integers(1, 7))):
+        kind = int(rng.integers(0, 6))
+        if kind == 0:
+            k = int(rng.integers(0, 7))
+            bps = sorted({float(b) for b in rng.uniform(-big_p, big_p, size=k)})
+            values = tuple(int(v) for v in rng.integers(0, 2, size=len(bps) + 1))
+            masks.append(PiecewiseBinaryFunction(tuple(bps), values, big_p))
+        elif kind == 1:
+            masks.append(PiecewiseBinaryFunction.step(float(rng.uniform(-big_p, big_p)), big_p))
+        elif kind == 2:
+            r1, r2 = sorted(rng.uniform(-big_p, big_p, size=2))
+            masks.append(PiecewiseBinaryFunction.hat(float(r1), float(r2), big_p))
+        elif kind == 3:
+            masks.append(PiecewiseBinaryFunction((), (int(rng.integers(0, 2)),), big_p))
+        elif kind == 4:
+            masks.append(PiecewiseBinaryFunction((-big_p, -0.0, big_p), (1, 0, 1, 0), big_p))
+        else:
+            half = big_p * (1.0 + float(rng.uniform(-0.9, 0.9)) * model._MASK_DOMAIN_TOL)
+            masks.append(PiecewiseBinaryFunction((-0.0, 0.5 * half), (0, 1, 0), half))
+    return masks
+
+
+class TestQuadratureSweep:
+    """One integration per piece of [0, P] between the masks' folded cuts."""
+
+    def test_each_mask_agrees_with_the_segment_sum_oracle(self):
+        rng = np.random.default_rng(20261020)
+        for _ in range(60):
+            delta = float(rng.uniform(0.2, 2.0))
+            big_p = float(rng.uniform(0.1, 3.0)) / delta
+            x0 = float(rng.uniform(-2.0, 2.0))
+            p = ProcedureParams(x0, delta, abs(x0) + float(rng.uniform(4.2, 9.0)) * delta, big_p)
+            masks = _sweep_masks(rng, big_p)
+            phis = [float(phi) for phi in rng.uniform(-math.pi, math.pi, size=4)]
+            sweep = quadrature_responses(p, masks)
+            column = sweep.p_x0s(phis)
+            assert len(sweep) == len(masks)
+            for i, (f, response) in enumerate(zip(masks, sweep)):
+                assert response.params is p
+                assert [v for _, v in response.integrals] == list(f.values)
+                got = column[i * len(phis):(i + 1) * len(phis)]
+                assert got == response.p_x0s(phis)
+                for phi, value in zip(phis, got):
+                    want = prob_x0_factorized(p, f, phi).p_x0
+                    assert abs(value - want) <= 1e-14, (f, phi)
+
+    def test_each_mask_keeps_the_whole_integral_budget(self):
+        rng = np.random.default_rng(4)
+        for _ in range(40):
+            delta = float(rng.uniform(0.2, 2.0))
+            big_p = float(rng.uniform(0.1, 3.0)) / delta
+            p = ProcedureParams(0.0, delta, 5.0 * delta, big_p)
+            budget = quadrature._ABS_TOL * math.sqrt(math.pi) / (8.0 * delta)
+            for response in quadrature_responses(p, _sweep_masks(rng, big_p)):
+                assert 0.0 < response.error_sum <= budget
+
+    def test_a_folded_segment_is_its_mirror_image(self):
+        # g is even: the segment below 0 reads the same pieces as its mirror
+        p = canonical()
+        f = PiecewiseBinaryFunction((-1.0, -0.4, 0.4, 1.0), (0, 1, 0, 1, 0), BIG_P)
+        values = [val for val, _ in quadrature_responses(p, [f])[0].integrals]
+        assert values[0] == values[4] and values[1] == values[3]
+
+    def test_an_empty_sweep_still_checks_its_parameters(self):
+        assert quadrature_responses(canonical(), iter(())) == ()
+        assert type(quadrature_responses(canonical(), [])) is QuadratureSweep
+        assert quadrature_responses(canonical(), []).p_x0s((0.3,)) == []
+        snug = ProcedureParams(x0=0.0, delta=1.0, big_t=4.0, big_p=1.5)
+        with pytest.raises(RegimeError):
+            quadrature_responses(snug, ())
+        with pytest.raises(ParameterError):
+            quadrature_responses(canonical(), [PiecewiseBinaryFunction.step(0.0, BIG_P / 2)])
+
+    def test_the_sweep_read_raises_at_the_first_cell_over_budget(self, monkeypatch):
+        p = canonical()
+        masks = [PiecewiseBinaryFunction.step(r, BIG_P) for r in (0.0, BIG_P / 4)]
+        sweep = quadrature_responses(p, masks)
+        monkeypatch.setattr(quadrature, "_ABS_TOL", 1e-300)
+        with pytest.raises(QuadratureToleranceError) as one:
+            sweep[0].at(0.7)
+        with pytest.raises(QuadratureToleranceError) as axis:
+            sweep.p_x0s([0.7, 0.0])
+        assert (axis.value.value, axis.value.error_estimate) == (
+            one.value.value, one.value.error_estimate
+        )
 
 
 class TestStepHatGap:

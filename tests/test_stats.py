@@ -46,7 +46,7 @@ DPHI_QUARTER = 0.5000220907410043     # sqrt((E/2)(1-E/2))/E
 
 def fisher_r(p, r, phi):
     """Fisher information about r at one phase: fisher_rs' one-phase read."""
-    return fisher_rs(p, r, (phi,))[0]
+    return fisher_rs(p, (r,), (phi,))[0]
 
 
 class TestProbX0:
@@ -279,7 +279,7 @@ class TestPhaseAxes:
     def _assert_axis_matches_scalars(p, r, phis):
         columns = fisher_phis(p, (r,), phis)
         probs = prob_x0s(p, (r,), phis)
-        fishers = fisher_rs(p, r, phis)
+        fishers = fisher_rs(p, (r,), phis)
         assert list(columns) == list(FisherReport._fields)
         assert all(type(column) is list for column in columns.values())
         assert {len(column) for column in columns.values()} == {len(phis)}
@@ -359,7 +359,7 @@ class TestPhaseAxes:
             (lambda p, r, phis: fisher_phis(p, (r,), phis),
              {field: [] for field in FisherReport._fields}),
             (lambda p, r, phis: prob_x0s(p, (r,), phis), []),
-            (fisher_rs, []),
+            (lambda p, r, phis: fisher_rs(p, (r,), phis), []),
         ],
         ids=["fisher_phis", "prob_x0s", "fisher_rs"],
     )
@@ -382,7 +382,7 @@ class TestRealNumbers:
         p = canonical()
         for call, what in (
             (lambda: prob_x0s(p, (value,), (0.3,)), "threshold r"),
-            (lambda: fisher_rs(p, value, (0.3,)), "threshold r"),
+            (lambda: fisher_rs(p, (value,), (0.3,)), "threshold r"),
             (lambda: dj_statistics(p, value), "threshold r"),
             (lambda: heisenberg_audit(p, 0.0, (0.3, value)), "phase"),
         ):
@@ -406,7 +406,7 @@ _PHASE_TAKERS = {
     ),
     "fisher_phi": lambda p, phase: fisher_phi(p, 0.0, phase),
     "fisher_phis": lambda p, phase: fisher_phis(p, (0.0,), [0.3, phase]),
-    "fisher_rs": lambda p, phase: fisher_rs(p, 0.0, [0.3, phase]),
+    "fisher_rs": lambda p, phase: fisher_rs(p, (0.0,), [0.3, phase]),
     "delta_phi": lambda p, phase: delta_phi(p, phase),
     "heisenberg_audit": lambda p, phase: heisenberg_audit(p, 0.0, [0.3, phase]),
 }
@@ -446,7 +446,9 @@ class TestPhaseGate:
         assert fisher_phis(p, iter(r_values), iter(phis)) == fisher_phis(
             p, r_values, phis
         )
-        assert fisher_rs(p, 0.2, iter(phis)) == fisher_rs(p, 0.2, phis)
+        assert fisher_rs(p, iter(r_values), iter(phis)) == fisher_rs(
+            p, r_values, phis
+        )
         assert heisenberg_audit(p, 0.2, iter(phis)) == heisenberg_audit(p, 0.2, phis)
 
 
