@@ -45,7 +45,7 @@ _SUBMODULE = {
             "FisherReport", "GeneratorMoments", "cosine_model_coefficients",
             "delta_phi", "dj_statistics", "fisher_phi", "fisher_phis",
             "fisher_rs", "generator_moments", "heisenberg_audit",
-            "mask_efficiency", "prob_x0", "prob_x0_factorized", "prob_x0s",
+            "mask_efficiency", "prob_x0", "prob_x0s",
         )),
     )
     for name in names

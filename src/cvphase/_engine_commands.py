@@ -31,9 +31,7 @@ from .errors import ParameterError
 from .model import PiecewiseBinaryFunction, ProcedureParams, _integer, _real
 
 
-def cmd_dj(
-    p: ProcedureParams, r: float, trials: int, seed: int
-) -> tuple[list[str], list[dict]]:
+def cmd_dj(p: ProcedureParams, r: float, trials: int, seed: int) -> dict[str, list]:
     """Seeded one-shot classification at the decision phase.
 
     Three rows: the requested threshold, then balanced (r=0) and constant
@@ -41,7 +39,8 @@ def cmd_dj(
     stream seeded with (seed, i), each hitting with the p_x0 the row prints;
     a row at p_x0 = 0 (the balanced ones) draws nothing, as its count is
     exact.  trials and seed must be ints (numpy integers too), as for
-    ``sample_outcomes``; anything else is a ParameterError.
+    ``sample_outcomes``; anything else is a ParameterError.  Returns the
+    table's columns, keyed by name in the order it prints them.
     """
     trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
     rows = []
@@ -63,18 +62,12 @@ def cmd_dj(
         else:
             truth = "neither"
             emp_err = ana_err = math.nan
-        rows.append({
-            "label": label,
-            "r": r_case,
-            "truth": truth,
-            "p_x0": p_x0,
-            "trials": trials,
-            "classified_constant": n_const,
-            "classified_balanced": n_bal,
-            "empirical_error_rate": emp_err,
-            "analytic_error_rate": ana_err,
-        })
-    return list(rows[0]), rows
+        rows.append(
+            (label, r_case, truth, p_x0, trials, n_const, n_bal, emp_err, ana_err)
+        )
+    names = ("label", "r", "truth", "p_x0", "trials", "classified_constant",
+             "classified_balanced", "empirical_error_rate", "analytic_error_rate")
+    return {name: list(column) for name, column in zip(names, zip(*rows))}
 
 
 _ESTIMATE_COLUMNS = (
@@ -137,8 +130,7 @@ def cmd_crosscheck(
 
 def _run_dj(args: argparse.Namespace) -> int:
     p = _resolve_params(args)
-    columns, rows = cmd_dj(p, args.r, args.trials, args.seed)
-    _emit({c: [row[c] for row in rows] for c in columns}, args.format, args.out)
+    _emit(cmd_dj(p, args.r, args.trials, args.seed), args.format, args.out)
     return 0
 
 

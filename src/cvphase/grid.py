@@ -56,11 +56,13 @@ costs a few scalar operations (``PhaseResponse.p_x0s`` and
 ``PhaseResponse.fishers`` give the probability and Fisher information of a
 threshold axis of masks over a phase axis as one r-major column, taking
 each phase's exp(-2i*phi) or cos(phi)^2 once per sweep), and every mask a
-few sums over its runs of cells.  Both routes
-place the mask's jumps with the same cuts (``_mask_cuts``) over the same
-doubles y_start + k*dy, so they discretize the mask identically; they
-differ only by rounding (~1e-15 in the probability).  ``run_circuit``
-stays the stage-by-stage reference.
+few sums over its runs of cells.  ``run_circuit`` stays the
+stage-by-stage reference, and both routes share their rules: one
+``_runs_of_ones`` places the mask's runs of cells where f = 1, which
+``apply_blackbox`` multiplies by exp(-2i*phi) and ``PhaseResponse.split``
+sums as A1, and one ``_gaussian`` evaluates and normalizes the prepared
+state and the detection window.  They differ only in how they sum cells,
+by rounding (~1e-15 in the probability).
 
 Detection projects back onto the prepared state, as the closed forms assume
 (W = G), so w_k = |(F G)_k|^2 * dy is real and non-negative.  With
@@ -98,8 +100,8 @@ P(N) = C*N*R(0), since every sine there is sin(pi*m) = 0, is the total
 weight (1 to rounding).  ``phase_response`` keeps C*R(0) and C*h(m) only.
 R comes from one rfft/irfft pair of the smallest power of two >= 2L - 1
 points, whose zero padding keeps the cyclic correlation from wrapping.
-``PhaseResponse.split`` finds each cut of the mask with a scalar search and
-takes A1 as the prefix sums' differences over f's runs of ones, and A0 as
+``PhaseResponse.split`` takes A1 as the prefix sums' differences over
+the runs of ``_runs_of_ones``, each cut found by a scalar search, and A0 as
 the rest of P(N); both are clamped to >= 0 against rounding.  A sweep over
 many masks takes every distinct cut of all of them from one prefix-sum
 pass, in blocks of at most max(2*(L - 1), 2^16) lag terms.
@@ -222,26 +224,32 @@ def _support(p: ProcedureParams, n: int) -> tuple[int, int]:
     )
 
 
-def _support_gaussian(p: ProcedureParams, n: int) -> tuple[int, int, float, np.ndarray]:
-    """(lo, hi, dx, g): the width-delta Gaussian at x0 on the samples
-    x_j = -T + j*dx of ``_support``, renormalized so that sum g^2 * dx = 1.
+def _gaussian(x: np.ndarray, dx: float, p: ProcedureParams, what: str) -> np.ndarray:
+    """The width-delta Gaussian at x0 on the samples x, renormalized so that
+    sum g^2 * dx = 1: the prepared state, and the window detection projects
+    onto.  Raises, naming what, if every sample underflowed (the Gaussian
+    falls between the samples)."""
+    gauss = np.exp(-((x - p.x0) ** 2) / (2.0 * p.delta**2))
+    norm_sq = float(np.sum(gauss * gauss)) * dx
+    if norm_sq == 0.0:
+        raise ParameterError(f"{what} has no support on this grid")
+    gauss *= 1.0 / math.sqrt(norm_sq)
+    return gauss
 
-    Checks containment and the grid size first, then raises if every sample
-    underflowed.  These are the same doubles as on the full grid; every
-    other sample is the exact 0 that ``exp`` would give there.
+
+def _support_gaussian(p: ProcedureParams, n: int) -> tuple[int, int, float, np.ndarray]:
+    """(lo, hi, dx, g): ``_gaussian`` on the samples x_j = -T + j*dx of
+    ``_support``, after the containment and grid-size checks.
+
+    These are the same doubles as on the full grid; every other sample is
+    the exact 0 that ``exp`` would give there.
     """
     require_containment(p)
     n = _require_pow2(n)
     dx = 2.0 * p.big_t / n
     lo, hi = _support(p, n)
     x = -p.big_t + dx * np.arange(lo, hi)
-    gauss = np.exp(-((x - p.x0) ** 2) / (2.0 * p.delta**2))
-    norm_sq = float(np.sum(gauss * gauss)) * dx
-    if norm_sq == 0.0:
-        # every sample underflowed: the Gaussian falls between grid points
-        raise ParameterError("prepared state has no support on this grid")
-    gauss *= 1.0 / math.sqrt(norm_sq)
-    return lo, hi, dx, gauss
+    return lo, hi, dx, _gaussian(x, dx, p, "prepared state")
 
 
 def prepare_gaussian(p: ProcedureParams, n: int) -> GridState:
@@ -372,21 +380,12 @@ def _require_cover(n: int, dy: float, half_domain: float) -> None:
         )
 
 
-def _mask_cuts(f: PiecewiseBinaryFunction) -> tuple[float, ...]:
-    """The values that split the ascending conjugate samples into f's runs
-    of cells, each counting the samples y <= cut: the double below
-    -(P + slack), so that the first run holds y < -(P + slack), then f's
-    breakpoints, then P + slack (P = the mask's half-domain)."""
-    edge = f.half_domain + _DOMAIN_SLACK * max(1.0, f.half_domain)
-    return (math.nextafter(-edge, -math.inf), *f.breakpoints, edge)
-
-
 def _cells_at_most(n: int, y_start: float, dy: float, cut: float) -> int:
-    """How many of the samples y_start + k*dy, k in [0, n), are <= cut.
+    """How many of the samples y_start + dy*k, k in [0, n), are <= cut.
 
-    Each candidate is the double ``_mask_cells`` searches, y_start + dy*k,
-    and the samples ascend, so the count is the same as its searchsorted's:
-    the division only guesses it, and the two walks settle it exactly.
+    Each candidate is the double y_start + dy*np.arange(n) holds at k, and
+    the samples ascend: the division only guesses the count, and the two
+    walks settle it exactly.
     """
     k = min(max(math.floor((cut - y_start) / dy) + 1, 0), n)
     while k > 0 and y_start + dy * (k - 1) > cut:
@@ -396,28 +395,28 @@ def _cells_at_most(n: int, y_start: float, dy: float, cut: float) -> int:
     return k
 
 
-def _mask_cells(
-    n: int, y_start: float, dy: float, f: PiecewiseBinaryFunction, lo: int, hi: int
-) -> np.ndarray:
-    """f at the conjugate samples y_start + k*dy for k in [lo, hi), extended
-    by 0 outside [-P, P] (P = the mask's half-domain); the n-cell grid must
-    cover the mask domain.
+def _runs_of_ones(
+    n: int, y_start: float, dy: float, f: PiecewiseBinaryFunction
+) -> list[int]:
+    """start, stop, start, stop, ...: the non-empty runs of the conjugate
+    cells y_start + k*dy, k in [0, n), where f = 1; the n cells must cover
+    the mask domain.
 
-    A sample is inside when |y| <= P + slack, and there takes the value of
-    the segment f's right-closed convention gives it.  The samples ascend,
-    so f is constant on runs of cells: one search places the domain edges
-    and the jumps on the axis, and each run of ones is filled.  The run
-    before the first cut holds the samples y < -(P + slack), and segment i
-    ends after the last sample y <= b_i.
+    A cell is inside when |y| <= P + slack (P = the mask's half-domain) and
+    there takes the value of the segment f's right-closed convention gives
+    it; beyond, f counts as 0.  The cells ascend, so each run ends at a cut
+    counting the cells y <= cut: the double below -(P + slack), then f's
+    breakpoints, then P + slack.
     """
     _require_cover(n, dy, f.half_domain)
-    y = y_start + dy * np.arange(lo, hi)
-    cuts = np.searchsorted(y, _mask_cuts(f), side="right").tolist()
-    fvals = np.zeros(hi - lo)
-    for value, start, stop in zip(f.values, cuts, cuts[1:]):
-        if value:
-            fvals[start:stop] = 1.0
-    return fvals
+    edge = f.half_domain + _DOMAIN_SLACK * max(1.0, f.half_domain)
+    cuts = (math.nextafter(-edge, -math.inf), *f.breakpoints, edge)
+    counts = [_cells_at_most(n, y_start, dy, cut) for cut in cuts]
+    edges = []
+    for value, start, stop in zip(f.values, counts, counts[1:]):
+        if value and start < stop:
+            edges += (start, stop)
+    return edges
 
 
 def apply_blackbox(s: GridState, f: PiecewiseBinaryFunction, phi: float) -> GridState:
@@ -425,34 +424,28 @@ def apply_blackbox(s: GridState, f: PiecewiseBinaryFunction, phi: float) -> Grid
 
     f acts only on [-P, P] (P = the mask's half-domain) and is extended by 0
     outside, matching a mask that cannot touch amplitudes beyond its domain.
-    The grid must cover the mask domain.
+    The grid must cover the mask domain.  A copy of the amplitudes takes the
+    one factor exp(-2i*phi) on each run of ``_runs_of_ones``.
     """
     _require_space(s, MOMENTUM, "apply_blackbox")
     _require_type(f, PiecewiseBinaryFunction, "mask")
     phi = _phase(phi)
-    fvals = _mask_cells(s.n, s.grid_start, s.grid_step, f, 0, s.n)
-    amps = s.amplitudes * np.exp(-2j * phi * fvals)
+    edges = _runs_of_ones(s.n, s.grid_start, s.grid_step, f)
+    amps = s.amplitudes.copy()
+    factor = cmath.exp(-2j * phi)
+    for start, stop in zip(edges[::2], edges[1::2]):
+        amps[start:stop] *= factor
     return GridState(amps, s.grid_start, s.grid_step, s.space)
-
-
-def _detection_window(x: np.ndarray, dx: float, p: ProcedureParams) -> np.ndarray:
-    """The width-delta Gaussian window at x0 on the samples x, normalized so
-    that sum |w|^2 * dx = 1: the prepared state, the window the closed forms
-    assume."""
-    window = np.exp(-((x - p.x0) ** 2) / (2.0 * p.delta**2))
-    wnorm = float(np.sum(window**2)) * dx
-    if wnorm <= 0.0:
-        raise ParameterError("detection window has no support on this grid")
-    return window / math.sqrt(wnorm)
 
 
 def measure_povm(s: GridState, p: ProcedureParams) -> MeasurementDistribution:
     """Probability of the detection outcome: overlap with the normalized
-    width-delta Gaussian window at x0 (a rank-one projector)."""
+    width-delta Gaussian window at x0 (a rank-one projector), ``_gaussian``
+    on the state's own samples, the prepared state's rule."""
     _require_space(s, POSITION, "measure_povm")
     _require_type(p, ProcedureParams, "parameters")
-    window = _detection_window(s.points, s.grid_step, p)
-    overlap = complex(np.sum(np.conj(window) * s.amplitudes) * s.grid_step)
+    window = _gaussian(s.points, s.grid_step, p, "detection window")
+    overlap = complex(np.sum(window * s.amplitudes) * s.grid_step)
     return MeasurementDistribution(abs(overlap) ** 2)
 
 
@@ -500,7 +493,8 @@ class PhaseResponse:
 
     For a mask f the detected amplitude at phase phi is A0 + exp(-2i*phi)*A1,
     with (A0, A1) = ``split(f)``, and its squared modulus is the
-    ``run_circuit`` probability.  A0 and A1 are real and non-negative.
+    ``run_circuit`` probability.  A0 and A1 are real and non-negative; A1
+    sums the runs of ``_runs_of_ones``, the cells ``apply_blackbox`` phases.
     ``p_x0s`` and ``fishers`` sweep a threshold axis of masks over a phase
     axis into one r-major column: the phase axis is checked once and each
     phase's trig taken once, and every mask's cuts share one prefix-sum pass.
@@ -539,23 +533,6 @@ class PhaseResponse:
             sums[start : start + rows] += terms.sum(axis=1)
         return sums
 
-    def _runs_of_ones(self, f: PiecewiseBinaryFunction) -> list[int]:
-        """start, stop, start, stop, ...: the non-empty runs of cells where
-        f = 1, the cells ``_mask_cells`` sets to 1 on this grid.
-
-        Cells beyond the mask domain count as f = 0, exactly as
-        ``apply_blackbox`` leaves them unphased, and each cut is placed over
-        the same doubles as there (``_cells_at_most``).
-        """
-        n, y_start, dy = self.n, self.grid_start, self.grid_step
-        _require_cover(n, dy, f.half_domain)
-        counts = [_cells_at_most(n, y_start, dy, cut) for cut in _mask_cuts(f)]
-        edges = []
-        for value, start, stop in zip(f.values, counts, counts[1:]):
-            if value and start < stop:
-                edges += (start, stop)
-        return edges
-
     def split(self, f: PiecewiseBinaryFunction) -> tuple[float, float]:
         """(A0, A1): the weight sums over the cells where f = 0 and f = 1,
         both real and non-negative: the one-mask read of ``_splits``."""
@@ -575,7 +552,7 @@ class PhaseResponse:
         runs = []
         for f in _iterable(masks, "the masks"):
             require_mask_domain(self.params, f)
-            runs.append(self._runs_of_ones(f))
+            runs.append(_runs_of_ones(self.n, self.grid_start, self.grid_step, f))
         cuts = sorted({k for edges in runs for k in edges})
         at = dict(zip(cuts, range(len(cuts))))
         sums = self._prefix_sums(cuts)

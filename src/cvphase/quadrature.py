@@ -370,8 +370,12 @@ def prob_x0_quadrature(
 class StepHatGap(namedtuple("StepHatGap", "signed_gap gap leading_order_prediction ratio")):
     """Difference between the balanced step mask and the centred window mask.
 
-    signed_gap = p_step - p_hat (analytically nonpositive: the window mask
-    detects slightly more often).  gap is its magnitude;
+    signed_gap = p_step - p_hat (nonpositive: the window mask detects
+    slightly more often).  With a and b the envelope's integrals over
+    [0, P/2] and [P/2, P] it is -(8*delta^2/pi) * (1 - cos(2*phi)) * (a - b)^2
+    exactly, which is how it is computed: the difference of the two
+    probabilities, both near 1, would cancel its leading digits.  gap is its
+    magnitude;
     leading_order_prediction is the small-mask-product series
     |1 - cos(2*phi)| * (8/pi) * (P*delta)^6 * |1 - 3*(P*delta)^2|,
     and ratio = gap / prediction (nan when the prediction vanishes).
@@ -397,7 +401,10 @@ def step_hat_gaps(p: ProcedureParams, phis: tuple[float, ...]) -> dict[str, list
     masks, as one list per StepHatGap field keyed by its name, in field
     order, with a cell per phase.
 
-    Requires P*delta <= 1/2 (see ``step_hat_gap``).
+    The gap is taken from the sweep's pieces a and b (see ``StepHatGap``);
+    both masks' probabilities are still read, so each raises and is checked
+    as ``QuadratureSweep.p_x0s`` would.  Requires P*delta <= 1/2 (see
+    ``step_hat_gap``).
     """
     _require_type(p, ProcedureParams, "parameters")
     s = p.mask_product
@@ -412,9 +419,14 @@ def step_hat_gaps(p: ProcedureParams, phis: tuple[float, ...]) -> dict[str, list
         PiecewiseBinaryFunction.step(0.0, big_p),
         PiecewiseBinaryFunction.hat(-big_p / 2.0, big_p / 2.0, big_p),
     )
-    column = _column(quadrature_responses(p, masks), trig)
-    n = len(trig)
-    signed_gaps = [ps - ph for ps, ph in zip(column[:n], column[n:])]
+    sweep = quadrature_responses(p, masks)
+    _column(sweep, trig)  # both probability columns, read and checked
+    # the hat's segments [-P, -P/2], (-P/2, P/2] and (P/2, P] integrate to
+    # b, 2a and b, with a and b the pieces [0, P/2] and [P/2, P]
+    (_, _), (two_a, _), (b, _) = sweep[1].integrals
+    a_minus_b = 0.5 * two_a - b
+    scale = (8.0 * p.delta * p.delta / math.pi) * a_minus_b * a_minus_b
+    signed_gaps = [(c - 1.0) * scale for c, _ in trig]
     predictions = [
         abs(1.0 - c) * (8.0 / math.pi) * s**6 * abs(1.0 - 3.0 * s * s) for c, _ in trig
     ]

@@ -39,7 +39,6 @@ from collections.abc import Iterable, Sequence
 from .errors import ParameterError, SingularityError
 from .model import (
     MeasurementDistribution,
-    PiecewiseBinaryFunction,
     ProcedureParams,
     _iterable,
     _phase,
@@ -48,7 +47,6 @@ from .model import (
     _real,
     _require_type,
     require_containment,
-    require_mask_domain,
 )
 
 _SIN_TOL = 1e-12  # |sin(2*phi)| below this counts as a vanishing derivative
@@ -121,30 +119,6 @@ def cosine_model_coefficients(p: ProcedureParams, r: float) -> tuple[float, floa
     identifiable signal strength (b = 0 for a constant mask).
     """
     return _threshold(p, r)[1:3]
-
-
-def prob_x0_factorized(
-    p: ProcedureParams, f: PiecewiseBinaryFunction, phi: float
-) -> MeasurementDistribution:
-    """Detection probability for an arbitrary binary mask, by exact segment sums.
-
-    Each constant segment of f contributes a closed-form Gaussian weight times
-    its phase factor; no numerical integration is involved.  For a step mask
-    this reproduces prob_x0 to rounding.
-    """
-    require_containment(p)
-    require_mask_domain(p, f)
-    phi = _phase(phi)
-    d = p.delta
-    # integral over [lo, hi] of exp(-4 d^2 y^2) = sqrt(pi)/(4d) * (erf(2d hi) - erf(2d lo))
-    acc = 0.0 + 0.0j
-    for lo, hi, v in f.segments():
-        weight = math.erf(2.0 * d * hi) - math.erf(2.0 * d * lo)
-        x = 2.0 * phi * v
-        acc += complex(math.cos(x), math.sin(x)) * weight
-    acc *= math.sqrt(math.pi) / (4.0 * d)
-    val = (4.0 * d * d / math.pi) * abs(acc) ** 2
-    return MeasurementDistribution(val)
 
 
 GeneratorMoments = namedtuple("GeneratorMoments", "mean variance")

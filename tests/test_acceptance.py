@@ -94,7 +94,8 @@ def test_criterion_04_three_engines_agree():
 
 
 def test_criterion_05_one_shot_classification_rates():
-    columns, rows = cmd_dj(canonical(), 0.0, 100000, 0)
+    columns = cmd_dj(canonical(), 0.0, 100000, 0)
+    rows = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
     table = {row["label"]: row for row in rows}
     bal = table["balanced_reference"]
     con = table["constant_reference"]

@@ -1158,13 +1158,13 @@ class TestDjTable:
         # the constant reference reuses its p_x0, E itself; a requested r
         # within rounding of +-P but not on it still reports 1 - E
         p = canonical()
-        _, rows = engine_commands.cmd_dj(p, r, 10, 0)
-        constant = [row for row in rows if row["truth"] == "constant"]
-        assert [row["label"] for row in constant] == [
+        table = engine_commands.cmd_dj(p, r, 10, 0)
+        constant = [i for i, truth in enumerate(table["truth"]) if truth == "constant"]
+        assert [table["label"][i] for i in constant] == [
             "requested", "constant_reference"
         ]
-        for row in constant:
-            assert row["analytic_error_rate"] == 1.0 - cvphase.mask_efficiency(p)
+        for i in constant:
+            assert table["analytic_error_rate"][i] == 1.0 - cvphase.mask_efficiency(p)
 
     @pytest.mark.parametrize(
         "trials, seed", [(2.9, 1), (3, 1.7), ("3", 1), (True, 1), (3, False)]
@@ -1190,10 +1190,10 @@ class TestDjTable:
         assert str(info.value) == f"r must be a real number, got {r!r}"
 
     def test_numpy_integer_trials_stay_json_ints(self):
-        _, rows = engine_commands.cmd_dj(canonical(), 0.0, np.int64(40), np.int64(3))
-        assert [type(row["trials"]) for row in rows] == [int] * 3
-        json.dumps(rows)
-        assert rows == engine_commands.cmd_dj(canonical(), 0.0, 40, 3)[1]
+        table = engine_commands.cmd_dj(canonical(), 0.0, np.int64(40), np.int64(3))
+        assert [type(trials) for trials in table["trials"]] == [int] * 3
+        json.dumps(table)
+        assert table == engine_commands.cmd_dj(canonical(), 0.0, 40, 3)
 
     def test_intermediate_threshold_has_no_truth(self, capsys):
         code, out, _ = run_cli(

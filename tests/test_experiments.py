@@ -14,11 +14,11 @@ from cvphase import (
     fisher_phi,
     heisenberg_audit,
     prob_x0,
-    prob_x0_factorized,
     replicated_mse,
     sample_outcomes,
 )
 from cvphase import experiments
+from factorized_oracle import prob_x0_factorized
 from helpers import BIG_P, canonical, inverted_phase, saturated
 
 

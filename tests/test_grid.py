@@ -281,6 +281,47 @@ class TestApplyBlackbox:
         with pytest.raises(GridLayoutError):
             apply_blackbox(pos, f, 0.5)
 
+    @pytest.mark.parametrize(
+        "n, big_t", [(256, 3.5), (4096, aligned_half_width(BIG_P, 4096))]
+    )
+    def test_phases_the_per_cell_mask(self, n, big_t):
+        # the copy takes exp(-2i*phi) on each run of ones: the input itself
+        # on the f = 0 cells, and on the runs the per-cell product to 2 ulps
+        # of the amplitude's modulus in each part (a part may cancel, so its
+        # own ulp can be far finer than the product's rounding)
+        p = ProcedureParams(x0=0.37, delta=DELTA, big_t=big_t, big_p=BIG_P)
+        mom = fourier(prepare_gaussian(p, n))
+        for f in TestMaskCells.masks(mom.grid_step):
+            cells = _per_cell_mask(n, mom.grid_start, mom.grid_step, f)
+            ones = cells == 1.0
+            for phi in (0.0, -0.0, 0.3, -1.1, math.pi / 2, 3.9):
+                got = apply_blackbox(mom, f, phi).amplitudes
+                want = mom.amplitudes * np.exp(-2j * phi * cells)
+                assert np.array_equal(got[~ones], mom.amplitudes[~ones]), (f, phi)
+                ulp = np.spacing(np.abs(want[ones]))
+                for part in (np.real, np.imag):
+                    dev = np.abs(part(got[ones]) - part(want[ones]))
+                    assert np.all(dev <= 2.0 * ulp), (f, phi)
+
+    def test_mask_stage_holds_one_copy(self):
+        # numpy reports its buffers to tracemalloc: the stage copies the
+        # 2^16 amplitudes once (16*N bytes) and phases the runs in place,
+        # with no N-point axis, mask or factor array
+        n = 2**16
+        p = ProcedureParams(0.0, DELTA, aligned_half_width(BIG_P, n, n // 128), BIG_P)
+        mom = fourier(prepare_gaussian(p, n))
+        f = PiecewiseBinaryFunction.hat(-BIG_P / 2, BIG_P / 4, BIG_P)
+        apply_blackbox(mom, f, 0.7)  # numpy's lazy set-up is not the stage's
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = apply_blackbox(mom, f, 0.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.amplitudes.nbytes == 16 * n
+        assert peak - base <= 1.25 * 16 * n
+
     def test_uncovered_mask_domain_rejected(self):
         # at n=256 the conjugate span of the canonical layout is only [-P/2, P/2)
         f = PiecewiseBinaryFunction.step(0.0, BIG_P)
@@ -302,6 +343,19 @@ class TestMeasurePovm:
         )
         s = prepare_gaussian(p, GRID_N)
         assert measure_povm(s, far).p_x0 <= 1e-10
+
+    @pytest.mark.parametrize("x0", [0.0, 0.37, -4.1])
+    def test_window_is_the_prepared_state(self, x0):
+        # one rule evaluates and normalizes the Gaussian: on the prepared
+        # state's own samples the window is that state, zero for zero, and
+        # to rounding elsewhere (its norm sums the whole grid, the state's
+        # only the support)
+        p = ProcedureParams(x0=x0, delta=DELTA, big_t=canonical().big_t, big_p=BIG_P)
+        s = prepare_gaussian(p, GRID_N)
+        window = grid._gaussian(s.points, s.grid_step, p, "detection window")
+        assert np.array_equal(window == 0.0, s.amplitudes == 0.0)
+        assert np.allclose(window, s.amplitudes.real, rtol=1e-15, atol=0.0)
+        assert measure_povm(s, p).p_x0 == pytest.approx(1.0, abs=1e-15)
 
     def test_unsupported_window_rejected(self):
         p = canonical()
@@ -486,8 +540,8 @@ class TestPhaseResponse:
         weights = reference_phase_weights(p, n)
         ys, dy = response.grid_start, response.grid_step
         for f in self.MASKS.values():
-            cells = _per_cell_mask(n, ys, dy, f, 0, n)
-            assert response._runs_of_ones(f) == _runs(cells), f
+            cells = _per_cell_mask(n, ys, dy, f)
+            assert grid._runs_of_ones(n, ys, dy, f) == _runs(cells), f
             ones = cells == 1.0
             want = (float(np.sum(weights[~ones])), float(np.sum(weights[ones])))
             assert np.max(np.abs(np.subtract(response.split(f), want))) <= 2e-15, f
@@ -688,7 +742,9 @@ class TestPhaseResponse:
             assert sweep(masks, phis) == [
                 cell for f in masks for cell in sweep([f], phis)
             ]
-        ks = sorted({k for f in masks for k in response._runs_of_ones(f)})
+        runs = [grid._runs_of_ones(n, response.grid_start, response.grid_step, f)
+                for f in masks]
+        ks = sorted({k for edges in runs for k in edges})
         together = response._prefix_sums(ks).tolist()
         assert together == [response._prefix_sums([k])[0] for k in ks]
 
@@ -741,14 +797,14 @@ def _runs(cells):
     return np.flatnonzero(steps).tolist()
 
 
-def _per_cell_mask(n, y_start, dy, f, lo, hi):
+def _per_cell_mask(n, y_start, dy, f):
     """The mask's cells the plain way, one comparison and one breakpoint
-    search per cell: the oracle the run-based ``grid._mask_cells`` must
-    match bit for bit."""
-    y = y_start + dy * np.arange(lo, hi)
+    search per cell: the oracle the runs of ``grid._runs_of_ones``, which
+    both ``apply_blackbox`` and the sweep read, must match cell for cell."""
+    y = y_start + dy * np.arange(n)
     slack = model._DOMAIN_SLACK * max(1.0, f.half_domain)
     inside = np.abs(y) <= f.half_domain + slack
-    fvals = np.zeros(hi - lo)
+    fvals = np.zeros(n)
     if f.breakpoints:
         idx = np.searchsorted(np.asarray(f.breakpoints), y[inside], side="left")
         fvals[inside] = np.asarray(f.values, dtype=float)[idx]
@@ -769,6 +825,16 @@ class TestMaskCells:
             jumps |= {at, math.nextafter(at, math.inf), math.nextafter(at, -math.inf)}
         return sorted(jumps)
 
+    @classmethod
+    def masks(cls, dy):
+        jumps = cls.jumps(dy)
+        masks = [PiecewiseBinaryFunction.step(r, BIG_P) for r in jumps]
+        masks += [
+            PiecewiseBinaryFunction.hat(r1, r2, BIG_P)
+            for r1, r2 in itertools.combinations(jumps[::3], 2)
+        ]
+        return masks + [PiecewiseBinaryFunction((), (v,), BIG_P) for v in (0, 1)]
+
     @pytest.mark.parametrize("n", [256, 512, 4096, 2**13, 2**18, 2**20])
     def test_cells_and_split_match_the_per_cell_rule(self, n):
         # the CLI's default T at n points, or --big-t 3.5 below its floor
@@ -777,22 +843,11 @@ class TestMaskCells:
         response = phase_response(p, n)
         weights = reference_phase_weights(p, n)
         ys, dy = response.grid_start, response.grid_step
-        jumps = self.jumps(dy)
-        masks = [PiecewiseBinaryFunction.step(r, BIG_P) for r in jumps]
-        masks += [
-            PiecewiseBinaryFunction.hat(r1, r2, BIG_P)
-            for r1, r2 in itertools.combinations(jumps[::3], 2)
-        ]
-        # the cells around [-P, P], and apply_blackbox's whole axis
-        lo, hi = grid._index_range(n, ys, dy, 1.01 * BIG_P)
-        for f in masks:
-            for first, stop in ((lo, hi), (0, n)):
-                got = grid._mask_cells(n, ys, dy, f, first, stop)
-                want = _per_cell_mask(n, ys, dy, f, first, stop)
-                assert got.dtype == want.dtype and np.array_equal(got, want), (f, first)
-                assert not np.signbit(got).any()
-            # the split's scalar cut search finds the same cells
-            assert response._runs_of_ones(f) == _runs(want), f
+        for f in self.masks(dy):
+            want = _per_cell_mask(n, ys, dy, f)
+            # the scalar cut search finds the per-cell rule's runs over the
+            # whole axis, and the split sums those cells
+            assert grid._runs_of_ones(n, ys, dy, f) == _runs(want), f
             ones = want == 1.0
             sums = (float(np.sum(weights[~ones])), float(np.sum(weights[ones])))
             assert np.max(np.abs(np.subtract(response.split(f), sums))) <= 2e-15, f
@@ -809,12 +864,10 @@ class TestMaskCells:
             PiecewiseBinaryFunction.step(float(y[10]), BIG_P),
             PiecewiseBinaryFunction.hat(float(y[3]), float(y[20]), BIG_P),
         ):
-            got = grid._mask_cells(33, -edge, dy, f, 0, 33)
-            assert np.array_equal(got, _per_cell_mask(33, -edge, dy, f, 0, 33)), f
-            assert got[0] == float(f.values[0]) and got[-1] == float(f.values[-1])
-            # the split's scalar search counts a sample on a cut as <= it
-            response = grid.PhaseResponse(canonical(), 33, -edge, dy, 1.0, np.zeros(0))
-            assert response._runs_of_ones(f) == _runs(got), f
+            want = _per_cell_mask(33, -edge, dy, f)
+            assert want[0] == float(f.values[0]) and want[-1] == float(f.values[-1])
+            # the scalar search counts a sample on a cut as <= it
+            assert grid._runs_of_ones(33, -edge, dy, f) == _runs(want), f
         for cut in (*y, *np.nextafter(y, np.inf), *np.nextafter(y, -np.inf)):
             count = grid._cells_at_most(33, -edge, dy, float(cut))
             assert count == np.searchsorted(y, cut, side="right"), cut

@@ -16,13 +16,13 @@ from cvphase import (
     PiecewiseBinaryFunction,
     ProcedureParams,
     RegimeError,
-    prob_x0_factorized,
     prob_x0_quadrature,
     require_containment,
     run_circuit,
 )
 from cvphase.model import _probabilities, require_mask_domain
 from erf_oracle import erf_f
+from factorized_oracle import prob_x0_factorized
 from helpers import BIG_P, canonical
 
 

@@ -33,7 +33,7 @@ PUBLIC_NAMES = [
     "fisher_phi", "fisher_phis", "fisher_rs", "fourier",
     "generator_moments", "heisenberg_audit", "inverse_fourier", "mask_efficiency",
     "measure_povm", "phase_response", "prepare_gaussian", "prob_x0",
-    "prob_x0_factorized", "prob_x0_quadrature", "prob_x0s", "quadrature_response",
+    "prob_x0_quadrature", "prob_x0s", "quadrature_response",
     "quadrature_responses", "replicated_mse", "require_containment",
     "run_circuit", "sample_outcomes", "step_hat_gap", "step_hat_gaps",
     "two_register_kickback_check",
@@ -168,7 +168,6 @@ def _contract_cases() -> dict:
         "heisenberg_audit": (cvphase.heisenberg_audit, (p, 0.3, (0.4,))),
         "mask_efficiency": (cvphase.mask_efficiency, (p,)),
         "prob_x0": (cvphase.prob_x0, (p, 0.3, 0.4)),
-        "prob_x0_factorized": (cvphase.prob_x0_factorized, (p, f, 0.4)),
         "prob_x0s": (cvphase.prob_x0s, (p, (0.3,), (0.4,))),
         "prob_x0_quadrature": (cvphase.prob_x0_quadrature, (p, f, 0.4)),
         "quadrature_response": (cvphase.quadrature_response, (p, f)),

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -17,7 +18,6 @@ from cvphase import (
     StepHatGap,
     model,
     prob_x0,
-    prob_x0_factorized,
     prob_x0_quadrature,
     quadrature,
     quadrature_response,
@@ -26,6 +26,7 @@ from cvphase import (
     step_hat_gaps,
 )
 from erf_oracle import erf_series
+from factorized_oracle import prob_x0_factorized
 from helpers import BIG_P, DELTA, canonical, with_mask_product
 
 GAP_PRED_S01 = 4.9401694335724335e-06  # series prediction at P*delta=0.1, phi=pi/2
@@ -383,6 +384,24 @@ class TestStepHatGap:
                 g == w or (math.isnan(g) and math.isnan(w)) for g, w in zip(got, want)
             )
         assert step_hat_gaps(p, ()) == {field: [] for field in StepHatGap._fields}
+
+    @pytest.mark.parametrize("product", [0.1, 0.3, 0.5])
+    def test_gap_keeps_its_relative_precision(self, product):
+        # against -(1/2)*(1 - cos(2*phi))*(2*erf(s) - erf(2*s))^2, s = P*delta,
+        # at 60 digits.  The gap comes from the pieces a and b, not as the
+        # difference of two probabilities near 1 (which read it to 2.5e-11
+        # at s = 0.1), and ratio, whose 1 - cos(2*phi) cancels, is the same
+        # at every phase to a few ulps
+        p = with_mask_product(product)
+        phis = [k * math.pi / 16 for k in range(1, 16)]
+        columns = step_hat_gaps(p, phis)
+        s = mp.mpf(p.big_p) * mp.mpf(p.delta)
+        core = (2 * erf_series(s) - erf_series(2 * s)) ** 2 / 2
+        for phi, gap in zip(phis, columns["signed_gap"]):
+            want = -(1 - mp.cos(2 * mp.mpf(phi))) * core
+            assert abs(gap - want) <= 1e-14 * abs(want), phi
+        ratios = columns["ratio"]
+        assert max(ratios) - min(ratios) <= 4 * math.ulp(max(ratios))
 
 
 @pytest.mark.filterwarnings("error")

@@ -25,11 +25,11 @@ from cvphase import (
     heisenberg_audit,
     mask_efficiency,
     prob_x0,
-    prob_x0_factorized,
     prob_x0s,
     stats,
 )
 from erf_oracle import erf_series
+from factorized_oracle import prob_x0_factorized
 from helpers import BIG_P, DELTA, canonical, saturated
 
 # frozen from the 60-digit series oracle (tests/erf_oracle.py)
