@@ -38,8 +38,8 @@ _SUBMODULE = {
         )),
         ("quadrature", (
             "QuadratureResponse", "QuadratureResult", "QuadratureSweep",
-            "StepHatGap", "prob_x0_quadrature", "quadrature_response",
-            "quadrature_responses", "step_hat_gap", "step_hat_gaps",
+            "StepHatGap", "prob_x0_quadrature", "quadrature_responses",
+            "step_hat_gap", "step_hat_gaps",
         )),
         ("stats", (
             "FisherReport", "GeneratorMoments", "cosine_model_coefficients",

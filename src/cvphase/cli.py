@@ -40,10 +40,11 @@ import math
 import sys
 
 from ._lazy import lazy_import
-from .errors import CvPhaseError, ParameterError
+from .errors import CvPhaseError, GridLayoutError, ParameterError
 from .model import (
     PiecewiseBinaryFunction,
     ProcedureParams,
+    _require_pow2,
     aligned_half_width,
     require_scale,
 )
@@ -213,7 +214,13 @@ def _resolve_params(
     if big_t is None:
         # q = max(32, N/128) cells per P/8 (see the module docstring)
         n = getattr(args, "grid_n", _DEFAULT_GRID_N)
-        big_t = aligned_half_width(big_p, n, max(32, n // 128))
+        q = max(32, n // 128)
+        if _require_pow2(n) < 16 * q:  # aligned_half_width's error would name q
+            raise GridLayoutError(
+                f"--grid-n {n} needs an explicit --big-t: the default T needs "
+                f"N >= {16 * q}"
+            )
+        big_t = aligned_half_width(big_p, n, q)
         big_t = require_scale(f"T derived from {source}", big_t)
     return ProcedureParams(x0=args.x0, delta=delta, big_t=big_t, big_p=big_p)
 
@@ -275,12 +282,6 @@ def cmd_fisher_r_sweep(
         "r": list(r_values) * n,
         "fisher_r": [f for k in range(n) for f in column[k::n]],
     }
-
-
-def cmd_audit(
-    p: ProcedureParams, r: float, phis: tuple[float, ...] | None
-) -> dict[str, list]:
-    return heisenberg_audit(p, r, phis)
 
 
 def cmd_gap(p: ProcedureParams, phis: tuple[float, ...]) -> dict[str, list]:
@@ -415,7 +416,7 @@ def _run_engine_command(args: argparse.Namespace) -> int:
 
 def _run_audit(args: argparse.Namespace) -> int:
     p = _resolve_params(args)
-    _emit(cmd_audit(p, args.r, args.phi), args.format, args.out)
+    _emit(heisenberg_audit(p, args.r, args.phi), args.format, args.out)
     return 0
 
 

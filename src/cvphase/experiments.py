@@ -44,7 +44,7 @@ drawn and counted chunk by chunk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -292,8 +292,10 @@ def _phi_hat(hits: int, shots: int, a: float, b: float) -> float:
     return 0.5 * math.acos(min(1.0, max(-1.0, (hits / shots - a) / b)))
 
 
-@dataclass(frozen=True)
-class ReplicationSummary:
+class ReplicationSummary(namedtuple(
+    "ReplicationSummary",
+    "hits per_count shots replicas phi_true mean_mse crb mse_over_crb",
+)):
     """Replica-averaged estimation error next to the information bound.
 
     hits[i] is replica i's hit count.  An estimate and its squared error
@@ -304,14 +306,7 @@ class ReplicationSummary:
     Every replica shares the bound crb.
     """
 
-    hits: tuple[int, ...]
-    per_count: dict[int, tuple[float, float]]
-    shots: int
-    replicas: int
-    phi_true: float
-    mean_mse: float
-    crb: float
-    mse_over_crb: float
+    __slots__ = ()
 
 
 def replicated_mse(

@@ -128,8 +128,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,6 +138,7 @@ from .model import (
     MeasurementDistribution,
     PiecewiseBinaryFunction,
     ProcedureParams,
+    _Checked,
     _DOMAIN_SLACK,
     _integer,
     _iterable,
@@ -162,33 +163,33 @@ _SUPPORT_WIDTHS = 40.0
 _LAG_BLOCK = 1 << 16
 
 
-@dataclass(frozen=True)
-class GridState:
+class GridState(
+    _Checked, namedtuple("GridState", "amplitudes grid_start grid_step space")
+):
     """Complex amplitudes on a uniform grid, tagged by which space they live in.
 
-    Normalization convention: sum |a_j|^2 * grid_step = 1.
+    Normalization convention: sum |a_j|^2 * grid_step = 1.  Construction
+    keeps the amplitudes as a complex array and the other fields as given;
+    a bad array, space tag or grid raises GridLayoutError.
     """
 
-    amplitudes: np.ndarray
-    grid_start: float
-    grid_step: float
-    space: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(
+        cls, amplitudes: np.ndarray, grid_start: float, grid_step: float, space: str
+    ) -> GridState:
         try:
-            amps = np.asarray(self.amplitudes, dtype=complex)
+            amps = np.asarray(amplitudes, dtype=complex)
         except (TypeError, ValueError) as exc:
             raise GridLayoutError(f"amplitudes must be numbers: {exc}") from None
-        object.__setattr__(self, "amplitudes", amps)
         if amps.ndim != 1 or amps.size < 2:
             raise GridLayoutError("amplitudes must be a 1-d array with at least 2 points")
-        if self.space not in (POSITION, MOMENTUM):
-            raise GridLayoutError(f"unknown space tag {self.space!r}")
-        start, step = _real(self.grid_start, "grid start"), _real(self.grid_step, "grid step")
+        if space not in (POSITION, MOMENTUM):
+            raise GridLayoutError(f"unknown space tag {space!r}")
+        start, step = _real(grid_start, "grid start"), _real(grid_step, "grid step")
         if not (math.isfinite(start) and 0.0 < step < math.inf):
-            raise GridLayoutError(
-                f"bad grid: start={self.grid_start}, step={self.grid_step}"
-            )
+            raise GridLayoutError(f"bad grid: start={grid_start}, step={grid_step}")
+        return tuple.__new__(cls, (amps, grid_start, grid_step, space))
 
     @property
     def n(self) -> int:
@@ -479,8 +480,9 @@ def _fisher(a0: float, a1: float, cos_sq: float) -> float:
     return 16.0 * a0 * a1 * cos_sq / prob
 
 
-@dataclass(frozen=True)
-class PhaseResponse:
+class PhaseResponse(namedtuple(
+    "PhaseResponse", "params n grid_start grid_step mean_weight lag_weights"
+)):
     """The circuit split at the mask, through the support's autocorrelation.
 
     The n conjugate cells y_k = grid_start + k*grid_step carry the weights
@@ -500,12 +502,7 @@ class PhaseResponse:
     phase's trig taken once, and every mask's cuts share one prefix-sum pass.
     """
 
-    params: ProcedureParams
-    n: int
-    grid_start: float
-    grid_step: float
-    mean_weight: float
-    lag_weights: np.ndarray
+    __slots__ = ()
 
     def _prefix_sums(self, ks: list[int]) -> np.ndarray:
         """P(k), the weight of the cells 0..k-1, at each k of ks (0 <= k <= n):
@@ -629,16 +626,14 @@ def phase_response(p: ProcedureParams, n: int) -> PhaseResponse:
     return PhaseResponse(p, n, ys, dy, scale * float(autocorr[0]), lag_weights)
 
 
-@dataclass(frozen=True)
-class KickbackCheck:
+class KickbackCheck(namedtuple("KickbackCheck", "phase_deviation magnitude_deviation")):
     """Deviation metrics of the two-register shift circuit from ideal kickback.
 
     phase_deviation: |arg(overlap) - (-pi * f(x))| wrapped to (-pi, pi]
     magnitude_deviation: |1 - |overlap||
     """
 
-    phase_deviation: float
-    magnitude_deviation: float
+    __slots__ = ()
 
 
 def two_register_kickback_check(

@@ -6,18 +6,19 @@ The protocol works with a Gaussian envelope of width ``delta`` centred at
 phase mask multiplies the conjugate-space amplitude by exp(-2i*phi*f(y))
 where f is a binary piecewise-constant function.
 
-Types here are immutable values: named tuples, so they are iterable and
-compare equal to a plain tuple of the same fields.  Hard validity (finite
-values, positive scales within range, mask shapes) is checked once, when an
-object is built (``_replace`` included), so an invalid object cannot exist
-and the engines never re-check it; the engines that need the envelope
-contained in [-T, T] gate on ``require_containment``.  Counts, sizes and
-mask values pass ``_integer`` (ints, numpy integers too, never a bool, never
-truncated), every other number ``_real`` (numpy numbers too, never a str
-parsed, a bool or a complex number cut to its real part), and a parameter
-set or mask passes ``_require_type``.  Every phase that an engine takes,
-closed form, quadrature or grid, passes ``_phase`` (an axis ``_phases``),
-which also refuses a non-finite one.
+Types here, like every value type of the package, are immutable values:
+named tuples, so they are iterable and compare equal to a plain tuple of the
+same fields.  Hard validity (finite values, positive scales within range,
+mask shapes; ``grid.GridState``'s layout too, through ``_Checked``) is
+checked once, when an object is built (``_replace`` included), so an invalid
+object cannot exist and the engines never re-check it; the engines that need
+the envelope contained in [-T, T] gate on ``require_containment``.  Counts,
+sizes and mask values pass ``_integer`` (ints, numpy integers too, never a
+bool, never truncated), every other number ``_real`` (numpy numbers too,
+never a str parsed, a bool or a complex number cut to its real part), and a
+parameter set or mask passes ``_require_type``.  Every phase that an engine
+takes, closed form, quadrature or grid, passes ``_phase`` (an axis
+``_phases``), which also refuses a non-finite one.
 """
 
 from __future__ import annotations

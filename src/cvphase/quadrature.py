@@ -16,12 +16,12 @@ every segment of every mask is a sum of the pieces into which the masks'
 segment edges, folded to their absolute values and joined by 0, cut [0, H].
 ``quadrature_responses`` integrates each piece once per sweep and gives each
 mask its segment integrals as sums of pieces (a segment across 0 is the
-piece [0, -lo] plus the piece [0, hi]); ``quadrature_response`` is its
-one-mask read.  ``QuadratureResponse.at`` combines one mask's integrals for
-any phase in a few scalar operations, ``QuadratureResponse.p_x0s`` and
-``QuadratureSweep.p_x0s`` a whole phase axis, checked once, with each
-phase's cos(2*phi) and sin(2*phi) taken once.  The integrator shares no
-special-function code with the closed-form route in ``stats``.
+piece [0, -lo] plus the piece [0, hi]).  ``QuadratureSweep.p_x0s`` combines
+every mask's integrals over a whole phase axis, checked once, with each
+phase's cos(2*phi) and sin(2*phi) taken once; ``QuadratureResponse.at``
+reads one mask at one phase, with its error estimate, in a few scalar
+operations.  The integrator shares no special-function code with the
+closed-form route in ``stats``.
 
 Each piece's integral comes from globally adaptive Gauss-Kronrod quadrature
 with the 21-point rule qk21 of QUADPACK (R. Piessens, E. de Doncker-Kapenga,
@@ -203,13 +203,6 @@ class QuadratureResponse(namedtuple("QuadratureResponse", "params integrals erro
         """
         return QuadratureResult(*_reads((self,), _trig((_phase(phi),)))[0])
 
-    def p_x0s(self, phis: Iterable[float]) -> list[float]:
-        """``at(phi).value`` at each phase of phis, the axis checked once;
-        raises as ``at`` does at the first phase whose estimate exceeds
-        _ABS_TOL.  The column is checked as probabilities (``_probabilities``).
-        """
-        return _column((self,), _trig(_phases(phis)))
-
 
 class QuadratureSweep(tuple):
     """The QuadratureResponse of each mask of one sweep, in mask order (see
@@ -218,10 +211,12 @@ class QuadratureSweep(tuple):
     __slots__ = ()
 
     def p_x0s(self, phis: Iterable[float]) -> list[float]:
-        """Each response's ``p_x0s(phis)``, mask-major, as one column: the
-        axis is checked once and each phase's cos(2*phi) and sin(2*phi) are
-        taken once.  Raises as ``QuadratureResponse.at`` does at the first
-        (mask, phase) whose estimate exceeds _ABS_TOL.
+        """Each response's ``at(phi).value`` at each phase of phis,
+        mask-major, as one column checked as probabilities
+        (``_probabilities``): the axis is checked once and each phase's
+        cos(2*phi) and sin(2*phi) are taken once.  Raises as
+        ``QuadratureResponse.at`` does at the first (mask, phase) whose
+        estimate exceeds _ABS_TOL.
         """
         return _column(self, _trig(_phases(phis)))
 
@@ -346,25 +341,17 @@ def quadrature_responses(
     return QuadratureSweep(sweep)
 
 
-def quadrature_response(
-    p: ProcedureParams, f: PiecewiseBinaryFunction
-) -> QuadratureResponse:
-    """The envelope's integral over each segment of the mask, once for every
-    phase: the one-mask read of ``quadrature_responses``."""
-    return quadrature_responses(p, (f,))[0]
-
-
 def prob_x0_quadrature(
     p: ProcedureParams, f: PiecewiseBinaryFunction, phi: float
 ) -> QuadratureResult:
     """Detection probability via adaptive quadrature over the mask segments:
-    ``quadrature_response(p, f).at(phi)``.
+    ``quadrature_responses(p, (f,))[0].at(phi)``.
 
     The returned error_estimate is propagated from the pieces' estimates; if
     it exceeds _ABS_TOL a QuadratureToleranceError carrying the best values
     is raised.
     """
-    return quadrature_response(p, f).at(phi)
+    return quadrature_responses(p, (f,))[0].at(phi)
 
 
 class StepHatGap(namedtuple("StepHatGap", "signed_gap gap leading_order_prediction ratio")):
@@ -372,12 +359,12 @@ class StepHatGap(namedtuple("StepHatGap", "signed_gap gap leading_order_predicti
 
     signed_gap = p_step - p_hat (nonpositive: the window mask detects
     slightly more often).  With a and b the envelope's integrals over
-    [0, P/2] and [P/2, P] it is -(8*delta^2/pi) * (1 - cos(2*phi)) * (a - b)^2
+    [0, P/2] and [P/2, P] it is -(8*delta^2/pi) * 2*sin(phi)^2 * (a - b)^2
     exactly, which is how it is computed: the difference of the two
-    probabilities, both near 1, would cancel its leading digits.  gap is its
-    magnitude;
+    probabilities, both near 1, would cancel its leading digits, and so
+    would 1 - cos(2*phi) near phi = 0 and pi.  gap is its magnitude;
     leading_order_prediction is the small-mask-product series
-    |1 - cos(2*phi)| * (8/pi) * (P*delta)^6 * |1 - 3*(P*delta)^2|,
+    2*sin(phi)^2 * (8/pi) * (P*delta)^6 * |1 - 3*(P*delta)^2|,
     and ratio = gap / prediction (nan when the prediction vanishes).
     """
 
@@ -413,22 +400,24 @@ def step_hat_gaps(p: ProcedureParams, phis: tuple[float, ...]) -> dict[str, list
             f"step_hat_gap requires P*delta <= 0.5, got {s}; the series "
             "prediction does not control larger mask products"
         )
-    trig = _trig(_phases(phis))
+    phis = _phases(phis)
     big_p = p.big_p
     masks = (
         PiecewiseBinaryFunction.step(0.0, big_p),
         PiecewiseBinaryFunction.hat(-big_p / 2.0, big_p / 2.0, big_p),
     )
     sweep = quadrature_responses(p, masks)
-    _column(sweep, trig)  # both probability columns, read and checked
+    _column(sweep, _trig(phis))  # both probability columns, read and checked
     # the hat's segments [-P, -P/2], (-P/2, P/2] and (P/2, P] integrate to
     # b, 2a and b, with a and b the pieces [0, P/2] and [P/2, P]
     (_, _), (two_a, _), (b, _) = sweep[1].integrals
     a_minus_b = 0.5 * two_a - b
     scale = (8.0 * p.delta * p.delta / math.pi) * a_minus_b * a_minus_b
-    signed_gaps = [(c - 1.0) * scale for c, _ in trig]
+    factors = [2.0 * math.sin(phi) ** 2 for phi in phis]  # 1 - cos(2*phi)
+    # 0.0 - x rather than -x: a gap of zero prints as 0, not -0
+    signed_gaps = [0.0 - factor * scale for factor in factors]
     predictions = [
-        abs(1.0 - c) * (8.0 / math.pi) * s**6 * abs(1.0 - 3.0 * s * s) for c, _ in trig
+        factor * (8.0 / math.pi) * s**6 * abs(1.0 - 3.0 * s * s) for factor in factors
     ]
     gaps = [abs(signed) for signed in signed_gaps]
     return {

@@ -10,6 +10,9 @@ special-function code.  So, read from the source of ``src/cvphase``:
   names an FFT;
 * ``model``, which all three import, holds no special function at all.
 
+One more rule reads the same source: every value type is a named tuple, so
+no module imports ``dataclasses``.
+
 A name counts wherever the code spells it: an attribute (``math.erf``), a
 bare name, an import, or a string naming it (``getattr(math, "erf")``,
 ``lazy_import("cvphase.grid")``).  Comments and docstrings are not code.
@@ -142,6 +145,11 @@ def test_model_holds_no_special_function():
     assert not names & SPECIAL_NAMES
     assert not {name for name in names if _FFT.match(name)}
     assert not _imported_modules(_tree("model")) & set(ENGINES)
+
+
+@pytest.mark.parametrize("module", _modules())
+def test_no_module_imports_dataclasses(module):
+    assert "dataclasses" not in _names(_tree(module))
 
 
 def test_the_reader_sees_what_it_must():

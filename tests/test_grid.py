@@ -54,6 +54,16 @@ class TestGridState:
             with pytest.raises(GridLayoutError, match="^bad grid: start=0.0, step="):
                 GridState(np.ones(4), grid_start=0.0, grid_step=step, space=POSITION)
 
+    def test_replace_is_checked_as_construction(self):
+        s = GridState(np.ones(4), grid_start=-1, grid_step=0.5, space=POSITION)
+        assert s.amplitudes.dtype == complex and s.grid_start == -1
+        moved = s._replace(amplitudes=[1, 2])
+        assert moved.amplitudes.dtype == complex and moved[1:] == s[1:]
+        with pytest.raises(GridLayoutError):
+            s._replace(space="spin")
+        with pytest.raises(GridLayoutError):
+            s._replace(amplitudes=[1.0])
+
     def test_points_layout(self):
         s = GridState(np.ones(4), grid_start=-1.0, grid_step=0.5, space=POSITION)
         assert np.allclose(s.points, [-1.0, -0.5, 0.0, 0.5])

@@ -33,8 +33,8 @@ PUBLIC_NAMES = [
     "fisher_phi", "fisher_phis", "fisher_rs", "fourier",
     "generator_moments", "heisenberg_audit", "inverse_fourier", "mask_efficiency",
     "measure_povm", "phase_response", "prepare_gaussian", "prob_x0",
-    "prob_x0_quadrature", "prob_x0s", "quadrature_response",
-    "quadrature_responses", "replicated_mse", "require_containment",
+    "prob_x0_quadrature", "prob_x0s", "quadrature_responses",
+    "replicated_mse", "require_containment",
     "run_circuit", "sample_outcomes", "step_hat_gap", "step_hat_gaps",
     "two_register_kickback_check",
 ]
@@ -147,7 +147,6 @@ def _contract_cases() -> dict:
     position = cvphase.prepare_gaussian(p, n)
     momentum = cvphase.fourier(position)
     grid_response = cvphase.phase_response(p, n)
-    integrals = cvphase.quadrature_response(p, f)
     sweep = cvphase.quadrature_responses(p, [f])
     return {
         "aligned_half_width": (cvphase.aligned_half_width, (BIG_P, n, 32)),
@@ -170,9 +169,7 @@ def _contract_cases() -> dict:
         "prob_x0": (cvphase.prob_x0, (p, 0.3, 0.4)),
         "prob_x0s": (cvphase.prob_x0s, (p, (0.3,), (0.4,))),
         "prob_x0_quadrature": (cvphase.prob_x0_quadrature, (p, f, 0.4)),
-        "quadrature_response": (cvphase.quadrature_response, (p, f)),
-        "QuadratureResponse.at": (integrals.at, (0.4,)),
-        "QuadratureResponse.p_x0s": (integrals.p_x0s, ((0.4,),)),
+        "QuadratureResponse.at": (sweep[0].at, (0.4,)),
         "quadrature_responses": (cvphase.quadrature_responses, (p, [f])),
         "QuadratureSweep.p_x0s": (sweep.p_x0s, ((0.4,),)),
         "step_hat_gap": (cvphase.step_hat_gap, (small, 0.4)),

@@ -20,7 +20,6 @@ from cvphase import (
     prob_x0,
     prob_x0_quadrature,
     quadrature,
-    quadrature_response,
     quadrature_responses,
     step_hat_gap,
     step_hat_gaps,
@@ -111,7 +110,7 @@ class TestGaussKronrod:
         rng = np.random.default_rng(7)
         for _ in range(10):
             f = _random_mask(rng)
-            response = quadrature_response(p, f)
+            (response,) = quadrature_responses(p, [f])
             for phi in rng.uniform(0.0, math.pi, size=5):
                 assert response.at(phi) == prob_x0_quadrature(p, f, phi)
 
@@ -119,17 +118,17 @@ class TestGaussKronrod:
         p = canonical()
         rng = np.random.default_rng(8)
         for _ in range(10):
-            f = _random_mask(rng)
-            response = quadrature_response(p, f)
+            sweep = quadrature_responses(p, [_random_mask(rng)])
             phis = [0.0, -0.0, *rng.uniform(-4.0, 4.0, size=6), np.float64(0.4), 1]
-            got = response.p_x0s(phis)
+            got = sweep.p_x0s(phis)
             assert all(type(v) is float for v in got)
-            assert got == [response.at(phi).value for phi in phis]
-        assert response.p_x0s(()) == []
+            assert got == [sweep[0].at(phi).value for phi in phis]
+        assert sweep.p_x0s(()) == []
 
     def test_axis_read_raises_as_the_one_phase_read(self, monkeypatch):
         p = canonical()
-        response = quadrature_response(p, PiecewiseBinaryFunction.step(BIG_P / 4, BIG_P))
+        sweep = quadrature_responses(p, [PiecewiseBinaryFunction.step(BIG_P / 4, BIG_P)])
+        response = sweep[0]
         # a budget between the estimates at phases 0 and 0.7 fails the axis
         # at its second phase, with that phase's values
         estimates = [response.at(phi).error_estimate for phi in (0.0, 0.7)]
@@ -138,7 +137,7 @@ class TestGaussKronrod:
         with pytest.raises(QuadratureToleranceError) as one:
             response.at(0.0)
         with pytest.raises(QuadratureToleranceError) as axis:
-            response.p_x0s([0.7, 0.0, 0.7])
+            sweep.p_x0s([0.7, 0.0, 0.7])
         assert str(axis.value) == str(one.value)
         assert (axis.value.value, axis.value.error_estimate) == (
             one.value.value, one.value.error_estimate
@@ -288,7 +287,7 @@ class TestQuadratureSweep:
                 assert response.params is p
                 assert [v for _, v in response.integrals] == list(f.values)
                 got = column[i * len(phis):(i + 1) * len(phis)]
-                assert got == response.p_x0s(phis)
+                assert got == QuadratureSweep([response]).p_x0s(phis)
                 for phi, value in zip(phis, got):
                     want = prob_x0_factorized(p, f, phi).p_x0
                     assert abs(value - want) <= 1e-14, (f, phi)
@@ -403,6 +402,23 @@ class TestStepHatGap:
         ratios = columns["ratio"]
         assert max(ratios) - min(ratios) <= 4 * math.ulp(max(ratios))
 
+    def test_gap_and_prediction_keep_it_near_zero_and_pi(self):
+        # 1 - cos(2*phi) cancelled there (2.7e-9 relative at phi = 1e-4);
+        # both columns carry it, so both are held at 60 digits
+        p = with_mask_product(0.1)
+        phis = [1e-4, 1e-3, math.pi - 1e-4]
+        columns = step_hat_gaps(p, phis)
+        s = mp.mpf(p.big_p) * mp.mpf(p.delta)
+        core = (2 * erf_series(s) - erf_series(2 * s)) ** 2 / 2
+        s_used = mp.mpf(p.mask_product)
+        series = 8 / mp.pi * s_used**6 * abs(1 - 3 * s_used**2)
+        for phi, gap, prediction in zip(
+            phis, columns["signed_gap"], columns["leading_order_prediction"]
+        ):
+            factor = 1 - mp.cos(2 * mp.mpf(phi))
+            assert abs(gap + factor * core) <= 1e-14 * factor * core, phi
+            assert abs(prediction - factor * series) <= 1e-14 * factor * series, phi
+
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
@@ -420,13 +436,13 @@ class TestPhaseGate:
 
     def test_at(self, phase):
         f = PiecewiseBinaryFunction.step(0.0, BIG_P)
-        response = quadrature_response(canonical(), f)
+        (response,) = quadrature_responses(canonical(), [f])
         self._refused(lambda: response.at(phase), phase)
 
     def test_p_x0s(self, phase):
         f = PiecewiseBinaryFunction.step(0.0, BIG_P)
-        response = quadrature_response(canonical(), f)
-        self._refused(lambda: response.p_x0s((0.3, phase)), phase)
+        sweep = quadrature_responses(canonical(), [f])
+        self._refused(lambda: sweep.p_x0s((0.3, phase)), phase)
 
     def test_step_hat_gap(self, phase):
         p = ProcedureParams(0.0, 2.0, 20.0, 0.2)
