@@ -24,6 +24,7 @@ from .cli import (
     _emit,
     _fig4_thresholds,
     _phase_axis,
+    _require_rows,
     _resolve_params,
     _write,
 )
@@ -159,6 +160,7 @@ def _run_crosscheck(args: argparse.Namespace) -> int:
     p = _resolve_params(args)
     r_values = args.r if args.r is not None else _fig4_thresholds(p.big_p)
     phi_values = args.phi if args.phi is not None else _phase_axis(17)
+    _require_rows(r_values, phi_values)
     table, worst = cmd_crosscheck(p, r_values, phi_values, args.grid_n)
     _emit(table, args.format, args.out)
     if worst > args.tol:

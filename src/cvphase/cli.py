@@ -9,9 +9,10 @@ included), 3 crosscheck tolerance failure (its stderr line gives the
 conjugate cell width and the mask jumps, the thresholds and the domain edge
 P, that fall inside a cell).
 Axis flags take a number, a comma list, or start:stop:count with at most
-100000 points.  --grid-n is a power of two in [512, 2^24], down to 256 with
-an explicit --big-t (the default T needs N >= 512); --trials and --shots are
-at most 10^8, --replicas at most 10^5.  Detection always projects back onto
+100000 points; a two-axis table has at most 10^6 rows (--r times --phi).
+--grid-n is a power of two in [512, 2^24], down to 256 with an explicit
+--big-t (the default T needs N >= 512); --trials and --shots are at most
+10^8, --replicas at most 10^5.  Detection always projects back onto
 the prepared Gaussian, the window the closed forms assume.
 Without --big-t, T = 4*pi*q/P with q = max(32, N/128) conjugate cells per
 P/8, so P and every multiple of P/8 sit on cell edges.  Up to the default
@@ -60,6 +61,9 @@ _DEFAULT_GRID_N = 4096
 # most points a start:stop:count axis may ask for; every point is at least
 # one row, and a larger sweep belongs in a script calling the library
 _MAX_AXIS_COUNT = 100_000
+# most rows, thresholds times phases, a two-axis table may ask for: a
+# 1000 x 1000 fisher-phi --engine all takes about 7 s and 0.7 GB (2 vCPUs)
+_MAX_ROWS = 1_000_000
 # grid-engine Fisher comparisons exclude probability-extremum rows and the
 # near-saturated top of the response, where the momentum tail (unphased
 # outside the mask domain) dominates, and rows with a mask jump (the
@@ -196,6 +200,13 @@ def _write(text: str, out: str | None) -> None:
             raise ParameterError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
+
+
+def _require_rows(r_values: tuple, phi_values: tuple) -> None:
+    """Refuse a table of more than _MAX_ROWS rows before any sweep runs."""
+    rows = len(r_values) * len(phi_values)
+    if rows > _MAX_ROWS:
+        raise ParameterError(f"--r and --phi ask for {rows} rows; at most {_MAX_ROWS}")
 
 
 def _resolve_params(
@@ -388,6 +399,7 @@ def _run_fisher_phi(args: argparse.Namespace) -> int:
     else:
         r_values = args.r if args.r is not None else (0.0,)
         phi_values = args.phi if args.phi is not None else _phase_axis(33)
+    _require_rows(r_values, phi_values)
     table = cmd_fisher_phi_sweep(p, r_values, phi_values, args.engine, args.grid_n)
     _emit(table, args.format, args.out)
     return 0
@@ -402,6 +414,7 @@ def _run_fisher_r(args: argparse.Namespace) -> int:
     else:
         phi_values = args.phi if args.phi is not None else (math.pi / 2.0,)
     r_values = args.r if args.r is not None else _open_threshold_axis(p.big_p)
+    _require_rows(r_values, phi_values)
     _emit(cmd_fisher_r_sweep(p, r_values, phi_values), args.format, args.out)
     return 0
 

@@ -15,13 +15,13 @@ them: g is even, so the integral over [-b, -a] is the one over [a, b], and
 every segment of every mask is a sum of the pieces into which the masks'
 segment edges, folded to their absolute values and joined by 0, cut [0, H].
 ``quadrature_responses`` integrates each piece once per sweep and gives each
-mask its segment integrals as sums of pieces (a segment across 0 is the
-piece [0, -lo] plus the piece [0, hi]).  ``QuadratureSweep.p_x0s`` combines
-every mask's integrals over a whole phase axis, checked once, with each
-phase's cos(2*phi) and sin(2*phi) taken once; ``QuadratureResponse.at``
-reads one mask at one phase, with its error estimate, in a few scalar
-operations.  The integrator shares no special-function code with the
-closed-form route in ``stats``.
+mask its two sums I0 and I1 of segment integrals, each segment a sum of
+pieces (a segment across 0 is the piece [0, -lo] plus the piece [0, hi]).
+One checked read combines them: ``QuadratureSweep.p_x0s`` reads every mask
+over a phase axis, ``QuadratureResponse.at`` one mask at one phase with its
+error estimate, and both take each phase's cos(2*phi) and sin(2*phi) once
+and check the values as probabilities.  The integrator shares no
+special-function code with the closed-form route in ``stats``.
 
 Each piece's integral comes from globally adaptive Gauss-Kronrod quadrature
 with the 21-point rule qk21 of QUADPACK (R. Piessens, E. de Doncker-Kapenga,
@@ -181,27 +181,29 @@ def _integrate(
 QuadratureResult = namedtuple("QuadratureResult", "value error_estimate")
 
 
-class QuadratureResponse(namedtuple("QuadratureResponse", "params integrals error_sum")):
+class QuadratureResponse(namedtuple("QuadratureResponse", "params i0 i1 error_sum")):
     """The phase-free part of the quadrature oracle for one mask.
 
-    params is the configuration the integrals were taken for.  integrals
-    holds (I_s, v_s) per mask segment in ascending order: the envelope's
-    integral over the segment, a sum of its sweep's pieces (see
-    ``quadrature_responses``), and the mask value on it, 0 or 1.  error_sum
-    is the sum of the error estimates of the pieces, each counted as often
-    as it enters a segment.
+    params is the configuration the integrals were taken for.  i0 and i1
+    are the sums, in ascending segment order, of the envelope's integrals
+    over the mask's segments where it is 0 and where it is 1; each segment's
+    integral is a sum of its sweep's pieces (see ``quadrature_responses``).
+    error_sum is the sum of the error estimates of the pieces, each counted
+    as often as it enters a segment.
     """
 
     __slots__ = ()
 
     def at(self, phi: float) -> QuadratureResult:
-        """Detection probability at phase phi, with the error estimate
+        """Detection probability at phase phi, read and checked as
+        ``QuadratureSweep.p_x0s`` reads it, with the error estimate
         propagated from the pieces.
 
         Raises QuadratureToleranceError, carrying the best values, when that
         estimate exceeds _ABS_TOL.
         """
-        return QuadratureResult(*_reads((self,), _trig((_phase(phi),)))[0])
+        (value,), (error_estimate,) = _read((self,), (_phase(phi),))
+        return QuadratureResult(value, error_estimate)
 
 
 class QuadratureSweep(tuple):
@@ -212,36 +214,23 @@ class QuadratureSweep(tuple):
 
     def p_x0s(self, phis: Iterable[float]) -> list[float]:
         """Each response's ``at(phi).value`` at each phase of phis,
-        mask-major, as one column checked as probabilities
-        (``_probabilities``): the axis is checked once and each phase's
-        cos(2*phi) and sin(2*phi) are taken once.  Raises as
+        mask-major, from one read whose axis is checked once.  Raises as
         ``QuadratureResponse.at`` does at the first (mask, phase) whose
         estimate exceeds _ABS_TOL.
         """
-        return _column(self, _trig(_phases(phis)))
+        return _read(self, _phases(phis))[0]
 
 
-def _trig(phis: Iterable[float]) -> list[tuple[float, float]]:
-    """(cos(2*phi), sin(2*phi)) of each checked phase of phis."""
-    return [(math.cos(2.0 * phi), math.sin(2.0 * phi)) for phi in phis]
-
-
-def _reads(
-    responses: Iterable[QuadratureResponse], trig: list[tuple[float, float]]
-) -> list[tuple[float, float]]:
-    """(value, error_estimate) of each response at each phase of trig (from
-    ``_trig``), mask-major."""
-    reads = []
-    for response in responses:
-        d = response.params.delta
-        norm = 4.0 * d * d / math.pi
-        err_sum = response.error_sum
-        i0 = i1 = 0.0
-        for val, v in response.integrals:
-            if v:
-                i1 += val
-            else:
-                i0 += val
+def _read(
+    responses: Iterable[QuadratureResponse], phis: list[float]
+) -> tuple[list[float], list[float]]:
+    """The probabilities of each response at each checked phase of phis,
+    mask-major and checked as a column (``_probabilities``), and their error
+    estimates; each phase's cos(2*phi) and sin(2*phi) are taken once."""
+    trig = [(math.cos(2.0 * phi), math.sin(2.0 * phi)) for phi in phis]
+    values, errors = [], []
+    for params, i0, i1, err_sum in responses:
+        norm = 4.0 * params.delta * params.delta / math.pi
         for c, s in trig:
             # |I0 + exp(2i*phi) * I1|
             mod = math.hypot(i0 + c * i1, s * i1)
@@ -254,15 +243,9 @@ def _reads(
                     value=value,
                     error_estimate=error_estimate,
                 )
-            reads.append((value, error_estimate))
-    return reads
-
-
-def _column(
-    responses: Iterable[QuadratureResponse], trig: list[tuple[float, float]]
-) -> list[float]:
-    """The values of ``_reads``, checked as probabilities."""
-    return _probabilities([value for value, _ in _reads(responses, trig)])
+            values.append(value)
+            errors.append(error_estimate)
+    return _probabilities(values), errors
 
 
 def quadrature_responses(
@@ -325,7 +308,7 @@ def quadrature_responses(
 
     sweep = []
     for f in masks:
-        integrals = []
+        sums = [0.0, 0.0]  # I0 and I1
         err_sum = 0.0
         for lo, hi, v in f.segments():
             if lo >= 0.0:
@@ -335,9 +318,9 @@ def quadrature_responses(
             else:
                 (below, err_below), (above, err_above) = span(0.0, -lo), span(0.0, hi)
                 val, err = below + above, err_below + err_above
-            integrals.append((val, v))
+            sums[v] += val
             err_sum += err
-        sweep.append(QuadratureResponse(p, tuple(integrals), err_sum))
+        sweep.append(QuadratureResponse(p, *sums, err_sum))
     return QuadratureSweep(sweep)
 
 
@@ -407,11 +390,12 @@ def step_hat_gaps(p: ProcedureParams, phis: tuple[float, ...]) -> dict[str, list
         PiecewiseBinaryFunction.hat(-big_p / 2.0, big_p / 2.0, big_p),
     )
     sweep = quadrature_responses(p, masks)
-    _column(sweep, _trig(phis))  # both probability columns, read and checked
+    _read(sweep, phis)  # both probability columns, read and checked
     # the hat's segments [-P, -P/2], (-P/2, P/2] and (P/2, P] integrate to
-    # b, 2a and b, with a and b the pieces [0, P/2] and [P/2, P]
-    (_, _), (two_a, _), (b, _) = sweep[1].integrals
-    a_minus_b = 0.5 * two_a - b
+    # b, 2a and b, with a and b the pieces [0, P/2] and [P/2, P], so its
+    # I1 is 2a and its I0 is b + b = 2b exactly
+    hat = sweep[1]
+    a_minus_b = 0.5 * hat.i1 - 0.5 * hat.i0
     scale = (8.0 * p.delta * p.delta / math.pi) * a_minus_b * a_minus_b
     factors = [2.0 * math.sin(phi) ** 2 for phi in phis]  # 1 - cos(2*phi)
     # 0.0 - x rather than -x: a gap of zero prints as 0, not -0

@@ -345,6 +345,31 @@ class TestExitCodes:
         assert out == ""
         assert "error:" in err and str(cap) in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fisher-phi", "--engine", "all", "--grid-n", "512"],
+            ["fisher-r"],
+            ["crosscheck", "--grid-n", "512", "--tol", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_table_rows_are_capped(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "_MAX_ROWS", 6)
+        phis = ["--phi", "0.3,0.6,0.9"]
+        assert run_cli([*argv, "--r", "0,0.5", *phis], capsys)[0] == 0
+
+        def refused(*args):
+            raise AssertionError("computed a refused table")
+
+        monkeypatch.setattr(stats, "_sweep", refused)
+        monkeypatch.setattr(grid, "phase_response", refused)
+        monkeypatch.setattr(quadrature, "quadrature_responses", refused)
+        code, out, err = run_cli([*argv, "--r", "0,0.5,1", *phis], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--r" in err and "--phi" in err
+
 
 # one small run of every command
 _SMALL_RUNS = pytest.mark.parametrize(
