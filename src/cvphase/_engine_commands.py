@@ -36,12 +36,13 @@ def cmd_dj(p: ProcedureParams, r: float, trials: int, seed: int) -> dict[str, li
     """Seeded one-shot classification at the decision phase.
 
     Three rows: the requested threshold, then balanced (r=0) and constant
-    (r=P) references at the same parameters.  Row i draws its trials from the
-    stream seeded with (seed, i), each hitting with the p_x0 the row prints;
-    a row at p_x0 = 0 (the balanced ones) draws nothing, as its count is
-    exact.  trials and seed must be ints (numpy integers too), as for
-    ``sample_outcomes``; anything else is a ParameterError.  Returns the
-    table's columns, keyed by name in the order it prints them.
+    (r=P) references at the same parameters.  Row i counts its hits with one
+    binomial draw of ``trials`` trials at the p_x0 the row prints, from a
+    generator seeded with (seed, i); a row at p_x0 = 0 (the balanced ones)
+    draws nothing, as its count is exact.  trials and seed must be ints
+    (numpy integers too), as for ``sample_outcomes``; anything else is a
+    ParameterError.  Returns the table's columns, keyed by name in the
+    order it prints them.
     """
     trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
     rows = []

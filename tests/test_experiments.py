@@ -1,7 +1,11 @@
 """Seeded hit counts, estimation, and the audit table."""
 
+import csv
+import io
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,22 +23,23 @@ from cvphase import (
 )
 from cvphase import experiments
 from factorized_oracle import prob_x0_factorized
-from helpers import BIG_P, canonical, inverted_phase, saturated
+from helpers import BIG_P, binomial_pmf, canonical, inverted_phase, saturated
 
 
 def _step(r: float) -> PiecewiseBinaryFunction:
     return PiecewiseBinaryFunction.step(r, BIG_P)
 
 
-def _bare_count(prob: float, n: int, seed) -> int:
+def _bare_draw(prob: float, n: int, seed, size: int | None = None):
+    """numpy's own binomial draw on the generator seeded with seed: an int,
+    or a list of size counts."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    return int(np.count_nonzero(rng.random(n) < prob))
+    return np.asarray(rng.binomial(n, prob, size)).tolist()
 
 
-# seeds of one to five entropy words; 2^96 with a replica index and 2^128 + 1
-# alone take the hash's extra-word mixing
+# seeds of one to five entropy words; 2^128 + 1 takes SeedSequence's mixing
+# of the words beyond its pool of four
 _SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96, 2**128 + 1]
-_CHUNK_EDGES = [2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 7]
 
 
 class TestSampleOutcomes:
@@ -48,14 +53,14 @@ class TestSampleOutcomes:
 
     @pytest.mark.parametrize("seed", [42, (7, 2)])
     def test_count_is_the_bare_draw(self, seed):
-        # the randomness contract: the count of rng.random(n) < p on the
-        # PCG64 stream seeded through SeedSequence with the seed material,
-        # also where the chunked draw crosses a chunk edge
+        # the randomness contract: rng.binomial(n, p) on the PCG64 generator
+        # seeded through SeedSequence with the seed material, in both of
+        # numpy's regimes (inversion at n*p <= 30, BTPE above) and at the cap
         prob = prob_x0_factorized(canonical(), _step(0.5), 0.9).p_x0
-        for n in [3000, *_CHUNK_EDGES]:
+        for n in [1, 29, 3000, experiments._MAX_DRAWS]:
             hits = sample_outcomes(prob, n, seed)
             assert type(hits) is int
-            assert hits == _bare_count(prob, n, seed), n
+            assert hits == _bare_draw(prob, n, seed), n
 
     def test_hit_fraction_tracks_probability(self):
         n = 4000
@@ -126,60 +131,63 @@ class TestSampleOutcomes:
         assert sample_outcomes(mirrored_prob, 300, 11) == sample_outcomes(prob, 300, 11)
 
 
-def _states(seed, streams) -> np.ndarray:
-    return experiments._seed_states(experiments._stream_words(seed, streams))
+def _record_draws(monkeypatch) -> tuple[list, list]:
+    """Lists that fill, as the run goes, with the seed sequence of each PCG64
+    built and the (n, size) of each Generator.binomial call."""
+    built, drawn = [], []
 
+    class CountingPCG64(np.random.PCG64):
+        def __init__(self, seed_seq):
+            built.append(seed_seq)
+            super().__init__(seed_seq)
 
-def _numpy_state(material) -> np.ndarray:
-    return np.random.SeedSequence(material).generate_state(4, np.uint64)
+    class CountingGenerator(np.random.Generator):
+        def binomial(self, n, p, size=None):
+            drawn.append((n, size))
+            return super().binomial(n, p, size)
+
+    monkeypatch.setattr(np.random, "PCG64", CountingPCG64)
+    monkeypatch.setattr(np.random, "Generator", CountingGenerator)
+    return built, drawn
 
 
 class TestBatchedSeeding:
+    """A run of counts is seeded once, by numpy's SeedSequence of its seed
+    material: one generator serves the whole batch of counts."""
+
     @pytest.mark.parametrize("seed", _SEEDS)
     def test_replica_states_are_numpys(self, seed):
         replicas = experiments._MAX_REPLICAS
-        states = _states(seed, replicas)
-        assert states.shape == (replicas, 4)
-        assert states.dtype == np.uint64
-        indices = [*range(2000), *range(2000, replicas, 4999), replicas - 1]
-        for i in indices:
-            assert np.array_equal(states[i], _numpy_state((seed, i))), i
+        counts = experiments._count_hits(0.3, 100, seed, replicas)
+        assert counts == _bare_draw(0.3, 100, seed, replicas)
 
     @pytest.mark.parametrize("seed", _SEEDS)
     def test_bare_seed_state_is_numpys(self, seed):
-        states = _states(seed, None)
-        assert states.shape == (1, 4)
-        assert np.array_equal(states[0], _numpy_state(seed))
+        assert sample_outcomes(0.3, 100, seed) == _bare_draw(0.3, 100, seed)
 
     def test_tuple_seed_state_is_numpys(self):
         material = (2**70 + 3, 0, 2**32)
-        states = _states(material, None)
-        assert states.shape == (1, 4)
-        assert np.array_equal(states[0], _numpy_state(material))
+        want = _bare_draw(0.3, 100, material)
+        assert sample_outcomes(0.3, 100, material) == want
+        numpy_ints = (2**70 + 3, np.uint8(0), np.uint64(2**32))
+        assert sample_outcomes(0.3, 100, numpy_ints) == want
 
     @pytest.mark.parametrize(
         "material", [0, 2**128 + 1, (2**96, 7), (2**70 + 3, 0, 2**32)]
     )
-    def test_hashed_seed_gives_numpys_generator_state(self, material):
-        # the hashed words now reach PCG64 through the shared _SeedRows source
-        source = experiments._SeedRows(_states(material, None), material)
-        seeded = np.random.PCG64(source)
-        assert seeded.state == np.random.PCG64(np.random.SeedSequence(material)).state
-
-    def test_shared_source_seeds_each_replica_as_numpy_would(self):
-        seed, streams = 2**64 + 5, 2000
-        source = experiments._SeedRows(_states(seed, streams), (seed, 0))
-        seeded = [np.random.PCG64(source) for _ in range(streams)]
-        for i in (0, 1, streams - 1):
-            want = np.random.PCG64(np.random.SeedSequence((seed, i))).state
-            assert seeded[i].state == want, i
+    def test_hashed_seed_gives_numpys_generator_state(self, material, monkeypatch):
+        built, _ = _record_draws(monkeypatch)
+        experiments._count_hits(0.5, 10, material, 4)
+        (seed_seq,) = built
+        want = np.random.PCG64(np.random.SeedSequence(material)).state
+        assert np.random.PCG64(seed_seq).state == want
 
     @pytest.mark.parametrize("seed", [-1, (3, -2), -(2**128)])
     def test_negative_seed_material_refused_before_hashing(self, seed, monkeypatch):
         def no_hash(*args):
             raise AssertionError("hashed negative seed material")
 
-        monkeypatch.setattr(experiments, "_seed_states", no_hash)
+        monkeypatch.setattr(np.random, "SeedSequence", no_hash)
         with pytest.raises(ParameterError, match="non-negative"):
             sample_outcomes(0.3, 10, seed)
 
@@ -187,38 +195,14 @@ class TestBatchedSeeding:
         with pytest.raises(ParameterError, match="non-negative"):
             replicated_mse(canonical(), 0.0, 0.5, 5, 5, -3)
 
-    def test_guard_catches_a_seeding_that_drifts_from_numpy(self, monkeypatch):
-        monkeypatch.setattr(experiments, "_INIT_B", experiments._INIT_B ^ 1)
-        with pytest.raises(RuntimeError, match="disagrees"):
-            sample_outcomes(0.3, 10, 1)
-
-
-class TestChunkedDraw:
-    @pytest.mark.parametrize("n", _CHUNK_EDGES)
-    def test_each_stream_reseeds_the_reused_generator(self, n):
-        counts = experiments._count_hits(0.5, n, 2**96, 3)
-        assert counts == [_bare_count(0.5, n, (2**96, i)) for i in range(3)]
-
-
-_BLOCK = 2**16
-
 
 def _block_cases():
-    # stream counts that fill the block exactly, leave a one-row partial
-    # block, and the default 2000 replicas
-    for n in [1, 100, _BLOCK - 1, _BLOCK, _BLOCK + 1]:
-        full = max(1, _BLOCK // n)
+    # n from one trial to past 2^16, at p = 0.3: n = 1 takes numpy's
+    # inversion (n*p <= 30), n >= 100 its BTPE; runs from one count to 2^16 + 1
+    for n in [1, 100, 2**16 - 1, 2**16, 2**16 + 1]:
+        full = max(1, 2**16 // n)
         for streams in sorted({full, full + 1, 2000}):
             yield n, streams
-
-
-def _probes(streams: int, rows: int) -> list[int]:
-    """Stream indices worth checking one by one: both ends, both sides of
-    every block edge, and a stride through the rest."""
-    picks = {*range(3), *range(streams - 3, streams), *range(0, streams, 97)}
-    for edge in range(rows, streams, rows):
-        picks.update(range(edge - 2, edge + 2))
-    return sorted(i for i in picks if 0 <= i < streams)
 
 
 class TestBlockDraw:
@@ -228,75 +212,21 @@ class TestBlockDraw:
         counts = experiments._count_hits(0.3, n, seed, streams)
         assert len(counts) == streams
         assert all(type(c) is int for c in counts)
-        rows = max(1, min(_BLOCK // n, streams))
-        for i in _probes(streams, rows):
-            assert counts[i] == _bare_count(0.3, n, (seed, i)), i
-
-    def test_guard_fires_on_the_first_stream_of_a_block(self, monkeypatch):
-        monkeypatch.setattr(experiments, "_INIT_B", experiments._INIT_B ^ 1)
-        with pytest.raises(RuntimeError, match=r"\(5, 0\).*disagrees"):
-            experiments._count_hits(0.5, 100, 5, 2000)
+        assert counts == _bare_draw(0.3, n, seed, streams)
 
     def test_one_seed_source_serves_every_stream(self, monkeypatch):
-        sources = []
-
-        class RecordingPCG64(np.random.PCG64):
-            def __init__(self, seed_seq):
-                sources.append(seed_seq)
-                super().__init__(seed_seq)
-
-        monkeypatch.setattr(np.random, "PCG64", RecordingPCG64)
+        built, drawn = _record_draws(monkeypatch)
         counts = experiments._count_hits(0.5, 100, 5, 2000)
-        assert len(counts) == len(sources) == 2000
-        assert len({id(s) for s in sources}) == 1
-        assert isinstance(sources[0], experiments._SeedRows)
-
-    @pytest.mark.parametrize("n, streams", [(100, 2000), (100, 1), (_BLOCK + 1, 3)])
-    @pytest.mark.parametrize("rows_taken", [0, 2])
-    def test_guard_fires_when_a_pcg64_takes_other_than_one_row(
-        self, n, streams, rows_taken, monkeypatch
-    ):
-        # a numpy whose PCG64 asked its seed sequence twice (or not at all)
-        # would misalign every stream after the first, while the first row
-        # still matches
-        class MisalignedPCG64(np.random.PCG64):
-            def __init__(self, seed_seq):
-                if rows_taken == 0:
-                    seed_seq = np.random.SeedSequence(0)
-                else:
-                    seed_seq.generate_state(4, np.uint64)
-                super().__init__(seed_seq)
-
-        monkeypatch.setattr(np.random, "PCG64", MisalignedPCG64)
-        with pytest.raises(RuntimeError, match=r"\(5, 0\).*disagrees"):
-            experiments._count_hits(0.5, n, 5, streams)
-
-
-def _record_draws(monkeypatch) -> tuple[list, list]:
-    """Lists that fill, as the run goes, with one entry per PCG64 built and
-    the number of uniforms of each Generator.random call."""
-    built, drawn = [], []
-
-    class CountingPCG64(np.random.PCG64):
-        def __init__(self, seed_seq):
-            built.append(seed_seq)
-            super().__init__(seed_seq)
-
-    class CountingGenerator(np.random.Generator):
-        def random(self, size=None, dtype=np.float64, out=None):
-            drawn.append(out.size if out is not None else int(np.prod(size)))
-            return super().random(size, dtype, out)
-
-    monkeypatch.setattr(np.random, "PCG64", CountingPCG64)
-    monkeypatch.setattr(np.random, "Generator", CountingGenerator)
-    return built, drawn
+        assert len(counts) == 2000
+        assert len(built) == 1 and type(built[0]) is np.random.SeedSequence
+        assert drawn == [(100, 2000)]
 
 
 class TestSureCounts:
-    """Every uniform lies in [0, 1), so a count at probability 0 or 1 is the
-    same on every stream: it builds no generator and draws nothing."""
+    """At probability 0 a count is 0 and at probability 1 it is n, so such a
+    count builds no generator and draws nothing."""
 
-    @pytest.mark.parametrize("n", [100, _BLOCK + 1])
+    @pytest.mark.parametrize("n", [100, 2**16 + 1])
     @pytest.mark.parametrize("streams", [None, 3])
     @pytest.mark.parametrize(
         "prob, draws",
@@ -306,12 +236,16 @@ class TestSureCounts:
     )
     def test_counts_are_the_bare_draws(self, prob, draws, n, streams, monkeypatch):
         seed = 2**64 + 5
-        materials = [seed] if streams is None else [(seed, i) for i in range(streams)]
-        want = [_bare_count(prob, n, m) for m in materials]
-        built, drawn = _record_draws(monkeypatch)
-        assert experiments._count_hits(prob, n, seed, streams) == want
+        size = 1 if streams is None else streams
         if draws:
-            assert len(built) == len(materials) and sum(drawn) == n * len(materials)
+            want = _bare_draw(prob, n, seed, size)
+        else:
+            want = [n if prob == 1.0 else 0] * size
+        built, drawn = _record_draws(monkeypatch)
+        args = (prob, n, seed) if streams is None else (prob, n, seed, streams)
+        assert experiments._count_hits(*args) == want
+        if draws:
+            assert len(built) == 1 and drawn == [(n, size)]
         else:
             assert built == [] and drawn == []
 
@@ -321,7 +255,7 @@ class TestSureCounts:
         built, drawn = _record_draws(monkeypatch)
         assert cli.main(["dj", "--trials", "1000000", "--seed", "0"]) == 0
         # the requested r = 0 row and the balanced reference sit at p_x0 = 0
-        assert len(built) == 1 and sum(drawn) == 10**6
+        assert len(built) == 1 and drawn == [(10**6, 1)]
         assert capsys.readouterr().out.count(",balanced,0,1000000,0,1000000,0,0\n") == 2
 
     def test_estimate_at_a_silent_phase_draws_nothing(self, monkeypatch):
@@ -331,17 +265,111 @@ class TestSureCounts:
         assert s.hits == (0,) * 2000 and s.mean_mse == 0.0
 
     @pytest.mark.parametrize("prob", [0.0, 1.0])
-    def test_counts_and_seeds_are_checked_before_the_shortcut(self, prob):
+    def test_counts_and_seeds_are_checked_before_the_shortcut(
+        self, prob, monkeypatch
+    ):
+        built, drawn = _record_draws(monkeypatch)
         with pytest.raises(ParameterError, match="non-negative"):
             sample_outcomes(prob, 10, -1)
         with pytest.raises(ParameterError, match="non-negative"):
             experiments._count_hits(prob, 10, -3, 4)
+        with pytest.raises(ParameterError, match="must be an integer"):
+            experiments._count_hits(prob, 10, (1, 2.5), 4)
         with pytest.raises(ParameterError, match="must be an integer"):
             sample_outcomes(prob, 2.5, 0)
         with pytest.raises(ParameterError, match="must lie in"):
             sample_outcomes(prob, 0, 0)
         with pytest.raises(ParameterError, match="non-negative"):
             replicated_mse(canonical(), 0.0, math.pi / 2, 5, 5, -1)
+        assert built == [] and drawn == []
+
+
+def test_binomial_pmf_is_the_enumerated_distribution():
+    # every outcome string of n trials, its probability summed by hit count
+    for n in range(1, 11):
+        for p in (1e-3, 0.3, 0.5, 0.999):
+            by_count = [0.0] * (n + 1)
+            for trials in itertools.product((0, 1), repeat=n):
+                k = sum(trials)
+                by_count[k] += p**k * (1.0 - p) ** (n - k)
+            for k, want in enumerate(by_count):
+                assert binomial_pmf(k, n, p) == pytest.approx(want, rel=1e-12)
+
+
+def _chi_square_pvalue(counts: list[int], n: int, p: float) -> float:
+    """Pearson's chi-square p-value of the counts against Binomial(n, p).
+
+    The hit counts within 12 standard deviations of the mean are pooled,
+    in order, until each bin expects at least 20 of the counts.  The first
+    bin also holds every count below, and the last every count above; the
+    mass outside the 12 deviations is added to the last bin's expectation.
+    """
+    draws = len(counts)
+    mean, sd = n * p, math.sqrt(n * p * (1.0 - p))
+    lo, hi = max(0, math.floor(mean - 12 * sd)), min(n, math.ceil(mean + 12 * sd))
+    edges, expected, acc = [], [], 0.0
+    for k in range(lo, hi + 1):
+        acc += draws * binomial_pmf(k, n, p)
+        if acc >= 20.0:
+            edges.append(k + 1)
+            expected.append(acc)
+            acc = 0.0
+    edges.pop()
+    expected[-1] += draws - sum(expected)
+    bins = np.searchsorted(np.array(edges), np.array(counts), side="right")
+    observed = np.bincount(bins, minlength=len(expected))
+    stat = sum((o - e) ** 2 / e for o, e in zip(observed.tolist(), expected))
+    dof = len(expected) - 1
+    return float(mpmath.gammainc(dof / 2.0, stat / 2.0, regularized=True))
+
+
+# the two-sided tail beyond 5 standard deviations of a normal variate: the
+# same significance as the |z| < 5 checks below
+_PVALUE_FLOOR = 5.7e-7
+
+
+class TestHitDistribution:
+    """The counts follow Binomial(n, p): the draw is numpy's, so these test
+    the contract (one count per replica, the caller's n and p), not numpy."""
+
+    @pytest.mark.parametrize("n, p", [
+        (1, 0.3), (20, 0.4), (10**4, 1e-4), (10**6, 1.0 - 1e-5),
+        (1000, 0.3), (10**6, 1e-4), (10**5, 0.999), (10**8, 0.5),
+    ], ids=["bernoulli", "inversion", "inversion_p_near_0", "inversion_p_near_1",
+            "btpe", "btpe_p_near_0", "btpe_p_near_1", "btpe_at_the_cap"])
+    def test_counts_follow_the_binomial_pmf(self, n, p):
+        counts = experiments._count_hits(p, n, 2024, 10**5)
+        assert _chi_square_pvalue(counts, n, p) > _PVALUE_FLOOR
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_default_estimate_total_hits(self, seed):
+        shots, replicas = 100, 2000
+        a, b = cosine_model_coefficients(canonical(), 0.0)
+        p = a + b * math.cos(2.0 * math.pi / 4)
+        s = replicated_mse(canonical(), 0.0, math.pi / 4, shots, replicas, seed)
+        trials = shots * replicas
+        z = (sum(s.hits) - trials * p) / math.sqrt(trials * p * (1.0 - p))
+        assert abs(z) < 5.0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_dj_constant_row_errors(self, seed, capsys):
+        from cvphase import cli
+
+        assert cli.main(["dj", "--trials", "1000000", "--seed", str(seed)]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        (row,) = [r for r in rows if r["truth"] == "constant"]
+        trials, e = int(row["trials"]), float(row["p_x0"])
+        errors = int(row["classified_balanced"])
+        z = (errors - trials * (1.0 - e)) / math.sqrt(trials * e * (1.0 - e))
+        assert abs(z) < 5.0
+
+    def test_both_caps_run_at_once(self):
+        s = replicated_mse(
+            canonical(), 0.0, math.pi / 4, experiments._MAX_DRAWS,
+            experiments._MAX_REPLICAS, 0,
+        )
+        assert len(s.hits) == experiments._MAX_REPLICAS
+        assert math.isfinite(s.mse_over_crb)
 
 
 class TestMlePhi:
@@ -423,16 +451,15 @@ class TestReplicatedMse:
         # every replica draws from the response its estimate inverts
         a, b = cosine_model_coefficients(p, r)
         prob = a + b * math.cos(2.0 * phi_true)
-        assert len(s.hits) == 30
+        # replica i's count is the i-th of one draw from the seed's generator
+        assert list(s.hits) == _bare_draw(prob, shots, seed, 30)
         squared_errors = []
-        for i, k in enumerate(s.hits):
-            hits = _bare_count(prob, shots, (seed, i))
+        for k in s.hits:
             # the per-count table: each estimate is its count's inversion
             phi_hat, squared_error = s.per_count[k]
-            assert phi_hat == inverted_phase(hits, shots, p, r)
+            assert phi_hat == inverted_phase(k, shots, p, r)
             assert squared_error == (phi_hat - phi_true) ** 2
             assert type(k) is int
-            assert k == hits == sample_outcomes(prob, shots, (seed, i))
             assert phi_hat == experiments._phi_hat(k, shots, a, b)
             squared_errors.append(squared_error)
         # replicas share counts, so the table is smaller than the run
