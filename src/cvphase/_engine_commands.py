@@ -75,6 +75,8 @@ def cmd_dj(p: ProcedureParams, r: float, trials: int, seed: int) -> dict[str, li
 _ESTIMATE_COLUMNS = (
     "replica", "phi_hat", "n_shots", "empirical_mse", "crb", "mse_over_crb",
 )
+# the last digit of a replica number and the comma after it
+_UNITS = tuple(f"{u}," for u in range(10))
 
 
 def _estimate_tails(s) -> tuple[dict[int, tuple], tuple]:
@@ -143,14 +145,20 @@ def _run_estimate(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit(cmd_estimate(*run), "json", args.out)
         return 0
-    # _emit's CSV, each distinct hit count's line tail spelled once
+    # _emit's CSV as one join: each distinct hit count's line tail is spelled
+    # once, and the replica numbers "0,", "1,", ... are concatenated from
+    # their leading digits and a last-digit table, never formatted one by one
     s = cli.experiments.replicated_mse(*run)
     tails, mean = _estimate_tails(s)
     template = ",".join(map(_csv_spec, mean)) + "\n"
     spelled = {k: template % cells for k, cells in tails.items()}
-    lines = [f"{i},{spelled[k]}" for i, k in enumerate(s.hits)]
+    n = s.replicas
+    tens = ["", *map(str, range(1, (n - 1) // 10 + 1))]
+    lines = [None] * (2 * n)
+    lines[::2] = [t + u for t in tens for u in _UNITS][:n]
+    lines[1::2] = map(spelled.__getitem__, s.hits)
     head = ",".join(_ESTIMATE_COLUMNS) + "\n"
-    _write(head + "".join(lines) + "-1," + template % mean, args.out)
+    _write("".join([head, *lines, "-1,", template % mean]), args.out)
     return 0
 
 

@@ -10,7 +10,9 @@ depends on its replica only through the hit count, so a replicated run
 inverts each distinct count once (the default 2000 replicas of 100 shots
 hold 34 at seed 0) and reports the estimate and squared error per
 distinct count, next to every replica's count: the same doubles as one
-inversion per replica.  Its mean keeps the sequential sum over replicas.
+inversion per replica.  Its mean keeps the sequential sum over replicas,
+an explicit left fold, so that Python 3.12's compensated built-in ``sum``
+cannot move its last digits.
 
 Randomness contract.  Every stochastic routine in this package draws from a
 ``numpy.random.Generator`` over the PCG64 bit generator, seeded through
@@ -192,7 +194,11 @@ def replicated_mse(
     hits = tuple(_count_hits(prob, shots, seed, replicas))
     estimates = {k: _phi_hat(k, shots, a, b) for k in set(hits)}
     errors = {k: (h - phi_true) ** 2 for k, h in estimates.items()}
-    mean_mse = sum(map(errors.__getitem__, hits)) / replicas
+    # a left fold: the built-in sum compensates from Python 3.12 on
+    total = 0.0
+    for k in hits:
+        total += errors[k]
+    mean_mse = total / replicas
     crb = 1.0 / (shots * fisher) if fisher > 0.0 else math.inf
     ratio = mean_mse / crb if math.isfinite(crb) and crb > 0.0 else math.nan
     return ReplicationSummary(

@@ -147,6 +147,16 @@ def _gauss_kronrod(
     return res_k * half, err
 
 
+def _left_sum(terms: Iterable[float]) -> float:
+    """0.0 + t0 + t1 + ..., added in order.  The built-in sum compensates
+    float rounding from Python 3.12 on, so it would print other digits
+    there; this fold gives every Python the same bits."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
 def _integrate(
     f: Callable[[float], float], a: float, b: float, budget: float
 ) -> tuple[float, float]:
@@ -172,10 +182,7 @@ def _integrate(
             left, right = right, left
         panels[worst] = left
         panels.append(right)
-    value = 0.0
-    for panel in panels:
-        value += panel[2]
-    return value, err_sum
+    return _left_sum(panel[2] for panel in panels), err_sum
 
 
 QuadratureResult = namedtuple("QuadratureResult", "value error_estimate")
@@ -286,7 +293,7 @@ def quadrature_responses(
     for lo, hi in zip(cuts, cuts[1:]):
         mid = 0.5 * (lo + hi)
         masses.append((hi - lo) * math.exp(-4.0 * d * d * mid * mid))
-    total_mass = sum(masses) or 1.0
+    total_mass = _left_sum(masses) or 1.0
 
     def integrand(y: float) -> float:
         return math.exp(-4.0 * d * d * y * y)
@@ -302,9 +309,9 @@ def quadrature_responses(
         """The integral from cut a to cut b, both >= 0, and its error."""
         i, j = index[a], index[b]
         if i <= j:
-            return sum(values[i:j], 0.0), sum(errors[i:j], 0.0)
+            return _left_sum(values[i:j]), _left_sum(errors[i:j])
         # a segment past the domain edge within the mask's slack
-        return -sum(values[j:i], 0.0), sum(errors[j:i], 0.0)
+        return -_left_sum(values[j:i]), _left_sum(errors[j:i])
 
     sweep = []
     for f in masks:

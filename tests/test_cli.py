@@ -1053,6 +1053,9 @@ class TestCsvFormat:
         ["estimate", "--shots", "1", "--replicas", "50", "--r", "2.0"],
         # an infinite bound: crb = inf, mse_over_crb = nan
         ["estimate", "--phi", "0", "--replicas", "5"],
+        # the replica numbers on each side of a new digit, up to the cap
+        *(["estimate", "--replicas", str(n)]
+          for n in (1, 9, 10, 11, 99, 100, 101, 1000, 1001, 100000)),
         ["crosscheck"], ["audit"], ["gap"],
         # equal zeros of both signs in one column
         ["crosscheck", "--r", "0,-0.0", "--phi", "0,-0.0"],

@@ -316,6 +316,16 @@ class TestQuadratureSweep:
         )
         assert symmetric.i1 == 2.0 * window.i1
 
+    def test_a_segment_adds_its_pieces_left_to_right(self, monkeypatch):
+        # nine thresholds cut (0, P] into ten pieces of integral 0.1 each, all
+        # under one segment of the step at 0: 0.1 added ten times in order is
+        # 0.9999999999999999, where a compensated sum would give 1.0
+        monkeypatch.setattr(quadrature, "_integrate", lambda *_: (0.1, 0.0))
+        cuts = [BIG_P * k / 10 for k in range(1, 10)]
+        masks = [PiecewiseBinaryFunction.step(r, BIG_P) for r in (0.0, *cuts)]
+        response = quadrature_responses(canonical(), masks)[0]
+        assert response.i0 == response.i1 == 0.9999999999999999
+
     def test_an_empty_sweep_still_checks_its_parameters(self):
         assert quadrature_responses(canonical(), iter(())) == ()
         assert type(quadrature_responses(canonical(), [])) is QuadratureSweep
