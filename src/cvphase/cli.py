@@ -9,7 +9,8 @@ included), 3 crosscheck tolerance failure (its stderr line gives the
 conjugate cell width and the mask jumps, the thresholds and the domain edge
 P, that fall inside a cell).
 Axis flags take a number, a comma list, or start:stop:count with at most
-100000 points; a two-axis table has at most 10^6 rows (--r times --phi).
+100000 points, ending at stop itself; a two-axis table has at most 10^6
+rows (--r times --phi).  Every --r lies in [-P, P], with no rounding slack.
 --grid-n is a power of two in [512, 2^24], down to 256 with an explicit
 --big-t (the default T needs N >= 512); --trials and --shots are at most
 10^8, --replicas at most 10^5.  Detection always projects back onto
@@ -75,8 +76,9 @@ def _axis(text: str) -> tuple[float, ...]:
     """Axis flag value: single number, comma list, or start:stop:count.
 
     The count must lie in [2, _MAX_AXIS_COUNT]; it is checked before any
-    value is built.  Every value must be finite with a finite double, since
-    the closed forms take cos(2*phi) and erf(2*r*delta).
+    value is built, and the last value is stop itself, never an ulp past it.
+    Every value must be finite with a finite double, since the closed forms
+    take cos(2*phi) and erf(2*r*delta).
     """
     try:
         if ":" in text:
@@ -85,7 +87,7 @@ def _axis(text: str) -> tuple[float, ...]:
             if not 2 <= count <= _MAX_AXIS_COUNT:
                 raise ValueError(f"count must lie in [2, {_MAX_AXIS_COUNT}]")
             step = (stop - start) / (count - 1)
-            values = tuple(start + k * step for k in range(count))
+            values = (*(start + k * step for k in range(count - 1)), stop)
         else:
             values = tuple(float(tok) for tok in text.split(",") if tok != "")
         if not values:

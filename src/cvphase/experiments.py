@@ -53,10 +53,12 @@ _MAX_REPLICAS = 10**5
 SeedMaterial = int | tuple[int, ...]
 
 
-def _draws(n, what: str) -> int:
+def _draws(n, what: str, cap: int) -> int:
+    """n as an int, if it is an integer in [1, cap]: a count of trials or
+    of replicas, whose cap the caller reads at call time."""
     n = _integer(n, what)
-    if not 1 <= n <= _MAX_DRAWS:
-        raise ParameterError(f"{what} must lie in [1, {_MAX_DRAWS}], got {n}")
+    if not 1 <= n <= cap:
+        raise ParameterError(f"{what} must lie in [1, {cap}], got {n}")
     return n
 
 
@@ -105,7 +107,7 @@ def sample_outcomes(prob: float, n: int, seed: SeedMaterial) -> int:
     is a ParameterError.
     """
     prob = MeasurementDistribution(prob).p_x0
-    n = _draws(n, "the number of trials")
+    n = _draws(n, "the number of trials", _MAX_DRAWS)
     (hits,) = _count_hits(prob, n, seed)
     return hits
 
@@ -181,13 +183,9 @@ def replicated_mse(
     replicas, since a count-weighted sum would round differently.
     mse_over_crb is NaN when the bound is not finite.
     """
-    shots = _draws(shots, "shots")
-    replicas = _integer(replicas, "replicas")
+    shots = _draws(shots, "shots", _MAX_DRAWS)
+    replicas = _draws(replicas, "replicas", _MAX_REPLICAS)
     seed = _integer(seed, "seed")
-    if not 1 <= replicas <= _MAX_REPLICAS:
-        raise ParameterError(
-            f"replicas must lie in [1, {_MAX_REPLICAS}], got {replicas}"
-        )
     phi_true = _real(phi_true, "phi_true")
     a, b, fisher = _cosine_model(p, r, phi_true)
     prob = a + b * math.cos(2.0 * phi_true)

@@ -139,7 +139,6 @@ from .model import (
     PiecewiseBinaryFunction,
     ProcedureParams,
     _Checked,
-    _DOMAIN_SLACK,
     _integer,
     _iterable,
     _phase,
@@ -158,6 +157,9 @@ MOMENTUM = "momentum"
 # half-width of the sampled support in units of delta: the Gaussian's exp
 # underflows to exactly 0.0 beyond it (exp(-40^2/2) = exp(-800) = 0)
 _SUPPORT_WIDTHS = 40.0
+# relative slack of the cell-centre test: a cell centred within P + slack of
+# 0 takes the mask's value, and a half-span of P - slack covers the mask
+_DOMAIN_SLACK = 1e-12
 # lag terms per block of prefix sums, unless two cuts need more: a block of
 # a full-support sweep holds two rows, as one mask's cuts did
 _LAG_BLOCK = 1 << 16

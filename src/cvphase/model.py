@@ -18,7 +18,8 @@ bool, never truncated), every other number ``_real`` (numpy numbers too,
 never a str parsed, a bool or a complex number cut to its real part), and a
 parameter set or mask passes ``_require_type``.  Every phase that an engine
 takes, closed form, quadrature or grid, passes ``_phase`` (an axis
-``_phases``), which also refuses a non-finite one.
+``_phases``), which also refuses a non-finite one.  Every threshold, mask
+breakpoint and evaluation point passes ``_inside``: |v| <= H, no slack.
 """
 
 from __future__ import annotations
@@ -96,6 +97,16 @@ def _phases(phis) -> list[float]:
     if not all(map(math.isfinite, phis)):
         _phase(next(phi for phi in phis if not math.isfinite(phi)))
     return phis
+
+
+def _inside(value, half: float, what: str) -> float:
+    """value as a float, if it is a real number with |value| <= half (so
+    finite): the one domain test of a threshold, breakpoint or evaluation
+    point, with no rounding slack."""
+    v = _real(value, what)
+    if not abs(v) <= half:
+        raise ParameterError(f"{what} {v} outside [-{half}, {half}]")
+    return v
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -251,10 +262,7 @@ def aligned_half_width(big_p: float, n: int, cells_per_eighth: int = 32) -> floa
     return 4.0 * math.pi * cells_per_eighth / big_p
 
 
-# slack when checking membership of breakpoints / evaluation points in the
-# mask domain, and how far a mask's half-domain may sit from P, both relative
-# to the domain size (or to 1)
-_DOMAIN_SLACK = 1e-12
+# how far a mask's half-domain may sit from P, relative to P (or to 1)
 _MASK_DOMAIN_TOL = 1e-9
 
 
@@ -263,7 +271,7 @@ class PiecewiseBinaryFunction(
 ):
     """A {0,1}-valued piecewise-constant function on [-H, H].
 
-    ``breakpoints`` are strictly ascending interior jump locations; segment i
+    ``breakpoints`` are strictly ascending jump locations in [-H, H]; segment i
     is the half-open interval (b[i-1], b[i]] and takes ``values[i]``, with
     b[-1] = -H and b[len] = +H.  Evaluation at a breakpoint returns the value
     of the segment ending there (right-closed convention), so a step mask
@@ -284,10 +292,8 @@ class PiecewiseBinaryFunction(
             raise ParameterError(
                 f"need len(values) == len(breakpoints) + 1, got {len(vals)} and {len(bps)}"
             )
-        slack = _DOMAIN_SLACK * max(1.0, hd)
         for b in bps:
-            if not math.isfinite(b) or abs(b) > hd + slack:
-                raise ParameterError(f"breakpoint {b} outside [-{hd}, {hd}]")
+            _inside(b, hd, "breakpoint")
         for lo, hi in zip(bps, bps[1:]):
             if not lo < hi:
                 raise ParameterError(f"breakpoints must be strictly ascending, got {bps}")
@@ -299,10 +305,8 @@ class PiecewiseBinaryFunction(
     @classmethod
     def step(cls, r: float, half_domain: float) -> "PiecewiseBinaryFunction":
         """Threshold mask: 0 on [-H, r], 1 on (r, H]."""
-        r = _require_finite("r", r)
         hd = _require_finite("half_domain", half_domain)
-        if abs(r) > hd:
-            raise ParameterError(f"step threshold r={r} outside [-{hd}, {hd}]")
+        r = _inside(r, hd, "step threshold r")
         if r == hd:
             return cls((), (0,), hd)  # constant 0
         if r == -hd:
@@ -312,13 +316,11 @@ class PiecewiseBinaryFunction(
     @classmethod
     def hat(cls, r1: float, r2: float, half_domain: float) -> "PiecewiseBinaryFunction":
         """Window mask: 1 on (r1, r2], 0 elsewhere."""
-        r1 = _require_finite("r1", r1)
-        r2 = _require_finite("r2", r2)
         hd = _require_finite("half_domain", half_domain)
+        r1 = _inside(r1, hd, "hat edge r1")
+        r2 = _inside(r2, hd, "hat edge r2")
         if not r1 < r2:
             raise ParameterError(f"need r1 < r2, got {r1}, {r2}")
-        if abs(r1) > hd or abs(r2) > hd:
-            raise ParameterError(f"hat edges ({r1}, {r2}) outside [-{hd}, {hd}]")
         bps = []
         vals = [0]
         if r1 > -hd:
@@ -332,10 +334,7 @@ class PiecewiseBinaryFunction(
         return cls(tuple(bps), tuple(vals), hd)
 
     def __call__(self, y: float) -> int:
-        y = _real(y, "evaluation point")
-        slack = _DOMAIN_SLACK * max(1.0, self.half_domain)
-        if not math.isfinite(y) or abs(y) > self.half_domain + slack:
-            raise ParameterError(f"evaluation point {y} outside [-{self.half_domain}, {self.half_domain}]")
+        y = _inside(y, self.half_domain, "evaluation point")
         return self.values[bisect_left(self.breakpoints, y)]
 
     def segments(self) -> tuple[tuple[float, float, int], ...]:

@@ -306,12 +306,9 @@ def quadrature_responses(
         errors.append(err)
 
     def span(a: float, b: float) -> tuple[float, float]:
-        """The integral from cut a to cut b, both >= 0, and its error."""
+        """The integral from cut a to cut b, 0 <= a <= b, and its error."""
         i, j = index[a], index[b]
-        if i <= j:
-            return _left_sum(values[i:j]), _left_sum(errors[i:j])
-        # a segment past the domain edge within the mask's slack
-        return -_left_sum(values[j:i]), _left_sum(errors[j:i])
+        return _left_sum(values[i:j]), _left_sum(errors[i:j])
 
     sweep = []
     for f in masks:

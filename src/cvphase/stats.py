@@ -19,7 +19,8 @@ not (mean(r) + mean(-r) = erf(2*P*delta)), nor are the bounds built on it.
 
 One private record, ``_threshold``, holds what depends on r alone: (r, a,
 b, E, generator mean, dG/dr), from one erf(2*P*delta) and one
-erf(2*r*delta) after the containment and r checks.  Every sweep (prob_x0s,
+erf(2*r*delta) after the containment check and ``model._inside``, which
+every threshold passes: r in [-P, P], no slack.  Every sweep (prob_x0s,
 fisher_phis, fisher_rs, the ``audit`` table and the estimator) reads it
 once per threshold; only the cosine depends on phi.  prob_x0s,
 fisher_phis and fisher_rs take a threshold axis with the phase axis (in
@@ -36,28 +37,21 @@ import math
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
-from .errors import ParameterError, SingularityError
+from .errors import SingularityError
 from .model import (
     MeasurementDistribution,
     ProcedureParams,
+    _inside,
     _iterable,
     _phase,
     _phases,
     _probabilities,
-    _real,
     _require_type,
     require_containment,
 )
 
 _SIN_TOL = 1e-12  # |sin(2*phi)| below this counts as a vanishing derivative
 _AUDIT_TOL = 1e-3  # |delta_phi*sqrt(F) - 1| within this flags an audit row optimal
-
-
-def _require_r(p: ProcedureParams, r: float, slack: float = 1e-12) -> float:
-    r = _real(r, "threshold r")
-    if not math.isfinite(r) or abs(r) > p.big_p * (1.0 + slack):
-        raise ParameterError(f"threshold r={r} outside [-P, P] with P={p.big_p}")
-    return r
 
 
 def mask_efficiency(p: ProcedureParams) -> float:
@@ -76,7 +70,7 @@ def _threshold(p: ProcedureParams, r: float) -> tuple[float, ...]:
     dG/dr = (8*delta/sqrt(pi)) * erf(2*r*delta) * exp(-4*r^2*delta^2).
     """
     require_containment(p)
-    r = _require_r(p, r)
+    r = _inside(r, p.big_p, "threshold r")
     d = p.delta
     e1 = math.erf(2.0 * p.big_p * d)
     g1 = math.erf(2.0 * r * d)
@@ -272,12 +266,11 @@ def dj_statistics(p: ProcedureParams, r: float) -> MeasurementDistribution:
     p_x0 = erf(2*r*delta)^2: exactly 0 for the balanced threshold r = 0, and
     the mask efficiency E for a constant mask (|r| = P), so a window miss
     identifies a balanced mask with certainty and a constant mask is
-    misidentified with probability 1 - E.  The decision mask is a step on
-    [-P, P], so r gets no rounding slack past P, and the envelope must be
-    contained, as for every closed form here.
+    misidentified with probability 1 - E.  r must lie in [-P, P] and the
+    envelope must be contained, as for every closed form here.
     """
     require_containment(p)
-    g1 = math.erf(2.0 * _require_r(p, r, slack=0.0) * p.delta)
+    g1 = math.erf(2.0 * _inside(r, p.big_p, "threshold r") * p.delta)
     return MeasurementDistribution(g1 * g1)
 
 

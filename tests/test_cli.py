@@ -371,6 +371,63 @@ class TestExitCodes:
         assert err.startswith("error:") and "--r" in err and "--phi" in err
 
 
+# each command that takes --r, and its exit code at r = +-P: estimate
+# refuses the constant mask there as unidentifiable
+_THRESHOLD_RUNS = pytest.mark.parametrize(
+    "argv, code_at_p",
+    [
+        (["fisher-phi", "--phi", "0.3"], 0),
+        (["fisher-phi", "--engine", "all", "--grid-n", "512", "--phi", "0.3"], 0),
+        (["fisher-r", "--phi", "0.3"], 0),
+        (["crosscheck", "--grid-n", "512", "--phi", "0.3"], 0),
+        (["audit", "--phi", "0.3"], 0),
+        (["dj", "--trials", "20"], 0),
+        (["estimate", "--shots", "5", "--replicas", "2"], 2),
+    ],
+    ids=["fisher-phi", "fisher-phi-all", "fisher-r", "crosscheck", "audit", "dj",
+         "estimate"],
+)
+_SIGNS = pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
+
+
+class TestThresholdDomain:
+    """Every command takes a threshold on the closed domain [-P, P], with no
+    rounding slack, and a start:stop:count axis ends at stop itself."""
+
+    @_THRESHOLD_RUNS
+    @_SIGNS
+    def test_the_next_double_past_p_is_refused(self, capsys, argv, code_at_p, sign):
+        past = sign * math.nextafter(BIG_P, math.inf)
+        code, out, err = run_cli([*argv, f"--r={past!r}"], capsys)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: [^\n]*outside[^\n]*\n", err)
+
+    @_THRESHOLD_RUNS
+    @_SIGNS
+    def test_p_keeps_each_command_s_exit_code(self, capsys, argv, code_at_p, sign):
+        code, out, err = run_cli([*argv, f"--r={sign * BIG_P!r}"], capsys)
+        assert code == code_at_p
+        assert re.fullmatch(r"(error: [^\n]*\n)?", err) and bool(err) == bool(code)
+
+    # counts at which start + (count - 1)*step lands an ulp past P
+    @pytest.mark.parametrize("count", [1042, 2083, 2126, 2166])
+    def test_an_axis_ends_at_its_stop(self, count):
+        for start, stop in ((0.0, BIG_P), (-BIG_P, BIG_P), (0.0, -BIG_P), (BIG_P, -BIG_P)):
+            values = cli._axis(f"{start!r}:{stop!r}:{count}")
+            assert len(values) == count
+            assert (values[0], values[-1]) == (start, stop)
+            assert max(map(abs, values)) <= BIG_P
+
+    def test_an_axis_ending_at_p_runs_on_every_engine(self, capsys):
+        code, out, err = run_cli(
+            ["fisher-phi", "--engine", "all", "--r", f"0:{BIG_P!r}:1042", "--phi", "0.3"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        header, rows = parse_csv(out)
+        assert len(rows) == 1042 and float(rows[-1][header.index("r")]) == BIG_P
+
+
 # one small run of every command
 _SMALL_RUNS = pytest.mark.parametrize(
     "argv",
@@ -1262,7 +1319,7 @@ class TestDjTable:
     @pytest.mark.parametrize(
         "argv",
         [
-            # just past P, within the sweeps' rounding slack: not a step on [-P, P]
+            # four ulps past P: outside [-P, P]
             ["dj", "--r", "2.1213203435596446"],
             ["dj", "--r", "-2.1213203435596446"],
             # the envelope is not contained in [-T, T]

@@ -484,6 +484,22 @@ class TestReplicatedMse:
         with pytest.raises(ParameterError):
             replicated_mse(canonical(), 0.0, 0.5, 5, 0, 1)
 
+    def test_one_count_gate_reads_each_cap_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_MAX_DRAWS", 10)
+        monkeypatch.setattr(experiments, "_MAX_REPLICAS", 3)
+        for call, message in (
+            (lambda: sample_outcomes(0.5, 11, 0),
+             "the number of trials must lie in [1, 10], got 11"),
+            (lambda: replicated_mse(canonical(), 0.0, 0.5, 11, 3, 1),
+             "shots must lie in [1, 10], got 11"),
+            (lambda: replicated_mse(canonical(), 0.0, 0.5, 10, 4, 1),
+             "replicas must lie in [1, 3], got 4"),
+        ):
+            with pytest.raises(ParameterError) as info:
+                call()
+            assert str(info.value) == message
+        assert len(replicated_mse(canonical(), 0.0, 0.5, 10, 3, 1).hits) == 3
+
     @pytest.mark.parametrize("shots, replicas, seed", [
         (100.9, 3, 1), (100, 3.7, 1), (100, 3, 1.9), (100, 3, (1, 2)),
         (True, 3, 0), (100, True, 0), (100, 3, True),

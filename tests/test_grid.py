@@ -26,7 +26,6 @@ from cvphase import (
     grid,
     inverse_fourier,
     measure_povm,
-    model,
     phase_response,
     prepare_gaussian,
     prob_x0,
@@ -812,7 +811,7 @@ def _per_cell_mask(n, y_start, dy, f):
     search per cell: the oracle the runs of ``grid._runs_of_ones``, which
     both ``apply_blackbox`` and the sweep read, must match cell for cell."""
     y = y_start + dy * np.arange(n)
-    slack = model._DOMAIN_SLACK * max(1.0, f.half_domain)
+    slack = grid._DOMAIN_SLACK * max(1.0, f.half_domain)
     inside = np.abs(y) <= f.half_domain + slack
     fvals = np.zeros(n)
     if f.breakpoints:
@@ -865,7 +864,7 @@ class TestMaskCells:
     def test_samples_on_the_domain_edges_are_inside(self):
         # the first and last samples are exactly -(P + slack) and P + slack,
         # which |y| <= P + slack still counts; every jump is a sample too
-        edge = BIG_P + model._DOMAIN_SLACK * BIG_P
+        edge = BIG_P + grid._DOMAIN_SLACK * BIG_P
         dy = edge / 16
         y = -edge + dy * np.arange(33)
         assert (y[0], y[-1]) == (-edge, edge)

@@ -180,6 +180,35 @@ class TestPiecewiseBinaryFunction:
             assert f(y) + g(y) == 1
 
 
+class TestMaskDomain:
+    """Breakpoints, thresholds, window edges and evaluation points lie in
+    [-H, H], with no rounding slack past H, whatever the size of H."""
+
+    @pytest.mark.parametrize(
+        "build, what",
+        [
+            (lambda h, v: PiecewiseBinaryFunction((v,), (0, 1), h), "breakpoint"),
+            (lambda h, v: PiecewiseBinaryFunction.step(v, h), "step threshold r"),
+            # the window (0, v] for v > 0, (v, 0] for v < 0
+            (lambda h, v: PiecewiseBinaryFunction.hat(min(0.0, v), max(0.0, v), h),
+             "hat edge r{}"),
+            (lambda h, v: PiecewiseBinaryFunction.step(0.0, h)(v), "evaluation point"),
+        ],
+        ids=["breakpoint", "step", "hat", "call"],
+    )
+    @pytest.mark.parametrize("half", [BIG_P, 2.0, 1e-3])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
+    def test_h_passes_and_the_next_double_past_it_is_refused(
+        self, build, what, half, sign
+    ):
+        what = what.format(2 if sign > 0 else 1)
+        build(half, sign * half)
+        past = sign * math.nextafter(half, math.inf)
+        with pytest.raises(ParameterError) as info:
+            build(half, past)
+        assert str(info.value) == f"{what} {past!r} outside [-{half!r}, {half!r}]"
+
+
 class TestMeasurementDistribution:
     def test_roundoff_clamped(self):
         assert MeasurementDistribution(-1e-13).p_x0 == 0.0

@@ -587,6 +587,35 @@ class TestDjStatistics:
             dj_statistics(snug, 0.0)
 
 
+class TestThresholdDomain:
+    """Every closed form takes r in [-P, P], with no rounding slack past P:
+    the same rule as the masks' (``model._inside``); ``dj_statistics``'s
+    case is ``TestDjStatistics``'s."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p, r: prob_x0s(p, (r,), (0.3,)),
+            lambda p, r: fisher_phis(p, (r,), (0.3,)),
+            lambda p, r: fisher_rs(p, (r,), (0.3,)),
+            lambda p, r: cosine_model_coefficients(p, r),
+            lambda p, r: heisenberg_audit(p, r, (0.3,)),
+        ],
+        ids=["prob_x0s", "fisher_phis", "fisher_rs", "cosine_model_coefficients",
+             "heisenberg_audit"],
+    )
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
+    def test_p_passes_and_the_next_double_past_it_is_refused(self, call, sign):
+        p = canonical()
+        call(p, sign * BIG_P)
+        past = sign * math.nextafter(BIG_P, math.inf)
+        with pytest.raises(ParameterError) as info:
+            call(p, past)
+        assert str(info.value) == (
+            f"threshold r {past!r} outside [-{BIG_P!r}, {BIG_P!r}]"
+        )
+
+
 class TestValueTypes:
     """What callers may rely on: keyword construction, immutability, the
     FisherReport defaults and the repr."""
