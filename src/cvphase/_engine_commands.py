@@ -110,12 +110,12 @@ def cmd_crosscheck(
     grid_n: int,
 ) -> tuple[dict[str, list], float]:
     """Detection probability from all three engines, with worst deviation."""
-    response = cli.grid.phase_response(p, grid_n)
+    # the closed form checks every threshold and phase before any engine is set up
+    pas = stats.prob_x0s(p, r_values, phi_values)
     masks = [PiecewiseBinaryFunction.step(r, p.big_p) for r in r_values]
     # one integration per piece of the masks' folded cuts, one column read
     pqs = cli.quadrature.quadrature_responses(p, masks).p_x0s(phi_values)
-    pas = stats.prob_x0s(p, r_values, phi_values)
-    pgs = response.p_x0s(masks, phi_values)
+    pgs = cli.grid.phase_response(p, grid_n).p_x0s(masks, phi_values)
     devs = [
         max(abs(pa - pq), abs(pa - pg), abs(pq - pg))
         for pa, pq, pg in zip(pas, pqs, pgs)

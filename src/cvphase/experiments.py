@@ -114,8 +114,8 @@ def sample_outcomes(prob: float, n: int, seed: SeedMaterial) -> int:
 
 def _cosine_model(
     p: ProcedureParams, r: float, phi_true: float
-) -> tuple[float, float, float]:
-    """(a, b, F(phi_true)) for the step mask r.
+) -> tuple[float, float, float, float]:
+    """(a, b, a + b*cos(2*phi_true), F(phi_true)) for the step mask r.
 
     Refuses a true phase off the principal branch [0, pi/2], the only one the
     inversion can return, and a flat response that carries no phase.
@@ -131,7 +131,7 @@ def _cosine_model(
             "a (near-)constant mask carries no phase information"
         )
     c, s = math.cos(2.0 * phi_true), math.sin(2.0 * phi_true)
-    return a, b, _fisher(a, b, c, s)[0]
+    return a, b, a + b * c, _fisher(a, b, c, s)[0]
 
 
 def _phi_hat(hits: int, shots: int, a: float, b: float) -> float:
@@ -187,8 +187,7 @@ def replicated_mse(
     replicas = _draws(replicas, "replicas", _MAX_REPLICAS)
     seed = _integer(seed, "seed")
     phi_true = _real(phi_true, "phi_true")
-    a, b, fisher = _cosine_model(p, r, phi_true)
-    prob = a + b * math.cos(2.0 * phi_true)
+    a, b, prob, fisher = _cosine_model(p, r, phi_true)
     hits = tuple(_count_hits(prob, shots, seed, replicas))
     estimates = {k: _phi_hat(k, shots, a, b) for k in set(hits)}
     errors = {k: (h - phi_true) ** 2 for k, h in estimates.items()}

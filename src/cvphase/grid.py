@@ -171,8 +171,8 @@ class GridState(
     """Complex amplitudes on a uniform grid, tagged by which space they live in.
 
     Normalization convention: sum |a_j|^2 * grid_step = 1.  Construction
-    keeps the amplitudes as a complex array and the other fields as given;
-    a bad array, space tag or grid raises GridLayoutError.
+    makes the amplitudes a complex array and the start and step floats; a
+    bad array, space tag or grid raises GridLayoutError.
     """
 
     __slots__ = ()
@@ -190,8 +190,8 @@ class GridState(
             raise GridLayoutError(f"unknown space tag {space!r}")
         start, step = _real(grid_start, "grid start"), _real(grid_step, "grid step")
         if not (math.isfinite(start) and 0.0 < step < math.inf):
-            raise GridLayoutError(f"bad grid: start={grid_start}, step={grid_step}")
-        return tuple.__new__(cls, (amps, grid_start, grid_step, space))
+            raise GridLayoutError(f"bad grid: start={start}, step={step}")
+        return tuple.__new__(cls, (amps, start, step, space))
 
     @property
     def n(self) -> int:

@@ -18,14 +18,16 @@ bool, never truncated), every other number ``_real`` (numpy numbers too,
 never a str parsed, a bool or a complex number cut to its real part), and a
 parameter set or mask passes ``_require_type``.  Every phase that an engine
 takes, closed form, quadrature or grid, passes ``_phase`` (an axis
-``_phases``), which also refuses a non-finite one.  Every threshold, mask
-breakpoint and evaluation point passes ``_inside``: |v| <= H, no slack.
+``_phases``), the one phase rule: a real number whose double, the mask's
+angle, is finite.  Every threshold, mask breakpoint and evaluation point
+passes ``_inside``: |v| <= H, no slack.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from bisect import bisect_left
 from collections import namedtuple
 
@@ -62,13 +64,17 @@ def _real(value, what: str) -> float:
     return float(value)
 
 
+# largest |phi| whose double 2*phi, the angle every engine takes, is finite
+_MAX_PHASE = sys.float_info.max / 2.0
+
+
 def _phase(phi) -> float:
-    """phi as a float, refused unless it is a finite real number (numpy ones
-    too)."""
+    """phi as a float, refused unless it is a real number (numpy ones too)
+    whose double is finite: |phi| <= _MAX_PHASE, which NaN fails."""
     if type(phi) is not float:
         phi = _real(phi, "phase")
-    if not math.isfinite(phi):
-        raise ParameterError(f"phase must be finite, got {phi!r}")
+    if not abs(phi) <= _MAX_PHASE:
+        raise ParameterError(f"phase must be finite with a finite double, got {phi!r}")
     return phi
 
 
@@ -88,14 +94,14 @@ def _phases(phis) -> list[float]:
     """The phase axis phis, any iterable, as a list of ``_phase``.
 
     A float needs no conversion, so only other types go through ``_real``
-    one by one; finiteness is one C-level pass over the axis.
+    one by one; the bound is one C-level pass over the axis.
     """
     phis = [
         phi if type(phi) is float else _real(phi, "phase")
         for phi in _iterable(phis, "the phase axis")
     ]
-    if not all(map(math.isfinite, phis)):
-        _phase(next(phi for phi in phis if not math.isfinite(phi)))
+    if not all(map(_MAX_PHASE.__ge__, map(abs, phis))):
+        _phase(next(phi for phi in phis if not abs(phi) <= _MAX_PHASE))
     return phis
 
 

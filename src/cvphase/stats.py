@@ -17,18 +17,16 @@ constant-vs-balanced decision statistics.  E is the mask efficiency; G only
 depends on |r|, so p, F_phi and F_r are even in r.  The generator mean is
 not (mean(r) + mean(-r) = erf(2*P*delta)), nor are the bounds built on it.
 
-One private record, ``_threshold``, holds what depends on r alone: (r, a,
-b, E, generator mean, dG/dr), from one erf(2*P*delta) and one
-erf(2*r*delta) after the containment check and ``model._inside``, which
-every threshold passes: r in [-P, P], no slack.  Every sweep (prob_x0s,
-fisher_phis, fisher_rs, the ``audit`` table and the estimator) reads it
-once per threshold; only the cosine depends on phi.  prob_x0s,
-fisher_phis and fisher_rs take a threshold axis with the phase axis (in
-``_sweep``), which passes one
-gate, ``model._phases`` (a phase ``model._phase``); each phase's cos(2*phi)
-and sin(2*phi) are taken once per sweep.  The sweeps return columns,
-r-major (``fisher_phis`` and ``heisenberg_audit`` a dict of them keyed by
-the names their tables print).  Nothing here builds an array.
+Every closed form of a threshold or a phase reads one ``_sweep`` of a
+threshold axis and a phase axis (``_threshold`` is its one-threshold read).
+A sweep runs the containment check once and takes erf(2*P*delta) once, as E
+is a constant of the whole (phi, r) sweep.  Each threshold then passes
+``model._inside`` (r in [-P, P], no slack) and takes one erf(2*r*delta) for
+its record of what depends on r alone; the phase axis passes
+``model._phases`` once, and each phase's cos(2*phi) and sin(2*phi) are taken
+once.  The sweeps return columns, r-major (``fisher_phis`` and
+``heisenberg_audit`` a dict of them keyed by the names their tables print).
+Nothing here builds an array.
 """
 
 from __future__ import annotations
@@ -43,10 +41,8 @@ from .model import (
     ProcedureParams,
     _inside,
     _iterable,
-    _phase,
     _phases,
     _probabilities,
-    _require_type,
     require_containment,
 )
 
@@ -55,38 +51,40 @@ _AUDIT_TOL = 1e-3  # |delta_phi*sqrt(F) - 1| within this flags an audit row opti
 
 
 def mask_efficiency(p: ProcedureParams) -> float:
-    """E = erf(2*P*delta)^2, the weight the envelope places on [-P, P]."""
-    _require_type(p, ProcedureParams, "parameters")
+    """E = erf(2*P*delta)^2, the weight a contained envelope places on [-P, P]."""
+    require_containment(p)
     e1 = math.erf(2.0 * p.big_p * p.delta)
     return e1 * e1
 
 
-def _threshold(p: ProcedureParams, r: float) -> tuple[float, ...]:
-    """The closed forms of threshold r that do not depend on phi.
+def _sweep(p: ProcedureParams, r_values: Iterable[float], phis: Iterable[float]):
+    """The record of each threshold, the checked phases and each phase's
+    (cos(2*phi), sin(2*phi)), after one containment check.
 
-    (r, a, b, E, mean, dG): the checked r as a float, the response
-    coefficients a = (E + G)/2 and b = (E - G)/2, the mask efficiency E, the
-    generator mean <f> = (erf(2*P*delta) - erf(2*r*delta))/2 and
-    dG/dr = (8*delta/sqrt(pi)) * erf(2*r*delta) * exp(-4*r^2*delta^2).
+    A record is (r, a, b, E, mean, dG): the checked r as a float, the
+    response coefficients a = (E + G)/2 and b = (E - G)/2, the mask
+    efficiency E, the generator mean <f> = (erf(2*P*delta) - erf(2*r*delta))/2
+    and dG/dr = (8*delta/sqrt(pi)) * erf(2*r*delta) * exp(-4*r^2*delta^2).
     """
-    require_containment(p)
-    r = _inside(r, p.big_p, "threshold r")
+    require_containment(p)  # also when the threshold axis is empty
     d = p.delta
     e1 = math.erf(2.0 * p.big_p * d)
-    g1 = math.erf(2.0 * r * d)
     E = e1 * e1
-    G = g1 * g1
-    dG = (8.0 * d / math.sqrt(math.pi)) * g1 * math.exp(-4.0 * r * r * d * d)
-    return r, 0.5 * (E + G), 0.5 * (E - G), E, 0.5 * (e1 - g1), dG
-
-
-def _sweep(p: ProcedureParams, r_values: Iterable[float], phis: Iterable[float]):
-    """The _threshold record of each threshold, the checked phases and each
-    phase's (cos(2*phi), sin(2*phi))."""
-    require_containment(p)  # also when the threshold axis is empty
-    records = [_threshold(p, r) for r in _iterable(r_values, "the threshold axis")]
+    scale = 8.0 * d / math.sqrt(math.pi)
+    records = []
+    for r in _iterable(r_values, "the threshold axis"):
+        r = _inside(r, p.big_p, "threshold r")
+        g1 = math.erf(2.0 * r * d)
+        G = g1 * g1
+        dG = scale * g1 * math.exp(-4.0 * r * r * d * d)
+        records.append((r, 0.5 * (E + G), 0.5 * (E - G), E, 0.5 * (e1 - g1), dG))
     phis = _phases(phis)
     return records, phis, [(math.cos(2.0 * phi), math.sin(2.0 * phi)) for phi in phis]
+
+
+def _threshold(p: ProcedureParams, r: float) -> tuple[float, ...]:
+    """The ``_sweep`` record of threshold r: its closed forms free of phi."""
+    return _sweep(p, (r,), ())[0][0]
 
 
 def prob_x0(p: ProcedureParams, r: float, phi: float) -> MeasurementDistribution:
@@ -248,9 +246,8 @@ def delta_phi(p: ProcedureParams, phi: float) -> float:
     phi = 0, pi/2, pi, ..., and wherever the slope or the variance
     underflows to 0.
     """
-    require_containment(p)
-    phi = _phase(phi)
-    dphi = _precision(mask_efficiency(p), math.cos(2.0 * phi), math.sin(2.0 * phi))
+    ((_, _, _, E, _, _),), (phi,), ((c, s),) = _sweep(p, (0.0,), (phi,))
+    dphi = _precision(E, c, s)
     if dphi is None:
         raise SingularityError(
             f"d<X>/dphi vanishes, or it or var(X) underflows to 0, at "

@@ -4,6 +4,7 @@ test suite."""
 import csv
 import io
 import math
+import sys
 
 from cvphase import ProcedureParams, aligned_half_width
 
@@ -21,6 +22,32 @@ def canonical(n: int = GRID_N) -> ProcedureParams:
         big_t=aligned_half_width(BIG_P, n),
         big_p=BIG_P,
     )
+
+
+# the largest phase the phase rule takes: its double is the largest double
+LARGEST_PHASE = sys.float_info.max / 2.0
+
+
+def refused_phases() -> dict:
+    """The phases the phase rule refuses, by test id: the non-finite ones,
+    and finite ones whose double overflows (2**1023 is the first)."""
+    import numpy as np
+
+    return {
+        "inf": math.inf,
+        "-inf": -math.inf,
+        "nan": math.nan,
+        "numpy_nan": np.float64(math.nan),
+        "1e308": 1e308,
+        "-1e308": -1e308,
+        "numpy_1e308": np.float64(1e308),
+        "2**1023": 2.0**1023,
+    }
+
+
+def phase_refusal(phase) -> str:
+    """The message of the phase rule's refusal of phase."""
+    return f"phase must be finite with a finite double, got {float(phase)!r}"
 
 
 def with_mask_product(product: float, delta: float = DELTA) -> ProcedureParams:

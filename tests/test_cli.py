@@ -624,14 +624,21 @@ class TestGridEngine:
         assert len(cosines) == 5
 
     def test_closed_form_runs_once_per_threshold(self, capsys, monkeypatch):
-        calls = []
-        original = stats._threshold
+        # one sweep: one containment gate, and one record per threshold,
+        # whose threshold passes _inside once
+        records, gates = [], []
+        inside, gate = stats._inside, stats.require_containment
 
-        def counted(p, r):
-            calls.append(r)
-            return original(p, r)
+        def counted_record(r, half, what):
+            records.append(r)
+            return inside(r, half, what)
 
-        monkeypatch.setattr(stats, "_threshold", counted)
+        def counted_gate(p):
+            gates.append(p)
+            return gate(p)
+
+        monkeypatch.setattr(stats, "_inside", counted_record)
+        monkeypatch.setattr(stats, "require_containment", counted_gate)
         for argv, thresholds in (
             (["crosscheck"], 5),
             (["fisher-phi", "--fig4"], 5),
@@ -640,13 +647,16 @@ class TestGridEngine:
             (["audit"], 1),
             (["estimate", "--seed", "0"], 1),
         ):
-            calls.clear()
+            records.clear()
+            gates.clear()
             assert run_cli(argv, capsys)[0] == 0
-            assert len(calls) == len(set(calls)) == thresholds, argv
+            assert len(records) == len(set(records)) == thresholds, argv
+            assert len(gates) == 1, argv
 
     def test_erf_calls_per_command(self, capsys, monkeypatch):
-        # two erfs per threshold record; dj takes one per row, and its
-        # constant row's analytic error rate reuses that row's p_x0
+        # one erf(2*P*delta) per sweep and one erf(2*r*delta) per threshold
+        # record; dj takes one per row, and its constant row's analytic
+        # error rate reuses that row's p_x0
         calls = []
 
         class CountingMath:
@@ -660,12 +670,12 @@ class TestGridEngine:
         for module in (stats, experiments):
             monkeypatch.setattr(module, "math", CountingMath())
         for argv, erfs in (
-            (["fisher-phi", "--fig4"], 10),
+            (["fisher-phi", "--fig4"], 6),
             (["audit"], 2),
             (["estimate", "--seed", "0"], 2),
-            (["fisher-r", "--fig5"], 126),
+            (["fisher-r", "--fig5"], 64),
             (["dj"], 3),
-            (["crosscheck"], 10),
+            (["crosscheck"], 6),
         ):
             calls.clear()
             assert run_cli(argv, capsys)[0] == 0
@@ -1510,7 +1520,7 @@ _BAD_FLAG_VALUE = {
     "estimate": ["--shots", "1.5"],
     "crosscheck": ["--grid-n", "z"],
     "audit": ["--format", "xml"],
-    "gap": ["--phi", "nan"],
+    "gap": ["--phi", "x"],
 }
 
 

@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,8 +35,8 @@ from cvphase import (
     two_register_kickback_check,
 )
 from helpers import (
-    BIG_P, DELTA, GRID_N, canonical, cell_sums, fourier_matrix,
-    reference_phase_weights,
+    BIG_P, DELTA, GRID_N, LARGEST_PHASE, canonical, cell_sums, fourier_matrix,
+    phase_refusal, reference_phase_weights, refused_phases,
 )
 
 
@@ -62,6 +64,25 @@ class TestGridState:
             s._replace(space="spin")
         with pytest.raises(GridLayoutError):
             s._replace(amplitudes=[1.0])
+
+    @pytest.mark.parametrize(
+        "start, step",
+        [
+            (Decimal("-0.4"), Decimal("0.1")),
+            (Fraction(-2, 5), Fraction(1, 10)),
+            (np.float32(-0.4), np.float32(0.1)),
+        ],
+        ids=["decimal", "fraction", "float32"],
+    )
+    def test_stores_the_floats_it_checked(self, start, step):
+        # a Decimal step made norm_sq() raise a TypeError, and a float32 one
+        # made fourier's conjugate step a float32
+        s = GridState(np.ones(8), grid_start=start, grid_step=step, space=POSITION)
+        assert type(s.grid_start) is float and type(s.grid_step) is float
+        assert s.grid_start == float(start) and s.grid_step == float(step)
+        assert s.norm_sq() == 8.0 * float(step)
+        assert type(s._replace(amplitudes=np.ones(4)).grid_step) is float
+        assert type(fourier(s).grid_step) is float
 
     def test_points_layout(self):
         s = GridState(np.ones(4), grid_start=-1.0, grid_step=0.5, space=POSITION)
@@ -422,10 +443,26 @@ class TestRunCircuit:
             run_circuit(p, f, 0.5, GRID_N)
 
 
+# each grid route that takes a phase, called on a 512-point phase response
+# and the balanced step mask
+_PHASE_TAKERS = {
+    "p_x0s": lambda response, f, phase: response.p_x0s([f], [0.3, phase]),
+    "fishers": lambda response, f, phase: response.fishers([f], [0.3, phase]),
+    "apply_blackbox": lambda response, f, phase: apply_blackbox(
+        fourier(prepare_gaussian(response.params, response.n)), f, phase
+    ),
+    "run_circuit": lambda response, f, phase: run_circuit(
+        response.params, f, phase, response.n
+    ),
+}
+_REFUSED_PHASES = refused_phases()
+
+
 class TestPhaseGate:
-    """The grid refuses a phase that is not a finite real number, before any
-    array is built: fishers returned nan at NaN and raised a bare ValueError
-    at inf, and run_circuit ran the whole circuit before blaming p_x0."""
+    """The grid refuses a phase that is not a real number with a finite
+    double, before any array is built: fishers returned nan at NaN and
+    raised a bare ValueError at inf, every route but fishers raised one at
+    1e308, and run_circuit ran the whole circuit before blaming p_x0."""
 
     @pytest.fixture(scope="class")
     def response(self):
@@ -433,14 +470,21 @@ class TestPhaseGate:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "phase", [math.nan, math.inf, -math.inf, np.float64(math.nan)]
+        "phase", list(_REFUSED_PHASES.values()), ids=list(_REFUSED_PHASES)
     )
-    @pytest.mark.parametrize("sweep", ["p_x0s", "fishers"])
+    @pytest.mark.parametrize("sweep", list(_PHASE_TAKERS))
     def test_sweeps_refuse_a_non_finite_phase(self, response, sweep, phase):
         f = PiecewiseBinaryFunction.step(0.0, BIG_P)
         with pytest.raises(ParameterError) as info:
-            getattr(response, sweep)([f], [0.3, phase])
-        assert str(info.value) == f"phase must be finite, got {float(phase)!r}"
+            _PHASE_TAKERS[sweep](response, f, phase)
+        assert str(info.value) == phase_refusal(phase)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sweep", list(_PHASE_TAKERS))
+    def test_largest_phase_taken(self, response, sweep):
+        f = PiecewiseBinaryFunction.step(0.0, BIG_P)
+        for phase in (LARGEST_PHASE, -LARGEST_PHASE):
+            _PHASE_TAKERS[sweep](response, f, phase)
 
     @pytest.mark.parametrize("phase", ["0.3", None, 0.3 + 1j])
     @pytest.mark.parametrize("sweep", ["p_x0s", "fishers"])

@@ -26,7 +26,10 @@ from cvphase import (
 )
 from erf_oracle import erf_series
 from factorized_oracle import prob_x0_factorized
-from helpers import BIG_P, DELTA, canonical, with_mask_product
+from helpers import (
+    BIG_P, DELTA, LARGEST_PHASE, canonical, phase_refusal, refused_phases,
+    with_mask_product,
+)
 
 GAP_PRED_S01 = 4.9401694335724335e-06  # series prediction at P*delta=0.1, phi=pi/2
 
@@ -437,37 +440,57 @@ class TestStepHatGap:
             assert abs(prediction - factor * series) <= 1e-14 * factor * series, phi
 
 
+_BALANCED = PiecewiseBinaryFunction.step(0.0, BIG_P)
+# each quadrature read of a phase, by name
+_PHASE_TAKERS = {
+    "at": lambda phase: quadrature_responses(canonical(), [_BALANCED])[0].at(phase),
+    "p_x0s": lambda phase: quadrature_responses(canonical(), [_BALANCED]).p_x0s(
+        (0.3, phase)
+    ),
+    "prob_x0_quadrature": lambda phase: prob_x0_quadrature(
+        canonical(), _BALANCED, phase
+    ),
+    "step_hat_gap": lambda phase: step_hat_gap(ProcedureParams(0.0, 2.0, 20.0, 0.2), phase),
+    "step_hat_gaps": lambda phase: step_hat_gaps(with_mask_product(0.1), (0.3, phase)),
+}
+_REFUSED_PHASES = refused_phases()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "phase", [math.nan, math.inf, -math.inf, np.float64(math.nan)],
-    ids=["nan", "inf", "-inf", "numpy_nan"],
+    "phase", list(_REFUSED_PHASES.values()), ids=list(_REFUSED_PHASES)
 )
 class TestPhaseGate:
-    """Each quadrature read of a phase refuses a non-finite one; at(nan) and
-    step_hat_gap at nan returned nan in every field, with no error."""
+    """Each quadrature read of a phase refuses one that is not a real number
+    with a finite double; at(nan) and step_hat_gap at nan returned nan in
+    every field, with no error, and each raised a bare ValueError at 1e308."""
 
-    def _refused(self, call, phase):
+    def _refused(self, taker, phase):
         with pytest.raises(ParameterError) as info:
-            call()
-        assert str(info.value) == f"phase must be finite, got {float(phase)!r}"
+            _PHASE_TAKERS[taker](phase)
+        assert str(info.value) == phase_refusal(phase)
 
     def test_at(self, phase):
-        f = PiecewiseBinaryFunction.step(0.0, BIG_P)
-        (response,) = quadrature_responses(canonical(), [f])
-        self._refused(lambda: response.at(phase), phase)
+        self._refused("at", phase)
 
     def test_p_x0s(self, phase):
-        f = PiecewiseBinaryFunction.step(0.0, BIG_P)
-        sweep = quadrature_responses(canonical(), [f])
-        self._refused(lambda: sweep.p_x0s((0.3, phase)), phase)
+        self._refused("p_x0s", phase)
+
+    def test_prob_x0_quadrature(self, phase):
+        self._refused("prob_x0_quadrature", phase)
 
     def test_step_hat_gap(self, phase):
-        p = ProcedureParams(0.0, 2.0, 20.0, 0.2)
-        self._refused(lambda: step_hat_gap(p, phase), phase)
+        self._refused("step_hat_gap", phase)
 
     def test_step_hat_gaps(self, phase):
-        p = with_mask_product(0.1)
-        self._refused(lambda: step_hat_gaps(p, (0.3, phase)), phase)
+        self._refused("step_hat_gaps", phase)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("taker", list(_PHASE_TAKERS))
+def test_largest_phase_taken(taker):
+    for phase in (LARGEST_PHASE, -LARGEST_PHASE):
+        _PHASE_TAKERS[taker](phase)
 
 
 class TestValueTypes:

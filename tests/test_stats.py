@@ -24,13 +24,16 @@ from cvphase import (
     generator_moments,
     heisenberg_audit,
     mask_efficiency,
+    model,
     prob_x0,
     prob_x0s,
     stats,
 )
 from erf_oracle import erf_series
 from factorized_oracle import prob_x0_factorized
-from helpers import BIG_P, DELTA, canonical, saturated
+from helpers import (
+    BIG_P, DELTA, LARGEST_PHASE, canonical, phase_refusal, refused_phases, saturated,
+)
 
 # frozen from the 60-digit series oracle (tests/erf_oracle.py)
 E_CANON = 0.9999558194939929          # erf(3)^2
@@ -71,6 +74,21 @@ class TestProbX0:
         snug = cvphase.ProcedureParams(x0=0.0, delta=1.0, big_t=4.0, big_p=1.5)
         with pytest.raises(RegimeError):
             prob_x0(snug, 0.0, 0.3)
+
+    def test_mask_efficiency_enforces_containment(self):
+        # containment ratio sqrt(2): E was returned where the other closed
+        # forms of the same parameters refuse
+        snug = ProcedureParams(0.0, DELTA, 1.0, 3.0 * DELTA)
+        assert snug.containment_ratio < model.CONTAINMENT_RATIO
+        for closed_form in (
+            mask_efficiency,
+            lambda p: dj_statistics(p, 0.0),
+            lambda p: prob_x0s(p, (0.0,), (0.3,)),
+        ):
+            with pytest.raises(RegimeError, match="^containment ratio 1.414 < 4.2"):
+                closed_form(snug)
+        with pytest.raises(ParameterError, match="^parameters must be a ProcedureParams"):
+            mask_efficiency((0.0, DELTA, 1.0, 3.0 * DELTA))
 
     @given(
         r=st.floats(0.0, BIG_P),
@@ -412,21 +430,30 @@ _PHASE_TAKERS = {
 }
 
 
+_REFUSED_PHASES = refused_phases()
+
+
 class TestPhaseGate:
-    """Every closed form that takes a phase refuses one that is not a finite
-    real number (math.cos raised a bare ValueError at inf, and fisher_rs
-    returned 0.0 at NaN); nothing warns on the way."""
+    """Every closed form that takes a phase refuses one that is not a real
+    number with a finite double (math.cos raised a bare ValueError at inf
+    and at 1e308, and fisher_rs returned 0.0 at NaN); nothing warns on the
+    way."""
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "phase", [math.inf, -math.inf, math.nan, np.float64(math.nan)],
-        ids=["inf", "-inf", "nan", "numpy_nan"],
+        "phase", list(_REFUSED_PHASES.values()), ids=list(_REFUSED_PHASES)
     )
     @pytest.mark.parametrize("taker", list(_PHASE_TAKERS))
     def test_non_finite_phase_refused(self, taker, phase):
         with pytest.raises(ParameterError) as info:
             _PHASE_TAKERS[taker](canonical(), phase)
-        assert str(info.value) == f"phase must be finite, got {float(phase)!r}"
+        assert str(info.value) == phase_refusal(phase)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("taker", list(_PHASE_TAKERS))
+    def test_largest_phase_taken(self, taker):
+        for phase in (LARGEST_PHASE, -LARGEST_PHASE):
+            _PHASE_TAKERS[taker](canonical(), phase)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -490,21 +517,29 @@ class TestDeltaPhi:
 
 class TestAuditClosedForms:
     def test_one_threshold_record_per_audit(self, monkeypatch):
-        # everything phase-free comes from one record, however many phases
-        calls = []
-        original = stats._threshold
+        # everything phase-free comes from one record, behind one gate,
+        # however many phases; each record's threshold passes _inside once
+        records, gates = [], []
+        inside, gate = stats._inside, stats.require_containment
 
-        def counted(p, r):
-            calls.append(r)
-            return original(p, r)
+        def counted_record(r, half, what):
+            records.append(r)
+            return inside(r, half, what)
 
-        monkeypatch.setattr(stats, "_threshold", counted)
+        def counted_gate(p):
+            gates.append(p)
+            return gate(p)
+
+        monkeypatch.setattr(stats, "_inside", counted_record)
+        monkeypatch.setattr(stats, "require_containment", counted_gate)
         for count in (1, 15, 200):
-            calls.clear()
+            records.clear()
+            gates.clear()
             phis = tuple(k * math.pi / (2 * count + 2) for k in range(1, count + 1))
             table = heisenberg_audit(canonical(), 0.0, phis)
             assert {len(column) for column in table.values()} == {count}
-            assert calls == [0.0], count
+            assert records == [0.0], count
+            assert gates == [canonical()], count
 
     def test_checks_run_even_without_phases(self):
         table = heisenberg_audit(canonical(), 0.3, ())
