@@ -46,6 +46,7 @@ from .errors import CvPhaseError, GridLayoutError, ParameterError
 from .model import (
     PiecewiseBinaryFunction,
     ProcedureParams,
+    _phases,
     _require_pow2,
     aligned_half_width,
     require_scale,
@@ -103,6 +104,10 @@ def _phase_axis(count: int) -> tuple[float, ...]:
 def _fig4_thresholds(big_p: float) -> tuple[float, ...]:
     return (0.0, big_p / 8.0, big_p / 4.0, big_p / 2.0, big_p)
 
+
+# audit's 15 interior points of (0, pi/2), clear of the propagation
+# singularities at multiples of pi/2
+_AUDIT_PHASES = tuple(k * math.pi / 32.0 for k in range(1, 16))
 
 _FIG5_PHASES = (
     math.pi / 2.0,
@@ -255,6 +260,7 @@ def cmd_fisher_phi_sweep(
         table["delta_phi"] = [math.nan if d is None else d for d in table["delta_phi"]]
     if want_grid:
         masks = [PiecewiseBinaryFunction.step(r, p.big_p) for r in r_values]
+        _phases(phi_values)  # before the grid is built
         response = grid.phase_response(p, grid_n)
         table["fisher_grid"] = fisher_grid = response.fishers(masks, phi_values)
     if engine == "all":
@@ -426,7 +432,8 @@ def _run_engine_command(args: argparse.Namespace) -> int:
 
 def _run_audit(args: argparse.Namespace) -> int:
     p = _resolve_params(args)
-    _emit(heisenberg_audit(p, args.r, args.phi), args.format, args.out)
+    phi_values = args.phi if args.phi is not None else _AUDIT_PHASES
+    _emit(heisenberg_audit(p, args.r, phi_values), args.format, args.out)
     return 0
 
 

@@ -13,7 +13,8 @@ class RegimeError(CvPhaseError):
     """The closed-form approximations are not trustworthy for these parameters.
 
     Raised when the envelope width is not well contained in the position
-    domain, i.e. (T - |x0|) / delta falls below the containment threshold.
+    domain, i.e. (T - |x0|) / delta falls below the containment threshold,
+    and by the step-hat gap series when P*delta > 1/2.
     """
 
 

@@ -138,9 +138,10 @@ from .model import (
     MeasurementDistribution,
     PiecewiseBinaryFunction,
     ProcedureParams,
+    _MAX_POINTS,
     _Checked,
     _integer,
-    _iterable,
+    _masks,
     _phase,
     _phases,
     _probabilities,
@@ -148,7 +149,6 @@ from .model import (
     _require_pow2,
     _require_type,
     require_containment,
-    require_mask_domain,
 )
 
 POSITION = "position"
@@ -457,7 +457,7 @@ def run_circuit(
 ) -> MeasurementDistribution:
     """prepare -> transform -> mask -> inverse transform -> detect."""
     phi = _phase(phi)
-    require_mask_domain(p, f)
+    _masks(p, (f,))
     state = prepare_gaussian(p, n)
     state = fourier(state)
     state = apply_blackbox(state, f, phi)
@@ -546,12 +546,10 @@ class PhaseResponse(namedtuple(
         A1 sums the prefix sums' differences over f's runs of ones, and A0
         is the rest of the total n*mean_weight.
         """
-        if isinstance(masks, PiecewiseBinaryFunction):  # itself a tuple
-            raise ParameterError("masks must be an iterable of masks, got one mask")
-        runs = []
-        for f in _iterable(masks, "the masks"):
-            require_mask_domain(self.params, f)
-            runs.append(_runs_of_ones(self.n, self.grid_start, self.grid_step, f))
+        runs = [
+            _runs_of_ones(self.n, self.grid_start, self.grid_step, f)
+            for f in _masks(self.params, masks)
+        ]
         cuts = sorted({k for edges in runs for k in edges})
         at = dict(zip(cuts, range(len(cuts))))
         sums = self._prefix_sums(cuts)
@@ -646,15 +644,16 @@ def two_register_kickback_check(
     The target is the discretized plane wave exp(i*pi*y) on a periodic grid
     over [0, 4): period-2 wave, two full periods, so wrap-around is seamless.
     A unit shift y -> y + 1 must be an integer number of cells, which needs
-    n_target divisible by 4.  Applying the shift f(x) times and overlapping
-    with the unshifted target yields exp(-i*pi*f(x)) exactly, up to
-    rounding; the metrics quantify any deviation.
+    n_target divisible by 4; like a grid size, it is at most _MAX_POINTS,
+    checked before any array is built.  Applying the shift f(x) times and
+    overlapping with the unshifted target yields exp(-i*pi*f(x)) exactly,
+    up to rounding; the metrics quantify any deviation.
     """
     n_target = _integer(n_target, "n_target")
-    if n_target < 8 or n_target % 4 != 0:
+    if not 8 <= n_target <= _MAX_POINTS or n_target % 4 != 0:
         raise GridLayoutError(
-            f"n_target must be a multiple of 4 (>= 8) so the unit shift is an "
-            f"integer number of cells, got {n_target}"
+            f"n_target must be a multiple of 4 in [8, {_MAX_POINTS}] so the unit "
+            f"shift is an integer number of cells, got {n_target}"
         )
     _require_type(f, PiecewiseBinaryFunction, "mask")
     fx = f(x_point)

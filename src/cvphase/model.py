@@ -20,7 +20,10 @@ parameter set or mask passes ``_require_type``.  Every phase that an engine
 takes, closed form, quadrature or grid, passes ``_phase`` (an axis
 ``_phases``), the one phase rule: a real number whose double, the mask's
 angle, is finite.  Every threshold, mask breakpoint and evaluation point
-passes ``_inside``: |v| <= H, no slack.
+passes ``_inside``: |v| <= H, no slack.  A mask's half-domain H passes
+``_half_domain`` (finite and > 0) before any edge is compared with it, and
+every mask an engine takes, quadrature or grid, passes ``_masks``, the one
+mask rule: an iterable of masks, never one mask, each with H == P exactly.
 """
 
 from __future__ import annotations
@@ -217,16 +220,6 @@ def require_containment(p: ProcedureParams) -> None:
         )
 
 
-def require_mask_domain(p: ProcedureParams, f: PiecewiseBinaryFunction) -> None:
-    """Raise unless the mask is defined on the conjugate domain [-P, P]."""
-    _require_type(p, ProcedureParams, "parameters")
-    _require_type(f, PiecewiseBinaryFunction, "mask")
-    if abs(f.half_domain - p.big_p) > _MASK_DOMAIN_TOL * max(1.0, p.big_p):
-        raise ParameterError(
-            f"mask domain half-width {f.half_domain} does not match big_p={p.big_p}"
-        )
-
-
 # grid sizes the simulator accepts; the default T needs N >= 512
 _MIN_POINTS = 256
 # largest grid: a circuit holds a few N-point complex arrays (256 MiB each at
@@ -268,8 +261,14 @@ def aligned_half_width(big_p: float, n: int, cells_per_eighth: int = 32) -> floa
     return 4.0 * math.pi * cells_per_eighth / big_p
 
 
-# how far a mask's half-domain may sit from P, relative to P (or to 1)
-_MASK_DOMAIN_TOL = 1e-9
+def _half_domain(value) -> float:
+    """value as a float, if it is a finite real number > 0: the one
+    half-domain check of a mask, made before any threshold or edge is
+    compared with it."""
+    hd = _require_finite("half_domain", value)
+    if not hd > 0.0:
+        raise ParameterError(f"half_domain must be positive, got {hd}")
+    return hd
 
 
 class PiecewiseBinaryFunction(
@@ -289,9 +288,7 @@ class PiecewiseBinaryFunction(
     def __new__(
         cls, breakpoints: tuple[float, ...], values: tuple[int, ...], half_domain: float
     ) -> PiecewiseBinaryFunction:
-        hd = _require_finite("half_domain", half_domain)
-        if hd <= 0.0:
-            raise ParameterError(f"half_domain must be positive, got {hd}")
+        hd = _half_domain(half_domain)
         bps = tuple(_real(b, "breakpoint") for b in _iterable(breakpoints, "breakpoints"))
         vals = tuple(_integer(v, "mask value") for v in _iterable(values, "values"))
         if len(vals) != len(bps) + 1:
@@ -311,7 +308,7 @@ class PiecewiseBinaryFunction(
     @classmethod
     def step(cls, r: float, half_domain: float) -> "PiecewiseBinaryFunction":
         """Threshold mask: 0 on [-H, r], 1 on (r, H]."""
-        hd = _require_finite("half_domain", half_domain)
+        hd = _half_domain(half_domain)
         r = _inside(r, hd, "step threshold r")
         if r == hd:
             return cls((), (0,), hd)  # constant 0
@@ -322,7 +319,7 @@ class PiecewiseBinaryFunction(
     @classmethod
     def hat(cls, r1: float, r2: float, half_domain: float) -> "PiecewiseBinaryFunction":
         """Window mask: 1 on (r1, r2], 0 elsewhere."""
-        hd = _require_finite("half_domain", half_domain)
+        hd = _half_domain(half_domain)
         r1 = _inside(r1, hd, "hat edge r1")
         r2 = _inside(r2, hd, "hat edge r2")
         if not r1 < r2:
@@ -349,6 +346,23 @@ class PiecewiseBinaryFunction(
         return tuple(
             (edges[i], edges[i + 1], self.values[i]) for i in range(len(self.values))
         )
+
+
+def _masks(p: ProcedureParams, masks) -> list[PiecewiseBinaryFunction]:
+    """The mask axis masks, any iterable of masks but never one mask (itself
+    a tuple), as a list: the one mask rule.  Every mask must lie on exactly
+    the conjugate domain of p, H == P with no rounding slack."""
+    _require_type(p, ProcedureParams, "parameters")
+    if isinstance(masks, PiecewiseBinaryFunction):
+        raise ParameterError("masks must be an iterable of masks, got one mask")
+    masks = list(_iterable(masks, "masks"))
+    for f in masks:
+        _require_type(f, PiecewiseBinaryFunction, "mask")
+        if f.half_domain != p.big_p:
+            raise ParameterError(
+                f"mask domain half-width {f.half_domain} does not match big_p={p.big_p}"
+            )
+    return masks
 
 
 class MeasurementDistribution(_Checked, namedtuple("MeasurementDistribution", "p_x0")):

@@ -53,13 +53,12 @@ from .errors import QuadratureToleranceError, RegimeError
 from .model import (
     PiecewiseBinaryFunction,
     ProcedureParams,
-    _iterable,
+    _masks,
     _phase,
     _phases,
     _probabilities,
     _require_type,
     require_containment,
-    require_mask_domain,
 )
 
 # qk21 (QUADPACK dqk21): the non-negative 21-point Kronrod abscissae on
@@ -275,9 +274,7 @@ def quadrature_responses(
     piece may use up to _MAX_PANELS panels.
     """
     require_containment(p)  # also when there are no masks
-    masks = list(_iterable(masks, "masks"))
-    for f in masks:
-        require_mask_domain(p, f)
+    masks = _masks(p, masks)
     d = p.delta
     cuts = sorted({
         0.0, *(abs(edge) for f in masks for edge in (f.half_domain, *f.breakpoints))
@@ -371,14 +368,15 @@ def step_hat_gap(p: ProcedureParams, phi: float) -> StepHatGap:
 
 
 def step_hat_gaps(p: ProcedureParams, phis: tuple[float, ...]) -> dict[str, list]:
-    """``step_hat_gap`` at each phase in phis, from one sweep over both
-    masks, as one list per StepHatGap field keyed by its name, in field
-    order, with a cell per phase.
+    """``step_hat_gap`` at each phase in phis, as one list per StepHatGap
+    field keyed by its name, in field order, with a cell per phase.
 
-    The gap is taken from the sweep's pieces a and b (see ``StepHatGap``);
-    both masks' probabilities are still read, so each raises and is checked
-    as ``QuadratureSweep.p_x0s`` would.  Requires P*delta <= 1/2 (see
-    ``step_hat_gap``).
+    One mask is swept, the hat: its pieces are a and b (see ``StepHatGap``),
+    and its probabilities are read, so it raises and is checked as
+    ``QuadratureSweep.p_x0s`` would.  The step at 0 adds no cut, has the
+    same error sum and a modulus never larger, |I0 + exp(2i*phi)*I1|^2
+    being 4*(a - b)^2*sin(phi)^2 smaller, so the hat's checks imply the
+    step's.  Requires P*delta <= 1/2 (see ``step_hat_gap``).
     """
     _require_type(p, ProcedureParams, "parameters")
     s = p.mask_product
@@ -388,17 +386,12 @@ def step_hat_gaps(p: ProcedureParams, phis: tuple[float, ...]) -> dict[str, list
             "prediction does not control larger mask products"
         )
     phis = _phases(phis)
-    big_p = p.big_p
-    masks = (
-        PiecewiseBinaryFunction.step(0.0, big_p),
-        PiecewiseBinaryFunction.hat(-big_p / 2.0, big_p / 2.0, big_p),
-    )
-    sweep = quadrature_responses(p, masks)
-    _read(sweep, phis)  # both probability columns, read and checked
+    half = p.big_p / 2.0
+    (hat,) = quadrature_responses(p, (PiecewiseBinaryFunction.hat(-half, half, p.big_p),))
+    _read((hat,), phis)  # the probability column, read and checked
     # the hat's segments [-P, -P/2], (-P/2, P/2] and (P/2, P] integrate to
     # b, 2a and b, with a and b the pieces [0, P/2] and [P/2, P], so its
     # I1 is 2a and its I0 is b + b = 2b exactly
-    hat = sweep[1]
     a_minus_b = 0.5 * hat.i1 - 0.5 * hat.i0
     scale = (8.0 * p.delta * p.delta / math.pi) * a_minus_b * a_minus_b
     factors = [2.0 * math.sin(phi) ** 2 for phi in phis]  # 1 - cos(2*phi)

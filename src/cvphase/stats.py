@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 from .errors import SingularityError
 from .model import (
@@ -272,7 +272,7 @@ def dj_statistics(p: ProcedureParams, r: float) -> MeasurementDistribution:
 
 
 def heisenberg_audit(
-    p: ProcedureParams, r: float, phis: Sequence[float] | None = None
+    p: ProcedureParams, r: float, phis: Iterable[float]
 ) -> dict[str, list]:
     """Tabulate the Fisher information against its generator bounds over phi.
 
@@ -286,11 +286,8 @@ def heisenberg_audit(
     as a cap.  dphi_sqrt_fisher multiplies the phase-propagation error of the
     threshold-at-zero reference procedure by sqrt(F) of the procedure under
     audit, and is NaN where that error is undefined (see delta_phi); a row
-    is flagged optimal when the product is 1 within 1e-3.  The default grid
-    leaves out the propagation singularities at multiples of pi/2.
+    is flagged optimal when the product is 1 within 1e-3.
     """
-    if phis is None:
-        phis = tuple(k * math.pi / 32.0 for k in range(1, 16))
     ((r, a, b, E, mean, _),), phis, trig = _sweep(p, (r,), phis)
     fishers = [_fisher(a, b, c, s)[0] for c, s in trig]
     products = [

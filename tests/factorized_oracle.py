@@ -11,18 +11,13 @@ domain, the phase), so tests can also hold it to their refusals.
 
 import math
 
-from cvphase.model import (
-    MeasurementDistribution,
-    _phase,
-    require_containment,
-    require_mask_domain,
-)
+from cvphase.model import MeasurementDistribution, _masks, _phase, require_containment
 
 
 def prob_x0_factorized(p, f, phi) -> MeasurementDistribution:
     """Detection probability of the mask f at phase phi, by exact segment sums."""
     require_containment(p)
-    require_mask_domain(p, f)
+    _masks(p, (f,))
     phi = _phase(phi)
     d = p.delta
     acc = 0.0 + 0.0j

@@ -23,7 +23,7 @@ from cvphase import (
     ParameterError, PiecewiseBinaryFunction, ProcedureParams, cli, experiments,
     grid, model, phase_response, quadrature, stats,
 )
-from helpers import BIG_P, DELTA, canonical, cell_csv, reference_csv
+from helpers import BIG_P, DELTA, canonical, cell_csv, phase_refusal, reference_csv
 
 PI = math.pi
 
@@ -195,6 +195,22 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["nan", "1e308"])
+    def test_grid_engine_checks_the_phase_axis_before_building_the_grid(
+        self, capsys, monkeypatch, value
+    ):
+        def refused(*args):
+            raise AssertionError("built the grid before checking the phase axis")
+
+        monkeypatch.setattr(grid, "phase_response", refused)
+        code, out, err = run_cli(
+            ["fisher-phi", "--engine", "grid", "--phi", value, "--grid-n", "1048576",
+             "--big-t", "3.5"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {phase_refusal(float(value))}\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -556,8 +572,8 @@ class TestGridEngine:
             # -P/4 folds onto P/4: cuts 0, P/8, P/4, P
             (["crosscheck", f"--r={-BIG_P / 4!r},{BIG_P / 8!r}", "--phi", "0:1.5:5"],
              2, 3),
-            # the step at 0 and the window (-P/2, P/2]: cuts 0, P/2, P
-            (["gap"], 2, 2),
+            # the window (-P/2, P/2] alone: cuts 0, P/2, P
+            (["gap"], 1, 2),
         ],
         ids=["crosscheck", "crosscheck-2^18", "crosscheck-negative", "gap"],
     )

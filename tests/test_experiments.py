@@ -541,9 +541,13 @@ class TestReplicatedMse:
             replicated_mse(canonical(), 0.0, 2.0, 5, 5, 1)
 
 
+# the audit command's default axis: 15 interior points of (0, pi/2)
+AUDIT_PHASES = tuple(k * math.pi / 32.0 for k in range(1, 16))
+
+
 class TestHeisenbergAudit:
     def test_balanced_step_is_optimal_everywhere(self):
-        table = heisenberg_audit(canonical(), 0.0)
+        table = heisenberg_audit(canonical(), 0.0, AUDIT_PHASES)
         assert len(table["phi"]) == 15
         assert all(optimal is True for optimal in table["optimal"])
         for product in table["dphi_sqrt_fisher"]:
@@ -556,7 +560,7 @@ class TestHeisenbergAudit:
 
         p = canonical()
         mom = generator_moments(p, 0.0)
-        table = heisenberg_audit(p, 0.0)
+        table = heisenberg_audit(p, 0.0, AUDIT_PHASES)
         # one value per threshold, repeated on every phase's row
         (variance_bound,) = set(table["variance_bound"])
         (mean_bound_f,) = set(table["mean_bound_generator_f"])
@@ -567,12 +571,12 @@ class TestHeisenbergAudit:
         assert mean_bound_2f == pytest.approx(16.0 * mom.mean**2, rel=1e-13)
 
     def test_constant_mask_never_optimal(self):
-        table = heisenberg_audit(canonical(), BIG_P)
+        table = heisenberg_audit(canonical(), BIG_P, AUDIT_PHASES)
         assert not any(table["optimal"])
         assert all(fisher == 0.0 for fisher in table["fisher"])
 
     def test_singular_phase_rows_are_flagged_not_optimal(self):
-        table = heisenberg_audit(canonical(), 0.0, phis=(math.pi / 4, math.pi / 2))
+        table = heisenberg_audit(canonical(), 0.0, (math.pi / 4, math.pi / 2))
         fine, singular = table["optimal"]
         assert fine is True
         assert singular is False

@@ -979,6 +979,19 @@ class TestKickback:
         with pytest.raises(GridLayoutError):
             two_register_kickback_check(0.5, f, 4)
 
+    @pytest.mark.parametrize("n_target", [2**24 + 4, 2**70])
+    def test_target_size_capped_before_any_allocation(self, n_target, monkeypatch):
+        # uncapped, 2**70 reaches numpy's bare ValueError "Maximum allowed
+        # size exceeded", and 2**36 asks it for a 1 TiB array
+        f = PiecewiseBinaryFunction.step(0.0, BIG_P)
+        monkeypatch.setattr(grid, "np", None)  # any array built fails otherwise
+        with pytest.raises(GridLayoutError) as info:
+            two_register_kickback_check(0.5, f, n_target)
+        assert str(info.value) == (
+            f"n_target must be a multiple of 4 in [8, {2**24}] so the unit shift "
+            f"is an integer number of cells, got {n_target}"
+        )
+
     @pytest.mark.parametrize("n_target", [8.9, 64.0, "64"])
     def test_non_integer_target_size_refused(self, n_target):
         # int() truncated 8.9 to an 8-cell target

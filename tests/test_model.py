@@ -16,11 +16,13 @@ from cvphase import (
     PiecewiseBinaryFunction,
     ProcedureParams,
     RegimeError,
+    phase_response,
     prob_x0_quadrature,
+    quadrature_responses,
     require_containment,
     run_circuit,
 )
-from cvphase.model import _probabilities, require_mask_domain
+from cvphase.model import _masks, _probabilities
 from erf_oracle import erf_f
 from factorized_oracle import prob_x0_factorized
 from helpers import BIG_P, canonical
@@ -70,18 +72,22 @@ class TestProcedureParams:
         require_containment(ok)
 
     def test_mask_domain_gate_shared_by_the_engines(self):
+        # a mask lies on exactly [-P, P]: no rounding slack
         p = canonical()
-        require_mask_domain(p, PiecewiseBinaryFunction.step(0.0, BIG_P * (1 + 1e-12)))
-        wide = PiecewiseBinaryFunction.step(0.0, 2.0 * BIG_P)
-        with pytest.raises(ParameterError, match="does not match big_p"):
-            require_mask_domain(p, wide)
-        for engine in (
-            lambda: prob_x0_factorized(p, wide, 0.3),
-            lambda: prob_x0_quadrature(p, wide, 0.3),
-            lambda: run_circuit(p, wide, 0.3, 256),
-        ):
-            with pytest.raises(ParameterError, match="does not match big_p"):
-                engine()
+        for half in (BIG_P * (1 + 1e-12), math.nextafter(BIG_P, 0.0), 2.0 * BIG_P):
+            off = PiecewiseBinaryFunction.step(0.0, half)
+            with pytest.raises(ParameterError, match="does not match big_p") as gate:
+                _masks(p, (off,))
+            for engine in (
+                lambda: prob_x0_factorized(p, off, 0.3),
+                lambda: prob_x0_quadrature(p, off, 0.3),
+                lambda: run_circuit(p, off, 0.3, 256),
+            ):
+                with pytest.raises(ParameterError) as info:
+                    engine()
+                assert str(info.value) == str(gate.value)
+        on = PiecewiseBinaryFunction.step(0.0, BIG_P)
+        assert _masks(p, iter((on, on))) == [on, on]
 
 
 class TestPiecewiseBinaryFunction:
@@ -207,6 +213,95 @@ class TestMaskDomain:
         with pytest.raises(ParameterError) as info:
             build(half, past)
         assert str(info.value) == f"{what} {past!r} outside [-{half!r}, {half!r}]"
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda h: PiecewiseBinaryFunction((0.3,), (0, 1), h),
+            lambda h: PiecewiseBinaryFunction.step(0.3, h),
+            lambda h: PiecewiseBinaryFunction.hat(-0.5, 0.5, h),
+            # the edge 5e-324 lies outside [-0.0, 0.0] too, but H is checked first
+            lambda h: PiecewiseBinaryFunction.step(5e-324, h),
+        ],
+        ids=["new", "step", "hat", "step-tiny"],
+    )
+    @pytest.mark.parametrize(
+        "half, message",
+        [
+            (0.0, "half_domain must be positive, got 0.0"),
+            (-1.0, "half_domain must be positive, got -1.0"),
+            (math.nan, "half_domain must be finite, got nan"),
+            (math.inf, "half_domain must be finite, got inf"),
+        ],
+    )
+    def test_half_domain_checked_before_any_edge(self, build, half, message):
+        with pytest.raises(ParameterError) as info:
+            build(half)
+        assert str(info.value) == message
+
+
+def _off_p() -> PiecewiseBinaryFunction:
+    """The step at 0 on [-P', P'], P' one ulp past the canonical P."""
+    return PiecewiseBinaryFunction.step(0.0, math.nextafter(BIG_P, math.inf))
+
+
+class TestMaskRule:
+    """Every engine takes its masks through ``model._masks``: an iterable of
+    masks, never one mask, each on exactly [-P, P]; one message per refusal."""
+
+    @pytest.mark.parametrize(
+        "engine",
+        [
+            lambda p, masks: quadrature_responses(p, masks),
+            lambda p, masks: phase_response(p, 512).p_x0s(masks, (0.3,)),
+            lambda p, masks: phase_response(p, 512).fishers(masks, (0.3,)),
+        ],
+        ids=["quadrature_responses", "p_x0s", "fishers"],
+    )
+    @pytest.mark.parametrize(
+        "masks, message",
+        [
+            (PiecewiseBinaryFunction.step(0.3, BIG_P),
+             "masks must be an iterable of masks, got one mask"),
+            (3, "masks must be iterable, got 3"),
+            ([3], "mask must be a PiecewiseBinaryFunction, got 3"),
+            ([_off_p()],
+             f"mask domain half-width {math.nextafter(BIG_P, math.inf)} "
+             f"does not match big_p={BIG_P}"),
+        ],
+        ids=["lone_mask", "non_iterable", "non_mask", "one_ulp_off"],
+    )
+    def test_every_mask_axis_refused_with_one_message(self, engine, masks, message):
+        p = canonical(512)
+        with pytest.raises(ParameterError) as gate:
+            _masks(p, masks)
+        assert str(gate.value) == message
+        with pytest.raises(ParameterError) as info:
+            engine(p, masks)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "engine",
+        [
+            lambda p, f: phase_response(p, 512).split(f),
+            lambda p, f: prob_x0_quadrature(p, f, 0.3),
+            lambda p, f: run_circuit(p, f, 0.3, 512),
+            lambda p, f: prob_x0_factorized(p, f, 0.3),
+        ],
+        ids=["split", "prob_x0_quadrature", "run_circuit", "factorized_oracle"],
+    )
+    @pytest.mark.parametrize(
+        "f",
+        [(PiecewiseBinaryFunction.step(0.3, BIG_P),) * 2, 3, _off_p()],
+        ids=["mask_axis", "non_mask", "one_ulp_off"],
+    )
+    def test_every_one_mask_engine_refused_as_its_axis(self, engine, f):
+        p = canonical(512)
+        with pytest.raises(ParameterError) as gate:
+            _masks(p, (f,))
+        with pytest.raises(ParameterError) as info:
+            engine(p, f)
+        assert str(info.value) == str(gate.value)
 
 
 class TestMeasurementDistribution:

@@ -16,7 +16,6 @@ from cvphase import (
     QuadratureToleranceError,
     RegimeError,
     StepHatGap,
-    model,
     prob_x0,
     prob_x0_quadrature,
     quadrature,
@@ -251,8 +250,7 @@ class TestProbQuadrature:
 
 def _sweep_masks(rng: np.random.Generator, big_p: float) -> list[PiecewiseBinaryFunction]:
     """One to six masks on [-P, P]: random breakpoints, steps, windows,
-    constants, breakpoints at +-P and at -0.0, and a half-domain off P
-    within the tolerance a mask may have."""
+    constants, breakpoints at +-P and at -0.0, and a window from -0.0."""
     masks = []
     for _ in range(int(rng.integers(1, 7))):
         kind = int(rng.integers(0, 6))
@@ -271,8 +269,7 @@ def _sweep_masks(rng: np.random.Generator, big_p: float) -> list[PiecewiseBinary
         elif kind == 4:
             masks.append(PiecewiseBinaryFunction((-big_p, -0.0, big_p), (1, 0, 1, 0), big_p))
         else:
-            half = big_p * (1.0 + float(rng.uniform(-0.9, 0.9)) * model._MASK_DOMAIN_TOL)
-            masks.append(PiecewiseBinaryFunction((-0.0, 0.5 * half), (0, 1, 0), half))
+            masks.append(PiecewiseBinaryFunction((-0.0, 0.5 * big_p), (0, 1, 0), big_p))
     return masks
 
 
