@@ -20,7 +20,6 @@ import sys
 
 from . import cli, stats
 from .cli import (
-    _csv_spec,
     _emit,
     _fig4_thresholds,
     _phase_axis,
@@ -145,20 +144,25 @@ def _run_estimate(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit(cmd_estimate(*run), "json", args.out)
         return 0
-    # _emit's CSV as one join: each distinct hit count's line tail is spelled
-    # once, and the replica numbers "0,", "1,", ... are concatenated from
-    # their leading digits and a last-digit table, never formatted one by one
+    # _emit's CSV as one join of three pieces per replica line: the replica
+    # number's leading digits, its last digit and comma, and the line tail.
+    # n_shots and crb are spelled into the tail template once per run, and
+    # each distinct hit count's tail once, so no replica is formatted alone
     s = cli.experiments.replicated_mse(*run)
     tails, mean = _estimate_tails(s)
-    template = ",".join(map(_csv_spec, mean)) + "\n"
-    spelled = {k: template % cells for k, cells in tails.items()}
+    template = "%%.17g,%d,%%.17g,%s,%%.17g\n" % (s.shots, "%.17g" % s.crb)
+    # the cells that vary by count: phi_hat, empirical_mse and mse_over_crb
+    spelled = {k: template % cells[::2] for k, cells in tails.items()}
     n = s.replicas
     tens = ["", *map(str, range(1, (n - 1) // 10 + 1))]
-    lines = [None] * (2 * n)
-    lines[::2] = [t + u for t in tens for u in _UNITS][:n]
-    lines[1::2] = map(spelled.__getitem__, s.hits)
+    pieces = [None] * (3 * n)
+    for u, unit in enumerate(_UNITS):
+        m = len(range(u, n, 10))
+        pieces[3 * u::30] = tens[:m]
+        pieces[3 * u + 1::30] = (unit,) * m
+    pieces[2::3] = map(spelled.__getitem__, s.hits)
     head = ",".join(_ESTIMATE_COLUMNS) + "\n"
-    _write("".join([head, *lines, "-1,", template % mean]), args.out)
+    _write("".join([head, *pieces, "-1,", template % mean[::2]]), args.out)
     return 0
 
 

@@ -1136,9 +1136,11 @@ class TestCsvFormat:
         ["estimate", "--shots", "1", "--replicas", "50", "--r", "2.0"],
         # an infinite bound: crb = inf, mse_over_crb = nan
         ["estimate", "--phi", "0", "--replicas", "5"],
-        # the replica numbers on each side of a new digit, up to the cap
+        # the replica numbers on each side of a new digit, up to the cap, and
+        # counts that leave some last digits a short share of the lines
         *(["estimate", "--replicas", str(n)]
-          for n in (1, 9, 10, 11, 99, 100, 101, 1000, 1001, 100000)),
+          for n in (1, 2, 9, 10, 11, 19, 20, 21, 99, 100, 101, 1000, 1001,
+                    1999, 100000)),
         ["crosscheck"], ["audit"], ["gap"],
         # equal zeros of both signs in one column
         ["crosscheck", "--r", "0,-0.0", "--phi", "0,-0.0"],
