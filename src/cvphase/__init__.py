@@ -3,7 +3,7 @@ Gaussian states and binary spectral masks.
 
 Three independent engines compute the same detection probability: closed
 forms (``stats``), adaptive quadrature over the factorized integral
-(``quadrature``), and a circuit-level grid simulator (``grid``).  On top sit
+(``quadrature``), and the grid circuit split at its mask (``grid``).  On top sit
 seeded Monte-Carlo hit counts (``experiments``) and a table-emitting CLI
 (``cli``, installed as the ``cvphase`` script).
 
@@ -25,12 +25,7 @@ _SUBMODULE = {
             "UnidentifiableFunctionError",
         )),
         ("experiments", ("ReplicationSummary", "replicated_mse", "sample_outcomes")),
-        ("grid", (
-            "MOMENTUM", "POSITION", "GridState", "KickbackCheck",
-            "PhaseResponse", "apply_blackbox", "fourier", "inverse_fourier",
-            "measure_povm", "phase_response", "prepare_gaussian", "run_circuit",
-            "two_register_kickback_check",
-        )),
+        ("grid", ("PhaseResponse", "phase_response")),
         ("model", (
             "CONTAINMENT_RATIO", "MeasurementDistribution",
             "PiecewiseBinaryFunction", "ProcedureParams", "aligned_half_width",

@@ -548,15 +548,6 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     return args
 
 
-def __getattr__(name: str):
-    # the engine commands' functions stay importable from here (PEP 562)
-    if name in ("cmd_dj", "cmd_estimate", "cmd_crosscheck"):
-        from . import _engine_commands
-
-        return getattr(_engine_commands, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]

@@ -1,4 +1,5 @@
-"""Direct grid simulation of the prepare / transform / mask / detect circuit.
+"""The prepare / transform / mask / detect circuit on a grid, evaluated
+through its phase-linear split at the mask.
 
 The continuum transform pair uses the kernel exp(2ixy) (units hbar = 1/2).
 On N position samples x_j = -T + j*dx with dx = 2T/N, the matching conjugate
@@ -9,14 +10,12 @@ spacing is dy = pi/(N*dx) = pi/(2T), and the matrix
 is exactly unitary for any constant offset of the y grid, because
 2*dx*dy = 2*pi/N turns the double sum into a discrete Fourier kernel.
 
-States here store wavefunction samples normalized so that
+The circuit's states are wavefunction samples normalized so that
 sum |a_j|^2 * step = 1 in whichever space they live.  U is the unitary
-representative of the transform between the sqrt(step)-scaled vectors:
-``fourier`` applies b = (dx/sqrt(pi)) * K a (K the bare kernel sum), which
-equals diag(1/sqrt(dy)) U diag(sqrt(dx)) a, so the step-weighted norm is
-preserved exactly and the round trip is the exact identity.  Both maps run
-in O(N log N) as an FFT with pre/post phase ramps (exact on a position grid
-centred on 0; see the phase-linear split below).
+representative of the transform F between the sqrt(step)-scaled vectors:
+F applies b = (dx/sqrt(pi)) * K a (K the bare kernel sum), which equals
+diag(1/sqrt(dy)) U diag(sqrt(dx)) a, so the step-weighted norm is
+preserved exactly and the round trip is the exact identity.
 
 Conjugate-grid layout.  Samples sit at half-integer multiples of dy,
 
@@ -43,7 +42,7 @@ as 0.  Probabilities therefore differ from the closed forms by up to about
 1 - erf(2*P*delta)^2 even on a converged grid.
 
 Phase-linear split.  Because the transform is exactly unitary, the detected
-overlap <W, F^-1 M_phi F G> of ``run_circuit`` equals <F W, M_phi F G> on
+overlap <W, F^-1 M_phi F G> of the circuit equals <F W, M_phi F G> on
 the conjugate grid (Parseval), where G is the prepared state, W the
 normalized detection window and M_phi the diagonal mask exp(-2i*phi*f(y_k)).
 The phase enters only through M_phi and f is binary, so with the cell
@@ -56,33 +55,32 @@ costs a few scalar operations (``PhaseResponse.p_x0s`` and
 ``PhaseResponse.fishers`` give the probability and Fisher information of a
 threshold axis of masks over a phase axis as one r-major column, taking
 each phase's exp(-2i*phi) or cos(phi)^2 once per sweep), and every mask a
-few sums over its runs of cells.  ``run_circuit`` stays the
-stage-by-stage reference, and both routes share their rules: one
-``_runs_of_ones`` places the mask's runs of cells where f = 1, which
-``apply_blackbox`` multiplies by exp(-2i*phi) and ``PhaseResponse.split``
-sums as A1, and one ``_gaussian`` evaluates and normalizes the prepared
-state and the detection window.  They differ only in how they sum cells,
-by rounding (~1e-15 in the probability).
+few sums over its runs of cells.  This is the only route by which the
+package evaluates the circuit.  The stage-by-stage circuit, which builds
+the N-point states and runs each stage on them, is the test oracle
+``tests/circuit_oracle.py``.  It imports this module's rules, so both
+routes share them: one ``_runs_of_ones`` places the mask's runs of cells
+where f = 1, which the oracle's mask stage multiplies by exp(-2i*phi) and
+``PhaseResponse.split`` sums as A1, and one ``_gaussian`` evaluates and
+normalizes the prepared state and the detection window.  They differ only
+in how they sum cells, by rounding (~1e-15 in the probability).
 
 Detection projects back onto the prepared state, as the closed forms assume
 (W = G), so w_k = |(F G)_k|^2 * dy is real and non-negative.  With
-x_j = xs + j*dx, ``fourier`` is dx/sqrt(pi) times a unit-modulus post-ramp
+x_j = xs + j*dx, F is dx/sqrt(pi) times a unit-modulus post-ramp
 exp(2i*xs*y_k) times sum_j exp(2i*j*dx*y_k) * a_j, and the post-ramp drops
 out of |.|^2.  The layout identity 2*j*dx*y_k = pi*j*(2k + 1 - N)/N turns
 the sum into
 
     X(s) = sum_j a_j * exp(i*pi*j*s/N),   s = 2k + 1 - N,
 
-so w_k = C * |X(s)|^2 with C = (dx/sqrt(pi))^2 * dy.  ``fourier`` and
-``inverse_fourier`` evaluate the same sums as an FFT with exact ramps: the
-pre-ramp (-1)^j * exp(i*pi*j/N), whose argument never exceeds pi, and the
-post-ramp exp(2i*xs*y_k) = (-1)^k * i^(N-1) (xs = -N*dx/2).
+so w_k = C * |X(s)|^2 with C = (dx/sqrt(pi))^2 * dy.
 
 Support.  exp(-(x - x0)^2 / (2*delta^2)) underflows to exactly 0.0 once
 |x - x0| > 40*delta (exp(-800) = 0), so ``_support_gaussian`` evaluates only
 the L samples of ``_support`` and every other amplitude is an exact 0; the
-sweep reads that support array and never builds the N-point state that
-``prepare_gaussian`` returns for ``run_circuit``.
+sweep reads that support array and never builds an N-point state (the
+oracle's prepare stage places the same array in one).
 
 Lag-domain sums.  The a_j are real, so with the support's autocorrelation
 R(m) = sum_j a_j * a_{j+m} (m = 0..L-1),
@@ -135,24 +133,14 @@ import numpy as np
 
 from .errors import GridLayoutError, ParameterError
 from .model import (
-    MeasurementDistribution,
     PiecewiseBinaryFunction,
     ProcedureParams,
-    _MAX_POINTS,
-    _Checked,
-    _integer,
     _masks,
-    _phase,
     _phases,
     _probabilities,
-    _real,
     _require_pow2,
-    _require_type,
     require_containment,
 )
-
-POSITION = "position"
-MOMENTUM = "momentum"
 
 # half-width of the sampled support in units of delta: the Gaussian's exp
 # underflows to exactly 0.0 beyond it (exp(-40^2/2) = exp(-800) = 0)
@@ -163,51 +151,6 @@ _DOMAIN_SLACK = 1e-12
 # lag terms per block of prefix sums, unless two cuts need more: a block of
 # a full-support sweep holds two rows, as one mask's cuts did
 _LAG_BLOCK = 1 << 16
-
-
-class GridState(
-    _Checked, namedtuple("GridState", "amplitudes grid_start grid_step space")
-):
-    """Complex amplitudes on a uniform grid, tagged by which space they live in.
-
-    Normalization convention: sum |a_j|^2 * grid_step = 1.  Construction
-    makes the amplitudes a complex array and the start and step floats; a
-    bad array, space tag or grid raises GridLayoutError.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls, amplitudes: np.ndarray, grid_start: float, grid_step: float, space: str
-    ) -> GridState:
-        try:
-            amps = np.asarray(amplitudes, dtype=complex)
-        except (TypeError, ValueError) as exc:
-            raise GridLayoutError(f"amplitudes must be numbers: {exc}") from None
-        if amps.ndim != 1 or amps.size < 2:
-            raise GridLayoutError("amplitudes must be a 1-d array with at least 2 points")
-        if space not in (POSITION, MOMENTUM):
-            raise GridLayoutError(f"unknown space tag {space!r}")
-        start, step = _real(grid_start, "grid start"), _real(grid_step, "grid step")
-        if not (math.isfinite(start) and 0.0 < step < math.inf):
-            raise GridLayoutError(f"bad grid: start={start}, step={step}")
-        return tuple.__new__(cls, (amps, start, step, space))
-
-    @property
-    def n(self) -> int:
-        return self.amplitudes.size
-
-    @property
-    def points(self) -> np.ndarray:
-        return self.grid_start + self.grid_step * np.arange(self.n)
-
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2) * self.grid_step)
-
-
-def _require_space(s: GridState, space: str, what: str) -> None:
-    if not (isinstance(s, GridState) and s.space == space):
-        raise GridLayoutError(f"{what} expects a {space}-space state")
 
 
 def _index_range(n: int, start: float, step: float, half: float) -> tuple[int, int]:
@@ -255,18 +198,6 @@ def _support_gaussian(p: ProcedureParams, n: int) -> tuple[int, int, float, np.n
     return lo, hi, dx, _gaussian(x, dx, p, "prepared state")
 
 
-def prepare_gaussian(p: ProcedureParams, n: int) -> GridState:
-    """Sample the width-delta Gaussian at x0 on [-T, T) and renormalize.
-
-    Only the samples of ``_support`` are evaluated (``_support_gaussian``);
-    every other amplitude is the exact 0 that ``exp`` would give there.
-    """
-    lo, hi, dx, gauss = _support_gaussian(p, n)
-    amps = np.zeros(int(n), dtype=complex)
-    amps.real[lo:hi] = gauss
-    return GridState(amps, grid_start=-p.big_t, grid_step=dx, space=POSITION)
-
-
 def _conjugate_layout(n: int, dx: float) -> tuple[float, float]:
     dy = math.pi / (n * dx)
     y_start = (-n / 2 + 0.5) * dy
@@ -302,76 +233,6 @@ def _cell_edge_note(p: ProcedureParams, r_values: tuple[float, ...]) -> str:
             f"; domain edge P = {p.big_p!r} off a cell edge (P/dy = {p.big_p / dy:.2f})"
         )
     return f"conjugate cell dy = pi/(2T) = {dy:.6g}, {where}"
-
-
-# i^m for m = 0..3: exp(2i*xs*y_k) = (-1)^k * i^(n-1) on the centred layout
-_I_POWERS = (1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j)
-
-
-def _half_offset_ramp(n: int) -> np.ndarray:
-    """exp(2i*j*dx*ys) for j = 0..n-1, with ys the half-offset grid start.
-
-    2*j*dx*ys = -pi*j + pi*j/n, so the ramp is (-1)^j * exp(i*pi*j/n), whose
-    argument never exceeds pi.  2*j*dx*ys itself reaches ~pi*n, and its
-    rounding (~1e-12 rad at n = 4096) would carry into every transformed
-    amplitude.
-    """
-    angle = (math.pi / n) * np.arange(n)
-    ramp = np.empty(n, dtype=complex)
-    # cos and sin into the parts: the same values as exp(1j*angle), and faster
-    np.cos(angle, out=ramp.real)
-    np.sin(angle, out=ramp.imag)
-    ramp[1::2] *= -1.0
-    return ramp
-
-
-def fourier(s: GridState) -> GridState:
-    """Transform position samples to the half-offset conjugate grid.
-
-    b_k = (dx/sqrt(pi)) * exp(2i*xs*y_k) * sum_j exp(2pi i jk/N)
-          * [exp(2i*j*dx*ys) * a_j], evaluated with an inverse FFT.
-    The position grid must be centred on 0 (xs = -N*dx/2), which makes both
-    ramps exact: ``_half_offset_ramp`` before the FFT, (-1)^k * i^(N-1) after.
-    Preserves sum |a|^2 * step exactly (see module docstring).
-    """
-    _require_space(s, POSITION, "fourier")
-    n = s.n
-    dx = s.grid_step
-    if abs(s.grid_start + n * dx / 2.0) > 1e-9 * dx:
-        raise GridLayoutError("position grid is not centred on 0")
-    dy, ys = _conjugate_layout(n, dx)
-    # in place; numpy's FFT still takes twice the buffer (32*N bytes) as
-    # scratch, the largest allocation of the transform
-    buf = _half_offset_ramp(n)
-    buf *= s.amplitudes
-    np.fft.ifft(buf, out=buf)
-    buf *= _I_POWERS[(n - 1) % 4] * (n * dx / math.sqrt(math.pi))
-    buf[1::2] *= -1.0
-    return GridState(buf, grid_start=ys, grid_step=dy, space=MOMENTUM)
-
-
-def inverse_fourier(s: GridState) -> GridState:
-    """Inverse of ``fourier``: conjugate-grid state back to its position grid.
-
-    a_j = (dy/sqrt(pi)) * exp(-2i*j*dx*ys) * fft(exp(-2i*xs*y) * b)[j], with
-    the conjugates of the exact ramps of ``fourier``; the composition with
-    ``fourier`` is the exact identity.
-    """
-    _require_space(s, MOMENTUM, "inverse_fourier")
-    n = s.n
-    dy = s.grid_step
-    dx = math.pi / (n * dy)
-    ys = s.grid_start
-    if abs(ys - (-n / 2 + 0.5) * dy) > 1e-9 * dy:
-        raise GridLayoutError("momentum grid is not in the half-offset layout")
-    xs = -n * dx / 2.0
-    post = _I_POWERS[(n - 1) % 4].conjugate() * (dy / math.sqrt(math.pi))
-    buf = s.amplitudes * post
-    buf[1::2] *= -1.0
-    np.fft.fft(buf, out=buf)
-    ramp = _half_offset_ramp(n)
-    buf *= np.conj(ramp, out=ramp)
-    return GridState(buf, grid_start=xs, grid_step=dx, space=POSITION)
 
 
 def _require_cover(n: int, dy: float, half_domain: float) -> None:
@@ -422,49 +283,6 @@ def _runs_of_ones(
     return edges
 
 
-def apply_blackbox(s: GridState, f: PiecewiseBinaryFunction, phi: float) -> GridState:
-    """Multiply each conjugate amplitude by exp(-2i*phi*f(y_k)).
-
-    f acts only on [-P, P] (P = the mask's half-domain) and is extended by 0
-    outside, matching a mask that cannot touch amplitudes beyond its domain.
-    The grid must cover the mask domain.  A copy of the amplitudes takes the
-    one factor exp(-2i*phi) on each run of ``_runs_of_ones``.
-    """
-    _require_space(s, MOMENTUM, "apply_blackbox")
-    _require_type(f, PiecewiseBinaryFunction, "mask")
-    phi = _phase(phi)
-    edges = _runs_of_ones(s.n, s.grid_start, s.grid_step, f)
-    amps = s.amplitudes.copy()
-    factor = cmath.exp(-2j * phi)
-    for start, stop in zip(edges[::2], edges[1::2]):
-        amps[start:stop] *= factor
-    return GridState(amps, s.grid_start, s.grid_step, s.space)
-
-
-def measure_povm(s: GridState, p: ProcedureParams) -> MeasurementDistribution:
-    """Probability of the detection outcome: overlap with the normalized
-    width-delta Gaussian window at x0 (a rank-one projector), ``_gaussian``
-    on the state's own samples, the prepared state's rule."""
-    _require_space(s, POSITION, "measure_povm")
-    _require_type(p, ProcedureParams, "parameters")
-    window = _gaussian(s.points, s.grid_step, p, "detection window")
-    overlap = complex(np.sum(window * s.amplitudes) * s.grid_step)
-    return MeasurementDistribution(abs(overlap) ** 2)
-
-
-def run_circuit(
-    p: ProcedureParams, f: PiecewiseBinaryFunction, phi: float, n: int
-) -> MeasurementDistribution:
-    """prepare -> transform -> mask -> inverse transform -> detect."""
-    phi = _phase(phi)
-    _masks(p, (f,))
-    state = prepare_gaussian(p, n)
-    state = fourier(state)
-    state = apply_blackbox(state, f, phi)
-    state = inverse_fourier(state)
-    return measure_povm(state, p)
-
-
 def _fisher(a0: float, a1: float, cos_sq: float) -> float:
     """Fisher information in phi of the response to (A0, A1), exactly, at
     the phase with cos_sq = cos(phi)^2.
@@ -496,9 +314,9 @@ class PhaseResponse(namedtuple(
     docstring).
 
     For a mask f the detected amplitude at phase phi is A0 + exp(-2i*phi)*A1,
-    with (A0, A1) = ``split(f)``, and its squared modulus is the
-    ``run_circuit`` probability.  A0 and A1 are real and non-negative; A1
-    sums the runs of ``_runs_of_ones``, the cells ``apply_blackbox`` phases.
+    with (A0, A1) = ``split(f)``, and its squared modulus is the circuit's
+    detection probability.  A0 and A1 are real and non-negative; A1 sums
+    the runs of ``_runs_of_ones``, the cells where the mask takes the phase.
     ``p_x0s`` and ``fishers`` sweep a threshold axis of masks over a phase
     axis into one r-major column: the phase axis is checked once and each
     phase's trig taken once, and every mask's cuts share one prefix-sum pass.
@@ -600,9 +418,9 @@ def phase_response(p: ProcedureParams, n: int) -> PhaseResponse:
     autocorrelation R(m), m < L, from one rfft/irfft pair of the smallest
     power of two >= 2L - 1 points; the prefix sums of the cell weights then
     follow in closed form (see the module docstring) and agree with the
-    sums of |fourier(prepare_gaussian(p, n))|^2 * dy to rounding.  Nothing
-    it allocates grows with n beyond the support.
-    Makes the checks of ``run_circuit`` that need no mask, in its order
+    sums of |F G|^2 * dy over the N-point transformed state to rounding.
+    Nothing it allocates grows with n beyond the support.
+    Makes the circuit's checks that need no mask, in its order
     (containment, grid size, state support, a grid covering [-P, P]);
     ``PhaseResponse.split`` makes the rest.
     """
@@ -624,48 +442,3 @@ def phase_response(p: ProcedureParams, n: int) -> PhaseResponse:
     np.divide(autocorr[1:size], lag_weights, out=lag_weights)
     lag_weights *= scale
     return PhaseResponse(p, n, ys, dy, scale * float(autocorr[0]), lag_weights)
-
-
-class KickbackCheck(namedtuple("KickbackCheck", "phase_deviation magnitude_deviation")):
-    """Deviation metrics of the two-register shift circuit from ideal kickback.
-
-    phase_deviation: |arg(overlap) - (-pi * f(x))| wrapped to (-pi, pi]
-    magnitude_deviation: |1 - |overlap||
-    """
-
-    __slots__ = ()
-
-
-def two_register_kickback_check(
-    x_point: float, f: PiecewiseBinaryFunction, n_target: int
-) -> KickbackCheck:
-    """Check that shifting the plane-wave target by f(x) kicks back phase -pi*f(x).
-
-    The target is the discretized plane wave exp(i*pi*y) on a periodic grid
-    over [0, 4): period-2 wave, two full periods, so wrap-around is seamless.
-    A unit shift y -> y + 1 must be an integer number of cells, which needs
-    n_target divisible by 4; like a grid size, it is at most _MAX_POINTS,
-    checked before any array is built.  Applying the shift f(x) times and
-    overlapping with the unshifted target yields exp(-i*pi*f(x)) exactly,
-    up to rounding; the metrics quantify any deviation.
-    """
-    n_target = _integer(n_target, "n_target")
-    if not 8 <= n_target <= _MAX_POINTS or n_target % 4 != 0:
-        raise GridLayoutError(
-            f"n_target must be a multiple of 4 in [8, {_MAX_POINTS}] so the unit "
-            f"shift is an integer number of cells, got {n_target}"
-        )
-    _require_type(f, PiecewiseBinaryFunction, "mask")
-    fx = f(x_point)
-    du = 4.0 / n_target
-    cells_per_unit = n_target // 4
-    u = du * np.arange(n_target)
-    target = np.exp(1j * math.pi * u) / math.sqrt(n_target)
-    shifted = np.roll(target, cells_per_unit * fx)
-    overlap = complex(np.sum(np.conj(target) * shifted))
-    expected = -math.pi * fx
-    phase_dev = abs(math.remainder(cmath.phase(overlap) - expected, 2.0 * math.pi))
-    return KickbackCheck(
-        phase_deviation=phase_dev,
-        magnitude_deviation=abs(1.0 - abs(overlap)),
-    )

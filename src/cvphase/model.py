@@ -9,10 +9,10 @@ where f is a binary piecewise-constant function.
 Types here, like every value type of the package, are immutable values:
 named tuples, so they are iterable and compare equal to a plain tuple of the
 same fields.  Hard validity (finite values, positive scales within range,
-mask shapes; ``grid.GridState``'s layout too, through ``_Checked``) is
-checked once, when an object is built (``_replace`` included), so an invalid
-object cannot exist and the engines never re-check it; the engines that need
-the envelope contained in [-T, T] gate on ``require_containment``.  Counts,
+mask shapes, probabilities) is checked once, when an object is built
+(``_replace`` included), so an invalid object cannot exist and the engines
+never re-check it; the engines that need the envelope contained in [-T, T]
+gate on ``require_containment``.  Counts,
 sizes and mask values pass ``_integer`` (ints, numpy integers too, never a
 bool, never truncated), every other number ``_real`` (numpy numbers too,
 never a str parsed, a bool or a complex number cut to its real part), and a
@@ -222,10 +222,10 @@ def require_containment(p: ProcedureParams) -> None:
 
 # grid sizes the simulator accepts; the default T needs N >= 512
 _MIN_POINTS = 256
-# largest grid: a circuit holds a few N-point complex arrays (256 MiB each at
-# this size) and numpy's FFT scratch of twice one of them; a sweep at the
-# CLI's T allocates nothing N-sized; a larger request is a typo, not a
-# convergence study
+# largest grid: a sweep at the CLI's T allocates nothing N-sized, and only
+# an explicit small --big-t, whose support spans the grid, takes the
+# full-support path and its 2N-point transform pair (256 MiB an array at
+# this size); a larger request is a typo, not a convergence study
 _MAX_POINTS = 1 << 24
 
 

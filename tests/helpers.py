@@ -116,9 +116,9 @@ def reference_phase_weights(p: ProcedureParams, n: int):
     the N-point prepared state and its ``fourier`` transform."""
     import numpy as np
 
-    from cvphase import grid
+    from circuit_oracle import fourier, prepare_gaussian
 
-    moved = grid.fourier(grid.prepare_gaussian(p, n))
+    moved = fourier(prepare_gaussian(p, n))
     return np.abs(moved.amplitudes) ** 2 * moved.grid_step
 
 
@@ -137,13 +137,15 @@ def fourier_matrix(s):
     """
     import numpy as np
 
-    from cvphase import GridLayoutError, grid
+    from circuit_oracle import POSITION
+    from cvphase import GridLayoutError
+    from cvphase.grid import _conjugate_layout
 
-    if s.space != grid.POSITION:
+    if s.space != POSITION:
         raise GridLayoutError("fourier_matrix expects a position-space state")
     n = s.n
     dx = s.grid_step
-    dy, ys = grid._conjugate_layout(n, dx)
+    dy, ys = _conjugate_layout(n, dx)
     x = s.points
     y = ys + dy * np.arange(n)
     return math.sqrt(dx * dy / math.pi) * np.exp(2j * np.outer(y, x))

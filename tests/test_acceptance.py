@@ -10,25 +10,27 @@ import math
 
 import numpy as np
 
-from cvphase import (
+from circuit_oracle import (
     GridState,
-    PiecewiseBinaryFunction,
     apply_blackbox,
+    fourier,
+    inverse_fourier,
+    prepare_gaussian,
+    run_circuit,
+    two_register_kickback_check,
+)
+from cvphase import (
+    PiecewiseBinaryFunction,
     cli,
     delta_phi,
     fisher_phi,
-    fourier,
     generator_moments,
-    inverse_fourier,
-    prepare_gaussian,
     prob_x0,
     prob_x0_quadrature,
     replicated_mse,
-    run_circuit,
     step_hat_gap,
-    two_register_kickback_check,
 )
-from cvphase.cli import cmd_dj
+from cvphase._engine_commands import cmd_dj
 from helpers import BIG_P, GRID_N, canonical, with_mask_product
 
 PI = math.pi

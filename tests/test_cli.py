@@ -492,8 +492,8 @@ class TestGridEngine:
         import numpy as np
 
         # the sweep evaluates the Gaussian through _support_gaussian, which
-        # prepare_gaussian also calls: each entry is a Gaussian evaluation or
-        # a transform with its length
+        # the stage-by-stage circuit of tests/circuit_oracle.py also calls:
+        # each entry is a Gaussian evaluation or a transform with its length
         calls = []
 
         def counted(module, name):
@@ -1421,6 +1421,8 @@ def test_a_module_run_imports_the_cli_once():
     imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
     assert "cvphase._engine_commands" in imported
     assert "cvphase.cli" not in imported
+    # the engine commands' code is found in their module only
+    assert not hasattr(cli, "_run_dj") and not hasattr(cli, "cmd_dj")
 
 
 def test_table_commands_load_neither_numpy_nor_scipy():
@@ -1628,15 +1630,6 @@ def test_a_command_parser_holds_only_its_own_flags(capsys):
         audit.parse_args(["gap", "--phi", "1"])
     assert "unrecognized arguments: --phi 1" in capsys.readouterr().err
     assert cli.build_parser("audit") is audit  # built once per process
-
-
-def test_engine_command_functions_stay_importable_from_cli():
-    from cvphase.cli import cmd_crosscheck, cmd_dj, cmd_estimate
-
-    assert cmd_dj is engine_commands.cmd_dj
-    assert cmd_estimate is engine_commands.cmd_estimate
-    assert cmd_crosscheck is engine_commands.cmd_crosscheck
-    assert not hasattr(cli, "_run_dj")
 
 
 def test_a_registered_engine_loads_on_first_access_and_can_be_patched():

@@ -13,6 +13,11 @@ special-function code.  So, read from the source of ``src/cvphase``:
 One more rule reads the same source: every value type is a named tuple, so
 no module imports ``dataclasses``.
 
+The stage-by-stage circuit is a test oracle, ``tests/circuit_oracle.py``,
+and stays one: it takes from ``grid`` only the rules the sweep shares with
+it, it never names the sweep it checks, and no module of ``src/cvphase``
+names anything it defines.
+
 A name counts wherever the code spells it: an attribute (``math.erf``), a
 bare name, an import, or a string naming it (``getattr(math, "erf")``,
 ``lazy_import("cvphase.grid")``).  Comments and docstrings are not code.
@@ -27,6 +32,10 @@ import pytest
 import cvphase
 
 SOURCE = Path(cvphase.__file__).parent
+ORACLE = Path(__file__).parent / "circuit_oracle.py"
+# what the oracle takes from grid: the Gaussian, the conjugate layout and
+# the mask's runs of cells, the rules the sweep applies alike
+SHARED_WITH_GRID = {"_support_gaussian", "_gaussian", "_conjugate_layout", "_runs_of_ones"}
 ENGINES = ("stats", "quadrature", "grid")
 ERF_NAMES = frozenset({"erf", "erfc", "lgamma"})
 # numpy.fft, scipy.fft and their transforms: fft, ifft, rfft, irfft, hfft,
@@ -150,6 +159,41 @@ def test_model_holds_no_special_function():
 @pytest.mark.parametrize("module", _modules())
 def test_no_module_imports_dataclasses(module):
     assert "dataclasses" not in _names(_tree(module))
+
+
+def _oracle_tree() -> ast.Module:
+    return ast.parse(ORACLE.read_text(), ORACLE.name)
+
+
+def _public_definitions(tree: ast.Module) -> set[str]:
+    """The public names the module's top level defines or assigns."""
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return {name for name in defined if not name.startswith("_")}
+
+
+def test_the_circuit_oracle_takes_only_the_shared_rules_from_grid():
+    tree = _oracle_tree()
+    from_grid = [
+        node for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "cvphase.grid"
+    ]
+    assert {alias.name for node in from_grid for alias in node.names} == SHARED_WITH_GRID
+    # no other route to grid: no module import, attribute or string naming it
+    rest = ast.Module([node for node in tree.body if node not in from_grid], [])
+    assert "grid" not in _names(rest)
+    assert not _names(tree) & {"phase_response", "PhaseResponse"}
+
+
+@pytest.mark.parametrize("module", _modules())
+def test_no_module_names_what_the_circuit_oracle_defines(module):
+    defined = _public_definitions(_oracle_tree())
+    assert defined
+    assert not _names(_tree(module)) & defined
 
 
 def test_the_reader_sees_what_it_must():

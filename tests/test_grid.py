@@ -13,26 +13,30 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cvphase import (
-    GridLayoutError,
+import circuit_oracle
+from circuit_oracle import (
     GridState,
     MOMENTUM,
     POSITION,
+    apply_blackbox,
+    fourier,
+    inverse_fourier,
+    measure_povm,
+    prepare_gaussian,
+    run_circuit,
+    two_register_kickback_check,
+)
+from cvphase import (
+    CvPhaseError,
+    GridLayoutError,
     ParameterError,
     PiecewiseBinaryFunction,
     ProcedureParams,
     RegimeError,
     aligned_half_width,
-    apply_blackbox,
-    fourier,
     grid,
-    inverse_fourier,
-    measure_povm,
     phase_response,
-    prepare_gaussian,
     prob_x0,
-    run_circuit,
-    two_register_kickback_check,
 )
 from helpers import (
     BIG_P, DELTA, GRID_N, LARGEST_PHASE, canonical, cell_sums, fourier_matrix,
@@ -508,7 +512,7 @@ class TestPhaseGate:
         def no_state(*args):
             raise AssertionError("built a state for a refused phase")
 
-        monkeypatch.setattr(grid, "prepare_gaussian", no_state)
+        monkeypatch.setattr(circuit_oracle, "prepare_gaussian", no_state)
         f = PiecewiseBinaryFunction.step(0.0, BIG_P)
         with pytest.raises(ParameterError, match="^phase must be"):
             run_circuit(canonical(), f, phase, GRID_N)
@@ -984,7 +988,7 @@ class TestKickback:
         # uncapped, 2**70 reaches numpy's bare ValueError "Maximum allowed
         # size exceeded", and 2**36 asks it for a 1 TiB array
         f = PiecewiseBinaryFunction.step(0.0, BIG_P)
-        monkeypatch.setattr(grid, "np", None)  # any array built fails otherwise
+        monkeypatch.setattr(circuit_oracle, "np", None)  # any array built fails otherwise
         with pytest.raises(GridLayoutError) as info:
             two_register_kickback_check(0.5, f, n_target)
         assert str(info.value) == (
@@ -1005,3 +1009,46 @@ class TestKickback:
         assert two_register_kickback_check(0.5, f, np.int64(64)) == (
             two_register_kickback_check(0.5, f, 64)
         )
+
+
+class TestOracleContract:
+    """The oracle's input contract, as ``test_package`` holds the package's:
+    every stage refuses a value it cannot use with a CvPhaseError, one
+    argument at a time, the others valid."""
+
+    BAD = [math.nan, math.inf, -math.inf, "0.5", True, 0.5 + 1j, np.complex128(0.5 + 1j)]
+
+    @staticmethod
+    def cases() -> dict:
+        """name -> (callable, valid arguments): each call succeeds as it stands."""
+        p, n = canonical(), 512
+        f = PiecewiseBinaryFunction.step(0.0, BIG_P)
+        position = prepare_gaussian(p, n)
+        momentum = fourier(position)
+        return {
+            "GridState": (GridState, (
+                position.amplitudes, position.grid_start, position.grid_step, POSITION,
+            )),
+            "prepare_gaussian": (prepare_gaussian, (p, n)),
+            "fourier": (fourier, (position,)),
+            "apply_blackbox": (apply_blackbox, (momentum, f, 0.4)),
+            "inverse_fourier": (inverse_fourier, (momentum,)),
+            "measure_povm": (measure_povm, (position, p)),
+            "run_circuit": (run_circuit, (p, f, 0.4, n)),
+            "two_register_kickback_check": (two_register_kickback_check, (0.3, f, 16)),
+        }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "name",
+        ["GridState", "prepare_gaussian", "fourier", "apply_blackbox",
+         "inverse_fourier", "measure_povm", "run_circuit",
+         "two_register_kickback_check"],
+    )
+    def test_each_stage_refuses_what_it_cannot_use(self, name):
+        call, args = self.cases()[name]
+        call(*args)
+        for index in range(len(args)):
+            for bad in self.BAD:
+                with pytest.raises(CvPhaseError):
+                    call(*args[:index], bad, *args[index + 1:])

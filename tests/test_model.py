@@ -20,8 +20,8 @@ from cvphase import (
     prob_x0_quadrature,
     quadrature_responses,
     require_containment,
-    run_circuit,
 )
+from circuit_oracle import run_circuit
 from cvphase.model import _masks, _probabilities
 from erf_oracle import erf_f
 from factorized_oracle import prob_x0_factorized

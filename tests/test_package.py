@@ -23,20 +23,17 @@ from cvphase import PiecewiseBinaryFunction, ProcedureParams
 # visible change here
 PUBLIC_NAMES = [
     "CONTAINMENT_RATIO", "CvPhaseError", "FisherReport", "GeneratorMoments",
-    "GridLayoutError", "GridState", "KickbackCheck", "MOMENTUM",
-    "MeasurementDistribution", "POSITION", "ParameterError", "PhaseResponse",
-    "PiecewiseBinaryFunction", "ProcedureParams", "QuadratureResponse",
-    "QuadratureResult", "QuadratureSweep", "QuadratureToleranceError", "RegimeError",
-    "ReplicationSummary", "SingularityError", "StepHatGap",
-    "UnidentifiableFunctionError", "__version__", "aligned_half_width",
-    "apply_blackbox", "cosine_model_coefficients", "delta_phi", "dj_statistics",
-    "fisher_phi", "fisher_phis", "fisher_rs", "fourier",
-    "generator_moments", "heisenberg_audit", "inverse_fourier", "mask_efficiency",
-    "measure_povm", "phase_response", "prepare_gaussian", "prob_x0",
-    "prob_x0_quadrature", "prob_x0s", "quadrature_responses",
-    "replicated_mse", "require_containment",
-    "run_circuit", "sample_outcomes", "step_hat_gap", "step_hat_gaps",
-    "two_register_kickback_check",
+    "GridLayoutError", "MeasurementDistribution", "ParameterError",
+    "PhaseResponse", "PiecewiseBinaryFunction", "ProcedureParams",
+    "QuadratureResponse", "QuadratureResult", "QuadratureSweep",
+    "QuadratureToleranceError", "RegimeError", "ReplicationSummary",
+    "SingularityError", "StepHatGap", "UnidentifiableFunctionError",
+    "__version__", "aligned_half_width", "cosine_model_coefficients",
+    "delta_phi", "dj_statistics", "fisher_phi", "fisher_phis", "fisher_rs",
+    "generator_moments", "heisenberg_audit", "mask_efficiency",
+    "phase_response", "prob_x0", "prob_x0_quadrature", "prob_x0s",
+    "quadrature_responses", "replicated_mse", "require_containment",
+    "sample_outcomes", "step_hat_gap", "step_hat_gaps",
 ]
 
 
@@ -126,11 +123,11 @@ def test_every_annotation_resolves(module):
 # another type.  Left out are the records that functions return (they hold
 # results, not inputs), the exception types and the constants.
 _RECORDS = {
-    "FisherReport", "GeneratorMoments", "KickbackCheck", "PhaseResponse",
+    "FisherReport", "GeneratorMoments", "PhaseResponse",
     "QuadratureResponse", "QuadratureResult", "QuadratureSweep",
     "ReplicationSummary", "StepHatGap",
 }
-_CONSTANTS = {"CONTAINMENT_RATIO", "MOMENTUM", "POSITION", "__version__"}
+_CONSTANTS = {"CONTAINMENT_RATIO", "__version__"}
 _BAD = [
     math.nan, math.inf, -math.inf, "0.5", True, 0.5 + 1j, np.complex128(0.5 + 1j),
 ]
@@ -144,8 +141,6 @@ def _contract_cases() -> dict:
     p, n = canonical(), 512
     small = ProcedureParams(0.0, DELTA, p.big_t, 0.1 / DELTA)  # P*delta = 0.1
     f = PiecewiseBinaryFunction.step(0.0, BIG_P)
-    position = cvphase.prepare_gaussian(p, n)
-    momentum = cvphase.fourier(position)
     grid_response = cvphase.phase_response(p, n)
     sweep = cvphase.quadrature_responses(p, [f])
     return {
@@ -174,21 +169,10 @@ def _contract_cases() -> dict:
         "QuadratureSweep.p_x0s": (sweep.p_x0s, ((0.4,),)),
         "step_hat_gap": (cvphase.step_hat_gap, (small, 0.4)),
         "step_hat_gaps": (cvphase.step_hat_gaps, (small, (0.4,))),
-        "GridState": (cvphase.GridState, (
-            position.amplitudes, position.grid_start, position.grid_step,
-            cvphase.POSITION,
-        )),
-        "prepare_gaussian": (cvphase.prepare_gaussian, (p, n)),
-        "fourier": (cvphase.fourier, (position,)),
-        "apply_blackbox": (cvphase.apply_blackbox, (momentum, f, 0.4)),
-        "inverse_fourier": (cvphase.inverse_fourier, (momentum,)),
-        "measure_povm": (cvphase.measure_povm, (position, p)),
-        "run_circuit": (cvphase.run_circuit, (p, f, 0.4, n)),
         "phase_response": (cvphase.phase_response, (p, n)),
         "PhaseResponse.split": (grid_response.split, (f,)),
         "PhaseResponse.p_x0s": (grid_response.p_x0s, ([f], (0.4,))),
         "PhaseResponse.fishers": (grid_response.fishers, ([f], (0.4,))),
-        "two_register_kickback_check": (cvphase.two_register_kickback_check, (0.3, f, 16)),
         "sample_outcomes": (cvphase.sample_outcomes, (0.5, 10, 0)),
         "replicated_mse": (cvphase.replicated_mse, (p, 0.0, math.pi / 4, 10, 3, 0)),
     }
