@@ -1013,8 +1013,8 @@ class TestKickback:
 
 class TestOracleContract:
     """The oracle's input contract, as ``test_package`` holds the package's:
-    every stage refuses a value it cannot use with a CvPhaseError, one
-    argument at a time, the others valid."""
+    every stage accepts its valid arguments, and refuses a value it cannot
+    use with a CvPhaseError, one argument at a time, the others valid."""
 
     BAD = [math.nan, math.inf, -math.inf, "0.5", True, 0.5 + 1j, np.complex128(0.5 + 1j)]
 
@@ -1038,13 +1038,20 @@ class TestOracleContract:
             "two_register_kickback_check": (two_register_kickback_check, (0.3, f, 16)),
         }
 
+    NAMES = [
+        "GridState", "prepare_gaussian", "fourier", "apply_blackbox",
+        "inverse_fourier", "measure_povm", "run_circuit",
+        "two_register_kickback_check",
+    ]
+
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize(
-        "name",
-        ["GridState", "prepare_gaussian", "fourier", "apply_blackbox",
-         "inverse_fourier", "measure_povm", "run_circuit",
-         "two_register_kickback_check"],
-    )
+    @pytest.mark.parametrize("name", NAMES)
+    def test_each_stage_accepts_its_valid_arguments(self, name):
+        call, args = self.cases()[name]
+        call(*args)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", NAMES)
     def test_each_stage_refuses_what_it_cannot_use(self, name):
         call, args = self.cases()[name]
         call(*args)
