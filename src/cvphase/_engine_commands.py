@@ -175,7 +175,7 @@ def _run_crosscheck(args: argparse.Namespace) -> int:
     phi_values = args.phi if args.phi is not None else _phase_axis(17)
     _require_rows(r_values, phi_values)
     table, worst = cmd_crosscheck(p, r_values, phi_values, args.grid_n)
-    _emit(table, args.format, args.out)
+    _emit(table, args.format, args.out, len(phi_values))
     if worst > args.tol:
         print(
             f"crosscheck: worst deviation {worst:.3e} exceeds tolerance "

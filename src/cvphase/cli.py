@@ -2,8 +2,10 @@
 
 Each command builds its table as one dict from column name to list of cells,
 whose key order is the column order, and writes it to stdout (or --out): CSV
-with a header row, where a column whose cells mostly repeat is spelled once
-per distinct cell, or JSON with one object per row (--format json).  Exit
+with a header row, whose rows run in blocks of one outer-axis value (a
+threshold, or a phase in fisher-r), so that a block of one object and the
+inner axis each block repeats are spelled once, or JSON with one object per
+row (--format json).  Exit
 status: 0 success, 2 usage or parameter error (an unwritable --out path
 included), 3 crosscheck tolerance failure (its stderr line gives the
 conjugate cell width and the mask jumps, the thresholds and the domain edge
@@ -38,7 +40,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
+import operator
 import sys
 
 from ._lazy import lazy_import
@@ -126,59 +130,74 @@ def _open_threshold_axis(big_p: float) -> tuple[float, ...]:
 _CSV_BOOL = ("false", "true")
 
 
-def _csv_spec(v: object) -> str:
-    """The % conversion that spells every cell of v's column in CSV."""
-    if isinstance(v, float):
-        # 17 significant digits; nan, inf, -inf and -0 (a negative NaN as nan)
-        return "%.17g"
-    if isinstance(v, int) and not isinstance(v, bool):
-        return "%d"
-    return "%s"  # strs as they are; bools after _CSV_BOOL
-
-
 def _cell_json(v: object) -> object:
     if isinstance(v, float) and not math.isfinite(v):
         return None
     return v
 
 
-def _csv_column(cells: list) -> tuple[str, list]:
-    """A column's % conversion in the CSV line template, and its cells.
+def _each(values, block: int, rows: int) -> list:
+    """Each of values block times over, cut to rows cells."""
+    repeats = map(itertools.repeat, values, itertools.repeat(block))
+    return list(itertools.chain.from_iterable(repeats))[:rows]
 
-    Cells that mostly repeat are spelled here, each distinct one once (0.0
-    and -0.0 are one key but print 0 and -0, so zeros cell by cell; a NaN
-    matches only itself), and enter as %s strings.
+
+def _csv_column(cells: list, block: int) -> tuple[str, list | None]:
+    """A column's spelling in the CSV line template, by the type of its first
+    cell, and the cells the template takes for it; its rows run in blocks of
+    block rows.
+
+    A column of one object is spelled into the template, and takes no cells.
+    Otherwise each block that holds one object is spelled once, and an inner
+    axis (each block holds the first block's objects) once per table; the
+    other cells of such a column are spelled one by one, and all enter as %s
+    strings.  Objects are told apart by identity: 0.0 == -0.0 but they print
+    0 and -0, and a NaN equals only itself.
     """
-    if isinstance(cells[0], bool):
+    v, rows = cells[0], len(cells)
+    if isinstance(v, bool):
         return "%s", list(map(_CSV_BOOL.__getitem__, cells))
-    spec = _csv_spec(cells[0])
-    distinct = set(cells)
-    if 2 * len(distinct) > len(cells):
-        return spec, cells  # the template spells these faster than a memo
-    spelled = {v: spec % v for v in distinct}
-    if 0 in spelled:
-        return "%s", [spelled[v] if v else spec % v for v in cells]
-    return "%s", list(map(spelled.__getitem__, cells))
+    # 17 significant digits (nan, inf, -inf and -0; a negative NaN as nan),
+    # ints as %d, strs as they are
+    spec = "%.17g" if isinstance(v, float) else "%d" if isinstance(v, int) else "%s"
+    if cells[-1] is v and all(map(operator.is_, cells, itertools.repeat(v))):
+        return (spec % v).replace("%", "%%"), None  # spelled into the template
+    first, heads = cells[:block], cells[::block]
+    if rows > block and cells[block] is v and all(
+        map(operator.is_, cells[block:], itertools.cycle(first))
+    ):
+        return "%s", (list(map(spec.__mod__, first)) * len(heads))[:rows]
+    if not 1 < block < rows or True not in map(operator.is_, cells[1::block], heads):
+        return spec, cells
+    spelled = _each(map(spec.__mod__, heads), block, rows)
+    unlike = map(operator.is_not, cells, _each(heads, block, rows))
+    for at in {k - k % block for k in itertools.compress(range(rows), unlike)}:
+        spelled[at : at + block] = map(spec.__mod__, cells[at : at + block])
+    return "%s", spelled
 
 
-def _csv_text(table: dict[str, list]) -> str:
+def _csv_text(table: dict[str, list], block: int) -> str:
     """The CSV text of a table (see _emit), built apart so that its spelled
     cells are freed before the text is written."""
-    head = ",".join(table) + "\n"
-    if not next(iter(table.values())):
-        return head
-    specs, cells = zip(*map(_csv_column, table.values()))
-    template = ",".join(specs) + "\n"
-    return "".join([head, *map(template.__mod__, zip(*cells))])
+    head = ",".join(table)
+    rows = len(next(iter(table.values())))
+    if not rows:
+        return head + "\n"
+    specs, cells = zip(*(_csv_column(column, block or rows) for column in table.values()))
+    template = head.replace("%", "%%") + "\n" + (",".join(specs) + "\n") * rows
+    cells = [column for column in cells if column is not None]
+    return template % tuple(itertools.chain.from_iterable(zip(*cells)))
 
 
-def _emit(table: dict[str, list], fmt: str, out: str | None) -> None:
+def _emit(table: dict[str, list], fmt: str, out: str | None, block: int = 0) -> None:
     """Write the table, which maps each column, in column order, to its list
     of cells, to out, or to stdout when out is None.
 
-    CSV is a header row, then each row through one % template of the
-    columns' conversions (see _csv_spec and _csv_column); no cell needs
-    quoting.  JSON is one object per row, with non-finite floats as null.
+    CSV is a header row, then a line template per row, all filled by one %
+    call.  The rows run in blocks of block rows (0: one block), one value
+    of the table's outer axis each, and ``_csv_column`` spells once what a
+    block or the inner axis repeats; no cell needs quoting.  JSON is one
+    object per row, with non-finite floats as null.
     """
     if fmt == "json":
         import json
@@ -189,7 +208,7 @@ def _emit(table: dict[str, list], fmt: str, out: str | None) -> None:
             for row in zip(*table.values())
         )
     else:
-        text = _csv_text(table)
+        text = _csv_text(table, block)
     _write(text, out)
 
 
@@ -249,7 +268,6 @@ def cmd_fisher_phi_sweep(
     """Fisher information in the phase, analytic and/or from the grid
     response, one sweep per engine; ``engine`` is "analytic", "grid" or
     "all" (both, plus a comparison)."""
-    want_grid = engine in ("grid", "all")
     table = {
         "phi": list(phi_values) * len(r_values),
         "r": [r for r in r_values for _ in phi_values],
@@ -258,9 +276,10 @@ def cmd_fisher_phi_sweep(
         # stats.fisher_phis keys its columns by the names printed here
         table.update(fisher_phis(p, r_values, phi_values))
         table["delta_phi"] = [math.nan if d is None else d for d in table["delta_phi"]]
-    if want_grid:
+    if engine in ("grid", "all"):
         masks = [PiecewiseBinaryFunction.step(r, p.big_p) for r in r_values]
-        _phases(phi_values)  # before the grid is built
+        if engine == "grid":  # fisher_phis has checked them otherwise
+            _phases(phi_values)  # before the grid is built
         response = grid.phase_response(p, grid_n)
         table["fisher_grid"] = fisher_grid = response.fishers(masks, phi_values)
     if engine == "all":
@@ -404,7 +423,7 @@ def _run_fisher_phi(args: argparse.Namespace) -> int:
         phi_values = args.phi if args.phi is not None else _phase_axis(33)
     _require_rows(r_values, phi_values)
     table = cmd_fisher_phi_sweep(p, r_values, phi_values, args.engine, args.grid_n)
-    _emit(table, args.format, args.out)
+    _emit(table, args.format, args.out, len(phi_values))
     return 0
 
 
@@ -418,7 +437,8 @@ def _run_fisher_r(args: argparse.Namespace) -> int:
         phi_values = args.phi if args.phi is not None else (math.pi / 2.0,)
     r_values = args.r if args.r is not None else _open_threshold_axis(p.big_p)
     _require_rows(r_values, phi_values)
-    _emit(cmd_fisher_r_sweep(p, r_values, phi_values), args.format, args.out)
+    table = cmd_fisher_r_sweep(p, r_values, phi_values)
+    _emit(table, args.format, args.out, len(r_values))
     return 0
 
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ParameterError, UnidentifiableFunctionError
 from .model import MeasurementDistribution, ProcedureParams, _integer, _real
-from .stats import _fisher, cosine_model_coefficients
+from .stats import _fishers, cosine_model_coefficients
 
 _HALF_PI = math.pi / 2.0
 _IDENTIFIABILITY_TOL = 1e-9
@@ -131,7 +131,7 @@ def _cosine_model(
             "a (near-)constant mask carries no phase information"
         )
     c, s = math.cos(2.0 * phi_true), math.sin(2.0 * phi_true)
-    return a, b, a + b * c, _fisher(a, b, c, s)[0]
+    return a, b, a + b * c, _fishers(a, b, ((c, s),))[0][0]
 
 
 def _phi_hat(hits: int, shots: int, a: float, b: float) -> float:

@@ -283,9 +283,9 @@ def _runs_of_ones(
     return edges
 
 
-def _fisher(a0: float, a1: float, cos_sq: float) -> float:
+def _fishers(a0: float, a1: float, cos_sqs: list[float]) -> list[float]:
     """Fisher information in phi of the response to (A0, A1), exactly, at
-    the phase with cos_sq = cos(phi)^2.
+    each phase of cos_sqs, its cos(phi)^2.
 
     A0 and A1 are real and non-negative and sum to 1 (Parseval), so the
     response p = A0^2 + A1^2 + 2*A0*A1*cos(2*phi) has
@@ -293,11 +293,14 @@ def _fisher(a0: float, a1: float, cos_sq: float) -> float:
     dp/dphi = -8*A0*A1*sin(phi)*cos(phi).  Then dp^2/(p(1-p)) reduces to
     16*A0*A1*cos(phi)^2 / p with no cancellation anywhere, also where p or
     1 - p vanishes; at p = 0 (A0 = A1 = 1/2, cos(phi) = 0) the limit is 4.
+    The mask's products (A0 - A1)^2, 4*A0*A1 and 16*A0*A1 are taken once.
     """
-    prob = (a0 - a1) ** 2 + 4.0 * a0 * a1 * cos_sq
-    if prob == 0.0:
-        return 4.0
-    return 16.0 * a0 * a1 * cos_sq / prob
+    square, product4, product16 = (a0 - a1) ** 2, 4.0 * a0 * a1, 16.0 * a0 * a1
+    column = []
+    for cos_sq in cos_sqs:
+        prob = square + product4 * cos_sq
+        column.append(product16 * cos_sq / prob if prob != 0.0 else 4.0)
+    return column
 
 
 class PhaseResponse(namedtuple(
@@ -400,11 +403,13 @@ class PhaseResponse(namedtuple(
         self, masks: Iterable[PiecewiseBinaryFunction], phis: Iterable[float]
     ) -> list[float]:
         """The Fisher information in phi of each mask of masks' response at
-        each phase of phis, r-major (see ``_fisher``)."""
+        each phase of phis, r-major, from each phase's cos(phi)^2 taken once
+        and each mask's products (A0 - A1)^2, 4*A0*A1 and 16*A0*A1 taken
+        once (see ``_fishers``)."""
         cos_sqs = [math.cos(phi) ** 2 for phi in _phases(phis)]
         column = []
         for a0, a1 in self._splits(masks):
-            column += [_fisher(a0, a1, cos_sq) for cos_sq in cos_sqs]
+            column += _fishers(a0, a1, cos_sqs)
         return column
 
 

@@ -164,34 +164,39 @@ def fisher_phis(
     columns = {name: [] for name in FisherReport._fields}
     n = len(trig)
     for r, a, b, E, mean, _ in records:
-        cells = [_fisher(a, b, c, s) for c, s in trig]
-        columns["fisher"] += [fisher for fisher, _ in cells]
+        fishers, singular = _fishers(a, b, trig)
+        columns["fisher"] += fishers
         columns["variance_bound"] += [16.0 * (mean * (1.0 - mean))] * n
         columns["mean_bound"] += [4.0 * mean * mean] * n
         columns["delta_phi"] += (
             [_precision(E, c, s) for c, s in trig] if r == 0.0 else [None] * n
         )
-        columns["singular_limit"] += [singular for _, singular in cells]
+        columns["singular_limit"] += singular
     return columns
 
 
-def _fisher(a: float, b: float, c: float, s: float) -> tuple[float, bool]:
-    """(F_phi, singular_limit) of the response a + b*cos(2*phi) at the phase
-    with c = cos(2*phi) and s = sin(2*phi); singular_limit marks an analytic
-    limit taken where the raw quotient is 0/0."""
-    prob = a + b * c
-    dp = -2.0 * b * s
-    pq = prob * (1.0 - prob)
-    if pq > 0.0:
-        return dp * dp / pq, False
-    if b == 0.0:
-        # constant mask: no phi dependence at all
-        return 0.0, True
-    if prob <= 0.0:
-        # reachable only for G = 0 at cos(2*phi) = -1; limit of dp^2/(p(1-p))
-        return 4.0 * b * (1.0 - c) / (1.0 - prob), True
-    # prob = 1 requires E = 1 to machine precision at cos(2*phi) = +1
-    return 4.0 * b * (1.0 + c) / prob, True
+def _fishers(a: float, b: float, trig: list) -> tuple[list[float], list[bool]]:
+    """(F_phi, singular_limit) columns of the response a + b*cos(2*phi) over
+    the phases of trig, their (cos(2*phi), sin(2*phi)) pairs, with -2*b of
+    dp/dphi = -2*b*sin(2*phi) taken once; singular_limit marks an analytic
+    limit taken where the raw quotient is 0/0.  Both limits are 0 for a
+    constant mask (b = 0), which has no phi dependence at all."""
+    slope = -2.0 * b
+    fishers, singular = [], []
+    for c, s in trig:
+        prob = a + b * c
+        pq = prob * (1.0 - prob)
+        singular.append(not pq > 0.0)
+        if pq > 0.0:
+            dp = slope * s
+            fishers.append(dp * dp / pq)
+        elif prob <= 0.0:
+            # reachable only for G = 0 at cos(2*phi) = -1; limit of dp^2/(p(1-p))
+            fishers.append(4.0 * b * (1.0 - c) / (1.0 - prob))
+        else:
+            # prob = 1 requires E = 1 to machine precision at cos(2*phi) = +1
+            fishers.append(4.0 * b * (1.0 + c) / prob)
+    return fishers, singular
 
 
 def fisher_rs(
@@ -289,7 +294,7 @@ def heisenberg_audit(
     is flagged optimal when the product is 1 within 1e-3.
     """
     ((r, a, b, E, mean, _),), phis, trig = _sweep(p, (r,), phis)
-    fishers = [_fisher(a, b, c, s)[0] for c, s in trig]
+    fishers = _fishers(a, b, trig)[0]
     products = [
         math.nan if dphi is None else dphi * math.sqrt(fisher)
         for dphi, fisher in zip((_precision(E, c, s) for c, s in trig), fishers)

@@ -196,16 +196,20 @@ class TestExitCodes:
         assert out == ""
         assert "error:" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("value", ["nan", "1e308"])
+    @pytest.mark.parametrize(
+        "value, engine",
+        [("nan", "grid"), ("1e308", "grid"), ("nan", "all"), ("1e308", "all")],
+        ids=["nan", "1e308", "nan-all", "1e308-all"],
+    )
     def test_grid_engine_checks_the_phase_axis_before_building_the_grid(
-        self, capsys, monkeypatch, value
+        self, capsys, monkeypatch, value, engine
     ):
         def refused(*args):
             raise AssertionError("built the grid before checking the phase axis")
 
         monkeypatch.setattr(grid, "phase_response", refused)
         code, out, err = run_cli(
-            ["fisher-phi", "--engine", "grid", "--phi", value, "--grid-n", "1048576",
+            ["fisher-phi", "--engine", engine, "--phi", value, "--grid-n", "1048576",
              "--big-t", "3.5"],
             capsys,
         )
@@ -561,6 +565,29 @@ class TestGridEngine:
             assert passes == [cuts], argv
             assert sorted(gates) == sorted(want), argv
 
+    @pytest.mark.parametrize("engine, gates", [
+        ("analytic", ["stats"]),
+        # the CLI checks the axis before the grid is built, and the public
+        # PhaseResponse.fishers checks its own
+        ("grid", ["cli", "grid"]),
+        # fisher_phis refuses a bad phase before the grid is built
+        ("all", ["grid", "stats"]),
+    ], ids=["analytic", "grid", "all"])
+    def test_fisher_phi_checks_its_phase_axis_once_per_engine(
+        self, engine, gates, capsys, monkeypatch
+    ):
+        calls = []
+        for module in (cli, stats, grid):
+            name = module.__name__.rsplit(".", 1)[1]
+
+            def counted(phis, name=name, original=module._phases):
+                calls.append(name)
+                return original(phis)
+
+            monkeypatch.setattr(module, "_phases", counted)
+        assert run_cli(["fisher-phi", "--fig4", "--engine", engine], capsys)[0] == 0
+        assert sorted(calls) == gates
+
     @pytest.mark.parametrize(
         "argv, masks, pieces",
         [
@@ -726,10 +753,10 @@ class TestGridEngine:
         p = ProcedureParams(0.0, DELTA, model.aligned_half_width(BIG_P, 8192, 64), BIG_P)
         a0, a1 = phase_response(p, 8192).split(PiecewiseBinaryFunction.step(0.5, BIG_P))
         cos_sq = math.cos(3.14159) ** 2
-        assert grid._fisher(a0, a1, cos_sq) == printed
+        assert grid._fishers(a0, a1, [cos_sq]) == [printed]
         for scale0, scale1 in [(1 - 1e-16, 1.0), (1 + 3e-16, 1.0), (1.0, 1 - 4e-16),
                                (1.0, 1 + 4e-16), (1 + 2e-16, 1 - 2e-16)]:
-            moved = grid._fisher(a0 * scale0, a1 * scale1, cos_sq)
+            (moved,) = grid._fishers(a0 * scale0, a1 * scale1, [cos_sq])
             assert moved == pytest.approx(printed, rel=1e-12)
 
 
@@ -1061,17 +1088,59 @@ _CELLS = {
 }
 
 
+# blocks of cells that are equal but distinct objects, and print as the
+# cell-by-cell writer prints each: signed zeros, fresh NaNs of either sign,
+# and a numpy double beside the float of its value
+_ALIKE = st.sampled_from([
+    lambda i: -0.0 if i % 2 else 0.0,
+    lambda i: _nan(-1.0 if i % 3 else 1.0),
+    lambda i: np.float64(0.1) if i % 2 else 0.1,
+])
+
+
 @st.composite
 def _tables(draw):
-    """A table's columns of cells, all of one length, header-only included."""
-    n = draw(st.integers(0, 6))
+    """A block length and a table's columns of cells, all of one length,
+    header-only and a short last block included.
+
+    Each column holds one cell type.  It is drawn cell by cell, as an inner
+    axis (its first block's objects in every block), or block by block,
+    each block one object repeated, cell by cell, or (for floats) equal but
+    distinct objects.
+    """
+    block = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 9))
     kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=5))
-    return [draw(st.lists(_CELLS[k], min_size=n, max_size=n)) for k in kinds]
+    columns = []
+    for kind in kinds:
+        cell = _CELLS[kind]
+        how = draw(st.sampled_from(["cells", "axis", "blocks"]))
+        if how == "cells":
+            columns.append(draw(st.lists(cell, min_size=n, max_size=n)))
+            continue
+        if how == "axis":
+            first = draw(st.lists(cell, min_size=block, max_size=block))
+            columns.append((first * n)[:n])
+            continue
+        column = []
+        for start in range(0, n, block):
+            size = min(block, n - start)
+            shape = draw(st.sampled_from(
+                ["one", "cells", "alike"] if kind.startswith("float") else ["one", "cells"]
+            ))
+            if shape == "one":
+                column += [draw(cell)] * size
+            elif shape == "cells":
+                column += draw(st.lists(cell, min_size=size, max_size=size))
+            else:
+                column += map(draw(_ALIKE), range(size))
+        columns.append(column)
+    return block, columns
 
 
-def _emitted(table, fmt):
+def _emitted(table, fmt, block=0):
     with contextlib.redirect_stdout(io.StringIO()) as buf:
-        cli._emit(table, fmt, None)
+        cli._emit(table, fmt, None, block)
     return buf.getvalue()
 
 
@@ -1109,20 +1178,27 @@ class TestCsvFormat:
         cli._emit(table, "csv", None)
         assert capsys.readouterr().out == reference_csv(table) == "a,b\n"
 
-    @example([[0.0, -0.0, 0.0], [-0.0, 0.0, 0.0], [1.5, 1.5, 1.5]])
-    @example([[float("nan"), math.copysign(float("nan"), -1.0), math.nan],
-              [np.float64(0.1), 0.1, np.float64(-0.0)], [1, 0, 1]])
-    @example([[math.inf, -math.inf], [True, False], ["balanced", "balanced"]])
-    @example([[0.5], [0], [False], ["constant"]])
-    @example([[], []])
+    @example((3, [[0.0, -0.0, 0.0], [-0.0, 0.0, 0.0], [1.5, 1.5, 1.5]]))
+    @example((1, [[float("nan"), math.copysign(float("nan"), -1.0), math.nan],
+                  [np.float64(0.1), 0.1, np.float64(-0.0)], [1, 0, 1]]))
+    @example((2, [[math.inf, -math.inf], [True, False], ["balanced", "balanced"]]))
+    @example((1, [[0.5], [0], [False], ["constant"]]))
+    @example((2, [[], []]))
+    # block constants, an inner axis, a short last block and a % in a str
+    @example((2, [[0.5, 0.5, -0.0, -0.0, 3.0], [1.5, -1.0, 1.5, -1.0, 1.5],
+                  ["1%d", "1%d", "%s", "%", "%%"]]))
+    # a column of one object spelled into the line template
+    @example((2, [["%d%"] * 3, [0.5] * 3, [-0.0, 1.5, 2.5]]))
     @given(_tables())
     @settings(max_examples=300, deadline=None)
-    def test_column_writer_matches_the_cell_by_cell_writer(self, cells):
+    def test_column_writer_matches_the_cell_by_cell_writer(self, drawn):
+        block, cells = drawn
         columns = [f"c{k}" for k in range(len(cells))]
         table = dict(zip(columns, cells))
+        assert _emitted(table, "csv", block) == reference_csv(table)
         assert _emitted(table, "csv") == reference_csv(table)
         # JSON zips the columns into one object per row
-        assert _emitted(table, "json") == "".join(
+        assert _emitted(table, "json", block) == "".join(
             json.dumps({c: None if isinstance(v, float) and not math.isfinite(v)
                         else v for c, v in zip(columns, row)}, separators=(",", ":"))
             + "\n"
@@ -1144,14 +1220,21 @@ class TestCsvFormat:
         ["crosscheck"], ["audit"], ["gap"],
         # equal zeros of both signs in one column
         ["crosscheck", "--r", "0,-0.0", "--phi", "0,-0.0"],
+        # one-row blocks, and one block
+        ["fisher-phi", "--r", "0:2.1213203435596424:7", "--phi", "0.3", "--engine", "all"],
+        ["fisher-phi", "--r", "0", "--engine", "all"],
+        # signed zeros as a phase block's constant and in the repeated r axis
+        ["fisher-r", "--r", "0,-0.0", "--phi", "0,-0.0"],
+        # thresholds at both domain edges
+        ["crosscheck", "--r", "2.1213203435596424,-2.1213203435596424"],
     ], ids=" ".join)
     def test_default_tables_match_the_cell_by_cell_writer(self, argv, capsys, monkeypatch):
         tables = []
         emit = cli._emit
 
-        def recording_emit(table, fmt, out):
+        def recording_emit(table, fmt, out, block=0):
             tables.append(table)
-            emit(table, fmt, out)
+            emit(table, fmt, out, block)
 
         # dj, estimate and crosscheck emit from their own module
         monkeypatch.setattr(cli, "_emit", recording_emit)
