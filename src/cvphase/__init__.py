@@ -7,15 +7,20 @@ forms (``stats``), adaptive quadrature over the factorized integral
 seeded Monte-Carlo hit counts (``experiments``) and a table-emitting CLI
 (``cli``, installed as the ``cvphase`` script).
 
-``import cvphase`` loads none of them: each public name, and each submodule
-as an attribute (``cvphase.grid``), resolves on first use, importing only
-the submodule that defines it (PEP 562), so a script or command pays for
-the engines it touches and no others.
+``import cvphase`` runs none of them.  It registers each of its six layers
+in ``sys.modules`` and as a package attribute (``cvphase.grid``) through
+``importlib.util.LazyLoader``: a registered layer runs its code on its first
+attribute access, so ``from . import grid`` inside the package loads
+nothing, and a script or command pays for the engines it touches and no
+others.  A layer that has already run stays registered as it is, also
+across ``importlib.reload``.  Each public name resolves on first use
+from the layer that defines it (PEP 562).
 """
 
-import importlib
+import importlib.util
+import sys
 
-# public name -> the submodule defining it, imported when the name is first used
+# public name -> the layer defining it, run when the name is first used
 _SUBMODULE = {
     name: module
     for module, names in (
@@ -45,22 +50,28 @@ _SUBMODULE = {
     )
     for name in names
 }
-_MODULES = frozenset(_SUBMODULE.values())
+
+for _layer in dict.fromkeys(_SUBMODULE.values()):
+    _name = f"{__name__}.{_layer}"
+    _module = sys.modules.get(_name)
+    if _module is None:  # a layer already loaded stays, also across a reload
+        _module = importlib.util.module_from_spec(importlib.util.find_spec(_name))
+        importlib.util.LazyLoader(_module.__loader__).exec_module(_module)
+        sys.modules[_name] = _module
+    globals()[_layer] = _module
+del _layer, _name, _module
 
 
 def __getattr__(name: str):
-    if name in _SUBMODULE:
-        value = getattr(importlib.import_module(f"{__name__}.{_SUBMODULE[name]}"), name)
-    elif name in _MODULES:
-        value = importlib.import_module(f"{__name__}.{name}")
-    else:
+    if name not in _SUBMODULE:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(globals()[_SUBMODULE[name]], name)
     globals()[name] = value  # later lookups skip this hook
     return value
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__) | set(_MODULES))
+    return sorted(set(globals()) | set(__all__))
 
 
 __version__ = "0.1.0"

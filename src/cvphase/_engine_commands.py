@@ -4,11 +4,11 @@
 ``cli`` imports this module only when one of them runs, so a table command
 (``audit``, ``gap``, ``fisher-phi``, ``fisher-r``) compiles none of it.
 Functions of the other layers are looked up on their modules at call time
-(``stats.prob_x0s``, ``cli.experiments.sample_outcomes``,
-``cli.quadrature.quadrature_responses``), never bound here
-by name: an engine bound by an import statement would load at once (see
-``_lazy``), and perfbench's tracer wraps each layer's functions where that
-layer's module holds them.
+(``stats.prob_x0s``, ``experiments.sample_outcomes``,
+``quadrature.quadrature_responses``), never bound here by name: importing a
+layer reads none of its attributes, so it runs no code until a command
+calls it (see ``cvphase``), and perfbench's tracer wraps each layer's
+functions where that layer's module holds them.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import functools
 import math
 import sys
 
-from . import cli, stats
+from . import experiments, grid, quadrature, stats
 from .cli import (
     _emit,
     _fig4_thresholds,
@@ -50,7 +50,7 @@ def cmd_dj(p: ProcedureParams, r: float, trials: int, seed: int) -> dict[str, li
     for idx, (label, r_case) in enumerate(cases):
         p_x0 = stats.dj_statistics(p, r_case).p_x0
         # a detection at the decision phase classifies the mask as constant
-        n_const = cli.experiments.sample_outcomes(p_x0, trials, (seed, idx))
+        n_const = experiments.sample_outcomes(p_x0, trials, (seed, idx))
         n_bal = trials - n_const
         if r_case == 0.0:
             truth = "balanced"
@@ -78,28 +78,17 @@ _ESTIMATE_COLUMNS = (
 _UNITS = tuple(f"{u}," for u in range(10))
 
 
-def _estimate_tails(s) -> tuple[dict[int, tuple], tuple]:
-    """The cells after the replica column: one tuple per distinct hit count
-    of the ReplicationSummary s, and the replica mean's (replica=-1)."""
-    bounded = math.isfinite(s.crb) and s.crb > 0.0
-    tails = {
-        k: (phi_hat, s.shots, mse, s.crb, mse / s.crb if bounded else math.nan)
-        for k, (phi_hat, mse) in s.per_count.items()
-    }
-    return tails, (math.nan, s.shots, s.mean_mse, s.crb, s.mse_over_crb)
-
-
 def cmd_estimate(
     p: ProcedureParams, r: float, phi_true: float, shots: int, replicas: int, seed: int
 ) -> dict[str, list]:
     """Replicated maximum-likelihood estimates; final row (replica=-1) is the
     replica mean."""
-    s = cli.experiments.replicated_mse(p, r, phi_true, shots, replicas, seed)
-    tails, mean = _estimate_tails(s)
-    table = {"replica": [*range(s.replicas), -1]}
-    for j, column in enumerate(_ESTIMATE_COLUMNS[1:]):
-        table[column] = [tails[k][j] for k in s.hits] + [mean[j]]
-    return table
+    s = experiments.replicated_mse(p, r, phi_true, shots, replicas, seed)
+    phi_hat, mse, ratio = zip(*map(s.per_count.__getitem__, s.hits))
+    n = s.replicas + 1
+    columns = ([*range(s.replicas), -1], [*phi_hat, math.nan], [s.shots] * n,
+               [*mse, s.mean_mse], [s.crb] * n, [*ratio, s.mse_over_crb])
+    return dict(zip(_ESTIMATE_COLUMNS, columns))
 
 
 def cmd_crosscheck(
@@ -113,8 +102,8 @@ def cmd_crosscheck(
     pas = stats.prob_x0s(p, r_values, phi_values)
     masks = [PiecewiseBinaryFunction.step(r, p.big_p) for r in r_values]
     # one integration per piece of the masks' folded cuts, one column read
-    pqs = cli.quadrature.quadrature_responses(p, masks).p_x0s(phi_values)
-    pgs = cli.grid.phase_response(p, grid_n).p_x0s(masks, phi_values)
+    pqs = quadrature.quadrature_responses(p, masks).p_x0s(phi_values)
+    pgs = grid.phase_response(p, grid_n).p_x0s(masks, phi_values)
     devs = [
         max(abs(pa - pq), abs(pa - pg), abs(pq - pg))
         for pa, pq, pg in zip(pas, pqs, pgs)
@@ -148,11 +137,10 @@ def _run_estimate(args: argparse.Namespace) -> int:
     # number's leading digits, its last digit and comma, and the line tail.
     # n_shots and crb are spelled into the tail template once per run, and
     # each distinct hit count's tail once, so no replica is formatted alone
-    s = cli.experiments.replicated_mse(*run)
-    tails, mean = _estimate_tails(s)
+    s = experiments.replicated_mse(*run)
     template = "%%.17g,%d,%%.17g,%s,%%.17g\n" % (s.shots, "%.17g" % s.crb)
     # the cells that vary by count: phi_hat, empirical_mse and mse_over_crb
-    spelled = {k: template % cells[::2] for k, cells in tails.items()}
+    spelled = {k: template % cells for k, cells in s.per_count.items()}
     n = s.replicas
     tens = ["", *map(str, range(1, (n - 1) // 10 + 1))]
     pieces = [None] * (3 * n)
@@ -162,7 +150,8 @@ def _run_estimate(args: argparse.Namespace) -> int:
         pieces[3 * u + 1::30] = (unit,) * m
     pieces[2::3] = map(spelled.__getitem__, s.hits)
     head = ",".join(_ESTIMATE_COLUMNS) + "\n"
-    _write("".join([head, *pieces, "-1,", template % mean[::2]]), args.out)
+    mean = template % (math.nan, s.mean_mse, s.mse_over_crb)
+    _write("".join([head, *pieces, "-1,", mean]), args.out)
     return 0
 
 
@@ -179,7 +168,7 @@ def _run_crosscheck(args: argparse.Namespace) -> int:
     if worst > args.tol:
         print(
             f"crosscheck: worst deviation {worst:.3e} exceeds tolerance "
-            f"{args.tol:.3e}; {cli.grid._cell_edge_note(p, r_values)}",
+            f"{args.tol:.3e}; {grid._cell_edge_note(p, r_values)}",
             file=sys.stderr,
         )
         return 3

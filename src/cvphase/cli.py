@@ -25,9 +25,12 @@ default grid's and each doubling of N halves the cell dy = P/(8q).
 Each subcommand's --help epilog lists its table's columns.
 
 A cold table command (audit, gap, fisher-phi, fisher-r) compiles this
-module, errors, model and stats, plus the one engine it runs, if any (see
-``_lazy``).  The code of dj, estimate and crosscheck sits in
-``_engine_commands``, which only those three import, and the parser adds
+module, errors, model and stats, plus the one engine it runs, if any: the
+package registers every layer, and a layer runs its code on its first
+attribute access (see ``cvphase``), so this module imports ``grid`` and
+``quadrature`` and calls them through their modules.  The code of dj,
+estimate and crosscheck sits in ``_engine_commands``, which only those
+three import, and the parser adds
 flags only to the subcommand that runs (``build_parser``).  argv is parsed
 once: when its first argument names a command, that command's parser reads
 the rest, and a token it leaves is refused as the full parser refuses it.
@@ -45,7 +48,7 @@ import math
 import operator
 import sys
 
-from ._lazy import lazy_import
+from . import grid, quadrature
 from .errors import CvPhaseError, GridLayoutError, ParameterError
 from .model import (
     PiecewiseBinaryFunction,
@@ -56,12 +59,6 @@ from .model import (
     require_scale,
 )
 from .stats import fisher_phis, fisher_rs, heisenberg_audit
-
-# each engine runs its module code when a command first uses it, so a fresh
-# process compiles only the engines it runs; json is imported by --format json
-experiments = lazy_import("cvphase.experiments")
-grid = lazy_import("cvphase.grid")
-quadrature = lazy_import("cvphase.quadrature")
 
 _DEFAULT_GRID_N = 4096
 # most points a start:stop:count axis may ask for; every point is at least

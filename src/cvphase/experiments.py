@@ -153,10 +153,11 @@ class ReplicationSummary(namedtuple(
 
     hits[i] is replica i's hit count.  An estimate and its squared error
     depend on the replica only through that count, so they are held once per
-    distinct count: per_count[k] is (phi_hat, squared_error) for k hits, and
-    replica i's are per_count[hits[i]].  mean_mse is the sequential sum of
-    the replicas' squared errors, in replica order, over replicas.
-    Every replica shares the bound crb.
+    distinct count: per_count[k] is (phi_hat, squared_error, mse_over_crb)
+    for k hits, the cells the ``estimate`` table prints for it, and replica
+    i's are per_count[hits[i]].  mean_mse is the sequential sum of the
+    replicas' squared errors, in replica order, over replicas.  Every
+    replica shares the bound crb.
     """
 
     __slots__ = ()
@@ -181,7 +182,8 @@ def replicated_mse(
     estimate and squared error are computed once per distinct hit count;
     mean_mse stays the sequential sum of each replica's squared error over
     replicas, since a count-weighted sum would round differently.
-    mse_over_crb is NaN when the bound is not finite.
+    Each ratio to the bound, mse_over_crb and that of every count, is NaN
+    when the bound is infinite or zero.
     """
     shots = _draws(shots, "shots", _MAX_DRAWS)
     replicas = _draws(replicas, "replicas", _MAX_REPLICAS)
@@ -197,14 +199,17 @@ def replicated_mse(
         total += errors[k]
     mean_mse = total / replicas
     crb = 1.0 / (shots * fisher) if fisher > 0.0 else math.inf
-    ratio = mean_mse / crb if math.isfinite(crb) and crb > 0.0 else math.nan
+    # dividing by NaN gives the NaN ratio of an infinite or zero crb
+    bound = crb if math.isfinite(crb) and crb > 0.0 else math.nan
     return ReplicationSummary(
         hits=hits,
-        per_count={k: (h, errors[k]) for k, h in estimates.items()},
+        per_count={
+            k: (h, errors[k], errors[k] / bound) for k, h in estimates.items()
+        },
         shots=shots,
         replicas=replicas,
         phi_true=phi_true,
         mean_mse=mean_mse,
         crb=crb,
-        mse_over_crb=ratio,
+        mse_over_crb=mean_mse / bound,
     )

@@ -17,10 +17,13 @@ constant-vs-balanced decision statistics.  E is the mask efficiency; G only
 depends on |r|, so p, F_phi and F_r are even in r.  The generator mean is
 not (mean(r) + mean(-r) = erf(2*P*delta)), nor are the bounds built on it.
 
-Every closed form of a threshold or a phase reads one ``_sweep`` of a
+Every closed form of a threshold and a phase reads one ``_sweep`` of a
 threshold axis and a phase axis (``_threshold`` is its one-threshold read).
-A sweep runs the containment check once and takes erf(2*P*delta) once, as E
-is a constant of the whole (phi, r) sweep.  Each threshold then passes
+Two closed forms need no phase and take their one erf directly instead:
+``mask_efficiency`` erf(2*P*delta), and ``dj_statistics`` erf(2*r*delta) at
+the decision phase, where p_x0 = G; a sweep would add the erf of E to each
+call.  A sweep runs the containment check once and takes erf(2*P*delta)
+once, as E is a constant of the whole (phi, r) sweep.  Each threshold then passes
 ``model._inside`` (r in [-P, P], no slack) and takes one erf(2*r*delta) for
 its record of what depends on r alone; the phase axis passes
 ``model._phases`` once, and each phase's cos(2*phi) and sin(2*phi) are taken

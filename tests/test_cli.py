@@ -1739,14 +1739,28 @@ def test_a_registered_engine_loads_on_first_access_and_can_be_patched():
 
 
 def test_package_import_loads_no_submodule():
+    # a bare import registers each layer, in sys.modules and as a package
+    # attribute, and runs none of them (told apart as in _LOADED_AFTER);
+    # dir lists every public name and layer, and none of the registration's
+    # loop variables, and runs no layer either
+    script = (
+        "import sys, types, cvphase\n"
+        "mods = {m[8:]: v for m, v in sys.modules.items() if m.startswith('cvphase.')}\n"
+        "print(*sorted(mods))\n"
+        "print(*sorted(m for m, v in mods.items() if type(v) is types.ModuleType))\n"
+        "print(all(vars(cvphase)[m] is v for m, v in mods.items()))\n"
+        "names = dir(cvphase)\n"
+        "print(*sorted(set(cvphase.__all__) - set(names)))\n"
+        "print(*(n for n in names if n not in cvphase.__all__ and n[:2] != '__'))\n"
+        "print(*sorted(m for m, v in mods.items() if type(v) is types.ModuleType))\n"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, cvphase\n"
-         "print(sorted(m for m in sys.modules if m.startswith('cvphase')))"],
-        capture_output=True, text=True,
+        [sys.executable, "-c", script], capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "['cvphase']\n"
+    layers = ["errors", "experiments", "grid", "model", "quadrature", "stats"]
+    others = " ".join(sorted(["_SUBMODULE", "importlib", "sys", *layers]))
+    assert proc.stdout.splitlines() == [" ".join(layers), "", "True", "", others, ""]
 
 
 # small runs: the property is about exit codes and error reporting, not output

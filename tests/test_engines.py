@@ -20,7 +20,8 @@ names anything it defines.
 
 A name counts wherever the code spells it: an attribute (``math.erf``), a
 bare name, an import, or a string naming it (``getattr(math, "erf")``,
-``lazy_import("cvphase.grid")``).  Comments and docstrings are not code.
+``importlib.import_module("cvphase.grid")``).  Comments and docstrings are
+not code.
 """
 
 import ast
@@ -99,7 +100,7 @@ def _names(tree: ast.Module) -> set[str]:
 
 def _imported_modules(tree: ast.Module) -> set[str]:
     """The cvphase modules the code imports, relatively or by full name, or
-    names in a string such as lazy_import's."""
+    names in a string such as importlib.import_module's."""
     found = set()
 
     def package_part(dotted: str) -> None:
@@ -205,7 +206,7 @@ def test_the_reader_sees_what_it_must():
         "from . import grid\n"
         "from .stats import prob_x0\n"
         "x = getattr(math, 'lgamma')\n"
-        "y = lazy_import('cvphase.quadrature')\n"
+        "y = importlib.import_module('cvphase.quadrature')\n"
         "def f():\n"
         "    '''erf in a docstring is prose'''\n"
         "    return np.fft.rfft(x)\n"

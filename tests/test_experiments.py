@@ -388,8 +388,9 @@ class TestMlePhi:
         phi_true = 0.7
         s = replicated_mse(sat, 0.0, phi_true, 10, 3, 2)
         assert set(s.per_count) == set(s.hits)
-        for phi_hat, squared_error in s.per_count.values():
+        for phi_hat, squared_error, ratio in s.per_count.values():
             assert squared_error == (phi_hat - phi_true) ** 2
+            assert ratio == squared_error / s.crb
         fisher = fisher_phi(sat, 0.0, phi_true).fisher
         assert s.crb * s.shots * fisher == pytest.approx(1.0, rel=1e-12)
 
@@ -456,9 +457,10 @@ class TestReplicatedMse:
         squared_errors = []
         for k in s.hits:
             # the per-count table: each estimate is its count's inversion
-            phi_hat, squared_error = s.per_count[k]
+            phi_hat, squared_error, ratio = s.per_count[k]
             assert phi_hat == inverted_phase(k, shots, p, r)
             assert squared_error == (phi_hat - phi_true) ** 2
+            assert ratio == squared_error / s.crb
             assert type(k) is int
             assert phi_hat == experiments._phi_hat(k, shots, a, b)
             squared_errors.append(squared_error)
@@ -477,6 +479,7 @@ class TestReplicatedMse:
         s = replicated_mse(canonical(), 0.0, 0.0, 20, 5, 1)
         assert math.isinf(s.crb)
         assert math.isnan(s.mse_over_crb)
+        assert all(math.isnan(ratio) for _, _, ratio in s.per_count.values())
 
     def test_validates_counts(self):
         with pytest.raises(ParameterError):

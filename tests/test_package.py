@@ -77,6 +77,24 @@ def test_submodule_is_an_attribute_after_a_bare_import(module):
     assert proc.stdout == f"True cvphase.{module}\n"
 
 
+def test_reload_keeps_the_registered_layers():
+    # in a fresh interpreter: grid has run and quadrature has not; the
+    # package's code runs again and keeps both module objects as they are
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import importlib, sys, types, cvphase\n"
+         "cvphase.grid.phase_response\n"
+         "layers = {m: sys.modules[f'cvphase.{m}'] for m in ('grid', 'quadrature')}\n"
+         "importlib.reload(cvphase)\n"
+         "for m, v in layers.items():\n"
+         "    print(m, sys.modules[f'cvphase.{m}'] is v, getattr(cvphase, m) is v,\n"
+         "          type(v) is types.ModuleType)\n"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "grid True True True\nquadrature True True False\n"
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         cvphase.no_such_name  # noqa: B018
