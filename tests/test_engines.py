@@ -10,8 +10,10 @@ special-function code.  So, read from the source of ``src/cvphase``:
   names an FFT;
 * ``model``, which all three import, holds no special function at all.
 
-One more rule reads the same source: every value type is a named tuple, so
-no module imports ``dataclasses``.
+Two more rules read the same source: every value type is a named tuple, so
+no module imports ``dataclasses``; and the package registers its layers
+itself, so no module names ``lazy_import`` or reads a layer as an
+attribute of ``cli`` (``cli.grid``).
 
 The stage-by-stage circuit is a test oracle, ``tests/circuit_oracle.py``,
 and stays one: it takes from ``grid`` only the rules the sweep shares with
@@ -44,6 +46,8 @@ ERF_NAMES = frozenset({"erf", "erfc", "lgamma"})
 _FFT = re.compile(r"^(i?[rh]?fft[2n]?|fftpack|pocketfft)$")
 # what model may not name beyond those: the gamma family and scipy.special
 SPECIAL_NAMES = ERF_NAMES | {"gamma", "special"}
+# the layers the package registers, each named once in its table of names
+LAYERS = frozenset(cvphase._SUBMODULE.values())
 
 
 def _tree(module: str) -> ast.Module:
@@ -128,6 +132,20 @@ def _imported_modules(tree: ast.Module) -> set[str]:
     return found
 
 
+def _layers_through_cli(tree: ast.Module) -> set[str]:
+    """The layers the code reads as an attribute of cli, as ``cli.grid`` or
+    ``cvphase.cli.grid``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in LAYERS:
+            base = node.value
+            if (isinstance(base, ast.Name) and base.id == "cli") or (
+                isinstance(base, ast.Attribute) and base.attr == "cli"
+            ):
+                found.add(node.attr)
+    return found
+
+
 def test_the_engines_are_all_there():
     assert set(ENGINES) <= set(_modules())
 
@@ -160,6 +178,13 @@ def test_model_holds_no_special_function():
 @pytest.mark.parametrize("module", _modules())
 def test_no_module_imports_dataclasses(module):
     assert "dataclasses" not in _names(_tree(module))
+
+
+@pytest.mark.parametrize("module", _modules())
+def test_no_module_reaches_a_layer_through_cli(module):
+    tree = _tree(module)
+    assert "lazy_import" not in _names(tree)
+    assert not _layers_through_cli(tree)
 
 
 def _oracle_tree() -> ast.Module:
@@ -216,3 +241,10 @@ def test_the_reader_sees_what_it_must():
     assert _imported_modules(tree) == {"grid", "stats", "quadrature"}
     prose = ast.parse("def f():\n    '''erf'''\n")
     assert "erf" not in _names(prose)
+    routed = ast.parse(
+        "from . import cli\n"
+        "n = cli.experiments.sample_outcomes(p, trials, seed)\n"
+        "g = cvphase.cli.grid\n"
+        "e = cli._emit\n"
+    )
+    assert _layers_through_cli(routed) == {"experiments", "grid"}
